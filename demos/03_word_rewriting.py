@@ -3,7 +3,10 @@
 The fast evaluator rests on three moves, shown here end to end on one
 matrix: split off a Gamma0-transversal factor, decompose the Gamma1 part
 into a T/S word of logarithmic length, and rewrite that word as a product
-of U-values indexed by a finite table.
+of U-values indexed by a finite table.  The rewrite walks only the coset
+key (c mod N, d mod N) of each prefix; beside each factor this script
+prints the matrix-level reference: the key of the full prefix matrix and
+the U-value itself.
 """
 
 from gdsum.cosets import schreier_alphabet, transversal_g1_in_g0, transversal_g1_in_sl2
@@ -30,21 +33,38 @@ gamma1 = gamma0 * g.inv()
 print(f"\nSplit gamma0 = gamma1 * g with g = {g}:")
 print(f"  gamma1 = {gamma1}, in Gamma1({N}): {gamma1.in_gamma1(N)}")
 
-w = ts_decompose(gamma1)
-sign = "-" if w.negate else ""
-print(f"\nT/S word ({w.letters} exponents): {sign}" + " S ".join(f"T^{e}" for e in w.exponents))
+
+def spell(w):
+    return ("-" if w.negate else "") + " S ".join(f"T^{e}" for e in w.exponents)
+
+
+w = ts_decompose(gamma1, nearest=True)
+floor = ts_decompose(gamma1)
+print(f"\nT/S word, nearest-integer quotients ({w.letters} exponents): {spell(w)}")
+print(f"(floor quotients would give {floor.letters}: {spell(floor)})")
 assert ts_reconstruct(w) == gamma1
 
 t_sl2 = transversal_g1_in_sl2(N)
 print(f"\nFull-group transversal has {len(t_sl2)} members, keyed by (c, d) mod {N}.")
 factors = modified_rewrite(w, t_sl2)
-print(f"Rewriting gives {len(factors)} U-factors (one per T-power, one per S):")
-for f in factors:
-    print(f"  {format_factor(f)}")
-
+print(
+    f"Rewriting gives {len(factors)} U-factors (one per T-power, one per S).  The walk\n"
+    "carries only the key: T^a maps (c, d) to (c, d + a*c), S maps it to (d, -c).\n"
+    "Beside each factor, the key of the full prefix matrix and the U-matrix:"
+)
+prefix = I2
 prod = I2
 for f in factors:
-    prod = prod * expand_factor(f, t_sl2)
+    u = expand_factor(f, t_sl2)
+    print(f"  {format_factor(f):<20} prefix key {t_sl2.key_of(prefix)}  U = {u}")
+    assert t_sl2.key_of(prefix) == f.base_key
+    if f.gen == "T":
+        prefix = prefix.mul_t_power(f.exponent)
+    elif f.gen == "S":
+        prefix = prefix.mul_s()
+    else:
+        prefix = -prefix
+    prod = prod * u
 print(f"\nExact product of the factors equals gamma1: {prod == gamma1}")
 
 reduced = reduce_word(factors, N)

@@ -39,6 +39,10 @@ from .rewriter import (
     reduce_word,
 )
 
+# Largest lower-left entry for which the double sum, O(c * q1), is run:
+# the default of `bench --naive-cutoff` and the limit of `sum --naive`.
+NAIVE_CUTOFF = 10**5
+
 
 class CliError(Exception):
     pass
@@ -74,8 +78,12 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("sum", help="evaluate one sum")
     add_common(p)
     p.add_argument("--matrix", required=True, help='matrix "a,b;c,d"')
-    p.add_argument("--naive", action="store_true", help="evaluate the double sum instead")
-    p.add_argument("--trace", action="store_true", help="print the factor expansion")
+    p.add_argument(
+        "--naive",
+        action="store_true",
+        help=f"evaluate the double sum instead (lower-left entry <= {NAIVE_CUTOFF})",
+    )
+    p.add_argument("--trace", action="store_true", help="print the word and its alphabet terms")
 
     p = sub.add_parser("verify", help="randomized exact verification suites")
     add_common(p)
@@ -88,7 +96,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--kmin", type=int, required=True)
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--samples", type=int, default=5, help="matrices per k")
-    p.add_argument("--naive-cutoff", type=int, default=10**5, help="skip the double sum above this c")
+    p.add_argument(
+        "--naive-cutoff", type=int, default=NAIVE_CUTOFF, help="skip the double sum above this c"
+    )
     p.add_argument("--output", required=True, help="CSV file to write")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
@@ -138,8 +148,13 @@ def cmd_precompute(args) -> int:
 
 
 def cmd_sum(args) -> int:
-    ctx = _load_or_build(args)
     gamma = Mat2.parse(args.matrix)
+    if args.naive and gamma.c > NAIVE_CUTOFF:
+        raise CliError(
+            f"--naive runs the double sum, O(c) terms; c = {gamma.c} is above the "
+            f"cutoff {NAIVE_CUTOFF}, so drop --naive to use the table path"
+        )
+    ctx = _load_or_build(args)
     if args.trace:
         _print_trace(ctx, gamma)
     if args.naive:
@@ -153,7 +168,7 @@ def cmd_sum(args) -> int:
 def _print_trace(ctx: Context, gamma: Mat2) -> None:
     g1, g, d_key = split_gamma0(ctx, gamma)
     print(f"gamma = gamma1 * g with g = {g} (d = {d_key} mod {ctx.N})")
-    w = ts_decompose(g1)
+    w = ts_decompose(g1, nearest=True)
     sign = "-" if w.negate else ""
     word = " S ".join(f"T^{e}" for e in w.exponents)
     print(f"gamma1 = {g1} = {sign}{word}")
@@ -324,10 +339,10 @@ def _bench_matrix(N: int, c: int, rng, ar_zero: bool) -> Mat2:
     gamma = Mat2(a, b, c, d)
     if ar_zero:
         # shifting d by m*c adds m to the trailing exponent
-        tail = ts_decompose(gamma).exponents[-1]
+        tail = ts_decompose(gamma, nearest=True).exponents[-1]
         if tail:
             gamma = gamma.mul_t_power(-tail)
-            assert ts_decompose(gamma).exponents[-1] == 0
+            assert ts_decompose(gamma, nearest=True).exponents[-1] == 0
     return gamma
 
 

@@ -21,6 +21,8 @@ trivial on Gamma1(N); that single identity powers everything here:
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -272,24 +274,32 @@ def split_gamma0(ctx: Context, gamma: Mat2) -> tuple[Mat2, Mat2, int]:
 
 
 def fast_sum(ctx: Context, gamma: Mat2) -> CycElem:
-    """S(gamma) from the precomputed tables; O(log|c|) work."""
+    """S(gamma) from the precomputed tables; O(log|c|) work.
+
+    The table's rational coefficients are added as integer numerators, one
+    running sum per (denominator, coefficient); each becomes one Fraction
+    at the end.
+    """
     g1, _, d_key = split_gamma0(ctx, gamma)
-    word = ts_decompose(g1)
-    factors = reduce_word(modified_rewrite(word, ctx.t_sl2, product=g1), ctx.N)
-    # accumulate coefficient vectors directly; everything shares order L
-    coeffs = list(ctx.sums_g0[d_key].coeffs)
-    for f in factors:
-        term = ctx.sums_alphabet[(f.base_key, f.gen)].coeffs
-        m = f.multiplicity
-        if m == 1:
-            for i, x in enumerate(term):
-                if x:
-                    coeffs[i] += x
-        else:
-            for i, x in enumerate(term):
-                if x:
-                    coeffs[i] += m * x
-    return CycElem._raw(ctx.L, tuple(coeffs))
+    word = ts_decompose(g1, nearest=True)
+    terms = reduce_word(modified_rewrite(word, ctx.t_sl2, product=g1), ctx.N)
+    out = list(ctx.sums_g0[d_key].coeffs)
+    deg = len(out)
+    table = ctx.sums_alphabet
+    rows = {}  # denominator -> numerators, one per coefficient
+    for key, gen, m in terms:
+        for i, x in enumerate(table[key, gen].coeffs):
+            n, den = x.as_integer_ratio()
+            if n:
+                row = rows.get(den)
+                if row is None:
+                    row = rows[den] = [0] * deg
+                row[i] += m * n
+    for den, row in rows.items():
+        for i, n in enumerate(row):
+            if n:
+                out[i] += Fraction(n, den)
+    return CycElem._raw(ctx.L, tuple(out))
 
 
 def crossed_hom_check(chi1, chi2, ga: Mat2, gb: Mat2) -> bool:
@@ -386,8 +396,20 @@ def context_to_json(ctx: Context) -> dict:
 
 
 def save_context(ctx: Context, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(context_to_json(ctx), fh)
+    """Write the cache atomically: into a temporary file in the same
+    directory, then renamed over `path`, so a write that fails midway
+    leaves any previous cache as it was."""
+    path = os.fspath(path)
+    fd, tmp = tempfile.mkstemp(
+        dir=os.path.dirname(path) or ".", prefix=os.path.basename(path) + ".", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(context_to_json(ctx), fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_context(path, *, spot_checks: int = 5) -> Context:
@@ -397,9 +419,27 @@ def load_context(path, *, spot_checks: int = 5) -> Context:
     member/key consistency, alphabet membership in Gamma1(N), coefficient
     vector lengths, and `spot_checks` alphabet sums re-evaluated against
     the double sum (the entries of smallest positive lower-left entry).
+    A malformed structure (a missing key, a value of the wrong type)
+    raises ValueError like any other failed check.
     """
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
+    try:
+        ctx = _context_from_json(data)
+    except (LookupError, TypeError, AttributeError, ArithmeticError) as exc:
+        raise ValueError(f"malformed cache {path}: {type(exc).__name__}: {exc}") from exc
+
+    # spot-check the cheapest oracle-valid entries against the double sum
+    checkable = sorted(
+        (m.c, key) for key, m in ctx.alphabet.items() if m.c >= 1
+    )[:spot_checks]
+    for _, key in checkable:
+        if naive_sum(ctx.chi1, ctx.chi2, ctx.alphabet[key]) != ctx.sums_alphabet[key]:
+            raise ValueError(f"cached sum for alphabet entry {key} fails the oracle")
+    return ctx
+
+
+def _context_from_json(data) -> Context:
     if data.get("version") != CACHE_VERSION:
         raise ValueError(f"unsupported cache version {data.get('version')!r}")
     chi1 = _chi_from_json(data["chi1"])
@@ -455,14 +495,6 @@ def load_context(path, *, spot_checks: int = 5) -> Context:
         sums_alphabet[((cm, dm), gen)] = _cyc_from_json(L, row["v"], deg)
     if len(alphabet) != (N + 3) * len(sl2_members):
         raise ValueError("wrong alphabet size")
-
-    # spot-check the cheapest oracle-valid entries against the double sum
-    checkable = sorted(
-        (m.c, key) for key, m in alphabet.items() if m.c >= 1
-    )[:spot_checks]
-    for _, key in checkable:
-        if naive_sum(chi1, chi2, alphabet[key]) != sums_alphabet[key]:
-            raise ValueError(f"cached sum for alphabet entry {key} fails the oracle")
 
     parity_ok = parity_product(chi1, chi2) == CycElem.one(L)
     return Context(

@@ -4,7 +4,9 @@ T = (1 1; 0 1) is the unit shear, S = (0 -1; 1 0) the order-4 rotation;
 together they generate the full group of determinant-1 integer matrices,
 and -I = S^2.  `ts_decompose` writes any such matrix as
 +-T^a1 S T^a2 S ... T^ar via floor-quotient Euclidean steps on the first
-column, so the letter count grows logarithmically in the lower-left entry.
+column, so the letter count grows logarithmically in the lower-left entry;
+with nearest-integer quotients, as the evaluator asks for, |c| at least
+halves with every letter.
 """
 
 from __future__ import annotations
@@ -155,27 +157,34 @@ def _strip_letters(m: Mat2, nearest: bool, cap: int | None):
     return TSWord(True, tuple(exps))
 
 
-def ts_decompose(m: Mat2) -> TSWord:
+def ts_decompose(m: Mat2, *, nearest: bool = False) -> TSWord:
     """Euclidean T/S decomposition; deterministic, O(log|c|) exponents.
 
     Floor quotients are used by default, matching the worked small cases;
     their sign-flipped near-ratio-1 chains can descend arithmetically, so
     when the floor word would exceed the K*log(|c|+2) + K letter cap the
     decomposition restarts with nearest-integer quotients (ties toward
-    floor), which at least halve |c| every step.
+    floor), which at least halve |c| every step.  With `nearest`, those
+    quotients are used from the start, so the word has at most
+    log2|c| + 2 exponents; the evaluator decomposes this way.
     """
-    word = _strip_letters(m, nearest=False, cap=_letter_cap(m.c))
-    if word is None:
-        word = _strip_letters(m, nearest=True, cap=None)
-    return word
+    if not nearest:
+        word = _strip_letters(m, nearest=False, cap=_letter_cap(m.c))
+        if word is not None:
+            return word
+    return _strip_letters(m, nearest=True, cap=None)
 
 
 def ts_reconstruct(w: TSWord) -> Mat2:
     """Exact matrix product of the word."""
-    m = Mat2.t_power(w.exponents[0])
-    for e in w.exponents[1:]:
-        m = m.mul_s().mul_t_power(e)
-    return -m if w.negate else m
+    exps = w.exponents
+    a, b, c, d = 1, exps[0], 0, 1
+    for e in exps[1:]:
+        # (a b; c d) S T^e
+        a, b, c, d = b, b * e - a, d, d * e - c
+    if w.negate:
+        a, b, c, d = -a, -b, -c, -d
+    return Mat2(a, b, c, d)
 
 
 def random_sl2(rng, max_len: int = 30) -> Mat2:

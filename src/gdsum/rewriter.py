@@ -4,23 +4,30 @@
 per +-1-exponent letter); it exists as a small-scale oracle, since its
 output length equals the input word length.  `modified_rewrite` collects
 exponents: one factor per T-power, one per S, and a trailing +-I factor,
-so the factor count tracks the word's letter count.  `reduce_word` then
-cycles T-exponents into a T^N part plus a remainder so every factor
-indexes the finite precomputed alphabet.
+so the factor count tracks the word's letter count.  It multiplies no
+prefix matrices: a factor needs only the coset key (c mod N, d mod N) of
+the word's prefix, and T^a maps that key to (c, d + a*c), S to (d, -c);
+the word's product is rebuilt once, in plain integers, for the checks.
+`reduce_word` then cycles T-exponents into a T^N part plus a remainder so
+every factor indexes the finite precomputed alphabet.  The `expand_*`
+helpers turn factors back into exact matrices for checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cosets import Transversal, u_func
 from .modgroup import Mat2, S, T, TSWord, ts_reconstruct
 
 CLASSIC_MAX_LETTERS = 32
 
+# A NamedTuple's own constructor is a Python-level call; building the tuple
+# directly halves the cost of each factor on the evaluation path.
+_new = tuple.__new__
 
-@dataclass(frozen=True)
-class RewriteFactor:
+
+class RewriteFactor(NamedTuple):
     """U(member at base_key, gen^exponent); gen "T", "S" or "-I"."""
 
     base_key: tuple[int, int]
@@ -28,8 +35,7 @@ class RewriteFactor:
     exponent: int
 
 
-@dataclass(frozen=True)
-class ReducedFactor:
+class ReducedFactor(NamedTuple):
     """multiplicity * U(member at base_key, g) with g indexing the alphabet."""
 
     base_key: tuple[int, int]
@@ -75,27 +81,26 @@ def modified_rewrite(w: TSWord, t: Transversal, product: Mat2 | None = None) -> 
     Emits one factor per nonzero T-power, one per S, and a final -I factor
     when the word is negated (+I contributes nothing and is dropped).  The
     exact matrix product of the factors' U-values reconstructs the word.
-    `product`, when supplied, must be the word's known reconstruction and
-    skips recomputing it.
+    `product`, when supplied, must equal the word's exact product.
     """
-    g1 = ts_reconstruct(w) if product is None else product
-    if not g1.in_gamma1(t.N):
-        raise ValueError(f"word product {g1} is not in Gamma1({t.N})")
+    g1 = ts_reconstruct(w)
+    assert product is None or g1 == product
+    N = t.N
+    if not g1.in_gamma1(N):
+        raise ValueError(f"word product {g1} is not in Gamma1({N})")
     factors = []
-    prefix = Mat2.identity()
+    c, d = 0, 1 % N  # key of the prefix before the next letter
     exps = w.exponents
+    last = len(exps) - 1
     for idx, a in enumerate(exps):
         if a != 0:
-            factors.append(RewriteFactor(t.key_of(prefix), "T", a))
-            prefix = prefix.mul_t_power(a)
-        if idx < len(exps) - 1:
-            factors.append(RewriteFactor(t.key_of(prefix), "S", 1))
-            prefix = prefix.mul_s()
+            factors.append(_new(RewriteFactor, ((c, d), "T", a)))
+            d = (d + a * c) % N
+        if idx < last:
+            factors.append(_new(RewriteFactor, ((c, d), "S", 1)))
+            c, d = d, -c % N
     if w.negate:
-        factors.append(RewriteFactor(t.key_of(prefix), "-I", 1))
-        assert -prefix == g1
-    else:
-        assert prefix == g1
+        factors.append(_new(RewriteFactor, ((c, d), "-I", 1)))
     return factors
 
 
@@ -121,19 +126,19 @@ def reduce_word(factors, N: int) -> list[ReducedFactor]:
     r = 0 parts; S stays S^1; -I becomes the S^2 entry.
     """
     out = []
-    for f in factors:
-        if f.gen == "T":
-            q, r = reduce_t_power(f.exponent, N)
+    for base_key, gen, exponent in factors:
+        if gen == "T":
+            q, r = reduce_t_power(exponent, N)
             if q != 0:
-                out.append(ReducedFactor(f.base_key, ("T", N), q))
+                out.append(_new(ReducedFactor, (base_key, ("T", N), q)))
             if r != 0:
-                out.append(ReducedFactor(f.base_key, ("T", r), 1))
-        elif f.gen == "S":
-            out.append(ReducedFactor(f.base_key, ("S", 1), 1))
-        elif f.gen == "-I":
-            out.append(ReducedFactor(f.base_key, ("S", 2), 1))
+                out.append(_new(ReducedFactor, (base_key, ("T", r), 1)))
+        elif gen == "S":
+            out.append(_new(ReducedFactor, (base_key, ("S", 1), 1)))
+        elif gen == "-I":
+            out.append(_new(ReducedFactor, (base_key, ("S", 2), 1)))
         else:
-            raise ValueError(f"unknown factor generator {f.gen!r}")
+            raise ValueError(f"unknown factor generator {gen!r}")
     return out
 
 

@@ -1,7 +1,10 @@
 import csv
 import json
 
+import pytest
+
 from gdsum.cli import main, run_verify
+from gdsum.dedekind import load_context
 
 CHI3 = "q=3;g=2;v=1/2"
 CHI4 = "q=4;g=3;v=1/2"
@@ -56,11 +59,56 @@ def test_sum_trace(tmp_path, capsys):
     rc = main(["sum", *_pair_args(tmp_path), "--matrix", "17,32;9,17", "--trace"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "gamma1 = (-152, 137; -81, 73)" in out
-    assert "U((0, 1), T^1)" in out
-    assert "U((0, 8), -I)" in out
-    assert "U((0, 8), S^2)" in out
-    assert "-2 * U((1, 2), T^9)" in out
+    # the nearest-integer word the evaluator walks
+    assert "gamma1 = (-152, 137; -81, 73) = T^2 S T^8 S T^-10 S T^-1\n" in out
+    assert "U((0, 1), T^2)" in out
+    assert "U((8, 8), T^-10)" in out
+    assert "-2 * U((8, 8), T^9)" in out
+    assert "-1 * U((0, 1), T^9)" in out
+
+
+def test_sum_naive_rejects_huge_c(tmp_path, capsys):
+    # a 60-digit c: the double sum would never return
+    c = 9 * 10**59
+    rc = main(["sum", *_pair_args(tmp_path), "--matrix", f"1,0;{c},1", "--naive"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "cutoff" in err
+    assert not list(tmp_path.glob("*.json"))  # rejected before any precompute
+    # the table path takes the same matrix
+    assert main(["sum", *_pair_args(tmp_path), "--matrix", f"1,0;{c},1"]) == 0
+
+
+MALFORMED = {
+    "version": "1",
+    "q1": "3",
+    "q2": [3],
+    "L": None,
+    "chi1": {"q": 3, "gens": 5},
+    "chi2": "q=3;g=2;v=1/2",
+    "t_g0": 7,
+    "t_sl2": {"key": "0,1"},
+    "sums_g0": "v",
+    "sums_alphabet": [[]],
+}
+
+
+@pytest.mark.parametrize("wrong_type", [False, True], ids=["deleted", "wrong-type"])
+@pytest.mark.parametrize("key", sorted(MALFORMED))
+def test_malformed_cache_exits_1(tmp_path, capsys, key, wrong_type):
+    assert main(["precompute", *_pair_args(tmp_path)]) == 0
+    capsys.readouterr()
+    cache = next(tmp_path.glob("*.json"))
+    data = json.loads(cache.read_text())
+    if wrong_type:
+        data[key] = MALFORMED[key]
+    else:
+        del data[key]
+    cache.write_text(json.dumps(data))
+    with pytest.raises(ValueError):
+        load_context(cache)
+    assert main(["sum", *_pair_args(tmp_path), "--matrix", "17,32;9,17"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_sum_rejects_non_member(tmp_path, capsys):

@@ -3,13 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+from gdsum import dedekind
 from gdsum.dedekind import (
     ParityWarning,
     common_order,
     crossed_hom_check,
     fast_sum,
+    load_context,
     naive_sum,
     precompute,
+    save_context,
     split_gamma0,
     sum_on_gamma0,
 )
@@ -248,3 +251,21 @@ def test_common_order(chi3, chi4, chi5, chi7_56, chi7_13):
     assert common_order(chi4, chi7_56) == 6
     assert common_order(chi5, chi7_13) == 12
     assert common_order(chi5, chi7_56) == 12
+
+
+def test_save_context_is_atomic(tmp_path, ctx9, monkeypatch):
+    path = tmp_path / "ctx9.json"
+    save_context(ctx9, path)
+    before = path.read_bytes()
+
+    def dump_then_fail(obj, fh):
+        fh.write('{"version": 1, "q1": 3, "q2"')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(dedekind.json, "dump", dump_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_context(ctx9, path)
+    assert [p.name for p in tmp_path.iterdir()] == ["ctx9.json"]
+    assert path.read_bytes() == before
+    gamma = Mat2(20, 17, 27, 23)
+    assert fast_sum(load_context(path), gamma) == fast_sum(ctx9, gamma)
