@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
 
-from .exactnum import CycElem, root_of_unity
+from .exactnum import CycElem, _divisors, root_of_unity
 
 
 def euler_phi(n: int) -> int:
@@ -121,7 +121,7 @@ class DirichletCharacter:
         """Least divisor d of q with chi trivial on units congruent 1 mod d."""
         if self._conductor is None:
             q = self.modulus
-            for d in sorted(_divisors(q)):
+            for d in _divisors(q):
                 if all(
                     self._exps[u] == 0
                     for u in range(q)
@@ -155,18 +155,6 @@ class DirichletCharacter:
 
     def __repr__(self):
         return f"DirichletCharacter(mod {self.modulus}, order {self.order})"
-
-
-def _divisors(n: int) -> list[int]:
-    ds = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            ds.append(i)
-            if i != n // i:
-                ds.append(n // i)
-        i += 1
-    return sorted(ds)
 
 
 @lru_cache(maxsize=None)

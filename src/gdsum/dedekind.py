@@ -15,7 +15,10 @@ trivial on Gamma1(N); that single identity powers everything here:
     for the shears +-T^b, through products with an oracle-valid partner;
   * the fast path splits gamma into a Gamma1(N) part and a transversal
     member, rewrites the Gamma1 part over the Schreier alphabet, and adds
-    up precomputed sums with multiplicities.
+    up precomputed sums with multiplicities;
+  * a cache stores only the oracle's U(t, T) and U(t, S) sums: the rest of
+    the tables follows from them, and group relations between them check
+    every stored entry at load.
 """
 
 from __future__ import annotations
@@ -38,9 +41,7 @@ from .characters import (
 )
 from .cosets import (
     Transversal,
-    gamma0_coset_count,
     schreier_alphabet,
-    sl2_coset_count,
     transversal_g1_in_g0,
     transversal_g1_in_sl2,
 )
@@ -48,16 +49,13 @@ from .exactnum import CycElem
 from .modgroup import I2, Mat2, ts_decompose
 from .rewriter import modified_rewrite, reduce_word
 
-# Default guardrail for precompute: table sizes grow like N^3.
+# Guardrail for precompute, lifted by allow_large: table sizes grow like N^3.
 DEFAULT_LEVEL_LIMIT = 60
 
-# Conjugation convention for the double sum: the conjugation spans both
-# character values.  The switch exists to investigate the alternative
-# (conjugate chi2 only); the crossed-homomorphism suite validates the
-# default end to end.
-CONJUGATE_CHI1 = True
+CACHE_VERSION = 2  # bump when the transversal or alphabet construction changes: load rebuilds them
 
-CACHE_VERSION = 1
+# Alphabet sums re-evaluated against the double sum at every load.
+LOAD_SPOT_CHECKS = 5
 
 
 class ParityWarning(UserWarning):
@@ -65,24 +63,12 @@ class ParityWarning(UserWarning):
     hypothesis fails and fast/naive agreement is not guaranteed."""
 
 
-def common_order(chi1: DirichletCharacter, chi2: DirichletCharacter) -> int:
-    return pair_order(chi1, chi2)
-
-
-def naive_sum(
-    chi1: DirichletCharacter,
-    chi2: DirichletCharacter,
-    gamma: Mat2,
-    *,
-    conjugate_chi1: bool | None = None,
-) -> CycElem:
+def naive_sum(chi1: DirichletCharacter, chi2: DirichletCharacter, gamma: Mat2) -> CycElem:
     """The double sum, evaluated exactly; O(c * q1) summand evaluations.
 
     Requires c >= 1 (and gamma in Gamma0(q1 q2)); the fast path covers the
     rest of the group.
     """
-    if conjugate_chi1 is None:
-        conjugate_chi1 = CONJUGATE_CHI1
     q1, q2 = chi1.modulus, chi2.modulus
     N = q1 * q2
     a, c = gamma.a, gamma.c
@@ -90,13 +76,12 @@ def naive_sum(
         raise ValueError("the defining double sum needs lower-left entry >= 1")
     if not gamma.in_gamma0(N):
         raise ValueError(f"{gamma} is not in Gamma0({N})")
-    L = common_order(chi1, chi2)
-    sign1 = -1 if conjugate_chi1 else 1
+    L = pair_order(chi1, chi2)
     e1 = [None] * q1
     for n in range(q1):
         k = chi1.exponent(n)
         if k is not None:
-            e1[n] = (sign1 * k * (L // chi1.order)) % L
+            e1[n] = (-k * (L // chi1.order)) % L
     e2 = [None] * q2
     for n in range(q2):
         k = chi2.exponent(n)
@@ -125,7 +110,7 @@ def naive_sum(
     return CycElem(L, [Fraction(v, scale) for v in acc])
 
 
-def sum_on_gamma0(chi1, chi2, gamma: Mat2, *, parity_ok: bool | None = None) -> CycElem:
+def sum_on_gamma0(chi1, chi2, gamma: Mat2) -> CycElem:
     """S on any Gamma0(N) matrix, via the double sum or its closure.
 
     c >= 1: the double sum.  c <= -1: -psi(gamma) S(gamma^-1).  c = 0 means
@@ -134,7 +119,7 @@ def sum_on_gamma0(chi1, chi2, gamma: Mat2, *, parity_ok: bool | None = None) -> 
     as the convention otherwise, after the parity warning).
     """
     N = chi1.modulus * chi2.modulus
-    L = common_order(chi1, chi2)
+    L = pair_order(chi1, chi2)
     c = gamma.c
     if c >= 1:
         return naive_sum(chi1, chi2, gamma)
@@ -183,70 +168,63 @@ def _validate_pair(chi1, chi2):
 
 
 def precompute(
-    chi1: DirichletCharacter,
-    chi2: DirichletCharacter,
-    *,
-    sl2_lift: str = "least_abs",
-    level_limit: int = DEFAULT_LEVEL_LIMIT,
-    allow_large: bool = False,
-    derive_powers: bool = True,
+    chi1: DirichletCharacter, chi2: DirichletCharacter, *, allow_large: bool = False
 ) -> Context:
-    """Build transversals, the alphabet, and all precomputed sums.
+    """Build the transversals, the alphabet and all precomputed sums.
 
-    With derive_powers (the default), only the U(t, T) and U(t, S) sums are
-    evaluated from the double sum; higher T-powers and S^2 follow from the
-    exponent product identities, which cuts the precompute cost by roughly
-    a factor of N without changing any value.  derive_powers=False evaluates
-    every entry directly.
+    Only the U(t, T) and U(t, S) sums come from the double sum, two per
+    coset key; `_tables` derives the rest, as it does for `load_context`.
+    Levels above DEFAULT_LEVEL_LIMIT need allow_large.
     """
     _validate_pair(chi1, chi2)
     N = chi1.modulus * chi2.modulus
-    if N > level_limit and not allow_large:
+    if N > DEFAULT_LEVEL_LIMIT and not allow_large:
         raise ValueError(
-            f"level N = {N} exceeds the guardrail {level_limit}; "
+            f"level N = {N} exceeds the guardrail {DEFAULT_LEVEL_LIMIT}; "
             "pass allow_large=True (tables grow like N^3)"
         )
-    L = common_order(chi1, chi2)
-    parity_ok = parity_product(chi1, chi2) == CycElem.one(L)
-    if not parity_ok:
+    t_sl2 = transversal_g1_in_sl2(N)
+    alphabet = schreier_alphabet(N, t_sl2)
+    s_t = {key: sum_on_gamma0(chi1, chi2, alphabet[key, ("T", 1)]) for key in t_sl2.members}
+    s_s = {key: sum_on_gamma0(chi1, chi2, alphabet[key, ("S", 1)]) for key in t_sl2.members}
+    ctx = _tables(chi1, chi2, t_sl2, alphabet, s_t, s_s)
+    if not ctx.parity_ok:
         warnings.warn(
             f"chi1*chi2(-1) != 1 for the pair mod ({chi1.modulus}, {chi2.modulus}); "
-            "computing anyway, but fast and naive values may disagree",
+            "computed anyway, but fast and naive values may disagree",
             ParityWarning,
             stacklevel=2,
         )
+    return ctx
+
+
+def _tables(chi1, chi2, t_sl2: Transversal, alphabet: dict, s_t: dict, s_s: dict) -> Context:
+    """The context whose U(t, T) and U(t, S) sums, per coset key, are s_t and s_s.
+
+    The Gamma0 transversal sums come from the double sum (each member other
+    than the identity has c = N).  The other alphabet sums follow from
+    U(t, g h) = U(t, g) U(rep(t g), h), with S^0 the identity.
+    """
+    N = t_sl2.N
+    L = pair_order(chi1, chi2)
+    zero = CycElem.zero(L)
     t_g0 = transversal_g1_in_g0(N)
-    t_sl2 = transversal_g1_in_sl2(N, lift=sl2_lift)
-    alphabet = schreier_alphabet(N, t_sl2)
-
-    sums_g0 = {}
-    for d, mem in t_g0.members.items():
-        sums_g0[d] = CycElem.zero(L) if mem == I2 else naive_sum(chi1, chi2, mem)
-
+    sums_g0 = {
+        d: zero if mem == I2 else naive_sum(chi1, chi2, mem) for d, mem in t_g0.members.items()
+    }
     sums_alphabet = {}
-    if derive_powers:
-        s_t = {}
-        s_s = {}
-        for key in t_sl2.members:
-            s_t[key] = sum_on_gamma0(chi1, chi2, alphabet[(key, ("T", 1))])
-            s_s[key] = sum_on_gamma0(chi1, chi2, alphabet[(key, ("S", 1))])
-        zero = CycElem.zero(L)
-        for key, mem in t_sl2.members.items():
-            sums_alphabet[(key, ("S", 0))] = zero
-            sums_alphabet[(key, ("S", 1))] = s_s[key]
-            # U(t, S^2) = U(t, S) U(rep(t S), S)
-            sums_alphabet[(key, ("S", 2))] = s_s[key] + s_s[t_sl2.key_of(mem.mul_s())]
-            # U(t, T^i) = U(t, T) U(rep(t T), T) ... U(rep(t T^(i-1)), T)
-            ck, dk = key
-            acc = s_t[key]
-            sums_alphabet[(key, ("T", 1))] = acc
-            for i in range(2, N + 1):
-                acc = acc + s_t[(ck, (dk + (i - 1) * ck) % N)]
-                sums_alphabet[(key, ("T", i))] = acc
-    else:
-        for entry_key, mat in alphabet.items():
-            sums_alphabet[entry_key] = sum_on_gamma0(chi1, chi2, mat)
-
+    for key in t_sl2.members:
+        ck, dk = key
+        sums_alphabet[key, ("S", 0)] = zero
+        sums_alphabet[key, ("S", 1)] = s_s[key]
+        # U(t, S^2) = U(t, S) U(rep(t S), S); t S has the key (d, -c)
+        sums_alphabet[key, ("S", 2)] = s_s[key] + s_s[dk, -ck % N]
+        # U(t, T^i) = U(t, T) U(rep(t T), T) ... U(rep(t T^(i-1)), T)
+        acc = s_t[key]
+        sums_alphabet[key, ("T", 1)] = acc
+        for i in range(2, N + 1):
+            acc = acc + s_t[ck, (dk + (i - 1) * ck) % N]
+            sums_alphabet[key, ("T", i)] = acc
     return Context(
         chi1=chi1,
         chi2=chi2,
@@ -254,7 +232,7 @@ def precompute(
         q2=chi2.modulus,
         N=N,
         L=L,
-        parity_ok=parity_ok,
+        parity_ok=parity_product(chi1, chi2) == CycElem.one(L),
         t_g0=t_g0,
         t_sl2=t_sl2,
         alphabet=alphabet,
@@ -315,16 +293,6 @@ def crossed_hom_check(chi1, chi2, ga: Mat2, gb: Mat2) -> bool:
 # ---------------------------------------------------------------------------
 # cache serialization
 
-def _mat_to_json(m: Mat2) -> list[str]:
-    return [str(x) for x in m.entries()]
-
-
-def _mat_from_json(v) -> Mat2:
-    if len(v) != 4:
-        raise ValueError("matrix entry must have four components")
-    return Mat2(*(int(x) for x in v))
-
-
 def _cyc_to_json(e: CycElem) -> list[str]:
     return [str(c) for c in e.coeffs]
 
@@ -354,18 +322,10 @@ def _chi_from_json(obj) -> DirichletCharacter:
     return find_character(obj["q"], [(g["g"], Fraction(g["v"])) for g in obj["gens"]])
 
 
-def _gen_to_str(gen: tuple[str, int]) -> str:
-    return f"{gen[0]}^{gen[1]}"
-
-
-def _gen_from_str(s: str) -> tuple[str, int]:
-    name, _, power = s.partition("^")
-    if name not in ("T", "S") or not power:
-        raise ValueError(f"bad generator label {s!r}")
-    return (name, int(power))
-
-
 def context_to_json(ctx: Context) -> dict:
+    """The cache document: the pair, and the sums S(U(t, T)) and S(U(t, S))
+    keyed by "c,d", the coset key of t.  Nothing else costs oracle time."""
+    keys = sorted(ctx.t_sl2.members)
     return {
         "version": CACHE_VERSION,
         "q1": ctx.q1,
@@ -373,25 +333,10 @@ def context_to_json(ctx: Context) -> dict:
         "chi1": _chi_to_json(ctx.chi1),
         "chi2": _chi_to_json(ctx.chi2),
         "L": ctx.L,
-        "t_g0": [
-            {"d": d, "m": _mat_to_json(m)} for d, m in sorted(ctx.t_g0.members.items())
-        ],
-        "t_sl2": [
-            {"key": f"{k[0]},{k[1]}", "m": _mat_to_json(m)}
-            for k, m in sorted(ctx.t_sl2.members.items())
-        ],
-        "sums_g0": [
-            {"d": d, "v": _cyc_to_json(v)} for d, v in sorted(ctx.sums_g0.items())
-        ],
-        "sums_alphabet": [
-            {
-                "key": f"{key[0]},{key[1]}",
-                "gen": _gen_to_str(gen),
-                "m": _mat_to_json(ctx.alphabet[(key, gen)]),
-                "v": _cyc_to_json(v),
-            }
-            for (key, gen), v in sorted(ctx.sums_alphabet.items())
-        ],
+        "sums_alphabet": {
+            name: {f"{c},{d}": _cyc_to_json(ctx.sums_alphabet[(c, d), (name, 1)]) for c, d in keys}
+            for name in ("T", "S")
+        },
     }
 
 
@@ -412,105 +357,96 @@ def save_context(ctx: Context, path) -> None:
         raise
 
 
-def load_context(path, *, spot_checks: int = 5) -> Context:
-    """Load and validate a cached context.
+def load_context(path) -> Context:
+    """Load a cached context and validate every stored sum.
 
-    Validation: version, transversal sizes against the index formulas,
-    member/key consistency, alphabet membership in Gamma1(N), coefficient
-    vector lengths, and `spot_checks` alphabet sums re-evaluated against
-    the double sum (the entries of smallest positive lower-left entry).
-    A malformed structure (a missing key, a value of the wrong type)
-    raises ValueError like any other failed check.
+    The file holds only the U(t, T) and U(t, S) sums.  The transversals and
+    the alphabet are rebuilt by the code `precompute` runs, and `_tables`
+    derives the other sums, so they hold by construction.  Each stored sum
+    must satisfy the two group relations of `_check_relations`, and the
+    LOAD_SPOT_CHECKS alphabet entries of smallest positive lower-left entry
+    must match the double sum.  A malformed structure (a missing key, a
+    value of the wrong type) raises ValueError like any other failed check.
     """
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     try:
-        ctx = _context_from_json(data)
+        chi1, chi2, s_t, s_s = _sums_from_json(data)
     except (LookupError, TypeError, AttributeError, ArithmeticError) as exc:
         raise ValueError(f"malformed cache {path}: {type(exc).__name__}: {exc}") from exc
+    N = chi1.modulus * chi2.modulus
+    t_sl2 = transversal_g1_in_sl2(N)
+    if set(s_t) != set(t_sl2.members) or set(s_s) != set(t_sl2.members):
+        raise ValueError(f"cached sums are not keyed by the {len(t_sl2)} coset keys mod {N}")
+    _check_relations(N, s_t, s_s)
+    ctx = _tables(chi1, chi2, t_sl2, schreier_alphabet(N, t_sl2), s_t, s_s)
 
     # spot-check the cheapest oracle-valid entries against the double sum
     checkable = sorted(
         (m.c, key) for key, m in ctx.alphabet.items() if m.c >= 1
-    )[:spot_checks]
+    )[:LOAD_SPOT_CHECKS]
     for _, key in checkable:
-        if naive_sum(ctx.chi1, ctx.chi2, ctx.alphabet[key]) != ctx.sums_alphabet[key]:
+        if naive_sum(chi1, chi2, ctx.alphabet[key]) != ctx.sums_alphabet[key]:
             raise ValueError(f"cached sum for alphabet entry {key} fails the oracle")
     return ctx
 
 
-def _context_from_json(data) -> Context:
+def _sums_from_json(data):
+    """The pair and the stored U(t, T), U(t, S) sums, keyed by (c, d)."""
     if data.get("version") != CACHE_VERSION:
-        raise ValueError(f"unsupported cache version {data.get('version')!r}")
+        raise ValueError(
+            f"cache version {data.get('version')!r} is not {CACHE_VERSION}; "
+            "rebuild it with `gdsum precompute --force`"
+        )
     chi1 = _chi_from_json(data["chi1"])
     chi2 = _chi_from_json(data["chi2"])
     if chi1.modulus != data["q1"] or chi2.modulus != data["q2"]:
         raise ValueError("cache moduli do not match the stored characters")
-    N = data["q1"] * data["q2"]
-    L = common_order(chi1, chi2)
+    L = pair_order(chi1, chi2)
     if data["L"] != L:
         raise ValueError(f"cache order {data['L']} != expected {L}")
     deg = len(CycElem.zero(L).coeffs)
 
-    g0_members = {}
-    for row in data["t_g0"]:
-        m = _mat_from_json(row["m"])
-        if m.d % N != row["d"] % N or m.c % N != 0:
-            raise ValueError(f"transversal member {m} does not match key {row['d']}")
-        g0_members[row["d"] % N] = m
-    if len(g0_members) != gamma0_coset_count(N):
-        raise ValueError("wrong Gamma0 transversal size")
-    if g0_members.get(1 % N) != I2:
-        raise ValueError("Gamma0 transversal must contain the identity at d = 1")
-    t_g0 = Transversal(N, "gamma0", g0_members)
+    def column(name):
+        out = {}
+        for key, v in data["sums_alphabet"][name].items():
+            c, d = key.split(",")
+            out[int(c), int(d)] = _cyc_from_json(L, v, deg)
+        return out
 
-    sl2_members = {}
-    for row in data["t_sl2"]:
-        cm, dm = (int(x) for x in row["key"].split(","))
-        m = _mat_from_json(row["m"])
-        if (m.c % N, m.d % N) != (cm, dm):
-            raise ValueError(f"transversal member {m} does not match key {(cm, dm)}")
-        sl2_members[(cm, dm)] = m
-    if len(sl2_members) != sl2_coset_count(N):
-        raise ValueError("wrong full-group transversal size")
-    if sl2_members.get((0, 1 % N)) != I2:
-        raise ValueError("transversal must contain the identity at its key")
-    t_sl2 = Transversal(N, "sl2", sl2_members)
+    return chi1, chi2, column("T"), column("S")
 
-    sums_g0 = {}
-    for row in data["sums_g0"]:
-        sums_g0[row["d"] % N] = _cyc_from_json(L, row["v"], deg)
-    if set(sums_g0) != set(g0_members):
-        raise ValueError("sums_g0 keys do not match the transversal")
 
-    alphabet = {}
-    sums_alphabet = {}
-    for row in data["sums_alphabet"]:
-        cm, dm = (int(x) for x in row["key"].split(","))
-        gen = _gen_from_str(row["gen"])
-        m = _mat_from_json(row["m"])
-        if not m.in_gamma1(N):
-            raise ValueError(f"alphabet value {m} is not in Gamma1({N})")
-        alphabet[((cm, dm), gen)] = m
-        sums_alphabet[((cm, dm), gen)] = _cyc_from_json(L, row["v"], deg)
-    if len(alphabet) != (N + 3) * len(sl2_members):
-        raise ValueError("wrong alphabet size")
+def _check_relations(N: int, s_t: dict, s_s: dict) -> None:
+    """Raise ValueError unless the stored sums obey S^4 = I and (ST)^3 = S^2.
 
-    parity_ok = parity_product(chi1, chi2) == CycElem.one(L)
-    return Context(
-        chi1=chi1,
-        chi2=chi2,
-        q1=data["q1"],
-        q2=data["q2"],
-        N=N,
-        L=L,
-        parity_ok=parity_ok,
-        t_g0=t_g0,
-        t_sl2=t_sl2,
-        alphabet=alphabet,
-        sums_g0=sums_g0,
-        sums_alphabet=sums_alphabet,
-    )
+    On keys, k S = (d, -c) and k T = (c, d + c) mod N.  Through the cocycle
+    identity, each relation gives one exact identity per key k:
+      S^4 = I:                s_S[k] + s_S[kS] + s_S[kS^2] + s_S[kS^3] = 0
+      (ST)^3 = S^2, i.e. TSTST = S:
+                              s_T[k] + s_S[kT] + s_T[kTS] + s_S[kTST] + s_T[kTSTS] = s_S[k]
+    Each s_S[k] enters the first identity at k once (the four keys differ
+    for N >= 3), and s_T enters the second only on its left side, so a
+    single wrong entry breaks at least one identity.
+    """
+
+    def mul_s(k):
+        return k[1], -k[0] % N
+
+    def mul_t(k):
+        return k[0], (k[1] + k[0]) % N
+
+    for k in s_s:
+        k_s = mul_s(k)
+        k_ss = mul_s(k_s)
+        if s_s[k] + s_s[k_s] + s_s[k_ss] + s_s[mul_s(k_ss)]:
+            raise ValueError(f"cached U(t, S) sums at key {k} break S^4 = I")
+        k_t = mul_t(k)
+        k_ts = mul_s(k_t)
+        k_tst = mul_t(k_ts)
+        k_tsts = mul_s(k_tst)
+        if s_t[k] + s_s[k_t] + s_t[k_ts] + s_s[k_tst] + s_t[k_tsts] != s_s[k]:
+            raise ValueError(f"cached sums at key {k} break (ST)^3 = S^2")
 
 
 def cache_filename(chi1: DirichletCharacter, chi2: DirichletCharacter) -> str:

@@ -1,10 +1,14 @@
 import csv
+import dataclasses
 import json
+from fractions import Fraction
 
 import pytest
 
+from gdsum import cli
 from gdsum.cli import main, run_verify
 from gdsum.dedekind import load_context
+from gdsum.exactnum import CycElem
 
 CHI3 = "q=3;g=2;v=1/2"
 CHI4 = "q=4;g=3;v=1/2"
@@ -86,9 +90,6 @@ MALFORMED = {
     "L": None,
     "chi1": {"q": 3, "gens": 5},
     "chi2": "q=3;g=2;v=1/2",
-    "t_g0": 7,
-    "t_sl2": {"key": "0,1"},
-    "sums_g0": "v",
     "sums_alphabet": [[]],
 }
 
@@ -100,6 +101,7 @@ def test_malformed_cache_exits_1(tmp_path, capsys, key, wrong_type):
     capsys.readouterr()
     cache = next(tmp_path.glob("*.json"))
     data = json.loads(cache.read_text())
+    assert set(data) == set(MALFORMED)
     if wrong_type:
         data[key] = MALFORMED[key]
     else:
@@ -147,16 +149,18 @@ def test_verify_deterministic(tmp_path, capsys):
     assert capsys.readouterr().out == first
 
 
-def test_verify_detects_corruption(tmp_path, capsys):
+def test_verify_detects_corruption(tmp_path, capsys, monkeypatch):
     assert main(["precompute", *_pair_args(tmp_path)]) == 0
     capsys.readouterr()
-    cache = next(tmp_path.glob("*.json"))
-    data = json.loads(cache.read_text())
-    # corrupt one transversal sum; verify re-checks all of them
-    for row in data["sums_g0"]:
-        if row["d"] == 2:
-            row["v"] = ["7/3"]
-    cache.write_text(json.dumps(data))
+
+    def corrupted_load(path):
+        # the cache does not store the Gamma0 sums: corrupt one after loading;
+        # verify re-checks all of them
+        ctx = load_context(path)
+        sums_g0 = {**ctx.sums_g0, 2: CycElem.from_rational(ctx.L, Fraction(7, 3))}
+        return dataclasses.replace(ctx, sums_g0=sums_g0)
+
+    monkeypatch.setattr(cli, "load_context", corrupted_load)
     rc = main(["verify", *_pair_args(tmp_path), "--trials", "4", "--seed", "0", "--cmax", "200"])
     assert rc == 2
     out = capsys.readouterr().out
@@ -168,14 +172,12 @@ def test_load_rejects_tampered_alphabet(tmp_path, capsys):
     assert main(["precompute", *_pair_args(tmp_path)]) == 0
     cache = next(tmp_path.glob("*.json"))
     data = json.loads(cache.read_text())
-    # tamper with the smallest-c alphabet sums that load spot-checks
-    rows = [r for r in data["sums_alphabet"] if int(r["m"][2]) >= 1]
-    rows.sort(key=lambda r: int(r["m"][2]))
-    rows[0]["v"] = ["5/7"]
+    # tamper with the stored U(I, S) sum, which most words use
+    data["sums_alphabet"]["S"]["0,1"] = ["5/7"]
     cache.write_text(json.dumps(data))
     rc = main(["sum", *_pair_args(tmp_path), "--matrix", "17,32;9,17"])
     assert rc == 1
-    assert "oracle" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_bench_csv(tmp_path, capsys):

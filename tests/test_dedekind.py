@@ -1,12 +1,15 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from gdsum import dedekind
+from gdsum.characters import pair_order
+from gdsum.cosets import transversal_g1_in_sl2
 from gdsum.dedekind import (
+    CACHE_VERSION,
     ParityWarning,
-    common_order,
     crossed_hom_check,
     fast_sum,
     load_context,
@@ -178,11 +181,13 @@ def test_table_consistency_complex_pair(ctx28, chi4, chi7_56):
         assert ctx28.sums_alphabet[key] == naive_sum(chi4, chi7_56, ctx28.alphabet[key])
 
 
-def test_derive_powers_matches_direct(chi3):
-    direct = precompute(chi3, chi3, derive_powers=False)
-    derived = precompute(chi3, chi3)
-    assert direct.sums_alphabet == derived.sums_alphabet
-    assert direct.sums_g0 == derived.sums_g0
+def test_derive_powers_matches_direct(ctx9, chi3):
+    # precompute evaluates only U(t, T) and U(t, S); every derived entry
+    # must equal the closure of the double sum on its matrix
+    for entry, mat in ctx9.alphabet.items():
+        assert ctx9.sums_alphabet[entry] == sum_on_gamma0(chi3, chi3, mat), entry
+    for d, mem in ctx9.t_g0.members.items():
+        assert ctx9.sums_g0[d] == sum_on_gamma0(chi3, chi3, mem), d
 
 
 def test_fast_sum_kernel_matrix(ctx9):
@@ -223,8 +228,11 @@ def test_oracle_equivalence_complex_pair(ctx28, chi4, chi7_56):
         assert fast_sum(ctx28, g) == naive_sum(chi4, chi7_56, g)
 
 
-def test_transversal_independence(chi3, ctx9):
-    alt = precompute(chi3, chi3, sl2_lift="least_pos")
+def test_transversal_independence(chi3, ctx9, monkeypatch):
+    monkeypatch.setattr(
+        dedekind, "transversal_g1_in_sl2", lambda N: transversal_g1_in_sl2(N, lift="least_pos")
+    )
+    alt = precompute(chi3, chi3)
     # the tables genuinely differ...
     assert any(
         alt.t_sl2.members[k] != ctx9.t_sl2.members[k] for k in alt.t_sl2.members
@@ -247,10 +255,10 @@ def test_split_gamma0(ctx9):
 
 
 def test_common_order(chi3, chi4, chi5, chi7_56, chi7_13):
-    assert common_order(chi3, chi3) == 2
-    assert common_order(chi4, chi7_56) == 6
-    assert common_order(chi5, chi7_13) == 12
-    assert common_order(chi5, chi7_56) == 12
+    assert pair_order(chi3, chi3) == 2
+    assert pair_order(chi4, chi7_56) == 6
+    assert pair_order(chi5, chi7_13) == 12
+    assert pair_order(chi5, chi7_56) == 12
 
 
 def test_save_context_is_atomic(tmp_path, ctx9, monkeypatch):
@@ -269,3 +277,47 @@ def test_save_context_is_atomic(tmp_path, ctx9, monkeypatch):
     assert path.read_bytes() == before
     gamma = Mat2(20, 17, 27, 23)
     assert fast_sum(load_context(path), gamma) == fast_sum(ctx9, gamma)
+
+
+@pytest.mark.parametrize("name", ["ctx9", "ctx28", "ctx35"])
+def test_cache_round_trip_rebuilds_tables(tmp_path, request, name):
+    ctx = request.getfixturevalue(name)
+    path = tmp_path / "ctx.json"
+    save_context(ctx, path)
+    data = json.loads(path.read_text())
+    # only the oracle sums are stored: no matrix, no derived table
+    assert set(data) == {"version", "q1", "q2", "chi1", "chi2", "L", "sums_alphabet"}
+    assert [len(data["sums_alphabet"][g]) for g in ("T", "S")] == [len(ctx.t_sl2)] * 2
+    loaded = load_context(path)
+    assert loaded.t_g0.members == ctx.t_g0.members
+    assert loaded.t_sl2.members == ctx.t_sl2.members
+    assert loaded.alphabet == ctx.alphabet
+    assert loaded.sums_g0 == ctx.sums_g0
+    assert loaded.sums_alphabet == ctx.sums_alphabet
+    assert (loaded.chi1, loaded.chi2, loaded.parity_ok) == (ctx.chi1, ctx.chi2, ctx.parity_ok)
+
+
+def test_load_rejects_every_corrupted_row(tmp_path, ctx9):
+    path = tmp_path / "ctx9.json"
+    save_context(ctx9, path)
+    clean = json.loads(path.read_text())
+    rows = [(g, key) for g in ("T", "S") for key in clean["sums_alphabet"][g]]
+    assert len(rows) == 144
+    for g, key in rows:
+        data = json.loads(json.dumps(clean))
+        v = data["sums_alphabet"][g][key]
+        v[0] = str(Fraction(v[0]) + Fraction(1, 3))
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError):
+            load_context(path)
+
+
+def test_load_rejects_v1_cache(tmp_path, ctx9):
+    path = tmp_path / "ctx9.json"
+    save_context(ctx9, path)
+    data = json.loads(path.read_text())
+    assert data["version"] == CACHE_VERSION == 2
+    data["version"] = 1
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="gdsum precompute --force"):
+        load_context(path)
