@@ -39,8 +39,10 @@ from .rewriter import (
     reduce_word,
 )
 
-# Largest lower-left entry for which the double sum, O(c * q1), is run:
-# the default of `bench --naive-cutoff` and the limit of `sum --naive`.
+# Largest lower-left entry for which the double sum is run: the default of
+# `bench --naive-cutoff` and the limit of `sum --naive`.  `naive_sum` walks
+# j < c/2 once, about (c/2) phi(q2)/q2 integer steps: ~10 ms at c = 10^5 for
+# N = 28 (CPython 3.11, one core of a 2-core VM).
 NAIVE_CUTOFF = 10**5
 
 

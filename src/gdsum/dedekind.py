@@ -1,4 +1,4 @@
-"""Generalized Dedekind sums: naive double sum, precomputed tables, fast path.
+"""Generalized Dedekind sums: the double sum, precomputed tables, fast path.
 
 For primitive characters chi1, chi2 with conductors q1, q2 > 1 and a matrix
 (a b; c d) with c >= 1 in Gamma0(q1 q2), the sum is
@@ -6,9 +6,15 @@ For primitive characters chi1, chi2 with conductors q1, q2 > 1 and a matrix
     S(gamma) = sum_{j=1}^{c} sum_{n=1}^{q1}
                conj(chi2(j)) conj(chi1(n)) B1(j/c) B1(n/q1 + a*j/c),
 
-an element of Q(zeta_L) with L = lcm(order chi1, order chi2, 2).  It obeys
-S(g h) = S(g) + psi(g) S(h) with psi(g) = chi1 conj(chi2)(d(g)), and psi is
-trivial on Gamma1(N); that single identity powers everything here:
+an element of Q(zeta_L) with L = lcm(order chi1, order chi2, 2).
+`naive_sum` evaluates it exactly without the inner loop: the sum over n
+depends only on floor(q1 (a j mod c)/c), so each j adds 2j - c to one of
+q1 integer buckets kept for its residue mod q2, and j and c - j contribute
+equally (or cancel, when chi1*chi2(-1) = -1, and then the sum is 0).  That
+is about (c/2) phi(q2)/q2 integer steps.
+
+The sum obeys S(g h) = S(g) + psi(g) S(h) with psi(g) = chi1 conj(chi2)(d(g)),
+and psi is trivial on Gamma1(N); that single identity powers everything here:
 
   * values on matrices with c <= 0, where the double sum does not apply,
     are pinned through S(g) = -psi(g) S(g^-1) (the inverse has c >= 1) and,
@@ -59,15 +65,22 @@ LOAD_SPOT_CHECKS = 5
 
 
 class ParityWarning(UserWarning):
-    """chi1*chi2(-1) != 1; sums are computed anyway but the defining
-    hypothesis fails and fast/naive agreement is not guaranteed."""
+    """chi1*chi2(-1) != 1: the defining hypothesis fails, and the double sum
+    is 0 on every matrix, so every table entry and every sum is 0."""
 
 
 def naive_sum(chi1: DirichletCharacter, chi2: DirichletCharacter, gamma: Mat2) -> CycElem:
-    """The double sum, evaluated exactly; O(c * q1) summand evaluations.
+    """The double sum, evaluated exactly in one pass over j < c/2.
 
     Requires c >= 1 (and gamma in Gamma0(q1 q2)); the fast path covers the
-    rest of the group.
+    rest of the group.  With y = q1 (a j mod c)/c, the inner sum over n is
+    A[floor(y)] = (1/q1) sum_k k conj(chi1(k - floor(y))) for non-principal
+    chi1, plus conj(chi1(-y))/2 when y is an integer; but y is an integer
+    only when c/q1, a multiple of q2, divides j, and then chi2(j) = 0.  So
+    the j of each unit residue mod q2 add 2j - c to one of q1 buckets, and
+    the buckets are combined once.  Pairing j with c - j multiplies the
+    summand by chi1*chi2(-1): only j < c/2 is walked, and the sum is 0 when
+    that sign is -1.
     """
     q1, q2 = chi1.modulus, chi2.modulus
     N = q1 * q2
@@ -76,38 +89,35 @@ def naive_sum(chi1: DirichletCharacter, chi2: DirichletCharacter, gamma: Mat2) -
         raise ValueError("the defining double sum needs lower-left entry >= 1")
     if not gamma.in_gamma0(N):
         raise ValueError(f"{gamma} is not in Gamma0({N})")
+    if chi1.order == 1:
+        raise ValueError("the double sum is evaluated for non-principal chi1 only")
     L = pair_order(chi1, chi2)
-    e1 = [None] * q1
-    for n in range(q1):
-        k = chi1.exponent(n)
-        if k is not None:
-            e1[n] = (-k * (L // chi1.order)) % L
-    e2 = [None] * q2
-    for n in range(q2):
-        k = chi2.exponent(n)
-        if k is not None:
-            e2[n] = (-k * (L // chi2.order)) % L
-    # Accumulate integer numerators per zeta-exponent over the common
-    # denominator 4*q1*c^2: B1(j/c) = (2j-c)/(2c) for 0 < j < c, and
-    # B1(x) = (2r - q1*c)/(2*q1*c) with r = (n*c + a*j*q1) mod q1*c.
+    # chi(n) = zeta_L^e[n], or None where chi(n) = 0; summands take conjugates
+    e1 = [chi1.exponent_at(n, L) for n in range(q1)]
+    e2 = [chi2.exponent_at(n, L) for n in range(q2)]
+    # integer numerators per zeta-exponent over the common denominator
+    # 2*q1*c: the half range doubles (2j - c)/(2c) * A[m]
     acc = [0] * L
-    den = q1 * c
-    for j in range(1, c):
-        k2 = e2[j % q2]
+    if e1[-1] != e2[-1]:  # chi1*chi2(-1) = -1; both exponents are 0 or L/2
+        return CycElem(L, acc)
+    M = q1 * c
+    qa = q1 * a % M  # floor(y) = (qa * j mod M) // c
+    half = (c + 1) // 2
+    for u in range(1, q2):
+        k2 = e2[u]
         if k2 is None:
             continue
-        bj = 2 * j - c
-        ajq1 = a * j * q1
-        for n in range(1, q1):
-            k1 = e1[n]
-            if k1 is None:
-                continue
-            r = (ajq1 + n * c) % den
-            if r == 0:
-                continue
-            acc[(k2 + k1) % L] += bj * (2 * r - den)
-    scale = 4 * q1 * c * c
-    return CycElem(L, [Fraction(v, scale) for v in acc])
+        bucket = [0] * q1
+        for j in range(u, half, q2):
+            bucket[qa * j % M // c] += 2 * j - c
+        for m, w in enumerate(bucket):
+            if w:
+                for k in range(1, q1):
+                    k1 = e1[(k - m) % q1]
+                    if k1 is not None:
+                        acc[-(k2 + k1) % L] += 2 * k * w
+    den = 2 * q1 * c
+    return CycElem(L, [Fraction(v, den) for v in acc])
 
 
 def sum_on_gamma0(chi1, chi2, gamma: Mat2) -> CycElem:
@@ -115,8 +125,8 @@ def sum_on_gamma0(chi1, chi2, gamma: Mat2) -> CycElem:
 
     c >= 1: the double sum.  c <= -1: -psi(gamma) S(gamma^-1).  c = 0 means
     gamma = +-T^b; T^b is pinned via S(h T^b) - S(h) with h = (1,0;N,1), and
-    the -I factor contributes S(-I) = 0 (forced when chi1*chi2(-1) = 1; kept
-    as the convention otherwise, after the parity warning).
+    the -I factor contributes S(-I) = 0 (forced when chi1*chi2(-1) = 1;
+    otherwise the double sum, and so S everywhere, is 0).
     """
     N = chi1.modulus * chi2.modulus
     L = pair_order(chi1, chi2)
@@ -191,7 +201,7 @@ def precompute(
     if not ctx.parity_ok:
         warnings.warn(
             f"chi1*chi2(-1) != 1 for the pair mod ({chi1.modulus}, {chi2.modulus}); "
-            "computed anyway, but fast and naive values may disagree",
+            "the double sum vanishes for such a pair, so every sum is 0",
             ParityWarning,
             stacklevel=2,
         )

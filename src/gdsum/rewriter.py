@@ -1,16 +1,13 @@
 """Rewriting of Gamma1(N) elements over the Schreier alphabet.
 
-`classic_rewrite` is the letter-by-letter rewriting process (one U-factor
-per +-1-exponent letter); it exists as a small-scale oracle, since its
-output length equals the input word length.  `modified_rewrite` collects
-exponents: one factor per T-power, one per S, and a trailing +-I factor,
-so the factor count tracks the word's letter count.  It multiplies no
-prefix matrices: a factor needs only the coset key (c mod N, d mod N) of
-the word's prefix, and T^a maps that key to (c, d + a*c), S to (d, -c);
-the word's product is rebuilt once, in plain integers, for the checks.
-`reduce_word` then cycles T-exponents into a T^N part plus a remainder so
-every factor indexes the finite precomputed alphabet.  The `expand_*`
-helpers turn factors back into exact matrices for checks.
+`modified_rewrite` collects exponents: one factor per T-power, one per S,
+and a trailing +-I factor, so the factor count tracks the word's letter
+count.  It multiplies no prefix matrices: a factor needs only the coset key
+(c mod N, d mod N) of the word's prefix, and T^a maps that key to
+(c, d + a*c), S to (d, -c); the word's product is rebuilt once, in plain
+integers, for the checks.  `reduce_word` then cycles T-exponents into a T^N
+part plus a remainder so every factor indexes the finite precomputed
+alphabet.  `expand_factor` turns a factor back into its exact matrix.
 """
 
 from __future__ import annotations
@@ -18,9 +15,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .cosets import Transversal, u_func
-from .modgroup import Mat2, S, T, TSWord, ts_reconstruct
-
-CLASSIC_MAX_LETTERS = 32
+from .modgroup import Mat2, S, TSWord, ts_reconstruct
 
 # A NamedTuple's own constructor is a Python-level call; building the tuple
 # directly halves the cost of each factor on the evaluation path.
@@ -41,38 +36,6 @@ class ReducedFactor(NamedTuple):
     base_key: tuple[int, int]
     gen: tuple[str, int]
     multiplicity: int
-
-
-def classic_rewrite(word, t: Transversal) -> list[tuple[Mat2, int]]:
-    """Rewrite a +-1-exponent word over {T, S} as signed U-factors.
-
-    word: sequence of (name, eps) with name in {"T", "S"} and eps = +-1.
-    The signed product of the returned matrices equals the word's product,
-    which must lie in Gamma1(N).  Capped at CLASSIC_MAX_LETTERS letters.
-    """
-    word = list(word)
-    if len(word) > CLASSIC_MAX_LETTERS:
-        raise ValueError(f"classic rewriting capped at {CLASSIC_MAX_LETTERS} letters")
-    gens = {"T": T, "S": S}
-    h = Mat2.identity()
-    for name, eps in word:
-        g = gens[name]
-        h = h * (g if eps == 1 else g.inv())
-    if not h.in_gamma1(t.N):
-        raise ValueError(f"word product {h} is not in Gamma1({t.N})")
-    out = []
-    prefix = Mat2.identity()
-    for name, eps in word:
-        g = gens[name]
-        if eps == 1:
-            # base is the rep of the prefix before this letter
-            out.append((u_func(t.bar(prefix), g, t), 1))
-            prefix = prefix * g
-        else:
-            # base is the rep of the prefix including this letter
-            prefix = prefix * g.inv()
-            out.append((u_func(t.bar(prefix), g, t), -1))
-    return out
 
 
 def modified_rewrite(w: TSWord, t: Transversal, product: Mat2 | None = None) -> list[RewriteFactor]:
@@ -140,18 +103,6 @@ def reduce_word(factors, N: int) -> list[ReducedFactor]:
         else:
             raise ValueError(f"unknown factor generator {gen!r}")
     return out
-
-
-def expand_reduced(factors, alphabet) -> Mat2:
-    """Exact product of alphabet entries with multiplicities (for checks)."""
-    m = Mat2.identity()
-    for f in factors:
-        u = alphabet[(f.base_key, f.gen)]
-        if f.multiplicity < 0:
-            u = u.inv()
-        for _ in range(abs(f.multiplicity)):
-            m = m * u
-    return m
 
 
 def format_factor(f: RewriteFactor) -> str:

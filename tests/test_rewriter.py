@@ -3,13 +3,11 @@ import random
 
 import pytest
 
-from gdsum.cosets import schreier_alphabet, transversal_g1_in_sl2
+from gdsum.cosets import schreier_alphabet, transversal_g1_in_sl2, u_func
 from gdsum.modgroup import I2, Mat2, S, T, random_gamma0, ts_decompose
 from gdsum.rewriter import (
     RewriteFactor,
-    classic_rewrite,
     expand_factor,
-    expand_reduced,
     format_factor,
     format_reduced,
     modified_rewrite,
@@ -18,6 +16,50 @@ from gdsum.rewriter import (
 )
 
 FACTOR_COUNT_K = 9
+
+# The letter-by-letter rewriting process, one U-factor per +-1-exponent
+# letter: a small-scale reference for `modified_rewrite`.
+CLASSIC_MAX_LETTERS = 32
+
+
+def classic_rewrite(word, t):
+    """Rewrite a +-1-exponent word over {T, S} as signed U-factors.
+
+    word: sequence of (name, eps) with name in {"T", "S"} and eps = +-1.
+    The signed product of the returned matrices equals the word's product,
+    which must lie in Gamma1(N).  Capped at CLASSIC_MAX_LETTERS letters.
+    """
+    word = list(word)
+    if len(word) > CLASSIC_MAX_LETTERS:
+        raise ValueError(f"classic rewriting capped at {CLASSIC_MAX_LETTERS} letters")
+    h = _word_product(word)
+    if not h.in_gamma1(t.N):
+        raise ValueError(f"word product {h} is not in Gamma1({t.N})")
+    out = []
+    prefix = I2
+    for name, eps in word:
+        g = T if name == "T" else S
+        if eps == 1:
+            # base is the rep of the prefix before this letter
+            out.append((u_func(t.bar(prefix), g, t), 1))
+            prefix = prefix * g
+        else:
+            # base is the rep of the prefix including this letter
+            prefix = prefix * g.inv()
+            out.append((u_func(t.bar(prefix), g, t), -1))
+    return out
+
+
+def expand_reduced(factors, alphabet):
+    """Exact product of alphabet entries with multiplicities."""
+    m = I2
+    for f in factors:
+        u = alphabet[(f.base_key, f.gen)]
+        if f.multiplicity < 0:
+            u = u.inv()
+        for _ in range(abs(f.multiplicity)):
+            m = m * u
+    return m
 
 
 def _word_product(word):
