@@ -137,21 +137,30 @@ def schreier_alphabet(N: int, t: Transversal) -> dict[tuple, Mat2]:
     """All U(member, T^i) and U(member, S^k), keyed by (coset key, generator).
 
     Every value lies in Gamma1(N); the table has (N+3) * len(t) entries.
+    Products are walked in plain integers, one Mat2 per entry.
     """
     if t.kind != "sl2":
         raise ValueError("the alphabet is built over the full-group transversal")
+    members = t.members
+
+    def u_entry(a, b, c, d):
+        # (a b; c d) times the inverse (rd, -rb; -rc, ra) of its coset rep
+        r = members.get((c % N, d % N))
+        if r is None:
+            raise ValueError(f"corrupted transversal: no member for key {(c % N, d % N)}")
+        u = Mat2(a * r.d - b * r.c, b * r.a - a * r.b, c * r.d - d * r.c, d * r.a - c * r.b)
+        assert u.in_gamma1(N)
+        return u
+
     out = {}
-    for key, mem in t.members.items():
-        cur = mem
+    for key, mem in members.items():
+        a, b, c, d = mem.entries()
         for i in range(1, N + 1):
-            cur = cur.mul_t_power(1)
-            u = cur * t.bar(cur).inv()
-            assert u.in_gamma1(N)
-            out[(key, ("T", i))] = u
-        cur = mem
+            b += a  # times T
+            d += c
+            out[(key, ("T", i))] = u_entry(a, b, c, d)
+        a, b, c, d = mem.entries()
         for k in range(0, 3):
-            u = cur * t.bar(cur).inv()
-            assert u.in_gamma1(N)
-            out[(key, ("S", k))] = u
-            cur = cur.mul_s()
+            out[(key, ("S", k))] = u_entry(a, b, c, d)
+            a, b, c, d = b, -a, d, -c  # times S
     return out

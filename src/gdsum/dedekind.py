@@ -25,6 +25,14 @@ and psi is trivial on Gamma1(N); that single identity powers everything here:
   * a cache stores only the oracle's U(t, T) and U(t, S) sums: the rest of
     the tables follows from them, and group relations between them check
     every stored entry at load.
+
+The alphabet sums are handled as integer numerator vectors over one common
+denominator D (1 for every pair tried): the derived sums, the relation
+checks and `fast_sum`'s accumulation are integer adds.  Equal sums share
+one CycElem, so Fractions are built only for the few hundred distinct sums
+of a table and for the coefficients of a result.  `Context.sums_alphabet`
+keeps the CycElem view; `Context.rows`, the integer view, is derived from
+it whenever a Context is built.
 """
 
 from __future__ import annotations
@@ -33,8 +41,10 @@ import json
 import os
 import tempfile
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import add
 
 from .characters import (
     DirichletCharacter,
@@ -153,6 +163,13 @@ class Context:
 
     Immutable after `precompute`; `fast_sum` is pure, so one context can
     serve concurrent evaluations.
+
+    `den` and `rows` are what `fast_sum` reads: every alphabet sum as a
+    tuple of integer numerators over the common denominator `den`, at
+    `rows[key][gen]`.  They are derived from `sums_alphabet` in
+    `__post_init__` and never passed in, so a context built with
+    `dataclasses.replace(ctx, sums_alphabet=...)` evaluates the table it
+    holds, not the one it was copied from.
     """
 
     chi1: DirichletCharacter
@@ -167,6 +184,18 @@ class Context:
     alphabet: dict
     sums_g0: dict
     sums_alphabet: dict
+    den: int = field(init=False, compare=False)
+    rows: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        # Keyed by object: `_tables` shares one CycElem per distinct sum
+        # (649 of them for the 43,776 entries at N = 35, L = 12).
+        sums = {id(v): v for v in self.sums_alphabet.values()}
+        self.den = den = lcm(*{x.denominator for v in sums.values() for x in v.coeffs})
+        row_of = {i: _row(den, v) for i, v in sums.items()}
+        self.rows = rows = {key: {} for key, _ in self.sums_alphabet}
+        for (key, gen), v in self.sums_alphabet.items():
+            rows[key][gen] = row_of[id(v)]
 
 
 def _validate_pair(chi1, chi2):
@@ -197,7 +226,7 @@ def precompute(
     alphabet = schreier_alphabet(N, t_sl2)
     s_t = {key: sum_on_gamma0(chi1, chi2, alphabet[key, ("T", 1)]) for key in t_sl2.members}
     s_s = {key: sum_on_gamma0(chi1, chi2, alphabet[key, ("S", 1)]) for key in t_sl2.members}
-    ctx = _tables(chi1, chi2, t_sl2, alphabet, s_t, s_s)
+    ctx = _tables(chi1, chi2, t_sl2, alphabet, *_numerators(s_t, s_s))
     if not ctx.parity_ok:
         warnings.warn(
             f"chi1*chi2(-1) != 1 for the pair mod ({chi1.modulus}, {chi2.modulus}); "
@@ -208,12 +237,29 @@ def precompute(
     return ctx
 
 
-def _tables(chi1, chi2, t_sl2: Transversal, alphabet: dict, s_t: dict, s_s: dict) -> Context:
-    """The context whose U(t, T) and U(t, S) sums, per coset key, are s_t and s_s.
+def _row(den: int, v: CycElem) -> tuple[int, ...]:
+    """The coefficients of v as integer numerators over den."""
+    return tuple([x.numerator * den // x.denominator for x in v.coeffs])
+
+
+def _numerators(s_t: dict, s_s: dict) -> tuple[int, dict, dict]:
+    """The common denominator D of every coefficient of s_t and s_s, and each
+    sum as its tuple of integer numerators over D."""
+    den = lcm(*{x.denominator for s in (s_t, s_s) for v in s.values() for x in v.coeffs})
+    return den, {k: _row(den, v) for k, v in s_t.items()}, {k: _row(den, v) for k, v in s_s.items()}
+
+
+def _tables(
+    chi1, chi2, t_sl2: Transversal, alphabet: dict, den: int, v_t: dict, v_s: dict
+) -> Context:
+    """The context whose U(t, T) and U(t, S) sums, per coset key, are the
+    integer numerator vectors v_t and v_s over den.
 
     The Gamma0 transversal sums come from the double sum (each member other
     than the identity has c = N).  The other alphabet sums follow from
-    U(t, g h) = U(t, g) U(rep(t g), h), with S^0 the identity.
+    U(t, g h) = U(t, g) U(rep(t g), h), with S^0 the identity, as integer
+    vector adds.  Equal sums share one CycElem of Fraction(n, den)
+    coefficients: the table holds a few hundred distinct sums.
     """
     N = t_sl2.N
     L = pair_order(chi1, chi2)
@@ -222,19 +268,20 @@ def _tables(chi1, chi2, t_sl2: Transversal, alphabet: dict, s_t: dict, s_s: dict
     sums_g0 = {
         d: zero if mem == I2 else naive_sum(chi1, chi2, mem) for d, mem in t_g0.members.items()
     }
-    sums_alphabet = {}
+    vectors = {}
     for key in t_sl2.members:
         ck, dk = key
-        sums_alphabet[key, ("S", 0)] = zero
-        sums_alphabet[key, ("S", 1)] = s_s[key]
+        vectors[key, ("S", 0)] = (0,) * len(zero.coeffs)
+        vectors[key, ("S", 1)] = v_s[key]
         # U(t, S^2) = U(t, S) U(rep(t S), S); t S has the key (d, -c)
-        sums_alphabet[key, ("S", 2)] = s_s[key] + s_s[dk, -ck % N]
+        vectors[key, ("S", 2)] = tuple(map(add, v_s[key], v_s[dk, -ck % N]))
         # U(t, T^i) = U(t, T) U(rep(t T), T) ... U(rep(t T^(i-1)), T)
-        acc = s_t[key]
-        sums_alphabet[key, ("T", 1)] = acc
+        acc = v_t[key]
+        vectors[key, ("T", 1)] = acc
         for i in range(2, N + 1):
-            acc = acc + s_t[ck, (dk + (i - 1) * ck) % N]
-            sums_alphabet[key, ("T", i)] = acc
+            acc = tuple(map(add, acc, v_t[ck, (dk + (i - 1) * ck) % N]))
+            vectors[key, ("T", i)] = acc
+    shared = {v: CycElem._raw(L, tuple(Fraction(n, den) for n in v)) for v in set(vectors.values())}
     return Context(
         chi1=chi1,
         chi2=chi2,
@@ -247,7 +294,7 @@ def _tables(chi1, chi2, t_sl2: Transversal, alphabet: dict, s_t: dict, s_s: dict
         t_sl2=t_sl2,
         alphabet=alphabet,
         sums_g0=sums_g0,
-        sums_alphabet=sums_alphabet,
+        sums_alphabet={k: shared[v] for k, v in vectors.items()},
     )
 
 
@@ -264,30 +311,23 @@ def split_gamma0(ctx: Context, gamma: Mat2) -> tuple[Mat2, Mat2, int]:
 def fast_sum(ctx: Context, gamma: Mat2) -> CycElem:
     """S(gamma) from the precomputed tables; O(log|c|) work.
 
-    The table's rational coefficients are added as integer numerators, one
-    running sum per (denominator, coefficient); each becomes one Fraction
-    at the end.
+    Each term adds m times its integer row (`ctx.rows`) into one vector of
+    numerators over `ctx.den`; each nonzero coefficient becomes one Fraction
+    at the end, added to the Gamma0 transversal sum.
     """
     g1, _, d_key = split_gamma0(ctx, gamma)
     word = ts_decompose(g1, nearest=True)
     terms = reduce_word(modified_rewrite(word, ctx.t_sl2, product=g1), ctx.N)
-    out = list(ctx.sums_g0[d_key].coeffs)
-    deg = len(out)
-    table = ctx.sums_alphabet
-    rows = {}  # denominator -> numerators, one per coefficient
+    base = ctx.sums_g0[d_key].coeffs
+    rows = ctx.rows
+    acc = [0] * len(base)
     for key, gen, m in terms:
-        for i, x in enumerate(table[key, gen].coeffs):
-            n, den = x.as_integer_ratio()
-            if n:
-                row = rows.get(den)
-                if row is None:
-                    row = rows[den] = [0] * deg
-                row[i] += m * n
-    for den, row in rows.items():
-        for i, n in enumerate(row):
-            if n:
-                out[i] += Fraction(n, den)
-    return CycElem._raw(ctx.L, tuple(out))
+        for i, n in enumerate(rows[key][gen]):
+            acc[i] += m * n
+    den = ctx.den
+    return CycElem._raw(
+        ctx.L, tuple(x + Fraction(n, den) if n else x for x, n in zip(base, acc))
+    )
 
 
 def crossed_hom_check(chi1, chi2, ga: Mat2, gb: Mat2) -> bool:
@@ -388,8 +428,9 @@ def load_context(path) -> Context:
     t_sl2 = transversal_g1_in_sl2(N)
     if set(s_t) != set(t_sl2.members) or set(s_s) != set(t_sl2.members):
         raise ValueError(f"cached sums are not keyed by the {len(t_sl2)} coset keys mod {N}")
-    _check_relations(N, s_t, s_s)
-    ctx = _tables(chi1, chi2, t_sl2, schreier_alphabet(N, t_sl2), s_t, s_s)
+    den, v_t, v_s = _numerators(s_t, s_s)
+    _check_relations(N, v_t, v_s)
+    ctx = _tables(chi1, chi2, t_sl2, schreier_alphabet(N, t_sl2), den, v_t, v_s)
 
     # spot-check the cheapest oracle-valid entries against the double sum
     checkable = sorted(
@@ -427,9 +468,10 @@ def _sums_from_json(data):
     return chi1, chi2, column("T"), column("S")
 
 
-def _check_relations(N: int, s_t: dict, s_s: dict) -> None:
+def _check_relations(N: int, v_t: dict, v_s: dict) -> None:
     """Raise ValueError unless the stored sums obey S^4 = I and (ST)^3 = S^2.
 
+    v_t and v_s hold the sums as integer numerators over one denominator.
     On keys, k S = (d, -c) and k T = (c, d + c) mod N.  Through the cocycle
     identity, each relation gives one exact identity per key k:
       S^4 = I:                s_S[k] + s_S[kS] + s_S[kS^2] + s_S[kS^3] = 0
@@ -446,16 +488,17 @@ def _check_relations(N: int, s_t: dict, s_s: dict) -> None:
     def mul_t(k):
         return k[0], (k[1] + k[0]) % N
 
-    for k in s_s:
+    for k in v_s:
         k_s = mul_s(k)
         k_ss = mul_s(k_s)
-        if s_s[k] + s_s[k_s] + s_s[k_ss] + s_s[mul_s(k_ss)]:
+        if any(map(sum, zip(v_s[k], v_s[k_s], v_s[k_ss], v_s[mul_s(k_ss)]))):
             raise ValueError(f"cached U(t, S) sums at key {k} break S^4 = I")
         k_t = mul_t(k)
         k_ts = mul_s(k_t)
         k_tst = mul_t(k_ts)
         k_tsts = mul_s(k_tst)
-        if s_t[k] + s_s[k_t] + s_t[k_ts] + s_s[k_tst] + s_t[k_tsts] != s_s[k]:
+        lhs = map(sum, zip(v_t[k], v_s[k_t], v_t[k_ts], v_s[k_tst], v_t[k_tsts]))
+        if tuple(lhs) != v_s[k]:
             raise ValueError(f"cached sums at key {k} break (ST)^3 = S^2")
 
 

@@ -33,6 +33,16 @@ def chi7_13():
 
 
 @pytest.fixture(scope="session")
+def chi5_14():
+    return find_character(5, [(2, "1/4")])
+
+
+@pytest.fixture(scope="session")
+def chi7_16():
+    return find_character(7, [(3, "1/6")])
+
+
+@pytest.fixture(scope="session")
 def ctx9(chi3):
     return precompute(chi3, chi3)
 
@@ -48,3 +58,9 @@ def ctx35(chi5, chi7_13):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ParityWarning)
         return precompute(chi5, chi7_13)
+
+
+@pytest.fixture(scope="session")
+def ctx35_l12(chi5_14, chi7_16):
+    # order L = 12: degree-4 rows, and the parity hypothesis holds
+    return precompute(chi5_14, chi7_16)

@@ -1,10 +1,14 @@
+import functools
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gdsum.characters import (
+    character_spec_string,
     characters_mod,
     euler_phi,
     find_character,
@@ -161,6 +165,20 @@ def test_find_character_selection():
         find_character(7, [])  # several primitive characters mod 7
     with pytest.raises(ValueError):
         find_character(7, [(3, Fraction(1, 5))])  # no such value
+
+
+@functools.cache
+def _primitive_characters(max_q=64):
+    return [chi for q in range(3, max_q + 1) for chi in characters_mod(q) if chi.is_primitive()]
+
+
+@given(st.data(), st.booleans())
+def test_character_spec_round_trip(data, spaced):
+    chi = data.draw(st.sampled_from(_primitive_characters()))
+    spec = character_spec_string(chi)
+    if spaced:
+        spec = " " + spec.replace(";", " ; ").replace("=", " = ") + " "
+    assert parse_character_spec(spec) == chi
 
 
 def test_parse_character_spec():

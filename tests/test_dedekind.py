@@ -1,8 +1,12 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gdsum import dedekind
 from gdsum.characters import pair_order
@@ -20,7 +24,8 @@ from gdsum.dedekind import (
     sum_on_gamma0,
 )
 from gdsum.exactnum import CycElem
-from gdsum.modgroup import I2, Mat2, random_gamma0
+from gdsum.modgroup import I2, Mat2, random_gamma0, ts_decompose
+from gdsum.rewriter import modified_rewrite, reduce_word
 
 
 def test_naive_sum_kernel_matrix(chi3):
@@ -320,4 +325,104 @@ def test_load_rejects_v1_cache(tmp_path, ctx9):
     data["version"] = 1
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError, match="gdsum precompute --force"):
+        load_context(path)
+
+
+CONTEXTS = ("ctx9", "ctx28", "ctx35", "ctx35_l12")
+
+
+@pytest.fixture(scope="session")
+def contexts(ctx9, ctx28, ctx35, ctx35_l12):
+    return {"ctx9": ctx9, "ctx28": ctx28, "ctx35": ctx35, "ctx35_l12": ctx35_l12}
+
+
+@st.composite
+def gamma0_matrices(draw, N, max_c=10**60):
+    """A Gamma0(N) matrix with 1 <= c <= max_c, or its negation or inverse,
+    or a shear +-T^b with |b| <= max_c."""
+    if draw(st.integers(0, 9)) == 0:
+        s = draw(st.sampled_from((1, -1)))
+        return Mat2(s, draw(st.integers(-max_c, max_c)), 0, s)
+    c = N * draw(st.integers(1, max_c // N))
+    a = draw(st.integers(1, c))
+    while gcd(a, c) != 1:
+        a += 1
+    d = pow(a, -1, c) + c * draw(st.integers(-3, 3))
+    m = Mat2(a, (a * d - 1) // c, c, d)
+    return draw(st.sampled_from((m, -m, m.inv())))
+
+
+def _terms(ctx, gamma):
+    g1, _, d_key = split_gamma0(ctx, gamma)
+    word = ts_decompose(g1, nearest=True)
+    return d_key, reduce_word(modified_rewrite(word, ctx.t_sl2, product=g1), ctx.N)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(CONTEXTS), st.data())
+def test_fast_sum_matches_fraction_reference(contexts, name, data):
+    """The integer accumulation equals the same terms summed as CycElems."""
+    ctx = contexts[name]
+    gamma = data.draw(gamma0_matrices(ctx.N))
+    d_key, terms = _terms(ctx, gamma)
+    expected = ctx.sums_g0[d_key]
+    for key, gen, m in terms:
+        expected = expected + m * ctx.sums_alphabet[key, gen]
+    assert fast_sum(ctx, gamma) == expected
+
+
+def test_fast_sum_over_common_denominator_3(ctx28):
+    """Shift two entries by 1/3: the rows follow `sums_alphabet` through
+    `dataclasses.replace`, the denominator becomes 3, and each sum moves by
+    exactly (its multiplicity of the entries) / 3."""
+    assert ctx28.den == 1
+    N, L = ctx28.N, ctx28.L
+    shifted_keys = (((0, 1), ("S", 1)), ((0, 1), ("T", N)))  # U(I, S), U(I, T^N)
+    sums = dict(ctx28.sums_alphabet)
+    for key in shifted_keys:
+        sums[key] = sums[key] + CycElem.from_rational(L, Fraction(1, 3))
+    shifted = dataclasses.replace(ctx28, sums_alphabet=sums)
+    assert shifted.den == 3
+    row = ctx28.rows[0, 1]["S", 1]
+    assert shifted.rows[0, 1]["S", 1] == (3 * row[0] + 1, 3 * row[1])
+    assert shifted.rows[1, 0]["S", 1] == tuple(3 * n for n in ctx28.rows[1, 0]["S", 1])
+    rng = random.Random(3)
+    mats = [random_gamma0(N, rng, kmax=10**30) for _ in range(40)]
+    mats += [Mat2.t_power(10**40 + 5), Mat2.t_power(-(10**25)), -Mat2.t_power(7 * 10**18)]
+    moved = set()
+    for gamma in mats:
+        _, terms = _terms(ctx28, gamma)
+        m = sum(mult for key, gen, mult in terms if (key, gen) in shifted_keys)
+        delta = fast_sum(shifted, gamma) - fast_sum(ctx28, gamma)
+        assert delta == CycElem.from_rational(L, Fraction(m, 3))
+        moved.add(m)
+    # words that open with S, and shears whose T^N multiplicity is huge
+    assert 1 in moved and max(moved) > 10**20 and min(moved) < -(10**20)
+
+
+@pytest.fixture(scope="module")
+def cache28(tmp_path_factory, ctx28):
+    path = tmp_path_factory.mktemp("cache28") / "ctx28.json"
+    save_context(ctx28, path)
+    return path, json.loads(path.read_text())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(("T", "S")),
+    st.data(),
+    st.integers(0, 1),
+    st.fractions(max_denominator=10**6).filter(bool),
+)
+def test_load_rejects_any_mutated_coefficient(cache28, gen, data, index, delta):
+    """Any nonzero change to one coefficient of one stored row of the N = 28
+    cache (degree 2), integral or not, fails the relation checks."""
+    path, clean = cache28
+    key = data.draw(st.sampled_from(sorted(clean["sums_alphabet"][gen])))
+    mutated = json.loads(json.dumps(clean))
+    row = mutated["sums_alphabet"][gen][key]
+    assert len(row) == 2
+    row[index] = str(Fraction(row[index]) + delta)
+    path.write_text(json.dumps(mutated))
+    with pytest.raises(ValueError):
         load_context(path)

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gdsum.cosets import transversal_g1_in_g0
 from gdsum.modgroup import (
@@ -138,6 +140,23 @@ def test_parse():
         Mat2.parse("1,0;0")
     with pytest.raises(ValueError):
         Mat2.parse("2,0;0,2")
+
+
+@st.composite
+def words(draw):
+    """A product T^k1 S T^k2 S ..., so any sign and size of entry appears."""
+    m = I2
+    for k in draw(st.lists(st.integers(-(10**20), 10**20), max_size=6)):
+        m = m.mul_t_power(k).mul_s()
+    return m
+
+
+@given(words(), st.lists(st.sampled_from(("", " ", "  ", "\t")), min_size=8, max_size=8))
+def test_parse_round_trip(m, pad):
+    text = "{}{}{},{}{};{}{},{}{}{}".format(
+        pad[0], m.a, pad[1], pad[2], m.b, pad[3], m.c, pad[4], m.d, pad[5] + pad[6] + pad[7]
+    )
+    assert Mat2.parse(text) == m
 
 
 def test_immutability_and_hash():
