@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import logging
 import random
 import sys
 import time
@@ -111,6 +112,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
+class _StatsCatcher(logging.Handler):
+    """Keeps the `solve_stats` that `precompute` attaches to its DEBUG line."""
+
+    stats = None
+
+    def emit(self, record):
+        self.stats = getattr(record, "solve_stats", self.stats)
+
+
 def _load_or_build(args, *, force: bool = False, announce: bool = False) -> Context:
     chi1 = parse_character_spec(args.chi1)
     chi2 = parse_character_spec(args.chi2)
@@ -122,9 +132,17 @@ def _load_or_build(args, *, force: bool = False, announce: bool = False) -> Cont
             print(f"reusing cache {path}")
         return ctx
     t0 = time.perf_counter()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ParityWarning)
-        ctx = precompute(chi1, chi2, allow_large=args.allow_large_n)
+    logger, catcher = logging.getLogger("gdsum"), _StatsCatcher()
+    level = logger.level
+    logger.addHandler(catcher)
+    logger.setLevel(logging.DEBUG)
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ParityWarning)
+            ctx = precompute(chi1, chi2, allow_large=args.allow_large_n)
+    finally:
+        logger.removeHandler(catcher)
+        logger.setLevel(level)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
     elapsed = time.perf_counter() - t0
@@ -133,8 +151,8 @@ def _load_or_build(args, *, force: bool = False, announce: bool = False) -> Cont
     if announce:
         print(
             f"precomputed N={ctx.N}: |T_g0|={len(ctx.t_g0)}, |T_sl2|={len(ctx.t_sl2)}, "
-            f"alphabet={len(ctx.alphabet)} entries, order L={ctx.L} "
-            f"({elapsed:.2f} s) -> {path}"
+            f"alphabet={len(ctx.alphabet)} entries, order L={ctx.L}, "
+            f"{catcher.stats.oracle_calls} oracle calls ({elapsed:.2f} s) -> {path}"
         )
     return ctx
 

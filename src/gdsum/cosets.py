@@ -2,10 +2,12 @@
 
 Cosets of Gamma1(N) in Gamma0(N) are keyed by d mod N, cosets in the full
 unimodular group by the pair (c mod N, d mod N) with gcd(c, d, N) = 1, so
-the coset representative lookup is a dictionary access.  The alphabet
-collects U(t, T^i) for 1 <= i <= N and U(t, S^k) for 0 <= k <= 2 over all
-transversal members t, where U(x, y) = x y (coset rep of x y)^-1 always
-lands in Gamma1(N).
+the coset representative lookup is a dictionary access.  The full-group
+transversal is a Schreier transversal, built breadth-first over keys, so
+one U(t, T) or U(t, S) per key other than the identity's is the identity
+matrix.  The alphabet collects U(t, T^i) for 1 <= i <= N and U(t, S^k) for
+0 <= k <= 2 over all transversal members t, where
+U(x, y) = x y (coset rep of x y)^-1 always lands in Gamma1(N).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from math import gcd
 
 from .characters import euler_phi, _factorize
-from .modgroup import I2, Mat2, S, T
+from .modgroup import I2, Mat2
 
 GenLabel = tuple[str, int]  # ("T", i) with 1 <= i <= N, or ("S", k) with 0 <= k <= 2
 
@@ -82,48 +84,25 @@ def transversal_g1_in_g0(N: int) -> Transversal:
     return Transversal(N, "gamma0", members)
 
 
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    # returns (g, x, y) with a*x + b*y = g
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
-
-
-def transversal_g1_in_sl2(N: int, lift: str = "least_abs") -> Transversal:
+def transversal_g1_in_sl2(N: int) -> Transversal:
     """One representative per key (c mod N, d mod N) with gcd(c, d, N) = 1.
 
-    Lift: c' = c (or N when c = 0); scan d' = d, d+N, ... until coprime to
-    c'; complete the top row by extended gcd.  "least_abs" picks the top-left
-    entry of smallest absolute value (ties positive), "least_pos" the smallest
-    positive one; either yields a valid transversal, and downstream sums do
-    not depend on the choice.
+    Built in one breadth-first pass over keys from the identity, multiplying
+    on the right by T, T^-1 and S: a key's member is the first one found,
+    its parent's member times one letter.  So every prefix of a member's
+    word is a member too (a Schreier transversal), and each tree edge gives
+    an alphabet entry equal to the identity: U(t, T) or U(t, S) for an edge
+    t -> t T or t -> t S, and U(t T^-1, T) for an edge t -> t T^-1.
     """
-    if lift not in ("least_abs", "least_pos"):
-        raise ValueError(f"unknown lift style {lift!r}")
-    members = {}
-    id_key = (0, 1 % N)
-    for cm in range(N):
-        for dm in range(N):
-            if gcd(gcd(cm, dm), N) != 1:
-                continue
-            if (cm, dm) == id_key:
-                members[(cm, dm)] = I2
-                continue
-            cp = cm if cm != 0 else N
-            dp = dm
-            while gcd(cp, dp) != 1:
-                dp += N
-            _, x, _ = _egcd(dp, cp)  # x*dp = 1 mod cp
-            r = x % cp
-            if lift == "least_abs":
-                a = r if r <= cp - r else r - cp
-            else:
-                a = r if r > 0 else cp
-            b = (a * dp - 1) // cp
-            members[(cm, dm)] = Mat2(a, b, cp, dp)
+    members = {(0, 1 % N): I2}
+    found = [(1, 0, 0, 1)]
+    for a, b, c, d in found:  # grows while walked
+        # (a b; c d) times T, T^-1 and S
+        for m in ((a, a + b, c, c + d), (a, b - a, c, d - c), (b, -a, d, -c)):
+            key = (m[2] % N, m[3] % N)
+            if key not in members:
+                members[key] = Mat2(*m)
+                found.append(m)
     return Transversal(N, "sl2", members)
 
 

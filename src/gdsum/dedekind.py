@@ -22,9 +22,15 @@ and psi is trivial on Gamma1(N); that single identity powers everything here:
   * the fast path splits gamma into a Gamma1(N) part and a transversal
     member, rewrites the Gamma1 part over the Schreier alphabet, and adds
     up precomputed sums with multiplicities;
-  * a cache stores only the oracle's U(t, T) and U(t, S) sums: the rest of
-    the tables follows from them, and group relations between them check
-    every stored entry at load.
+  * the U(t, T) and U(t, S) sums, two per coset key, are mostly solved
+    rather than evaluated: entries that are the identity matrix are 0, and
+    the group relations S^4 = I and (ST)^3 = S^2 give one exact linear
+    identity per key and relation, which fixes almost every other entry
+    once a few come from the double sum (Gamma1(N) is free of rank
+    1 + |keys|/12, Reidemeister-Schreier);
+  * a cache stores only those U(t, T) and U(t, S) sums: the rest of the
+    tables follows from them, and the same relations check every stored
+    entry at load.
 
 The alphabet sums are handled as integer numerator vectors over one common
 denominator D (1 for every pair tried): the derived sums, the relation
@@ -37,14 +43,18 @@ it whenever a Context is built.
 
 from __future__ import annotations
 
+import heapq
 import json
+import logging
 import os
 import tempfile
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import add
+from typing import NamedTuple
 
 from .characters import (
     DirichletCharacter,
@@ -68,10 +78,12 @@ from .rewriter import modified_rewrite, reduce_word
 # Guardrail for precompute, lifted by allow_large: table sizes grow like N^3.
 DEFAULT_LEVEL_LIMIT = 60
 
-CACHE_VERSION = 2  # bump when the transversal or alphabet construction changes: load rebuilds them
+CACHE_VERSION = 3  # bump when the transversal or alphabet construction changes: load rebuilds them
 
 # Alphabet sums re-evaluated against the double sum at every load.
 LOAD_SPOT_CHECKS = 5
+
+log = logging.getLogger(__name__)
 
 
 class ParityWarning(UserWarning):
@@ -211,9 +223,14 @@ def precompute(
 ) -> Context:
     """Build the transversals, the alphabet and all precomputed sums.
 
-    Only the U(t, T) and U(t, S) sums come from the double sum, two per
-    coset key; `_tables` derives the rest, as it does for `load_context`.
-    Levels above DEFAULT_LEVEL_LIMIT need allow_large.
+    `_solve` finds the U(t, T) and U(t, S) sums, two per coset key, and
+    calls the double sum on few of them: within twice the rank
+    1 + |keys|/12 of Gamma1(N), e.g. 131 of the 2,304 at N = 35.  Every
+    relation of `_relations` is then checked on the whole table, and
+    `_tables` derives the rest, as it does for `load_context`.  One DEBUG
+    line on the `gdsum.dedekind` logger gives the counts, with the
+    `SolveStats` attached as `record.solve_stats`.  Levels above
+    DEFAULT_LEVEL_LIMIT need allow_large.
     """
     _validate_pair(chi1, chi2)
     N = chi1.modulus * chi2.modulus
@@ -224,9 +241,14 @@ def precompute(
         )
     t_sl2 = transversal_g1_in_sl2(N)
     alphabet = schreier_alphabet(N, t_sl2)
-    s_t = {key: sum_on_gamma0(chi1, chi2, alphabet[key, ("T", 1)]) for key in t_sl2.members}
-    s_s = {key: sum_on_gamma0(chi1, chi2, alphabet[key, ("S", 1)]) for key in t_sl2.members}
-    ctx = _tables(chi1, chi2, t_sl2, alphabet, *_numerators(s_t, s_s))
+    den, v_t, v_s, stats = _solve(chi1, chi2, t_sl2, alphabet)
+    _check_relations(N, v_t, v_s)
+    ctx = _tables(chi1, chi2, t_sl2, alphabet, den, v_t, v_s)
+    log.debug(
+        "precompute N=%d: %d keys, %d identity entries, %d solved, "
+        "%d oracle calls, oracle total |c| %d",
+        N, len(t_sl2), *stats, extra={"solve_stats": stats},
+    )
     if not ctx.parity_ok:
         warnings.warn(
             f"chi1*chi2(-1) != 1 for the pair mod ({chi1.modulus}, {chi2.modulus}); "
@@ -240,6 +262,82 @@ def precompute(
 def _row(den: int, v: CycElem) -> tuple[int, ...]:
     """The coefficients of v as integer numerators over den."""
     return tuple([x.numerator * den // x.denominator for x in v.coeffs])
+
+
+class SolveStats(NamedTuple):
+    """How `_solve` found the 2 |keys| U(t, T) and U(t, S) sums."""
+
+    identity: int  # entries whose matrix is the identity, so 0
+    solved: int  # entries solved from one relation
+    oracle_calls: int  # entries evaluated by `sum_on_gamma0`
+    oracle_c: int  # sum of |c| over those entries
+
+
+def _solve(chi1, chi2, t_sl2: Transversal, alphabet: dict) -> tuple[int, dict, dict, SolveStats]:
+    """The U(t, T) and U(t, S) sums as integer numerators over a common
+    denominator, found with as few double sums as the peel allows.
+
+    An entry whose matrix is the identity is 0.  A relation of `_relations`,
+    read as sum(lhs) - sum(rhs) = 0, with one unknown left at coefficient
+    +-1 gives that unknown as a sum of known rows.  When no relation has, the unknown entry of smallest |c|
+    goes to the double sum; a value with a new denominator rescales the
+    known rows, so every row stays exact over the running denominator.
+    Returns (den, v_t, v_s, stats), v_t and v_s keyed by coset key.
+    """
+    deg = len(CycElem.zero(pair_order(chi1, chi2)).coeffs)
+    zero = (0,) * deg
+    mats = {(g, key): alphabet[key, (g, 1)] for key in t_sl2.members for g in ("T", "S")}
+    known = {v: zero for v, m in mats.items() if m == I2}
+    relations = []
+    uses = {v: [] for v in mats}  # entry -> relations it enters
+    for _, _, lhs, rhs in _relations(t_sl2.N, t_sl2.members):
+        rel = Counter(lhs)
+        rel.subtract(rhs)
+        rel = {v: coef for v, coef in rel.items() if coef}
+        for v in rel:
+            uses[v].append(len(relations))
+        relations.append(rel)
+    open_ = [sum(v not in known for v in rel) for rel in relations]
+    ready = [i for i, n in enumerate(open_) if n == 1]
+    by_c = iter(sorted((abs(m.c), v) for v, m in mats.items() if v not in known))
+    den = 1
+    identity, solved, calls, total_c = len(known), 0, 0, 0
+
+    def settle(v, row):
+        known[v] = row
+        for i in uses[v]:
+            open_[i] -= 1
+            if open_[i] == 1:
+                ready.append(i)
+
+    while len(known) < len(mats):
+        if ready:
+            rel = relations[ready.pop()]
+            left = [v for v in rel if v not in known]
+            if len(left) != 1 or rel[left[0]] not in (1, -1):
+                continue
+            x = left[0]
+            # rel[x] * x = -sum(coef * known), and 1 / rel[x] = rel[x] for +-1
+            acc = [0] * deg
+            for v, coef in rel.items():
+                if v != x:
+                    for i, n in enumerate(known[v]):
+                        acc[i] -= coef * n
+            settle(x, tuple([rel[x] * n for n in acc]))
+            solved += 1
+            continue
+        c, x = next((c, v) for c, v in by_c if v not in known)
+        value = sum_on_gamma0(chi1, chi2, mats[x])
+        calls, total_c = calls + 1, total_c + c
+        new_den = lcm(den, *(q.denominator for q in value.coeffs))
+        if new_den != den:
+            scale, den = new_den // den, new_den
+            for v, row in known.items():
+                known[v] = tuple([scale * n for n in row])
+        settle(x, _row(den, value))
+    v_t = {key: known["T", key] for key in t_sl2.members}
+    v_s = {key: known["S", key] for key in t_sl2.members}
+    return den, v_t, v_s, SolveStats(identity, solved, calls, total_c)
 
 
 def _numerators(s_t: dict, s_s: dict) -> tuple[int, dict, dict]:
@@ -429,13 +527,16 @@ def load_context(path) -> Context:
     if set(s_t) != set(t_sl2.members) or set(s_s) != set(t_sl2.members):
         raise ValueError(f"cached sums are not keyed by the {len(t_sl2)} coset keys mod {N}")
     den, v_t, v_s = _numerators(s_t, s_s)
-    _check_relations(N, v_t, v_s)
+    try:
+        _check_relations(N, v_t, v_s)
+    except ValueError as exc:
+        raise ValueError(f"cache {path}: {exc}") from None
     ctx = _tables(chi1, chi2, t_sl2, schreier_alphabet(N, t_sl2), den, v_t, v_s)
 
     # spot-check the cheapest oracle-valid entries against the double sum
-    checkable = sorted(
-        (m.c, key) for key, m in ctx.alphabet.items() if m.c >= 1
-    )[:LOAD_SPOT_CHECKS]
+    checkable = heapq.nsmallest(
+        LOAD_SPOT_CHECKS, ((m.c, key) for key, m in ctx.alphabet.items() if m.c >= 1)
+    )
     for _, key in checkable:
         if naive_sum(chi1, chi2, ctx.alphabet[key]) != ctx.sums_alphabet[key]:
             raise ValueError(f"cached sum for alphabet entry {key} fails the oracle")
@@ -468,18 +569,19 @@ def _sums_from_json(data):
     return chi1, chi2, column("T"), column("S")
 
 
-def _check_relations(N: int, v_t: dict, v_s: dict) -> None:
-    """Raise ValueError unless the stored sums obey S^4 = I and (ST)^3 = S^2.
+def _relations(N: int, keys):
+    """Every per-key relation among the U(t, T) and U(t, S) sums, as
+    (name, key, lhs, rhs): the sums s_gen[k'] at the (gen, k') of lhs add up
+    to those of rhs.
 
-    v_t and v_s hold the sums as integer numerators over one denominator.
     On keys, k S = (d, -c) and k T = (c, d + c) mod N.  Through the cocycle
-    identity, each relation gives one exact identity per key k:
+    identity, each group relation gives one exact identity per key k (per
+    cycle k, kS, kS^2, kS^3 for the first):
       S^4 = I:                s_S[k] + s_S[kS] + s_S[kS^2] + s_S[kS^3] = 0
       (ST)^3 = S^2, i.e. TSTST = S:
                               s_T[k] + s_S[kT] + s_T[kTS] + s_S[kTST] + s_T[kTSTS] = s_S[k]
-    Each s_S[k] enters the first identity at k once (the four keys differ
-    for N >= 3), and s_T enters the second only on its left side, so a
-    single wrong entry breaks at least one identity.
+    `_solve` peels these to find the sums and `_check_relations` checks
+    them; no other code lists them.
     """
 
     def mul_s(k):
@@ -488,18 +590,35 @@ def _check_relations(N: int, v_t: dict, v_s: dict) -> None:
     def mul_t(k):
         return k[0], (k[1] + k[0]) % N
 
-    for k in v_s:
+    for k in keys:
         k_s = mul_s(k)
         k_ss = mul_s(k_s)
-        if any(map(sum, zip(v_s[k], v_s[k_s], v_s[k_ss], v_s[mul_s(k_ss)]))):
-            raise ValueError(f"cached U(t, S) sums at key {k} break S^4 = I")
+        cycle = (k, k_s, k_ss, mul_s(k_ss))
+        if k == min(cycle):  # the cycle's four keys share one identity
+            yield "S^4 = I", k, tuple(("S", j) for j in cycle), ()
         k_t = mul_t(k)
         k_ts = mul_s(k_t)
         k_tst = mul_t(k_ts)
         k_tsts = mul_s(k_tst)
-        lhs = map(sum, zip(v_t[k], v_s[k_t], v_t[k_ts], v_s[k_tst], v_t[k_tsts]))
-        if tuple(lhs) != v_s[k]:
-            raise ValueError(f"cached sums at key {k} break (ST)^3 = S^2")
+        lhs = (("T", k), ("S", k_t), ("T", k_ts), ("S", k_tst), ("T", k_tsts))
+        yield "(ST)^3 = S^2", k, lhs, (("S", k),)
+
+
+def _check_relations(N: int, v_t: dict, v_s: dict) -> None:
+    """Raise ValueError unless the sums obey every relation of `_relations`.
+
+    v_t and v_s hold the U(t, T) and U(t, S) sums as integer numerators over
+    one denominator.  Each s_S[k] enters the S^4 identity of its cycle once
+    (the four keys differ for N >= 3), and s_T enters the (ST)^3 identity
+    only on its left side, so a single wrong entry breaks at least one
+    identity.
+    """
+    row = {**{("T", k): v for k, v in v_t.items()}, **{("S", k): v for k, v in v_s.items()}}
+    zero = [0] * len(next(iter(v_s.values())))
+    for name, k, lhs, rhs in _relations(N, v_s):
+        total = list(map(sum, zip(*map(row.__getitem__, lhs))))
+        if total != (list(map(sum, zip(*map(row.__getitem__, rhs)))) if rhs else zero):
+            raise ValueError(f"U(t, T) and U(t, S) sums at key {k} break {name}")
 
 
 def cache_filename(chi1: DirichletCharacter, chi2: DirichletCharacter) -> str:

@@ -1,13 +1,14 @@
 import csv
 import dataclasses
 import json
+import logging
 from fractions import Fraction
 
 import pytest
 
-from gdsum import cli
+from gdsum import cli, dedekind
 from gdsum.cli import main, run_verify
-from gdsum.dedekind import load_context
+from gdsum.dedekind import load_context, sum_on_gamma0
 from gdsum.exactnum import CycElem
 
 CHI3 = "q=3;g=2;v=1/2"
@@ -30,6 +31,22 @@ def test_precompute_builds_and_reuses(tmp_path, capsys):
     assert main(["precompute", *_pair_args(tmp_path)]) == 0
     assert "reusing" in capsys.readouterr().out
     assert caches[0].stat().st_mtime_ns == mtime
+
+
+def test_precompute_reports_oracle_calls(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def oracle(chi1, chi2, gamma):
+        calls.append(gamma)
+        return sum_on_gamma0(chi1, chi2, gamma)
+
+    monkeypatch.setattr(dedekind, "sum_on_gamma0", oracle)
+    level = logging.getLogger("gdsum").level
+    assert main(["precompute", *_pair_args(tmp_path)]) == 0
+    out, err = capsys.readouterr()
+    assert 0 < len(calls) < 72 and f"L=2, {len(calls)} oracle calls (" in out
+    assert err == ""  # the DEBUG line is caught, not printed
+    assert logging.getLogger("gdsum").level == level
 
 
 def test_sum_kernel_matrix(tmp_path, capsys):

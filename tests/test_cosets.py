@@ -12,6 +12,7 @@ from gdsum.cosets import (
     u_func,
 )
 from gdsum.modgroup import I2, Mat2, S, T, random_sl2
+from reference_tables import lift_transversal
 
 LEVELS = (6, 9, 12, 28, 35)
 
@@ -170,13 +171,32 @@ def test_alphabet_deterministic():
 
 def test_alt_lift_is_valid_transversal():
     for N in (9, 12):
-        t = transversal_g1_in_sl2(N, lift="least_pos")
+        t = lift_transversal(N, lift="least_pos")
         assert len(t) == sl2_coset_count(N)
         assert t.members[(0, 1 % N)] == I2
         for key, m in t.members.items():
             assert (m.c % N, m.d % N) == key
     with pytest.raises(ValueError):
-        transversal_g1_in_sl2(9, lift="bogus")
+        lift_transversal(9, lift="bogus")
+
+
+@pytest.mark.parametrize("N", LEVELS)
+def test_sl2_transversal_is_schreier(N):
+    """Every member but the identity is another member times T, T^-1 or S
+    (prefix-closed words), so at least |T| - 1 of the U(t, T), U(t, S)
+    entries are the identity; the lift transversal has far fewer."""
+    t = transversal_g1_in_sl2(N)
+    members = set(t)
+    for m in t:
+        if m != I2:
+            assert {m.mul_t_power(-1), m.mul_t_power(1), m.mul_s().mul_s().mul_s()} & members
+    alpha = schreier_alphabet(N, t)
+    keys = list(t.members)
+    identity = sum(alpha[key, (g, 1)] == I2 for key in keys for g in ("T", "S"))
+    assert identity >= len(t) - 1
+    lifted = schreier_alphabet(N, lift_transversal(N))
+    assert sum(lifted[key, (g, 1)] == I2 for key in keys for g in ("T", "S")) < identity
+    assert max(abs(x) for m in t for x in m.entries()).bit_length() <= 8
 
 
 def test_bar_requires_gamma0_membership():

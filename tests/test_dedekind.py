@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import logging
 import random
+import warnings
 from fractions import Fraction
 from math import gcd
 
@@ -10,7 +12,6 @@ from hypothesis import strategies as st
 
 from gdsum import dedekind
 from gdsum.characters import pair_order
-from gdsum.cosets import transversal_g1_in_sl2
 from gdsum.dedekind import (
     CACHE_VERSION,
     ParityWarning,
@@ -26,6 +27,7 @@ from gdsum.dedekind import (
 from gdsum.exactnum import CycElem
 from gdsum.modgroup import I2, Mat2, random_gamma0, ts_decompose
 from gdsum.rewriter import modified_rewrite, reduce_word
+from reference_tables import all_oracle_context, lift_transversal
 
 
 def test_naive_sum_kernel_matrix(chi3):
@@ -235,7 +237,7 @@ def test_oracle_equivalence_complex_pair(ctx28, chi4, chi7_56):
 
 def test_transversal_independence(chi3, ctx9, monkeypatch):
     monkeypatch.setattr(
-        dedekind, "transversal_g1_in_sl2", lambda N: transversal_g1_in_sl2(N, lift="least_pos")
+        dedekind, "transversal_g1_in_sl2", lambda N: lift_transversal(N, lift="least_pos")
     )
     alt = precompute(chi3, chi3)
     # the tables genuinely differ...
@@ -321,11 +323,13 @@ def test_load_rejects_v1_cache(tmp_path, ctx9):
     path = tmp_path / "ctx9.json"
     save_context(ctx9, path)
     data = json.loads(path.read_text())
-    assert data["version"] == CACHE_VERSION == 2
-    data["version"] = 1
-    path.write_text(json.dumps(data))
-    with pytest.raises(ValueError, match="gdsum precompute --force"):
-        load_context(path)
+    assert data["version"] == CACHE_VERSION == 3
+    # version 2 stored sums over the lift transversal, version 1 more fields
+    for old in (2, 1):
+        data["version"] = old
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="gdsum precompute --force"):
+            load_context(path)
 
 
 CONTEXTS = ("ctx9", "ctx28", "ctx35", "ctx35_l12")
@@ -426,3 +430,129 @@ def test_load_rejects_any_mutated_coefficient(cache28, gen, data, index, delta):
     path.write_text(json.dumps(mutated))
     with pytest.raises(ValueError):
         load_context(path)
+
+
+# (chi1, chi2) fixture names per pair: N = 12 has q1 = 3 and q1 = 4, and the
+# "-odd" pairs break the parity hypothesis, so every sum is 0
+PAIRS = {
+    "9": ("chi3", "chi3"),
+    "12": ("chi3", "chi4"),
+    "12-swapped": ("chi4", "chi3"),
+    "28": ("chi4", "chi7_56"),
+    "28-odd": ("chi4", "chi7_13"),
+    "35-odd": ("chi5", "chi7_13"),
+    "35-l12": ("chi5_14", "chi7_16"),
+}
+
+
+def _pair(request, name):
+    return tuple(request.getfixturevalue(f) for f in PAIRS[name])
+
+
+def _precompute(chi1, chi2):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ParityWarning)
+        return precompute(chi1, chi2)
+
+
+# the session contexts that precompute these pairs over the Schreier transversal
+FIXTURE_OF = {"9": "ctx9", "28": "ctx28", "35-odd": "ctx35", "35-l12": "ctx35_l12"}
+
+
+@pytest.mark.parametrize("transversal", ["schreier", "lift"])
+@pytest.mark.parametrize("pair", sorted(PAIRS))
+def test_solved_table_matches_all_oracle(request, monkeypatch, pair, transversal):
+    """Every solved sum equals the double sum on its matrix, over the
+    Schreier transversal and over the lift transversal."""
+    chi1, chi2 = _pair(request, pair)
+    if transversal == "lift":
+        monkeypatch.setattr(dedekind, "transversal_g1_in_sl2", lift_transversal)
+        ctx = _precompute(chi1, chi2)
+    elif pair in FIXTURE_OF:
+        ctx = request.getfixturevalue(FIXTURE_OF[pair])
+    else:
+        ctx = _precompute(chi1, chi2)
+    ref = all_oracle_context(chi1, chi2, ctx.t_sl2)
+    assert ctx.alphabet == ref.alphabet
+    assert ctx.sums_alphabet == ref.sums_alphabet
+    assert ctx.sums_g0 == ref.sums_g0
+    if pair.endswith("-odd"):
+        assert not any(ctx.sums_alphabet.values())
+    else:
+        assert any(ctx.sums_alphabet.values())
+
+
+def _counting_oracle(monkeypatch):
+    calls = []
+
+    def oracle(chi1, chi2, gamma):
+        calls.append(gamma)
+        return sum_on_gamma0(chi1, chi2, gamma)
+
+    monkeypatch.setattr(dedekind, "sum_on_gamma0", oracle)
+    return calls
+
+
+@pytest.mark.parametrize("pair", ["9", "12", "28", "35-odd", "35-l12"])
+def test_oracle_calls_within_twice_the_rank(request, monkeypatch, caplog, pair):
+    """Gamma1(N) is free of rank 1 + |T|/12: precompute calls the double sum
+    on at most twice that many entries, and its DEBUG line says how many."""
+    chi1, chi2 = _pair(request, pair)
+    calls = _counting_oracle(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="gdsum"):
+        ctx = _precompute(chi1, chi2)
+    keys = len(ctx.t_sl2)
+    assert 0 < len(calls) <= 2 * (1 + keys // 12)
+    (record,) = [r for r in caplog.records if r.name == "gdsum.dedekind"]
+    stats = record.solve_stats
+    assert stats.oracle_calls == len(calls)
+    assert stats.oracle_c == sum(abs(m.c) for m in calls)
+    assert stats.identity + stats.solved + stats.oracle_calls == 2 * keys
+    assert stats.identity >= keys - 1  # one tree edge per key but the identity's
+    assert record.levelno == logging.DEBUG
+    assert record.getMessage() == (
+        f"precompute N={ctx.N}: {keys} keys, {stats.identity} identity entries, "
+        f"{stats.solved} solved, {len(calls)} oracle calls, "
+        f"oracle total |c| {stats.oracle_c}"
+    )
+
+
+@pytest.mark.parametrize("pair", ["9", "28", "35-odd"])
+def test_precompute_rejects_a_shifted_oracle(request, monkeypatch, pair):
+    """An oracle that adds 1 to every value is no homomorphism on Gamma1(N):
+    the relations checked after the solve reject its table."""
+    chi1, chi2 = _pair(request, pair)
+    L = pair_order(chi1, chi2)
+    monkeypatch.setattr(
+        dedekind,
+        "sum_on_gamma0",
+        lambda a, b, gamma: sum_on_gamma0(a, b, gamma) + CycElem.one(L),
+    )
+    with pytest.raises(ValueError, match="break") as info:
+        _precompute(chi1, chi2)
+    assert "cached" not in str(info.value)
+
+
+def test_solve_rescales_to_a_new_denominator(request, monkeypatch):
+    """The Fricke conjugation (a b; c d) -> (d, -c/N; -N b, a) maps Gamma1(N)
+    onto itself, so f(g) = S(its conjugate) + S(g)/3 is a homomorphism on
+    Gamma1(28) too.  The first nonzero f the solve asks for is integral and
+    a later one is not, so rows already solved are rescaled mid-solve; the
+    table still equals the all-oracle one under the same oracle."""
+    chi1, chi2 = _pair(request, "28")
+    N = 28
+    third = CycElem.from_rational(pair_order(chi1, chi2), Fraction(1, 3))
+    values = []
+
+    def oracle(a, b, g):
+        fricke = Mat2(g.d, -g.c // N, -N * g.b, g.a)
+        values.append(sum_on_gamma0(a, b, fricke) + third * sum_on_gamma0(a, b, g))
+        return values[-1]
+
+    monkeypatch.setattr(dedekind, "sum_on_gamma0", oracle)
+    ctx = precompute(chi1, chi2)
+    dens = [max(x.denominator for x in v.coeffs) for v in values if v]
+    assert dens[0] == 1 and 3 in dens
+    assert ctx.den == 3
+    ref = all_oracle_context(chi1, chi2, ctx.t_sl2)
+    assert ctx.sums_alphabet == ref.sums_alphabet
