@@ -9,8 +9,8 @@ prints the matrix-level reference: the key of the full prefix matrix and
 the U-value itself.
 """
 
-from gdsum.cosets import schreier_alphabet, transversal_g1_in_g0, transversal_g1_in_sl2
-from gdsum.modgroup import I2, Mat2, ts_decompose, ts_reconstruct
+from gdsum.cosets import schreier_alphabet, transversal_g1_in_g0, transversal_g1_in_sl2, u_func
+from gdsum.modgroup import I2, Mat2, S, ts_decompose, ts_reconstruct
 from gdsum.rewriter import (
     expand_factor,
     format_factor,
@@ -68,11 +68,22 @@ for f in factors:
 print(f"\nExact product of the factors equals gamma1: {prod == gamma1}")
 
 reduced = reduce_word(factors, N)
-print(f"\nT-exponents cycle mod {N} into the finite alphabet ({len(reduced)} terms):")
+print(
+    f"\nT-exponents cycle mod {N} into U(t, T^i) with 1 <= i <= {N}, and -I into U(t, S^2)\n"
+    f"({len(reduced)} terms), each shown with its matrix:"
+)
+prod = I2
 for f in reduced:
-    print(f"  {format_reduced(f)}")
+    name, k = f.gen
+    g = Mat2.t_power(k) if name == "T" else [I2, S, S * S][k]
+    u = u_func(t_sl2.members[f.base_key], g, t_sl2)
+    print(f"  {format_reduced(f):<22} U = {u}")
+    for _ in range(abs(f.multiplicity)):
+        prod = prod * (u if f.multiplicity > 0 else u.inv())
+print(f"Exact product of the terms equals gamma1: {prod == gamma1}")
 
-alphabet = schreier_alphabet(N, t_sl2)
-print(f"\nThe alphabet has {len(alphabet)} entries = ({N}+3) * {len(t_sl2)};")
-print("every term above indexes into it, so a sum over Gamma1 values of the")
-print("table evaluates the whole matrix in time proportional to the word length.")
+generators = schreier_alphabet(N, t_sl2)
+print(f"\nThe tables store sums for the {len(generators)} Schreier generators only: U(t, T)")
+print(f"and U(t, S) for each of the {len(t_sl2)} members t.  Every term above is a product")
+print("of them, so its sum is a sum of theirs, derived once; a sum over the terms")
+print("evaluates the whole matrix in time proportional to the word length.")

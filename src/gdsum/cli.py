@@ -15,11 +15,13 @@ import sys
 import time
 import warnings
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 
 from .characters import parse_character_spec
 from .cosets import u_func
 from .dedekind import (
+    DEFAULT_LEVEL_LIMIT,
     Context,
     ParityWarning,
     cache_filename,
@@ -30,7 +32,9 @@ from .dedekind import (
     precompute,
     save_context,
     split_gamma0,
+    sum_on_gamma0,
 )
+from .exactnum import CycElem
 from .modgroup import I2, Mat2, S, T, random_gamma0, random_sl2, ts_decompose
 from .rewriter import (
     format_factor,
@@ -71,7 +75,8 @@ def _build_parser() -> _Parser:
         p.add_argument(
             "--allow-large-n",
             action="store_true",
-            help="lift the N <= 60 precompute guardrail (tables grow like N^3)",
+            help=f"lift the N <= {DEFAULT_LEVEL_LIMIT} precompute guardrail "
+            "(the tables hold N * |keys| integer rows, |keys| ~ N^2)",
         )
 
     p = sub.add_parser("precompute", help="build and cache the tables for a pair")
@@ -151,7 +156,7 @@ def _load_or_build(args, *, force: bool = False, announce: bool = False) -> Cont
     if announce:
         print(
             f"precomputed N={ctx.N}: |T_g0|={len(ctx.t_g0)}, |T_sl2|={len(ctx.t_sl2)}, "
-            f"alphabet={len(ctx.alphabet)} entries, order L={ctx.L}, "
+            f"{len(ctx.alphabet)} Schreier generators, order L={ctx.L}, "
             f"{catcher.stats.oracle_calls} oracle calls ({elapsed:.2f} s) -> {path}"
         )
     return ctx
@@ -233,7 +238,7 @@ def run_verify(ctx: Context, *, trials: int, seed: int, cmax: int) -> VerifyRepo
         "transversal-sums", not bad, bad[0] if bad else f"{len(ctx.t_g0)} entries"
     )
 
-    # random alphabet entries with c >= 1 against the double sum
+    # random generator entries with c >= 1 against the double sum
     checkable = [k for k, m in ctx.alphabet.items() if m.c >= 1]
     picked = rng.sample(checkable, min(20, len(checkable)))
     bad = []
@@ -241,6 +246,18 @@ def run_verify(ctx: Context, *, trials: int, seed: int, cmax: int) -> VerifyRepo
         if naive_sum(ctx.chi1, ctx.chi2, ctx.alphabet[key]) != ctx.sums_alphabet[key]:
             bad.append(f"entry {key}: matrix {ctx.alphabet[key]}")
     report.record("alphabet-spot-check", not bad, bad[0] if bad else f"{len(picked)} entries")
+
+    # random derived rows, U(t, T^i) with i >= 2 and U(t, S^2), against the
+    # double sum's closure on their matrices
+    derived = [(key, gen) for key, row in ctx.rows.items() for gen in row if gen[1] >= 2]
+    picked = rng.sample(derived, min(20, len(derived)))
+    bad = []
+    for key, (name, i) in picked:
+        m = u_func(t.members[key], Mat2.t_power(i) if name == "T" else S * S, t)
+        row = CycElem(ctx.L, [Fraction(n, ctx.den) for n in ctx.rows[key][name, i]])
+        if sum_on_gamma0(ctx.chi1, ctx.chi2, m) != row:
+            bad.append(f"entry {(key, (name, i))}: matrix {m}")
+    report.record("derived-spot-check", not bad, bad[0] if bad else f"{len(picked)} entries")
 
     # fast path vs the double sum
     kmax = max(1, cmax // N)

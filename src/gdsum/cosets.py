@@ -1,13 +1,15 @@
-"""Right transversals of Gamma1(N), the coset map, and the Schreier alphabet.
+"""Right transversals of Gamma1(N), the coset map, and the Schreier generators.
 
 Cosets of Gamma1(N) in Gamma0(N) are keyed by d mod N, cosets in the full
 unimodular group by the pair (c mod N, d mod N) with gcd(c, d, N) = 1, so
 the coset representative lookup is a dictionary access.  The full-group
 transversal is a Schreier transversal, built breadth-first over keys, so
 one U(t, T) or U(t, S) per key other than the identity's is the identity
-matrix.  The alphabet collects U(t, T^i) for 1 <= i <= N and U(t, S^k) for
-0 <= k <= 2 over all transversal members t, where
-U(x, y) = x y (coset rep of x y)^-1 always lands in Gamma1(N).
+matrix.  The alphabet holds the Schreier generators U(t, T) and U(t, S),
+two per transversal member t, where U(x, y) = x y (coset rep of x y)^-1
+always lands in Gamma1(N).  By Reidemeister-Schreier they generate
+Gamma1(N), and every U(t, T^i) or U(t, S^k) is a product of them; `u_func`
+builds any such matrix on demand.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ from math import gcd
 
 from .characters import euler_phi, _factorize
 from .modgroup import I2, Mat2
-
-GenLabel = tuple[str, int]  # ("T", i) with 1 <= i <= N, or ("S", k) with 0 <= k <= 2
 
 
 def gamma0_coset_count(N: int) -> int:
@@ -113,9 +113,10 @@ def u_func(x: Mat2, y: Mat2, t: Transversal) -> Mat2:
 
 
 def schreier_alphabet(N: int, t: Transversal) -> dict[tuple, Mat2]:
-    """All U(member, T^i) and U(member, S^k), keyed by (coset key, generator).
+    """The Schreier generators U(member, T) and U(member, S), keyed by
+    (coset key, ("T", 1)) and (coset key, ("S", 1)).
 
-    Every value lies in Gamma1(N); the table has (N+3) * len(t) entries.
+    Every value lies in Gamma1(N); the table has 2 * len(t) entries.
     Products are walked in plain integers, one Mat2 per entry.
     """
     if t.kind != "sl2":
@@ -134,12 +135,6 @@ def schreier_alphabet(N: int, t: Transversal) -> dict[tuple, Mat2]:
     out = {}
     for key, mem in members.items():
         a, b, c, d = mem.entries()
-        for i in range(1, N + 1):
-            b += a  # times T
-            d += c
-            out[(key, ("T", i))] = u_entry(a, b, c, d)
-        a, b, c, d = mem.entries()
-        for k in range(0, 3):
-            out[(key, ("S", k))] = u_entry(a, b, c, d)
-            a, b, c, d = b, -a, d, -c  # times S
+        out[key, ("T", 1)] = u_entry(a, a + b, c, c + d)  # times T
+        out[key, ("S", 1)] = u_entry(b, -a, d, -c)  # times S
     return out

@@ -28,17 +28,17 @@ and psi is trivial on Gamma1(N); that single identity powers everything here:
     identity per key and relation, which fixes almost every other entry
     once a few come from the double sum (Gamma1(N) is free of rank
     1 + |keys|/12, Reidemeister-Schreier);
-  * a cache stores only those U(t, T) and U(t, S) sums: the rest of the
-    tables follows from them, and the same relations check every stored
-    entry at load.
+  * the context and the cache store only those U(t, T) and U(t, S) sums:
+    every U(t, T^i) and U(t, S^2) the evaluator reads follows from them,
+    and the same relations check every stored entry at load.
 
-The alphabet sums are handled as integer numerator vectors over one common
+The sums are handled as integer numerator vectors over one common
 denominator D (1 for every pair tried): the derived sums, the relation
 checks and `fast_sum`'s accumulation are integer adds.  Equal sums share
 one CycElem, so Fractions are built only for the few hundred distinct sums
 of a table and for the coefficients of a result.  `Context.sums_alphabet`
-keeps the CycElem view; `Context.rows`, the integer view, is derived from
-it whenever a Context is built.
+keeps the generator sums as CycElems; `Context.rows`, the integer rows the
+evaluator reads, is derived from it whenever a Context is built.
 """
 
 from __future__ import annotations
@@ -52,7 +52,8 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from itertools import accumulate
+from math import gcd, lcm
 from operator import add
 from typing import NamedTuple
 
@@ -68,6 +69,7 @@ from .characters import (
 from .cosets import (
     Transversal,
     schreier_alphabet,
+    sl2_coset_count,
     transversal_g1_in_g0,
     transversal_g1_in_sl2,
 )
@@ -75,12 +77,12 @@ from .exactnum import CycElem
 from .modgroup import I2, Mat2, ts_decompose
 from .rewriter import modified_rewrite, reduce_word
 
-# Guardrail for precompute, lifted by allow_large: table sizes grow like N^3.
-DEFAULT_LEVEL_LIMIT = 60
+# Guardrail for precompute, lifted by allow_large: N * |keys| ~ N^3 integer rows.
+DEFAULT_LEVEL_LIMIT = 80
 
 CACHE_VERSION = 3  # bump when the transversal or alphabet construction changes: load rebuilds them
 
-# Alphabet sums re-evaluated against the double sum at every load.
+# Generator sums re-evaluated against the double sum at every load.
 LOAD_SPOT_CHECKS = 5
 
 log = logging.getLogger(__name__)
@@ -176,12 +178,14 @@ class Context:
     Immutable after `precompute`; `fast_sum` is pure, so one context can
     serve concurrent evaluations.
 
-    `den` and `rows` are what `fast_sum` reads: every alphabet sum as a
-    tuple of integer numerators over the common denominator `den`, at
-    `rows[key][gen]`.  They are derived from `sums_alphabet` in
-    `__post_init__` and never passed in, so a context built with
-    `dataclasses.replace(ctx, sums_alphabet=...)` evaluates the table it
-    holds, not the one it was copied from.
+    `alphabet` and `sums_alphabet` hold the 2 |keys| Schreier generators
+    U(t, T), U(t, S) and their sums, keyed (key, ("T", 1)), (key, ("S", 1)).
+    `__post_init__` derives what `fast_sum` reads: `rows[key][gen]`, the
+    sums of U(t, S), U(t, S^2) and U(t, T^i), 1 <= i <= N, as integer
+    numerators over the common denominator `den`, equal rows shared (345 of
+    42,624 at N = 35, L = 12).  They are never passed in, so a context built
+    with `dataclasses.replace(ctx, sums_alphabet=...)` evaluates the table
+    it holds.  It checks no relation: `precompute` and `load_context` do.
     """
 
     chi1: DirichletCharacter
@@ -200,14 +204,39 @@ class Context:
     rows: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        # Keyed by object: `_tables` shares one CycElem per distinct sum
-        # (649 of them for the 43,776 entries at N = 35, L = 12).
-        sums = {id(v): v for v in self.sums_alphabet.values()}
-        self.den = den = lcm(*{x.denominator for v in sums.values() for x in v.coeffs})
-        row_of = {i: _row(den, v) for i, v in sums.items()}
-        self.rows = rows = {key: {} for key, _ in self.sums_alphabet}
-        for (key, gen), v in self.sums_alphabet.items():
-            rows[key][gen] = row_of[id(v)]
+        N = self.N
+        # Keyed by object: `_tables` shares one CycElem per distinct sum.
+        distinct = {id(v): v for v in self.sums_alphabet.values()}
+        self.den = den = lcm(*{x.denominator for v in distinct.values() for x in v.coeffs})
+        row_of = {i: _row(den, v) for i, v in distinct.items()}
+        shared = {r: r for r in row_of.values()}  # equal rows share one tuple
+        v_t = {k: shared[row_of[id(v)]] for (k, g), v in self.sums_alphabet.items() if g[0] == "T"}
+        v_s = {k: shared[row_of[id(v)]] for (k, g), v in self.sums_alphabet.items() if g[0] == "S"}
+        # Few distinct pairs of rows meet, so each sum is kept by the pair's
+        # ids: every row here is held by `shared` until the end.
+        memo = {}
+
+        def plus(a, b):
+            pair = (id(a), id(b))
+            if pair not in memo:
+                r = tuple(map(add, a, b))
+                memo[pair] = shared.setdefault(r, r)
+            return memo[pair]
+
+        self.rows = rows = {}
+        for (c, d), s in v_s.items():
+            # U(t, S^2) = U(t, S) U(rep(t S), S); t S has the key (d, -c)
+            rows[c, d] = {("S", 1): s, ("S", 2): plus(s, v_s[d, -c % N])}
+        # U(t, T^i) = U(t, T) U(rep(t T), T) ... U(rep(t T^(i-1)), T), where
+        # t T^j has the key (c, d + j c): running sums along each T-orbit
+        labels = [("T", i) for i in range(1, N + 1)]
+        for c, d in v_t:
+            if ("T", 1) in rows[c, d]:
+                continue  # its orbit is done
+            orbit = [(c, (d + j * c) % N) for j in range(N // gcd(c, N))]
+            seq = [v_t[k] for k in orbit] * (N // len(orbit) + 1)
+            for m, key in enumerate(orbit):
+                rows[key].update(zip(labels, accumulate(seq[m : m + N], plus)))
 
 
 def _validate_pair(chi1, chi2):
@@ -221,13 +250,13 @@ def _validate_pair(chi1, chi2):
 def precompute(
     chi1: DirichletCharacter, chi2: DirichletCharacter, *, allow_large: bool = False
 ) -> Context:
-    """Build the transversals, the alphabet and all precomputed sums.
+    """Build the transversals, the Schreier generators and their sums.
 
     `_solve` finds the U(t, T) and U(t, S) sums, two per coset key, and
     calls the double sum on few of them: within twice the rank
     1 + |keys|/12 of Gamma1(N), e.g. 131 of the 2,304 at N = 35.  Every
     relation of `_relations` is then checked on the whole table, and
-    `_tables` derives the rest, as it does for `load_context`.  One DEBUG
+    `_tables` builds the context, as it does for `load_context`.  One DEBUG
     line on the `gdsum.dedekind` logger gives the counts, with the
     `SolveStats` attached as `record.solve_stats`.  Levels above
     DEFAULT_LEVEL_LIMIT need allow_large.
@@ -236,8 +265,8 @@ def precompute(
     N = chi1.modulus * chi2.modulus
     if N > DEFAULT_LEVEL_LIMIT and not allow_large:
         raise ValueError(
-            f"level N = {N} exceeds the guardrail {DEFAULT_LEVEL_LIMIT}; "
-            "pass allow_large=True (tables grow like N^3)"
+            f"level N = {N} exceeds the guardrail {DEFAULT_LEVEL_LIMIT}; pass allow_large=True "
+            f"(the tables would hold N * |keys| = {N * sl2_coset_count(N):,} integer rows)"
         )
     t_sl2 = transversal_g1_in_sl2(N)
     alphabet = schreier_alphabet(N, t_sl2)
@@ -354,10 +383,9 @@ def _tables(
     integer numerator vectors v_t and v_s over den.
 
     The Gamma0 transversal sums come from the double sum (each member other
-    than the identity has c = N).  The other alphabet sums follow from
-    U(t, g h) = U(t, g) U(rep(t g), h), with S^0 the identity, as integer
-    vector adds.  Equal sums share one CycElem of Fraction(n, den)
-    coefficients: the table holds a few hundred distinct sums.
+    than the identity has c = N).  Equal generator sums share one CycElem
+    of Fraction(n, den) coefficients; `Context.__post_init__` derives the
+    rows the evaluator reads.
     """
     N = t_sl2.N
     L = pair_order(chi1, chi2)
@@ -366,20 +394,9 @@ def _tables(
     sums_g0 = {
         d: zero if mem == I2 else naive_sum(chi1, chi2, mem) for d, mem in t_g0.members.items()
     }
-    vectors = {}
-    for key in t_sl2.members:
-        ck, dk = key
-        vectors[key, ("S", 0)] = (0,) * len(zero.coeffs)
-        vectors[key, ("S", 1)] = v_s[key]
-        # U(t, S^2) = U(t, S) U(rep(t S), S); t S has the key (d, -c)
-        vectors[key, ("S", 2)] = tuple(map(add, v_s[key], v_s[dk, -ck % N]))
-        # U(t, T^i) = U(t, T) U(rep(t T), T) ... U(rep(t T^(i-1)), T)
-        acc = v_t[key]
-        vectors[key, ("T", 1)] = acc
-        for i in range(2, N + 1):
-            acc = tuple(map(add, acc, v_t[ck, (dk + (i - 1) * ck) % N]))
-            vectors[key, ("T", i)] = acc
-    shared = {v: CycElem._raw(L, tuple(Fraction(n, den) for n in v)) for v in set(vectors.values())}
+    distinct = {*v_t.values(), *v_s.values()}  # one CycElem each
+    cyc = {r: CycElem._raw(L, tuple(Fraction(n, den) for n in r)) for r in distinct}
+    sums = {(k, (name, 1)): cyc[r] for name, v in (("T", v_t), ("S", v_s)) for k, r in v.items()}
     return Context(
         chi1=chi1,
         chi2=chi2,
@@ -392,7 +409,7 @@ def _tables(
         t_sl2=t_sl2,
         alphabet=alphabet,
         sums_g0=sums_g0,
-        sums_alphabet={k: shared[v] for k, v in vectors.items()},
+        sums_alphabet=sums,
     )
 
 
@@ -505,16 +522,28 @@ def save_context(ctx: Context, path) -> None:
         raise
 
 
+class LoadStats(NamedTuple):
+    """What `load_context` validated."""
+
+    keys: int  # coset keys, two stored sums each
+    relations: int  # relation identities checked on the stored sums
+    spot_checks: int  # stored sums compared with the double sum
+    gamma0_sums: int  # Gamma0 transversal sums re-evaluated by the double sum
+
+
 def load_context(path) -> Context:
     """Load a cached context and validate every stored sum.
 
-    The file holds only the U(t, T) and U(t, S) sums.  The transversals and
-    the alphabet are rebuilt by the code `precompute` runs, and `_tables`
-    derives the other sums, so they hold by construction.  Each stored sum
-    must satisfy the two group relations of `_check_relations`, and the
-    LOAD_SPOT_CHECKS alphabet entries of smallest positive lower-left entry
-    must match the double sum.  A malformed structure (a missing key, a
-    value of the wrong type) raises ValueError like any other failed check.
+    The file holds only the U(t, T) and U(t, S) sums.  The transversals,
+    the generator matrices, the Gamma0 transversal sums and the rows are
+    rebuilt by the code `precompute` runs, so they hold by construction.
+    Each stored sum must satisfy the two group relations of
+    `_check_relations`, and the LOAD_SPOT_CHECKS generators of smallest
+    positive lower-left entry must match the double sum.  A malformed
+    structure (a missing key, a value of the wrong type) raises ValueError
+    like any other failed check.  One DEBUG line on the `gdsum.dedekind`
+    logger says what was validated, with the `LoadStats` attached as
+    `record.load_stats`.
     """
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
@@ -528,7 +557,7 @@ def load_context(path) -> Context:
         raise ValueError(f"cached sums are not keyed by the {len(t_sl2)} coset keys mod {N}")
     den, v_t, v_s = _numerators(s_t, s_s)
     try:
-        _check_relations(N, v_t, v_s)
+        relations = _check_relations(N, v_t, v_s)
     except ValueError as exc:
         raise ValueError(f"cache {path}: {exc}") from None
     ctx = _tables(chi1, chi2, t_sl2, schreier_alphabet(N, t_sl2), den, v_t, v_s)
@@ -540,6 +569,13 @@ def load_context(path) -> Context:
     for _, key in checkable:
         if naive_sum(chi1, chi2, ctx.alphabet[key]) != ctx.sums_alphabet[key]:
             raise ValueError(f"cached sum for alphabet entry {key} fails the oracle")
+    if log.isEnabledFor(logging.DEBUG):
+        stats = LoadStats(len(t_sl2), relations, len(checkable), len(ctx.t_g0) - 1)
+        log.debug(
+            "load_context N=%d: %d keys, %d relations checked, %d spot checks, "
+            "%d Gamma0 sums re-evaluated",
+            N, *stats, extra={"load_stats": stats},
+        )
     return ctx
 
 
@@ -604,8 +640,9 @@ def _relations(N: int, keys):
         yield "(ST)^3 = S^2", k, lhs, (("S", k),)
 
 
-def _check_relations(N: int, v_t: dict, v_s: dict) -> None:
-    """Raise ValueError unless the sums obey every relation of `_relations`.
+def _check_relations(N: int, v_t: dict, v_s: dict) -> int:
+    """Raise ValueError unless the sums obey every relation of `_relations`;
+    return how many identities were checked.
 
     v_t and v_s hold the U(t, T) and U(t, S) sums as integer numerators over
     one denominator.  Each s_S[k] enters the S^4 identity of its cycle once
@@ -615,10 +652,12 @@ def _check_relations(N: int, v_t: dict, v_s: dict) -> None:
     """
     row = {**{("T", k): v for k, v in v_t.items()}, **{("S", k): v for k, v in v_s.items()}}
     zero = [0] * len(next(iter(v_s.values())))
-    for name, k, lhs, rhs in _relations(N, v_s):
+    checked = 0
+    for checked, (name, k, lhs, rhs) in enumerate(_relations(N, v_s), 1):
         total = list(map(sum, zip(*map(row.__getitem__, lhs))))
         if total != (list(map(sum, zip(*map(row.__getitem__, rhs)))) if rhs else zero):
             raise ValueError(f"U(t, T) and U(t, S) sums at key {k} break {name}")
+    return checked
 
 
 def cache_filename(chi1: DirichletCharacter, chi2: DirichletCharacter) -> str:

@@ -69,10 +69,6 @@ def cyclotomic_polynomial(L: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _phi_degree(L: int) -> int:
-    return len(cyclotomic_polynomial(L)) - 1
-
-
 def _reduce(L: int, raw: list[Fraction]) -> tuple[Fraction, ...]:
     # Polynomial remainder mod Phi_L (monic, integral), exact in Q.
     phi = cyclotomic_polynomial(L)

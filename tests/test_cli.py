@@ -155,7 +155,22 @@ def test_verify_passes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "PASS  oracle-equivalence" in out
     assert "PASS  crossed-homomorphism" in out
+    assert "PASS  alphabet-spot-check  (14 entries)" in out  # every generator with c >= 1
+    assert "PASS  derived-spot-check  (20 entries)" in out
     assert "FAIL" not in out
+
+
+def test_verify_checks_derived_rows(ctx9):
+    """A wrong T^i (i >= 2) or S^2 row fails the derived spot check, while
+    the generator sums it was derived from still pass theirs."""
+    ctx = dataclasses.replace(ctx9)  # rows derived afresh, not shared with ctx9
+    for row in ctx.rows.values():
+        for gen, r in row.items():
+            if gen[1] >= 2:
+                row[gen] = (r[0] + ctx.den, *r[1:])
+    report = run_verify(ctx, trials=2, seed=0, cmax=100)
+    failed = [name for name, _ in report.failures]
+    assert "derived-spot-check" in failed and "alphabet-spot-check" not in failed
 
 
 def test_verify_deterministic(tmp_path, capsys):
@@ -290,4 +305,5 @@ def test_run_verify_report_structure(ctx9):
     names = [name for name, _, _ in report.lines]
     assert "oracle-equivalence" in names
     assert "t-power-reduction" in names
+    assert "derived-spot-check" in names
     assert "power-product-identities" in names

@@ -12,7 +12,7 @@ from gdsum.cosets import (
     u_func,
 )
 from gdsum.modgroup import I2, Mat2, S, T, random_sl2
-from reference_tables import lift_transversal
+from reference_tables import full_alphabet, lift_transversal
 
 LEVELS = (6, 9, 12, 28, 35)
 
@@ -151,14 +151,20 @@ def test_t_cycle_reduction_law():
 def test_alphabet_structure():
     for N in (6, 9):
         t = transversal_g1_in_sl2(N)
-        alpha = schreier_alphabet(N, t)
-        assert len(alpha) == (N + 3) * len(t)
-        assert alpha[((0, 1 % N), ("S", 0))] == I2
-        for (key, gen), u in alpha.items():
+        full = full_alphabet(N, t)
+        assert len(full) == (N + 3) * len(t)
+        assert full[((0, 1 % N), ("S", 0))] == I2
+        for (key, (name, k)), u in full.items():
             assert u.in_gamma1(N)
+            g = Mat2.t_power(k) if name == "T" else [I2, S, S * S][k]
+            assert u == u_func(t.members[key], g, t)
         # identity-based T entries are the plain shears
         for i in range(1, N + 1):
-            assert alpha[((0, 1 % N), ("T", i))] == Mat2.t_power(i)
+            assert full[((0, 1 % N), ("T", i))] == Mat2.t_power(i)
+        # the library builds only the 2 |T| Schreier generators
+        alpha = schreier_alphabet(N, t)
+        assert len(alpha) == 2 * len(t)
+        assert alpha == {e: u for e, u in full.items() if e[1] in (("T", 1), ("S", 1))}
 
 
 def test_alphabet_deterministic():

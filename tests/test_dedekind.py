@@ -27,7 +27,13 @@ from gdsum.dedekind import (
 from gdsum.exactnum import CycElem
 from gdsum.modgroup import I2, Mat2, random_gamma0, ts_decompose
 from gdsum.rewriter import modified_rewrite, reduce_word
-from reference_tables import all_oracle_context, lift_transversal
+from reference_tables import (
+    all_oracle_context,
+    alphabet_sum,
+    full_alphabet,
+    lift_transversal,
+    row_sum,
+)
 
 
 def test_naive_sum_kernel_matrix(chi3):
@@ -141,13 +147,18 @@ def test_sum_on_gamma0_closure(chi3):
 def test_precompute_structure(ctx9):
     assert len(ctx9.t_g0) == 6
     assert len(ctx9.t_sl2) == 72
-    assert len(ctx9.alphabet) == (9 + 3) * 72
-    assert len(ctx9.sums_alphabet) == len(ctx9.alphabet)
+    assert len(ctx9.alphabet) == 2 * 72
+    assert ctx9.sums_alphabet.keys() == ctx9.alphabet.keys()
     assert ctx9.sums_g0[1] == CycElem.zero(2)
-    assert ctx9.sums_alphabet[((0, 1), ("S", 0))] == CycElem.zero(2)
+    assert alphabet_sum(ctx9, (0, 1), ("S", 0)) == CycElem.zero(2)
     assert ctx9.L == 2 and ctx9.parity_ok
-    for u in ctx9.alphabet.values():
-        assert u.in_gamma1(9)
+    full = full_alphabet(9, ctx9.t_sl2)
+    for entry, u in ctx9.alphabet.items():
+        assert u == full[entry] and u.in_gamma1(9)
+    # one row per entry the evaluator reads: S, S^2 and T^i for 1 <= i <= N
+    gens = {("S", 1), ("S", 2), *(("T", i) for i in range(1, 10))}
+    assert ctx9.rows.keys() == ctx9.t_sl2.members.keys()
+    assert all(row.keys() == gens for row in ctx9.rows.values())
 
 
 def test_precompute_rejects_bad_characters(chi3):
@@ -176,25 +187,44 @@ def test_parity_warning(chi5, chi7_13):
 
 def test_table_consistency_spot_checks(ctx9, chi3):
     rng = random.Random(4)
-    checkable = [k for k, m in ctx9.alphabet.items() if m.c >= 1]
-    for key in rng.sample(checkable, 20):
-        assert ctx9.sums_alphabet[key] == naive_sum(chi3, chi3, ctx9.alphabet[key])
+    full = full_alphabet(9, ctx9.t_sl2)
+    checkable = [e for e, m in full.items() if m.c >= 1]
+    for key, gen in rng.sample(checkable, 20):
+        expect = naive_sum(chi3, chi3, full[key, gen])
+        assert row_sum(ctx9, key, gen) == alphabet_sum(ctx9, key, gen) == expect
 
 
 def test_table_consistency_complex_pair(ctx28, chi4, chi7_56):
     rng = random.Random(5)
-    checkable = [k for k, m in ctx28.alphabet.items() if m.c >= 1]
-    for key in rng.sample(checkable, 20):
-        assert ctx28.sums_alphabet[key] == naive_sum(chi4, chi7_56, ctx28.alphabet[key])
+    full = full_alphabet(28, ctx28.t_sl2)
+    checkable = [e for e, m in full.items() if m.c >= 1]
+    for key, gen in rng.sample(checkable, 20):
+        expect = naive_sum(chi4, chi7_56, full[key, gen])
+        assert row_sum(ctx28, key, gen) == alphabet_sum(ctx28, key, gen) == expect
 
 
 def test_derive_powers_matches_direct(ctx9, chi3):
     # precompute evaluates only U(t, T) and U(t, S); every derived entry
     # must equal the closure of the double sum on its matrix
-    for entry, mat in ctx9.alphabet.items():
-        assert ctx9.sums_alphabet[entry] == sum_on_gamma0(chi3, chi3, mat), entry
+    for (key, gen), mat in full_alphabet(9, ctx9.t_sl2).items():
+        direct = sum_on_gamma0(chi3, chi3, mat)
+        assert alphabet_sum(ctx9, key, gen) == direct, (key, gen)
+        if gen != ("S", 0):  # the evaluator reads no S^0 row
+            assert row_sum(ctx9, key, gen) == direct, (key, gen)
     for d, mem in ctx9.t_g0.members.items():
         assert ctx9.sums_g0[d] == sum_on_gamma0(chi3, chi3, mem), d
+
+
+@pytest.mark.parametrize("name", ["ctx28", "ctx35_l12"])
+def test_rows_match_reference_sums(request, name):
+    """Every integer row equals the sum the cocycle identity gives from the
+    generator sums in CycElem arithmetic."""
+    ctx = request.getfixturevalue(name)
+    assert len(ctx.rows) == len(ctx.t_sl2)
+    for key, row in ctx.rows.items():
+        assert len(row) == ctx.N + 2
+        for gen in row:
+            assert row_sum(ctx, key, gen) == alphabet_sum(ctx, key, gen), (key, gen)
 
 
 def test_fast_sum_kernel_matrix(ctx9):
@@ -304,6 +334,34 @@ def test_cache_round_trip_rebuilds_tables(tmp_path, request, name):
     assert (loaded.chi1, loaded.chi2, loaded.parity_ok) == (ctx.chi1, ctx.chi2, ctx.parity_ok)
 
 
+def test_load_logs_what_it_validated(tmp_path, monkeypatch, caplog, ctx28):
+    """One DEBUG line per load, with the counts on the record; nothing is
+    logged when DEBUG is off."""
+    path = tmp_path / "ctx28.json"
+    save_context(ctx28, path)
+    oracle = []
+    monkeypatch.setattr(
+        dedekind, "naive_sum", lambda *args: oracle.append(args[2]) or naive_sum(*args)
+    )
+    with caplog.at_level(logging.INFO, logger="gdsum"):
+        load_context(path)
+    assert not caplog.records
+    oracle.clear()
+    with caplog.at_level(logging.DEBUG, logger="gdsum"):
+        load_context(path)
+    (record,) = caplog.records
+    assert record.name == "gdsum.dedekind" and record.levelno == logging.DEBUG
+    stats = record.load_stats
+    keys = len(ctx28.t_sl2)
+    # one (ST)^3 identity per key, one S^4 identity per cycle of four keys
+    assert stats == (keys, keys + keys // 4, dedekind.LOAD_SPOT_CHECKS, len(ctx28.t_g0) - 1)
+    assert stats.spot_checks + stats.gamma0_sums == len(oracle)
+    assert record.getMessage() == (
+        f"load_context N=28: {keys} keys, {keys + keys // 4} relations checked, "
+        f"{stats.spot_checks} spot checks, {stats.gamma0_sums} Gamma0 sums re-evaluated"
+    )
+
+
 def test_load_rejects_every_corrupted_row(tmp_path, ctx9):
     path = tmp_path / "ctx9.json"
     save_context(ctx9, path)
@@ -371,32 +429,42 @@ def test_fast_sum_matches_fraction_reference(contexts, name, data):
     d_key, terms = _terms(ctx, gamma)
     expected = ctx.sums_g0[d_key]
     for key, gen, m in terms:
-        expected = expected + m * ctx.sums_alphabet[key, gen]
+        expected = expected + m * alphabet_sum(ctx, key, gen)
     assert fast_sum(ctx, gamma) == expected
 
 
 def test_fast_sum_over_common_denominator_3(ctx28):
-    """Shift two entries by 1/3: the rows follow `sums_alphabet` through
-    `dataclasses.replace`, the denominator becomes 3, and each sum moves by
-    exactly (its multiplicity of the entries) / 3."""
+    """Shift the generators U(I, T) and U(I, S) by 1/3: the rows follow
+    `sums_alphabet` through `dataclasses.replace`, the denominator becomes
+    3, each derived T^i and S^2 row moves by exactly (the number of shifted
+    generators it adds up) / 3, and so does each sum."""
     assert ctx28.den == 1
     N, L = ctx28.N, ctx28.L
-    shifted_keys = (((0, 1), ("S", 1)), ((0, 1), ("T", N)))  # U(I, S), U(I, T^N)
+    shifted_keys = (((0, 1), ("T", 1)), ((0, 1), ("S", 1)))  # U(I, T), U(I, S)
     sums = dict(ctx28.sums_alphabet)
     for key in shifted_keys:
         sums[key] = sums[key] + CycElem.from_rational(L, Fraction(1, 3))
     shifted = dataclasses.replace(ctx28, sums_alphabet=sums)
     assert shifted.den == 3
-    row = ctx28.rows[0, 1]["S", 1]
-    assert shifted.rows[0, 1]["S", 1] == (3 * row[0] + 1, 3 * row[1])
-    assert shifted.rows[1, 0]["S", 1] == tuple(3 * n for n in ctx28.rows[1, 0]["S", 1])
+
+    def uses(key, gen):
+        """How often U(I, T) or U(I, S) enters the sum of (key, gen)."""
+        (c, d), (name, i) = key, gen
+        if name == "T":  # U(t T^j, T) for j < i
+            return sum((c, (d + j * c) % N) == (0, 1) for j in range(i))
+        return sum(k == (0, 1) for k in ((c, d), (d, -c % N))[:i])  # U(t S^j, S)
+
+    for key, row in ctx28.rows.items():
+        for gen, r in row.items():
+            assert shifted.rows[key][gen] == (3 * r[0] + uses(key, gen), 3 * r[1]), (key, gen)
+    assert shifted.rows[0, 1]["T", N][0] == 3 * ctx28.rows[0, 1]["T", N][0] + N
     rng = random.Random(3)
     mats = [random_gamma0(N, rng, kmax=10**30) for _ in range(40)]
     mats += [Mat2.t_power(10**40 + 5), Mat2.t_power(-(10**25)), -Mat2.t_power(7 * 10**18)]
     moved = set()
     for gamma in mats:
         _, terms = _terms(ctx28, gamma)
-        m = sum(mult for key, gen, mult in terms if (key, gen) in shifted_keys)
+        m = sum(mult * uses(key, gen) for key, gen, mult in terms)
         delta = fast_sum(shifted, gamma) - fast_sum(ctx28, gamma)
         assert delta == CycElem.from_rational(L, Fraction(m, 3))
         moved.add(m)

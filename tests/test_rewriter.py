@@ -14,6 +14,7 @@ from gdsum.rewriter import (
     reduce_t_power,
     reduce_word,
 )
+from reference_tables import full_alphabet
 
 FACTOR_COUNT_K = 9
 
@@ -219,7 +220,7 @@ def test_reduce_word_mapping():
 def test_reduce_word_preserves_product():
     N = 9
     t = transversal_g1_in_sl2(N)
-    alphabet = schreier_alphabet(N, t)
+    alphabet = full_alphabet(N, t)
     rng = random.Random(2)
     vals = [v for v in alphabet.values() if v != I2]
     for _ in range(60):

@@ -3,8 +3,9 @@
 `modified_rewrite` tracks only the coset key of each prefix.  The reference
 here multiplies the full matrix prefixes and reads their keys from the
 transversal, as the rewrite did before; the two must agree factor for
-factor, and the reduced terms, expanded over the Schreier alphabet, must
-multiply exactly back to the Gamma1(N) element.
+factor, and the reduced terms, expanded over every U(t, T^i) and U(t, S^k)
+matrix (`reference_tables.full_alphabet`), must multiply exactly back to
+the Gamma1(N) element.
 """
 
 import functools
@@ -13,9 +14,10 @@ from math import gcd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gdsum.cosets import schreier_alphabet, transversal_g1_in_g0, transversal_g1_in_sl2
+from gdsum.cosets import transversal_g1_in_g0, transversal_g1_in_sl2
 from gdsum.modgroup import I2, Mat2, ts_decompose, ts_reconstruct
 from gdsum.rewriter import modified_rewrite, reduce_word
+from reference_tables import full_alphabet
 
 LEVELS = (6, 9, 28)
 
@@ -23,7 +25,7 @@ LEVELS = (6, 9, 28)
 @functools.cache
 def _tables(N):
     t = transversal_g1_in_sl2(N)
-    return transversal_g1_in_g0(N), t, schreier_alphabet(N, t)
+    return transversal_g1_in_g0(N), t, full_alphabet(N, t)
 
 
 def _matrix_rewrite(w, t, product):
