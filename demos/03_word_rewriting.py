@@ -6,18 +6,16 @@ into a T/S word of logarithmic length, and rewrite that word as a product
 of U-values indexed by a finite table.  The rewrite walks only the coset
 key (c mod N, d mod N) of each prefix; beside each factor this script
 prints the matrix-level reference: the key of the full prefix matrix and
-the U-value itself.
+the U-value itself.  Last, it regroups the factors the way the evaluator's
+potential table does, one matrix per S letter plus powers of one matrix
+per T-orbit, and checks that they too multiply back to the target.
 """
+
+from math import gcd
 
 from gdsum.cosets import schreier_alphabet, transversal_g1_in_g0, transversal_g1_in_sl2, u_func
 from gdsum.modgroup import I2, Mat2, S, ts_decompose, ts_reconstruct
-from gdsum.rewriter import (
-    expand_factor,
-    format_factor,
-    format_reduced,
-    modified_rewrite,
-    reduce_word,
-)
+from gdsum.rewriter import format_factor, modified_rewrite
 
 N = 9
 gamma0 = Mat2(17, 32, 9, 17)
@@ -52,10 +50,18 @@ print(
     "carries only the key: T^a maps (c, d) to (c, d + a*c), S maps it to (d, -c).\n"
     "Beside each factor, the key of the full prefix matrix and the U-matrix:"
 )
+
+
+def u_value(f):
+    """The exact U-matrix a rewrite factor stands for."""
+    step = {"T": Mat2.t_power(f.exponent), "S": S, "-I": -I2}[f.gen]
+    return u_func(t_sl2.members[f.base_key], step, t_sl2)
+
+
 prefix = I2
 prod = I2
 for f in factors:
-    u = expand_factor(f, t_sl2)
+    u = u_value(f)
     print(f"  {format_factor(f):<20} prefix key {t_sl2.key_of(prefix)}  U = {u}")
     assert t_sl2.key_of(prefix) == f.base_key
     if f.gen == "T":
@@ -67,23 +73,52 @@ for f in factors:
     prod = prod * u
 print(f"\nExact product of the factors equals gamma1: {prod == gamma1}")
 
-reduced = reduce_word(factors, N)
+
+def orbit(key):
+    """The base member of key's T-orbit (c, d + j c), key's position and the orbit length."""
+    c, d = key
+    g = gcd(c, N)
+    pos = next(j for j in range(N // g) if (d % g + j * c) % N == d)
+    return t_sl2.members[c, d % g], pos, N // g
+
+
+def climb(key):
+    """P(key) = U(base, T^pos): the walk along key's T-orbit from its base."""
+    base, pos, _ = orbit(key)
+    return u_func(base, Mat2.t_power(pos), t_sl2)
+
+
 print(
-    f"\nT-exponents cycle mod {N} into U(t, T^i) with 1 <= i <= {N}, and -I into U(t, S^2)\n"
-    f"({len(reduced)} terms), each shown with its matrix:"
+    "\nThe evaluator never indexes T-powers.  Along the T-orbit of a key k, with\n"
+    "P(k) = U(base, T^pos) and Z = U(base, T^length), every T-power factor is\n"
+    "U(t, T^a) = P(k)^-1 Z^w P(k T^a) with w = floor((pos + a) / length).  The P's\n"
+    "cancel between letters, and the walk starts and ends on orbits of length 1, so\n"
+    "the word is one matrix P(k) U(t, S) P(kS)^-1 per S letter (the S-step) and Z^w\n"
+    "for each T-power that wraps around its orbit:"
 )
 prod = I2
-for f in reduced:
-    name, k = f.gen
-    g = Mat2.t_power(k) if name == "T" else [I2, S, S * S][k]
-    u = u_func(t_sl2.members[f.base_key], g, t_sl2)
-    print(f"  {format_reduced(f):<22} U = {u}")
-    for _ in range(abs(f.multiplicity)):
-        prod = prod * (u if f.multiplicity > 0 else u.inv())
+for f in factors:
+    if f.gen == "T":
+        base, pos, length = orbit(f.base_key)
+        w = (pos + f.exponent) // length
+        if w:
+            z = u_func(base, Mat2.t_power(length), t_sl2)
+            print(f"  {f'{w} * orbit total at {f.base_key}':<28}  Z = {z}")
+            for _ in range(abs(w)):
+                prod = prod * (z if w > 0 else z.inv())
+    elif f.gen == "S":
+        k = f.base_key
+        m = climb(k) * u_value(f) * climb((k[1], -k[0] % N)).inv()
+        print(f"  {f'S-step row at {k}':<28}  U = {m}")
+        prod = prod * m
+    else:
+        print(f"  {f'negation row at {f.base_key}':<28}  U = {u_value(f)}")
+        prod = prod * u_value(f)
 print(f"Exact product of the terms equals gamma1: {prod == gamma1}")
 
 generators = schreier_alphabet(N, t_sl2)
 print(f"\nThe tables store sums for the {len(generators)} Schreier generators only: U(t, T)")
-print(f"and U(t, S) for each of the {len(t_sl2)} members t.  Every term above is a product")
-print("of them, so its sum is a sum of theirs, derived once; a sum over the terms")
-print("evaluates the whole matrix in time proportional to the word length.")
+print(f"and U(t, S) for each of the {len(t_sl2)} members t.  Every matrix above is a")
+print("product of them, so its sum is a sum of theirs, derived once per key: one")
+print("S-step row per key and one total per T-orbit.  A sum over the terms evaluates")
+print("the whole matrix in time proportional to the word length.")

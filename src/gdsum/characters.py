@@ -219,8 +219,9 @@ def find_character(q: int, assignments) -> DirichletCharacter:
     return matches[0]
 
 
-def parse_character_spec(spec: str) -> DirichletCharacter:
-    """Parse "q=5;g=2;v=3/4" (repeatable g=..;v=.. pairs) to a character."""
+def parse_spec_fields(spec: str) -> tuple[int, list[tuple[int, Fraction]]]:
+    """The modulus and the (generator, value) pairs of a spec "q=5;g=2;v=3/4",
+    read without building any character."""
     q = None
     pairs: list[tuple[int, Fraction]] = []
     pending_g = None
@@ -240,7 +241,10 @@ def parse_character_spec(spec: str) -> DirichletCharacter:
         elif key == "v":
             if pending_g is None:
                 raise ValueError(f"value without generator in character spec {spec!r}")
-            pairs.append((pending_g, Fraction(val)))
+            try:
+                pairs.append((pending_g, Fraction(val)))
+            except ZeroDivisionError:
+                raise ValueError(f"value {val!r} in character spec {spec!r} divides by 0") from None
             pending_g = None
         else:
             raise ValueError(f"unknown field {key!r} in character spec {spec!r}")
@@ -248,7 +252,12 @@ def parse_character_spec(spec: str) -> DirichletCharacter:
         raise ValueError(f"character spec {spec!r} is missing q=")
     if pending_g is not None:
         raise ValueError(f"dangling generator in character spec {spec!r}")
-    return find_character(q, pairs)
+    return q, pairs
+
+
+def parse_character_spec(spec: str) -> DirichletCharacter:
+    """Parse "q=5;g=2;v=3/4" (repeatable g=..;v=.. pairs) to a character."""
+    return find_character(*parse_spec_fields(spec))
 
 
 def character_spec_string(chi: DirichletCharacter) -> str:

@@ -16,9 +16,11 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 from pathlib import Path
 
-from .characters import parse_character_spec
+from .characters import find_character, parse_spec_fields
 from .cosets import u_func
 from .dedekind import (
     DEFAULT_LEVEL_LIMIT,
@@ -36,13 +38,7 @@ from .dedekind import (
 )
 from .exactnum import CycElem
 from .modgroup import I2, Mat2, S, T, random_gamma0, random_sl2, ts_decompose
-from .rewriter import (
-    format_factor,
-    format_reduced,
-    modified_rewrite,
-    reduce_t_power,
-    reduce_word,
-)
+from .rewriter import format_factor, format_term, modified_rewrite, reduce_word
 
 # Largest lower-left entry for which the double sum is run: the default of
 # `bench --naive-cutoff` and the limit of `sum --naive`.  `naive_sum` walks
@@ -75,8 +71,8 @@ def _build_parser() -> _Parser:
         p.add_argument(
             "--allow-large-n",
             action="store_true",
-            help=f"lift the N <= {DEFAULT_LEVEL_LIMIT} precompute guardrail "
-            "(the tables hold N * |keys| integer rows, |keys| ~ N^2)",
+            help=f"lift the N = q1*q2 <= {DEFAULT_LEVEL_LIMIT} guardrail, checked before "
+            "any character is built (the tables hold |keys| ~ N^2 rows)",
         )
 
     p = sub.add_parser("precompute", help="build and cache the tables for a pair")
@@ -91,7 +87,7 @@ def _build_parser() -> _Parser:
         action="store_true",
         help=f"evaluate the double sum instead (lower-left entry <= {NAIVE_CUTOFF})",
     )
-    p.add_argument("--trace", action="store_true", help="print the word and its alphabet terms")
+    p.add_argument("--trace", action="store_true", help="print the word and the terms it adds")
 
     p = sub.add_parser("verify", help="randomized exact verification suites")
     add_common(p)
@@ -127,8 +123,13 @@ class _StatsCatcher(logging.Handler):
 
 
 def _load_or_build(args, *, force: bool = False, announce: bool = False) -> Context:
-    chi1 = parse_character_spec(args.chi1)
-    chi2 = parse_character_spec(args.chi2)
+    (q1, gens1), (q2, gens2) = parse_spec_fields(args.chi1), parse_spec_fields(args.chi2)
+    if q1 * q2 > DEFAULT_LEVEL_LIMIT and not args.allow_large_n:
+        raise CliError(
+            f"level N = {q1} * {q2} = {q1 * q2} exceeds the guardrail {DEFAULT_LEVEL_LIMIT}; "
+            "pass --allow-large-n to lift it"
+        )
+    chi1, chi2 = find_character(q1, gens1), find_character(q2, gens2)
     cache_dir = Path(args.cache_dir)
     path = cache_dir / cache_filename(chi1, chi2)
     if path.exists() and not force:
@@ -201,10 +202,12 @@ def _print_trace(ctx: Context, gamma: Mat2) -> None:
     print("rewritten factors:")
     for f in factors:
         print(f"  {format_factor(f)}")
-    reduced = reduce_word(factors, ctx.N)
-    print("alphabet terms:")
-    for f in reduced:
-        print(f"  {format_reduced(f)}")
+    terms = reduce_word(factors, ctx)
+    print(f"terms added to the Gamma0 transversal sum at d = {d_key}:")
+    for f in terms:
+        print(f"  {format_term(f)}")
+    if not terms:
+        print("  none")
 
 
 @dataclass
@@ -247,16 +250,16 @@ def run_verify(ctx: Context, *, trials: int, seed: int, cmax: int) -> VerifyRepo
             bad.append(f"entry {key}: matrix {ctx.alphabet[key]}")
     report.record("alphabet-spot-check", not bad, bad[0] if bad else f"{len(picked)} entries")
 
-    # random derived rows, U(t, T^i) with i >= 2 and U(t, S^2), against the
-    # double sum's closure on their matrices
-    derived = [(key, gen) for key, row in ctx.rows.items() for gen in row if gen[1] >= 2]
-    picked = rng.sample(derived, min(20, len(derived)))
+    # the negation row and random S-step rows and orbit totals against the
+    # double sum's closure on the matrices whose sums they are
+    derived = [("S", key) for key in ctx.potential]
+    derived += [("T", key) for key, row in ctx.potential.items() if row.pos == 0]
+    picked = [("-I", (0, -1 % N))] + rng.sample(derived, min(19, len(derived)))
     bad = []
-    for key, (name, i) in picked:
-        m = u_func(t.members[key], Mat2.t_power(i) if name == "T" else S * S, t)
-        row = CycElem(ctx.L, [Fraction(n, ctx.den) for n in ctx.rows[key][name, i]])
-        if sum_on_gamma0(ctx.chi1, ctx.chi2, m) != row:
-            bad.append(f"entry {(key, (name, i))}: matrix {m}")
+    for kind, key in picked:
+        m, row = _derived_entry(ctx, kind, key)
+        if sum_on_gamma0(ctx.chi1, ctx.chi2, m) != CycElem(ctx.L, [Fraction(n, ctx.den) for n in row]):
+            bad.append(f"{kind} row at {key}: matrix {m}")
     report.record("derived-spot-check", not bad, bad[0] if bad else f"{len(picked)} entries")
 
     # fast path vs the double sum
@@ -310,7 +313,7 @@ def run_verify(ctx: Context, *, trials: int, seed: int, cmax: int) -> VerifyRepo
         a = random_sl2(rng, 10)
         b = rng.choice((S, T))
         k = rng.randint(1, 12)
-        lhs = u_func(t.bar(a), _mat_pow(b, k), t)
+        lhs = u_func(t.bar(a), reduce(Mat2.__mul__, [b] * k, I2), t)
         rhs = I2
         cur = a
         for _ in range(k):
@@ -319,7 +322,7 @@ def run_verify(ctx: Context, *, trials: int, seed: int, cmax: int) -> VerifyRepo
         if lhs != rhs:
             bad.append(f"a={a}, b={b}, k={k}")
             continue
-        lhs = u_func(t.bar(a), _mat_pow(b, -k), t)
+        lhs = u_func(t.bar(a), reduce(Mat2.__mul__, [b.inv()] * k, I2), t)
         rhs = I2
         cur = a
         for _ in range(k):
@@ -333,27 +336,41 @@ def run_verify(ctx: Context, *, trials: int, seed: int, cmax: int) -> VerifyRepo
     for _ in range(trials):
         m = random_sl2(rng, 14)
         a = rng.randint(-6 * N, 6 * N)
-        q, r = reduce_t_power(a, N)
-        lhs = u_func(t.bar(m), Mat2.t_power(a), t)
-        un = u_func(t.bar(m), Mat2.t_power(N), t)
-        rhs = _mat_pow(un, q) * u_func(t.bar(m), Mat2.t_power(r), t)
-        if lhs != rhs:
+        # U(t, T^a) = U(base, T^pos)^-1 U(base, T^length)^w U(base, T^r) with
+        # pos + a = w * length + r along the T-orbit of t's key
+        key = t.key_of(m)
+        base, (pos, length, _, _) = _orbit_base(ctx, key), ctx.potential[key]
+        w, r = divmod(pos + a, length)
+        climb, wrap, rest = (u_func(base, Mat2.t_power(i), t) for i in (pos, length, r))
+        wraps = reduce(Mat2.__mul__, [wrap if w > 0 else wrap.inv()] * abs(w), I2)
+        if u_func(t.bar(m), Mat2.t_power(a), t) != climb.inv() * wraps * rest:
             bad.append(f"m={m}, a={a}")
     report.record("t-power-reduction", not bad, bad[0] if bad else f"{trials} instances")
 
     return report
 
 
-def _mat_pow(m: Mat2, k: int) -> Mat2:
-    if k < 0:
-        m, k = m.inv(), -k
-    out = I2
-    for _ in range(k):
-        out = out * m
-    return out
+def _orbit_base(ctx: Context, key) -> Mat2:
+    """The member at the base (c, d mod gcd(c, N)) of the T-orbit of key (c, d)."""
+    return ctx.t_sl2.members[key[0], key[1] % gcd(key[0], ctx.N)]
+
+
+def _derived_entry(ctx: Context, kind: str, key) -> tuple[Mat2, tuple]:
+    """The matrix whose sum the row of kind "S", "T" or "-I" at key is, and
+    the row: B(k) is the sum of U(base, T^pos S T^-pos(kS)), an orbit
+    total that of U(base, T^length), `neg` that of U(t, S^2)."""
+    t, base, (pos, length, total, step) = ctx.t_sl2, _orbit_base(ctx, key), ctx.potential[key]
+    if kind == "S":
+        word = Mat2.t_power(pos) * S * Mat2.t_power(-ctx.potential[key[1], -key[0] % ctx.N].pos)
+        return u_func(base, word, t), step.row
+    if kind == "T":
+        return u_func(base, Mat2.t_power(length), t), total
+    return u_func(t.members[key], S * S, t), ctx.neg.row
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise CliError("--trials must be at least 1")
     ctx = _load_or_build(args)
     report = run_verify(ctx, trials=args.trials, seed=args.seed, cmax=args.cmax)
     for name, ok, detail in report.lines:
@@ -365,8 +382,6 @@ def cmd_verify(args) -> int:
 
 
 def _bench_matrix(N: int, c: int, rng, ar_zero: bool) -> Mat2:
-    from math import gcd
-
     while True:
         a = rng.randrange(1, c)
         if gcd(a, c) == 1:
@@ -386,6 +401,8 @@ def _bench_matrix(N: int, c: int, rng, ar_zero: bool) -> Mat2:
 def cmd_bench(args) -> int:
     if args.kmin < 1 or args.kmax < args.kmin:
         raise CliError("need 1 <= kmin <= kmax")
+    if args.samples < 1:
+        raise CliError("--samples must be at least 1")
     ctx = _load_or_build(args)
     rng = random.Random(args.seed)
     rows = []

@@ -29,16 +29,18 @@ and psi is trivial on Gamma1(N); that single identity powers everything here:
     once a few come from the double sum (Gamma1(N) is free of rank
     1 + |keys|/12, Reidemeister-Schreier);
   * the context and the cache store only those U(t, T) and U(t, S) sums:
-    every U(t, T^i) and U(t, S^2) the evaluator reads follows from them,
-    and the same relations check every stored entry at load.
+    the same relations check every stored entry at load, and what the
+    evaluator reads follows from them in potential form, one S-step row
+    and one orbit total per coset key (`Context`).
 
 The sums are handled as integer numerator vectors over one common
 denominator D (1 for every pair tried): the derived sums, the relation
 checks and `fast_sum`'s accumulation are integer adds.  Equal sums share
 one CycElem, so Fractions are built only for the few hundred distinct sums
 of a table and for the coefficients of a result.  `Context.sums_alphabet`
-keeps the generator sums as CycElems; `Context.rows`, the integer rows the
-evaluator reads, is derived from it whenever a Context is built.
+keeps the generator sums as CycElems; `Context.potential` and
+`Context.neg`, the integer rows the evaluator reads, are derived from it
+whenever a Context is built.
 """
 
 from __future__ import annotations
@@ -52,9 +54,8 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
 from math import gcd, lcm
-from operator import add
+from operator import add, sub
 from typing import NamedTuple
 
 from .characters import (
@@ -75,9 +76,10 @@ from .cosets import (
 )
 from .exactnum import CycElem
 from .modgroup import I2, Mat2, ts_decompose
-from .rewriter import modified_rewrite, reduce_word
+from .rewriter import Term, modified_rewrite, reduce_word
 
-# Guardrail for precompute, lifted by allow_large: N * |keys| ~ N^3 integer rows.
+# Guardrail for precompute, lifted by allow_large: |keys| ~ N^2 coset keys,
+# and the oracle calls grow with them (N = 77 precomputes in about a second).
 DEFAULT_LEVEL_LIMIT = 80
 
 CACHE_VERSION = 3  # bump when the transversal or alphabet construction changes: load rebuilds them
@@ -171,6 +173,16 @@ def sum_on_gamma0(chi1, chi2, gamma: Mat2) -> CycElem:
     return parity_product(chi1, chi2) * shear
 
 
+class OrbitRow(NamedTuple):
+    """What `fast_sum` reads at one coset key k = (c, d), whose T-orbit
+    (c, d + j c) mod N starts at the base key (c, d mod gcd(c, N))."""
+
+    pos: int  # k's position along its T-orbit
+    length: int  # the orbit's length, N / gcd(c, N)
+    total: tuple  # the orbit total, the sum of U(base, T^length)
+    step: Term  # the S-step term 1 * B(k), B(k) = F(k) + s_S[k] - F(kS)
+
+
 @dataclass
 class Context:
     """All precomputed tables for one character pair.
@@ -180,12 +192,20 @@ class Context:
 
     `alphabet` and `sums_alphabet` hold the 2 |keys| Schreier generators
     U(t, T), U(t, S) and their sums, keyed (key, ("T", 1)), (key, ("S", 1)).
-    `__post_init__` derives what `fast_sum` reads: `rows[key][gen]`, the
-    sums of U(t, S), U(t, S^2) and U(t, T^i), 1 <= i <= N, as integer
-    numerators over the common denominator `den`, equal rows shared (345 of
-    42,624 at N = 35, L = 12).  They are never passed in, so a context built
-    with `dataclasses.replace(ctx, sums_alphabet=...)` evaluates the table
-    it holds.  It checks no relation: `precompute` and `load_context` do.
+    `__post_init__` derives what `fast_sum` reads, integer rows over the
+    common denominator `den`: an `OrbitRow` per key in `potential`, and
+    `neg`.  With F(k) the sum of s_T along k's T-orbit up to k and Sigma
+    the orbit total, the cocycle identity gives, for every integer a,
+
+        S(U(t_k, T^a)) = F(k T^a) - F(k) + floor((pos(k) + a) / length) Sigma.
+
+    Over a word the F terms cancel across each S letter into
+    B(k) = F(k) + s_S[k] - F(kS), and vanish at both ends: the walk starts
+    at key (0, 1) and ends there or, negated, at (0, -1), keys alone on
+    their orbits.  `neg` is then the sum of U(t, S^2) at (0, -1).  Nothing
+    derived is passed in, so `dataclasses.replace(ctx, sums_alphabet=...)`
+    evaluates the table it holds.  It checks no relation: `precompute` and
+    `load_context` do.
     """
 
     chi1: DirichletCharacter
@@ -201,42 +221,36 @@ class Context:
     sums_g0: dict
     sums_alphabet: dict
     den: int = field(init=False, compare=False)
-    rows: dict = field(init=False, compare=False, repr=False)
+    potential: dict = field(init=False, compare=False, repr=False)
+    neg: Term = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         N = self.N
         # Keyed by object: `_tables` shares one CycElem per distinct sum.
         distinct = {id(v): v for v in self.sums_alphabet.values()}
         self.den = den = lcm(*{x.denominator for v in distinct.values() for x in v.coeffs})
-        row_of = {i: _row(den, v) for i, v in distinct.items()}
-        shared = {r: r for r in row_of.values()}  # equal rows share one tuple
-        v_t = {k: shared[row_of[id(v)]] for (k, g), v in self.sums_alphabet.items() if g[0] == "T"}
-        v_s = {k: shared[row_of[id(v)]] for (k, g), v in self.sums_alphabet.items() if g[0] == "S"}
-        # Few distinct pairs of rows meet, so each sum is kept by the pair's
-        # ids: every row here is held by `shared` until the end.
-        memo = {}
-
-        def plus(a, b):
-            pair = (id(a), id(b))
-            if pair not in memo:
-                r = tuple(map(add, a, b))
-                memo[pair] = shared.setdefault(r, r)
-            return memo[pair]
-
-        self.rows = rows = {}
-        for (c, d), s in v_s.items():
-            # U(t, S^2) = U(t, S) U(rep(t S), S); t S has the key (d, -c)
-            rows[c, d] = {("S", 1): s, ("S", 2): plus(s, v_s[d, -c % N])}
-        # U(t, T^i) = U(t, T) U(rep(t T), T) ... U(rep(t T^(i-1)), T), where
-        # t T^j has the key (c, d + j c): running sums along each T-orbit
-        labels = [("T", i) for i in range(1, N + 1)]
-        for c, d in v_t:
-            if ("T", 1) in rows[c, d]:
+        row_of = {i: _row(den, v.coeffs) for i, v in distinct.items()}
+        s_t = {k: row_of[id(v)] for (k, g), v in self.sums_alphabet.items() if g[0] == "T"}
+        s_s = {k: row_of[id(v)] for (k, g), v in self.sums_alphabet.items() if g[0] == "S"}
+        # F along each T-orbit from its base (c, d mod g), g = gcd(c, N),
+        # where t T^j has the key (c, d + j c)
+        f_of, total_of = {}, {}
+        for c, d in s_t:
+            g = gcd(c, N)
+            if (c, d % g) in f_of:
                 continue  # its orbit is done
-            orbit = [(c, (d + j * c) % N) for j in range(N // gcd(c, N))]
-            seq = [v_t[k] for k in orbit] * (N // len(orbit) + 1)
-            for m, key in enumerate(orbit):
-                rows[key].update(zip(labels, accumulate(seq[m : m + N], plus)))
+            f = (0,) * len(s_t[c, d])
+            for pos in range(N // g):
+                key = (c, (d % g + pos * c) % N)
+                f_of[key] = pos, f
+                f = tuple(map(add, f, s_t[key]))
+            total_of[c, d % g] = f
+        self.potential = {}
+        for (c, d), s in s_s.items():
+            (pos, f), g = f_of[c, d], gcd(c, N)
+            step = Term((c, d), "S", 1, tuple(map(sub, map(add, f, s), f_of[d, -c % N][1])))
+            self.potential[c, d] = OrbitRow(pos, N // g, total_of[c, d % g], step)
+        self.neg = Term((0, -1 % N), "-I", 1, tuple(map(add, s_s[0, -1 % N], s_s[-1 % N, 0])))
 
 
 def _validate_pair(chi1, chi2):
@@ -266,7 +280,7 @@ def precompute(
     if N > DEFAULT_LEVEL_LIMIT and not allow_large:
         raise ValueError(
             f"level N = {N} exceeds the guardrail {DEFAULT_LEVEL_LIMIT}; pass allow_large=True "
-            f"(the tables would hold N * |keys| = {N * sl2_coset_count(N):,} integer rows)"
+            f"(the tables would have {sl2_coset_count(N):,} coset keys)"
         )
     t_sl2 = transversal_g1_in_sl2(N)
     alphabet = schreier_alphabet(N, t_sl2)
@@ -288,9 +302,9 @@ def precompute(
     return ctx
 
 
-def _row(den: int, v: CycElem) -> tuple[int, ...]:
-    """The coefficients of v as integer numerators over den."""
-    return tuple([x.numerator * den // x.denominator for x in v.coeffs])
+def _row(den: int, coeffs) -> tuple[int, ...]:
+    """Coefficients (ints or Fractions) as integer numerators over den."""
+    return tuple([x.numerator * den // x.denominator for x in coeffs])
 
 
 class SolveStats(NamedTuple):
@@ -363,16 +377,16 @@ def _solve(chi1, chi2, t_sl2: Transversal, alphabet: dict) -> tuple[int, dict, d
             scale, den = new_den // den, new_den
             for v, row in known.items():
                 known[v] = tuple([scale * n for n in row])
-        settle(x, _row(den, value))
+        settle(x, _row(den, value.coeffs))
     v_t = {key: known["T", key] for key in t_sl2.members}
     v_s = {key: known["S", key] for key in t_sl2.members}
     return den, v_t, v_s, SolveStats(identity, solved, calls, total_c)
 
 
 def _numerators(s_t: dict, s_s: dict) -> tuple[int, dict, dict]:
-    """The common denominator D of every coefficient of s_t and s_s, and each
-    sum as its tuple of integer numerators over D."""
-    den = lcm(*{x.denominator for s in (s_t, s_s) for v in s.values() for x in v.coeffs})
+    """The common denominator D of every coefficient (an int or a Fraction)
+    of s_t and s_s, and each coefficient vector as integer numerators over D."""
+    den = lcm(*{x.denominator for s in (s_t, s_s) for v in s.values() for x in v})
     return den, {k: _row(den, v) for k, v in s_t.items()}, {k: _row(den, v) for k, v in s_s.items()}
 
 
@@ -426,18 +440,20 @@ def split_gamma0(ctx: Context, gamma: Mat2) -> tuple[Mat2, Mat2, int]:
 def fast_sum(ctx: Context, gamma: Mat2) -> CycElem:
     """S(gamma) from the precomputed tables; O(log|c|) work.
 
-    Each term adds m times its integer row (`ctx.rows`) into one vector of
-    numerators over `ctx.den`; each nonzero coefficient becomes one Fraction
-    at the end, added to the Gamma0 transversal sum.
+    `reduce_word` turns the word's factors into terms: the S-step row at
+    each S letter, a multiple of the orbit total at each T letter that
+    wraps around its T-orbit, and the negation row.  Each adds m times its
+    integer row into one vector of numerators over `ctx.den`; each nonzero
+    coefficient becomes one Fraction at the end, added to the Gamma0
+    transversal sum.
     """
     g1, _, d_key = split_gamma0(ctx, gamma)
     word = ts_decompose(g1, nearest=True)
-    terms = reduce_word(modified_rewrite(word, ctx.t_sl2, product=g1), ctx.N)
+    terms = reduce_word(modified_rewrite(word, ctx.t_sl2, product=g1), ctx)
     base = ctx.sums_g0[d_key].coeffs
-    rows = ctx.rows
     acc = [0] * len(base)
-    for key, gen, m in terms:
-        for i, n in enumerate(rows[key][gen]):
+    for _, _, m, row in terms:
+        for i, n in enumerate(row):
             acc[i] += m * n
     den = ctx.den
     return CycElem._raw(
@@ -458,21 +474,11 @@ def crossed_hom_check(chi1, chi2, ga: Mat2, gb: Mat2) -> bool:
 # ---------------------------------------------------------------------------
 # cache serialization
 
-def _cyc_to_json(e: CycElem) -> list[str]:
-    return [str(c) for c in e.coeffs]
-
-
-def _parse_fraction(s: str) -> Fraction:
-    # much faster than Fraction's regex constructor on "p/q" strings
+def _parse_fraction(s: str) -> int | Fraction:
+    # much faster than Fraction's regex constructor on "p/q" strings, and an
+    # integer stays an int
     num, _, den = s.partition("/")
-    return Fraction(int(num), int(den)) if den else Fraction(int(num))
-
-
-def _cyc_from_json(L: int, v, deg: int) -> CycElem:
-    if len(v) != deg:
-        raise ValueError("coefficient vector of wrong length")
-    # length == deg Phi_L means the vector is already canonical
-    return CycElem._raw(L, tuple(_parse_fraction(x) for x in v))
+    return Fraction(int(num), int(den)) if den else int(num)
 
 
 def _chi_to_json(chi: DirichletCharacter) -> dict:
@@ -499,7 +505,10 @@ def context_to_json(ctx: Context) -> dict:
         "chi2": _chi_to_json(ctx.chi2),
         "L": ctx.L,
         "sums_alphabet": {
-            name: {f"{c},{d}": _cyc_to_json(ctx.sums_alphabet[(c, d), (name, 1)]) for c, d in keys}
+            name: {
+                f"{c},{d}": [str(x) for x in ctx.sums_alphabet[(c, d), (name, 1)].coeffs]
+                for c, d in keys
+            }
             for name in ("T", "S")
         },
     }
@@ -534,7 +543,8 @@ class LoadStats(NamedTuple):
 def load_context(path) -> Context:
     """Load a cached context and validate every stored sum.
 
-    The file holds only the U(t, T) and U(t, S) sums.  The transversals,
+    The file holds only the U(t, T) and U(t, S) sums, parsed straight to
+    integer numerators over their common denominator.  The transversals,
     the generator matrices, the Gamma0 transversal sums and the rows are
     rebuilt by the code `precompute` runs, so they hold by construction.
     Each stored sum must satisfy the two group relations of
@@ -580,7 +590,8 @@ def load_context(path) -> Context:
 
 
 def _sums_from_json(data):
-    """The pair and the stored U(t, T), U(t, S) sums, keyed by (c, d)."""
+    """The pair and the stored U(t, T), U(t, S) sums, keyed by (c, d), as
+    coefficient lists of ints and Fractions."""
     if data.get("version") != CACHE_VERSION:
         raise ValueError(
             f"cache version {data.get('version')!r} is not {CACHE_VERSION}; "
@@ -598,8 +609,10 @@ def _sums_from_json(data):
     def column(name):
         out = {}
         for key, v in data["sums_alphabet"][name].items():
+            if len(v) != deg:
+                raise ValueError("coefficient vector of wrong length")
             c, d = key.split(",")
-            out[int(c), int(d)] = _cyc_from_json(L, v, deg)
+            out[int(c), int(d)] = [_parse_fraction(x) for x in v]
         return out
 
     return chi1, chi2, column("T"), column("S")

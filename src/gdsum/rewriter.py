@@ -5,17 +5,18 @@ and a trailing +-I factor, so the factor count tracks the word's letter
 count.  It multiplies no prefix matrices: a factor needs only the coset key
 (c mod N, d mod N) of the word's prefix, and T^a maps that key to
 (c, d + a*c), S to (d, -c); the word's product is rebuilt once, in plain
-integers, for the checks.  `reduce_word` then cycles T-exponents into a T^N
-part plus a remainder so every factor indexes the finite precomputed
-alphabet.  `expand_factor` turns a factor back into its exact matrix.
+integers, for the checks.  `reduce_word` then reads the context's
+potential table: each S factor adds its key's S-step row, each T^a factor
+adds its orbit's total only as often as a wraps around the T-orbit, and
+-I adds the negation row.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .cosets import Transversal, u_func
-from .modgroup import Mat2, S, TSWord, ts_reconstruct
+from .cosets import Transversal
+from .modgroup import Mat2, TSWord, ts_reconstruct
 
 # A NamedTuple's own constructor is a Python-level call; building the tuple
 # directly halves the cost of each factor on the evaluation path.
@@ -30,12 +31,15 @@ class RewriteFactor(NamedTuple):
     exponent: int
 
 
-class ReducedFactor(NamedTuple):
-    """multiplicity * U(member at base_key, g) with g indexing the alphabet."""
+class Term(NamedTuple):
+    """multiplicity * row, one term `fast_sum` adds; kind "S" (the S-step
+    row of key), "T" (the orbit total of key's T-orbit, times the number
+    of times the T-power wraps around it) or "-I" (the negation row)."""
 
-    base_key: tuple[int, int]
-    gen: tuple[str, int]
+    key: tuple[int, int]
+    kind: str
     multiplicity: int
+    row: tuple[int, ...]
 
 
 def modified_rewrite(w: TSWord, t: Transversal, product: Mat2 | None = None) -> list[RewriteFactor]:
@@ -67,39 +71,25 @@ def modified_rewrite(w: TSWord, t: Transversal, product: Mat2 | None = None) -> 
     return factors
 
 
-def expand_factor(f: RewriteFactor, t: Transversal) -> Mat2:
-    """The exact U-matrix a rewrite factor stands for."""
-    base = t.members[f.base_key]
-    if f.gen == "T":
-        return u_func(base, Mat2.t_power(f.exponent), t)
-    if f.gen == "S":
-        return u_func(base, S, t)
-    return u_func(base, -Mat2.identity(), t)
+def reduce_word(factors, ctx) -> list[Term]:
+    """The terms whose rows, times their multiplicities, add up to the sum
+    of the factors' product, read from the context's potential table.
 
-
-def reduce_t_power(a: int, N: int) -> tuple[int, int]:
-    """a = q*N + r with 0 <= r < N (floor division, any sign of a)."""
-    return a // N, a % N
-
-
-def reduce_word(factors, N: int) -> list[ReducedFactor]:
-    """Map rewrite factors onto alphabet entries, preserving the product.
-
-    T-exponents split as q * (T^N entry) + (T^r entry), dropping q = 0 and
-    r = 0 parts; S stays S^1; -I becomes the S^2 entry.
+    An S factor at key k gives k's S-step term.  A T^a factor at k gives
+    k's orbit total, w = floor((pos + a) / length) times, when it wraps
+    around the orbit (w != 0).  The -I factor gives the negation term.
     """
-    out = []
-    for base_key, gen, exponent in factors:
-        if gen == "T":
-            q, r = reduce_t_power(exponent, N)
-            if q != 0:
-                out.append(_new(ReducedFactor, (base_key, ("T", N), q)))
-            if r != 0:
-                out.append(_new(ReducedFactor, (base_key, ("T", r), 1)))
-        elif gen == "S":
-            out.append(_new(ReducedFactor, (base_key, ("S", 1), 1)))
+    table, out = ctx.potential, []
+    for key, gen, exponent in factors:
+        if gen == "S":
+            out.append(table[key][3])
+        elif gen == "T":
+            pos, length, total, _ = table[key]
+            w = (pos + exponent) // length
+            if w:
+                out.append(_new(Term, (key, "T", w, total)))
         elif gen == "-I":
-            out.append(_new(ReducedFactor, (base_key, ("S", 2), 1)))
+            out.append(ctx.neg)
         else:
             raise ValueError(f"unknown factor generator {gen!r}")
     return out
@@ -113,9 +103,8 @@ def format_factor(f: RewriteFactor) -> str:
     return f"U({f.base_key}, -I)"
 
 
-def format_reduced(f: ReducedFactor) -> str:
-    name, k = f.gen
-    gen = f"T^{k}" if name == "T" else f"S^{k}"
+def format_term(f: Term) -> str:
+    what = {"S": "S-step row", "T": "orbit total", "-I": "negation row"}[f.kind]
     if f.multiplicity == 1:
-        return f"U({f.base_key}, {gen})"
-    return f"{f.multiplicity} * U({f.base_key}, {gen})"
+        return f"{what} at {f.key}"
+    return f"{f.multiplicity} * {what} at {f.key}"

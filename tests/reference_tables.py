@@ -7,16 +7,20 @@ not a Schreier transversal, so the sums must not depend on the choice.
 double sum instead of solving the relations.  `full_alphabet` builds every
 U(t, T^i) and U(t, S^k) matrix, and `alphabet_sum` rebuilds their sums from
 a context's generator sums in CycElem arithmetic, apart from the integer
-rows the context derives.
+rows the context derives.  `reduce_word` maps rewrite factors onto that
+alphabet, each T^a as q * T^N + T^r, so a word's sum can be added up
+without the potential table; `derived_rows` pairs every row of the
+context's potential table with its value from `alphabet_sum`.
 """
 
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from gdsum import dedekind
-from gdsum.cosets import Transversal, schreier_alphabet
+from gdsum.cosets import Transversal, schreier_alphabet, u_func
 from gdsum.exactnum import CycElem
-from gdsum.modgroup import I2, Mat2
+from gdsum.modgroup import I2, Mat2, S
 
 
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
@@ -71,7 +75,8 @@ def all_oracle_context(chi1, chi2, t_sl2: Transversal):
     oracle = dedekind.sum_on_gamma0
     s_t = {key: oracle(chi1, chi2, alphabet[key, ("T", 1)]) for key in t_sl2.members}
     s_s = {key: oracle(chi1, chi2, alphabet[key, ("S", 1)]) for key in t_sl2.members}
-    return dedekind._tables(chi1, chi2, t_sl2, alphabet, *dedekind._numerators(s_t, s_s))
+    coeffs = [{key: v.coeffs for key, v in s.items()} for s in (s_t, s_s)]
+    return dedekind._tables(chi1, chi2, t_sl2, alphabet, *dedekind._numerators(*coeffs))
 
 
 def full_alphabet(N: int, t: Transversal) -> dict:
@@ -123,6 +128,75 @@ def alphabet_sum(ctx, key, gen) -> CycElem:
     return memo[key, gen]
 
 
-def row_sum(ctx, key, gen) -> CycElem:
-    """The context's own integer row for (key, gen) as a CycElem."""
-    return CycElem(ctx.L, [Fraction(n, ctx.den) for n in ctx.rows[key][gen]])
+def as_cyc(ctx, row) -> CycElem:
+    """An integer row of the context as a CycElem."""
+    return CycElem(ctx.L, [Fraction(n, ctx.den) for n in row])
+
+
+def orbit_f(ctx, key) -> CycElem:
+    """F(key): the sum of U(base, T^j) by `alphabet_sum`, where the walk
+    base T^j from the base key (c, d mod gcd(c, N)) of key's T-orbit
+    reaches key, found by walking rather than read from the context."""
+    (c, d), N = key, ctx.N
+    g = gcd(c, N)
+    j = next(j for j in range(N // g) if (d % g + j * c) % N == d)
+    return alphabet_sum(ctx, (c, d % g), ("T", j))
+
+
+def derived_rows(ctx):
+    """(kind, key, the context's row as a CycElem, its value from
+    `alphabet_sum`) for every S-step row, orbit total and the negation row."""
+    N = ctx.N
+    for (c, d), (pos, length, total, step) in ctx.potential.items():
+        expect = orbit_f(ctx, (c, d)) + ctx.sums_alphabet[(c, d), ("S", 1)]
+        expect = expect - orbit_f(ctx, (d, -c % N))
+        yield "S", (c, d), as_cyc(ctx, step.row), expect
+        if pos == 0:
+            yield "T", (c, d), as_cyc(ctx, total), alphabet_sum(ctx, (c, d), ("T", length))
+    yield "-I", (0, N - 1), as_cyc(ctx, ctx.neg.row), alphabet_sum(ctx, (0, N - 1), ("S", 2))
+
+
+class ReducedFactor(NamedTuple):
+    """multiplicity * U(member at base_key, g) with g indexing the full alphabet."""
+
+    base_key: tuple[int, int]
+    gen: tuple[str, int]
+    multiplicity: int
+
+
+def reduce_t_power(a: int, N: int) -> tuple[int, int]:
+    """a = q*N + r with 0 <= r < N (floor division, any sign of a)."""
+    return a // N, a % N
+
+
+def reduce_word(factors, N: int) -> list[ReducedFactor]:
+    """Map rewrite factors onto full-alphabet entries, preserving the product.
+
+    T-exponents split as q * (T^N entry) + (T^r entry), dropping q = 0 and
+    r = 0 parts; S stays S^1; -I becomes the S^2 entry.
+    """
+    out = []
+    for base_key, gen, exponent in factors:
+        if gen == "T":
+            q, r = reduce_t_power(exponent, N)
+            if q != 0:
+                out.append(ReducedFactor(base_key, ("T", N), q))
+            if r != 0:
+                out.append(ReducedFactor(base_key, ("T", r), 1))
+        elif gen == "S":
+            out.append(ReducedFactor(base_key, ("S", 1), 1))
+        elif gen == "-I":
+            out.append(ReducedFactor(base_key, ("S", 2), 1))
+        else:
+            raise ValueError(f"unknown factor generator {gen!r}")
+    return out
+
+
+def expand_factor(f, t: Transversal) -> Mat2:
+    """The exact U-matrix a rewrite factor stands for."""
+    base = t.members[f.base_key]
+    if f.gen == "T":
+        return u_func(base, Mat2.t_power(f.exponent), t)
+    if f.gen == "S":
+        return u_func(base, S, t)
+    return u_func(base, -Mat2.identity(), t)

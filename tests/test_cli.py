@@ -10,6 +10,7 @@ from gdsum import cli, dedekind
 from gdsum.cli import main, run_verify
 from gdsum.dedekind import load_context, sum_on_gamma0
 from gdsum.exactnum import CycElem
+from gdsum.rewriter import Term
 
 CHI3 = "q=3;g=2;v=1/2"
 CHI4 = "q=4;g=3;v=1/2"
@@ -84,8 +85,31 @@ def test_sum_trace(tmp_path, capsys):
     assert "gamma1 = (-152, 137; -81, 73) = T^2 S T^8 S T^-10 S T^-1\n" in out
     assert "U((0, 1), T^2)" in out
     assert "U((8, 8), T^-10)" in out
-    assert "-2 * U((8, 8), T^9)" in out
-    assert "-1 * U((0, 1), T^9)" in out
+    # T^2 and T^-1 at (0, 1) wrap around its orbit of length 1, T^-10 once
+    # around the orbit of (8, 8), of length 9
+    assert (
+        "  2 * orbit total at (0, 1)\n  S-step row at (0, 1)\n  S-step row at (1, 8)\n"
+        "  -1 * orbit total at (8, 8)\n  S-step row at (8, 0)\n  -1 * orbit total at (0, 1)\n"
+    ) in out
+    # T^5 wraps five times around the orbit of (0, 1), which is (0, 1) alone
+    assert main(["sum", *_pair_args(tmp_path), "--matrix", "1,5;0,1", "--trace"]) == 0
+    out = capsys.readouterr().out
+    assert "  U((0, 1), T^5)\nterms" in out and "  5 * orbit total at (0, 1)\n" in out
+    # a Gamma0 transversal member leaves the identity: no term at all
+    assert main(["sum", *_pair_args(tmp_path), "--matrix", "5,1;9,2", "--trace"]) == 0
+    assert "  none\n" in capsys.readouterr().out
+    # the same terms after a precompute and after a load, whose keys come in
+    # another order
+    for _ in range(2):
+        args = _pair_args(tmp_path / "fresh")
+        rc = main(["sum", *args, "--matrix", "101,33;153,50", "--trace"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert (
+            "  orbit total at (0, 1)\n  S-step row at (0, 1)\n  S-step row at (1, 3)\n"
+            "  6 * orbit total at (3, 8)\n  S-step row at (3, 8)\n  orbit total at (8, 6)\n"
+            "  S-step row at (8, 0)\n-34/3\n"
+        ) in out
 
 
 def test_sum_naive_rejects_huge_c(tmp_path, capsys):
@@ -161,16 +185,26 @@ def test_verify_passes(tmp_path, capsys):
 
 
 def test_verify_checks_derived_rows(ctx9):
-    """A wrong T^i (i >= 2) or S^2 row fails the derived spot check, while
-    the generator sums it was derived from still pass theirs."""
-    ctx = dataclasses.replace(ctx9)  # rows derived afresh, not shared with ctx9
-    for row in ctx.rows.values():
-        for gen, r in row.items():
-            if gen[1] >= 2:
-                row[gen] = (r[0] + ctx.den, *r[1:])
-    report = run_verify(ctx, trials=2, seed=0, cmax=100)
-    failed = [name for name, _ in report.failures]
-    assert "derived-spot-check" in failed and "alphabet-spot-check" not in failed
+    """A wrong S-step row, orbit total or negation row fails the derived
+    spot check, while the generator sums it was derived from still pass
+    theirs."""
+
+    def shifted(row):
+        return (ctx.den + row[0],)
+
+    for kind in ("S", "T", "-I"):
+        ctx = dataclasses.replace(ctx9)  # rows derived afresh, not shared with ctx9
+        if kind == "-I":
+            ctx.neg = Term((0, 8), "-I", 1, shifted(ctx.neg.row))
+        for key, row in ctx.potential.items():
+            if kind == "S":
+                row = row._replace(step=Term(key, "S", 1, shifted(row.step.row)))
+            elif kind == "T":
+                row = row._replace(total=shifted(row.total))
+            ctx.potential[key] = row
+        report = run_verify(ctx, trials=2, seed=0, cmax=100)
+        failed = [name for name, _ in report.failures]
+        assert "derived-spot-check" in failed and "alphabet-spot-check" not in failed, kind
 
 
 def test_verify_deterministic(tmp_path, capsys):
@@ -307,3 +341,34 @@ def test_run_verify_report_structure(ctx9):
     assert "t-power-reduction" in names
     assert "derived-spot-check" in names
     assert "power-product-identities" in names
+
+
+@pytest.mark.parametrize(
+    "chi1, message",
+    [("q=5;g=2;v=1/0", "divides by 0"), ("q=100003;g=2;v=1/2", "guardrail")],
+    ids=["zero-denominator", "huge-modulus"],
+)
+def test_bad_spec_exits_1(tmp_path, capsys, monkeypatch, chi1, message):
+    """A zero denominator and a level far above the guardrail are errors,
+    and the guardrail is checked before any character table is built."""
+
+    def no_tables(*args):
+        raise AssertionError("a character table was built")
+
+    if message == "guardrail":
+        monkeypatch.setattr(cli, "find_character", no_tables)
+    rc = main(["sum", "--chi1", chi1, "--chi2", CHI3, "--cache-dir", str(tmp_path), "--matrix", "1,0;0,1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_nonpositive_counts_exit_1(tmp_path, capsys, count):
+    out_csv = tmp_path / "bench.csv"
+    bench = ["bench", *_pair_args(tmp_path), "--kmin", "1", "--kmax", "2", "--output", str(out_csv)]
+    assert main([*bench, "--samples", count]) == 1
+    assert "--samples" in capsys.readouterr().err and not out_csv.exists()
+    assert main(["verify", *_pair_args(tmp_path), "--trials", count]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--trials" in err

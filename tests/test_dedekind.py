@@ -3,6 +3,7 @@ import json
 import logging
 import random
 import warnings
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -30,10 +31,13 @@ from gdsum.rewriter import modified_rewrite, reduce_word
 from reference_tables import (
     all_oracle_context,
     alphabet_sum,
+    as_cyc,
+    derived_rows,
     full_alphabet,
     lift_transversal,
-    row_sum,
+    orbit_f,
 )
+from reference_tables import reduce_word as alphabet_terms
 
 
 def test_naive_sum_kernel_matrix(chi3):
@@ -155,10 +159,13 @@ def test_precompute_structure(ctx9):
     full = full_alphabet(9, ctx9.t_sl2)
     for entry, u in ctx9.alphabet.items():
         assert u == full[entry] and u.in_gamma1(9)
-    # one row per entry the evaluator reads: S, S^2 and T^i for 1 <= i <= N
-    gens = {("S", 1), ("S", 2), *(("T", i) for i in range(1, 10))}
-    assert ctx9.rows.keys() == ctx9.t_sl2.members.keys()
-    assert all(row.keys() == gens for row in ctx9.rows.values())
+    # one OrbitRow per key: its position along its T-orbit (c, d + j c),
+    # counted from the base key (c, d mod gcd(c, N))
+    assert ctx9.potential.keys() == ctx9.t_sl2.members.keys()
+    for (c, d), row in ctx9.potential.items():
+        assert row.length == 9 // gcd(c, 9) and 0 <= row.pos < row.length
+        assert (d - row.pos * c) % 9 == d % gcd(c, 9)
+        assert ctx9.potential[c, d % gcd(c, 9)].total is row.total
 
 
 def test_precompute_rejects_bad_characters(chi3):
@@ -191,7 +198,7 @@ def test_table_consistency_spot_checks(ctx9, chi3):
     checkable = [e for e, m in full.items() if m.c >= 1]
     for key, gen in rng.sample(checkable, 20):
         expect = naive_sum(chi3, chi3, full[key, gen])
-        assert row_sum(ctx9, key, gen) == alphabet_sum(ctx9, key, gen) == expect
+        assert alphabet_sum(ctx9, key, gen) == expect
 
 
 def test_table_consistency_complex_pair(ctx28, chi4, chi7_56):
@@ -200,31 +207,65 @@ def test_table_consistency_complex_pair(ctx28, chi4, chi7_56):
     checkable = [e for e, m in full.items() if m.c >= 1]
     for key, gen in rng.sample(checkable, 20):
         expect = naive_sum(chi4, chi7_56, full[key, gen])
-        assert row_sum(ctx28, key, gen) == alphabet_sum(ctx28, key, gen) == expect
+        assert alphabet_sum(ctx28, key, gen) == expect
 
 
 def test_derive_powers_matches_direct(ctx9, chi3):
     # precompute evaluates only U(t, T) and U(t, S); every derived entry
-    # must equal the closure of the double sum on its matrix
+    # must equal the closure of the double sum on its matrix, and so every
+    # row of the potential table, which is made of those sums
     for (key, gen), mat in full_alphabet(9, ctx9.t_sl2).items():
         direct = sum_on_gamma0(chi3, chi3, mat)
         assert alphabet_sum(ctx9, key, gen) == direct, (key, gen)
-        if gen != ("S", 0):  # the evaluator reads no S^0 row
-            assert row_sum(ctx9, key, gen) == direct, (key, gen)
+    for kind, key, row, expect in derived_rows(ctx9):
+        assert row == expect, (kind, key)
     for d, mem in ctx9.t_g0.members.items():
         assert ctx9.sums_g0[d] == sum_on_gamma0(chi3, chi3, mem), d
 
 
 @pytest.mark.parametrize("name", ["ctx28", "ctx35_l12"])
 def test_rows_match_reference_sums(request, name):
-    """Every integer row equals the sum the cocycle identity gives from the
+    """Every integer row of the potential table (S-step rows, orbit totals,
+    the negation row) equals the sum the cocycle identity gives from the
     generator sums in CycElem arithmetic."""
     ctx = request.getfixturevalue(name)
-    assert len(ctx.rows) == len(ctx.t_sl2)
-    for key, row in ctx.rows.items():
-        assert len(row) == ctx.N + 2
-        for gen in row:
-            assert row_sum(ctx, key, gen) == alphabet_sum(ctx, key, gen), (key, gen)
+    kinds = Counter()
+    for kind, key, row, expect in derived_rows(ctx):
+        assert row == expect, (kind, key)
+        kinds[kind] += 1
+    # one S-step row per key, one total per T-orbit (their lengths add up to
+    # the number of keys), one negation row
+    assert kinds["S"] == len(ctx.t_sl2) and kinds["-I"] == 1
+    bases = [row for row in ctx.potential.values() if row.pos == 0]
+    assert kinds["T"] == len(bases) and sum(row.length for row in bases) == len(ctx.t_sl2)
+
+
+@pytest.mark.parametrize("name", ["ctx9", "ctx28", "ctx35_l12"])
+def test_wrap_formula_every_key(request, name):
+    """S(U(t_k, T^a)) = F(k T^a) - F(k) + floor((pos + a) / length) * total
+    for every key k and every a in [-2N, 2N], against `alphabet_sum`; the
+    sums are compared as integer numerators over the context's denominator."""
+    ctx = request.getfixturevalue(name)
+    N = ctx.N
+
+    def row(v):
+        assert all(ctx.den % x.denominator == 0 for x in v.coeffs)
+        return [x.numerator * ctx.den // x.denominator for x in v.coeffs]
+
+    f = {key: row(orbit_f(ctx, key)) for key in ctx.potential}
+    power = {
+        key: [row(alphabet_sum(ctx, key, ("T", a))) for a in range(2 * N + 1)]
+        for key in ctx.potential
+    }
+    for (c, d), (pos, length, total, _) in ctx.potential.items():
+        for a in range(-2 * N, 2 * N + 1):
+            w = (pos + a) // length
+            moved = (c, (d + a * c) % N)
+            wrap = [x - y + w * z for x, y, z in zip(f[moved], f[c, d], total)]
+            if a >= 0:
+                assert wrap == power[c, d][a], ((c, d), a)
+            else:  # U(t, T^a) is the inverse of U(rep(t T^a), T^-a)
+                assert wrap == [-x for x in power[moved][-a]], ((c, d), a)
 
 
 def test_fast_sum_kernel_matrix(ctx9):
@@ -414,16 +455,22 @@ def gamma0_matrices(draw, N, max_c=10**60):
     return draw(st.sampled_from((m, -m, m.inv())))
 
 
-def _terms(ctx, gamma):
+def _factors(ctx, gamma):
     g1, _, d_key = split_gamma0(ctx, gamma)
-    word = ts_decompose(g1, nearest=True)
-    return d_key, reduce_word(modified_rewrite(word, ctx.t_sl2, product=g1), ctx.N)
+    return d_key, modified_rewrite(ts_decompose(g1, nearest=True), ctx.t_sl2, product=g1)
+
+
+def _terms(ctx, gamma):
+    """The Gamma0 key and the word's terms over the full alphabet."""
+    d_key, factors = _factors(ctx, gamma)
+    return d_key, alphabet_terms(factors, ctx.N)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(CONTEXTS), st.data())
 def test_fast_sum_matches_fraction_reference(contexts, name, data):
-    """The integer accumulation equals the same terms summed as CycElems."""
+    """The integer accumulation equals the word's full-alphabet terms
+    summed as CycElems."""
     ctx = contexts[name]
     gamma = data.draw(gamma0_matrices(ctx.N))
     d_key, terms = _terms(ctx, gamma)
@@ -433,11 +480,30 @@ def test_fast_sum_matches_fraction_reference(contexts, name, data):
     assert fast_sum(ctx, gamma) == expected
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(CONTEXTS), st.data())
+def test_potential_terms_match_alphabet_terms(contexts, name, data):
+    """The potential terms of a word, summed as CycElems, equal its
+    full-alphabet terms summed as CycElems."""
+    ctx = contexts[name]
+    gamma = data.draw(gamma0_matrices(ctx.N))
+    _, factors = _factors(ctx, gamma)
+    potential = CycElem.zero(ctx.L)
+    for _, kind, m, row in reduce_word(factors, ctx):
+        assert m != 0 and (m == 1 or kind == "T")
+        potential = potential + m * as_cyc(ctx, row)
+    reference = CycElem.zero(ctx.L)
+    for key, gen, m in alphabet_terms(factors, ctx.N):
+        reference = reference + m * alphabet_sum(ctx, key, gen)
+    assert potential == reference
+
+
 def test_fast_sum_over_common_denominator_3(ctx28):
     """Shift the generators U(I, T) and U(I, S) by 1/3: the rows follow
     `sums_alphabet` through `dataclasses.replace`, the denominator becomes
-    3, each derived T^i and S^2 row moves by exactly (the number of shifted
-    generators it adds up) / 3, and so does each sum."""
+    3, every derived row still equals its sum from the shifted generators,
+    and each sum moves by exactly (the number of shifted generators its
+    full-alphabet terms add up) / 3."""
     assert ctx28.den == 1
     N, L = ctx28.N, ctx28.L
     shifted_keys = (((0, 1), ("T", 1)), ((0, 1), ("S", 1)))  # U(I, T), U(I, S)
@@ -454,10 +520,12 @@ def test_fast_sum_over_common_denominator_3(ctx28):
             return sum((c, (d + j * c) % N) == (0, 1) for j in range(i))
         return sum(k == (0, 1) for k in ((c, d), (d, -c % N))[:i])  # U(t S^j, S)
 
-    for key, row in ctx28.rows.items():
-        for gen, r in row.items():
-            assert shifted.rows[key][gen] == (3 * r[0] + uses(key, gen), 3 * r[1]), (key, gen)
-    assert shifted.rows[0, 1]["T", N][0] == 3 * ctx28.rows[0, 1]["T", N][0] + N
+    for kind, key, row, expect in derived_rows(shifted):
+        assert row == expect, (kind, key)
+    # the T-orbit of (0, 1) is (0, 1) alone: its total is U(I, T)'s sum
+    third = CycElem.from_rational(L, Fraction(1, 3))
+    totals = [as_cyc(ctx, ctx.potential[0, 1].total) for ctx in (ctx28, shifted)]
+    assert totals[1] == totals[0] + third
     rng = random.Random(3)
     mats = [random_gamma0(N, rng, kmax=10**30) for _ in range(40)]
     mats += [Mat2.t_power(10**40 + 5), Mat2.t_power(-(10**25)), -Mat2.t_power(7 * 10**18)]

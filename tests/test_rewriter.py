@@ -5,16 +5,8 @@ import pytest
 
 from gdsum.cosets import schreier_alphabet, transversal_g1_in_sl2, u_func
 from gdsum.modgroup import I2, Mat2, S, T, random_gamma0, ts_decompose
-from gdsum.rewriter import (
-    RewriteFactor,
-    expand_factor,
-    format_factor,
-    format_reduced,
-    modified_rewrite,
-    reduce_t_power,
-    reduce_word,
-)
-from reference_tables import full_alphabet
+from gdsum.rewriter import RewriteFactor, Term, format_factor, format_term, modified_rewrite
+from reference_tables import expand_factor, full_alphabet, reduce_t_power, reduce_word
 
 FACTOR_COUNT_K = 9
 
@@ -269,7 +261,6 @@ def test_format_helpers():
     assert format_factor(RewriteFactor((1, 0), "T", -2)) == "U((1, 0), T^-2)"
     assert format_factor(RewriteFactor((1, 7), "S", 1)) == "U((1, 7), S)"
     assert format_factor(RewriteFactor((0, 8), "-I", 1)) == "U((0, 8), -I)"
-    from gdsum.rewriter import ReducedFactor
-
-    assert format_reduced(ReducedFactor((1, 2), ("T", 9), -2)) == "-2 * U((1, 2), T^9)"
-    assert format_reduced(ReducedFactor((0, 8), ("S", 2), 1)) == "U((0, 8), S^2)"
+    assert format_term(Term((1, 2), "T", -2, (1, 0))) == "-2 * orbit total at (1, 2)"
+    assert format_term(Term((1, 7), "S", 1, (1, 0))) == "S-step row at (1, 7)"
+    assert format_term(Term((0, 8), "-I", 1, (1, 0))) == "negation row at (0, 8)"

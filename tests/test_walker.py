@@ -3,9 +3,9 @@
 `modified_rewrite` tracks only the coset key of each prefix.  The reference
 here multiplies the full matrix prefixes and reads their keys from the
 transversal, as the rewrite did before; the two must agree factor for
-factor, and the reduced terms, expanded over every U(t, T^i) and U(t, S^k)
-matrix (`reference_tables.full_alphabet`), must multiply exactly back to
-the Gamma1(N) element.
+factor, and the alphabet terms (`reference_tables.reduce_word`), expanded
+over every U(t, T^i) and U(t, S^k) matrix (`reference_tables.full_alphabet`),
+must multiply exactly back to the Gamma1(N) element.
 """
 
 import functools
@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from gdsum.cosets import transversal_g1_in_g0, transversal_g1_in_sl2
 from gdsum.modgroup import I2, Mat2, ts_decompose, ts_reconstruct
-from gdsum.rewriter import modified_rewrite, reduce_word
-from reference_tables import full_alphabet
+from gdsum.rewriter import modified_rewrite
+from reference_tables import full_alphabet, reduce_word
 
 LEVELS = (6, 9, 28)
 
