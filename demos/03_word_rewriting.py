@@ -121,4 +121,5 @@ print(f"\nThe tables store sums for the {len(generators)} Schreier generators on
 print(f"and U(t, S) for each of the {len(t_sl2)} members t.  Every matrix above is a")
 print("product of them, so its sum is a sum of theirs, derived once per key: one")
 print("S-step row per key and one total per T-orbit.  A sum over the terms evaluates")
-print("the whole matrix in time proportional to the word length.")
+print("the whole matrix in time proportional to the word length; a row that is 0")
+print("(most orbit totals, and the S-step row at (0, 1)) adds no term at all.")

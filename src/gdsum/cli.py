@@ -41,9 +41,9 @@ from .modgroup import I2, Mat2, S, T, random_gamma0, random_sl2, ts_decompose
 from .rewriter import format_factor, format_term, modified_rewrite, reduce_word
 
 # Largest lower-left entry for which the double sum is run: the default of
-# `bench --naive-cutoff` and the limit of `sum --naive`.  `naive_sum` walks
-# j < c/2 once, about (c/2) phi(q2)/q2 integer steps: ~10 ms at c = 10^5 for
-# N = 28 (CPython 3.11, one core of a 2-core VM).
+# `bench --naive-cutoff` and the limit of `sum --naive` and `verify --cmax`.
+# `naive_sum` walks j < c/2 once, about (c/2) phi(q2)/q2 integer steps:
+# ~10 ms at c = 10^5 for N = 28 (CPython 3.11, one core of a 2-core VM).
 NAIVE_CUTOFF = 10**5
 
 
@@ -93,7 +93,7 @@ def _build_parser() -> _Parser:
     add_common(p)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cmax", type=int, default=2000, help="largest lower-left entry tested")
+    p.add_argument("--cmax", type=int, default=2000, help=f"largest c tested, N to {NAIVE_CUTOFF}")
 
     p = sub.add_parser("bench", help="fast-vs-naive timing sweep, CSV output")
     add_common(p)
@@ -208,6 +208,8 @@ def _print_trace(ctx: Context, gamma: Mat2) -> None:
         print(f"  {format_term(f)}")
     if not terms:
         print("  none")
+    zero = sum(_derived_entry(ctx, g, k)[1] is ctx.zero for k, g, _ in factors)
+    print(f"{zero} of {len(factors)} factors add a zero row")
 
 
 @dataclass
@@ -371,6 +373,9 @@ def _derived_entry(ctx: Context, kind: str, key) -> tuple[Mat2, tuple]:
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise CliError("--trials must be at least 1")
+    N = parse_spec_fields(args.chi1)[0] * parse_spec_fields(args.chi2)[0]
+    if not N <= args.cmax <= NAIVE_CUTOFF:
+        raise CliError(f"--cmax must lie between N = {N} and the double-sum cutoff {NAIVE_CUTOFF}")
     ctx = _load_or_build(args)
     report = run_verify(ctx, trials=args.trials, seed=args.seed, cmax=args.cmax)
     for name, ok, detail in report.lines:

@@ -202,7 +202,8 @@ class Context:
     Over a word the F terms cancel across each S letter into
     B(k) = F(k) + s_S[k] - F(kS), and vanish at both ends: the walk starts
     at key (0, 1) and ends there or, negated, at (0, -1), keys alone on
-    their orbits.  `neg` is then the sum of U(t, S^2) at (0, -1).  Nothing
+    their orbits.  `neg` is then the sum of U(t, S^2) at (0, -1).  Every
+    zero row is the one tuple `zero`, which `reduce_word` skips.  Nothing
     derived is passed in, so `dataclasses.replace(ctx, sums_alphabet=...)`
     evaluates the table it holds.  It checks no relation: `precompute` and
     `load_context` do.
@@ -223,6 +224,7 @@ class Context:
     den: int = field(init=False, compare=False)
     potential: dict = field(init=False, compare=False, repr=False)
     neg: Term = field(init=False, compare=False, repr=False)
+    zero: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         N = self.N
@@ -232,6 +234,7 @@ class Context:
         row_of = {i: _row(den, v.coeffs) for i, v in distinct.items()}
         s_t = {k: row_of[id(v)] for (k, g), v in self.sums_alphabet.items() if g[0] == "T"}
         s_s = {k: row_of[id(v)] for (k, g), v in self.sums_alphabet.items() if g[0] == "S"}
+        self.zero = zero = (0,) * len(next(iter(row_of.values())))
         # F along each T-orbit from its base (c, d mod g), g = gcd(c, N),
         # where t T^j has the key (c, d + j c)
         f_of, total_of = {}, {}
@@ -239,18 +242,20 @@ class Context:
             g = gcd(c, N)
             if (c, d % g) in f_of:
                 continue  # its orbit is done
-            f = (0,) * len(s_t[c, d])
+            f = zero
             for pos in range(N // g):
                 key = (c, (d % g + pos * c) % N)
                 f_of[key] = pos, f
                 f = tuple(map(add, f, s_t[key]))
-            total_of[c, d % g] = f
+            total_of[c, d % g] = f if any(f) else zero
         self.potential = {}
         for (c, d), s in s_s.items():
             (pos, f), g = f_of[c, d], gcd(c, N)
-            step = Term((c, d), "S", 1, tuple(map(sub, map(add, f, s), f_of[d, -c % N][1])))
+            row = tuple(map(sub, map(add, f, s), f_of[d, -c % N][1]))
+            step = Term((c, d), "S", 1, row if any(row) else zero)
             self.potential[c, d] = OrbitRow(pos, N // g, total_of[c, d % g], step)
-        self.neg = Term((0, -1 % N), "-I", 1, tuple(map(add, s_s[0, -1 % N], s_s[-1 % N, 0])))
+        row = tuple(map(add, s_s[0, -1 % N], s_s[-1 % N, 0]))
+        self.neg = Term((0, -1 % N), "-I", 1, row if any(row) else zero)
 
 
 def _validate_pair(chi1, chi2):
@@ -442,22 +447,19 @@ def fast_sum(ctx: Context, gamma: Mat2) -> CycElem:
 
     `reduce_word` turns the word's factors into terms: the S-step row at
     each S letter, a multiple of the orbit total at each T letter that
-    wraps around its T-orbit, and the negation row.  Each adds m times its
-    integer row into one vector of numerators over `ctx.den`; each nonzero
-    coefficient becomes one Fraction at the end, added to the Gamma0
+    wraps around its T-orbit, and the negation row, none for a zero row.
+    Their rows, times m, are summed column by column into numerators over
+    `ctx.den`; each nonzero one becomes a Fraction added to the Gamma0
     transversal sum.
     """
     g1, _, d_key = split_gamma0(ctx, gamma)
     word = ts_decompose(g1, nearest=True)
     terms = reduce_word(modified_rewrite(word, ctx.t_sl2, product=g1), ctx)
-    base = ctx.sums_g0[d_key].coeffs
-    acc = [0] * len(base)
-    for _, _, m, row in terms:
-        for i, n in enumerate(row):
-            acc[i] += m * n
-    den = ctx.den
+    rows = [row if m == 1 else [m * n for n in row] for _, _, m, row in terms]
+    acc = map(sum, zip(ctx.zero, *rows))  # ctx.zero keeps every column when no term is left
     return CycElem._raw(
-        ctx.L, tuple(x + Fraction(n, den) if n else x for x, n in zip(base, acc))
+        ctx.L,
+        tuple(x + Fraction(n, ctx.den) if n else x for x, n in zip(ctx.sums_g0[d_key].coeffs, acc)),
     )
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from math import gcd
 
 
@@ -118,9 +119,9 @@ class TSWord:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.exponents) < 1:
+        if not self.exponents:
             raise ValueError("a TS word needs at least one exponent")
-        if any(e == 0 for e in self.exponents[1:-1]):
+        if 0 in self.exponents[1:-1]:
             raise ValueError("interior exponents must be nonzero")
 
     @property
@@ -136,20 +137,21 @@ def _letter_cap(c: int) -> int:
 
 
 def _strip_letters(m: Mat2, nearest: bool, cap: int | None):
-    # Each step strips T^q S from the left (the new matrix is
-    # S^-1 T^-q (a b; c d)), shrinking |c| until the tail is +-T^b.
+    # Each step strips T^q S from the left, leaving S^-1 T^-q (a b; c d), until
+    # the tail is +-T^b; r has the sign of c, and a nearest q rounds up past c/2.
     a, b, c, d = m.entries()
     exps = []
-    while c != 0:
-        q = a // c
-        r = a - q * c
-        if nearest and 2 * abs(r) > abs(c):
+    for _ in repeat(None) if cap is None else range(cap):
+        if not c:
+            break
+        q, r = divmod(a, c)
+        if nearest and ((r + r > c) if c > 0 else (r + r < c)):
             q += 1
             r -= c
-        if cap is not None and len(exps) >= cap:
-            return None
         exps.append(q)
-        a, b, c, d = c, d, -r, -(b - q * d)
+        a, b, c, d = c, d, -r, q * d - b
+    if c:
+        return None  # the cap ran out
     if a == 1:
         exps.append(b)
         return TSWord(False, tuple(exps))

@@ -8,7 +8,7 @@ count.  It multiplies no prefix matrices: a factor needs only the coset key
 integers, for the checks.  `reduce_word` then reads the context's
 potential table: each S factor adds its key's S-step row, each T^a factor
 adds its orbit's total only as often as a wraps around the T-orbit, and
--I adds the negation row.
+-I adds the negation row; a zero row adds no term.
 """
 
 from __future__ import annotations
@@ -57,17 +57,15 @@ def modified_rewrite(w: TSWord, t: Transversal, product: Mat2 | None = None) -> 
         raise ValueError(f"word product {g1} is not in Gamma1({N})")
     factors = []
     c, d = 0, 1 % N  # key of the prefix before the next letter
-    exps = w.exponents
-    last = len(exps) - 1
-    for idx, a in enumerate(exps):
-        if a != 0:
+    for a in w.exponents:  # T^a S; only the first and last a may be 0
+        if a:
             factors.append(_new(RewriteFactor, ((c, d), "T", a)))
             d = (d + a * c) % N
-        if idx < last:
-            factors.append(_new(RewriteFactor, ((c, d), "S", 1)))
-            c, d = d, -c % N
+        factors.append(_new(RewriteFactor, ((c, d), "S", 1)))
+        c, d = d, -c % N
+    key = factors.pop()[0]  # the word ends in T^ar: no S after it
     if w.negate:
-        factors.append(_new(RewriteFactor, ((c, d), "-I", 1)))
+        factors.append(_new(RewriteFactor, (key, "-I", 1)))
     return factors
 
 
@@ -78,20 +76,21 @@ def reduce_word(factors, ctx) -> list[Term]:
     An S factor at key k gives k's S-step term.  A T^a factor at k gives
     k's orbit total, w = floor((pos + a) / length) times, when it wraps
     around the orbit (w != 0).  The -I factor gives the negation term.
+    A zero row, which is always the one tuple `ctx.zero`, gives no term.
     """
-    table, out = ctx.potential, []
+    table, zero, out = ctx.potential, ctx.zero, []
     for key, gen, exponent in factors:
         if gen == "S":
-            out.append(table[key][3])
+            if (step := table[key][3])[3] is not zero:
+                out.append(step)
         elif gen == "T":
             pos, length, total, _ = table[key]
-            w = (pos + exponent) // length
-            if w:
+            if total is not zero and (w := (pos + exponent) // length):
                 out.append(_new(Term, (key, "T", w, total)))
-        elif gen == "-I":
-            out.append(ctx.neg)
-        else:
+        elif gen != "-I":
             raise ValueError(f"unknown factor generator {gen!r}")
+        elif ctx.neg[3] is not zero:
+            out.append(ctx.neg)
     return out
 
 

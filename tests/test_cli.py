@@ -78,26 +78,28 @@ def test_sum_with_and_without_cache_reload(tmp_path, capsys):
 
 
 def test_sum_trace(tmp_path, capsys):
-    rc = main(["sum", *_pair_args(tmp_path), "--matrix", "17,32;9,17", "--trace"])
+    rc = main(["sum", *_pair_args(tmp_path), "--matrix", "101,33;153,50", "--trace"])
     assert rc == 0
     out = capsys.readouterr().out
     # the nearest-integer word the evaluator walks
-    assert "gamma1 = (-152, 137; -81, 73) = T^2 S T^8 S T^-10 S T^-1\n" in out
-    assert "U((0, 1), T^2)" in out
-    assert "U((8, 8), T^-10)" in out
-    # T^2 and T^-1 at (0, 1) wrap around its orbit of length 1, T^-10 once
-    # around the orbit of (8, 8), of length 9
+    assert "gamma1 = (208, -35; 315, -53) = T^1 S T^3 S T^18 S T^6 S T^0\n" in out
+    assert "U((0, 1), T^1)" in out
+    assert "U((3, 8), T^18)" in out
+    # T^18 at (3, 8), at position 2 along its orbit of length 3, wraps
+    # (2 + 18) // 3 = 6 times; the other five factors add zero rows
     assert (
-        "  2 * orbit total at (0, 1)\n  S-step row at (0, 1)\n  S-step row at (1, 8)\n"
-        "  -1 * orbit total at (8, 8)\n  S-step row at (8, 0)\n  -1 * orbit total at (0, 1)\n"
+        "terms added to the Gamma0 transversal sum at d = 5:\n"
+        "  S-step row at (1, 3)\n  6 * orbit total at (3, 8)\n  S-step row at (3, 8)\n"
+        "5 of 8 factors add a zero row\n-34/3\n"
     ) in out
-    # T^5 wraps five times around the orbit of (0, 1), which is (0, 1) alone
-    assert main(["sum", *_pair_args(tmp_path), "--matrix", "1,5;0,1", "--trace"]) == 0
+    # every factor of this word adds a zero row, so no term at all
+    assert main(["sum", *_pair_args(tmp_path), "--matrix", "17,32;9,17", "--trace"]) == 0
     out = capsys.readouterr().out
-    assert "  U((0, 1), T^5)\nterms" in out and "  5 * orbit total at (0, 1)\n" in out
-    # a Gamma0 transversal member leaves the identity: no term at all
+    assert "T^2 S T^8 S T^-10 S T^-1\n" in out
+    assert "  none\n7 of 7 factors add a zero row\n0\n" in out
+    # a Gamma0 transversal member leaves the identity: no factor, no term
     assert main(["sum", *_pair_args(tmp_path), "--matrix", "5,1;9,2", "--trace"]) == 0
-    assert "  none\n" in capsys.readouterr().out
+    assert "  none\n0 of 0 factors add a zero row\n" in capsys.readouterr().out
     # the same terms after a precompute and after a load, whose keys come in
     # another order
     for _ in range(2):
@@ -106,9 +108,8 @@ def test_sum_trace(tmp_path, capsys):
         assert rc == 0
         out = capsys.readouterr().out
         assert (
-            "  orbit total at (0, 1)\n  S-step row at (0, 1)\n  S-step row at (1, 3)\n"
-            "  6 * orbit total at (3, 8)\n  S-step row at (3, 8)\n  orbit total at (8, 6)\n"
-            "  S-step row at (8, 0)\n-34/3\n"
+            "  S-step row at (1, 3)\n  6 * orbit total at (3, 8)\n  S-step row at (3, 8)\n"
+            "5 of 8 factors add a zero row\n-34/3\n"
         ) in out
 
 
@@ -205,6 +206,23 @@ def test_verify_checks_derived_rows(ctx9):
         report = run_verify(ctx, trials=2, seed=0, cmax=100)
         failed = [name for name, _ in report.failures]
         assert "derived-spot-check" in failed and "alphabet-spot-check" not in failed, kind
+
+
+@pytest.mark.parametrize(
+    "cmax, rc", [("9", 0), ("100000", 0), ("100001", 1), ("100000000000", 1), ("8", 1), ("-5", 1)]
+)
+def test_verify_cmax_range(tmp_path, capsys, cmax, rc):
+    """--cmax runs from N, the smallest c of the level, to the double-sum
+    cutoff: above it the double sum would run for O(c) steps, and below N
+    every matrix would silently have c = N.  Both are rejected before any
+    precompute."""
+    assert main(["verify", *_pair_args(tmp_path), "--trials", "1", "--cmax", cmax]) == rc
+    out, err = capsys.readouterr()
+    if rc:
+        assert err.startswith("error:") and "--cmax" in err and "Traceback" not in err
+        assert not list(tmp_path.glob("*.json"))
+    else:
+        assert "FAIL" not in out
 
 
 def test_verify_deterministic(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""The bucketed, half-range `naive_sum` against the literal double sum.
+"""The bucketed, half-range `naive_sum` against the literal double sum,
+and the table evaluator against the same buckets as floor sums.
 
 `literal_sum` below evaluates the definition term by term,
 
@@ -6,7 +7,10 @@
                conj(chi2(j)) conj(chi1(n)) B1(j/c) B1(n/q1 + a*j/c),
 
 with no identity beyond B1's: it is the independent reference the library's
-evaluator is checked against.
+evaluator is checked against.  `floor_sum_oracle` computes `naive_sum`'s
+bucket weights in O(log c) steps each, so `fast_sum` can be checked at
+every c, far above the double sum's reach, by code that shares nothing
+with the transversal, the rewrite or the tables.
 """
 
 import random
@@ -42,6 +46,64 @@ def literal_sum(chi1, chi2, gamma):
                 # B1(n/q1 + a*j/c) = B1((n*c + a*j*q1) / (q1*c))
                 acc[-(k1 + k2) % L] += _b1(j, c) * _b1(n * c + a * j * q1, q1 * c)
     return CycElem(L, [Fraction(v, 4 * q1 * c * c) for v in acc])
+
+
+def _floor_sums(n, a, b, m):
+    """(f, g, h): the sums over 0 <= i <= n of y, i*y and y*y, where
+    y = floor((a*i + b)/m) with m >= 1 and any integers a, b.
+
+    The Euclid-like recursion of the AtCoder Library's floor_sum, extended
+    to the weighted sums: split off a = qa*m + a', b = qb*m + b', then count
+    lattice points under the line with the roles of a and m swapped.
+    """
+    if n < 0:
+        return 0, 0, 0
+    (qa, a), (qb, b) = divmod(a, m), divmod(b, m)
+    s0, s1, s2 = n + 1, n * (n + 1) // 2, n * (n + 1) * (2 * n + 1) // 6
+    top = (a * n + b) // m
+    f = g = h = 0
+    if top:
+        f1, g1, h1 = _floor_sums(top - 1, m, m - b - 1, a)
+        f = n * top - f1
+        g = (top * n * (n + 1) - h1 - f1) // 2
+        h = n * top * (top + 1) - 2 * g1 - 2 * f1 - f
+    return (
+        f + qa * s1 + qb * s0,
+        g + qa * s2 + qb * s1,
+        h + qa * qa * s2 + qb * qb * s0 + 2 * qa * qb * s1 + 2 * qb * f + 2 * qa * g,
+    )
+
+
+def floor_sum_oracle(chi1, chi2, gamma):
+    """The double sum for c >= 1 from floor sums, O(log c) per bucket.
+
+    `naive_sum`'s bucket m for residue u mod q2 adds 2j - c over the j = u + q2*i
+    < c/2 with floor(q1*a*j/c) = m mod q1, and [floor(x) = m mod q1] is
+    floor((x - m)/q1) - floor((x - m - 1)/q1).  With x = q1*a*j/c, each
+    weight is a difference of sums of floor((A*i + B)/M) and of i times it.
+    """
+    q1, q2 = chi1.modulus, chi2.modulus
+    a, c = gamma.a, gamma.c
+    L = pair_order(chi1, chi2)
+    e1 = [chi1.exponent_at(n, L) for n in range(q1)]
+    e2 = [chi2.exponent_at(n, L) for n in range(q2)]
+    acc = [0] * L
+    if e1[-1] != e2[-1]:  # chi1*chi2(-1) = -1: the halves cancel
+        return CycElem(L, acc)
+    half = (c + 1) // 2
+    for u in range(1, q2):
+        if e2[u] is None:
+            continue
+        n = (half - u + q2 - 1) // q2  # how many j = u + q2*i < half
+        sums = [_floor_sums(n - 1, q1 * a * q2, q1 * a * u - m * c, q1 * c) for m in range(q1 + 1)]
+        for m in range(q1):
+            f, g = sums[m][0] - sums[m + 1][0], sums[m][1] - sums[m + 1][1]
+            w = (2 * u - c) * f + 2 * q2 * g
+            for k in range(1, q1):
+                k1 = e1[(k - m) % q1]
+                if k1 is not None:
+                    acc[-(e2[u] + k1) % L] += 2 * k * w
+    return CycElem(L, [Fraction(v, 2 * q1 * c) for v in acc])
 
 
 # (chi1, chi2) by (modulus, [(generator, value)]); chi1*chi2(-1) = -1 on the "-odd" pairs
@@ -85,7 +147,47 @@ def _gamma(N, k, a, shift_a, shift_d):
 def test_naive_sum_equals_literal_sum(name, k, a, shift_a, shift_d):
     chi1, chi2 = _pair(name)
     gamma = _gamma(chi1.modulus * chi2.modulus, k, a, shift_a, shift_d)
-    assert naive_sum(chi1, chi2, gamma) == literal_sum(chi1, chi2, gamma)
+    expect = literal_sum(chi1, chi2, gamma)
+    assert naive_sum(chi1, chi2, gamma) == expect
+    assert floor_sum_oracle(chi1, chi2, gamma) == expect
+
+
+def test_floor_sums_count_lattice_points():
+    rng = random.Random(4)
+    for _ in range(300):
+        n, m = rng.randint(-1, 40), rng.randint(1, 30)
+        a, b = rng.randint(-100, 100), rng.randint(-100, 100)
+        ys = [(a * i + b) // m for i in range(n + 1)]
+        expect = (sum(ys), sum(i * y for i, y in enumerate(ys)), sum(y * y for y in ys))
+        assert _floor_sums(n, a, b, m) == expect
+
+
+@pytest.mark.parametrize("name", sorted(PAIRS))
+@settings(max_examples=25, deadline=None)
+@given(k=st.integers(1, 2000), a=st.integers(1, 10**6), shift_a=st.integers(-3, 3))
+def test_floor_sum_oracle_equals_naive_sum(name, k, a, shift_a):
+    # c up to 2000 N, where the literal sum would be slow
+    chi1, chi2 = _pair(name)
+    gamma = _gamma(chi1.modulus * chi2.modulus, k, a, shift_a, 0)
+    assert floor_sum_oracle(chi1, chi2, gamma) == naive_sum(chi1, chi2, gamma)
+
+
+@pytest.mark.parametrize("ctx_name", ["ctx9", "ctx28", "ctx35_l12", "ctx35"])
+@settings(max_examples=40, deadline=None)
+@given(
+    e=st.integers(0, 60),
+    mantissa=st.integers(1, 10**6),
+    a=st.integers(1, 10**70),
+    shift_a=st.integers(-3, 3),
+    shift_d=st.integers(-3, 3),
+)
+def test_fast_sum_equals_floor_sum_oracle(request, ctx_name, e, mantissa, a, shift_a, shift_d):
+    """fast_sum against an oracle that reads no table, for c up to
+    N * 10^60, far above the double sum's cutoff; ctx35 is the
+    parity-violating pair, where both are 0."""
+    ctx = request.getfixturevalue(ctx_name)
+    gamma = _gamma(ctx.N, 1 + mantissa * 10**e // 10**6, a, shift_a, shift_d)
+    assert fast_sum(ctx, gamma) == floor_sum_oracle(ctx.chi1, ctx.chi2, gamma)
 
 
 def test_parity_violating_pair_sums_to_zero(ctx35, chi5, chi7_13):
