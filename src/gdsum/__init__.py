@@ -26,7 +26,7 @@ from .dedekind import (
     precompute,
     save_context,
 )
-from .exactnum import CycElem, Rational, b1, cyclotomic_polynomial, root_of_unity
+from .exactnum import CycElem, b1, cyclotomic_polynomial, root_of_unity
 from .modgroup import Mat2, TSWord, ts_decompose, ts_reconstruct
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "DirichletCharacter",
     "Mat2",
     "ParityWarning",
-    "Rational",
     "TSWord",
     "b1",
     "characters_mod",

@@ -137,10 +137,6 @@ class DirichletCharacter:
     def is_trivial(self) -> bool:
         return self.order == 1
 
-    def is_even(self) -> bool:
-        """True when chi(-1) = 1."""
-        return self.exponent(-1) == 0
-
     def __eq__(self, other):
         if not isinstance(other, DirichletCharacter):
             return NotImplemented

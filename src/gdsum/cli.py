@@ -20,7 +20,7 @@ from functools import reduce
 from math import gcd
 from pathlib import Path
 
-from .characters import find_character, parse_spec_fields
+from .characters import character_spec_string, find_character, parse_spec_fields
 from .cosets import u_func
 from .dedekind import (
     DEFAULT_LEVEL_LIMIT,
@@ -134,6 +134,11 @@ def _load_or_build(args, *, force: bool = False, announce: bool = False) -> Cont
     path = cache_dir / cache_filename(chi1, chi2)
     if path.exists() and not force:
         ctx = load_context(path)
+        if (ctx.chi1, ctx.chi2) != (chi1, chi2):
+            raise CliError(
+                f"cache {path} holds the pair {_pair_specs(ctx.chi1, ctx.chi2)}, not the requested "
+                f"{_pair_specs(chi1, chi2)}; rebuild it with `gdsum precompute --force`"
+            )
         if announce:
             print(f"reusing cache {path}")
         return ctx
@@ -161,6 +166,10 @@ def _load_or_build(args, *, force: bool = False, announce: bool = False) -> Cont
             f"{catcher.stats.oracle_calls} oracle calls ({elapsed:.2f} s) -> {path}"
         )
     return ctx
+
+
+def _pair_specs(chi1, chi2) -> str:
+    return f'"{character_spec_string(chi1)}" x "{character_spec_string(chi2)}"'
 
 
 def _format_value(v) -> str:
@@ -198,7 +207,7 @@ def _print_trace(ctx: Context, gamma: Mat2) -> None:
     sign = "-" if w.negate else ""
     word = " S ".join(f"T^{e}" for e in w.exponents)
     print(f"gamma1 = {g1} = {sign}{word}")
-    factors = modified_rewrite(w, ctx.t_sl2)
+    factors = modified_rewrite(w, ctx.t_sl2, product=g1)
     print("rewritten factors:")
     for f in factors:
         print(f"  {format_factor(f)}")
@@ -208,7 +217,11 @@ def _print_trace(ctx: Context, gamma: Mat2) -> None:
         print(f"  {format_term(f)}")
     if not terms:
         print("  none")
-    zero = sum(_derived_entry(ctx, g, k)[1] is ctx.zero for k, g, _ in factors)
+    rows = [
+        ctx.neg.row if g == "-I" else ctx.potential[k].step.row if g == "S" else ctx.potential[k].total
+        for k, g, _ in factors
+    ]
+    zero = sum(row is ctx.zero for row in rows)
     print(f"{zero} of {len(factors)} factors add a zero row")
 
 
@@ -447,10 +460,7 @@ def main(argv=None) -> int:
             "bench": cmd_bench,
         }[args.command]
         return handler(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

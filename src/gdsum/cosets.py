@@ -129,7 +129,8 @@ def schreier_alphabet(N: int, t: Transversal) -> dict[tuple, Mat2]:
         if r is None:
             raise ValueError(f"corrupted transversal: no member for key {(c % N, d % N)}")
         u = Mat2(a * r.d - b * r.c, b * r.a - a * r.b, c * r.d - d * r.c, d * r.a - c * r.b)
-        assert u.in_gamma1(N)
+        if not u.in_gamma1(N):
+            raise ValueError(f"corrupted transversal: U entry {u} is not in Gamma1({N})")
         return u
 
     out = {}

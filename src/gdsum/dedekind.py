@@ -37,10 +37,11 @@ The sums are handled as integer numerator vectors over one common
 denominator D (1 for every pair tried): the derived sums, the relation
 checks and `fast_sum`'s accumulation are integer adds.  Equal sums share
 one CycElem, so Fractions are built only for the few hundred distinct sums
-of a table and for the coefficients of a result.  `Context.sums_alphabet`
-keeps the generator sums as CycElems; `Context.potential` and
-`Context.neg`, the integer rows the evaluator reads, are derived from it
-whenever a Context is built.
+of a table and for the coefficients of a result.  A `Context` takes the
+pair, the two transversals, the generator matrices and the sums (the
+Gamma0 transversal sums and the generator sums, as CycElems); it derives
+N, L and the parity flag from the pair, and the integer rows the
+evaluator reads from the generator sums.
 """
 
 from __future__ import annotations
@@ -190,12 +191,17 @@ class Context:
     Immutable after `precompute`; `fast_sum` is pure, so one context can
     serve concurrent evaluations.
 
-    `alphabet` and `sums_alphabet` hold the 2 |keys| Schreier generators
-    U(t, T), U(t, S) and their sums, keyed (key, ("T", 1)), (key, ("S", 1)).
-    `__post_init__` derives what `fast_sum` reads, integer rows over the
-    common denominator `den`: an `OrbitRow` per key in `potential`, and
-    `neg`.  With F(k) the sum of s_T along k's T-orbit up to k and Sigma
-    the orbit total, the cocycle identity gives, for every integer a,
+    It takes seven inputs: the pair `chi1`, `chi2`; the transversals
+    `t_g0` (Gamma1(N) in Gamma0(N), keyed by d mod N) and `t_sl2` (keyed by
+    coset key); `sums_g0`, the sums of the `t_g0` members; and `alphabet`
+    and `sums_alphabet`, the 2 |keys| Schreier generators U(t, T), U(t, S)
+    and their sums, keyed (key, ("T", 1)), (key, ("S", 1)).
+
+    `__post_init__` derives `N`, `L` and `parity_ok` (chi1*chi2(-1) = 1)
+    from the pair, and what `fast_sum` reads, integer rows over the common
+    denominator `den`: an `OrbitRow` per key in `potential`, and `neg`.
+    With F(k) the sum of s_T along k's T-orbit up to k and Sigma the orbit
+    total, the cocycle identity gives, for every integer a,
 
         S(U(t_k, T^a)) = F(k T^a) - F(k) + floor((pos(k) + a) / length) Sigma.
 
@@ -205,29 +211,30 @@ class Context:
     their orbits.  `neg` is then the sum of U(t, S^2) at (0, -1).  Every
     zero row is the one tuple `zero`, which `reduce_word` skips.  Nothing
     derived is passed in, so `dataclasses.replace(ctx, sums_alphabet=...)`
-    evaluates the table it holds.  It checks no relation: `precompute` and
-    `load_context` do.
+    evaluates the table it holds, and replacing a derived field raises.
+    It checks no relation: `precompute` and `load_context` do.
     """
 
     chi1: DirichletCharacter
     chi2: DirichletCharacter
-    q1: int
-    q2: int
-    N: int
-    L: int
-    parity_ok: bool
     t_g0: Transversal
     t_sl2: Transversal
     alphabet: dict
     sums_g0: dict
     sums_alphabet: dict
+    N: int = field(init=False)
+    L: int = field(init=False)
+    parity_ok: bool = field(init=False)
     den: int = field(init=False, compare=False)
     potential: dict = field(init=False, compare=False, repr=False)
     neg: Term = field(init=False, compare=False, repr=False)
     zero: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        N = self.N
+        chi1, chi2 = self.chi1, self.chi2
+        self.N = N = chi1.modulus * chi2.modulus
+        self.L = L = pair_order(chi1, chi2)
+        self.parity_ok = parity_product(chi1, chi2) == CycElem.one(L)
         # Keyed by object: `_tables` shares one CycElem per distinct sum.
         distinct = {id(v): v for v in self.sums_alphabet.values()}
         self.den = den = lcm(*{x.denominator for v in distinct.values() for x in v.coeffs})
@@ -406,30 +413,15 @@ def _tables(
     of Fraction(n, den) coefficients; `Context.__post_init__` derives the
     rows the evaluator reads.
     """
-    N = t_sl2.N
     L = pair_order(chi1, chi2)
-    zero = CycElem.zero(L)
-    t_g0 = transversal_g1_in_g0(N)
+    t_g0 = transversal_g1_in_g0(t_sl2.N)
     sums_g0 = {
-        d: zero if mem == I2 else naive_sum(chi1, chi2, mem) for d, mem in t_g0.members.items()
+        d: CycElem.zero(L) if m == I2 else naive_sum(chi1, chi2, m) for d, m in t_g0.members.items()
     }
     distinct = {*v_t.values(), *v_s.values()}  # one CycElem each
     cyc = {r: CycElem._raw(L, tuple(Fraction(n, den) for n in r)) for r in distinct}
     sums = {(k, (name, 1)): cyc[r] for name, v in (("T", v_t), ("S", v_s)) for k, r in v.items()}
-    return Context(
-        chi1=chi1,
-        chi2=chi2,
-        q1=chi1.modulus,
-        q2=chi2.modulus,
-        N=N,
-        L=L,
-        parity_ok=parity_product(chi1, chi2) == CycElem.one(L),
-        t_g0=t_g0,
-        t_sl2=t_sl2,
-        alphabet=alphabet,
-        sums_g0=sums_g0,
-        sums_alphabet=sums,
-    )
+    return Context(chi1, chi2, t_g0, t_sl2, alphabet, sums_g0, sums)
 
 
 def split_gamma0(ctx: Context, gamma: Mat2) -> tuple[Mat2, Mat2, int]:
@@ -501,8 +493,8 @@ def context_to_json(ctx: Context) -> dict:
     keys = sorted(ctx.t_sl2.members)
     return {
         "version": CACHE_VERSION,
-        "q1": ctx.q1,
-        "q2": ctx.q2,
+        "q1": ctx.chi1.modulus,
+        "q2": ctx.chi2.modulus,
         "chi1": _chi_to_json(ctx.chi1),
         "chi2": _chi_to_json(ctx.chi2),
         "L": ctx.L,

@@ -14,11 +14,6 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 
-# Arbitrary-precision exact rational, always in lowest terms with a
-# positive denominator.  The stdlib type already guarantees both.
-Rational = Fraction
-
-
 def b1(x) -> Fraction:
     """First Bernoulli function: 0 at integers, else x - floor(x) - 1/2."""
     x = Fraction(x)

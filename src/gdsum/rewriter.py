@@ -48,10 +48,12 @@ def modified_rewrite(w: TSWord, t: Transversal, product: Mat2 | None = None) -> 
     Emits one factor per nonzero T-power, one per S, and a final -I factor
     when the word is negated (+I contributes nothing and is dropped).  The
     exact matrix product of the factors' U-values reconstructs the word.
-    `product`, when supplied, must equal the word's exact product.
+    `product`, when supplied, must equal the word's exact product, or
+    ValueError is raised.
     """
     g1 = ts_reconstruct(w)
-    assert product is None or g1 == product
+    if product is not None and g1 != product:
+        raise ValueError(f"word product {g1} is not {product}")
     N = t.N
     if not g1.in_gamma1(N):
         raise ValueError(f"word product {g1} is not in Gamma1({N})")

@@ -113,6 +113,41 @@ def test_sum_trace(tmp_path, capsys):
         ) in out
 
 
+@pytest.mark.parametrize("matrix", ["107,-42;1470,-577", "743,-527;1400,-993", "67,42;595,373"])
+def test_sum_trace_l12(tmp_path, capsys, matrix):
+    # N = 35, L = 12: degree-4 rows; the second word is negated, the third
+    # adds no term
+    args = ["sum", "--chi1", "q=5;g=2;v=1/4", "--chi2", "q=7;g=3;v=1/6", "--cache-dir", str(tmp_path)]
+    assert main([*args, "--matrix", matrix, "--naive"]) == 0
+    naive = capsys.readouterr().out
+    assert main([*args, "--matrix", matrix, "--trace"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith(" factors add a zero row\n" + naive)
+
+
+@pytest.mark.parametrize("command", ["sum", "verify"])
+def test_foreign_cache_exits_1(tmp_path, capsys, command):
+    # a cache built for one pair, copied over the file name of another pair
+    # of the same level, is refused rather than evaluated
+    other = "q=7;g=3;v=1/6"
+    pair = ["--chi1", CHI4, "--chi2", other, "--cache-dir", str(tmp_path)]
+    assert main(["precompute", "--chi1", CHI4, "--chi2", CHI7, "--cache-dir", str(tmp_path / "a")]) == 0
+    assert main(["precompute", *pair]) == 0
+    capsys.readouterr()
+    (cache,) = tmp_path.glob("*.json")
+    cache.write_bytes(next((tmp_path / "a").glob("*.json")).read_bytes())
+    extra = ["--matrix", "81,47;112,65"] if command == "sum" else ["--trials", "2"]
+    assert main([command, *pair, *extra]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and "precompute --force" in err
+    assert f'"{CHI7}"' in err and f'"{other}"' in err
+    # the rebuild the message names gives the pair's own value
+    assert main(["precompute", *pair, "--force"]) == 0
+    assert main(["sum", *pair, "--matrix", "81,47;112,65"]) == 0
+    assert capsys.readouterr().out.splitlines()[-2] == "1 + 3*z"
+
+
 def test_sum_naive_rejects_huge_c(tmp_path, capsys):
     # a 60-digit c: the double sum would never return
     c = 9 * 10**59

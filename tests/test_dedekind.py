@@ -375,6 +375,18 @@ def test_cache_round_trip_rebuilds_tables(tmp_path, request, name):
     assert (loaded.chi1, loaded.chi2, loaded.parity_ok) == (ctx.chi1, ctx.chi2, ctx.parity_ok)
 
 
+@pytest.mark.parametrize("name", ["N", "L", "parity_ok"])
+def test_context_derives_pair_fields(ctx35, name):
+    # a context takes its pair, transversals, generators and sums, and
+    # derives the rest, so no replace can set a level, order or parity flag
+    # its pair does not have
+    inputs = [f.name for f in dataclasses.fields(ctx35) if f.init]
+    assert inputs == ["chi1", "chi2", "t_g0", "t_sl2", "alphabet", "sums_g0", "sums_alphabet"]
+    assert (ctx35.N, ctx35.L, ctx35.parity_ok) == (35, 12, False)
+    with pytest.raises(ValueError, match=name):
+        dataclasses.replace(ctx35, **{name: getattr(ctx35, name)})
+
+
 def test_load_logs_what_it_validated(tmp_path, monkeypatch, caplog, ctx28):
     """One DEBUG line per load, with the counts on the record; nothing is
     logged when DEBUG is off."""

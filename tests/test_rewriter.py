@@ -1,8 +1,12 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import gdsum
 from gdsum.cosets import schreier_alphabet, transversal_g1_in_sl2, u_func
 from gdsum.modgroup import I2, Mat2, S, T, random_gamma0, ts_decompose
 from gdsum.rewriter import RewriteFactor, Term, format_factor, format_term, modified_rewrite
@@ -180,6 +184,35 @@ def test_modified_rewrite_rejects_outsiders():
     t = transversal_g1_in_sl2(9)
     with pytest.raises(ValueError):
         modified_rewrite(ts_decompose(Mat2(8, 7, 9, 8)), t)
+
+
+def test_checks_survive_stripped_asserts():
+    # under python -O, the product check of modified_rewrite and the
+    # Gamma1 check of schreier_alphabet still raise
+    code = """if True:
+        from gdsum.cosets import Transversal, schreier_alphabet, transversal_g1_in_sl2
+        from gdsum.modgroup import Mat2, ts_decompose
+        from gdsum.rewriter import modified_rewrite
+        t = transversal_g1_in_sl2(9)
+        g1 = Mat2(10, 1, 9, 1)
+        for call in (
+            lambda: modified_rewrite(ts_decompose(g1), t, product=Mat2(1, 0, 9, 1)),
+            lambda: schreier_alphabet(9, Transversal(9, "sl2", {**t.members, (0, 1): Mat2(0, -1, 1, 0)})),
+        ):
+            try:
+                call()
+            except ValueError as exc:
+                print("ValueError:", exc)
+        print("debug", __debug__)
+    """
+    src = os.path.dirname(os.path.dirname(gdsum.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.endswith("debug False\n")
+    assert "ValueError: word product (10, 1; 9, 1) is not (1, 0; 9, 1)" in out
+    assert "ValueError: corrupted transversal" in out
 
 
 def test_reduce_t_power():
