@@ -26,6 +26,7 @@ from .dedekind import (
     DEFAULT_LEVEL_LIMIT,
     Context,
     ParityWarning,
+    _validate_pair,
     cache_filename,
     crossed_hom_check,
     fast_sum,
@@ -122,7 +123,8 @@ class _StatsCatcher(logging.Handler):
         self.stats = getattr(record, "solve_stats", self.stats)
 
 
-def _load_or_build(args, *, force: bool = False, announce: bool = False) -> Context:
+def _pair(args):
+    """The requested pair, after the level guardrail and `precompute`'s checks."""
     (q1, gens1), (q2, gens2) = parse_spec_fields(args.chi1), parse_spec_fields(args.chi2)
     if q1 * q2 > DEFAULT_LEVEL_LIMIT and not args.allow_large_n:
         raise CliError(
@@ -130,6 +132,12 @@ def _load_or_build(args, *, force: bool = False, announce: bool = False) -> Cont
             "pass --allow-large-n to lift it"
         )
     chi1, chi2 = find_character(q1, gens1), find_character(q2, gens2)
+    _validate_pair(chi1, chi2)
+    return chi1, chi2
+
+
+def _load_or_build(args, *, force: bool = False, announce: bool = False) -> Context:
+    chi1, chi2 = _pair(args)
     cache_dir = Path(args.cache_dir)
     path = cache_dir / cache_filename(chi1, chi2)
     if path.exists() and not force:
@@ -189,13 +197,14 @@ def cmd_sum(args) -> int:
             f"--naive runs the double sum, O(c) terms; c = {gamma.c} is above the "
             f"cutoff {NAIVE_CUTOFF}, so drop --naive to use the table path"
         )
+    if args.naive and not args.trace:
+        # the double sum needs the pair alone: no table is loaded or built
+        print(_format_value(naive_sum(*_pair(args), gamma)))
+        return 0
     ctx = _load_or_build(args)
     if args.trace:
         _print_trace(ctx, gamma)
-    if args.naive:
-        value = naive_sum(ctx.chi1, ctx.chi2, gamma)
-    else:
-        value = fast_sum(ctx, gamma)
+    value = naive_sum(ctx.chi1, ctx.chi2, gamma) if args.naive else fast_sum(ctx, gamma)
     print(_format_value(value))
     return 0
 

@@ -33,15 +33,15 @@ and psi is trivial on Gamma1(N); that single identity powers everything here:
     evaluator reads follows from them in potential form, one S-step row
     and one orbit total per coset key (`Context`).
 
-The sums are handled as integer numerator vectors over one common
-denominator D (1 for every pair tried): the derived sums, the relation
-checks and `fast_sum`'s accumulation are integer adds.  Equal sums share
-one CycElem, so Fractions are built only for the few hundred distinct sums
-of a table and for the coefficients of a result.  A `Context` takes the
-pair, the two transversals, the generator matrices and the sums (the
-Gamma0 transversal sums and the generator sums, as CycElems); it derives
-N, L and the parity flag from the pair, and the integer rows the
-evaluator reads from the generator sums.
+From the solve or the cache to the context, the generator sums are one
+dict keyed like the alphabet, (key, ("T", 1)) and (key, ("S", 1)), with one
+shared CycElem per distinct sum (111 behind 2,304 entries at N = 35, L = 12).
+`_generator_rows` alone turns them into integer rows over one common
+denominator D (1 for every pair tried), each distinct sum once: the relation
+checks, the derived rows and `fast_sum`'s accumulation are integer adds.  A
+`Context` takes the pair, the two transversals, the generator matrices and
+the sums (Gamma0 transversal and generator); it derives N, L and the parity
+flag from the pair, and the evaluator's rows from the generator sums.
 """
 
 from __future__ import annotations
@@ -235,17 +235,12 @@ class Context:
         self.N = N = chi1.modulus * chi2.modulus
         self.L = L = pair_order(chi1, chi2)
         self.parity_ok = parity_product(chi1, chi2) == CycElem.one(L)
-        # Keyed by object: `_tables` shares one CycElem per distinct sum.
-        distinct = {id(v): v for v in self.sums_alphabet.values()}
-        self.den = den = lcm(*{x.denominator for v in distinct.values() for x in v.coeffs})
-        row_of = {i: _row(den, v.coeffs) for i, v in distinct.items()}
-        s_t = {k: row_of[id(v)] for (k, g), v in self.sums_alphabet.items() if g[0] == "T"}
-        s_s = {k: row_of[id(v)] for (k, g), v in self.sums_alphabet.items() if g[0] == "S"}
-        self.zero = zero = (0,) * len(next(iter(row_of.values())))
+        self.den, rows = _generator_rows(self.sums_alphabet)
+        self.zero = zero = (0,) * len(CycElem.zero(L).coeffs)
         # F along each T-orbit from its base (c, d mod g), g = gcd(c, N),
         # where t T^j has the key (c, d + j c)
         f_of, total_of = {}, {}
-        for c, d in s_t:
+        for c, d in self.t_sl2.members:
             g = gcd(c, N)
             if (c, d % g) in f_of:
                 continue  # its orbit is done
@@ -253,15 +248,15 @@ class Context:
             for pos in range(N // g):
                 key = (c, (d % g + pos * c) % N)
                 f_of[key] = pos, f
-                f = tuple(map(add, f, s_t[key]))
+                f = tuple(map(add, f, rows[key, ("T", 1)]))
             total_of[c, d % g] = f if any(f) else zero
         self.potential = {}
-        for (c, d), s in s_s.items():
+        for c, d in self.t_sl2.members:
             (pos, f), g = f_of[c, d], gcd(c, N)
-            row = tuple(map(sub, map(add, f, s), f_of[d, -c % N][1]))
+            row = tuple(map(sub, map(add, f, rows[(c, d), ("S", 1)]), f_of[d, -c % N][1]))
             step = Term((c, d), "S", 1, row if any(row) else zero)
             self.potential[c, d] = OrbitRow(pos, N // g, total_of[c, d % g], step)
-        row = tuple(map(add, s_s[0, -1 % N], s_s[-1 % N, 0]))
+        row = tuple(map(add, rows[(0, -1 % N), ("S", 1)], rows[(-1 % N, 0), ("S", 1)]))
         self.neg = Term((0, -1 % N), "-I", 1, row if any(row) else zero)
 
 
@@ -296,9 +291,9 @@ def precompute(
         )
     t_sl2 = transversal_g1_in_sl2(N)
     alphabet = schreier_alphabet(N, t_sl2)
-    den, v_t, v_s, stats = _solve(chi1, chi2, t_sl2, alphabet)
-    _check_relations(N, v_t, v_s)
-    ctx = _tables(chi1, chi2, t_sl2, alphabet, den, v_t, v_s)
+    sums, stats = _solve(chi1, chi2, t_sl2, alphabet)
+    _check_relations(N, sums)
+    ctx = _tables(chi1, chi2, t_sl2, alphabet, sums)
     log.debug(
         "precompute N=%d: %d keys, %d identity entries, %d solved, "
         "%d oracle calls, oracle total |c| %d",
@@ -315,8 +310,17 @@ def precompute(
 
 
 def _row(den: int, coeffs) -> tuple[int, ...]:
-    """Coefficients (ints or Fractions) as integer numerators over den."""
+    """Fraction coefficients as integer numerators over den."""
     return tuple([x.numerator * den // x.denominator for x in coeffs])
+
+
+def _generator_rows(sums: dict) -> tuple[int, dict]:
+    """The common denominator D of the generator sums and, keyed like sums,
+    their integer numerator rows over D: one per distinct CycElem object."""
+    distinct = {id(v): v for v in sums.values()}
+    den = lcm(*{x.denominator for v in distinct.values() for x in v.coeffs})
+    row_of = {i: _row(den, v.coeffs) for i, v in distinct.items()}
+    return den, {k: row_of[id(v)] for k, v in sums.items()}
 
 
 class SolveStats(NamedTuple):
@@ -328,23 +332,23 @@ class SolveStats(NamedTuple):
     oracle_c: int  # sum of |c| over those entries
 
 
-def _solve(chi1, chi2, t_sl2: Transversal, alphabet: dict) -> tuple[int, dict, dict, SolveStats]:
-    """The U(t, T) and U(t, S) sums as integer numerators over a common
-    denominator, found with as few double sums as the peel allows.
+def _solve(chi1, chi2, t_sl2: Transversal, alphabet: dict) -> tuple[dict, SolveStats]:
+    """The U(t, T) and U(t, S) sums, found with as few double sums as the
+    peel allows.
 
     An entry whose matrix is the identity is 0.  A relation of `_relations`,
     read as sum(lhs) - sum(rhs) = 0, with one unknown left at coefficient
-    +-1 gives that unknown as a sum of known rows.  When no relation has, the unknown entry of smallest |c|
-    goes to the double sum; a value with a new denominator rescales the
-    known rows, so every row stays exact over the running denominator.
-    Returns (den, v_t, v_s, stats), v_t and v_s keyed by coset key.
+    +-1 gives that unknown as a sum of known rows.  When none is left, the
+    unknown entry of smallest |c| goes to the double sum; a value with a
+    new denominator rescales the known rows, so every row stays exact over
+    the running denominator.  Returns (sums, stats): the sums keyed like
+    `alphabet`, one CycElem per distinct row.
     """
-    deg = len(CycElem.zero(pair_order(chi1, chi2)).coeffs)
-    zero = (0,) * deg
-    mats = {(g, key): alphabet[key, (g, 1)] for key in t_sl2.members for g in ("T", "S")}
-    known = {v: zero for v, m in mats.items() if m == I2}
+    L = pair_order(chi1, chi2)
+    zero = (0,) * len(CycElem.zero(L).coeffs)
+    known = {v: zero for v, m in alphabet.items() if m == I2}
     relations = []
-    uses = {v: [] for v in mats}  # entry -> relations it enters
+    uses = {v: [] for v in alphabet}  # entry -> relations it enters
     for _, _, lhs, rhs in _relations(t_sl2.N, t_sl2.members):
         rel = Counter(lhs)
         rel.subtract(rhs)
@@ -354,7 +358,8 @@ def _solve(chi1, chi2, t_sl2: Transversal, alphabet: dict) -> tuple[int, dict, d
         relations.append(rel)
     open_ = [sum(v not in known for v in rel) for rel in relations]
     ready = [i for i, n in enumerate(open_) if n == 1]
-    by_c = iter(sorted((abs(m.c), v) for v, m in mats.items() if v not in known))
+    # ties in |c|: S before T, then by key
+    by_c = iter(sorted((abs(m.c), v[1], v) for v, m in alphabet.items() if v not in known))
     den = 1
     identity, solved, calls, total_c = len(known), 0, 0, 0
 
@@ -365,7 +370,7 @@ def _solve(chi1, chi2, t_sl2: Transversal, alphabet: dict) -> tuple[int, dict, d
             if open_[i] == 1:
                 ready.append(i)
 
-    while len(known) < len(mats):
+    while len(known) < len(alphabet):
         if ready:
             rel = relations[ready.pop()]
             left = [v for v in rel if v not in known]
@@ -373,7 +378,7 @@ def _solve(chi1, chi2, t_sl2: Transversal, alphabet: dict) -> tuple[int, dict, d
                 continue
             x = left[0]
             # rel[x] * x = -sum(coef * known), and 1 / rel[x] = rel[x] for +-1
-            acc = [0] * deg
+            acc = list(zero)
             for v, coef in rel.items():
                 if v != x:
                     for i, n in enumerate(known[v]):
@@ -381,8 +386,8 @@ def _solve(chi1, chi2, t_sl2: Transversal, alphabet: dict) -> tuple[int, dict, d
             settle(x, tuple([rel[x] * n for n in acc]))
             solved += 1
             continue
-        c, x = next((c, v) for c, v in by_c if v not in known)
-        value = sum_on_gamma0(chi1, chi2, mats[x])
+        c, _, x = next(e for e in by_c if e[2] not in known)
+        value = sum_on_gamma0(chi1, chi2, alphabet[x])
         calls, total_c = calls + 1, total_c + c
         new_den = lcm(den, *(q.denominator for q in value.coeffs))
         if new_den != den:
@@ -390,37 +395,22 @@ def _solve(chi1, chi2, t_sl2: Transversal, alphabet: dict) -> tuple[int, dict, d
             for v, row in known.items():
                 known[v] = tuple([scale * n for n in row])
         settle(x, _row(den, value.coeffs))
-    v_t = {key: known["T", key] for key in t_sl2.members}
-    v_s = {key: known["S", key] for key in t_sl2.members}
-    return den, v_t, v_s, SolveStats(identity, solved, calls, total_c)
+    cyc = {r: CycElem._raw(L, tuple(Fraction(n, den) for n in r)) for r in set(known.values())}
+    return {v: cyc[known[v]] for v in alphabet}, SolveStats(identity, solved, calls, total_c)
 
 
-def _numerators(s_t: dict, s_s: dict) -> tuple[int, dict, dict]:
-    """The common denominator D of every coefficient (an int or a Fraction)
-    of s_t and s_s, and each coefficient vector as integer numerators over D."""
-    den = lcm(*{x.denominator for s in (s_t, s_s) for v in s.values() for x in v})
-    return den, {k: _row(den, v) for k, v in s_t.items()}, {k: _row(den, v) for k, v in s_s.items()}
-
-
-def _tables(
-    chi1, chi2, t_sl2: Transversal, alphabet: dict, den: int, v_t: dict, v_s: dict
-) -> Context:
-    """The context whose U(t, T) and U(t, S) sums, per coset key, are the
-    integer numerator vectors v_t and v_s over den.
+def _tables(chi1, chi2, t_sl2: Transversal, alphabet: dict, sums: dict) -> Context:
+    """The context with the generator sums `sums`, keyed like `alphabet`.
 
     The Gamma0 transversal sums come from the double sum (each member other
-    than the identity has c = N).  Equal generator sums share one CycElem
-    of Fraction(n, den) coefficients; `Context.__post_init__` derives the
-    rows the evaluator reads.
+    than the identity has c = N); `Context.__post_init__` derives the rows
+    the evaluator reads.
     """
     L = pair_order(chi1, chi2)
     t_g0 = transversal_g1_in_g0(t_sl2.N)
     sums_g0 = {
         d: CycElem.zero(L) if m == I2 else naive_sum(chi1, chi2, m) for d, m in t_g0.members.items()
     }
-    distinct = {*v_t.values(), *v_s.values()}  # one CycElem each
-    cyc = {r: CycElem._raw(L, tuple(Fraction(n, den) for n in r)) for r in distinct}
-    sums = {(k, (name, 1)): cyc[r] for name, v in (("T", v_t), ("S", v_s)) for k, r in v.items()}
     return Context(chi1, chi2, t_g0, t_sl2, alphabet, sums_g0, sums)
 
 
@@ -468,11 +458,10 @@ def crossed_hom_check(chi1, chi2, ga: Mat2, gb: Mat2) -> bool:
 # ---------------------------------------------------------------------------
 # cache serialization
 
-def _parse_fraction(s: str) -> int | Fraction:
-    # much faster than Fraction's regex constructor on "p/q" strings, and an
-    # integer stays an int
+def _parse_fraction(s: str) -> Fraction:
+    # "p/q" or "p" only: Fraction(s) would also take "1.5" and "1e3"
     num, _, den = s.partition("/")
-    return Fraction(int(num), int(den)) if den else int(num)
+    return Fraction(int(num), int(den) if den else 1)
 
 
 def _chi_to_json(chi: DirichletCharacter) -> dict:
@@ -537,11 +526,11 @@ class LoadStats(NamedTuple):
 def load_context(path) -> Context:
     """Load a cached context and validate every stored sum.
 
-    The file holds only the U(t, T) and U(t, S) sums, parsed straight to
-    integer numerators over their common denominator.  The transversals,
-    the generator matrices, the Gamma0 transversal sums and the rows are
-    rebuilt by the code `precompute` runs, so they hold by construction.
-    Each stored sum must satisfy the two group relations of
+    The file holds the pair, which must pass `precompute`'s checks, and
+    the U(t, T) and U(t, S) sums, each distinct vector parsed once.  The
+    transversals, the generator matrices, the Gamma0 transversal sums and
+    the rows are rebuilt by the code `precompute` runs, so they hold by
+    construction.  Each stored sum must satisfy the two group relations of
     `_check_relations`, and the LOAD_SPOT_CHECKS generators of smallest
     positive lower-left entry must match the double sum.  A malformed
     structure (a missing key, a value of the wrong type) raises ValueError
@@ -552,19 +541,19 @@ def load_context(path) -> Context:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     try:
-        chi1, chi2, s_t, s_s = _sums_from_json(data)
+        chi1, chi2, sums = _sums_from_json(data)
     except (LookupError, TypeError, AttributeError, ArithmeticError) as exc:
         raise ValueError(f"malformed cache {path}: {type(exc).__name__}: {exc}") from exc
+    _validate_pair(chi1, chi2)
     N = chi1.modulus * chi2.modulus
     t_sl2 = transversal_g1_in_sl2(N)
-    if set(s_t) != set(t_sl2.members) or set(s_s) != set(t_sl2.members):
+    if set(sums) != {(k, (g, 1)) for k in t_sl2.members for g in ("T", "S")}:
         raise ValueError(f"cached sums are not keyed by the {len(t_sl2)} coset keys mod {N}")
-    den, v_t, v_s = _numerators(s_t, s_s)
     try:
-        relations = _check_relations(N, v_t, v_s)
+        relations = _check_relations(N, sums)
     except ValueError as exc:
         raise ValueError(f"cache {path}: {exc}") from None
-    ctx = _tables(chi1, chi2, t_sl2, schreier_alphabet(N, t_sl2), den, v_t, v_s)
+    ctx = _tables(chi1, chi2, t_sl2, schreier_alphabet(N, t_sl2), sums)
 
     # spot-check the cheapest oracle-valid entries against the double sum
     checkable = heapq.nsmallest(
@@ -584,8 +573,8 @@ def load_context(path) -> Context:
 
 
 def _sums_from_json(data):
-    """The pair and the stored U(t, T), U(t, S) sums, keyed by (c, d), as
-    coefficient lists of ints and Fractions."""
+    """The pair and the stored U(t, T), U(t, S) sums, keyed (key, ("T", 1))
+    and (key, ("S", 1)), with one CycElem per distinct stored vector."""
     if data.get("version") != CACHE_VERSION:
         raise ValueError(
             f"cache version {data.get('version')!r} is not {CACHE_VERSION}; "
@@ -599,23 +588,22 @@ def _sums_from_json(data):
     if data["L"] != L:
         raise ValueError(f"cache order {data['L']} != expected {L}")
     deg = len(CycElem.zero(L).coeffs)
-
-    def column(name):
-        out = {}
+    cyc, sums = {}, {}
+    for name in ("T", "S"):
         for key, v in data["sums_alphabet"][name].items():
             if len(v) != deg:
                 raise ValueError("coefficient vector of wrong length")
-            c, d = key.split(",")
-            out[int(c), int(d)] = [_parse_fraction(x) for x in v]
-        return out
-
-    return chi1, chi2, column("T"), column("S")
+            v = tuple(v)
+            if v not in cyc:
+                cyc[v] = CycElem._raw(L, tuple([_parse_fraction(x) for x in v]))
+            sums[tuple(map(int, key.split(","))), (name, 1)] = cyc[v]
+    return chi1, chi2, sums
 
 
 def _relations(N: int, keys):
     """Every per-key relation among the U(t, T) and U(t, S) sums, as
-    (name, key, lhs, rhs): the sums s_gen[k'] at the (gen, k') of lhs add up
-    to those of rhs.
+    (name, key, lhs, rhs): the sums s_gen[k'] at the (k', (gen, 1)) of lhs,
+    the keys of `Context.sums_alphabet`, add up to those of rhs.
 
     On keys, k S = (d, -c) and k T = (c, d + c) mod N.  Through the cocycle
     identity, each group relation gives one exact identity per key k (per
@@ -633,34 +621,35 @@ def _relations(N: int, keys):
     def mul_t(k):
         return k[0], (k[1] + k[0]) % N
 
+    t1, s1 = ("T", 1), ("S", 1)
     for k in keys:
         k_s = mul_s(k)
         k_ss = mul_s(k_s)
         cycle = (k, k_s, k_ss, mul_s(k_ss))
         if k == min(cycle):  # the cycle's four keys share one identity
-            yield "S^4 = I", k, tuple(("S", j) for j in cycle), ()
+            yield "S^4 = I", k, tuple((j, s1) for j in cycle), ()
         k_t = mul_t(k)
         k_ts = mul_s(k_t)
         k_tst = mul_t(k_ts)
         k_tsts = mul_s(k_tst)
-        lhs = (("T", k), ("S", k_t), ("T", k_ts), ("S", k_tst), ("T", k_tsts))
-        yield "(ST)^3 = S^2", k, lhs, (("S", k),)
+        lhs = ((k, t1), (k_t, s1), (k_ts, t1), (k_tst, s1), (k_tsts, t1))
+        yield "(ST)^3 = S^2", k, lhs, ((k, s1),)
 
 
-def _check_relations(N: int, v_t: dict, v_s: dict) -> int:
-    """Raise ValueError unless the sums obey every relation of `_relations`;
-    return how many identities were checked.
+def _check_relations(N: int, sums: dict) -> int:
+    """Raise ValueError unless the generator sums obey every relation of
+    `_relations`; return how many identities were checked.
 
-    v_t and v_s hold the U(t, T) and U(t, S) sums as integer numerators over
-    one denominator.  Each s_S[k] enters the S^4 identity of its cycle once
-    (the four keys differ for N >= 3), and s_T enters the (ST)^3 identity
-    only on its left side, so a single wrong entry breaks at least one
-    identity.
+    The identities are checked on the rows of `_generator_rows`.  Each
+    s_S[k] enters the S^4 identity of its cycle once (the four keys differ
+    for N >= 3), and s_T enters the (ST)^3 identity only on its left side,
+    so a single wrong entry breaks at least one identity.
     """
-    row = {**{("T", k): v for k, v in v_t.items()}, **{("S", k): v for k, v in v_s.items()}}
-    zero = [0] * len(next(iter(v_s.values())))
+    _, row = _generator_rows(sums)
+    zero = [0] * len(next(iter(row.values())))
     checked = 0
-    for checked, (name, k, lhs, rhs) in enumerate(_relations(N, v_s), 1):
+    keys = dict.fromkeys(k for k, _ in sums)
+    for checked, (name, k, lhs, rhs) in enumerate(_relations(N, keys), 1):
         total = list(map(sum, zip(*map(row.__getitem__, lhs))))
         if total != (list(map(sum, zip(*map(row.__getitem__, rhs)))) if rhs else zero):
             raise ValueError(f"U(t, T) and U(t, S) sums at key {k} break {name}")

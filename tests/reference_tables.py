@@ -73,10 +73,8 @@ def all_oracle_context(chi1, chi2, t_sl2: Transversal):
     replacement oracle applies), two double sums per coset key."""
     alphabet = schreier_alphabet(t_sl2.N, t_sl2)
     oracle = dedekind.sum_on_gamma0
-    s_t = {key: oracle(chi1, chi2, alphabet[key, ("T", 1)]) for key in t_sl2.members}
-    s_s = {key: oracle(chi1, chi2, alphabet[key, ("S", 1)]) for key in t_sl2.members}
-    coeffs = [{key: v.coeffs for key, v in s.items()} for s in (s_t, s_s)]
-    return dedekind._tables(chi1, chi2, t_sl2, alphabet, *dedekind._numerators(*coeffs))
+    sums = {entry: oracle(chi1, chi2, m) for entry, m in alphabet.items()}
+    return dedekind._tables(chi1, chi2, t_sl2, alphabet, sums)
 
 
 def full_alphabet(N: int, t: Transversal) -> dict:

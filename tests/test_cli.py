@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from gdsum import cli, dedekind
+from gdsum import cli, dedekind, find_character
 from gdsum.cli import main, run_verify
-from gdsum.dedekind import load_context, sum_on_gamma0
+from gdsum.dedekind import load_context, naive_sum, sum_on_gamma0
 from gdsum.exactnum import CycElem
+from gdsum.modgroup import Mat2
 from gdsum.rewriter import Term
 
 CHI3 = "q=3;g=2;v=1/2"
@@ -158,6 +159,44 @@ def test_sum_naive_rejects_huge_c(tmp_path, capsys):
     assert not list(tmp_path.glob("*.json"))  # rejected before any precompute
     # the table path takes the same matrix
     assert main(["sum", *_pair_args(tmp_path), "--matrix", f"1,0;{c},1"]) == 0
+
+
+def test_sum_naive_builds_no_table(tmp_path, capsys, monkeypatch):
+    """--naive evaluates the double sum from the pair alone: without
+    --trace no table is loaded or built, and the cache directory stays
+    empty; --naive --trace still reads the table it explains."""
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was loaded or built")
+
+    monkeypatch.setattr(cli, "precompute", no_table)
+    monkeypatch.setattr(cli, "load_context", no_table)
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    pair = ["--chi1", "q=7;g=3;v=1/6", "--chi2", "q=11;g=2;v=1/2", "--cache-dir", str(cache)]
+    args = ["sum", *pair, "--matrix", "3,2;385,257", "--naive"]
+    assert main(args) == 0
+    chi1, chi2 = find_character(7, [(3, "1/6")]), find_character(11, [(2, "1/2")])
+    value = naive_sum(chi1, chi2, Mat2(3, 2, 385, 257))
+    assert capsys.readouterr().out.splitlines()[0] == str(value) == "4/7 + 2/7*z"
+    assert not any(cache.iterdir())
+    with pytest.raises(AssertionError, match="table"):
+        main([*args, "--trace"])
+
+
+def test_cached_conductor_one_pair_exits_1(tmp_path, capsys, monkeypatch):
+    """A table built for a pair `precompute` rejects (chi2 of conductor 1),
+    stored under that pair's cache name, is refused like the pair itself."""
+    chi1, chi2 = find_character(5, [(2, "1/2")]), find_character(1, [])
+    with monkeypatch.context() as m:
+        m.setattr(dedekind, "_validate_pair", lambda *pair: None)
+        ctx = dedekind.precompute(chi1, chi2)
+    dedekind.save_context(ctx, tmp_path / dedekind.cache_filename(chi1, chi2))
+    pair = ["--chi1", "q=5;g=2;v=1/2", "--chi2", "q=1", "--cache-dir", str(tmp_path)]
+    for command in (["sum", "--matrix", "2,1;5,3"], ["sum", "--matrix", "2,1;5,3", "--naive"], ["verify"]):
+        assert main([*command, *pair]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: chi2 must have conductor > 1\n"
 
 
 MALFORMED = {

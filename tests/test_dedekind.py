@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gdsum import dedekind
+from gdsum import dedekind, find_character
 from gdsum.characters import pair_order
 from gdsum.dedekind import (
     CACHE_VERSION,
@@ -428,6 +428,45 @@ def test_load_rejects_every_corrupted_row(tmp_path, ctx9):
         path.write_text(json.dumps(data))
         with pytest.raises(ValueError):
             load_context(path)
+
+
+@pytest.mark.parametrize("coeff", [0, 0.0, 1.5, "0.0", "0e3", "1.5", "1e3", ""], ids=repr)
+def test_load_rejects_coefficients_not_written_p_q(tmp_path, ctx9, coeff):
+    """Stored coefficients are "p/q" or "p" strings.  The sum of the
+    identity entry U((1, 0), T), stored as "0", is refused as a JSON number
+    or a decimal string, even one equal to 0."""
+    path = tmp_path / "ctx9.json"
+    save_context(ctx9, path)
+    data = json.loads(path.read_text())
+    assert data["sums_alphabet"]["T"]["1,0"] == ["0"]
+    data["sums_alphabet"]["T"]["1,0"] = [coeff]
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError):
+        load_context(path)
+
+
+@pytest.mark.parametrize("name, distinct", [("ctx28", 27), ("ctx35_l12", 111)])
+def test_equal_sums_share_one_object(tmp_path, request, name, distinct):
+    """Precompute and load both hold one CycElem per distinct generator sum."""
+    ctx = request.getfixturevalue(name)
+    path = tmp_path / "ctx.json"
+    save_context(ctx, path)
+    for c in (ctx, load_context(path)):
+        sums = c.sums_alphabet.values()
+        assert len({id(v) for v in sums}) == len(set(sums)) == distinct
+
+
+def test_load_rejects_a_pair_precompute_rejects(tmp_path, monkeypatch):
+    chi1, chi2 = find_character(5, [(2, "1/2")]), find_character(1, [])
+    with pytest.raises(ValueError, match="chi2 must have conductor > 1"):
+        precompute(chi1, chi2)
+    with monkeypatch.context() as m:
+        m.setattr(dedekind, "_validate_pair", lambda *pair: None)
+        ctx = precompute(chi1, chi2)
+    path = tmp_path / "ctx5.json"
+    save_context(ctx, path)
+    with pytest.raises(ValueError, match="chi2 must have conductor > 1"):
+        load_context(path)
 
 
 def test_load_rejects_v1_cache(tmp_path, ctx9):
