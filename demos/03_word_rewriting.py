@@ -13,7 +13,13 @@ per T-orbit, and checks that they too multiply back to the target.
 
 from math import gcd
 
-from gdsum.cosets import schreier_alphabet, transversal_g1_in_g0, transversal_g1_in_sl2, u_func
+from gdsum.cosets import (
+    schreier_alphabet,
+    transversal_g0_in_sl2,
+    transversal_g1_in_g0,
+    transversal_g1_in_sl2,
+    u_func,
+)
 from gdsum.modgroup import I2, Mat2, S, ts_decompose, ts_reconstruct
 from gdsum.rewriter import format_factor, modified_rewrite
 
@@ -123,3 +129,6 @@ print("product of them, so its sum is a sum of theirs, derived once per key: one
 print("S-step row per key and one total per T-orbit.  A sum over the terms evaluates")
 print("the whole matrix in time proportional to the word length; a row that is 0")
 print("(most orbit totals, and the S-step row at (0, 1)) adds no term at all.")
+points = len(transversal_g0_in_sl2(N))
+print(f"Those {len(generators)} sums follow in turn from the {2 * points} sums of the Gamma0({N})")
+print(f"generators over the {points} points of P^1(Z/{N}), the only sums a cache stores.")

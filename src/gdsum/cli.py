@@ -168,10 +168,12 @@ def _load_or_build(args, *, force: bool = False, announce: bool = False) -> Cont
     cache_dir.mkdir(parents=True, exist_ok=True)
     save_context(ctx, path)
     if announce:
+        # the solve's pivots, then one check per Gamma0 transversal member but I
+        calls = catcher.stats.oracle_calls + len(ctx.t_g0) - 1
         print(
             f"precomputed N={ctx.N}: |T_g0|={len(ctx.t_g0)}, |T_sl2|={len(ctx.t_sl2)}, "
             f"{len(ctx.alphabet)} Schreier generators, order L={ctx.L}, "
-            f"{catcher.stats.oracle_calls} oracle calls ({elapsed:.2f} s) -> {path}"
+            f"{calls} oracle calls ({elapsed:.2f} s) -> {path}"
         )
     return ctx
 
@@ -265,8 +267,8 @@ def run_verify(ctx: Context, *, trials: int, seed: int, cmax: int) -> VerifyRepo
         "transversal-sums", not bad, bad[0] if bad else f"{len(ctx.t_g0)} entries"
     )
 
-    # random generator entries with c >= 1 against the double sum
-    checkable = [k for k, m in ctx.alphabet.items() if m.c >= 1]
+    # random generator entries with 1 <= c <= cmax against the double sum
+    checkable = [k for k, m in ctx.alphabet.items() if 1 <= m.c <= cmax]
     picked = rng.sample(checkable, min(20, len(checkable)))
     bad = []
     for key in picked:
@@ -274,14 +276,16 @@ def run_verify(ctx: Context, *, trials: int, seed: int, cmax: int) -> VerifyRepo
             bad.append(f"entry {key}: matrix {ctx.alphabet[key]}")
     report.record("alphabet-spot-check", not bad, bad[0] if bad else f"{len(picked)} entries")
 
-    # the negation row and random S-step rows and orbit totals against the
-    # double sum's closure on the matrices whose sums they are
+    # the negation row and random S-step rows and orbit totals, on matrices
+    # with |c| <= cmax, against the double sum's closure on those matrices
     derived = [("S", key) for key in ctx.potential]
     derived += [("T", key) for key, row in ctx.potential.items() if row.pos == 0]
-    picked = [("-I", (0, -1 % N))] + rng.sample(derived, min(19, len(derived)))
+    derived = [(kind, key, _derived_entry(ctx, kind, key)) for kind, key in derived]
+    derived = [entry for entry in derived if abs(entry[2][0].c) <= cmax]
+    picked = [("-I", (0, -1 % N), _derived_entry(ctx, "-I", (0, -1 % N)))]
+    picked += rng.sample(derived, min(19, len(derived)))
     bad = []
-    for kind, key in picked:
-        m, row = _derived_entry(ctx, kind, key)
+    for kind, key, (m, row) in picked:
         if sum_on_gamma0(ctx.chi1, ctx.chi2, m) != CycElem(ctx.L, [Fraction(n, ctx.den) for n in row]):
             bad.append(f"{kind} row at {key}: matrix {m}")
     report.record("derived-spot-check", not bad, bad[0] if bad else f"{len(picked)} entries")

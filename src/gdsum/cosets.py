@@ -1,15 +1,14 @@
-"""Right transversals of Gamma1(N), the coset map, and the Schreier generators.
+"""Right transversals, the coset maps, and the Schreier generators.
 
-Cosets of Gamma1(N) in Gamma0(N) are keyed by d mod N, cosets in the full
-unimodular group by the pair (c mod N, d mod N) with gcd(c, d, N) = 1, so
-the coset representative lookup is a dictionary access.  The full-group
-transversal is a Schreier transversal, built breadth-first over keys, so
-one U(t, T) or U(t, S) per key other than the identity's is the identity
-matrix.  The alphabet holds the Schreier generators U(t, T) and U(t, S),
-two per transversal member t, where U(x, y) = x y (coset rep of x y)^-1
-always lands in Gamma1(N).  By Reidemeister-Schreier they generate
-Gamma1(N), and every U(t, T^i) or U(t, S^k) is a product of them; `u_func`
-builds any such matrix on demand.
+Cosets of Gamma1(N) in Gamma0(N) are keyed by d mod N, cosets of Gamma1(N)
+in the unimodular group by the pair (c mod N, d mod N) with
+gcd(c, d, N) = 1, and cosets of Gamma0(N) in it by the points of
+P^1(Z/N), such pairs up to a unit scalar, so a lookup is a dictionary
+access.  The P^1 transversal r_k is a Schreier transversal, and the
+full-group one is t = g_lambda r_k.  The alphabet of a transversal holds
+its Schreier generators U(t, T) and U(t, S), where U(x, y) = x y (coset
+rep of x y)^-1 lies in the subgroup; by Reidemeister-Schreier they
+generate it, and `u_func` builds any U(t, g) on demand.
 """
 
 from __future__ import annotations
@@ -38,25 +37,30 @@ class Transversal:
 
     kind "gamma0": keys d mod N, ambient group Gamma0(N).
     kind "sl2":    keys (c mod N, d mod N), ambient the whole group.
+    kind "p1":     cosets of Gamma0(N) in the whole group, keyed by one
+                   (c, d) per point of P^1(Z/N), its class key; `classes`
+                   maps every (c, d) to (class key k, lambda), (c, d) = lambda k.
     Contains the identity at the identity coset.  Built once, then treated
     as immutable; safe to share across threads.
     """
 
-    __slots__ = ("N", "kind", "members")
+    __slots__ = ("N", "kind", "members", "classes")
 
-    def __init__(self, N: int, kind: str, members: dict):
-        if kind not in ("gamma0", "sl2"):
+    def __init__(self, N: int, kind: str, members: dict, classes: dict | None = None):
+        if kind not in ("gamma0", "sl2", "p1"):
             raise ValueError(f"unknown transversal kind {kind!r}")
         self.N = N
         self.kind = kind
         self.members = members
+        self.classes = classes
 
     def key_of(self, m: Mat2):
         if self.kind == "gamma0":
             if m.c % self.N != 0:
                 raise ValueError(f"{m} is not in Gamma0({self.N})")
             return m.d % self.N
-        return (m.c % self.N, m.d % self.N)
+        key = (m.c % self.N, m.d % self.N)
+        return self.classes[key][0] if self.classes else key
 
     def bar(self, m: Mat2) -> Mat2:
         """The transversal member sharing m's right coset."""
@@ -84,25 +88,42 @@ def transversal_g1_in_g0(N: int) -> Transversal:
     return Transversal(N, "gamma0", members)
 
 
-def transversal_g1_in_sl2(N: int) -> Transversal:
-    """One representative per key (c mod N, d mod N) with gcd(c, d, N) = 1.
+def transversal_g0_in_sl2(N: int) -> Transversal:
+    """One representative r_k per point k of P^1(Z/N), the Gamma0(N) cosets.
 
-    Built in one breadth-first pass over keys from the identity, multiplying
-    on the right by T, T^-1 and S: a key's member is the first one found,
-    its parent's member times one letter.  So every prefix of a member's
-    word is a member too (a Schreier transversal), and each tree edge gives
-    an alphabet entry equal to the identity: U(t, T) or U(t, S) for an edge
-    t -> t T or t -> t S, and U(t T^-1, T) for an edge t -> t T^-1.
+    Built in one breadth-first pass from the identity, multiplying on the
+    right by T, T^-1 and S: a point's member is the first one found, and
+    its class key that member's bottom row mod N.  So every prefix of a
+    member's word is a member too (a Schreier transversal), and each tree
+    edge gives a generator equal to the identity: U(r, T) or U(r, S) for an
+    edge r -> r T or r -> r S, and U(r T^-1, T) for an edge r -> r T^-1.
     """
-    members = {(0, 1 % N): I2}
-    found = [(1, 0, 0, 1)]
+    units = [u for u in range(N) if gcd(u, N) == 1]
+    members, classes, found = {}, {}, []
+
+    def visit(m):
+        c, d = m[2] % N, m[3] % N
+        if (c, d) not in classes:
+            members[c, d] = Mat2(*m)
+            classes.update(((u * c % N, u * d % N), ((c, d), u)) for u in units)
+            found.append(m)
+
+    visit((1, 0, 0, 1))
     for a, b, c, d in found:  # grows while walked
         # (a b; c d) times T, T^-1 and S
         for m in ((a, a + b, c, c + d), (a, b - a, c, d - c), (b, -a, d, -c)):
-            key = (m[2] % N, m[3] % N)
-            if key not in members:
-                members[key] = Mat2(*m)
-                found.append(m)
+            visit(m)
+    return Transversal(N, "p1", members, classes)
+
+
+def transversal_g1_in_sl2(N: int, p1: Transversal | None = None) -> Transversal:
+    """One representative per key (c mod N, d mod N) with gcd(c, d, N) = 1:
+    g_lambda r_k at the key lambda k, whose bottom row it has mod N, with
+    r_k the member of `p1` (by default `transversal_g0_in_sl2(N)`) and
+    g_lambda the `transversal_g1_in_g0` member at d = lambda."""
+    p1 = p1 or transversal_g0_in_sl2(N)
+    g = transversal_g1_in_g0(N).members
+    members = {key: g[lam] * p1.members[k] for key, (k, lam) in p1.classes.items()}
     return Transversal(N, "sl2", members)
 
 
@@ -114,23 +135,24 @@ def u_func(x: Mat2, y: Mat2, t: Transversal) -> Mat2:
 
 def schreier_alphabet(N: int, t: Transversal) -> dict[tuple, Mat2]:
     """The Schreier generators U(member, T) and U(member, S), keyed by
-    (coset key, ("T", 1)) and (coset key, ("S", 1)).
-
-    Every value lies in Gamma1(N); the table has 2 * len(t) entries.
-    Products are walked in plain integers, one Mat2 per entry.
+    (key, ("T", 1)) and (key, ("S", 1)): 2 * len(t) entries, in Gamma1(N)
+    for kind "sl2" and in Gamma0(N) for "p1".  Products are walked in plain
+    integers, one Mat2 per entry.
     """
-    if t.kind != "sl2":
-        raise ValueError("the alphabet is built over the full-group transversal")
-    members = t.members
+    if t.kind == "gamma0":
+        raise ValueError("the alphabet is built over a transversal of the full group")
+    members, classes = t.members, t.classes
+    in_group = Mat2.in_gamma0 if classes else Mat2.in_gamma1
 
     def u_entry(a, b, c, d):
         # (a b; c d) times the inverse (rd, -rb; -rc, ra) of its coset rep
-        r = members.get((c % N, d % N))
+        key = (c % N, d % N)
+        r = members.get(classes[key][0] if classes else key)
         if r is None:
-            raise ValueError(f"corrupted transversal: no member for key {(c % N, d % N)}")
+            raise ValueError(f"corrupted transversal: no member for key {key}")
         u = Mat2(a * r.d - b * r.c, b * r.a - a * r.b, c * r.d - d * r.c, d * r.a - c * r.b)
-        if not u.in_gamma1(N):
-            raise ValueError(f"corrupted transversal: U entry {u} is not in Gamma1({N})")
+        if not in_group(u, N):
+            raise ValueError(f"corrupted transversal: U entry {u} is not in the subgroup of level {N}")
         return u
 
     out = {}

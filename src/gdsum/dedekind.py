@@ -13,8 +13,9 @@ q1 integer buckets kept for its residue mod q2, and j and c - j contribute
 equally (or cancel, when chi1*chi2(-1) = -1, and then the sum is 0).  That
 is about (c/2) phi(q2)/q2 integer steps.
 
-The sum obeys S(g h) = S(g) + psi(g) S(h) with psi(g) = chi1 conj(chi2)(d(g)),
-and psi is trivial on Gamma1(N); that single identity powers everything here:
+The sum obeys S(g h) = S(g) + psi(g) S(h) with psi(g) = chi1 conj(chi2)(d(g))
+on all of Gamma0(N), and psi is trivial on Gamma1(N); that single identity
+powers everything here:
 
   * values on matrices with c <= 0, where the double sum does not apply,
     are pinned through S(g) = -psi(g) S(g^-1) (the inverse has c >= 1) and,
@@ -22,39 +23,38 @@ and psi is trivial on Gamma1(N); that single identity powers everything here:
   * the fast path splits gamma into a Gamma1(N) part and a transversal
     member, rewrites the Gamma1 part over the Schreier alphabet, and adds
     up precomputed sums with multiplicities;
-  * the U(t, T) and U(t, S) sums, two per coset key, are mostly solved
-    rather than evaluated: entries that are the identity matrix are 0, and
-    the group relations S^4 = I and (ST)^3 = S^2 give one exact linear
-    identity per key and relation, which fixes almost every other entry
-    once a few come from the double sum (Gamma1(N) is free of rank
-    1 + |keys|/12, Reidemeister-Schreier);
-  * the context and the cache store only those U(t, T) and U(t, S) sums:
-    the same relations check every stored entry at load, and what the
-    evaluator reads follows from them in potential form, one S-step row
-    and one orbit total per coset key (`Context`).
+  * the sums of the 2 mu Gamma0(N) Schreier generators U(r_k, T) and
+    U(r_k, S), over the mu points k of P^1(Z/N), are mostly solved rather
+    than evaluated: the generators +-I have sum 0, and S^2 = -I and
+    (ST)^3 = S^2 give twisted identities that fix the others once a few
+    pivots come from the double sum (`_solve`);
+  * the Gamma1(N) generator sums the evaluator reads follow from those, two
+    per coset key of Gamma1(N) (`_derive`), and the cache stores only the
+    2 mu Gamma0 sums: the identities and the pivots validate every stored
+    sum at load.
 
-From the solve or the cache to the context, the generator sums are one
-dict keyed like the alphabet, (key, ("T", 1)) and (key, ("S", 1)), with one
-shared CycElem per distinct sum (111 behind 2,304 entries at N = 35, L = 12).
-`_generator_rows` alone turns them into integer rows over one common
-denominator D (1 for every pair tried), each distinct sum once: the relation
-checks, the derived rows and `fast_sum`'s accumulation are integer adds.  A
-`Context` takes the pair, the two transversals, the generator matrices and
-the sums (Gamma0 transversal and generator); it derives N, L and the parity
-flag from the pair, and the evaluator's rows from the generator sums.
+Generator sums are dicts keyed like their alphabet, (key, ("T", 1)) and
+(key, ("S", 1)), with one shared CycElem per distinct sum.  `_generator_rows`
+turns them into integer rows over one common denominator D (1 for every
+pair tried), each distinct sum once, so the solve, the checks, the derived
+rows and `fast_sum`'s accumulation are integer adds and root-of-unity turns.
+A `Context` takes the pair, the two transversals, the Gamma1 generator
+matrices and the sums (Gamma0 transversal and generator); it derives N, L
+and the parity flag from the pair, and the evaluator's rows from the sums.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 import logging
 import os
+import re
 import tempfile
+import time
 import warnings
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache, partial
 from math import gcd, lcm
 from operator import add, sub
 from typing import NamedTuple
@@ -72,21 +72,21 @@ from .cosets import (
     Transversal,
     schreier_alphabet,
     sl2_coset_count,
+    transversal_g0_in_sl2,
     transversal_g1_in_g0,
     transversal_g1_in_sl2,
 )
-from .exactnum import CycElem
+from .exactnum import CycElem, root_of_unity
 from .modgroup import I2, Mat2, ts_decompose
 from .rewriter import Term, modified_rewrite, reduce_word
 
-# Guardrail for precompute, lifted by allow_large: |keys| ~ N^2 coset keys,
-# and the oracle calls grow with them (N = 77 precomputes in about a second).
+# Guardrail for precompute, lifted by allow_large: the tables hold a row per
+# coset key, |keys| ~ N^2, while the double sums grow with mu ~ N.
 DEFAULT_LEVEL_LIMIT = 80
 
-CACHE_VERSION = 3  # bump when the transversal or alphabet construction changes: load rebuilds them
+CACHE_VERSION = 4  # bump when the stored sums or their transversal change: load rebuilds the rest
 
-# Generator sums re-evaluated against the double sum at every load.
-LOAD_SPOT_CHECKS = 5
+_FRACTION = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 log = logging.getLogger(__name__)
 
@@ -273,13 +273,12 @@ def precompute(
 ) -> Context:
     """Build the transversals, the Schreier generators and their sums.
 
-    `_solve` finds the U(t, T) and U(t, S) sums, two per coset key, and
-    calls the double sum on few of them: within twice the rank
-    1 + |keys|/12 of Gamma1(N), e.g. 131 of the 2,304 at N = 35.  Every
-    relation of `_relations` is then checked on the whole table, and
-    `_tables` builds the context, as it does for `load_context`.  One DEBUG
-    line on the `gdsum.dedekind` logger gives the counts, with the
-    `SolveStats` attached as `record.solve_stats`.  Levels above
+    `_solve` finds the sums of the 2 mu Gamma0(N) generators U(r_k, T) and
+    U(r_k, S), two per point k of P^1(Z/N), with the double sum at its
+    pivots only (9 of the 96 at N = 35); `_build` derives and checks the
+    rest.  One DEBUG line on the `gdsum.dedekind` logger gives the counts
+    and the seconds per phase, timed only when it is logged, as
+    `record.solve_stats` and `record.phases`.  Levels above
     DEFAULT_LEVEL_LIMIT need allow_large.
     """
     _validate_pair(chi1, chi2)
@@ -289,16 +288,21 @@ def precompute(
             f"level N = {N} exceeds the guardrail {DEFAULT_LEVEL_LIMIT}; pass allow_large=True "
             f"(the tables would have {sl2_coset_count(N):,} coset keys)"
         )
-    t_sl2 = transversal_g1_in_sl2(N)
-    alphabet = schreier_alphabet(N, t_sl2)
-    sums, stats = _solve(chi1, chi2, t_sl2, alphabet)
-    _check_relations(N, sums)
-    ctx = _tables(chi1, chi2, t_sl2, alphabet, sums)
-    log.debug(
-        "precompute N=%d: %d keys, %d identity entries, %d solved, "
-        "%d oracle calls, oracle total |c| %d",
-        N, len(t_sl2), *stats, extra={"solve_stats": stats},
-    )
+    laps = [time.perf_counter()] if log.isEnabledFor(logging.DEBUG) else None
+    p1 = transversal_g0_in_sl2(N)
+    gens = schreier_alphabet(N, p1)
+    oracle = partial(sum_on_gamma0, chi1, chi2)
+    sums, stats = _solve(chi1, chi2, p1, gens, lambda v: oracle(gens[v]))
+    _lap(laps)
+    ctx, _ = _build(chi1, chi2, p1, gens, sums, laps, oracle)
+    if laps:
+        phases = tuple(map(sub, laps[1:], laps))
+        log.debug(
+            "precompute N=%d: %d points of P^1, %d keys, %d identity entries, %d solved, "
+            "%d oracle calls, oracle total |c| %d; " + _PHASES,
+            N, len(p1), len(ctx.t_sl2), *stats, *phases,
+            extra={"solve_stats": stats, "phases": phases},
+        )
     if not ctx.parity_ok:
         warnings.warn(
             f"chi1*chi2(-1) != 1 for the pair mod ({chi1.modulus}, {chi2.modulus}); "
@@ -307,6 +311,43 @@ def precompute(
             stacklevel=2,
         )
     return ctx
+
+
+# Seconds per phase: the Gamma0 generator sums; the Gamma0 transversal and
+# Gamma1 generator sums; the checks; the Gamma1 generators and the rows.
+_PHASES = "solve %.4f s, derive %.4f s, check %.4f s, tables %.4f s"
+
+
+def _lap(laps):
+    if laps is not None:
+        laps.append(time.perf_counter())
+
+
+def _build(chi1, chi2, p1: Transversal, gens: dict, sums: dict, laps, oracle=None):
+    """The context from the sums of the Gamma0 generators `gens` over `p1`,
+    after checking them on every twisted relation; returns it with how many
+    relations were checked.  With `oracle`, for a precompute, the Gamma0
+    transversal sums must also equal its values, which rejects pivots that
+    come from no crossed homomorphism.  The Gamma1 relations hold on the
+    derived sums whenever the twisted ones hold, so they are left to tests."""
+    N, L = p1.N, pair_order(chi1, chi2)
+    twist = _twists(chi1, chi2, N)
+    den, rows = _generator_rows(sums)
+    t_g0 = transversal_g1_in_g0(N)
+    g_rows = _gamma0_rows(L, p1, rows, twist, t_g0)
+    sums_g0 = _cyc_rows(L, den, g_rows)
+    sums1 = _cyc_rows(L, den, _derive(L, p1, gens, rows, g_rows, twist))
+    t_sl2 = transversal_g1_in_sl2(N, p1)
+    _lap(laps)
+    checked = _check_relations(p1, L, rows, twist)
+    if oracle:
+        for d, m in t_g0.members.items():
+            if m != I2 and oracle(m) != sums_g0[d]:
+                raise ValueError(f"the Gamma0 transversal sum at d = {d} breaks the cocycle identity")
+    _lap(laps)
+    ctx = Context(chi1, chi2, t_g0, t_sl2, schreier_alphabet(N, t_sl2), sums_g0, sums1)
+    _lap(laps)
+    return ctx, checked
 
 
 def _row(den: int, coeffs) -> tuple[int, ...]:
@@ -323,45 +364,81 @@ def _generator_rows(sums: dict) -> tuple[int, dict]:
     return den, {k: row_of[id(v)] for k, v in sums.items()}
 
 
-class SolveStats(NamedTuple):
-    """How `_solve` found the 2 |keys| U(t, T) and U(t, S) sums."""
+def _cyc_rows(L: int, den: int, rows: dict) -> dict:
+    """Integer rows over den as CycElems, one shared object per distinct row."""
+    cyc = {r: CycElem._raw(L, tuple([Fraction(n, den) for n in r])) for r in set(rows.values())}
+    return {v: cyc[r] for v, r in rows.items()}
 
-    identity: int  # entries whose matrix is the identity, so 0
+
+def _twists(chi1, chi2, N: int) -> dict[int, int]:
+    """e with psi(lambda) = zeta_L^e, for each unit lambda mod N."""
+    L = pair_order(chi1, chi2)
+    units = (u for u in range(N) if gcd(u, N) == 1)
+    return {u: (chi1.exponent_at(u, L) - chi2.exponent_at(u, L)) % L for u in units}
+
+
+@lru_cache(maxsize=None)
+def _turns(L: int) -> tuple:
+    """turns[e][i] is the integer row of zeta_L^(e + i), so that a row r
+    times zeta_L^e is the sum of r[i] * turns[e][i] (Phi_L is monic)."""
+    powers = [tuple(map(int, root_of_unity(L, j).coeffs)) for j in range(L)]
+    return tuple(tuple(powers[(e + i) % L] for i in range(len(powers[0]))) for e in range(L))
+
+
+def _twisted_sum(L: int, rows: dict, terms) -> tuple:
+    """The row of the sum of zeta_L^e rows[v] over the terms (v, e)."""
+    turns = _turns(L)
+    acc = [0] * len(turns[0])
+    for v, e in terms:
+        for n, power in zip(rows[v], turns[e % L]):
+            if n:
+                for j, x in enumerate(power):
+                    acc[j] += n * x
+    return tuple(acc)
+
+
+class SolveStats(NamedTuple):
+    """How `_solve` found the 2 mu Gamma0 generator sums."""
+
+    identity: int  # entries whose matrix is +-I, so 0
     solved: int  # entries solved from one relation
-    oracle_calls: int  # entries evaluated by `sum_on_gamma0`
+    oracle_calls: int  # entries evaluated by the oracle: the pivots
     oracle_c: int  # sum of |c| over those entries
 
 
-def _solve(chi1, chi2, t_sl2: Transversal, alphabet: dict) -> tuple[dict, SolveStats]:
-    """The U(t, T) and U(t, S) sums, found with as few double sums as the
-    peel allows.
+def _solve(chi1, chi2, p1: Transversal, gens: dict, oracle) -> tuple[dict, SolveStats]:
+    """The sums of the Gamma0 generators `gens` over `p1`, with as few
+    `oracle(entry)` values as the peel allows, and the stats.
 
-    An entry whose matrix is the identity is 0.  A relation of `_relations`,
-    read as sum(lhs) - sum(rhs) = 0, with one unknown left at coefficient
-    +-1 gives that unknown as a sum of known rows.  When none is left, the
-    unknown entry of smallest |c| goes to the double sum; a value with a
-    new denominator rescales the known rows, so every row stays exact over
-    the running denominator.  Returns (sums, stats): the sums keyed like
-    `alphabet`, one CycElem per distinct row.
+    An entry whose matrix is +-I is 0, and every entry is when
+    psi(-1) = -1.  A twisted relation of `_relations` with one unknown left
+    at a coefficient +-zeta^j gives it from the known rows.  When none is
+    left, the unknown entry of smallest |c| (S before T, then by key) goes
+    to the oracle, so these pivots depend on the pair and the level alone.
+    A value with a new denominator rescales the known rows, which stay
+    exact; the sums come back one CycElem per distinct row.
     """
-    L = pair_order(chi1, chi2)
-    zero = (0,) * len(CycElem.zero(L).coeffs)
-    known = {v: zero for v, m in alphabet.items() if m == I2}
-    relations = []
-    uses = {v: [] for v in alphabet}  # entry -> relations it enters
-    for _, _, lhs, rhs in _relations(t_sl2.N, t_sl2.members):
-        rel = Counter(lhs)
-        rel.subtract(rhs)
-        rel = {v: coef for v, coef in rel.items() if coef}
-        for v in rel:
+    N, L = p1.N, pair_order(chi1, chi2)
+    twist, turns = _twists(chi1, chi2, N), _turns(L)
+    unit = {by[0]: j for j, by in enumerate(turns)}  # the row of zeta^j -> j
+    zero = (0,) * len(turns[0])
+    known = {v: zero for v, m in gens.items() if m.c == m.b == 0}
+    identity = len(known)
+    if twist[N - 1] == L // 2:  # S(-g) = S(g) + psi(g) S(-I) = -S(g)
+        known = dict.fromkeys(gens, zero)
+    relations, uses = [], {v: [] for v in gens}  # entry -> relations it enters
+    for _, _, terms in _relations(p1, L, twist):
+        coef = {}  # entry -> its coefficient, the sum of its terms' zeta^e, as a row
+        for v, e in terms:
+            coef[v] = tuple(map(add, coef.get(v, zero), turns[e][0]))
+        coef = {v: c for v, c in coef.items() if any(c)}
+        for v in coef:
             uses[v].append(len(relations))
-        relations.append(rel)
-    open_ = [sum(v not in known for v in rel) for rel in relations]
+        relations.append((terms, coef))
+    open_ = [sum(v not in known for v in coef) for _, coef in relations]
     ready = [i for i, n in enumerate(open_) if n == 1]
-    # ties in |c|: S before T, then by key
-    by_c = iter(sorted((abs(m.c), v[1], v) for v, m in alphabet.items() if v not in known))
-    den = 1
-    identity, solved, calls, total_c = len(known), 0, 0, 0
+    by_c = iter(sorted((abs(m.c), v[1], v) for v, m in gens.items() if v not in known))
+    den, solved, calls, total_c = 1, len(known) - identity, 0, 0
 
     def settle(v, row):
         known[v] = row
@@ -370,24 +447,18 @@ def _solve(chi1, chi2, t_sl2: Transversal, alphabet: dict) -> tuple[dict, SolveS
             if open_[i] == 1:
                 ready.append(i)
 
-    while len(known) < len(alphabet):
+    while len(known) < len(gens):
         if ready:
-            rel = relations[ready.pop()]
-            left = [v for v in rel if v not in known]
-            if len(left) != 1 or rel[left[0]] not in (1, -1):
-                continue
-            x = left[0]
-            # rel[x] * x = -sum(coef * known), and 1 / rel[x] = rel[x] for +-1
-            acc = list(zero)
-            for v, coef in rel.items():
-                if v != x:
-                    for i, n in enumerate(known[v]):
-                        acc[i] -= coef * n
-            settle(x, tuple([rel[x] * n for n in acc]))
-            solved += 1
+            terms, coef = relations[ready.pop()]
+            left = [v for v in coef if v not in known]
+            j = unit.get(coef[left[0]]) if len(left) == 1 else None
+            if j is not None:  # zeta^j x = -(the rest), so x = sum zeta^(e - j + L/2) s_v
+                x = left[0]
+                settle(x, _twisted_sum(L, known, [(v, e - j + L // 2) for v, e in terms if v != x]))
+                solved += 1
             continue
         c, _, x = next(e for e in by_c if e[2] not in known)
-        value = sum_on_gamma0(chi1, chi2, alphabet[x])
+        value = oracle(x)
         calls, total_c = calls + 1, total_c + c
         new_den = lcm(den, *(q.denominator for q in value.coeffs))
         if new_den != den:
@@ -395,23 +466,61 @@ def _solve(chi1, chi2, t_sl2: Transversal, alphabet: dict) -> tuple[dict, SolveS
             for v, row in known.items():
                 known[v] = tuple([scale * n for n in row])
         settle(x, _row(den, value.coeffs))
-    cyc = {r: CycElem._raw(L, tuple(Fraction(n, den) for n in r)) for r in set(known.values())}
-    return {v: cyc[known[v]] for v in alphabet}, SolveStats(identity, solved, calls, total_c)
+    return _cyc_rows(L, den, {v: known[v] for v in gens}), SolveStats(identity, solved, calls, total_c)
 
 
-def _tables(chi1, chi2, t_sl2: Transversal, alphabet: dict, sums: dict) -> Context:
-    """The context with the generator sums `sums`, keyed like `alphabet`.
+def _walk(L: int, p1: Transversal, twist: dict, key, letters: str) -> list:
+    """The terms (entry, e) of a word read from `key` over P^1, letters T,
+    S and t = T^-1: a T or S at the key lambda k gives psi(lambda) s0[k, x],
+    psi(lambda) = zeta_L^twist[lambda], and a t minus that of the T it
+    undoes.  On keys, k S = (d, -c) and k T = (c, d + c) mod N."""
+    N, terms = p1.N, []
+    for x in letters:
+        c, d = key
+        if x == "t":  # step back first, then subtract the T from there
+            key = (c, (d - c) % N)
+        k, lam = p1.classes[key]
+        terms.append(((k, ("S" if x == "S" else "T", 1)), twist[lam] + (L // 2 if x == "t" else 0)))
+        if x == "T":
+            key = (c, (d + c) % N)
+        elif x == "S":
+            key = (d, -c % N)
+    return terms
 
-    The Gamma0 transversal sums come from the double sum (each member other
-    than the identity has c = N); `Context.__post_init__` derives the rows
-    the evaluator reads.
-    """
-    L = pair_order(chi1, chi2)
-    t_g0 = transversal_g1_in_g0(t_sl2.N)
-    sums_g0 = {
-        d: CycElem.zero(L) if m == I2 else naive_sum(chi1, chi2, m) for d, m in t_g0.members.items()
-    }
-    return Context(chi1, chi2, t_g0, t_sl2, alphabet, sums_g0, sums)
+
+def _gamma0_rows(L: int, p1: Transversal, rows: dict, twist: dict, t_g0: Transversal) -> dict:
+    """G(lambda) = S(g_lambda) for the members of `t_g0`, as rows over the
+    denominator of the Gamma0 generator rows `rows`, from g_lambda's T/S
+    word walked from the identity's point.  The walk ends there too, whose
+    member is I, so the generators multiply to the word: g_lambda or
+    -g_lambda, which has the same sum (S(-I) = 0, and psi(-1) = 1 unless
+    every sum is 0)."""
+    out = {}
+    for lam, g in t_g0.members.items():
+        word = ts_decompose(g, nearest=True).exponents
+        letters = "S".join("T" * a if a > 0 else "t" * -a for a in word)
+        out[lam] = _twisted_sum(L, rows, _walk(L, p1, twist, (0, 1 % p1.N), letters))
+    return out
+
+
+def _derive(L: int, p1: Transversal, gens: dict, rows: dict, g_rows: dict, twist: dict) -> dict:
+    """The U(t, T) and U(t, S) sums over `transversal_g1_in_sl2(N, p1)` as
+    rows keyed like its alphabet, from the Gamma0 generator rows `rows` and
+    the rows G(lambda) of `g_rows`.  With u = d(U(r_k, x)) mod N,
+    U(g_lambda r_k, x) = g_lambda U(r_k, x) g_{lambda u}^-1, so
+    s1[lambda k, x] = psi(lambda) s0[k, x] + G(lambda) - G(lambda u)."""
+    N, out, turned, steps = p1.N, {}, {}, {}
+    for key, (k, lam) in p1.classes.items():
+        for x in (("T", 1), ("S", 1)):
+            v, u, e = (k, x), gens[k, x].d % N, twist[lam]
+            if (lam, u) not in steps:  # G(lambda) - G(lambda u)
+                steps[lam, u] = tuple(map(sub, g_rows[lam], g_rows[lam * u % N]))
+            out[key, x] = steps[lam, u]
+            if any(rows[v]):  # plus psi(lambda) s0[k, x]
+                if (v, e) not in turned:
+                    turned[v, e] = _twisted_sum(L, rows, ((v, e),))
+                out[key, x] = tuple(map(add, out[key, x], turned[v, e]))
+    return out
 
 
 def split_gamma0(ctx: Context, gamma: Mat2) -> tuple[Mat2, Mat2, int]:
@@ -459,7 +568,10 @@ def crossed_hom_check(chi1, chi2, ga: Mat2, gb: Mat2) -> bool:
 # cache serialization
 
 def _parse_fraction(s: str) -> Fraction:
-    # "p/q" or "p" only: Fraction(s) would also take "1.5" and "1e3"
+    # "p/q" or "p" exactly as str(Fraction) writes them: Fraction(s) would
+    # also take "1.5" and "1e3", and int() " 3", "+3" and "1_0"
+    if not _FRACTION.fullmatch(s):
+        raise ValueError(f"coefficient {s!r} is not written p/q")
     num, _, den = s.partition("/")
     return Fraction(int(num), int(den) if den else 1)
 
@@ -477,9 +589,18 @@ def _chi_from_json(obj) -> DirichletCharacter:
 
 
 def context_to_json(ctx: Context) -> dict:
-    """The cache document: the pair, and the sums S(U(t, T)) and S(U(t, S))
-    keyed by "c,d", the coset key of t.  Nothing else costs oracle time."""
-    keys = sorted(ctx.t_sl2.members)
+    """The cache document: the pair, and the sums S(U(r, T)) and S(U(r, S))
+    of the Gamma0 generators keyed by "c,d", the class key of r in
+    `transversal_g0_in_sl2`.  Nothing else costs oracle time.  At lambda = 1
+    `_derive` reads s0[k, x] = s1[k, x] + G(u), u the lambda of the key k x.
+    """
+    N, classes = ctx.N, transversal_g0_in_sl2(ctx.N).classes
+    step = {"T": lambda c, d: (c, (d + c) % N), "S": lambda c, d: (d, -c % N)}
+
+    def s0(c, d, x):
+        return ctx.sums_alphabet[(c, d), (x, 1)] + ctx.sums_g0[classes[step[x](c, d)][1]]
+
+    points = sorted(k for k, (_, lam) in classes.items() if lam == 1)
     return {
         "version": CACHE_VERSION,
         "q1": ctx.chi1.modulus,
@@ -488,11 +609,8 @@ def context_to_json(ctx: Context) -> dict:
         "chi2": _chi_to_json(ctx.chi2),
         "L": ctx.L,
         "sums_alphabet": {
-            name: {
-                f"{c},{d}": [str(x) for x in ctx.sums_alphabet[(c, d), (name, 1)].coeffs]
-                for c, d in keys
-            }
-            for name in ("T", "S")
+            x: {f"{c},{d}": [str(q) for q in s0(c, d, x).coeffs] for c, d in points}
+            for x in ("T", "S")
         },
     }
 
@@ -517,26 +635,23 @@ def save_context(ctx: Context, path) -> None:
 class LoadStats(NamedTuple):
     """What `load_context` validated."""
 
-    keys: int  # coset keys, two stored sums each
-    relations: int  # relation identities checked on the stored sums
-    spot_checks: int  # stored sums compared with the double sum
-    gamma0_sums: int  # Gamma0 transversal sums re-evaluated by the double sum
+    points: int  # points of P^1(Z/N), two stored sums each
+    keys: int  # coset keys of Gamma1(N), two derived sums each
+    relations: int  # twisted relation identities checked on the stored sums
+    spot_checks: int  # pivots of the solve compared with the double sum
 
 
 def load_context(path) -> Context:
     """Load a cached context and validate every stored sum.
 
     The file holds the pair, which must pass `precompute`'s checks, and
-    the U(t, T) and U(t, S) sums, each distinct vector parsed once.  The
-    transversals, the generator matrices, the Gamma0 transversal sums and
-    the rows are rebuilt by the code `precompute` runs, so they hold by
-    construction.  Each stored sum must satisfy the two group relations of
-    `_check_relations`, and the LOAD_SPOT_CHECKS generators of smallest
-    positive lower-left entry must match the double sum.  A malformed
-    structure (a missing key, a value of the wrong type) raises ValueError
-    like any other failed check.  One DEBUG line on the `gdsum.dedekind`
-    logger says what was validated, with the `LoadStats` attached as
-    `record.load_stats`.
+    the 2 mu Gamma0 generator sums, each distinct vector parsed once; the
+    rest is rebuilt by the code `precompute` runs.  The stored sums must be
+    0 at the generators +-I, obey every twisted relation and, at the pivots
+    of `_solve`, equal the double sum: the peel then pins every other one.
+    Any malformed structure raises ValueError too.  One DEBUG line on the
+    `gdsum.dedekind` logger says what was validated and the seconds per
+    phase, as `record.load_stats` and `record.phases`.
     """
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
@@ -546,35 +661,40 @@ def load_context(path) -> Context:
         raise ValueError(f"malformed cache {path}: {type(exc).__name__}: {exc}") from exc
     _validate_pair(chi1, chi2)
     N = chi1.modulus * chi2.modulus
-    t_sl2 = transversal_g1_in_sl2(N)
-    if set(sums) != {(k, (g, 1)) for k in t_sl2.members for g in ("T", "S")}:
-        raise ValueError(f"cached sums are not keyed by the {len(t_sl2)} coset keys mod {N}")
+    laps = [time.perf_counter()] if log.isEnabledFor(logging.DEBUG) else None
+    p1 = transversal_g0_in_sl2(N)
+    if set(sums) != {(k, (g, 1)) for k in p1.members for g in ("T", "S")}:
+        raise ValueError(f"cached sums are not keyed by the {len(p1)} points of P^1(Z/{N})")
+    gens = schreier_alphabet(N, p1)
+    if any(sums[v] for v, m in gens.items() if m.c == m.b == 0):
+        raise ValueError("a cached sum of a generator +-I is not 0")
+
+    def pivot(v):
+        if sum_on_gamma0(chi1, chi2, gens[v]) != sums[v]:
+            raise ValueError(f"cached sum for Gamma0 generator {v} fails the double sum")
+        return sums[v]
+
+    pivots = _solve(chi1, chi2, p1, gens, pivot)[1].oracle_calls
+    _lap(laps)
     try:
-        relations = _check_relations(N, sums)
+        ctx, relations = _build(chi1, chi2, p1, gens, sums, laps)
     except ValueError as exc:
         raise ValueError(f"cache {path}: {exc}") from None
-    ctx = _tables(chi1, chi2, t_sl2, schreier_alphabet(N, t_sl2), sums)
-
-    # spot-check the cheapest oracle-valid entries against the double sum
-    checkable = heapq.nsmallest(
-        LOAD_SPOT_CHECKS, ((m.c, key) for key, m in ctx.alphabet.items() if m.c >= 1)
-    )
-    for _, key in checkable:
-        if naive_sum(chi1, chi2, ctx.alphabet[key]) != ctx.sums_alphabet[key]:
-            raise ValueError(f"cached sum for alphabet entry {key} fails the oracle")
-    if log.isEnabledFor(logging.DEBUG):
-        stats = LoadStats(len(t_sl2), relations, len(checkable), len(ctx.t_g0) - 1)
+    if laps:
+        stats = LoadStats(len(p1), len(ctx.t_sl2), relations, pivots)
+        phases = tuple(map(sub, laps[1:], laps))
         log.debug(
-            "load_context N=%d: %d keys, %d relations checked, %d spot checks, "
-            "%d Gamma0 sums re-evaluated",
-            N, *stats, extra={"load_stats": stats},
+            "load_context N=%d: %d points of P^1, %d keys, %d relations checked, "
+            "%d pivots checked against the double sum; " + _PHASES,
+            N, *stats, *phases, extra={"load_stats": stats, "phases": phases},
         )
     return ctx
 
 
 def _sums_from_json(data):
-    """The pair and the stored U(t, T), U(t, S) sums, keyed (key, ("T", 1))
-    and (key, ("S", 1)), with one CycElem per distinct stored vector."""
+    """The pair and the stored Gamma0 generator sums, keyed (key, ("T", 1))
+    and (key, ("S", 1)), with one CycElem per distinct stored vector: a
+    JSON list of coefficient strings."""
     if data.get("version") != CACHE_VERSION:
         raise ValueError(
             f"cache version {data.get('version')!r} is not {CACHE_VERSION}; "
@@ -591,8 +711,8 @@ def _sums_from_json(data):
     cyc, sums = {}, {}
     for name in ("T", "S"):
         for key, v in data["sums_alphabet"][name].items():
-            if len(v) != deg:
-                raise ValueError("coefficient vector of wrong length")
+            if type(v) is not list or len(v) != deg or not all(type(x) is str for x in v):
+                raise ValueError(f"stored sum at {key} is not a list of {deg} coefficient strings")
             v = tuple(v)
             if v not in cyc:
                 cyc[v] = CycElem._raw(L, tuple([_parse_fraction(x) for x in v]))
@@ -600,59 +720,32 @@ def _sums_from_json(data):
     return chi1, chi2, sums
 
 
-def _relations(N: int, keys):
-    """Every per-key relation among the U(t, T) and U(t, S) sums, as
-    (name, key, lhs, rhs): the sums s_gen[k'] at the (k', (gen, 1)) of lhs,
-    the keys of `Context.sums_alphabet`, add up to those of rhs.
-
-    On keys, k S = (d, -c) and k T = (c, d + c) mod N.  Through the cocycle
-    identity, each group relation gives one exact identity per key k (per
-    cycle k, kS, kS^2, kS^3 for the first):
-      S^4 = I:                s_S[k] + s_S[kS] + s_S[kS^2] + s_S[kS^3] = 0
-      (ST)^3 = S^2, i.e. TSTST = S:
-                              s_T[k] + s_S[kT] + s_T[kTS] + s_S[kTST] + s_T[kTSTS] = s_S[k]
-    `_solve` peels these to find the sums and `_check_relations` checks
-    them; no other code lists them.
+def _relations(p1: Transversal, L: int, twist: dict):
+    """Every relation among the sums of the Gamma0 generators over the P^1
+    transversal `p1`, as (name, key, terms): the sum of zeta_L^e s[entry]
+    over the terms (entry, e) is 0.  A group relation read from the member
+    r_k gives one identity through the cocycle identity, where a generator
+    met at the key lambda k' enters with psi(lambda), the psi of the word
+    before it (`_walk`).  Per point k (per pair k, kS for the first):
+      S^2 = -I:   s_S[k] + psi s_S[kS] = S(-I) = 0
+      TSTST = S:  s_T[k] + psi s_S[kT] + psi s_T[kTS] + psi s_S[kTST] + psi s_T[kTSTS] = s_S[k]
+    No other code lists them.
     """
-
-    def mul_s(k):
-        return k[1], -k[0] % N
-
-    def mul_t(k):
-        return k[0], (k[1] + k[0]) % N
-
-    t1, s1 = ("T", 1), ("S", 1)
-    for k in keys:
-        k_s = mul_s(k)
-        k_ss = mul_s(k_s)
-        cycle = (k, k_s, k_ss, mul_s(k_ss))
-        if k == min(cycle):  # the cycle's four keys share one identity
-            yield "S^4 = I", k, tuple((j, s1) for j in cycle), ()
-        k_t = mul_t(k)
-        k_ts = mul_s(k_t)
-        k_tst = mul_t(k_ts)
-        k_tsts = mul_s(k_tst)
-        lhs = ((k, t1), (k_t, s1), (k_ts, t1), (k_tst, s1), (k_tsts, t1))
-        yield "(ST)^3 = S^2", k, lhs, ((k, s1),)
+    for k in p1.members:
+        terms = _walk(L, p1, twist, k, "SS")
+        if k <= terms[1][0][0]:  # k and kS share one identity
+            yield "S^2 = -I", k, terms
+        yield "(ST)^3 = S^2", k, _walk(L, p1, twist, k, "TSTST") + [((k, ("S", 1)), L // 2)]
 
 
-def _check_relations(N: int, sums: dict) -> int:
-    """Raise ValueError unless the generator sums obey every relation of
-    `_relations`; return how many identities were checked.
-
-    The identities are checked on the rows of `_generator_rows`.  Each
-    s_S[k] enters the S^4 identity of its cycle once (the four keys differ
-    for N >= 3), and s_T enters the (ST)^3 identity only on its left side,
-    so a single wrong entry breaks at least one identity.
-    """
-    _, row = _generator_rows(sums)
-    zero = [0] * len(next(iter(row.values())))
+def _check_relations(p1: Transversal, L: int, rows: dict, twist: dict) -> int:
+    """Raise ValueError unless the Gamma0 generator rows obey every relation
+    of `_relations`, and return how many were checked; the pivots of
+    `_solve` pin what the relations leave free."""
     checked = 0
-    keys = dict.fromkeys(k for k, _ in sums)
-    for checked, (name, k, lhs, rhs) in enumerate(_relations(N, keys), 1):
-        total = list(map(sum, zip(*map(row.__getitem__, lhs))))
-        if total != (list(map(sum, zip(*map(row.__getitem__, rhs)))) if rhs else zero):
-            raise ValueError(f"U(t, T) and U(t, S) sums at key {k} break {name}")
+    for checked, (name, k, terms) in enumerate(_relations(p1, L, twist), 1):
+        if any(_twisted_sum(L, rows, terms)):
+            raise ValueError(f"U(r, T) and U(r, S) sums over P^1 at key {k} break {name}")
     return checked
 
 

@@ -3,8 +3,12 @@
 `lift_transversal` picks each key's member by lifting (c, d) to integers
 and completing the top row by extended gcd: a valid transversal that is
 not a Schreier transversal, so the sums must not depend on the choice.
-`all_oracle_context` evaluates every U(t, T) and U(t, S) sum with the
-double sum instead of solving the relations.  `full_alphabet` builds every
+`lift_p1_transversal` does the same for each point of P^1(Z/N), keeping
+the library's class keys.  `gamma1_relations` lists the relations among
+the U(t, T) and U(t, S) sums that the derived ones must obey.
+`all_oracle_context` evaluates every U(t, T) and U(t, S) sum and every
+Gamma0 transversal sum with the double sum instead of solving and
+deriving them.  `full_alphabet` builds every
 U(t, T^i) and U(t, S^k) matrix, and `alphabet_sum` rebuilds their sums from
 a context's generator sums in CycElem arithmetic, apart from the integer
 rows the context derives.  `reduce_word` maps rewrite factors onto that
@@ -18,7 +22,14 @@ from math import gcd
 from typing import NamedTuple
 
 from gdsum import dedekind
-from gdsum.cosets import Transversal, schreier_alphabet, u_func
+from gdsum.characters import pair_order
+from gdsum.cosets import (
+    Transversal,
+    schreier_alphabet,
+    transversal_g0_in_sl2,
+    transversal_g1_in_g0,
+    u_func,
+)
 from gdsum.exactnum import CycElem
 from gdsum.modgroup import I2, Mat2, S
 
@@ -67,14 +78,73 @@ def lift_transversal(N: int, lift: str = "least_abs") -> Transversal:
     return Transversal(N, "sl2", members)
 
 
+def lift_p1_transversal(N: int, lift: str = "least_abs") -> Transversal:
+    """`transversal_g0_in_sl2(N)` with each point's member replaced by a
+    lift of its class key (c, d): the bottom row c' = c or c - N (N when
+    c = 0) and d' = d + j N, coprime, of least max(|c'|, |d'|), and the top
+    row by extended gcd as `lift_transversal` picks it.  The same keys and
+    classes, small entries, and a transversal that is not a Schreier
+    transversal."""
+    if lift not in ("least_abs", "least_pos"):
+        raise ValueError(f"unknown lift style {lift!r}")
+    p1 = transversal_g0_in_sl2(N)
+    members = {}
+    for c, d in p1.members:
+        if (c, d) == (0, 1 % N):
+            members[c, d] = I2
+            continue
+        _, cp, dp = min(
+            (max(abs(cp), abs(dp)), cp, dp)
+            for cp in ((c, c - N) if c else (N,))
+            for dp in range(d - 3 * N, d + 3 * N + 1, N)
+            if gcd(cp, dp) == 1
+        )
+        _, x, _ = _egcd(dp, abs(cp))  # x*dp = 1 mod |cp|
+        r = x % abs(cp)
+        if lift == "least_abs":
+            a = r if r <= abs(cp) - r else r - abs(cp)
+        else:
+            a = r if r > 0 else abs(cp)
+        members[c, d] = Mat2(a, (a * dp - 1) // cp, cp, dp)
+    return Transversal(N, "p1", members, p1.classes)
+
+
 def all_oracle_context(chi1, chi2, t_sl2: Transversal):
-    """The context over t_sl2 with every U(t, T) and U(t, S) sum evaluated
-    by `dedekind.sum_on_gamma0` (looked up at call time, so a test's
-    replacement oracle applies), two double sums per coset key."""
+    """The context over t_sl2 with every U(t, T) and U(t, S) sum and every
+    Gamma0 transversal sum evaluated by `dedekind.sum_on_gamma0` (looked up
+    at call time, so a test's replacement oracle applies), two double sums
+    per coset key."""
     alphabet = schreier_alphabet(t_sl2.N, t_sl2)
     oracle = dedekind.sum_on_gamma0
     sums = {entry: oracle(chi1, chi2, m) for entry, m in alphabet.items()}
-    return dedekind._tables(chi1, chi2, t_sl2, alphabet, sums)
+    t_g0 = transversal_g1_in_g0(t_sl2.N)
+    zero = CycElem.zero(pair_order(chi1, chi2))
+    sums_g0 = {d: zero if m == I2 else oracle(chi1, chi2, m) for d, m in t_g0.members.items()}
+    return dedekind.Context(chi1, chi2, t_g0, t_sl2, alphabet, sums_g0, sums)
+
+
+def gamma1_relations(N: int, keys):
+    """The group relations S^4 = I and (ST)^3 = S^2 read from each coset
+    key of Gamma1(N), where psi is trivial, as (name, key, lhs, rhs): the
+    generator entries (key', (gen, 1)) whose sums add up to equal totals,
+    one S^4 identity per cycle k, kS, kS^2, kS^3 of keys."""
+
+    def mul_s(k):
+        return k[1], -k[0] % N
+
+    def mul_t(k):
+        return k[0], (k[1] + k[0]) % N
+
+    t1, s1 = ("T", 1), ("S", 1)
+    for k in keys:
+        cycle = [k, mul_s(k), mul_s(mul_s(k)), mul_s(mul_s(mul_s(k)))]
+        if k == min(cycle):
+            yield "S^4 = I", k, [(j, s1) for j in cycle], []
+        k_t = mul_t(k)
+        k_ts = mul_s(k_t)
+        k_tst = mul_t(k_ts)
+        lhs = [(k, t1), (k_t, s1), (k_ts, t1), (k_tst, s1), (mul_s(k_tst), t1)]
+        yield "(ST)^3 = S^2", k, lhs, [(k, s1)]
 
 
 def full_alphabet(N: int, t: Transversal) -> dict:

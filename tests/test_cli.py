@@ -254,7 +254,7 @@ def test_verify_passes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "PASS  oracle-equivalence" in out
     assert "PASS  crossed-homomorphism" in out
-    assert "PASS  alphabet-spot-check  (14 entries)" in out  # every generator with c >= 1
+    assert "PASS  alphabet-spot-check  (20 entries)" in out  # 20 generators with c >= 1
     assert "PASS  derived-spot-check  (20 entries)" in out
     assert "FAIL" not in out
 

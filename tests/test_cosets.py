@@ -7,12 +7,13 @@ from gdsum.cosets import (
     gamma0_coset_count,
     schreier_alphabet,
     sl2_coset_count,
+    transversal_g0_in_sl2,
     transversal_g1_in_g0,
     transversal_g1_in_sl2,
     u_func,
 )
 from gdsum.modgroup import I2, Mat2, S, T, random_sl2
-from reference_tables import full_alphabet, lift_transversal
+from reference_tables import full_alphabet, lift_p1_transversal, lift_transversal
 
 LEVELS = (6, 9, 12, 28, 35)
 
@@ -188,21 +189,29 @@ def test_alt_lift_is_valid_transversal():
 
 @pytest.mark.parametrize("N", LEVELS)
 def test_sl2_transversal_is_schreier(N):
-    """Every member but the identity is another member times T, T^-1 or S
-    (prefix-closed words), so at least |T| - 1 of the U(t, T), U(t, S)
-    entries are the identity; the lift transversal has far fewer."""
-    t = transversal_g1_in_sl2(N)
-    members = set(t)
-    for m in t:
+    """The P^1 transversal r_k is prefix-closed: every member but the
+    identity is another member times T, T^-1 or S, so at least mu - 1 of
+    its U(r, T), U(r, S) entries are the identity, and the lifted P^1
+    transversal has fewer.  The Gamma1 transversal is t_{lambda k} =
+    g_lambda r_k at key lambda k."""
+    p1 = transversal_g0_in_sl2(N)
+    members = set(p1)
+    for m in p1:
         if m != I2:
             assert {m.mul_t_power(-1), m.mul_t_power(1), m.mul_s().mul_s().mul_s()} & members
-    alpha = schreier_alphabet(N, t)
-    keys = list(t.members)
-    identity = sum(alpha[key, (g, 1)] == I2 for key in keys for g in ("T", "S"))
-    assert identity >= len(t) - 1
-    lifted = schreier_alphabet(N, lift_transversal(N))
-    assert sum(lifted[key, (g, 1)] == I2 for key in keys for g in ("T", "S")) < identity
-    assert max(abs(x) for m in t for x in m.entries()).bit_length() <= 8
+    alpha = schreier_alphabet(N, p1)
+    identity = sum(u == I2 for u in alpha.values())
+    assert identity >= len(p1) - 1
+    lifted = schreier_alphabet(N, lift_p1_transversal(N))
+    assert lifted.keys() == alpha.keys()
+    assert sum(u == I2 for u in lifted.values()) < identity
+    assert max(abs(x) for m in p1 for x in m.entries()).bit_length() <= 8
+    g = transversal_g1_in_g0(N).members
+    t = transversal_g1_in_sl2(N)
+    assert len(p1.classes) == len(t) == len(p1) * len(g)
+    for key, (k, lam) in p1.classes.items():
+        assert key == (lam * k[0] % N, lam * k[1] % N)
+        assert t.members[key] == g[lam] * p1.members[k]
 
 
 def test_bar_requires_gamma0_membership():

@@ -2,17 +2,22 @@ import dataclasses
 import json
 import logging
 import random
+import re
+import time
 import warnings
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gdsum import dedekind, find_character
-from gdsum.characters import pair_order
+from gdsum.characters import pair_order, psi
+from gdsum.cosets import schreier_alphabet, transversal_g0_in_sl2, u_func
 from gdsum.dedekind import (
     CACHE_VERSION,
     ParityWarning,
@@ -26,7 +31,7 @@ from gdsum.dedekind import (
     sum_on_gamma0,
 )
 from gdsum.exactnum import CycElem
-from gdsum.modgroup import I2, Mat2, random_gamma0, ts_decompose
+from gdsum.modgroup import I2, Mat2, S, T, random_gamma0, ts_decompose
 from gdsum.rewriter import modified_rewrite, reduce_word
 from reference_tables import (
     all_oracle_context,
@@ -34,7 +39,8 @@ from reference_tables import (
     as_cyc,
     derived_rows,
     full_alphabet,
-    lift_transversal,
+    gamma1_relations,
+    lift_p1_transversal,
     orbit_f,
 )
 from reference_tables import reduce_word as alphabet_terms
@@ -308,7 +314,7 @@ def test_oracle_equivalence_complex_pair(ctx28, chi4, chi7_56):
 
 def test_transversal_independence(chi3, ctx9, monkeypatch):
     monkeypatch.setattr(
-        dedekind, "transversal_g1_in_sl2", lambda N: lift_transversal(N, lift="least_pos")
+        dedekind, "transversal_g0_in_sl2", lambda N: lift_p1_transversal(N, lift="least_pos")
     )
     alt = precompute(chi3, chi3)
     # the tables genuinely differ...
@@ -363,9 +369,11 @@ def test_cache_round_trip_rebuilds_tables(tmp_path, request, name):
     path = tmp_path / "ctx.json"
     save_context(ctx, path)
     data = json.loads(path.read_text())
-    # only the oracle sums are stored: no matrix, no derived table
+    # only the Gamma0 generator sums are stored, two per point of P^1: no
+    # matrix, no derived table
     assert set(data) == {"version", "q1", "q2", "chi1", "chi2", "L", "sums_alphabet"}
-    assert [len(data["sums_alphabet"][g]) for g in ("T", "S")] == [len(ctx.t_sl2)] * 2
+    points = len(transversal_g0_in_sl2(ctx.N))
+    assert [len(data["sums_alphabet"][g]) for g in ("T", "S")] == [points] * 2
     loaded = load_context(path)
     assert loaded.t_g0.members == ctx.t_g0.members
     assert loaded.t_sl2.members == ctx.t_sl2.members
@@ -388,31 +396,68 @@ def test_context_derives_pair_fields(ctx35, name):
 
 
 def test_load_logs_what_it_validated(tmp_path, monkeypatch, caplog, ctx28):
-    """One DEBUG line per load, with the counts on the record; nothing is
-    logged when DEBUG is off."""
+    """One DEBUG line per load, with the counts and the seconds per phase
+    on the record; nothing is logged or timed when DEBUG is off."""
     path = tmp_path / "ctx28.json"
     save_context(ctx28, path)
-    oracle = []
+    oracle, clock = [], []
     monkeypatch.setattr(
-        dedekind, "naive_sum", lambda *args: oracle.append(args[2]) or naive_sum(*args)
+        dedekind, "sum_on_gamma0", lambda *args: oracle.append(args[2]) or sum_on_gamma0(*args)
+    )
+    monkeypatch.setattr(
+        dedekind, "time", SimpleNamespace(perf_counter=lambda: clock.append(1) or time.perf_counter())
     )
     with caplog.at_level(logging.INFO, logger="gdsum"):
         load_context(path)
-    assert not caplog.records
+    assert not caplog.records and not clock
     oracle.clear()
     with caplog.at_level(logging.DEBUG, logger="gdsum"):
         load_context(path)
     (record,) = caplog.records
     assert record.name == "gdsum.dedekind" and record.levelno == logging.DEBUG
-    stats = record.load_stats
-    keys = len(ctx28.t_sl2)
-    # one (ST)^3 identity per key, one S^4 identity per cycle of four keys
-    assert stats == (keys, keys + keys // 4, dedekind.LOAD_SPOT_CHECKS, len(ctx28.t_g0) - 1)
-    assert stats.spot_checks + stats.gamma0_sums == len(oracle)
+    stats, phases = record.load_stats, record.phases
+    p1 = transversal_g0_in_sl2(28)
+    # one (ST)^3 identity per point of P^1, one S^2 identity per pair k, kS
+    twist = dedekind._twists(ctx28.chi1, ctx28.chi2, 28)
+    twisted = list(dedekind._relations(p1, ctx28.L, twist))
+    assert len(twisted) == len(p1) + len(p1) // 2
+    assert stats == (len(p1), len(ctx28.t_sl2), len(twisted), len(oracle))
+    assert stats.spot_checks > 0 and len(clock) == 5 and len(phases) == 4
     assert record.getMessage() == (
-        f"load_context N=28: {keys} keys, {keys + keys // 4} relations checked, "
-        f"{stats.spot_checks} spot checks, {stats.gamma0_sums} Gamma0 sums re-evaluated"
+        f"load_context N=28: {len(p1)} points of P^1, {len(ctx28.t_sl2)} keys, "
+        f"{len(twisted)} relations checked, {len(oracle)} pivots checked against the double sum; "
+        "solve {:.4f} s, derive {:.4f} s, check {:.4f} s, tables {:.4f} s".format(*phases)
     )
+
+
+def test_load_rejects_a_cache_wrong_at_one_pivot(tmp_path, ctx28):
+    """The pivots of the solve are free coordinates of the twisted
+    relations: a cache solved with an oracle that is wrong at one pivot
+    satisfies every twisted relation, and load refuses it only because that
+    pivot fails the double sum."""
+    chi1, chi2, N = ctx28.chi1, ctx28.chi2, 28
+    p1 = transversal_g0_in_sl2(N)
+    gens = schreier_alphabet(N, p1)
+    third = CycElem.from_rational(ctx28.L, Fraction(1, 3))
+    pivots = []
+
+    def wrong_at_second(v):
+        pivots.append(v)
+        return sum_on_gamma0(chi1, chi2, gens[v]) + (third if len(pivots) == 2 else 0)
+
+    sums, stats = dedekind._solve(chi1, chi2, p1, gens, wrong_at_second)
+    assert stats.oracle_calls == len(pivots) > 1
+    twist = dedekind._twists(chi1, chi2, N)
+    rows = dedekind._generator_rows(sums)[1]
+    assert dedekind._check_relations(p1, ctx28.L, rows, twist) == len(p1) + len(p1) // 2
+    path = tmp_path / "ctx28.json"
+    save_context(ctx28, path)
+    data = json.loads(path.read_text())
+    for (key, (name, _)), value in sums.items():
+        data["sums_alphabet"][name]["%d,%d" % key] = [str(x) for x in value.coeffs]
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=re.escape(f"Gamma0 generator {pivots[1]} fails the double sum")):
+        load_context(path)
 
 
 def test_load_rejects_every_corrupted_row(tmp_path, ctx9):
@@ -420,7 +465,7 @@ def test_load_rejects_every_corrupted_row(tmp_path, ctx9):
     save_context(ctx9, path)
     clean = json.loads(path.read_text())
     rows = [(g, key) for g in ("T", "S") for key in clean["sums_alphabet"][g]]
-    assert len(rows) == 144
+    assert len(rows) == 24  # two per point of P^1(Z/9)
     for g, key in rows:
         data = json.loads(json.dumps(clean))
         v = data["sums_alphabet"][g][key]
@@ -430,11 +475,16 @@ def test_load_rejects_every_corrupted_row(tmp_path, ctx9):
             load_context(path)
 
 
-@pytest.mark.parametrize("coeff", [0, 0.0, 1.5, "0.0", "0e3", "1.5", "1e3", ""], ids=repr)
+@pytest.mark.parametrize(
+    "coeff",
+    [0, 0.0, 1.5, "0.0", "0e3", "1.5", "1e3", "", "0/", "0_0", " 0", "+0", "0/ 1", "0/1/1"],
+    ids=repr,
+)
 def test_load_rejects_coefficients_not_written_p_q(tmp_path, ctx9, coeff):
-    """Stored coefficients are "p/q" or "p" strings.  The sum of the
-    identity entry U((1, 0), T), stored as "0", is refused as a JSON number
-    or a decimal string, even one equal to 0."""
+    """Stored coefficients are "p/q" or "p" strings, -?[0-9]+(/[0-9]+)?, as
+    str(Fraction) writes them.  The sum of the identity entry U((1, 0), T),
+    stored as "0", is refused as a JSON number, a decimal string or any
+    other form int() or Fraction() would take, even one equal to 0."""
     path = tmp_path / "ctx9.json"
     save_context(ctx9, path)
     data = json.loads(path.read_text())
@@ -445,7 +495,41 @@ def test_load_rejects_coefficients_not_written_p_q(tmp_path, ctx9, coeff):
         load_context(path)
 
 
-@pytest.mark.parametrize("name, distinct", [("ctx28", 27), ("ctx35_l12", 111)])
+@pytest.mark.parametrize("text", ["3/", "1_0", " 3", "+3", "2/ 4", "3 ", "1/-2", "\u0663"])
+def test_parse_fraction_takes_only_what_str_fraction_writes(text):
+    """int() and Fraction() take each of these; the cache grammar does not."""
+    assert [dedekind._parse_fraction(t) for t in ("-7", "3/4", "0")] == [-7, Fraction(3, 4), 0]
+    with pytest.raises(ValueError, match="not written p/q"):
+        dedekind._parse_fraction(text)
+
+
+def test_load_rejects_a_nonzero_sum_at_an_identity_generator(tmp_path, ctx9):
+    """The solve takes the generators +-I to have sum 0 without reading
+    them, so load checks that the cache stores 0 there."""
+    path = tmp_path / "ctx9.json"
+    save_context(ctx9, path)
+    data = json.loads(path.read_text())
+    assert data["sums_alphabet"]["T"]["1,0"] == ["0"]  # U(S, T) = I
+    data["sums_alphabet"]["T"]["1,0"] = ["1/3"]
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=r"generator \+-I is not 0"):
+        load_context(path)
+
+
+def test_load_rejects_a_string_for_a_coefficient_list(tmp_path, ctx9):
+    """A stored sum is a JSON list of coefficient strings: at N = 9 (degree
+    1) the string "0", of the same length as ["0"], is refused."""
+    path = tmp_path / "ctx9.json"
+    save_context(ctx9, path)
+    data = json.loads(path.read_text())
+    assert data["sums_alphabet"]["T"]["1,0"] == ["0"]
+    data["sums_alphabet"]["T"]["1,0"] = "0"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="not a list"):
+        load_context(path)
+
+
+@pytest.mark.parametrize("name, distinct", [("ctx28", 14), ("ctx35_l12", 83)])
 def test_equal_sums_share_one_object(tmp_path, request, name, distinct):
     """Precompute and load both hold one CycElem per distinct generator sum."""
     ctx = request.getfixturevalue(name)
@@ -473,9 +557,10 @@ def test_load_rejects_v1_cache(tmp_path, ctx9):
     path = tmp_path / "ctx9.json"
     save_context(ctx9, path)
     data = json.loads(path.read_text())
-    assert data["version"] == CACHE_VERSION == 3
-    # version 2 stored sums over the lift transversal, version 1 more fields
-    for old in (2, 1):
+    assert data["version"] == CACHE_VERSION == 4
+    # version 3 stored the Gamma1 generator sums, version 2 those over the
+    # lift transversal, version 1 more fields
+    for old in (3, 2, 1):
         data["version"] = old
         path.write_text(json.dumps(data))
         with pytest.raises(ValueError, match="gdsum precompute --force"):
@@ -585,6 +670,27 @@ def test_potential_terms_match_alphabet_terms(contexts, name, data):
     assert potential == reference
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(("ctx9", "ctx28", "ctx35_l12")), st.data())
+def test_derivation_formula_matches_the_double_sum(contexts, name, data):
+    """On a random Gamma1 generator U(t, x), t = g_lambda r_k, the
+    derivation formula psi(lambda) S(U(r_k, x)) + G(lambda) - G(lambda u),
+    u = d(U(r_k, x)) mod N, with every sum on the right from
+    `sum_on_gamma0`, equals `sum_on_gamma0` on U(t, x) and the context's
+    derived sum."""
+    ctx = contexts[name]
+    chi1, chi2, N, g = ctx.chi1, ctx.chi2, ctx.N, ctx.t_g0.members
+    p1 = transversal_g0_in_sl2(N)
+    key = data.draw(st.sampled_from(sorted(p1.classes)))
+    gen = data.draw(st.sampled_from((("T", 1), ("S", 1))))
+    k, lam = p1.classes[key]
+    u0 = u_func(p1.members[k], T if gen[0] == "T" else S, p1)
+    assert u0.in_gamma0(N)
+    oracle = partial(sum_on_gamma0, chi1, chi2)
+    formula = psi(chi1, chi2, g[lam]) * oracle(u0) + oracle(g[lam]) - oracle(g[lam * u0.d % N])
+    assert formula == oracle(ctx.alphabet[key, gen]) == ctx.sums_alphabet[key, gen]
+
+
 def test_fast_sum_over_common_denominator_3(ctx28):
     """Shift the generators U(I, T) and U(I, S) by 1/3: the rows follow
     `sums_alphabet` through `dataclasses.replace`, the denominator becomes
@@ -685,7 +791,7 @@ def test_solved_table_matches_all_oracle(request, monkeypatch, pair, transversal
     Schreier transversal and over the lift transversal."""
     chi1, chi2 = _pair(request, pair)
     if transversal == "lift":
-        monkeypatch.setattr(dedekind, "transversal_g1_in_sl2", lift_transversal)
+        monkeypatch.setattr(dedekind, "transversal_g0_in_sl2", lift_p1_transversal)
         ctx = _precompute(chi1, chi2)
     elif pair in FIXTURE_OF:
         ctx = request.getfixturevalue(FIXTURE_OF[pair])
@@ -701,6 +807,24 @@ def test_solved_table_matches_all_oracle(request, monkeypatch, pair, transversal
         assert any(ctx.sums_alphabet.values())
 
 
+@pytest.mark.parametrize("pair", sorted(PAIRS))
+def test_derived_sums_obey_the_gamma1_relations(request, pair):
+    """Every relation S^4 = I and (ST)^3 = S^2 read from a coset key of
+    Gamma1(N) holds on the derived U(t, T) and U(t, S) sums, as integer
+    rows.  The twisted relations imply them, so precompute does not check
+    them; an entry `_derive` put at the wrong key would break one."""
+    chi1, chi2 = _pair(request, pair)
+    ctx = request.getfixturevalue(FIXTURE_OF[pair]) if pair in FIXTURE_OF else _precompute(chi1, chi2)
+    rows = dedekind._generator_rows(ctx.sums_alphabet)[1]
+    zero = [0] * len(next(iter(rows.values())))
+    checked = 0
+    for checked, (name, k, lhs, rhs) in enumerate(gamma1_relations(ctx.N, ctx.t_sl2.members), 1):
+        total = [list(map(sum, zip(zero, *(rows[v] for v in side)))) for side in (lhs, rhs)]
+        assert total[0] == total[1], (name, k)
+    keys = len(ctx.t_sl2)
+    assert checked == keys + keys // 4
+
+
 def _counting_oracle(monkeypatch):
     calls = []
 
@@ -712,34 +836,76 @@ def _counting_oracle(monkeypatch):
     return calls
 
 
+def _free_dimension(chi1, chi2) -> int:
+    """The dimension the twisted relations and the zero sums of the +-I
+    generators leave free among the 2 mu Gamma0 generator sums: 2 mu minus
+    their rank over F_p, for the least prime p = 1 mod L, with zeta_L sent
+    to a primitive L-th root of unity mod p."""
+    N, L = chi1.modulus * chi2.modulus, pair_order(chi1, chi2)
+    p = next(q for q in range(L + 1, 10**6, L) if all(q % f for f in range(2, int(q**0.5) + 1)))
+    zeta = next(
+        z for z in (pow(g, (p - 1) // L, p) for g in range(2, p))
+        if all(pow(z, L // f, p) != 1 for f in range(2, L + 1) if L % f == 0)
+    )
+    p1 = transversal_g0_in_sl2(N)
+    gens = schreier_alphabet(N, p1)
+    column = {v: i for i, v in enumerate(gens)}
+    twist = dedekind._twists(chi1, chi2, N)
+    rows = [[int(v == x) for x in gens] for v, m in gens.items() if m.c == m.b == 0]
+    for _, _, terms in dedekind._relations(p1, L, twist):
+        row = [0] * len(gens)
+        for v, e in terms:
+            row[column[v]] += pow(zeta, e, p)
+        rows.append(row)
+    rank = 0
+    for col in range(len(gens)):  # Gaussian elimination mod p
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] % p), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] % p:
+                f = rows[r][col] * inv
+                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return len(gens) - rank
+
+
 @pytest.mark.parametrize("pair", ["9", "12", "28", "35-odd", "35-l12"])
 def test_oracle_calls_within_twice_the_rank(request, monkeypatch, caplog, pair):
-    """Gamma1(N) is free of rank 1 + |T|/12: precompute calls the double sum
-    on at most twice that many entries, and its DEBUG line says how many."""
+    """The twisted relations leave a space of small dimension free among
+    the 2 mu Gamma0 generator sums (9 of 96 at N = 28): precompute calls
+    the double sum on at most twice that many of them, then once per Gamma0
+    transversal member to check the result, and its DEBUG line says how
+    many, with the seconds per phase."""
     chi1, chi2 = _pair(request, pair)
     calls = _counting_oracle(monkeypatch)
     with caplog.at_level(logging.DEBUG, logger="gdsum"):
         ctx = _precompute(chi1, chi2)
-    keys = len(ctx.t_sl2)
-    assert 0 < len(calls) <= 2 * (1 + keys // 12)
+    points, keys = len(transversal_g0_in_sl2(ctx.N)), len(ctx.t_sl2)
     (record,) = [r for r in caplog.records if r.name == "gdsum.dedekind"]
-    stats = record.solve_stats
-    assert stats.oracle_calls == len(calls)
-    assert stats.oracle_c == sum(abs(m.c) for m in calls)
-    assert stats.identity + stats.solved + stats.oracle_calls == 2 * keys
-    assert stats.identity >= keys - 1  # one tree edge per key but the identity's
-    assert record.levelno == logging.DEBUG
+    stats, phases = record.solve_stats, record.phases
+    assert stats.oracle_calls <= 2 * _free_dimension(chi1, chi2)
+    assert stats.oracle_calls > 0 or not ctx.parity_ok  # psi(-1) = -1 makes every sum 0
+    assert len(calls) == stats.oracle_calls + len(ctx.t_g0) - 1
+    assert stats.oracle_c == sum(abs(m.c) for m in calls[: stats.oracle_calls])
+    assert stats.identity + stats.solved + stats.oracle_calls == 2 * points
+    assert stats.identity >= points - 1  # one tree edge per point but the identity's
+    assert record.levelno == logging.DEBUG and len(phases) == 4
     assert record.getMessage() == (
-        f"precompute N={ctx.N}: {keys} keys, {stats.identity} identity entries, "
-        f"{stats.solved} solved, {len(calls)} oracle calls, "
-        f"oracle total |c| {stats.oracle_c}"
+        f"precompute N={ctx.N}: {points} points of P^1, {keys} keys, "
+        f"{stats.identity} identity entries, {stats.solved} solved, "
+        f"{stats.oracle_calls} oracle calls, oracle total |c| {stats.oracle_c}; "
+        "solve {:.4f} s, derive {:.4f} s, check {:.4f} s, tables {:.4f} s".format(*phases)
     )
 
 
 @pytest.mark.parametrize("pair", ["9", "28", "35-odd"])
 def test_precompute_rejects_a_shifted_oracle(request, monkeypatch, pair):
-    """An oracle that adds 1 to every value is no homomorphism on Gamma1(N):
-    the relations checked after the solve reject its table."""
+    """An oracle that adds 1 to every value is no crossed homomorphism: the
+    Gamma0 transversal sums, checked against it after the solve, reject its
+    table."""
     chi1, chi2 = _pair(request, pair)
     L = pair_order(chi1, chi2)
     monkeypatch.setattr(
@@ -753,11 +919,13 @@ def test_precompute_rejects_a_shifted_oracle(request, monkeypatch, pair):
 
 
 def test_solve_rescales_to_a_new_denominator(request, monkeypatch):
-    """The Fricke conjugation (a b; c d) -> (d, -c/N; -N b, a) maps Gamma1(N)
-    onto itself, so f(g) = S(its conjugate) + S(g)/3 is a homomorphism on
-    Gamma1(28) too.  The first nonzero f the solve asks for is integral and
-    a later one is not, so rows already solved are rescaled mid-solve; the
-    table still equals the all-oracle one under the same oracle."""
+    """The Fricke conjugation (a b; c d) -> (d, -c/N; -N b, a) maps Gamma0(N)
+    onto itself and psi to its conjugate, so the complex conjugate of
+    S(its conjugate) is a crossed homomorphism with the same psi, and so is
+    f(g) = S(g) + (S(g) + conj S(its conjugate))/3.  The first nonzero f
+    the solve asks for is integral and a later one is not, so rows already
+    solved are rescaled mid-solve; the table still equals the all-oracle
+    one under the same oracle."""
     chi1, chi2 = _pair(request, "28")
     N = 28
     third = CycElem.from_rational(pair_order(chi1, chi2), Fraction(1, 3))
@@ -765,7 +933,8 @@ def test_solve_rescales_to_a_new_denominator(request, monkeypatch):
 
     def oracle(a, b, g):
         fricke = Mat2(g.d, -g.c // N, -N * g.b, g.a)
-        values.append(sum_on_gamma0(a, b, fricke) + third * sum_on_gamma0(a, b, g))
+        s = sum_on_gamma0(a, b, g)
+        values.append(s + third * (s + sum_on_gamma0(a, b, fricke).conj()))
         return values[-1]
 
     monkeypatch.setattr(dedekind, "sum_on_gamma0", oracle)
