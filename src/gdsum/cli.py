@@ -132,7 +132,7 @@ def _pair(args):
             "pass --allow-large-n to lift it"
         )
     chi1, chi2 = find_character(q1, gens1), find_character(q2, gens2)
-    _validate_pair(chi1, chi2)
+    _validate_pair(chi1, chi2, args.allow_large_n)
     return chi1, chi2
 
 
@@ -141,7 +141,7 @@ def _load_or_build(args, *, force: bool = False, announce: bool = False) -> Cont
     cache_dir = Path(args.cache_dir)
     path = cache_dir / cache_filename(chi1, chi2)
     if path.exists() and not force:
-        ctx = load_context(path)
+        ctx = load_context(path, allow_large=args.allow_large_n)
         if (ctx.chi1, ctx.chi2) != (chi1, chi2):
             raise CliError(
                 f"cache {path} holds the pair {_pair_specs(ctx.chi1, ctx.chi2)}, not the requested "
@@ -172,7 +172,7 @@ def _load_or_build(args, *, force: bool = False, announce: bool = False) -> Cont
         calls = catcher.stats.oracle_calls + len(ctx.t_g0) - 1
         print(
             f"precomputed N={ctx.N}: |T_g0|={len(ctx.t_g0)}, |T_sl2|={len(ctx.t_sl2)}, "
-            f"{len(ctx.alphabet)} Schreier generators, order L={ctx.L}, "
+            f"{2 * len(ctx.t_sl2)} Schreier generators, order L={ctx.L}, "
             f"{calls} oracle calls ({elapsed:.2f} s) -> {path}"
         )
     return ctx
@@ -268,12 +268,12 @@ def run_verify(ctx: Context, *, trials: int, seed: int, cmax: int) -> VerifyRepo
     )
 
     # random generator entries with 1 <= c <= cmax against the double sum
-    checkable = [k for k, m in ctx.alphabet.items() if 1 <= m.c <= cmax]
+    checkable = [(k, m) for k, m in ctx.alphabet.items() if 1 <= m.c <= cmax]
     picked = rng.sample(checkable, min(20, len(checkable)))
     bad = []
-    for key in picked:
-        if naive_sum(ctx.chi1, ctx.chi2, ctx.alphabet[key]) != ctx.sums_alphabet[key]:
-            bad.append(f"entry {key}: matrix {ctx.alphabet[key]}")
+    for key, m in picked:
+        if naive_sum(ctx.chi1, ctx.chi2, m) != ctx.sums_alphabet[key]:
+            bad.append(f"entry {key}: matrix {m}")
     report.record("alphabet-spot-check", not bad, bad[0] if bad else f"{len(picked)} entries")
 
     # the negation row and random S-step rows and orbit totals, on matrices

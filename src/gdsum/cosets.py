@@ -120,10 +120,13 @@ def transversal_g1_in_sl2(N: int, p1: Transversal | None = None) -> Transversal:
     """One representative per key (c mod N, d mod N) with gcd(c, d, N) = 1:
     g_lambda r_k at the key lambda k, whose bottom row it has mod N, with
     r_k the member of `p1` (by default `transversal_g0_in_sl2(N)`) and
-    g_lambda the `transversal_g1_in_g0` member at d = lambda."""
+    g_lambda the `transversal_g1_in_g0` member at d = lambda.  A member off
+    its key raises: else some U(t, x) = t x (rep of t x)^-1 is not in Gamma1."""
     p1 = p1 or transversal_g0_in_sl2(N)
     g = transversal_g1_in_g0(N).members
     members = {key: g[lam] * p1.members[k] for key, (k, lam) in p1.classes.items()}
+    if off := [(key, m) for key, m in members.items() if (m.c % N, m.d % N) != key]:
+        raise ValueError(f"corrupted transversal: member {off[0][1]} is off its key {off[0][0]} mod {N}")
     return Transversal(N, "sl2", members)
 
 

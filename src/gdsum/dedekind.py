@@ -38,9 +38,9 @@ Generator sums are dicts keyed like their alphabet, (key, ("T", 1)) and
 turns them into integer rows over one common denominator D (1 for every
 pair tried), each distinct sum once, so the solve, the checks, the derived
 rows and `fast_sum`'s accumulation are integer adds and root-of-unity turns.
-A `Context` takes the pair, the two transversals, the Gamma1 generator
-matrices and the sums (Gamma0 transversal and generator); it derives N, L
-and the parity flag from the pair, and the evaluator's rows from the sums.
+A `Context` takes the pair, the two transversals and the sums (Gamma0
+transversal and generator) and derives the rest; the Gamma1 generator
+matrices are built only on access (`Context.alphabet`), never stored.
 """
 
 from __future__ import annotations
@@ -78,10 +78,10 @@ from .cosets import (
 )
 from .exactnum import CycElem, root_of_unity
 from .modgroup import I2, Mat2, ts_decompose
-from .rewriter import Term, modified_rewrite, reduce_word
+from .rewriter import Term, _new, modified_rewrite, reduce_word
 
-# Guardrail for precompute, lifted by allow_large: the tables hold a row per
-# coset key, |keys| ~ N^2, while the double sums grow with mu ~ N.
+# Guardrail for precompute and load, lifted by allow_large: the tables hold a
+# row per coset key, |keys| ~ N^2, while the double sums grow with mu ~ N.
 DEFAULT_LEVEL_LIMIT = 80
 
 CACHE_VERSION = 4  # bump when the stored sums or their transversal change: load rebuilds the rest
@@ -191,11 +191,11 @@ class Context:
     Immutable after `precompute`; `fast_sum` is pure, so one context can
     serve concurrent evaluations.
 
-    It takes seven inputs: the pair `chi1`, `chi2`; the transversals
-    `t_g0` (Gamma1(N) in Gamma0(N), keyed by d mod N) and `t_sl2` (keyed by
-    coset key); `sums_g0`, the sums of the `t_g0` members; and `alphabet`
-    and `sums_alphabet`, the 2 |keys| Schreier generators U(t, T), U(t, S)
-    and their sums, keyed (key, ("T", 1)), (key, ("S", 1)).
+    It takes six inputs: the pair `chi1`, `chi2`; the transversals `t_g0`
+    (Gamma1(N) in Gamma0(N), keyed by d mod N) and `t_sl2` (keyed by coset
+    key); `sums_g0`, the sums of the `t_g0` members; and `sums_alphabet`, the
+    sums of the 2 |keys| Schreier generators U(t, T), U(t, S), keyed (key,
+    ("T", 1)), (key, ("S", 1)), whose matrices `alphabet` builds on each access.
 
     `__post_init__` derives `N`, `L` and `parity_ok` (chi1*chi2(-1) = 1)
     from the pair, and what `fast_sum` reads, integer rows over the common
@@ -219,7 +219,6 @@ class Context:
     chi2: DirichletCharacter
     t_g0: Transversal
     t_sl2: Transversal
-    alphabet: dict
     sums_g0: dict
     sums_alphabet: dict
     N: int = field(init=False)
@@ -230,42 +229,55 @@ class Context:
     neg: Term = field(init=False, compare=False, repr=False)
     zero: tuple = field(init=False, compare=False, repr=False)
 
+    @property
+    def alphabet(self) -> dict:
+        return schreier_alphabet(self.N, self.t_sl2)
+
     def __post_init__(self):
         chi1, chi2 = self.chi1, self.chi2
         self.N = N = chi1.modulus * chi2.modulus
         self.L = L = pair_order(chi1, chi2)
         self.parity_ok = parity_product(chi1, chi2) == CycElem.one(L)
-        self.den, rows = _generator_rows(self.sums_alphabet)
         self.zero = zero = (0,) * len(CycElem.zero(L).coeffs)
+        self.den, rows = _generator_rows(self.sums_alphabet, zero)
+        s_T, s_S = ({key: row for (key, (x, _)), row in rows.items() if x == y} for y in "TS")
         # F along each T-orbit from its base (c, d mod g), g = gcd(c, N),
         # where t T^j has the key (c, d + j c)
         f_of, total_of = {}, {}
         for c, d in self.t_sl2.members:
             g = gcd(c, N)
-            if (c, d % g) in f_of:
+            if (c, d % g) in total_of:
                 continue  # its orbit is done
             f = zero
             for pos in range(N // g):
                 key = (c, (d % g + pos * c) % N)
                 f_of[key] = pos, f
-                f = tuple(map(add, f, rows[key, ("T", 1)]))
+                f = f if (row := s_T[key]) is zero else tuple(map(add, f, row))
             total_of[c, d % g] = f if any(f) else zero
-        self.potential = {}
-        for c, d in self.t_sl2.members:
-            (pos, f), g = f_of[c, d], gcd(c, N)
-            row = tuple(map(sub, map(add, f, rows[(c, d), ("S", 1)]), f_of[d, -c % N][1]))
-            step = Term((c, d), "S", 1, row if any(row) else zero)
-            self.potential[c, d] = OrbitRow(pos, N // g, total_of[c, d % g], step)
-        row = tuple(map(add, rows[(0, -1 % N), ("S", 1)], rows[(-1 % N, 0), ("S", 1)]))
+        self.potential = potential = {}
+        for key in self.t_sl2.members:
+            (pos, f), (c, d), g = f_of[key], key, gcd(key[0], N)
+            row, h = s_S[key], f_of[d, -c % N][1]
+            if f is not h and not any(row := tuple(map(sub, map(add, f, row), h))):
+                row = zero  # B(k) = F(k) + s_S[k] - F(kS) is 0
+            step = _new(Term, (key, "S", 1, row))
+            potential[key] = _new(OrbitRow, (pos, N // g, total_of[c, d % g], step))
+        row = tuple(map(add, s_S[0, -1 % N], s_S[-1 % N, 0]))
         self.neg = Term((0, -1 % N), "-I", 1, row if any(row) else zero)
 
 
-def _validate_pair(chi1, chi2):
+def _validate_pair(chi1, chi2, allow_large: bool):
     for name, chi in (("chi1", chi1), ("chi2", chi2)):
         if not chi.is_primitive():
             raise ValueError(f"{name} (mod {chi.modulus}) is not primitive")
         if chi.conductor() <= 1:
             raise ValueError(f"{name} must have conductor > 1")
+    N = chi1.modulus * chi2.modulus
+    if N > DEFAULT_LEVEL_LIMIT and not allow_large:
+        raise ValueError(
+            f"level N = {N} exceeds the guardrail {DEFAULT_LEVEL_LIMIT}; pass allow_large=True "
+            f"(the tables would have {sl2_coset_count(N):,} coset keys)"
+        )
 
 
 def precompute(
@@ -281,13 +293,8 @@ def precompute(
     `record.solve_stats` and `record.phases`.  Levels above
     DEFAULT_LEVEL_LIMIT need allow_large.
     """
-    _validate_pair(chi1, chi2)
+    _validate_pair(chi1, chi2, allow_large)
     N = chi1.modulus * chi2.modulus
-    if N > DEFAULT_LEVEL_LIMIT and not allow_large:
-        raise ValueError(
-            f"level N = {N} exceeds the guardrail {DEFAULT_LEVEL_LIMIT}; pass allow_large=True "
-            f"(the tables would have {sl2_coset_count(N):,} coset keys)"
-        )
     laps = [time.perf_counter()] if log.isEnabledFor(logging.DEBUG) else None
     p1 = transversal_g0_in_sl2(N)
     gens = schreier_alphabet(N, p1)
@@ -314,7 +321,7 @@ def precompute(
 
 
 # Seconds per phase: the Gamma0 generator sums; the Gamma0 transversal and
-# Gamma1 generator sums; the checks; the Gamma1 generators and the rows.
+# Gamma1 generator sums; the checks; the evaluator's rows.
 _PHASES = "solve %.4f s, derive %.4f s, check %.4f s, tables %.4f s"
 
 
@@ -345,7 +352,7 @@ def _build(chi1, chi2, p1: Transversal, gens: dict, sums: dict, laps, oracle=Non
             if m != I2 and oracle(m) != sums_g0[d]:
                 raise ValueError(f"the Gamma0 transversal sum at d = {d} breaks the cocycle identity")
     _lap(laps)
-    ctx = Context(chi1, chi2, t_g0, t_sl2, schreier_alphabet(N, t_sl2), sums_g0, sums1)
+    ctx = Context(chi1, chi2, t_g0, t_sl2, sums_g0, sums1)
     _lap(laps)
     return ctx, checked
 
@@ -355,12 +362,12 @@ def _row(den: int, coeffs) -> tuple[int, ...]:
     return tuple([x.numerator * den // x.denominator for x in coeffs])
 
 
-def _generator_rows(sums: dict) -> tuple[int, dict]:
+def _generator_rows(sums: dict, zero: tuple | None = None) -> tuple[int, dict]:
     """The common denominator D of the generator sums and, keyed like sums,
-    their integer numerator rows over D: one per distinct CycElem object."""
+    their integer rows over D, one per distinct CycElem, or `zero` if given for a zero sum."""
     distinct = {id(v): v for v in sums.values()}
     den = lcm(*{x.denominator for v in distinct.values() for x in v.coeffs})
-    row_of = {i: _row(den, v.coeffs) for i, v in distinct.items()}
+    row_of = {i: _row(den, v.coeffs) if v or zero is None else zero for i, v in distinct.items()}
     return den, {k: row_of[id(v)] for k, v in sums.items()}
 
 
@@ -509,17 +516,19 @@ def _derive(L: int, p1: Transversal, gens: dict, rows: dict, g_rows: dict, twist
     the rows G(lambda) of `g_rows`.  With u = d(U(r_k, x)) mod N,
     U(g_lambda r_k, x) = g_lambda U(r_k, x) g_{lambda u}^-1, so
     s1[lambda k, x] = psi(lambda) s0[k, x] + G(lambda) - G(lambda u)."""
-    N, out, turned, steps = p1.N, {}, {}, {}
+    N, out, turned, steps = p1.N, {}, {}, {}  # steps[u][lambda]: G(lambda) - G(lambda u)
+    point = {k: [] for k in p1.members}  # k -> (x, u, steps[u], s0[k, x] != 0) per letter x
+    for (k, x), m in gens.items():
+        point[k].append((x, u := m.d % N, steps.setdefault(u, {}), any(rows[k, x])))
     for key, (k, lam) in p1.classes.items():
-        for x in (("T", 1), ("S", 1)):
-            v, u, e = (k, x), gens[k, x].d % N, twist[lam]
-            if (lam, u) not in steps:  # G(lambda) - G(lambda u)
-                steps[lam, u] = tuple(map(sub, g_rows[lam], g_rows[lam * u % N]))
-            out[key, x] = steps[lam, u]
-            if any(rows[v]):  # plus psi(lambda) s0[k, x]
-                if (v, e) not in turned:
-                    turned[v, e] = _twisted_sum(L, rows, ((v, e),))
-                out[key, x] = tuple(map(add, out[key, x], turned[v, e]))
+        for x, u, by_lam, live in point[k]:
+            if (row := by_lam.get(lam)) is None:
+                row = by_lam[lam] = tuple(map(sub, g_rows[lam], g_rows[lam * u % N]))
+            if live:  # plus psi(lambda) s0[k, x]
+                if (v := ((k, x), twist[lam])) not in turned:
+                    turned[v] = _twisted_sum(L, rows, (v,))
+                row = tuple(map(add, row, turned[v]))
+            out[key, x] = row
     return out
 
 
@@ -641,7 +650,7 @@ class LoadStats(NamedTuple):
     spot_checks: int  # pivots of the solve compared with the double sum
 
 
-def load_context(path) -> Context:
+def load_context(path, *, allow_large: bool = False) -> Context:
     """Load a cached context and validate every stored sum.
 
     The file holds the pair, which must pass `precompute`'s checks, and
@@ -649,7 +658,8 @@ def load_context(path) -> Context:
     rest is rebuilt by the code `precompute` runs.  The stored sums must be
     0 at the generators +-I, obey every twisted relation and, at the pivots
     of `_solve`, equal the double sum: the peel then pins every other one.
-    Any malformed structure raises ValueError too.  One DEBUG line on the
+    Any malformed structure, or a level `precompute` refuses without
+    allow_large, raises ValueError too.  One DEBUG line on the
     `gdsum.dedekind` logger says what was validated and the seconds per
     phase, as `record.load_stats` and `record.phases`.
     """
@@ -659,7 +669,7 @@ def load_context(path) -> Context:
         chi1, chi2, sums = _sums_from_json(data)
     except (LookupError, TypeError, AttributeError, ArithmeticError) as exc:
         raise ValueError(f"malformed cache {path}: {type(exc).__name__}: {exc}") from exc
-    _validate_pair(chi1, chi2)
+    _validate_pair(chi1, chi2, allow_large)
     N = chi1.modulus * chi2.modulus
     laps = [time.perf_counter()] if log.isEnabledFor(logging.DEBUG) else None
     p1 = transversal_g0_in_sl2(N)
@@ -693,8 +703,8 @@ def load_context(path) -> Context:
 
 def _sums_from_json(data):
     """The pair and the stored Gamma0 generator sums, keyed (key, ("T", 1))
-    and (key, ("S", 1)), with one CycElem per distinct stored vector: a
-    JSON list of coefficient strings."""
+    and (key, ("S", 1)) from keys written "c,d" exactly, with one CycElem
+    per distinct stored vector: a JSON list of coefficient strings."""
     if data.get("version") != CACHE_VERSION:
         raise ValueError(
             f"cache version {data.get('version')!r} is not {CACHE_VERSION}; "
@@ -716,7 +726,9 @@ def _sums_from_json(data):
             v = tuple(v)
             if v not in cyc:
                 cyc[v] = CycElem._raw(L, tuple([_parse_fraction(x) for x in v]))
-            sums[tuple(map(int, key.split(","))), (name, 1)] = cyc[v]
+            if ",".join(map(str, k := tuple(map(int, key.split(","))))) != key:
+                raise ValueError(f"stored key {key!r} is not written c,d")
+            sums[k, (name, 1)] = cyc[v]
     return chi1, chi2, sums
 
 

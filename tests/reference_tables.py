@@ -120,7 +120,7 @@ def all_oracle_context(chi1, chi2, t_sl2: Transversal):
     t_g0 = transversal_g1_in_g0(t_sl2.N)
     zero = CycElem.zero(pair_order(chi1, chi2))
     sums_g0 = {d: zero if m == I2 else oracle(chi1, chi2, m) for d, m in t_g0.members.items()}
-    return dedekind.Context(chi1, chi2, t_g0, t_sl2, alphabet, sums_g0, sums)
+    return dedekind.Context(chi1, chi2, t_g0, t_sl2, sums_g0, sums)
 
 
 def gamma1_relations(N: int, keys):

@@ -229,6 +229,46 @@ def test_malformed_cache_exits_1(tmp_path, capsys, key, wrong_type):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("key", [" 0,1", "+0,1", "00,1", "0,01", "0, 1", "0,1 "])
+def test_cache_key_not_written_c_d_exits_1(tmp_path, capsys, key):
+    """A stored key must read "c,d" as the cache writes it: int() would
+    also take these forms, and two of them could name one point."""
+    assert main(["precompute", *_pair_args(tmp_path)]) == 0
+    capsys.readouterr()
+    cache = next(tmp_path.glob("*.json"))
+    data = json.loads(cache.read_text())
+    data["sums_alphabet"]["S"][key] = data["sums_alphabet"]["S"].pop("0,1")
+    cache.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="is not written c,d"):
+        load_context(cache)
+    assert main(["sum", *_pair_args(tmp_path), "--matrix", "17,32;9,17"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_load_refuses_a_level_above_the_guardrail(tmp_path, capsys, monkeypatch):
+    """A cache of level N = 143 loads only with allow_large, and without it
+    is refused before any transversal is built; under a small pair's file
+    name, `gdsum sum` exits 1 naming the level, or with --allow-large-n
+    loads it and refuses it as another pair's."""
+    chi1, chi2 = find_character(11, [(2, "1/2")]), find_character(13, [(2, "1/12")])
+    big = tmp_path / "big.json"
+    dedekind.save_context(dedekind.precompute(chi1, chi2, allow_large=True), big)
+    assert load_context(big, allow_large=True).N == 143
+    with monkeypatch.context() as m:
+        m.setattr(dedekind, "transversal_g0_in_sl2", lambda N: pytest.fail("a transversal was built"))
+        with pytest.raises(ValueError, match="level N = 143 exceeds the guardrail 80"):
+            load_context(big)
+    cache_dir = tmp_path / "cache"
+    assert main(["precompute", *_pair_args(cache_dir)]) == 0
+    capsys.readouterr()
+    next(cache_dir.glob("*.json")).write_bytes(big.read_bytes())
+    assert main(["sum", *_pair_args(cache_dir), "--matrix", "17,32;9,17"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: level N = 143 exceeds the guardrail")
+    assert main(["sum", *_pair_args(cache_dir), "--allow-large-n", "--matrix", "17,32;9,17"]) == 1
+    assert "holds the pair" in capsys.readouterr().err
+
+
 def test_sum_rejects_non_member(tmp_path, capsys):
     rc = main(["sum", *_pair_args(tmp_path), "--matrix", "1,0;5,1"])
     assert rc == 1
@@ -311,10 +351,10 @@ def test_verify_detects_corruption(tmp_path, capsys, monkeypatch):
     assert main(["precompute", *_pair_args(tmp_path)]) == 0
     capsys.readouterr()
 
-    def corrupted_load(path):
+    def corrupted_load(path, **kwargs):
         # the cache does not store the Gamma0 sums: corrupt one after loading;
         # verify re-checks all of them
-        ctx = load_context(path)
+        ctx = load_context(path, **kwargs)
         sums_g0 = {**ctx.sums_g0, 2: CycElem.from_rational(ctx.L, Fraction(7, 3))}
         return dataclasses.replace(ctx, sums_g0=sums_g0)
 

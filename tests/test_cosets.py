@@ -187,6 +187,17 @@ def test_alt_lift_is_valid_transversal():
         lift_transversal(9, lift="bogus")
 
 
+def test_sl2_transversal_rejects_a_member_off_its_key():
+    """Every member of the Gamma1 transversal has its key as bottom row mod
+    N, which puts every U(t, T) and U(t, S) in Gamma1(N); a P^1 member off
+    its class key breaks that, and the build raises."""
+    p1 = transversal_g0_in_sl2(9)
+    assert p1.members[1, 0] == S
+    bad = type(p1)(9, "p1", {**p1.members, (1, 0): T}, p1.classes)
+    with pytest.raises(ValueError, match="corrupted transversal: member .* is off its key"):
+        transversal_g1_in_sl2(9, bad)
+
+
 @pytest.mark.parametrize("N", LEVELS)
 def test_sl2_transversal_is_schreier(N):
     """The P^1 transversal r_k is prefix-closed: every member but the

@@ -383,13 +383,32 @@ def test_cache_round_trip_rebuilds_tables(tmp_path, request, name):
     assert (loaded.chi1, loaded.chi2, loaded.parity_ok) == (ctx.chi1, ctx.chi2, ctx.parity_ok)
 
 
+def test_alphabet_is_built_on_access_only(tmp_path, monkeypatch, ctx28):
+    """precompute and load build the Schreier generators of the P^1
+    transversal only; a context builds those of its Gamma1 transversal
+    each time `alphabet` is read, and stores none."""
+    kinds, real = [], dedekind.schreier_alphabet
+    monkeypatch.setattr(dedekind, "schreier_alphabet", lambda N, t: kinds.append(t.kind) or real(N, t))
+    ctx = precompute(ctx28.chi1, ctx28.chi2)
+    path = tmp_path / "ctx28.json"
+    save_context(ctx, path)
+    loaded = load_context(path)
+    assert kinds == ["p1", "p1"]
+    sums = dict(ctx.sums_alphabet)
+    sums[(0, 1), ("S", 1)] = sums[(0, 1), ("S", 1)] + CycElem.one(ctx.L)
+    for c in (ctx, loaded, dataclasses.replace(ctx, sums_alphabet=sums)):
+        assert "alphabet" not in vars(c)
+        assert c.alphabet == schreier_alphabet(28, c.t_sl2)
+        assert len(c.alphabet) == 2 * len(c.t_sl2) and c.alphabet.keys() == c.sums_alphabet.keys()
+
+
 @pytest.mark.parametrize("name", ["N", "L", "parity_ok"])
 def test_context_derives_pair_fields(ctx35, name):
     # a context takes its pair, transversals, generators and sums, and
     # derives the rest, so no replace can set a level, order or parity flag
     # its pair does not have
     inputs = [f.name for f in dataclasses.fields(ctx35) if f.init]
-    assert inputs == ["chi1", "chi2", "t_g0", "t_sl2", "alphabet", "sums_g0", "sums_alphabet"]
+    assert inputs == ["chi1", "chi2", "t_g0", "t_sl2", "sums_g0", "sums_alphabet"]
     assert (ctx35.N, ctx35.L, ctx35.parity_ok) == (35, 12, False)
     with pytest.raises(ValueError, match=name):
         dataclasses.replace(ctx35, **{name: getattr(ctx35, name)})

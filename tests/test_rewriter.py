@@ -187,17 +187,20 @@ def test_modified_rewrite_rejects_outsiders():
 
 
 def test_checks_survive_stripped_asserts():
-    # under python -O, the product check of modified_rewrite and the
-    # Gamma1 check of schreier_alphabet still raise
+    # under python -O, the product check of modified_rewrite, the Gamma1
+    # check of schreier_alphabet and the key check of transversal_g1_in_sl2
+    # still raise
     code = """if True:
-        from gdsum.cosets import Transversal, schreier_alphabet, transversal_g1_in_sl2
+        from gdsum.cosets import Transversal, schreier_alphabet, transversal_g0_in_sl2, transversal_g1_in_sl2
         from gdsum.modgroup import Mat2, ts_decompose
         from gdsum.rewriter import modified_rewrite
         t = transversal_g1_in_sl2(9)
+        p1 = transversal_g0_in_sl2(9)
         g1 = Mat2(10, 1, 9, 1)
         for call in (
             lambda: modified_rewrite(ts_decompose(g1), t, product=Mat2(1, 0, 9, 1)),
             lambda: schreier_alphabet(9, Transversal(9, "sl2", {**t.members, (0, 1): Mat2(0, -1, 1, 0)})),
+            lambda: transversal_g1_in_sl2(9, Transversal(9, "p1", {**p1.members, (1, 0): Mat2(1, 1, 0, 1)}, p1.classes)),
         ):
             try:
                 call()
@@ -212,7 +215,8 @@ def test_checks_survive_stripped_asserts():
     ).stdout
     assert out.endswith("debug False\n")
     assert "ValueError: word product (10, 1; 9, 1) is not (1, 0; 9, 1)" in out
-    assert "ValueError: corrupted transversal" in out
+    assert "ValueError: corrupted transversal: U entry" in out
+    assert "ValueError: corrupted transversal: member" in out and "is off its key" in out
 
 
 def test_reduce_t_power():
