@@ -21,7 +21,7 @@ from gdsum.cosets import (
     u_func,
 )
 from gdsum.modgroup import I2, Mat2, S, ts_decompose, ts_reconstruct
-from gdsum.rewriter import format_factor, modified_rewrite
+from gdsum.rewriter import as_factors, format_factor, modified_rewrite
 
 N = 9
 gamma0 = Mat2(17, 32, 9, 17)
@@ -50,10 +50,13 @@ assert ts_reconstruct(w) == gamma1
 
 t_sl2 = transversal_g1_in_sl2(N)
 print(f"\nFull-group transversal has {len(t_sl2)} members, keyed by (c, d) mod {N}.")
-factors = modified_rewrite(w, t_sl2)
+keys = modified_rewrite(w, t_sl2)
+factors = as_factors(w, keys, N)
 print(
-    f"Rewriting gives {len(factors)} U-factors (one per T-power, one per S).  The walk\n"
-    "carries only the key: T^a maps (c, d) to (c, d + a*c), S maps it to (d, -c).\n"
+    f"Rewriting walks {len(keys)} slot keys c*{N} + d, one before each T-power and each S:\n"
+    f"  {keys}\n"
+    "The walk carries only the key: T^a maps (c, d) to (c, d + a*c), S maps it to (d, -c).\n"
+    f"As U-factors (one per nonzero T-power, one per S) that is {len(factors)} factors.\n"
     "Beside each factor, the key of the full prefix matrix and the U-matrix:"
 )
 

@@ -39,7 +39,7 @@ from .dedekind import (
 )
 from .exactnum import CycElem
 from .modgroup import I2, Mat2, S, T, random_gamma0, random_sl2, ts_decompose
-from .rewriter import format_factor, format_term, modified_rewrite, reduce_word
+from .rewriter import as_factors, format_factor, format_term, modified_rewrite, reduce_word
 
 # Largest lower-left entry for which the double sum is run: the default of
 # `bench --naive-cutoff` and the limit of `sum --naive` and `verify --cmax`.
@@ -218,11 +218,12 @@ def _print_trace(ctx: Context, gamma: Mat2) -> None:
     sign = "-" if w.negate else ""
     word = " S ".join(f"T^{e}" for e in w.exponents)
     print(f"gamma1 = {g1} = {sign}{word}")
-    factors = modified_rewrite(w, ctx.t_sl2, product=g1)
+    keys = modified_rewrite(w, ctx.t_sl2, product=g1)
+    factors = as_factors(w, keys, ctx.N)
     print("rewritten factors:")
     for f in factors:
         print(f"  {format_factor(f)}")
-    terms = reduce_word(factors, ctx)
+    terms = reduce_word(w, keys, ctx)
     print(f"terms added to the Gamma0 transversal sum at d = {d_key}:")
     for f in terms:
         print(f"  {format_term(f)}")
@@ -464,6 +465,10 @@ def cmd_bench(args) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(len(argv) - 1)):  # argparse takes a separate "-1,0;0,-1" for an option
+        if argv[i] == "--matrix" and argv[i + 1][:1] == "-" and argv[i + 1][1:2].isdigit():
+            argv[i : i + 2] = ["--matrix=" + argv[i + 1]]
     try:
         args = parser.parse_args(argv)
         handler = {

@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import gcd, lcm
-from operator import add, sub
+from operator import add, itemgetter, sub
 from typing import NamedTuple
 
 from .characters import (
@@ -198,8 +198,8 @@ class Context:
     ("T", 1)), (key, ("S", 1)), whose matrices `alphabet` builds on each access.
 
     `__post_init__` derives `N`, `L` and `parity_ok` (chi1*chi2(-1) = 1)
-    from the pair, and what `fast_sum` reads, integer rows over the common
-    denominator `den`: an `OrbitRow` per key in `potential`, and `neg`.
+    from the pair, and integer rows over the common denominator `den`: an
+    `OrbitRow` per key in `potential`, and the negation term `neg`.
     With F(k) the sum of s_T along k's T-orbit up to k and Sigma the orbit
     total, the cocycle identity gives, for every integer a,
 
@@ -209,10 +209,12 @@ class Context:
     B(k) = F(k) + s_S[k] - F(kS), and vanish at both ends: the walk starts
     at key (0, 1) and ends there or, negated, at (0, -1), keys alone on
     their orbits.  `neg` is then the sum of U(t, S^2) at (0, -1).  Every
-    zero row is the one tuple `zero`, which `reduce_word` skips.  Nothing
-    derived is passed in, so `dataclasses.replace(ctx, sums_alphabet=...)`
-    evaluates the table it holds, and replacing a derived field raises.
-    It checks no relation: `precompute` and `load_context` do.
+    zero row is the one tuple `zero`.  `reduce_word` reads the same objects
+    by key index c*N + d: `t_slot[i]` is the key's `OrbitRow`, `s_slot[i]`
+    its S-step term, and `neg_slot` is `neg`, each None if its row is zero
+    or i is no key.  Nothing derived is passed in, so `dataclasses.replace(
+    ctx, sums_alphabet=...)` evaluates the table it holds, and replacing a
+    derived field raises.  `precompute` and `load_context` check relations.
     """
 
     chi1: DirichletCharacter
@@ -228,6 +230,9 @@ class Context:
     potential: dict = field(init=False, compare=False, repr=False)
     neg: Term = field(init=False, compare=False, repr=False)
     zero: tuple = field(init=False, compare=False, repr=False)
+    t_slot: list = field(init=False, compare=False, repr=False)
+    s_slot: list = field(init=False, compare=False, repr=False)
+    neg_slot: Term | None = field(init=False, compare=False, repr=False)
 
     @property
     def alphabet(self) -> dict:
@@ -255,15 +260,19 @@ class Context:
                 f = f if (row := s_T[key]) is zero else tuple(map(add, f, row))
             total_of[c, d % g] = f if any(f) else zero
         self.potential = potential = {}
+        self.t_slot, self.s_slot = t_slot, s_slot = [None] * N * N, [None] * N * N
         for key in self.t_sl2.members:
             (pos, f), (c, d), g = f_of[key], key, gcd(key[0], N)
             row, h = s_S[key], f_of[d, -c % N][1]
             if f is not h and not any(row := tuple(map(sub, map(add, f, row), h))):
                 row = zero  # B(k) = F(k) + s_S[k] - F(kS) is 0
             step = _new(Term, (key, "S", 1, row))
-            potential[key] = _new(OrbitRow, (pos, N // g, total_of[c, d % g], step))
+            potential[key] = orbit = _new(OrbitRow, (pos, N // g, total_of[c, d % g], step))
+            t_slot[c * N + d] = None if orbit[2] is zero else orbit
+            s_slot[c * N + d] = None if row is zero else step
         row = tuple(map(add, s_S[0, -1 % N], s_S[-1 % N, 0]))
         self.neg = Term((0, -1 % N), "-I", 1, row if any(row) else zero)
+        self.neg_slot = None if self.neg.row is zero else self.neg
 
 
 def _validate_pair(chi1, chi2, allow_large: bool):
@@ -545,18 +554,17 @@ def split_gamma0(ctx: Context, gamma: Mat2) -> tuple[Mat2, Mat2, int]:
 def fast_sum(ctx: Context, gamma: Mat2) -> CycElem:
     """S(gamma) from the precomputed tables; O(log|c|) work.
 
-    `reduce_word` turns the word's factors into terms: the S-step row at
-    each S letter, a multiple of the orbit total at each T letter that
-    wraps around its T-orbit, and the negation row, none for a zero row.
-    Their rows, times m, are summed column by column into numerators over
-    `ctx.den`; each nonzero one becomes a Fraction added to the Gamma0
-    transversal sum.
+    `modified_rewrite` walks the word's slot keys and `reduce_word` turns
+    them into terms: the S-step row at each S slot, a multiple of the orbit
+    total at each T slot that wraps around its T-orbit, and the negation
+    row, none for a zero row.  Their rows are summed column by column into
+    numerators over `ctx.den`; each nonzero one becomes a Fraction added to
+    the Gamma0 transversal sum.
     """
     g1, _, d_key = split_gamma0(ctx, gamma)
     word = ts_decompose(g1, nearest=True)
-    terms = reduce_word(modified_rewrite(word, ctx.t_sl2, product=g1), ctx)
-    rows = [row if m == 1 else [m * n for n in row] for _, _, m, row in terms]
-    acc = map(sum, zip(ctx.zero, *rows))  # ctx.zero keeps every column when no term is left
+    terms = reduce_word(word, modified_rewrite(word, ctx.t_sl2, product=g1), ctx)
+    acc = map(sum, zip(ctx.zero, *map(itemgetter(3), terms)))  # ctx.zero keeps each column
     return CycElem._raw(
         ctx.L,
         tuple(x + Fraction(n, ctx.den) if n else x for x, n in zip(ctx.sums_g0[d_key].coeffs, acc)),

@@ -1,14 +1,14 @@
-"""Rewriting of Gamma1(N) elements over the Schreier alphabet.
+"""Rewriting of Gamma1(N) elements over the Schreier alphabet, as coset keys.
 
-`modified_rewrite` collects exponents: one factor per T-power, one per S,
-and a trailing +-I factor, so the factor count tracks the word's letter
-count.  It multiplies no prefix matrices: a factor needs only the coset key
-(c mod N, d mod N) of the word's prefix, and T^a maps that key to
-(c, d + a*c), S to (d, -c); the word's product is rebuilt once, in plain
-integers, for the checks.  `reduce_word` then reads the context's
-potential table: each S factor adds its key's S-step row, each T^a factor
-adds its orbit's total only as often as a wraps around the T-orbit, and
--I adds the negation row; a zero row adds no term.
+`modified_rewrite` collects exponents and returns one int per slot of the
+word: the coset key c*N + d of the prefix before each T-power and each S,
+2 * letters - 1 keys.  It multiplies no prefix matrices: T^a maps the key
+(c, d) to (c, d + a*c), S to (d, -c); the word's product is rebuilt once,
+in plain integers, for the checks.  `reduce_word` then reads the context's
+two tables indexed by key: each S slot adds its key's S-step term, each
+T^a slot its orbit's total only as often as a wraps around the T-orbit,
+and a negated word the negation term; a zero row has no entry, so it adds
+no term.  `as_factors` spells the keys as `RewriteFactor`s for display.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .cosets import Transversal
 from .modgroup import Mat2, TSWord, ts_reconstruct
 
 # A NamedTuple's own constructor is a Python-level call; building the tuple
-# directly halves the cost of each factor on the evaluation path.
+# directly halves the cost of each term on the evaluation path.
 _new = tuple.__new__
 
 
@@ -32,9 +32,9 @@ class RewriteFactor(NamedTuple):
 
 
 class Term(NamedTuple):
-    """multiplicity * row, one term `fast_sum` adds; kind "S" (the S-step
-    row of key), "T" (the orbit total of key's T-orbit, times the number
-    of times the T-power wraps around it) or "-I" (the negation row)."""
+    """One row `fast_sum` adds, of kind "S" (the S-step row of key), "T"
+    (`multiplicity` times the orbit total of key's T-orbit, as often as the
+    T-power wraps around it) or "-I" (the negation row)."""
 
     key: tuple[int, int]
     kind: str
@@ -42,13 +42,12 @@ class Term(NamedTuple):
     row: tuple[int, ...]
 
 
-def modified_rewrite(w: TSWord, t: Transversal, product: Mat2 | None = None) -> list[RewriteFactor]:
-    """Exponent-collecting rewriting of a TS word with product in Gamma1(N).
+def modified_rewrite(w: TSWord, t: Transversal, product: Mat2 | None = None) -> list[int]:
+    """The slot keys of a TS word with product in Gamma1(N).
 
-    Emits one factor per nonzero T-power, one per S, and a final -I factor
-    when the word is negated (+I contributes nothing and is dropped).  The
-    exact matrix product of the factors' U-values reconstructs the word.
-    `product`, when supplied, must equal the word's exact product, or
+    c*N + d for the prefix key (c, d) before each T-power and each S, in
+    word order, from the identity's key (0, 1).  `product`, if given, must
+    equal the word's exact product, which must lie in Gamma1(N), or
     ValueError is raised.
     """
     g1 = ts_reconstruct(w)
@@ -57,43 +56,46 @@ def modified_rewrite(w: TSWord, t: Transversal, product: Mat2 | None = None) -> 
     N = t.N
     if not g1.in_gamma1(N):
         raise ValueError(f"word product {g1} is not in Gamma1({N})")
-    factors = []
+    keys = []
+    append = keys.append
     c, d = 0, 1 % N  # key of the prefix before the next letter
     for a in w.exponents:  # T^a S; only the first and last a may be 0
-        if a:
-            factors.append(_new(RewriteFactor, ((c, d), "T", a)))
-            d = (d + a * c) % N
-        factors.append(_new(RewriteFactor, ((c, d), "S", 1)))
+        append(c * N + d)
+        d = (d + a * c) % N
+        append(c * N + d)
         c, d = d, -c % N
-    key = factors.pop()[0]  # the word ends in T^ar: no S after it
-    if w.negate:
-        factors.append(_new(RewriteFactor, (key, "-I", 1)))
-    return factors
+    keys.pop()  # the word ends in T^ar: no S after it
+    return keys
 
 
-def reduce_word(factors, ctx) -> list[Term]:
-    """The terms whose rows, times their multiplicities, add up to the sum
-    of the factors' product, read from the context's potential table.
+def reduce_word(w: TSWord, keys: list[int], ctx) -> list[Term]:
+    """The terms whose rows add up to the sum of the word's product, read
+    from the context's tables at the slot keys of `modified_rewrite`.
 
-    An S factor at key k gives k's S-step term.  A T^a factor at k gives
-    k's orbit total, w = floor((pos + a) / length) times, when it wraps
-    around the orbit (w != 0).  The -I factor gives the negation term.
-    A zero row, which is always the one tuple `ctx.zero`, gives no term.
+    A T^a slot at key k gives k's orbit total, times w = floor((pos + a) /
+    length), when it wraps around the orbit (w != 0).  An S slot gives k's
+    S-step term, and a negated word the negation term.  A zero row has no
+    table entry (None), so it gives no term.
     """
-    table, zero, out = ctx.potential, ctx.zero, []
-    for key, gen, exponent in factors:
-        if gen == "S":
-            if (step := table[key][3])[3] is not zero:
-                out.append(step)
-        elif gen == "T":
-            pos, length, total, _ = table[key]
-            if total is not zero and (w := (pos + exponent) // length):
-                out.append(_new(Term, (key, "T", w, total)))
-        elif gen != "-I":
-            raise ValueError(f"unknown factor generator {gen!r}")
-        elif ctx.neg[3] is not zero:
-            out.append(ctx.neg)
+    t_slot, s_slot, out = ctx.t_slot, ctx.s_slot, []
+    # o is (pos, length, total, step); the last S slot is 0 = (0, 0), no key
+    for a, k, s in zip(w.exponents, keys[::2], [*keys[1::2], 0]):
+        if (o := t_slot[k]) is not None and (m := (o[0] + a) // o[1]):
+            row = o[2] if m == 1 else tuple([m * n for n in o[2]])
+            out.append(_new(Term, (o[3][0], "T", m, row)))
+        if (o := s_slot[s]) is not None:
+            out.append(o)
+    if w.negate and ctx.neg_slot is not None:
+        out.append(ctx.neg_slot)
     return out
+
+
+def as_factors(w: TSWord, keys: list[int], N: int) -> list[RewriteFactor]:
+    """The U-factors the slot keys stand for: one per nonzero T-power, one
+    per S, and a final -I at (0, -1) when the word is negated."""
+    gens = [g for a in w.exponents for g in (("T", a), ("S", 1))]  # zip drops the last S
+    out = [RewriteFactor(divmod(k, N), *g) for k, g in zip(keys, gens) if g[1]]
+    return out + [RewriteFactor((0, -1 % N), "-I", 1)] * w.negate
 
 
 def format_factor(f: RewriteFactor) -> str:

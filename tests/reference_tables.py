@@ -15,6 +15,9 @@ rows the context derives.  `reduce_word` maps rewrite factors onto that
 alphabet, each T^a as q * T^N + T^r, so a word's sum can be added up
 without the potential table; `derived_rows` pairs every row of the
 context's potential table with its value from `alphabet_sum`.
+`factor_rewrite` and `factor_terms` are the evaluator's rewrite and
+reduction in their factor form: a `RewriteFactor` per letter, and terms
+read from the keyed `potential` table, each times its multiplicity.
 """
 
 from fractions import Fraction
@@ -31,7 +34,8 @@ from gdsum.cosets import (
     u_func,
 )
 from gdsum.exactnum import CycElem
-from gdsum.modgroup import I2, Mat2, S
+from gdsum.modgroup import I2, Mat2, S, ts_reconstruct
+from gdsum.rewriter import RewriteFactor, Term
 
 
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
@@ -268,3 +272,47 @@ def expand_factor(f, t: Transversal) -> Mat2:
     if f.gen == "S":
         return u_func(base, S, t)
     return u_func(base, -Mat2.identity(), t)
+
+
+def factor_rewrite(w, t: Transversal, product=None) -> list:
+    """Exponent-collecting rewriting of a TS word with product in Gamma1(N)
+    as factors: one per nonzero T-power, one per S, and a final -I factor
+    when the word is negated.  Raises ValueError like `modified_rewrite`."""
+    g1 = ts_reconstruct(w)
+    if product is not None and g1 != product:
+        raise ValueError(f"word product {g1} is not {product}")
+    N = t.N
+    if not g1.in_gamma1(N):
+        raise ValueError(f"word product {g1} is not in Gamma1({N})")
+    factors = []
+    c, d = 0, 1 % N  # key of the prefix before the next letter
+    for a in w.exponents:
+        if a:
+            factors.append(RewriteFactor((c, d), "T", a))
+            d = (d + a * c) % N
+        factors.append(RewriteFactor((c, d), "S", 1))
+        c, d = d, -c % N
+    key = factors.pop()[0]  # the word ends in T^ar: no S after it
+    if w.negate:
+        factors.append(RewriteFactor(key, "-I", 1))
+    return factors
+
+
+def factor_terms(factors, ctx) -> list:
+    """The terms (key, kind, multiplicity, row) of the factors, read from
+    `ctx.potential` and `ctx.neg`: multiplicity times row adds up to the
+    sum of the factors' product, and a zero row gives no term."""
+    out = []
+    for key, gen, exponent in factors:
+        pos, length, total, step = ctx.potential[key]
+        if gen == "S":
+            if step.row is not ctx.zero:
+                out.append(step)
+        elif gen == "T":
+            if total is not ctx.zero and (w := (pos + exponent) // length):
+                out.append(Term(key, "T", w, total))
+        elif gen != "-I":
+            raise ValueError(f"unknown factor generator {gen!r}")
+        elif ctx.neg.row is not ctx.zero:
+            out.append(ctx.neg)
+    return out

@@ -126,6 +126,21 @@ def test_sum_trace_l12(tmp_path, capsys, matrix):
     assert out.endswith(" factors add a zero row\n" + naive)
 
 
+@pytest.mark.parametrize("matrix", ["-1,0;0,-1", "-107,42;-1470,577"])
+def test_sum_matrix_starting_with_minus(tmp_path, capsys, matrix):
+    """A --matrix value that starts with "-" is read as spaced as after "=";
+    a dash value for another option, or an option after --matrix, is
+    still an error."""
+    pair = ["--chi1", "q=5;g=2;v=1/4", "--chi2", "q=7;g=3;v=1/6", "--cache-dir", str(tmp_path)]
+    assert main(["sum", *pair, f"--matrix={matrix}"]) == 0
+    attached = capsys.readouterr().out
+    assert main(["sum", *pair, "--matrix", matrix]) == 0
+    assert capsys.readouterr().out == attached
+    for argv in (["--matrix", "--naive"], ["--chi1", matrix, "--matrix", matrix]):
+        assert main(["sum", *pair, *argv]) == 1
+        assert "expected one argument" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["sum", "verify"])
 def test_foreign_cache_exits_1(tmp_path, capsys, command):
     # a cache built for one pair, copied over the file name of another pair

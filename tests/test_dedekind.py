@@ -32,12 +32,14 @@ from gdsum.dedekind import (
 )
 from gdsum.exactnum import CycElem
 from gdsum.modgroup import I2, Mat2, S, T, random_gamma0, ts_decompose
-from gdsum.rewriter import modified_rewrite, reduce_word
+from gdsum.rewriter import as_factors, modified_rewrite, reduce_word
 from reference_tables import (
     all_oracle_context,
     alphabet_sum,
     as_cyc,
     derived_rows,
+    factor_rewrite,
+    factor_terms,
     full_alphabet,
     gamma1_relations,
     lift_p1_transversal,
@@ -639,15 +641,17 @@ def gamma0_matrices(draw, N, max_c=10**60):
     return draw(st.sampled_from((m, -m, m.inv())))
 
 
-def _factors(ctx, gamma):
+def _slots(ctx, gamma):
+    """The Gamma0 key, and the word of the Gamma1 part with its slot keys."""
     g1, _, d_key = split_gamma0(ctx, gamma)
-    return d_key, modified_rewrite(ts_decompose(g1, nearest=True), ctx.t_sl2, product=g1)
+    w = ts_decompose(g1, nearest=True)
+    return d_key, w, modified_rewrite(w, ctx.t_sl2, product=g1)
 
 
 def _terms(ctx, gamma):
     """The Gamma0 key and the word's terms over the full alphabet."""
-    d_key, factors = _factors(ctx, gamma)
-    return d_key, alphabet_terms(factors, ctx.N)
+    d_key, w, keys = _slots(ctx, gamma)
+    return d_key, alphabet_terms(as_factors(w, keys, ctx.N), ctx.N)
 
 
 @settings(max_examples=300, deadline=None)
@@ -677,16 +681,79 @@ def test_potential_terms_match_alphabet_terms(contexts, name, data):
         gamma = data.draw(st.sampled_from(_zero_row_words(ctx.N)))
     else:
         gamma = data.draw(gamma0_matrices(ctx.N))
-    _, factors = _factors(ctx, gamma)
+    _, w, keys = _slots(ctx, gamma)
     potential = CycElem.zero(ctx.L)
-    for _, kind, m, row in reduce_word(factors, ctx):
+    for _, kind, m, row in reduce_word(w, keys, ctx):
         assert m != 0 and (m == 1 or kind == "T")
         assert any(row), kind
-        potential = potential + m * as_cyc(ctx, row)
+        potential = potential + as_cyc(ctx, row)  # the row already holds m times the total
     reference = CycElem.zero(ctx.L)
-    for key, gen, m in alphabet_terms(factors, ctx.N):
+    for key, gen, m in alphabet_terms(as_factors(w, keys, ctx.N), ctx.N):
         reference = reference + m * alphabet_sum(ctx, key, gen)
     assert potential == reference
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(("ctx9", "ctx28", "ctx35_l12", "ctx28_shifted")), st.data())
+def test_slot_keys_match_the_factor_reference(contexts, name, data):
+    """`as_factors` spells the slot keys as the factor-form rewrite of
+    `reference_tables` does, and `reduce_word`'s terms are the factor-form
+    terms with each row times its multiplicity.  The Gamma1 words come from
+    either decomposition, negated or not, and T^k g1 T^l, also in Gamma1,
+    puts T^0 at either end."""
+    ctx, N = contexts[name], contexts[name].N
+    gamma = data.draw(st.one_of(gamma0_matrices(N), st.sampled_from(_zero_row_words(N))))
+    g1, nearest = split_gamma0(ctx, gamma)[0], data.draw(st.booleans())
+    trim = data.draw(st.sampled_from(("", "left", "right", "both")))
+    if trim in ("left", "both"):
+        g1 = Mat2.t_power(-ts_decompose(g1, nearest=nearest).exponents[0]) * g1
+    if trim in ("right", "both"):
+        g1 = g1.mul_t_power(-ts_decompose(g1, nearest=nearest).exponents[-1])
+    w = ts_decompose(g1, nearest=nearest)
+    assert trim not in ("left", "both") or w.exponents[0] == 0
+    assert trim not in ("right", "both") or w.exponents[-1] == 0
+    keys = modified_rewrite(w, ctx.t_sl2, product=g1)
+    assert len(keys) == 2 * w.letters - 1 and keys[0] == 1
+    factors = factor_rewrite(w, ctx.t_sl2, product=g1)
+    assert as_factors(w, keys, N) == factors
+    terms = factor_terms(factors, ctx)
+    expected = [(k, kind, m, tuple([m * n for n in row])) for k, kind, m, row in terms]
+    assert [tuple(term) for term in reduce_word(w, keys, ctx)] == expected
+
+
+@pytest.mark.parametrize("name", ["ctx9", "ctx28", "ctx35_l12", "ctx28_shifted"])
+def test_slot_tables_hold_the_potential_objects(contexts, name):
+    """Each list has one entry per key index c*N + d, and an entry only at
+    a coset key whose row is not zero: there it is the same object as the
+    key's `OrbitRow` (t_slot) or S-step term (s_slot); `neg_slot` is `neg`
+    unless the negation row is zero."""
+    ctx = contexts[name]
+    N, zero = ctx.N, ctx.zero
+    assert len(ctx.t_slot) == len(ctx.s_slot) == N * N
+    for i, (orbit, step) in enumerate(zip(ctx.t_slot, ctx.s_slot)):
+        row = ctx.potential.get(divmod(i, N))
+        if row is None:
+            assert orbit is None and step is None, i
+            continue
+        assert orbit is (None if row.total is zero else row), i
+        assert step is (None if row.step.row is zero else row.step), i
+    assert ctx.neg_slot is (None if ctx.neg.row is zero else ctx.neg)
+    if name == "ctx28_shifted":  # rows that are 0 in every real table
+        assert ctx.neg_slot is ctx.neg and ctx.t_slot[1] is ctx.potential[0, 1]
+
+
+def test_slot_tables_follow_the_generator_sums(ctx35_l12):
+    """Shifting one S generator sum through `dataclasses.replace` moves the
+    S-step row at its key, so the lists are derived from `sums_alphabet`:
+    `fast_sum` moves by 1/3 per S slot of the word at that key."""
+    ctx, N = ctx35_l12, ctx35_l12.N
+    gamma = Mat2(107, -42, 1470, -577)
+    _, _, keys = _slots(ctx, gamma)
+    k = Counter(keys[1::2]).most_common(1)[0][0]
+    shifted = _shifted(ctx, [(divmod(k, N), ("S", 1))])
+    assert shifted.s_slot[k] is shifted.potential[divmod(k, N)].step is not ctx.s_slot[k]
+    third = CycElem.from_rational(ctx.L, Fraction(keys[1::2].count(k), 3))
+    assert fast_sum(shifted, gamma) == fast_sum(ctx, gamma) + third
 
 
 @settings(max_examples=60, deadline=None)

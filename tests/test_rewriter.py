@@ -9,7 +9,7 @@ import pytest
 import gdsum
 from gdsum.cosets import schreier_alphabet, transversal_g1_in_sl2, u_func
 from gdsum.modgroup import I2, Mat2, S, T, random_gamma0, ts_decompose
-from gdsum.rewriter import RewriteFactor, Term, format_factor, format_term, modified_rewrite
+from gdsum.rewriter import RewriteFactor, Term, as_factors, format_factor, format_term, modified_rewrite
 from reference_tables import expand_factor, full_alphabet, reduce_t_power, reduce_word
 
 FACTOR_COUNT_K = 9
@@ -134,7 +134,8 @@ def test_classic_matches_modified_products():
         for u, eps in classic_rewrite(word, t):
             classic = classic * (u if eps == 1 else u.inv())
         modified = I2
-        for f in modified_rewrite(ts_decompose(target), t):
+        w = ts_decompose(target)
+        for f in as_factors(w, modified_rewrite(w, t), N):
             modified = modified * expand_factor(f, t)
         assert classic == modified == target
 
@@ -142,7 +143,8 @@ def test_classic_matches_modified_products():
 def test_modified_rewrite_worked_word():
     t = transversal_g1_in_sl2(9)
     g1 = Mat2(-152, 137, -81, 73)
-    factors = modified_rewrite(ts_decompose(g1), t)
+    w = ts_decompose(g1)
+    factors = as_factors(w, modified_rewrite(w, t), 9)
     expected = [
         ((0, 1), "T", 1),
         ((0, 1), "S", 1),
@@ -174,9 +176,11 @@ def test_modified_rewrite_worked_word():
 
 def test_modified_rewrite_identity_and_shears():
     t = transversal_g1_in_sl2(9)
-    assert modified_rewrite(ts_decompose(I2), t) == []
+    w = ts_decompose(I2)
+    assert as_factors(w, modified_rewrite(w, t), 9) == []
     # pure shear: a single T factor
-    factors = modified_rewrite(ts_decompose(Mat2.t_power(7)), t)
+    w = ts_decompose(Mat2.t_power(7))
+    factors = as_factors(w, modified_rewrite(w, t), 9)
     assert [(f.base_key, f.gen, f.exponent) for f in factors] == [((0, 1), "T", 7)]
 
 
@@ -256,7 +260,8 @@ def test_reduce_word_preserves_product():
         m = I2
         for _ in range(rng.randint(1, 5)):
             m = m * rng.choice(vals)
-        factors = modified_rewrite(ts_decompose(m), t)
+        w = ts_decompose(m)
+        factors = as_factors(w, modified_rewrite(w, t), N)
         assert expand_reduced(reduce_word(factors, N), alphabet) == m
 
 
@@ -270,7 +275,8 @@ def test_reconstruction_many_levels():
             m = I2
             for _ in range(rng.randint(1, 4)):
                 m = m * rng.choice(vals)
-            factors = modified_rewrite(ts_decompose(m), t)
+            w = ts_decompose(m)
+            factors = as_factors(w, modified_rewrite(w, t), N)
             prod = I2
             for f in factors:
                 prod = prod * expand_factor(f, t)
@@ -288,7 +294,7 @@ def test_factor_count_logarithmic():
         gamma = random_gamma0(N, rng, kmax=10**9, d_shift=1)
         g1 = gamma * t0.members[gamma.d % N].inv()
         w = ts_decompose(g1)
-        factors = modified_rewrite(w, t)
+        factors = as_factors(w, modified_rewrite(w, t), N)
         assert len(factors) <= 2 * w.letters + 1
         c = abs(g1.c)
         assert len(factors) <= FACTOR_COUNT_K * math.log(c + 2) + FACTOR_COUNT_K

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from gdsum.cosets import transversal_g1_in_g0, transversal_g1_in_sl2
 from gdsum.modgroup import I2, Mat2, ts_decompose, ts_reconstruct
-from gdsum.rewriter import modified_rewrite
+from gdsum.rewriter import as_factors, modified_rewrite
 from reference_tables import full_alphabet, reduce_word
 
 LEVELS = (6, 9, 28)
@@ -92,7 +92,7 @@ def test_key_walk_matches_matrix_prefixes(case, nearest):
     N, g1 = case
     t = _tables(N)[1]
     w = ts_decompose(g1, nearest=nearest)
-    factors = modified_rewrite(w, t, product=g1)
+    factors = as_factors(w, modified_rewrite(w, t, product=g1), N)
     expected = _matrix_rewrite(w, t, g1)
     assert [tuple(f) for f in factors] == expected
     reference = []
@@ -113,7 +113,8 @@ def test_key_walk_matches_matrix_prefixes(case, nearest):
 def test_terms_multiply_to_gamma1(case):
     N, g1 = case
     _, t, alphabet = _tables(N)
-    terms = reduce_word(modified_rewrite(ts_decompose(g1, nearest=True), t, product=g1), N)
+    w = ts_decompose(g1, nearest=True)
+    terms = reduce_word(as_factors(w, modified_rewrite(w, t, product=g1), N), N)
     prod = I2
     for key, gen, m in terms:
         prod = prod * _power(alphabet[key, gen], m)
