@@ -1,14 +1,15 @@
 """From a matrix to a short word over a finite alphabet of Gamma1(9).
 
-The fast evaluator rests on three moves, shown here end to end on one
-matrix: split off a Gamma0-transversal factor, decompose the Gamma1 part
-into a T/S word of logarithmic length, and rewrite that word as a product
-of U-values indexed by a finite table.  The rewrite walks only the coset
-key (c mod N, d mod N) of each prefix; beside each factor this script
-prints the matrix-level reference: the key of the full prefix matrix and
-the U-value itself.  Last, it regroups the factors the way the evaluator's
-potential table does, one matrix per S letter plus powers of one matrix
-per T-orbit, and checks that they too multiply back to the target.
+The fast evaluator rests on two moves, shown here end to end on one
+matrix: decompose the Gamma0 matrix into a T/S word of logarithmic length,
+and rewrite that word as a product of U-values indexed by a finite table,
+times the Gamma1-in-Gamma0 transversal member at which the walk ends.  The
+rewrite walks only the coset key (c mod N, d mod N) of each prefix; beside
+each factor this script prints the matrix-level reference: the key of the
+full prefix matrix and the U-value itself.  Last, it regroups the factors
+the way the evaluator's potential table does, one matrix per S letter plus
+powers of one matrix per T-orbit, and checks that they too multiply back
+to the target.
 """
 
 from math import gcd
@@ -32,21 +33,16 @@ print(f"\nTransversal of Gamma1({N}) in Gamma0({N}), one member per unit d mod {
 for d, m in sorted(t_g0.members.items()):
     print(f"  d={d}: {m}")
 
-g = t_g0.members[gamma0.d % N]
-gamma1 = gamma0 * g.inv()
-print(f"\nSplit gamma0 = gamma1 * g with g = {g}:")
-print(f"  gamma1 = {gamma1}, in Gamma1({N}): {gamma1.in_gamma1(N)}")
-
 
 def spell(w):
     return ("-" if w.negate else "") + " S ".join(f"T^{e}" for e in w.exponents)
 
 
-w = ts_decompose(gamma1, nearest=True)
-floor = ts_decompose(gamma1)
+w = ts_decompose(gamma0, nearest=True)
+floor = ts_decompose(gamma0)
 print(f"\nT/S word, nearest-integer quotients ({w.letters} exponents): {spell(w)}")
 print(f"(floor quotients would give {floor.letters}: {spell(floor)})")
-assert ts_reconstruct(w) == gamma1
+assert ts_reconstruct(w) == gamma0 and not w.negate
 
 t_sl2 = transversal_g1_in_sl2(N)
 print(f"\nFull-group transversal has {len(t_sl2)} members, keyed by (c, d) mod {N}.")
@@ -63,7 +59,7 @@ print(
 
 def u_value(f):
     """The exact U-matrix a rewrite factor stands for."""
-    step = {"T": Mat2.t_power(f.exponent), "S": S, "-I": -I2}[f.gen]
+    step = Mat2.t_power(f.exponent) if f.gen == "T" else S
     return u_func(t_sl2.members[f.base_key], step, t_sl2)
 
 
@@ -73,14 +69,23 @@ for f in factors:
     u = u_value(f)
     print(f"  {format_factor(f):<20} prefix key {t_sl2.key_of(prefix)}  U = {u}")
     assert t_sl2.key_of(prefix) == f.base_key
-    if f.gen == "T":
-        prefix = prefix.mul_t_power(f.exponent)
-    elif f.gen == "S":
-        prefix = prefix.mul_s()
-    else:
-        prefix = -prefix
+    prefix = prefix.mul_t_power(f.exponent) if f.gen == "T" else prefix.mul_s()
     prod = prod * u
-print(f"\nExact product of the factors equals gamma1: {prod == gamma1}")
+end = t_sl2.key_of(prefix)
+g = t_sl2.members[end]
+print(
+    f"\nThe walk ends at the key {end} = (0, d mod {N}), whose member is the Gamma0\n"
+    f"transversal member g = {g} at d = {end[1]}, so gamma0 = (factors) * g and\n"
+    "S(gamma0) = (their sums) + S(g).  Exact product of the factors times g equals\n"
+    f"gamma0: {prod * g == gamma0}"
+)
+negated = Mat2(101, 33, 153, 50)
+print(
+    f"A negated word, such as {spell(ts_decompose(negated, nearest=True))} for\n"
+    f"{negated}, multiplies to -gamma without its sign, so its walk ends at\n"
+    f"{t_sl2.key_of(-negated)} = (0, -d mod {N}); S(-gamma) = psi(-1) S(gamma) = S(gamma) unless\n"
+    "psi(-1) = -1, and then every sum is 0."
+)
 
 
 def orbit(key):
@@ -115,15 +120,12 @@ for f in factors:
             print(f"  {f'{w} * orbit total at {f.base_key}':<28}  Z = {z}")
             for _ in range(abs(w)):
                 prod = prod * (z if w > 0 else z.inv())
-    elif f.gen == "S":
+    else:
         k = f.base_key
         m = climb(k) * u_value(f) * climb((k[1], -k[0] % N)).inv()
         print(f"  {f'S-step row at {k}':<28}  U = {m}")
         prod = prod * m
-    else:
-        print(f"  {f'negation row at {f.base_key}':<28}  U = {u_value(f)}")
-        prod = prod * u_value(f)
-print(f"Exact product of the terms equals gamma1: {prod == gamma1}")
+print(f"Exact product of the terms times g equals gamma0: {prod * g == gamma0}")
 
 generators = schreier_alphabet(N, t_sl2)
 print(f"\nThe tables store sums for the {len(generators)} Schreier generators only: U(t, T)")

@@ -86,7 +86,7 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--naive",
         action="store_true",
-        help=f"evaluate the double sum instead (lower-left entry <= {NAIVE_CUTOFF})",
+        help=f"evaluate the double sum instead (|lower-left entry| <= {NAIVE_CUTOFF})",
     )
     p.add_argument("--trace", action="store_true", help="print the word and the terms it adds")
 
@@ -194,45 +194,43 @@ def cmd_precompute(args) -> int:
 
 def cmd_sum(args) -> int:
     gamma = Mat2.parse(args.matrix)
-    if args.naive and gamma.c > NAIVE_CUTOFF:
+    if args.naive and abs(gamma.c) > NAIVE_CUTOFF:
         raise CliError(
-            f"--naive runs the double sum, O(c) terms; c = {gamma.c} is above the "
+            f"--naive runs the double sum, O(|c|) terms; c = {gamma.c} is beyond the "
             f"cutoff {NAIVE_CUTOFF}, so drop --naive to use the table path"
         )
     if args.naive and not args.trace:
         # the double sum needs the pair alone: no table is loaded or built
-        print(_format_value(naive_sum(*_pair(args), gamma)))
+        print(_format_value(sum_on_gamma0(*_pair(args), gamma)))
         return 0
     ctx = _load_or_build(args)
     if args.trace:
         _print_trace(ctx, gamma)
-    value = naive_sum(ctx.chi1, ctx.chi2, gamma) if args.naive else fast_sum(ctx, gamma)
+    value = sum_on_gamma0(ctx.chi1, ctx.chi2, gamma) if args.naive else fast_sum(ctx, gamma)
     print(_format_value(value))
     return 0
 
 
 def _print_trace(ctx: Context, gamma: Mat2) -> None:
-    g1, g, d_key = split_gamma0(ctx, gamma)
-    print(f"gamma = gamma1 * g with g = {g} (d = {d_key} mod {ctx.N})")
-    w = ts_decompose(g1, nearest=True)
+    d = split_gamma0(ctx, gamma)
+    w = ts_decompose(gamma, nearest=True)
     sign = "-" if w.negate else ""
     word = " S ".join(f"T^{e}" for e in w.exponents)
-    print(f"gamma1 = {g1} = {sign}{word}")
-    keys = modified_rewrite(w, ctx.t_sl2, product=g1)
+    print(f"gamma = {gamma} = {sign}{word}")
+    lam = -d % ctx.N if w.negate else d
+    print(f"the walk ends at key (0, {lam}), whose member is g = {ctx.t_sl2.members[0, lam]}")
+    keys = modified_rewrite(w, ctx.t_sl2, product=gamma)
     factors = as_factors(w, keys, ctx.N)
     print("rewritten factors:")
     for f in factors:
         print(f"  {format_factor(f)}")
     terms = reduce_word(w, keys, ctx)
-    print(f"terms added to the Gamma0 transversal sum at d = {d_key}:")
+    print(f"terms added to the Gamma0 transversal sum at d = {lam}:")
     for f in terms:
         print(f"  {format_term(f)}")
     if not terms:
         print("  none")
-    rows = [
-        ctx.neg.row if g == "-I" else ctx.potential[k].step.row if g == "S" else ctx.potential[k].total
-        for k, g, _ in factors
-    ]
+    rows = [ctx.potential[k].step.row if g == "S" else ctx.potential[k].total for k, g, _ in factors]
     zero = sum(row is ctx.zero for row in rows)
     print(f"{zero} of {len(factors)} factors add a zero row")
 
@@ -277,14 +275,13 @@ def run_verify(ctx: Context, *, trials: int, seed: int, cmax: int) -> VerifyRepo
             bad.append(f"entry {key}: matrix {m}")
     report.record("alphabet-spot-check", not bad, bad[0] if bad else f"{len(picked)} entries")
 
-    # the negation row and random S-step rows and orbit totals, on matrices
-    # with |c| <= cmax, against the double sum's closure on those matrices
+    # random S-step rows and orbit totals, on matrices with |c| <= cmax,
+    # against the double sum's closure on those matrices
     derived = [("S", key) for key in ctx.potential]
     derived += [("T", key) for key, row in ctx.potential.items() if row.pos == 0]
     derived = [(kind, key, _derived_entry(ctx, kind, key)) for kind, key in derived]
     derived = [entry for entry in derived if abs(entry[2][0].c) <= cmax]
-    picked = [("-I", (0, -1 % N), _derived_entry(ctx, "-I", (0, -1 % N)))]
-    picked += rng.sample(derived, min(19, len(derived)))
+    picked = rng.sample(derived, min(20, len(derived)))
     bad = []
     for kind, key, (m, row) in picked:
         if sum_on_gamma0(ctx.chi1, ctx.chi2, m) != CycElem(ctx.L, [Fraction(n, ctx.den) for n in row]):
@@ -385,16 +382,14 @@ def _orbit_base(ctx: Context, key) -> Mat2:
 
 
 def _derived_entry(ctx: Context, kind: str, key) -> tuple[Mat2, tuple]:
-    """The matrix whose sum the row of kind "S", "T" or "-I" at key is, and
-    the row: B(k) is the sum of U(base, T^pos S T^-pos(kS)), an orbit
-    total that of U(base, T^length), `neg` that of U(t, S^2)."""
+    """The matrix whose sum the row of kind "S" or "T" at key is, and the
+    row: B(k) is the sum of U(base, T^pos S T^-pos(kS)), an orbit total
+    that of U(base, T^length)."""
     t, base, (pos, length, total, step) = ctx.t_sl2, _orbit_base(ctx, key), ctx.potential[key]
     if kind == "S":
         word = Mat2.t_power(pos) * S * Mat2.t_power(-ctx.potential[key[1], -key[0] % ctx.N].pos)
         return u_func(base, word, t), step.row
-    if kind == "T":
-        return u_func(base, Mat2.t_power(length), t), total
-    return u_func(t.members[key], S * S, t), ctx.neg.row
+    return u_func(base, Mat2.t_power(length), t), total
 
 
 def cmd_verify(args) -> int:

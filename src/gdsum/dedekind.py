@@ -20,9 +20,9 @@ powers everything here:
   * values on matrices with c <= 0, where the double sum does not apply,
     are pinned through S(g) = -psi(g) S(g^-1) (the inverse has c >= 1) and,
     for the shears +-T^b, through products with an oracle-valid partner;
-  * the fast path splits gamma into a Gamma1(N) part and a transversal
-    member, rewrites the Gamma1 part over the Schreier alphabet, and adds
-    up precomputed sums with multiplicities;
+  * the fast path rewrites gamma's own word over the Schreier alphabet of
+    Gamma1(N), adds up precomputed sums with multiplicities, and adds the
+    sum of the transversal member g_{+-d} at which the walk ends;
   * the sums of the 2 mu Gamma0(N) Schreier generators U(r_k, T) and
     U(r_k, S), over the mu points k of P^1(Z/N), are mostly solved rather
     than evaluated: the generators +-I have sum 0, and S^2 = -I and
@@ -193,27 +193,27 @@ class Context:
 
     It takes six inputs: the pair `chi1`, `chi2`; the transversals `t_g0`
     (Gamma1(N) in Gamma0(N), keyed by d mod N) and `t_sl2` (keyed by coset
-    key); `sums_g0`, the sums of the `t_g0` members; and `sums_alphabet`, the
+    key); `sums_g0`, the sums G(lambda) of the `t_g0` members, one of which
+    `fast_sum` adds at the end of each walk; and `sums_alphabet`, the
     sums of the 2 |keys| Schreier generators U(t, T), U(t, S), keyed (key,
     ("T", 1)), (key, ("S", 1)), whose matrices `alphabet` builds on each access.
 
     `__post_init__` derives `N`, `L` and `parity_ok` (chi1*chi2(-1) = 1)
     from the pair, and integer rows over the common denominator `den`: an
-    `OrbitRow` per key in `potential`, and the negation term `neg`.
-    With F(k) the sum of s_T along k's T-orbit up to k and Sigma the orbit
-    total, the cocycle identity gives, for every integer a,
+    `OrbitRow` per key in `potential`.  With F(k) the sum of s_T along k's
+    T-orbit up to k and Sigma the orbit total, the cocycle identity gives,
+    for every integer a,
 
         S(U(t_k, T^a)) = F(k T^a) - F(k) + floor((pos(k) + a) / length) Sigma.
 
     Over a word the F terms cancel across each S letter into
     B(k) = F(k) + s_S[k] - F(kS), and vanish at both ends: the walk starts
-    at key (0, 1) and ends there or, negated, at (0, -1), keys alone on
-    their orbits.  `neg` is then the sum of U(t, S^2) at (0, -1).  Every
-    zero row is the one tuple `zero`.  `reduce_word` reads the same objects
-    by key index c*N + d: `t_slot[i]` is the key's `OrbitRow`, `s_slot[i]`
-    its S-step term, and `neg_slot` is `neg`, each None if its row is zero
-    or i is no key.  Nothing derived is passed in, so `dataclasses.replace(
-    ctx, sums_alphabet=...)` evaluates the table it holds, and replacing a
+    at key (0, 1) and ends at some (0, lambda), keys alone on their orbits.
+    Every zero row is the one tuple `zero`.  `reduce_word` reads the same
+    objects by key index c*N + d: `t_slot[i]` is the key's `OrbitRow` and
+    `s_slot[i]` its S-step term, each None if its row is zero or i is no
+    key.  Nothing derived is passed in, so `dataclasses.replace(ctx,
+    sums_alphabet=...)` evaluates the table it holds, and replacing a
     derived field raises.  `precompute` and `load_context` check relations.
     """
 
@@ -228,11 +228,9 @@ class Context:
     parity_ok: bool = field(init=False)
     den: int = field(init=False, compare=False)
     potential: dict = field(init=False, compare=False, repr=False)
-    neg: Term = field(init=False, compare=False, repr=False)
     zero: tuple = field(init=False, compare=False, repr=False)
     t_slot: list = field(init=False, compare=False, repr=False)
     s_slot: list = field(init=False, compare=False, repr=False)
-    neg_slot: Term | None = field(init=False, compare=False, repr=False)
 
     @property
     def alphabet(self) -> dict:
@@ -270,9 +268,6 @@ class Context:
             potential[key] = orbit = _new(OrbitRow, (pos, N // g, total_of[c, d % g], step))
             t_slot[c * N + d] = None if orbit[2] is zero else orbit
             s_slot[c * N + d] = None if row is zero else step
-        row = tuple(map(add, s_S[0, -1 % N], s_S[-1 % N, 0]))
-        self.neg = Term((0, -1 % N), "-I", 1, row if any(row) else zero)
-        self.neg_slot = None if self.neg.row is zero else self.neg
 
 
 def _validate_pair(chi1, chi2, allow_large: bool):
@@ -541,33 +536,35 @@ def _derive(L: int, p1: Transversal, gens: dict, rows: dict, g_rows: dict, twist
     return out
 
 
-def split_gamma0(ctx: Context, gamma: Mat2) -> tuple[Mat2, Mat2, int]:
-    """gamma = g1 * g with g1 in Gamma1(N) and g the member at d mod N."""
+def split_gamma0(ctx: Context, gamma: Mat2) -> int:
+    """d mod N, the key of gamma's coset of Gamma1(N) in Gamma0(N); raises
+    ValueError off Gamma0(N)."""
     if not gamma.in_gamma0(ctx.N):
         raise ValueError(f"{gamma} is not in Gamma0({ctx.N})")
-    d_key = gamma.d % ctx.N
-    g = ctx.t_g0.members[d_key]
-    g1 = gamma * g.inv()
-    return g1, g, d_key
+    return gamma.d % ctx.N
 
 
 def fast_sum(ctx: Context, gamma: Mat2) -> CycElem:
     """S(gamma) from the precomputed tables; O(log|c|) work.
 
-    `modified_rewrite` walks the word's slot keys and `reduce_word` turns
-    them into terms: the S-step row at each S slot, a multiple of the orbit
-    total at each T slot that wraps around its T-orbit, and the negation
-    row, none for a zero row.  Their rows are summed column by column into
-    numerators over `ctx.den`; each nonzero one becomes a Fraction added to
-    the Gamma0 transversal sum.
+    `modified_rewrite` walks the slot keys of gamma's word from (0, 1) to
+    (0, lambda), lambda = d mod N, or -d mod N when the word is negated.
+    The unsigned word is then its U-factors times g_lambda, and
+    S(-W) = psi(-1) S(W) = S(W) whenever any sum is nonzero, so S(gamma)
+    is the sum of the U-factors plus G(lambda) = `ctx.sums_g0[lambda]`.
+    `reduce_word` turns the keys into terms: the S-step row at each S slot
+    and a multiple of the orbit total at each T slot that wraps around its
+    T-orbit, none for a zero row.  Their rows are summed column by column
+    into numerators over `ctx.den`; each nonzero one becomes a Fraction
+    added to G(lambda).
     """
-    g1, _, d_key = split_gamma0(ctx, gamma)
-    word = ts_decompose(g1, nearest=True)
-    terms = reduce_word(word, modified_rewrite(word, ctx.t_sl2, product=g1), ctx)
+    d = split_gamma0(ctx, gamma)
+    word = ts_decompose(gamma, nearest=True)
+    terms = reduce_word(word, modified_rewrite(word, ctx.t_sl2, product=gamma), ctx)
     acc = map(sum, zip(ctx.zero, *map(itemgetter(3), terms)))  # ctx.zero keeps each column
+    g = ctx.sums_g0[-d % ctx.N if word.negate else d]
     return CycElem._raw(
-        ctx.L,
-        tuple(x + Fraction(n, ctx.den) if n else x for x, n in zip(ctx.sums_g0[d_key].coeffs, acc)),
+        ctx.L, tuple(x + Fraction(n, ctx.den) if n else x for x, n in zip(g.coeffs, acc))
     )
 
 

@@ -1,14 +1,17 @@
-"""Rewriting of Gamma1(N) elements over the Schreier alphabet, as coset keys.
+"""Rewriting of Gamma0(N) elements over the Schreier alphabet, as coset keys.
 
 `modified_rewrite` collects exponents and returns one int per slot of the
 word: the coset key c*N + d of the prefix before each T-power and each S,
 2 * letters - 1 keys.  It multiplies no prefix matrices: T^a maps the key
 (c, d) to (c, d + a*c), S to (d, -c); the word's product is rebuilt once,
-in plain integers, for the checks.  `reduce_word` then reads the context's
-two tables indexed by key: each S slot adds its key's S-step term, each
-T^a slot its orbit's total only as often as a wraps around the T-orbit,
-and a negated word the negation term; a zero row has no entry, so it adds
-no term.  `as_factors` spells the keys as `RewriteFactor`s for display.
+in plain integers, for the checks.  The walk starts at the identity's key
+(0, 1) and ends at (0, lambda), lambda = +-d mod N, whose Gamma1(N)
+transversal member is g_lambda: the unsigned word is its U-factors times
+g_lambda.  `reduce_word` then reads the context's two tables indexed by
+key: each S slot adds its key's S-step term, each T^a slot its orbit's
+total only as often as a wraps around the T-orbit; a zero row has no
+entry, so it adds no term.  `as_factors` spells the keys as
+`RewriteFactor`s for display.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ _new = tuple.__new__
 
 
 class RewriteFactor(NamedTuple):
-    """U(member at base_key, gen^exponent); gen "T", "S" or "-I"."""
+    """U(member at base_key, gen^exponent); gen "T" or "S"."""
 
     base_key: tuple[int, int]
     gen: str
@@ -32,9 +35,9 @@ class RewriteFactor(NamedTuple):
 
 
 class Term(NamedTuple):
-    """One row `fast_sum` adds, of kind "S" (the S-step row of key), "T"
+    """One row `fast_sum` adds, of kind "S" (the S-step row of key) or "T"
     (`multiplicity` times the orbit total of key's T-orbit, as often as the
-    T-power wraps around it) or "-I" (the negation row)."""
+    T-power wraps around it)."""
 
     key: tuple[int, int]
     kind: str
@@ -43,19 +46,19 @@ class Term(NamedTuple):
 
 
 def modified_rewrite(w: TSWord, t: Transversal, product: Mat2 | None = None) -> list[int]:
-    """The slot keys of a TS word with product in Gamma1(N).
+    """The slot keys of a TS word with product in Gamma0(N).
 
     c*N + d for the prefix key (c, d) before each T-power and each S, in
     word order, from the identity's key (0, 1).  `product`, if given, must
-    equal the word's exact product, which must lie in Gamma1(N), or
+    equal the word's exact product, which must lie in Gamma0(N), or
     ValueError is raised.
     """
-    g1 = ts_reconstruct(w)
-    if product is not None and g1 != product:
-        raise ValueError(f"word product {g1} is not {product}")
+    g = ts_reconstruct(w)
+    if product is not None and g != product:
+        raise ValueError(f"word product {g} is not {product}")
     N = t.N
-    if not g1.in_gamma1(N):
-        raise ValueError(f"word product {g1} is not in Gamma1({N})")
+    if not g.in_gamma0(N):
+        raise ValueError(f"word product {g} is not in Gamma0({N})")
     keys = []
     append = keys.append
     c, d = 0, 1 % N  # key of the prefix before the next letter
@@ -69,13 +72,12 @@ def modified_rewrite(w: TSWord, t: Transversal, product: Mat2 | None = None) -> 
 
 
 def reduce_word(w: TSWord, keys: list[int], ctx) -> list[Term]:
-    """The terms whose rows add up to the sum of the word's product, read
+    """The terms whose rows add up to the sum of the word's U-factors, read
     from the context's tables at the slot keys of `modified_rewrite`.
 
     A T^a slot at key k gives k's orbit total, times w = floor((pos + a) /
     length), when it wraps around the orbit (w != 0).  An S slot gives k's
-    S-step term, and a negated word the negation term.  A zero row has no
-    table entry (None), so it gives no term.
+    S-step term.  A zero row has no table entry (None), so it gives no term.
     """
     t_slot, s_slot, out = ctx.t_slot, ctx.s_slot, []
     # o is (pos, length, total, step); the last S slot is 0 = (0, 0), no key
@@ -85,29 +87,22 @@ def reduce_word(w: TSWord, keys: list[int], ctx) -> list[Term]:
             out.append(_new(Term, (o[3][0], "T", m, row)))
         if (o := s_slot[s]) is not None:
             out.append(o)
-    if w.negate and ctx.neg_slot is not None:
-        out.append(ctx.neg_slot)
     return out
 
 
 def as_factors(w: TSWord, keys: list[int], N: int) -> list[RewriteFactor]:
-    """The U-factors the slot keys stand for: one per nonzero T-power, one
-    per S, and a final -I at (0, -1) when the word is negated."""
+    """The U-factors the slot keys stand for: one per nonzero T-power and
+    one per S."""
     gens = [g for a in w.exponents for g in (("T", a), ("S", 1))]  # zip drops the last S
-    out = [RewriteFactor(divmod(k, N), *g) for k, g in zip(keys, gens) if g[1]]
-    return out + [RewriteFactor((0, -1 % N), "-I", 1)] * w.negate
+    return [RewriteFactor(divmod(k, N), *g) for k, g in zip(keys, gens) if g[1]]
 
 
 def format_factor(f: RewriteFactor) -> str:
-    if f.gen == "T":
-        return f"U({f.base_key}, T^{f.exponent})"
-    if f.gen == "S":
-        return f"U({f.base_key}, S)"
-    return f"U({f.base_key}, -I)"
+    return f"U({f.base_key}, T^{f.exponent})" if f.gen == "T" else f"U({f.base_key}, S)"
 
 
 def format_term(f: Term) -> str:
-    what = {"S": "S-step row", "T": "orbit total", "-I": "negation row"}[f.kind]
+    what = "S-step row" if f.kind == "S" else "orbit total"
     if f.multiplicity == 1:
         return f"{what} at {f.key}"
     return f"{f.multiplicity} * {what} at {f.key}"

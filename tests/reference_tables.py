@@ -18,8 +18,11 @@ context's potential table with its value from `alphabet_sum`.
 `factor_rewrite` and `factor_terms` are the evaluator's rewrite and
 reduction in their factor form: a `RewriteFactor` per letter, and terms
 read from the keyed `potential` table, each times its multiplicity.
+`unsigned_product` is a word's product without its sign, the matrix its
+factors times the transversal member at the walk's end key multiply to.
 """
 
+import dataclasses
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
@@ -217,7 +220,7 @@ def orbit_f(ctx, key) -> CycElem:
 
 def derived_rows(ctx):
     """(kind, key, the context's row as a CycElem, its value from
-    `alphabet_sum`) for every S-step row, orbit total and the negation row."""
+    `alphabet_sum`) for every S-step row and orbit total."""
     N = ctx.N
     for (c, d), (pos, length, total, step) in ctx.potential.items():
         expect = orbit_f(ctx, (c, d)) + ctx.sums_alphabet[(c, d), ("S", 1)]
@@ -225,7 +228,6 @@ def derived_rows(ctx):
         yield "S", (c, d), as_cyc(ctx, step.row), expect
         if pos == 0:
             yield "T", (c, d), as_cyc(ctx, total), alphabet_sum(ctx, (c, d), ("T", length))
-    yield "-I", (0, N - 1), as_cyc(ctx, ctx.neg.row), alphabet_sum(ctx, (0, N - 1), ("S", 2))
 
 
 class ReducedFactor(NamedTuple):
@@ -245,7 +247,7 @@ def reduce_word(factors, N: int) -> list[ReducedFactor]:
     """Map rewrite factors onto full-alphabet entries, preserving the product.
 
     T-exponents split as q * (T^N entry) + (T^r entry), dropping q = 0 and
-    r = 0 parts; S stays S^1; -I becomes the S^2 entry.
+    r = 0 parts; S stays S^1.
     """
     out = []
     for base_key, gen, exponent in factors:
@@ -257,8 +259,6 @@ def reduce_word(factors, N: int) -> list[ReducedFactor]:
                 out.append(ReducedFactor(base_key, ("T", r), 1))
         elif gen == "S":
             out.append(ReducedFactor(base_key, ("S", 1), 1))
-        elif gen == "-I":
-            out.append(ReducedFactor(base_key, ("S", 2), 1))
         else:
             raise ValueError(f"unknown factor generator {gen!r}")
     return out
@@ -269,21 +269,19 @@ def expand_factor(f, t: Transversal) -> Mat2:
     base = t.members[f.base_key]
     if f.gen == "T":
         return u_func(base, Mat2.t_power(f.exponent), t)
-    if f.gen == "S":
-        return u_func(base, S, t)
-    return u_func(base, -Mat2.identity(), t)
+    return u_func(base, S, t)
 
 
 def factor_rewrite(w, t: Transversal, product=None) -> list:
-    """Exponent-collecting rewriting of a TS word with product in Gamma1(N)
-    as factors: one per nonzero T-power, one per S, and a final -I factor
-    when the word is negated.  Raises ValueError like `modified_rewrite`."""
-    g1 = ts_reconstruct(w)
-    if product is not None and g1 != product:
-        raise ValueError(f"word product {g1} is not {product}")
+    """Exponent-collecting rewriting of a TS word with product in Gamma0(N)
+    as factors: one per nonzero T-power and one per S.  Raises ValueError
+    like `modified_rewrite`."""
+    g = ts_reconstruct(w)
+    if product is not None and g != product:
+        raise ValueError(f"word product {g} is not {product}")
     N = t.N
-    if not g1.in_gamma1(N):
-        raise ValueError(f"word product {g1} is not in Gamma1({N})")
+    if not g.in_gamma0(N):
+        raise ValueError(f"word product {g} is not in Gamma0({N})")
     factors = []
     c, d = 0, 1 % N  # key of the prefix before the next letter
     for a in w.exponents:
@@ -292,16 +290,14 @@ def factor_rewrite(w, t: Transversal, product=None) -> list:
             d = (d + a * c) % N
         factors.append(RewriteFactor((c, d), "S", 1))
         c, d = d, -c % N
-    key = factors.pop()[0]  # the word ends in T^ar: no S after it
-    if w.negate:
-        factors.append(RewriteFactor(key, "-I", 1))
+    factors.pop()  # the word ends in T^ar: no S after it
     return factors
 
 
 def factor_terms(factors, ctx) -> list:
     """The terms (key, kind, multiplicity, row) of the factors, read from
-    `ctx.potential` and `ctx.neg`: multiplicity times row adds up to the
-    sum of the factors' product, and a zero row gives no term."""
+    `ctx.potential`: multiplicity times row adds up to the sum of the
+    factors' product, and a zero row gives no term."""
     out = []
     for key, gen, exponent in factors:
         pos, length, total, step = ctx.potential[key]
@@ -311,8 +307,12 @@ def factor_terms(factors, ctx) -> list:
         elif gen == "T":
             if total is not ctx.zero and (w := (pos + exponent) // length):
                 out.append(Term(key, "T", w, total))
-        elif gen != "-I":
+        else:
             raise ValueError(f"unknown factor generator {gen!r}")
-        elif ctx.neg.row is not ctx.zero:
-            out.append(ctx.neg)
     return out
+
+
+def unsigned_product(w) -> Mat2:
+    """T^a1 S T^a2 ... T^ar, the word's product without its sign: its
+    bottom row mod N is the walk's end key (0, +-d)."""
+    return ts_reconstruct(dataclasses.replace(w, negate=False))

@@ -82,25 +82,30 @@ def test_sum_trace(tmp_path, capsys):
     rc = main(["sum", *_pair_args(tmp_path), "--matrix", "101,33;153,50", "--trace"])
     assert rc == 0
     out = capsys.readouterr().out
-    # the nearest-integer word the evaluator walks
-    assert "gamma1 = (208, -35; 315, -53) = T^1 S T^3 S T^18 S T^6 S T^0\n" in out
+    # the nearest-integer word the evaluator walks: negated, so the walk
+    # ends at (0, -50 mod 9) = (0, 4)
+    assert "gamma = (101, 33; 153, 50) = -T^1 S T^3 S T^17 S T^-3 S T^0\n" in out
+    assert "the walk ends at key (0, 4), whose member is g = (7, 3; 9, 4)\n" in out
     assert "U((0, 1), T^1)" in out
-    assert "U((3, 8), T^18)" in out
-    # T^18 at (3, 8), at position 2 along its orbit of length 3, wraps
-    # (2 + 18) // 3 = 6 times; the other five factors add zero rows
+    assert "U((3, 8), T^17)" in out
+    # T^17 at (3, 8), at position 2 along its orbit of length 3, wraps
+    # (2 + 17) // 3 = 6 times; the other five factors add zero rows
     assert (
-        "terms added to the Gamma0 transversal sum at d = 5:\n"
-        "  S-step row at (1, 3)\n  6 * orbit total at (3, 8)\n  S-step row at (3, 8)\n"
+        "terms added to the Gamma0 transversal sum at d = 4:\n"
+        "  S-step row at (1, 3)\n  6 * orbit total at (3, 8)\n  S-step row at (3, 5)\n"
         "5 of 8 factors add a zero row\n-34/3\n"
     ) in out
     # every factor of this word adds a zero row, so no term at all
     assert main(["sum", *_pair_args(tmp_path), "--matrix", "17,32;9,17", "--trace"]) == 0
     out = capsys.readouterr().out
-    assert "T^2 S T^8 S T^-10 S T^-1\n" in out
-    assert "  none\n7 of 7 factors add a zero row\n0\n" in out
-    # a Gamma0 transversal member leaves the identity: no factor, no term
+    assert "= T^2 S T^9 S T^2\nthe walk ends at key (0, 8)" in out
+    assert "  none\n5 of 5 factors add a zero row\n0\n" in out
+    # a Gamma0 transversal member, here negated: its factors add no term,
+    # and its sum is G(7) = G(2)
     assert main(["sum", *_pair_args(tmp_path), "--matrix", "5,1;9,2", "--trace"]) == 0
-    assert "  none\n0 of 0 factors add a zero row\n" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "the walk ends at key (0, 7), whose member is g = (4, 3; 9, 7)\n" in out
+    assert "  none\n6 of 6 factors add a zero row\n-2/3\n" in out
     # the same terms after a precompute and after a load, whose keys come in
     # another order
     for _ in range(2):
@@ -109,15 +114,15 @@ def test_sum_trace(tmp_path, capsys):
         assert rc == 0
         out = capsys.readouterr().out
         assert (
-            "  S-step row at (1, 3)\n  6 * orbit total at (3, 8)\n  S-step row at (3, 8)\n"
+            "  S-step row at (1, 3)\n  6 * orbit total at (3, 8)\n  S-step row at (3, 5)\n"
             "5 of 8 factors add a zero row\n-34/3\n"
         ) in out
 
 
 @pytest.mark.parametrize("matrix", ["107,-42;1470,-577", "743,-527;1400,-993", "67,42;595,373"])
 def test_sum_trace_l12(tmp_path, capsys, matrix):
-    # N = 35, L = 12: degree-4 rows; the second word is negated, the third
-    # adds no term
+    # N = 35, L = 12: degree-4 rows; the first word is negated, so its walk
+    # ends at (0, -d mod 35), and the third adds no term
     args = ["sum", "--chi1", "q=5;g=2;v=1/4", "--chi2", "q=7;g=3;v=1/6", "--cache-dir", str(tmp_path)]
     assert main([*args, "--matrix", matrix, "--naive"]) == 0
     naive = capsys.readouterr().out
@@ -165,13 +170,14 @@ def test_foreign_cache_exits_1(tmp_path, capsys, command):
 
 
 def test_sum_naive_rejects_huge_c(tmp_path, capsys):
-    # a 60-digit c: the double sum would never return
+    # a 60-digit c, of either sign: the double sum would never return
     c = 9 * 10**59
-    rc = main(["sum", *_pair_args(tmp_path), "--matrix", f"1,0;{c},1", "--naive"])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "cutoff" in err
-    assert not list(tmp_path.glob("*.json"))  # rejected before any precompute
+    for matrix in (f"1,0;{c},1", f"1,0;-{c},1"):
+        rc = main(["sum", *_pair_args(tmp_path), "--matrix", matrix, "--naive"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "cutoff" in err
+        assert not list(tmp_path.glob("*.json"))  # rejected before any precompute
     # the table path takes the same matrix
     assert main(["sum", *_pair_args(tmp_path), "--matrix", f"1,0;{c},1"]) == 0
 
@@ -197,6 +203,26 @@ def test_sum_naive_builds_no_table(tmp_path, capsys, monkeypatch):
     assert not any(cache.iterdir())
     with pytest.raises(AssertionError, match="table"):
         main([*args, "--trace"])
+
+
+@pytest.mark.parametrize(
+    "matrix", ["-1,0;0,-1", "1,-7;0,1", "-1,3;0,-1", "1,0;-70,1", "-107,42;-1470,577"]
+)
+def test_sum_naive_takes_nonpositive_c(tmp_path, capsys, monkeypatch, matrix):
+    """--naive evaluates -I, the shears +-T^b and matrices with c < 0 by the
+    double sum's closure, with no table loaded or built, and prints what
+    the table path prints."""
+    pair = ["--chi1", "q=5;g=2;v=1/4", "--chi2", "q=7;g=3;v=1/6", "--cache-dir", str(tmp_path)]
+    assert main(["sum", *pair, "--matrix", matrix]) == 0
+    fast = capsys.readouterr().out
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was loaded or built")
+
+    monkeypatch.setattr(cli, "precompute", no_table)
+    monkeypatch.setattr(cli, "load_context", no_table)
+    assert main(["sum", *pair, "--matrix", matrix, "--naive"]) == 0
+    assert capsys.readouterr().out == fast
 
 
 def test_cached_conductor_one_pair_exits_1(tmp_path, capsys, monkeypatch):
@@ -315,17 +341,14 @@ def test_verify_passes(tmp_path, capsys):
 
 
 def test_verify_checks_derived_rows(ctx9):
-    """A wrong S-step row, orbit total or negation row fails the derived
-    spot check, while the generator sums it was derived from still pass
-    theirs."""
+    """A wrong S-step row or orbit total fails the derived spot check,
+    while the generator sums it was derived from still pass theirs."""
 
     def shifted(row):
         return (ctx.den + row[0],)
 
-    for kind in ("S", "T", "-I"):
+    for kind in ("S", "T"):
         ctx = dataclasses.replace(ctx9)  # rows derived afresh, not shared with ctx9
-        if kind == "-I":
-            ctx.neg = Term((0, 8), "-I", 1, shifted(ctx.neg.row))
         for key, row in ctx.potential.items():
             if kind == "S":
                 row = row._replace(step=Term(key, "S", 1, shifted(row.step.row)))

@@ -44,6 +44,7 @@ from reference_tables import (
     gamma1_relations,
     lift_p1_transversal,
     orbit_f,
+    unsigned_product,
 )
 from reference_tables import reduce_word as alphabet_terms
 
@@ -233,17 +234,17 @@ def test_derive_powers_matches_direct(ctx9, chi3):
 
 @pytest.mark.parametrize("name", ["ctx28", "ctx35_l12"])
 def test_rows_match_reference_sums(request, name):
-    """Every integer row of the potential table (S-step rows, orbit totals,
-    the negation row) equals the sum the cocycle identity gives from the
-    generator sums in CycElem arithmetic."""
+    """Every integer row of the potential table (S-step rows and orbit
+    totals) equals the sum the cocycle identity gives from the generator
+    sums in CycElem arithmetic."""
     ctx = request.getfixturevalue(name)
     kinds = Counter()
     for kind, key, row, expect in derived_rows(ctx):
         assert row == expect, (kind, key)
         kinds[kind] += 1
-    # one S-step row per key, one total per T-orbit (their lengths add up to
-    # the number of keys), one negation row
-    assert kinds["S"] == len(ctx.t_sl2) and kinds["-I"] == 1
+    # one S-step row per key and one total per T-orbit (their lengths add up
+    # to the number of keys), nothing else
+    assert set(kinds) == {"S", "T"} and kinds["S"] == len(ctx.t_sl2)
     bases = [row for row in ctx.potential.values() if row.pos == 0]
     assert kinds["T"] == len(bases) and sum(row.length for row in bases) == len(ctx.t_sl2)
 
@@ -285,14 +286,24 @@ def test_fast_sum_transversal_members(ctx9):
         assert fast_sum(ctx9, g) == ctx9.sums_g0[d]
 
 
-def test_fast_sum_handles_nonpositive_c(ctx9, chi3):
+def test_fast_sum_handles_nonpositive_c(contexts):
+    """The fast path equals the double sum's closure on every Gamma0
+    transversal member and its negation, on +-I, on +-T^b and the shears
+    (+-1, 0; Nb, +-1) for |b| <= 5, and on -g, g^-1 and -g^-1 for seeded g
+    with c <= 50 N, for each pair, the parity-violating one included."""
     rng = random.Random(6)
-    for _ in range(10):
-        g = random_gamma0(9, rng, kmax=10)
-        # S(-gamma) computed by the fast path must satisfy the closure value
-        assert fast_sum(ctx9, -g) == sum_on_gamma0(chi3, chi3, -g)
-    assert fast_sum(ctx9, Mat2.t_power(5)) == sum_on_gamma0(chi3, chi3, Mat2.t_power(5))
-    assert fast_sum(ctx9, I2) == CycElem.zero(2)
+    for name in ("ctx9", "ctx28", "ctx35_l12", "ctx35"):
+        ctx = contexts[name]
+        N = ctx.N
+        mats = [m for g in ctx.t_g0 for m in (g, -g)] + [I2, -I2]
+        for b in range(-5, 6):
+            mats += [Mat2.t_power(b), -Mat2.t_power(b), Mat2(1, 0, N * b, 1), Mat2(-1, 0, N * b, -1)]
+        for _ in range(10):
+            g = random_gamma0(N, rng, kmax=50, d_shift=1)
+            mats += [-g, g.inv(), -g.inv()]
+        for m in mats:
+            assert fast_sum(ctx, m) == sum_on_gamma0(ctx.chi1, ctx.chi2, m), (name, m)
+    assert fast_sum(contexts["ctx9"], I2) == CycElem.zero(2)
 
 
 def test_fast_sum_rejects_non_members(ctx9):
@@ -331,13 +342,16 @@ def test_transversal_independence(chi3, ctx9, monkeypatch):
 
 
 def test_split_gamma0(ctx9):
+    """split_gamma0 returns d mod N on Gamma0(N), negated and inverted
+    matrices included, and raises ValueError off it."""
     rng = random.Random(10)
     for _ in range(20):
         gamma = random_gamma0(9, rng, kmax=50)
-        g1, g, d_key = split_gamma0(ctx9, gamma)
-        assert g1.in_gamma1(9)
-        assert g == ctx9.t_g0.members[d_key]
-        assert g1 * g == gamma
+        for m in (gamma, -gamma, gamma.inv()):
+            assert split_gamma0(ctx9, m) == m.d % 9 in ctx9.t_g0.members
+    for m in (Mat2(1, 0, 1, 1), Mat2(2, 1, 3, 2), S):
+        with pytest.raises(ValueError, match="not in Gamma0"):
+            split_gamma0(ctx9, m)
 
 
 def test_common_order(chi3, chi4, chi5, chi7_56, chi7_13):
@@ -599,8 +613,8 @@ def contexts(ctx9, ctx28, ctx35, ctx35_l12):
         "ctx35": ctx35,
         "ctx35_l12": ctx35_l12,
         # U(I, T), U(I, S) and U(t, S) at (0, -1) moved: the orbit total and
-        # S-step row at (0, 1) and the negation row, 0 in every real table,
-        # are not 0 here
+        # S-step row at (0, 1) and the S-step row at (0, -1), 0 in every
+        # real table, are not 0 here
         "ctx28_shifted": _shifted(
             ctx28, [((0, 1), ("T", 1)), ((0, 1), ("S", 1)), ((0, 27), ("S", 1))]
         ),
@@ -619,8 +633,9 @@ def _shifted(ctx, keys):
 
 def _zero_row_words(N):
     """Words whose factors add zero rows in a real table: -I and a negated
-    shear (the negation row), a shear wrapping around the orbit of (0, 1),
-    and at N = 9 words with some or all of their factors on zero rows."""
+    shear (negated words whose walk stays at (0, 1)), a shear wrapping
+    around the orbit of (0, 1), and at N = 9 words with some or all of
+    their factors on zero rows."""
     words = [-I2, -Mat2.t_power(5), Mat2.t_power(5 * N + 1), Mat2(1, 0, N, 1)]
     return words + ([Mat2(17, 32, 9, 17), Mat2(101, 33, 153, 50)] if N == 9 else [])
 
@@ -642,27 +657,28 @@ def gamma0_matrices(draw, N, max_c=10**60):
 
 
 def _slots(ctx, gamma):
-    """The Gamma0 key, and the word of the Gamma1 part with its slot keys."""
-    g1, _, d_key = split_gamma0(ctx, gamma)
-    w = ts_decompose(g1, nearest=True)
-    return d_key, w, modified_rewrite(w, ctx.t_sl2, product=g1)
+    """The walk's end key lambda, read off the word's unsigned product,
+    and gamma's word with its slot keys."""
+    w = ts_decompose(gamma, nearest=True)
+    keys = modified_rewrite(w, ctx.t_sl2, product=gamma)
+    return unsigned_product(w).d % ctx.N, w, keys
 
 
 def _terms(ctx, gamma):
-    """The Gamma0 key and the word's terms over the full alphabet."""
-    d_key, w, keys = _slots(ctx, gamma)
-    return d_key, alphabet_terms(as_factors(w, keys, ctx.N), ctx.N)
+    """The walk's end key lambda and the word's terms over the full alphabet."""
+    lam, w, keys = _slots(ctx, gamma)
+    return lam, alphabet_terms(as_factors(w, keys, ctx.N), ctx.N)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(CONTEXTS), st.data())
 def test_fast_sum_matches_fraction_reference(contexts, name, data):
     """The integer accumulation equals the word's full-alphabet terms
-    summed as CycElems."""
+    summed as CycElems, plus G at the walk's end key."""
     ctx = contexts[name]
     gamma = data.draw(gamma0_matrices(ctx.N))
-    d_key, terms = _terms(ctx, gamma)
-    expected = ctx.sums_g0[d_key]
+    lam, terms = _terms(ctx, gamma)
+    expected = ctx.sums_g0[lam]
     for key, gen, m in terms:
         expected = expected + m * alphabet_sum(ctx, key, gen)
     assert fast_sum(ctx, gamma) == expected
@@ -698,23 +714,23 @@ def test_potential_terms_match_alphabet_terms(contexts, name, data):
 def test_slot_keys_match_the_factor_reference(contexts, name, data):
     """`as_factors` spells the slot keys as the factor-form rewrite of
     `reference_tables` does, and `reduce_word`'s terms are the factor-form
-    terms with each row times its multiplicity.  The Gamma1 words come from
-    either decomposition, negated or not, and T^k g1 T^l, also in Gamma1,
-    puts T^0 at either end."""
+    terms with each row times its multiplicity.  The Gamma0 words come from
+    either decomposition, negated or not, and T^k gamma T^l, also in
+    Gamma0, puts T^0 at either end."""
     ctx, N = contexts[name], contexts[name].N
     gamma = data.draw(st.one_of(gamma0_matrices(N), st.sampled_from(_zero_row_words(N))))
-    g1, nearest = split_gamma0(ctx, gamma)[0], data.draw(st.booleans())
+    nearest = data.draw(st.booleans())
     trim = data.draw(st.sampled_from(("", "left", "right", "both")))
     if trim in ("left", "both"):
-        g1 = Mat2.t_power(-ts_decompose(g1, nearest=nearest).exponents[0]) * g1
+        gamma = Mat2.t_power(-ts_decompose(gamma, nearest=nearest).exponents[0]) * gamma
     if trim in ("right", "both"):
-        g1 = g1.mul_t_power(-ts_decompose(g1, nearest=nearest).exponents[-1])
-    w = ts_decompose(g1, nearest=nearest)
+        gamma = gamma.mul_t_power(-ts_decompose(gamma, nearest=nearest).exponents[-1])
+    w = ts_decompose(gamma, nearest=nearest)
     assert trim not in ("left", "both") or w.exponents[0] == 0
     assert trim not in ("right", "both") or w.exponents[-1] == 0
-    keys = modified_rewrite(w, ctx.t_sl2, product=g1)
+    keys = modified_rewrite(w, ctx.t_sl2, product=gamma)
     assert len(keys) == 2 * w.letters - 1 and keys[0] == 1
-    factors = factor_rewrite(w, ctx.t_sl2, product=g1)
+    factors = factor_rewrite(w, ctx.t_sl2, product=gamma)
     assert as_factors(w, keys, N) == factors
     terms = factor_terms(factors, ctx)
     expected = [(k, kind, m, tuple([m * n for n in row])) for k, kind, m, row in terms]
@@ -725,8 +741,7 @@ def test_slot_keys_match_the_factor_reference(contexts, name, data):
 def test_slot_tables_hold_the_potential_objects(contexts, name):
     """Each list has one entry per key index c*N + d, and an entry only at
     a coset key whose row is not zero: there it is the same object as the
-    key's `OrbitRow` (t_slot) or S-step term (s_slot); `neg_slot` is `neg`
-    unless the negation row is zero."""
+    key's `OrbitRow` (t_slot) or S-step term (s_slot)."""
     ctx = contexts[name]
     N, zero = ctx.N, ctx.zero
     assert len(ctx.t_slot) == len(ctx.s_slot) == N * N
@@ -737,9 +752,9 @@ def test_slot_tables_hold_the_potential_objects(contexts, name):
             continue
         assert orbit is (None if row.total is zero else row), i
         assert step is (None if row.step.row is zero else row.step), i
-    assert ctx.neg_slot is (None if ctx.neg.row is zero else ctx.neg)
     if name == "ctx28_shifted":  # rows that are 0 in every real table
-        assert ctx.neg_slot is ctx.neg and ctx.t_slot[1] is ctx.potential[0, 1]
+        assert ctx.t_slot[1] is ctx.potential[0, 1]
+        assert ctx.s_slot[N - 1] is ctx.potential[0, N - 1].step
 
 
 def test_slot_tables_follow_the_generator_sums(ctx35_l12):
@@ -754,6 +769,34 @@ def test_slot_tables_follow_the_generator_sums(ctx35_l12):
     assert shifted.s_slot[k] is shifted.potential[divmod(k, N)].step is not ctx.s_slot[k]
     third = CycElem.from_rational(ctx.L, Fraction(keys[1::2].count(k), 3))
     assert fast_sum(shifted, gamma) == fast_sum(ctx, gamma) + third
+
+
+def test_fast_sum_reads_sums_g0_at_the_end_key(contexts):
+    """Shifting G at one lambda != -lambda through `dataclasses.replace`
+    moves `fast_sum` by exactly the shift on the matrices whose walk ends
+    at (0, lambda), negated words included, and leaves every other one.
+    A real table cannot tell: G(d) = G(-d) in each."""
+    for name in ("ctx9", "ctx28", "ctx35_l12"):
+        g = contexts[name].sums_g0
+        assert all(g[d] == g[-d % contexts[name].N] for d in g), name
+    ctx, lam = contexts["ctx28"], 3
+    N = ctx.N
+    third = CycElem.from_rational(ctx.L, Fraction(1, 3))
+    shifted = dataclasses.replace(ctx, sums_g0={**ctx.sums_g0, lam: ctx.sums_g0[lam] + third})
+    rng = random.Random(12)
+    mats = [random_gamma0(N, rng, kmax=10**20, d_shift=2) for _ in range(150)]
+    mats = [m for g in mats for m in (g, -g, g.inv(), -g.inv())]
+    mats += [Mat2(s, 0, N * b, s) for s in (1, -1) for b in range(-5, 6)]
+    seen = Counter()
+    for m in mats:
+        w = ts_decompose(m, nearest=True)
+        end = unsigned_product(w).d % N  # the walk's end key (0, end)
+        delta = fast_sum(shifted, m) - fast_sum(ctx, m)
+        assert delta == (third if end == lam else CycElem.zero(ctx.L)), m
+        seen[end == lam, w.negate, m.d % N == lam] += 1
+    # the end key is lambda for words that are negated or not, and a matrix
+    # with d = lambda whose walk ends at -lambda is left alone
+    assert seen[True, False, True] and seen[True, True, False] and seen[False, True, True]
 
 
 @settings(max_examples=60, deadline=None)

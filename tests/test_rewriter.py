@@ -10,7 +10,7 @@ import gdsum
 from gdsum.cosets import schreier_alphabet, transversal_g1_in_sl2, u_func
 from gdsum.modgroup import I2, Mat2, S, T, random_gamma0, ts_decompose
 from gdsum.rewriter import RewriteFactor, Term, as_factors, format_factor, format_term, modified_rewrite
-from reference_tables import expand_factor, full_alphabet, reduce_t_power, reduce_word
+from reference_tables import expand_factor, full_alphabet, reduce_t_power, reduce_word, unsigned_product
 
 FACTOR_COUNT_K = 9
 
@@ -137,7 +137,10 @@ def test_classic_matches_modified_products():
         w = ts_decompose(target)
         for f in as_factors(w, modified_rewrite(w, t), N):
             modified = modified * expand_factor(f, t)
-        assert classic == modified == target
+        # the factors times the member at the walk's end key (0, +-1)
+        unsigned = unsigned_product(w)
+        assert classic == target and modified * t.bar(unsigned) == unsigned
+        assert unsigned in (target, -target)
 
 
 def test_modified_rewrite_worked_word():
@@ -165,13 +168,14 @@ def test_modified_rewrite_worked_word():
         ((1, 2), "T", -11),
         ((1, 0), "S", 1),
         ((0, 8), "T", -1),
-        ((0, 8), "-I", 1),
     ]
     assert [(f.base_key, f.gen, f.exponent) for f in factors] == expected
     prod = I2
     for f in factors:
         prod = prod * expand_factor(f, t)
-    assert prod == g1
+    # the word is negated: its walk ends at (0, 8), and the factors times
+    # the member there multiply to -g1
+    assert w.negate and prod * t.members[0, 8] == -g1
 
 
 def test_modified_rewrite_identity_and_shears():
@@ -185,9 +189,14 @@ def test_modified_rewrite_identity_and_shears():
 
 
 def test_modified_rewrite_rejects_outsiders():
+    # a product off Gamma0(9) raises; one in Gamma0(9) but not in Gamma1(9)
+    # is walked to its end key (0, 8)
     t = transversal_g1_in_sl2(9)
-    with pytest.raises(ValueError):
-        modified_rewrite(ts_decompose(Mat2(8, 7, 9, 8)), t)
+    with pytest.raises(ValueError, match="not in Gamma0"):
+        modified_rewrite(ts_decompose(Mat2(1, 0, 1, 1)), t)
+    w = ts_decompose(Mat2(8, 7, 9, 8))
+    assert not Mat2(8, 7, 9, 8).in_gamma1(9)
+    assert len(modified_rewrite(w, t)) == 2 * w.letters - 1
 
 
 def test_checks_survive_stripped_asserts():
@@ -241,10 +250,6 @@ def test_reduce_word_mapping():
         ((1, 2), ("T", 9), -2),
         ((1, 2), ("T", 7), 1),
     ]
-    f = RewriteFactor((0, 8), "-I", 1)
-    assert [(r.base_key, r.gen, r.multiplicity) for r in reduce_word([f], 9)] == [
-        ((0, 8), ("S", 2), 1)
-    ]
     # exact multiples of N drop the remainder part
     f = RewriteFactor((0, 1), "T", 18)
     assert [(r.gen, r.multiplicity) for r in reduce_word([f], 9)] == [(("T", 9), 2)]
@@ -262,7 +267,9 @@ def test_reduce_word_preserves_product():
             m = m * rng.choice(vals)
         w = ts_decompose(m)
         factors = as_factors(w, modified_rewrite(w, t), N)
-        assert expand_reduced(reduce_word(factors, N), alphabet) == m
+        unsigned = unsigned_product(w)
+        assert unsigned in (m, -m)
+        assert expand_reduced(reduce_word(factors, N), alphabet) * t.bar(unsigned) == unsigned
 
 
 def test_reconstruction_many_levels():
@@ -280,30 +287,25 @@ def test_reconstruction_many_levels():
             prod = I2
             for f in factors:
                 prod = prod * expand_factor(f, t)
-            assert prod == m
+            unsigned = unsigned_product(w)
+            assert unsigned in (m, -m) and prod * t.bar(unsigned) == unsigned
 
 
 def test_factor_count_logarithmic():
-    from gdsum.cosets import transversal_g1_in_g0
-
     N = 9
     t = transversal_g1_in_sl2(N)
-    t0 = transversal_g1_in_g0(N)
     rng = random.Random(4)
     for _ in range(200):
         gamma = random_gamma0(N, rng, kmax=10**9, d_shift=1)
-        g1 = gamma * t0.members[gamma.d % N].inv()
-        w = ts_decompose(g1)
+        w = ts_decompose(gamma)
         factors = as_factors(w, modified_rewrite(w, t), N)
-        assert len(factors) <= 2 * w.letters + 1
-        c = abs(g1.c)
+        assert len(factors) <= 2 * w.letters - 1
+        c = abs(gamma.c)
         assert len(factors) <= FACTOR_COUNT_K * math.log(c + 2) + FACTOR_COUNT_K
 
 
 def test_format_helpers():
     assert format_factor(RewriteFactor((1, 0), "T", -2)) == "U((1, 0), T^-2)"
     assert format_factor(RewriteFactor((1, 7), "S", 1)) == "U((1, 7), S)"
-    assert format_factor(RewriteFactor((0, 8), "-I", 1)) == "U((0, 8), -I)"
     assert format_term(Term((1, 2), "T", -2, (1, 0))) == "-2 * orbit total at (1, 2)"
     assert format_term(Term((1, 7), "S", 1, (1, 0))) == "S-step row at (1, 7)"
-    assert format_term(Term((0, 8), "-I", 1, (1, 0))) == "negation row at (0, 8)"

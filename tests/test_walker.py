@@ -5,7 +5,8 @@ here multiplies the full matrix prefixes and reads their keys from the
 transversal, as the rewrite did before; the two must agree factor for
 factor, and the alphabet terms (`reference_tables.reduce_word`), expanded
 over every U(t, T^i) and U(t, S^k) matrix (`reference_tables.full_alphabet`),
-must multiply exactly back to the Gamma1(N) element.
+times the transversal member at the walk's end key (0, +-d), must
+multiply exactly back to the Gamma0(N) element, up to the word's sign.
 """
 
 import functools
@@ -14,10 +15,10 @@ from math import gcd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gdsum.cosets import transversal_g1_in_g0, transversal_g1_in_sl2
+from gdsum.cosets import transversal_g1_in_sl2
 from gdsum.modgroup import I2, Mat2, ts_decompose, ts_reconstruct
 from gdsum.rewriter import as_factors, modified_rewrite
-from reference_tables import full_alphabet, reduce_word
+from reference_tables import full_alphabet, reduce_word, unsigned_product
 
 LEVELS = (6, 9, 28)
 
@@ -25,7 +26,7 @@ LEVELS = (6, 9, 28)
 @functools.cache
 def _tables(N):
     t = transversal_g1_in_sl2(N)
-    return transversal_g1_in_g0(N), t, full_alphabet(N, t)
+    return t, full_alphabet(N, t)
 
 
 def _matrix_rewrite(w, t, product):
@@ -39,10 +40,7 @@ def _matrix_rewrite(w, t, product):
         if idx < len(w.exponents) - 1:
             out.append((t.key_of(prefix), "S", 1))
             prefix = prefix.mul_s()
-    if w.negate:
-        out.append((t.key_of(prefix), "-I", 1))
-        prefix = -prefix
-    assert prefix == product
+    assert (-prefix if w.negate else prefix) == product
     return out
 
 
@@ -75,25 +73,23 @@ def sl2_matrices(draw, max_c=10**60, level=1):
 
 
 @st.composite
-def gamma1_elements(draw, max_c=10**60):
-    """(N, g1): a Gamma0(N) matrix, or a shear +-T^b, split off its transversal member."""
+def gamma0_elements(draw, max_c=10**60):
+    """(N, gamma): a Gamma0(N) matrix, or a shear +-T^b."""
     N = draw(st.sampled_from(LEVELS))
     shears = st.tuples(st.sampled_from((1, -1)), st.integers(-max_c, max_c)).map(
         lambda sb: Mat2(sb[0], sb[1], 0, sb[0])
     )
-    gamma = draw(st.one_of(sl2_matrices(max_c, level=N), shears))
-    g1 = gamma * _tables(N)[0].members[gamma.d % N].inv()
-    return N, g1
+    return N, draw(st.one_of(sl2_matrices(max_c, level=N), shears))
 
 
 @settings(max_examples=300, deadline=None)
-@given(gamma1_elements(max_c=10**12), st.booleans())
+@given(gamma0_elements(max_c=10**12), st.booleans())
 def test_key_walk_matches_matrix_prefixes(case, nearest):
-    N, g1 = case
-    t = _tables(N)[1]
-    w = ts_decompose(g1, nearest=nearest)
-    factors = as_factors(w, modified_rewrite(w, t, product=g1), N)
-    expected = _matrix_rewrite(w, t, g1)
+    N, gamma = case
+    t = _tables(N)[0]
+    w = ts_decompose(gamma, nearest=nearest)
+    factors = as_factors(w, modified_rewrite(w, t, product=gamma), N)
+    expected = _matrix_rewrite(w, t, gamma)
     assert [tuple(f) for f in factors] == expected
     reference = []
     for key, gen, e in expected:
@@ -104,21 +100,26 @@ def test_key_walk_matches_matrix_prefixes(case, nearest):
             if r:
                 reference.append((key, ("T", r), 1))
         else:
-            reference.append((key, ("S", 1 if gen == "S" else 2), 1))
+            reference.append((key, ("S", 1), 1))
     assert [tuple(f) for f in reduce_word(factors, N)] == reference
 
 
 @settings(max_examples=200, deadline=None)
-@given(gamma1_elements())
-def test_terms_multiply_to_gamma1(case):
-    N, g1 = case
-    _, t, alphabet = _tables(N)
-    w = ts_decompose(g1, nearest=True)
-    terms = reduce_word(as_factors(w, modified_rewrite(w, t, product=g1), N), N)
+@given(gamma0_elements())
+def test_terms_times_end_member_multiply_to_gamma(case):
+    """The walk of gamma's word ends at the key (0, d mod N), or (0, -d mod N)
+    when the word is negated, and its alphabet terms times the member there
+    multiply to gamma, or to -gamma when negated."""
+    N, gamma = case
+    t, alphabet = _tables(N)
+    w = ts_decompose(gamma, nearest=True)
+    terms = reduce_word(as_factors(w, modified_rewrite(w, t, product=gamma), N), N)
     prod = I2
     for key, gen, m in terms:
         prod = prod * _power(alphabet[key, gen], m)
-    assert prod == g1
+    unsigned = -gamma if w.negate else gamma
+    assert t.key_of(unsigned) == (0, (-1 if w.negate else 1) * gamma.d % N)
+    assert prod * t.members[t.key_of(unsigned)] == unsigned == unsigned_product(w)
 
 
 @settings(max_examples=500, deadline=None)
