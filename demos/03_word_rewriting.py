@@ -128,12 +128,13 @@ for f in factors:
 print(f"Exact product of the terms times g equals gamma0: {prod * g == gamma0}")
 
 generators = schreier_alphabet(N, t_sl2)
-print(f"\nThe tables store sums for the {len(generators)} Schreier generators only: U(t, T)")
+print(f"\nThe evaluator reads sums of the {len(generators)} Schreier generators only: U(t, T)")
 print(f"and U(t, S) for each of the {len(t_sl2)} members t.  Every matrix above is a")
 print("product of them, so its sum is a sum of theirs, derived once per key: one")
 print("S-step row per key and one total per T-orbit.  A sum over the terms evaluates")
 print("the whole matrix in time proportional to the word length; a row that is 0")
 print("(most orbit totals, and the S-step row at (0, 1)) adds no term at all.")
-points = len(transversal_g0_in_sl2(N))
-print(f"Those {len(generators)} sums follow in turn from the {2 * points} sums of the Gamma0({N})")
-print(f"generators over the {points} points of P^1(Z/{N}), the only sums a cache stores.")
+p1 = transversal_g0_in_sl2(N)
+print(f"A context derives those {len(generators)} sums, once, from the {len(schreier_alphabet(N, p1))}")
+print(f"sums of the Gamma0({N}) generators over the {len(p1)} points of P^1(Z/{N}): the only")
+print("sums a precompute solves, a cache stores and a context is built from.")

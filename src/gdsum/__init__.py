@@ -4,7 +4,9 @@ The double sum attached to a matrix in Gamma0(q1 q2) is evaluated either
 directly (time linear in the lower-left entry) or through precomputed sums
 on a finite generating alphabet of Gamma1(q1 q2), reached by an
 exponent-collecting coset rewriting of the matrix's T/S word (time
-logarithmic in the lower-left entry).  All arithmetic is exact, in
+logarithmic in the lower-left entry).  Those sums are derived from the
+sums of the Schreier generators of Gamma0(q1 q2), two per point of
+P^1(Z/q1 q2): the only sums a precompute solves and a cache stores.  All arithmetic is exact, in
 cyclotomic fields over the rationals.
 """
 

@@ -171,9 +171,9 @@ def _load_or_build(args, *, force: bool = False, announce: bool = False) -> Cont
         # the solve's pivots, then one check per Gamma0 transversal member but I
         calls = catcher.stats.oracle_calls + len(ctx.t_g0) - 1
         print(
-            f"precomputed N={ctx.N}: |T_g0|={len(ctx.t_g0)}, |T_sl2|={len(ctx.t_sl2)}, "
-            f"{2 * len(ctx.t_sl2)} Schreier generators, order L={ctx.L}, "
-            f"{calls} oracle calls ({elapsed:.2f} s) -> {path}"
+            f"precomputed N={ctx.N}: |T_g0|={len(ctx.t_g0)}, |T_sl2|={len(ctx.t_sl2)} keys, "
+            f"{len(ctx.p1)} points of P^1, {len(ctx.sums_alphabet)} stored generator sums, "
+            f"order L={ctx.L}, {calls} oracle calls ({elapsed:.2f} s) -> {path}"
         )
     return ctx
 
@@ -266,12 +266,12 @@ def run_verify(ctx: Context, *, trials: int, seed: int, cmax: int) -> VerifyRepo
         "transversal-sums", not bad, bad[0] if bad else f"{len(ctx.t_g0)} entries"
     )
 
-    # random generator entries with 1 <= c <= cmax against the double sum
-    checkable = [(k, m) for k, m in ctx.alphabet.items() if 1 <= m.c <= cmax]
+    # random stored sums, but those of +-I, with |c| <= cmax against the double sum
+    checkable = [(k, m) for k, m in ctx.alphabet.items() if (m.c or m.b) and abs(m.c) <= cmax]
     picked = rng.sample(checkable, min(20, len(checkable)))
     bad = []
     for key, m in picked:
-        if naive_sum(ctx.chi1, ctx.chi2, m) != ctx.sums_alphabet[key]:
+        if sum_on_gamma0(ctx.chi1, ctx.chi2, m) != ctx.sums_alphabet[key]:
             bad.append(f"entry {key}: matrix {m}")
     report.record("alphabet-spot-check", not bad, bad[0] if bad else f"{len(picked)} entries")
 

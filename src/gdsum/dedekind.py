@@ -23,24 +23,24 @@ powers everything here:
   * the fast path rewrites gamma's own word over the Schreier alphabet of
     Gamma1(N), adds up precomputed sums with multiplicities, and adds the
     sum of the transversal member g_{+-d} at which the walk ends;
-  * the sums of the 2 mu Gamma0(N) Schreier generators U(r_k, T) and
+  * the sums s0 of the 2 mu Gamma0(N) Schreier generators U(r_k, T) and
     U(r_k, S), over the mu points k of P^1(Z/N), are mostly solved rather
     than evaluated: the generators +-I have sum 0, and S^2 = -I and
     (ST)^3 = S^2 give twisted identities that fix the others once a few
     pivots come from the double sum (`_solve`);
-  * the Gamma1(N) generator sums the evaluator reads follow from those, two
-    per coset key of Gamma1(N) (`_derive`), and the cache stores only the
-    2 mu Gamma0 sums: the identities and the pivots validate every stored
-    sum at load.
+  * those 2 mu sums are the one sum format: `_solve` finds them, the cache
+    stores them, and a `Context` is built from them, deriving the Gamma1(N)
+    generator sums the evaluator reads, two per coset key (`_derive`).  The
+    identities and the pivots validate every stored sum at load.
 
-Generator sums are dicts keyed like their alphabet, (key, ("T", 1)) and
-(key, ("S", 1)), with one shared CycElem per distinct sum.  `_generator_rows`
+The generator sums are a dict keyed like their alphabet, (k, ("T", 1)) and
+(k, ("S", 1)), with one shared CycElem per distinct sum.  `_generator_rows`
 turns them into integer rows over one common denominator D (1 for every
 pair tried), each distinct sum once, so the solve, the checks, the derived
 rows and `fast_sum`'s accumulation are integer adds and root-of-unity turns.
-A `Context` takes the pair, the two transversals and the sums (Gamma0
-transversal and generator) and derives the rest; the Gamma1 generator
-matrices are built only on access (`Context.alphabet`), never stored.
+A `Context` takes the pair, the P^1 transversal and the Gamma0 generator
+sums and derives the rest; no generator matrix is stored, and
+`Context.alphabet` builds the Gamma0 ones on access.
 """
 
 from __future__ import annotations
@@ -191,18 +191,19 @@ class Context:
     Immutable after `precompute`; `fast_sum` is pure, so one context can
     serve concurrent evaluations.
 
-    It takes six inputs: the pair `chi1`, `chi2`; the transversals `t_g0`
-    (Gamma1(N) in Gamma0(N), keyed by d mod N) and `t_sl2` (keyed by coset
-    key); `sums_g0`, the sums G(lambda) of the `t_g0` members, one of which
-    `fast_sum` adds at the end of each walk; and `sums_alphabet`, the
-    sums of the 2 |keys| Schreier generators U(t, T), U(t, S), keyed (key,
-    ("T", 1)), (key, ("S", 1)), whose matrices `alphabet` builds on each access.
-
-    `__post_init__` derives `N`, `L` and `parity_ok` (chi1*chi2(-1) = 1)
-    from the pair, and integer rows over the common denominator `den`: an
-    `OrbitRow` per key in `potential`.  With F(k) the sum of s_T along k's
-    T-orbit up to k and Sigma the orbit total, the cocycle identity gives,
-    for every integer a,
+    It takes three inputs: the pair `chi1`, `chi2`; `p1`, the transversal
+    of Gamma0(N) over P^1(Z/N); and `sums_alphabet`, the sums s0 of the
+    2 mu generators U(r_k, T), U(r_k, S) of `alphabet` (built on each
+    access), keyed (k, ("T", 1)), (k, ("S", 1)): what `_solve` finds and
+    the cache stores.  `__post_init__` derives the rest in integers over
+    the common denominator `den`: `N`, `L` and `parity_ok`
+    (chi1*chi2(-1) = 1) from the pair; `t_g0` (Gamma1(N) in Gamma0(N),
+    keyed by d mod N), `t_sl2` (keyed by coset key) and `sums_g0`, the
+    sums G(lambda) of the `t_g0` members, one of which `fast_sum` adds at
+    the end of each walk; and from the Gamma1 generator sums s_T, s_S of
+    `_derive`, an `OrbitRow` per key in `potential`.  With F(k) the sum of
+    s_T along k's T-orbit up to k and Sigma the orbit total, the cocycle
+    identity gives, for every integer a,
 
         S(U(t_k, T^a)) = F(k T^a) - F(k) + floor((pos(k) + a) / length) Sigma.
 
@@ -213,19 +214,20 @@ class Context:
     objects by key index c*N + d: `t_slot[i]` is the key's `OrbitRow` and
     `s_slot[i]` its S-step term, each None if its row is zero or i is no
     key.  Nothing derived is passed in, so `dataclasses.replace(ctx,
-    sums_alphabet=...)` evaluates the table it holds, and replacing a
+    sums_alphabet=...)` evaluates the sums it holds, and replacing a
     derived field raises.  `precompute` and `load_context` check relations.
     """
 
     chi1: DirichletCharacter
     chi2: DirichletCharacter
-    t_g0: Transversal
-    t_sl2: Transversal
-    sums_g0: dict
+    p1: Transversal
     sums_alphabet: dict
     N: int = field(init=False)
     L: int = field(init=False)
     parity_ok: bool = field(init=False)
+    t_g0: Transversal = field(init=False, compare=False, repr=False)
+    t_sl2: Transversal = field(init=False, compare=False, repr=False)
+    sums_g0: dict = field(init=False, compare=False, repr=False)
     den: int = field(init=False, compare=False)
     potential: dict = field(init=False, compare=False, repr=False)
     zero: tuple = field(init=False, compare=False, repr=False)
@@ -234,16 +236,23 @@ class Context:
 
     @property
     def alphabet(self) -> dict:
-        return schreier_alphabet(self.N, self.t_sl2)
+        return schreier_alphabet(self.N, self.p1)
 
     def __post_init__(self):
-        chi1, chi2 = self.chi1, self.chi2
+        chi1, chi2, p1 = self.chi1, self.chi2, self.p1
         self.N = N = chi1.modulus * chi2.modulus
+        if p1.kind != "p1" or p1.N != N:
+            raise ValueError(f"the generator sums need a transversal over P^1(Z/{N})")
         self.L = L = pair_order(chi1, chi2)
         self.parity_ok = parity_product(chi1, chi2) == CycElem.one(L)
         self.zero = zero = (0,) * len(CycElem.zero(L).coeffs)
-        self.den, rows = _generator_rows(self.sums_alphabet, zero)
-        s_T, s_S = ({key: row for (key, (x, _)), row in rows.items() if x == y} for y in "TS")
+        twist = _twists(chi1, chi2, N)
+        self.den, rows = _generator_rows(self.sums_alphabet)
+        self.t_g0 = transversal_g1_in_g0(N)
+        g_rows = _gamma0_rows(L, p1, rows, twist, self.t_g0)
+        self.sums_g0 = _cyc_rows(L, self.den, g_rows)
+        self.t_sl2 = transversal_g1_in_sl2(N, p1)
+        s_T, s_S = _derive(L, p1, rows, g_rows, twist, zero)
         # F along each T-orbit from its base (c, d mod g), g = gcd(c, N),
         # where t T^j has the key (c, d + j c)
         f_of, total_of = {}, {}
@@ -287,13 +296,14 @@ def _validate_pair(chi1, chi2, allow_large: bool):
 def precompute(
     chi1: DirichletCharacter, chi2: DirichletCharacter, *, allow_large: bool = False
 ) -> Context:
-    """Build the transversals, the Schreier generators and their sums.
+    """The context of a pair, from its solved and checked Gamma0 generator sums.
 
     `_solve` finds the sums of the 2 mu Gamma0(N) generators U(r_k, T) and
     U(r_k, S), two per point k of P^1(Z/N), with the double sum at its
-    pivots only (9 of the 96 at N = 35); `_build` derives and checks the
-    rest.  One DEBUG line on the `gdsum.dedekind` logger gives the counts
-    and the seconds per phase, timed only when it is logged, as
+    pivots only (9 of the 96 at N = 35).  They must obey every twisted
+    relation, and the context's Gamma0 transversal sums the double sum.
+    One DEBUG line on the `gdsum.dedekind` logger gives the counts and the
+    seconds per phase, timed only when it is logged, as
     `record.solve_stats` and `record.phases`.  Levels above
     DEFAULT_LEVEL_LIMIT need allow_large.
     """
@@ -305,12 +315,19 @@ def precompute(
     oracle = partial(sum_on_gamma0, chi1, chi2)
     sums, stats = _solve(chi1, chi2, p1, gens, lambda v: oracle(gens[v]))
     _lap(laps)
-    ctx, _ = _build(chi1, chi2, p1, gens, sums, laps, oracle)
+    _check_relations(chi1, chi2, p1, sums)
+    _lap(laps)
+    ctx = Context(chi1, chi2, p1, sums)
+    _lap(laps)
+    for d, m in ctx.t_g0.members.items():
+        if m != I2 and oracle(m) != ctx.sums_g0[d]:
+            raise ValueError(f"the Gamma0 transversal sum at d = {d} breaks the cocycle identity")
     if laps:
+        _lap(laps)
         phases = tuple(map(sub, laps[1:], laps))
         log.debug(
             "precompute N=%d: %d points of P^1, %d keys, %d identity entries, %d solved, "
-            "%d oracle calls, oracle total |c| %d; " + _PHASES,
+            "%d oracle calls, oracle total |c| %d; " + _PHASES + ", G check %.4f s",
             N, len(p1), len(ctx.t_sl2), *stats, *phases,
             extra={"solve_stats": stats, "phases": phases},
         )
@@ -324,9 +341,9 @@ def precompute(
     return ctx
 
 
-# Seconds per phase: the Gamma0 generator sums; the Gamma0 transversal and
-# Gamma1 generator sums; the checks; the evaluator's rows.
-_PHASES = "solve %.4f s, derive %.4f s, check %.4f s, tables %.4f s"
+# Seconds per phase: the Gamma0 generator sums; their relation checks; the
+# Context; and, for a precompute, the Gamma0 transversal sums' oracle check.
+_PHASES = "solve %.4f s, check %.4f s, context %.4f s"
 
 
 def _lap(laps):
@@ -334,44 +351,17 @@ def _lap(laps):
         laps.append(time.perf_counter())
 
 
-def _build(chi1, chi2, p1: Transversal, gens: dict, sums: dict, laps, oracle=None):
-    """The context from the sums of the Gamma0 generators `gens` over `p1`,
-    after checking them on every twisted relation; returns it with how many
-    relations were checked.  With `oracle`, for a precompute, the Gamma0
-    transversal sums must also equal its values, which rejects pivots that
-    come from no crossed homomorphism.  The Gamma1 relations hold on the
-    derived sums whenever the twisted ones hold, so they are left to tests."""
-    N, L = p1.N, pair_order(chi1, chi2)
-    twist = _twists(chi1, chi2, N)
-    den, rows = _generator_rows(sums)
-    t_g0 = transversal_g1_in_g0(N)
-    g_rows = _gamma0_rows(L, p1, rows, twist, t_g0)
-    sums_g0 = _cyc_rows(L, den, g_rows)
-    sums1 = _cyc_rows(L, den, _derive(L, p1, gens, rows, g_rows, twist))
-    t_sl2 = transversal_g1_in_sl2(N, p1)
-    _lap(laps)
-    checked = _check_relations(p1, L, rows, twist)
-    if oracle:
-        for d, m in t_g0.members.items():
-            if m != I2 and oracle(m) != sums_g0[d]:
-                raise ValueError(f"the Gamma0 transversal sum at d = {d} breaks the cocycle identity")
-    _lap(laps)
-    ctx = Context(chi1, chi2, t_g0, t_sl2, sums_g0, sums1)
-    _lap(laps)
-    return ctx, checked
-
-
 def _row(den: int, coeffs) -> tuple[int, ...]:
     """Fraction coefficients as integer numerators over den."""
     return tuple([x.numerator * den // x.denominator for x in coeffs])
 
 
-def _generator_rows(sums: dict, zero: tuple | None = None) -> tuple[int, dict]:
+def _generator_rows(sums: dict) -> tuple[int, dict]:
     """The common denominator D of the generator sums and, keyed like sums,
-    their integer rows over D, one per distinct CycElem, or `zero` if given for a zero sum."""
+    their integer rows over D, one per distinct CycElem."""
     distinct = {id(v): v for v in sums.values()}
     den = lcm(*{x.denominator for v in distinct.values() for x in v.coeffs})
-    row_of = {i: _row(den, v.coeffs) if v or zero is None else zero for i, v in distinct.items()}
+    row_of = {i: _row(den, v.coeffs) for i, v in distinct.items()}
     return den, {k: row_of[id(v)] for k, v in sums.items()}
 
 
@@ -514,26 +504,33 @@ def _gamma0_rows(L: int, p1: Transversal, rows: dict, twist: dict, t_g0: Transve
     return out
 
 
-def _derive(L: int, p1: Transversal, gens: dict, rows: dict, g_rows: dict, twist: dict) -> dict:
-    """The U(t, T) and U(t, S) sums over `transversal_g1_in_sl2(N, p1)` as
-    rows keyed like its alphabet, from the Gamma0 generator rows `rows` and
-    the rows G(lambda) of `g_rows`.  With u = d(U(r_k, x)) mod N,
-    U(g_lambda r_k, x) = g_lambda U(r_k, x) g_{lambda u}^-1, so
-    s1[lambda k, x] = psi(lambda) s0[k, x] + G(lambda) - G(lambda u)."""
-    N, out, turned, steps = p1.N, {}, {}, {}  # steps[u][lambda]: G(lambda) - G(lambda u)
-    point = {k: [] for k in p1.members}  # k -> (x, u, steps[u], s0[k, x] != 0) per letter x
-    for (k, x), m in gens.items():
-        point[k].append((x, u := m.d % N, steps.setdefault(u, {}), any(rows[k, x])))
-    for key, (k, lam) in p1.classes.items():
+def _derive(L: int, p1: Transversal, rows: dict, g_rows: dict, twist: dict, zero: tuple):
+    """The U(t, T) and U(t, S) sums over `transversal_g1_in_sl2(N, p1)`, as
+    two dicts of rows keyed by coset key, from the Gamma0 generator rows
+    `rows` and the rows G(lambda) of `g_rows`; equal rows are one tuple,
+    and a zero row is `zero`.  With u the scalar of the key k x over P^1,
+    which is d(U(r_k, x)) mod N, U(g_lambda r_k, x) = g_lambda U(r_k, x)
+    g_{lambda u}^-1, so s1[lambda k, x] = psi(lambda) s0[k, x] + G(lambda) - G(lambda u)."""
+    N, classes = p1.N, p1.classes
+    seen, turned, steps = {zero: zero}, {}, {}  # steps[u][lambda]: G(lambda) - G(lambda u)
+    point = {  # k -> (x, u, steps[u], s0[k, x] != 0) per letter x
+        (c, d): [(x, u := classes[kx][1], steps.setdefault(u, {}), any(rows[(c, d), (x, 1)]))
+                 for x, kx in (("T", (c, (d + c) % N)), ("S", (d, -c % N)))]
+        for c, d in p1.members
+    }
+    out = {"T": {}, "S": {}}
+    for key, (k, lam) in classes.items():
         for x, u, by_lam, live in point[k]:
             if (row := by_lam.get(lam)) is None:
-                row = by_lam[lam] = tuple(map(sub, g_rows[lam], g_rows[lam * u % N]))
+                row = tuple(map(sub, g_rows[lam], g_rows[lam * u % N]))
+                row = by_lam[lam] = seen.setdefault(row, row)
             if live:  # plus psi(lambda) s0[k, x]
-                if (v := ((k, x), twist[lam])) not in turned:
+                if (v := ((k, (x, 1)), twist[lam])) not in turned:
                     turned[v] = _twisted_sum(L, rows, (v,))
                 row = tuple(map(add, row, turned[v]))
-            out[key, x] = row
-    return out
+                row = seen.setdefault(row, row)
+            out[x][key] = row
+    return out["T"], out["S"]
 
 
 def split_gamma0(ctx: Context, gamma: Mat2) -> int:
@@ -604,17 +601,9 @@ def _chi_from_json(obj) -> DirichletCharacter:
 
 def context_to_json(ctx: Context) -> dict:
     """The cache document: the pair, and the sums S(U(r, T)) and S(U(r, S))
-    of the Gamma0 generators keyed by "c,d", the class key of r in
-    `transversal_g0_in_sl2`.  Nothing else costs oracle time.  At lambda = 1
-    `_derive` reads s0[k, x] = s1[k, x] + G(u), u the lambda of the key k x.
-    """
-    N, classes = ctx.N, transversal_g0_in_sl2(ctx.N).classes
-    step = {"T": lambda c, d: (c, (d + c) % N), "S": lambda c, d: (d, -c % N)}
-
-    def s0(c, d, x):
-        return ctx.sums_alphabet[(c, d), (x, 1)] + ctx.sums_g0[classes[step[x](c, d)][1]]
-
-    points = sorted(k for k, (_, lam) in classes.items() if lam == 1)
+    of the Gamma0 generators, `ctx.sums_alphabet`, keyed by "c,d", the
+    class key of r in `ctx.p1`.  Nothing else costs oracle time."""
+    points = sorted(ctx.p1.members)
     return {
         "version": CACHE_VERSION,
         "q1": ctx.chi1.modulus,
@@ -623,7 +612,7 @@ def context_to_json(ctx: Context) -> dict:
         "chi2": _chi_to_json(ctx.chi2),
         "L": ctx.L,
         "sums_alphabet": {
-            x: {f"{c},{d}": [str(q) for q in s0(c, d, x).coeffs] for c, d in points}
+            x: {f"{c},{d}": [str(q) for q in ctx.sums_alphabet[(c, d), (x, 1)].coeffs] for c, d in points}
             for x in ("T", "S")
         },
     }
@@ -692,10 +681,13 @@ def load_context(path, *, allow_large: bool = False) -> Context:
     pivots = _solve(chi1, chi2, p1, gens, pivot)[1].oracle_calls
     _lap(laps)
     try:
-        ctx, relations = _build(chi1, chi2, p1, gens, sums, laps)
+        relations = _check_relations(chi1, chi2, p1, sums)
     except ValueError as exc:
         raise ValueError(f"cache {path}: {exc}") from None
+    _lap(laps)
+    ctx = Context(chi1, chi2, p1, sums)
     if laps:
+        _lap(laps)
         stats = LoadStats(len(p1), len(ctx.t_sl2), relations, pivots)
         phases = tuple(map(sub, laps[1:], laps))
         log.debug(
@@ -755,12 +747,12 @@ def _relations(p1: Transversal, L: int, twist: dict):
         yield "(ST)^3 = S^2", k, _walk(L, p1, twist, k, "TSTST") + [((k, ("S", 1)), L // 2)]
 
 
-def _check_relations(p1: Transversal, L: int, rows: dict, twist: dict) -> int:
-    """Raise ValueError unless the Gamma0 generator rows obey every relation
+def _check_relations(chi1, chi2, p1: Transversal, sums: dict) -> int:
+    """Raise ValueError unless the Gamma0 generator sums obey every relation
     of `_relations`, and return how many were checked; the pivots of
     `_solve` pin what the relations leave free."""
-    checked = 0
-    for checked, (name, k, terms) in enumerate(_relations(p1, L, twist), 1):
+    L, rows, checked = pair_order(chi1, chi2), _generator_rows(sums)[1], 0
+    for checked, (name, k, terms) in enumerate(_relations(p1, L, _twists(chi1, chi2, p1.N)), 1):
         if any(_twisted_sum(L, rows, terms)):
             raise ValueError(f"U(r, T) and U(r, S) sums over P^1 at key {k} break {name}")
     return checked

@@ -6,12 +6,14 @@ not a Schreier transversal, so the sums must not depend on the choice.
 `lift_p1_transversal` does the same for each point of P^1(Z/N), keeping
 the library's class keys.  `gamma1_relations` lists the relations among
 the U(t, T) and U(t, S) sums that the derived ones must obey.
-`all_oracle_context` evaluates every U(t, T) and U(t, S) sum and every
-Gamma0 transversal sum with the double sum instead of solving and
-deriving them.  `full_alphabet` builds every
+`all_oracle_context` evaluates every Gamma0 generator sum U(r, T), U(r, S)
+with the double sum instead of solving them, and `oracle_gamma1` every
+Gamma0 transversal sum and every Gamma1 generator sum U(t, T), U(t, S),
+which a context derives.  `gamma1_rows` gives those derived sums, the rows
+of `dedekind._derive`, and `gamma1_sums` the same as CycElems.  `full_alphabet` builds every
 U(t, T^i) and U(t, S^k) matrix, and `alphabet_sum` rebuilds their sums from
-a context's generator sums in CycElem arithmetic, apart from the integer
-rows the context derives.  `reduce_word` maps rewrite factors onto that
+the derived generator sums in CycElem arithmetic, apart from the integer
+rows the context derives from them.  `reduce_word` maps rewrite factors onto that
 alphabet, each T^a as q * T^N + T^r, so a word's sum can be added up
 without the potential table; `derived_rows` pairs every row of the
 context's potential table with its value from `alphabet_sum`.
@@ -28,12 +30,10 @@ from math import gcd
 from typing import NamedTuple
 
 from gdsum import dedekind
-from gdsum.characters import pair_order
 from gdsum.cosets import (
     Transversal,
     schreier_alphabet,
     transversal_g0_in_sl2,
-    transversal_g1_in_g0,
     u_func,
 )
 from gdsum.exactnum import CycElem
@@ -116,18 +116,47 @@ def lift_p1_transversal(N: int, lift: str = "least_abs") -> Transversal:
     return Transversal(N, "p1", members, p1.classes)
 
 
-def all_oracle_context(chi1, chi2, t_sl2: Transversal):
-    """The context over t_sl2 with every U(t, T) and U(t, S) sum and every
-    Gamma0 transversal sum evaluated by `dedekind.sum_on_gamma0` (looked up
-    at call time, so a test's replacement oracle applies), two double sums
-    per coset key."""
-    alphabet = schreier_alphabet(t_sl2.N, t_sl2)
+def all_oracle_context(chi1, chi2, p1: Transversal):
+    """The context over the P^1 transversal p1 with every U(r, T) and
+    U(r, S) sum evaluated by `dedekind.sum_on_gamma0` (looked up at call
+    time, so a test's replacement oracle applies), two double sums per
+    point."""
     oracle = dedekind.sum_on_gamma0
-    sums = {entry: oracle(chi1, chi2, m) for entry, m in alphabet.items()}
-    t_g0 = transversal_g1_in_g0(t_sl2.N)
-    zero = CycElem.zero(pair_order(chi1, chi2))
-    sums_g0 = {d: zero if m == I2 else oracle(chi1, chi2, m) for d, m in t_g0.members.items()}
-    return dedekind.Context(chi1, chi2, t_g0, t_sl2, sums_g0, sums)
+    sums = {entry: oracle(chi1, chi2, m) for entry, m in schreier_alphabet(p1.N, p1).items()}
+    return dedekind.Context(chi1, chi2, p1, sums)
+
+
+def oracle_gamma1(ctx) -> tuple[dict, dict]:
+    """What ctx derives, by `dedekind.sum_on_gamma0` instead (looked up at
+    call time): the sums of its Gamma0 transversal members, keyed by d, and
+    of the Schreier generators U(t, T), U(t, S) of its Gamma1 transversal,
+    keyed like `schreier_alphabet(N, ctx.t_sl2)`, two double sums per key."""
+    oracle = dedekind.sum_on_gamma0
+    zero = CycElem.zero(ctx.L)
+    sums_g0 = {d: zero if m == I2 else oracle(ctx.chi1, ctx.chi2, m) for d, m in ctx.t_g0.members.items()}
+    alphabet = schreier_alphabet(ctx.N, ctx.t_sl2)
+    return sums_g0, {entry: oracle(ctx.chi1, ctx.chi2, m) for entry, m in alphabet.items()}
+
+
+def gamma1_rows(ctx) -> tuple[int, dict]:
+    """The common denominator and the integer rows over it of the U(t, T)
+    and U(t, S) sums over ctx.t_sl2, as `dedekind._derive` gives them from
+    the context's Gamma0 generator sums, keyed like
+    `schreier_alphabet(N, ctx.t_sl2)`."""
+    twist = dedekind._twists(ctx.chi1, ctx.chi2, ctx.N)
+    den, rows = dedekind._generator_rows(ctx.sums_alphabet)
+    g_rows = dedekind._gamma0_rows(ctx.L, ctx.p1, rows, twist, ctx.t_g0)
+    derived = dedekind._derive(ctx.L, ctx.p1, rows, g_rows, twist, ctx.zero)
+    return den, {(key, (x, 1)): row for x, by_key in zip("TS", derived) for key, row in by_key.items()}
+
+
+def gamma1_sums(ctx) -> dict:
+    """The rows of `gamma1_rows` as CycElems.  Memoized on the context."""
+    memo = vars(ctx)
+    if "_gamma1_sums" not in memo:
+        den, rows = gamma1_rows(ctx)
+        memo["_gamma1_sums"] = {v: CycElem(ctx.L, [Fraction(n, den) for n in row]) for v, row in rows.items()}
+    return memo["_gamma1_sums"]
 
 
 def gamma1_relations(N: int, keys):
@@ -180,7 +209,7 @@ def full_alphabet(N: int, t: Transversal) -> dict:
 
 def alphabet_sum(ctx, key, gen) -> CycElem:
     """The sum of U(t, T^i) or U(t, S^k) at coset key `key`, from the
-    generator sums `ctx.sums_alphabet` through the cocycle identity
+    derived generator sums `gamma1_sums(ctx)` through the cocycle identity
     U(t, g^i) = U(t, g^(i-1)) U(rep(t g^(i-1)), g), added as CycElems.
 
     Memoized on the context, so a sweep over every entry costs one CycElem
@@ -198,7 +227,7 @@ def alphabet_sum(ctx, key, gen) -> CycElem:
             else:
                 for _ in range(i - 1):
                     c, d = d, -c % ctx.N
-            value = alphabet_sum(ctx, key, (name, i - 1)) + ctx.sums_alphabet[(c, d), (name, 1)]
+            value = alphabet_sum(ctx, key, (name, i - 1)) + gamma1_sums(ctx)[(c, d), (name, 1)]
         memo[key, gen] = value
     return memo[key, gen]
 
@@ -223,7 +252,7 @@ def derived_rows(ctx):
     `alphabet_sum`) for every S-step row and orbit total."""
     N = ctx.N
     for (c, d), (pos, length, total, step) in ctx.potential.items():
-        expect = orbit_f(ctx, (c, d)) + ctx.sums_alphabet[(c, d), ("S", 1)]
+        expect = orbit_f(ctx, (c, d)) + gamma1_sums(ctx)[(c, d), ("S", 1)]
         expect = expect - orbit_f(ctx, (d, -c % N))
         yield "S", (c, d), as_cyc(ctx, step.row), expect
         if pos == 0:

@@ -26,6 +26,8 @@ def test_precompute_builds_and_reuses(tmp_path, capsys):
     assert main(["precompute", *_pair_args(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "N=9" in out and "|T_g0|=6" in out and "|T_sl2|=72" in out
+    # what the context stores: two Gamma0 generator sums per point of P^1
+    assert "|T_sl2|=72 keys, 12 points of P^1, 24 stored generator sums," in out
     caches = list(tmp_path.glob("*.json"))
     assert len(caches) == 1
     mtime = caches[0].stat().st_mtime_ns
@@ -169,8 +171,13 @@ def test_foreign_cache_exits_1(tmp_path, capsys, command):
     assert capsys.readouterr().out.splitlines()[-2] == "1 + 3*z"
 
 
-def test_sum_naive_rejects_huge_c(tmp_path, capsys):
-    # a 60-digit c, of either sign: the double sum would never return
+def test_sum_naive_rejects_huge_c(tmp_path, capsys, monkeypatch):
+    # a 60-digit c, of either sign: the double sum would never return, so
+    # the one `cli` calls raises here, and a regressed cutoff fails at once
+    def no_double_sum(*args):
+        raise AssertionError("the double sum was called")
+
+    monkeypatch.setattr(cli, "sum_on_gamma0", no_double_sum)
     c = 9 * 10**59
     for matrix in (f"1,0;{c},1", f"1,0;-{c},1"):
         rc = main(["sum", *_pair_args(tmp_path), "--matrix", matrix, "--naive"])
@@ -335,7 +342,8 @@ def test_verify_passes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "PASS  oracle-equivalence" in out
     assert "PASS  crossed-homomorphism" in out
-    assert "PASS  alphabet-spot-check  (20 entries)" in out  # 20 generators with c >= 1
+    # the 8 stored Gamma0 generator sums at N = 9 that are not those of +-I
+    assert "PASS  alphabet-spot-check  (8 entries)" in out
     assert "PASS  derived-spot-check  (20 entries)" in out
     assert "FAIL" not in out
 
@@ -390,11 +398,11 @@ def test_verify_detects_corruption(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
     def corrupted_load(path, **kwargs):
-        # the cache does not store the Gamma0 sums: corrupt one after loading;
-        # verify re-checks all of them
-        ctx = load_context(path, **kwargs)
-        sums_g0 = {**ctx.sums_g0, 2: CycElem.from_rational(ctx.L, Fraction(7, 3))}
-        return dataclasses.replace(ctx, sums_g0=sums_g0)
+        # the cache does not store the Gamma0 transversal sums G, which the
+        # context derives: corrupt one on a copy; verify re-checks all of them
+        ctx = dataclasses.replace(load_context(path, **kwargs))
+        ctx.sums_g0 = {**ctx.sums_g0, 2: CycElem.from_rational(ctx.L, Fraction(7, 3))}
+        return ctx
 
     monkeypatch.setattr(cli, "load_context", corrupted_load)
     rc = main(["verify", *_pair_args(tmp_path), "--trials", "4", "--seed", "0", "--cmax", "200"])

@@ -30,7 +30,7 @@ from gdsum.dedekind import (
     split_gamma0,
     sum_on_gamma0,
 )
-from gdsum.exactnum import CycElem
+from gdsum.exactnum import CycElem, root_of_unity
 from gdsum.modgroup import I2, Mat2, S, T, random_gamma0, ts_decompose
 from gdsum.rewriter import as_factors, modified_rewrite, reduce_word
 from reference_tables import (
@@ -42,7 +42,10 @@ from reference_tables import (
     factor_terms,
     full_alphabet,
     gamma1_relations,
+    gamma1_rows,
+    gamma1_sums,
     lift_p1_transversal,
+    oracle_gamma1,
     orbit_f,
     unsigned_product,
 )
@@ -160,13 +163,17 @@ def test_sum_on_gamma0_closure(chi3):
 def test_precompute_structure(ctx9):
     assert len(ctx9.t_g0) == 6
     assert len(ctx9.t_sl2) == 72
-    assert len(ctx9.alphabet) == 2 * 72
+    # the stored sums: two Gamma0 generators per point of P^1(Z/9)
+    assert len(ctx9.p1) == 12 and len(ctx9.alphabet) == 2 * 12
     assert ctx9.sums_alphabet.keys() == ctx9.alphabet.keys()
+    assert all(u.in_gamma0(9) for u in ctx9.alphabet.values())
     assert ctx9.sums_g0[1] == CycElem.zero(2)
     assert alphabet_sum(ctx9, (0, 1), ("S", 0)) == CycElem.zero(2)
     assert ctx9.L == 2 and ctx9.parity_ok
+    # the derived sums: two Gamma1 generators per coset key
     full = full_alphabet(9, ctx9.t_sl2)
-    for entry, u in ctx9.alphabet.items():
+    assert gamma1_sums(ctx9).keys() == schreier_alphabet(9, ctx9.t_sl2).keys()
+    for entry, u in schreier_alphabet(9, ctx9.t_sl2).items():
         assert u == full[entry] and u.in_gamma1(9)
     # one OrbitRow per key: its position along its T-orbit (c, d + j c),
     # counted from the base key (c, d mod gcd(c, N))
@@ -234,10 +241,12 @@ def test_derive_powers_matches_direct(ctx9, chi3):
 
 @pytest.mark.parametrize("name", ["ctx28", "ctx35_l12"])
 def test_rows_match_reference_sums(request, name):
-    """Every integer row of the potential table (S-step rows and orbit
-    totals) equals the sum the cocycle identity gives from the generator
-    sums in CycElem arithmetic."""
+    """Every Gamma1 generator sum `_derive` gives equals the double sum on
+    its matrix, and every integer row of the potential table (S-step rows
+    and orbit totals) equals the sum the cocycle identity gives from those
+    generator sums in CycElem arithmetic."""
     ctx = request.getfixturevalue(name)
+    assert gamma1_sums(ctx) == oracle_gamma1(ctx)[1]
     kinds = Counter()
     for kind, key, row, expect in derived_rows(ctx):
         assert row == expect, (kind, key)
@@ -399,9 +408,19 @@ def test_cache_round_trip_rebuilds_tables(tmp_path, request, name):
     assert (loaded.chi1, loaded.chi2, loaded.parity_ok) == (ctx.chi1, ctx.chi2, ctx.parity_ok)
 
 
+@pytest.mark.parametrize("name", ["ctx9", "ctx28", "ctx35_l12"])
+def test_cache_survives_a_round_trip_unchanged(tmp_path, request, name):
+    """A loaded cache saved again is the same file, byte for byte: the
+    context stores the sums the cache holds, and writes them back as read."""
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_context(request.getfixturevalue(name), first)
+    save_context(load_context(first), second)
+    assert second.read_bytes() == first.read_bytes()
+
+
 def test_alphabet_is_built_on_access_only(tmp_path, monkeypatch, ctx28):
     """precompute and load build the Schreier generators of the P^1
-    transversal only; a context builds those of its Gamma1 transversal
+    transversal once each, and a context builds none: it builds them again
     each time `alphabet` is read, and stores none."""
     kinds, real = [], dedekind.schreier_alphabet
     monkeypatch.setattr(dedekind, "schreier_alphabet", lambda N, t: kinds.append(t.kind) or real(N, t))
@@ -409,25 +428,34 @@ def test_alphabet_is_built_on_access_only(tmp_path, monkeypatch, ctx28):
     path = tmp_path / "ctx28.json"
     save_context(ctx, path)
     loaded = load_context(path)
-    assert kinds == ["p1", "p1"]
     sums = dict(ctx.sums_alphabet)
     sums[(0, 1), ("S", 1)] = sums[(0, 1), ("S", 1)] + CycElem.one(ctx.L)
-    for c in (ctx, loaded, dataclasses.replace(ctx, sums_alphabet=sums)):
+    replaced = dataclasses.replace(ctx, sums_alphabet=sums)
+    assert kinds == ["p1", "p1"]
+    for c in (ctx, loaded, replaced):
         assert "alphabet" not in vars(c)
-        assert c.alphabet == schreier_alphabet(28, c.t_sl2)
-        assert len(c.alphabet) == 2 * len(c.t_sl2) and c.alphabet.keys() == c.sums_alphabet.keys()
+        assert c.alphabet == schreier_alphabet(28, c.p1)
+        assert len(c.alphabet) == 2 * len(c.p1) and c.alphabet.keys() == c.sums_alphabet.keys()
 
 
 @pytest.mark.parametrize("name", ["N", "L", "parity_ok"])
 def test_context_derives_pair_fields(ctx35, name):
-    # a context takes its pair, transversals, generators and sums, and
-    # derives the rest, so no replace can set a level, order or parity flag
-    # its pair does not have
+    # a context takes its pair, the P^1 transversal and the Gamma0 generator
+    # sums, and derives the rest, so no replace can set a level, order or
+    # parity flag its pair does not have, nor any other derived field
     inputs = [f.name for f in dataclasses.fields(ctx35) if f.init]
-    assert inputs == ["chi1", "chi2", "t_g0", "t_sl2", "sums_g0", "sums_alphabet"]
+    assert inputs == ["chi1", "chi2", "p1", "sums_alphabet"]
     assert (ctx35.N, ctx35.L, ctx35.parity_ok) == (35, 12, False)
     with pytest.raises(ValueError, match=name):
         dataclasses.replace(ctx35, **{name: getattr(ctx35, name)})
+    for f in dataclasses.fields(ctx35):
+        if not f.init:
+            with pytest.raises(ValueError, match=f.name):
+                dataclasses.replace(ctx35, **{f.name: getattr(ctx35, f.name)})
+    # the sums are keyed by the points of P^1(Z/35): no other transversal fits
+    for p1 in (ctx35.t_sl2, transversal_g0_in_sl2(28)):
+        with pytest.raises(ValueError, match="P\\^1"):
+            dataclasses.replace(ctx35, p1=p1)
 
 
 def test_load_logs_what_it_validated(tmp_path, monkeypatch, caplog, ctx28):
@@ -457,11 +485,11 @@ def test_load_logs_what_it_validated(tmp_path, monkeypatch, caplog, ctx28):
     twisted = list(dedekind._relations(p1, ctx28.L, twist))
     assert len(twisted) == len(p1) + len(p1) // 2
     assert stats == (len(p1), len(ctx28.t_sl2), len(twisted), len(oracle))
-    assert stats.spot_checks > 0 and len(clock) == 5 and len(phases) == 4
+    assert stats.spot_checks > 0 and len(clock) == 4 and len(phases) == 3
     assert record.getMessage() == (
         f"load_context N=28: {len(p1)} points of P^1, {len(ctx28.t_sl2)} keys, "
         f"{len(twisted)} relations checked, {len(oracle)} pivots checked against the double sum; "
-        "solve {:.4f} s, derive {:.4f} s, check {:.4f} s, tables {:.4f} s".format(*phases)
+        "solve {:.4f} s, check {:.4f} s, context {:.4f} s".format(*phases)
     )
 
 
@@ -482,9 +510,7 @@ def test_load_rejects_a_cache_wrong_at_one_pivot(tmp_path, ctx28):
 
     sums, stats = dedekind._solve(chi1, chi2, p1, gens, wrong_at_second)
     assert stats.oracle_calls == len(pivots) > 1
-    twist = dedekind._twists(chi1, chi2, N)
-    rows = dedekind._generator_rows(sums)[1]
-    assert dedekind._check_relations(p1, ctx28.L, rows, twist) == len(p1) + len(p1) // 2
+    assert dedekind._check_relations(chi1, chi2, p1, sums) == len(p1) + len(p1) // 2
     path = tmp_path / "ctx28.json"
     save_context(ctx28, path)
     data = json.loads(path.read_text())
@@ -564,9 +590,10 @@ def test_load_rejects_a_string_for_a_coefficient_list(tmp_path, ctx9):
         load_context(path)
 
 
-@pytest.mark.parametrize("name, distinct", [("ctx28", 14), ("ctx35_l12", 83)])
+@pytest.mark.parametrize("name, distinct", [("ctx28", 8), ("ctx35_l12", 13)])
 def test_equal_sums_share_one_object(tmp_path, request, name, distinct):
-    """Precompute and load both hold one CycElem per distinct generator sum."""
+    """Precompute and load both hold one CycElem per distinct Gamma0
+    generator sum."""
     ctx = request.getfixturevalue(name)
     path = tmp_path / "ctx.json"
     save_context(ctx, path)
@@ -612,19 +639,17 @@ def contexts(ctx9, ctx28, ctx35, ctx35_l12):
         "ctx28": ctx28,
         "ctx35": ctx35,
         "ctx35_l12": ctx35_l12,
-        # U(I, T), U(I, S) and U(t, S) at (0, -1) moved: the orbit total and
-        # S-step row at (0, 1) and the S-step row at (0, -1), 0 in every
-        # real table, are not 0 here
-        "ctx28_shifted": _shifted(
-            ctx28, [((0, 1), ("T", 1)), ((0, 1), ("S", 1)), ((0, 27), ("S", 1))]
-        ),
+        # U(I, T) and U(I, S) moved: the orbit total and S-step row at
+        # (0, 1) and the S-step row at (0, -1), 0 in every real table, are
+        # not 0 here, since s1[(0, lambda), x] = psi(lambda) s0[(0, 1), x]
+        "ctx28_shifted": _shifted(ctx28, [((0, 1), ("T", 1)), ((0, 1), ("S", 1))]),
     }
 
 
 def _shifted(ctx, keys):
-    """ctx with the generator sums at `keys` moved by 1/3.  The rows follow
-    through `dataclasses.replace`; relations are not checked, so only
-    comparisons with the same generator sums mean anything."""
+    """ctx with the Gamma0 generator sums at `keys` moved by 1/3.  The rows
+    follow through `dataclasses.replace`; relations are not checked, so
+    only comparisons with the same generator sums mean anything."""
     sums = dict(ctx.sums_alphabet)
     for key in keys:
         sums[key] = sums[key] + CycElem.from_rational(ctx.L, Fraction(1, 3))
@@ -758,23 +783,30 @@ def test_slot_tables_hold_the_potential_objects(contexts, name):
 
 
 def test_slot_tables_follow_the_generator_sums(ctx35_l12):
-    """Shifting one S generator sum through `dataclasses.replace` moves the
-    S-step row at its key, so the lists are derived from `sums_alphabet`:
-    `fast_sum` moves by 1/3 per S slot of the word at that key."""
-    ctx, N = ctx35_l12, ctx35_l12.N
-    gamma = Mat2(107, -42, 1470, -577)
+    """Shifting the S generator sum at one point k of P^1 through
+    `dataclasses.replace` moves the S-step row at each key lambda k, so
+    the lists are derived from `sums_alphabet`: `fast_sum` moves by
+    psi(lambda)/3 per S slot of the word at a key lambda k.  This word's S
+    slots over the point (31, 34) have three distinct psi(lambda)."""
+    ctx, N, classes = ctx35_l12, ctx35_l12.N, ctx35_l12.p1.classes
+    gamma = Mat2(2507577, 1826678, 6538315, 4762923)
     _, _, keys = _slots(ctx, gamma)
-    k = Counter(keys[1::2]).most_common(1)[0][0]
-    shifted = _shifted(ctx, [(divmod(k, N), ("S", 1))])
+    point = (31, 34)
+    k = next(s for s in keys[1::2] if classes[divmod(s, N)][0] == point)
+    shifted = _shifted(ctx, [(point, ("S", 1))])
     assert shifted.s_slot[k] is shifted.potential[divmod(k, N)].step is not ctx.s_slot[k]
-    third = CycElem.from_rational(ctx.L, Fraction(keys[1::2].count(k), 3))
-    assert fast_sum(shifted, gamma) == fast_sum(ctx, gamma) + third
+    twist = dedekind._twists(ctx.chi1, ctx.chi2, N)
+    over = [classes[divmod(s, N)][1] for s in keys[1::2] if classes[divmod(s, N)][0] == point]
+    assert len({twist[lam] for lam in over}) == 3
+    third = CycElem.from_rational(ctx.L, Fraction(1, 3))
+    delta = sum((third * root_of_unity(ctx.L, twist[lam]) for lam in over), CycElem.zero(ctx.L))
+    assert fast_sum(shifted, gamma) == fast_sum(ctx, gamma) + delta
 
 
 def test_fast_sum_reads_sums_g0_at_the_end_key(contexts):
-    """Shifting G at one lambda != -lambda through `dataclasses.replace`
-    moves `fast_sum` by exactly the shift on the matrices whose walk ends
-    at (0, lambda), negated words included, and leaves every other one.
+    """Shifting G at one lambda != -lambda on a copy of the context moves
+    `fast_sum` by exactly the shift on the matrices whose walk ends at
+    (0, lambda), negated words included, and leaves every other one.
     A real table cannot tell: G(d) = G(-d) in each."""
     for name in ("ctx9", "ctx28", "ctx35_l12"):
         g = contexts[name].sums_g0
@@ -782,7 +814,8 @@ def test_fast_sum_reads_sums_g0_at_the_end_key(contexts):
     ctx, lam = contexts["ctx28"], 3
     N = ctx.N
     third = CycElem.from_rational(ctx.L, Fraction(1, 3))
-    shifted = dataclasses.replace(ctx, sums_g0={**ctx.sums_g0, lam: ctx.sums_g0[lam] + third})
+    shifted = dataclasses.replace(ctx)  # G is derived: shift it on a copy
+    shifted.sums_g0 = {**ctx.sums_g0, lam: ctx.sums_g0[lam] + third}
     rng = random.Random(12)
     mats = [random_gamma0(N, rng, kmax=10**20, d_shift=2) for _ in range(150)]
     mats = [m for g in mats for m in (g, -g, g.inv(), -g.inv())]
@@ -799,6 +832,59 @@ def test_fast_sum_reads_sums_g0_at_the_end_key(contexts):
     assert seen[True, False, True] and seen[True, True, False] and seen[False, True, True]
 
 
+@pytest.fixture(scope="module")
+def arbitrary_contexts(ctx28, ctx35_l12):
+    """Contexts for the N = 28 and N = 35 (L = 12) pairs, both with
+    psi(-1) = 1, built from seeded random Gamma0 generator sums that break
+    every relation: nothing but the derivation ties their rows together."""
+    rng, out = random.Random(13), {}
+    for name, ctx in (("ctx28", ctx28), ("ctx35_l12", ctx35_l12)):
+        deg = len(ctx.zero)
+        sums = {
+            v: CycElem(ctx.L, [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(deg)])
+            for v in ctx.sums_alphabet
+        }
+        out[name] = dedekind.Context(ctx.chi1, ctx.chi2, ctx.p1, sums)
+        with pytest.raises(ValueError, match="break"):
+            dedekind._check_relations(ctx.chi1, ctx.chi2, ctx.p1, sums)
+    return out
+
+
+def _twisted_walk(ctx, gamma) -> CycElem:
+    """The sum of psi(lambda_i) s0[k_i, x_i] over the letters of gamma's
+    nearest-integer word, walked from the key (0, 1) over P^1, where the
+    i-th prefix key is lambda_i k_i: S(gamma) by Reidemeister-Schreier
+    over Gamma0(N) itself, with no Gamma1 row and no G."""
+    w = ts_decompose(gamma, nearest=True)
+    letters = "S".join("T" * a if a > 0 else "t" * -a for a in w.exponents)
+    twist = dedekind._twists(ctx.chi1, ctx.chi2, ctx.N)
+    den, rows = dedekind._generator_rows(ctx.sums_alphabet)
+    terms = dedekind._walk(ctx.L, ctx.p1, twist, (0, 1 % ctx.N), letters)
+    return CycElem(ctx.L, [Fraction(n, den) for n in dedekind._twisted_sum(ctx.L, rows, terms)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(("ctx28", "ctx35_l12")), st.data())
+def test_fast_sum_is_the_twisted_walk_on_arbitrary_sums(arbitrary_contexts, name, data):
+    """On a context built from arbitrary Gamma0 generator sums, `fast_sum`
+    equals the twisted walk over gamma's word: the G terms of the derived
+    Gamma1 rows telescope along the walk, and the G(+-d) at its end cancels
+    the last one, whatever the sums.  gamma is a Gamma0 matrix with c up to
+    10^6 N, negated or inverted, whose word has at most 100 N letters T,
+    so that the reference walks them one by one, or a shear +-T^b with
+    |b| <= 3N."""
+    ctx = arbitrary_contexts[name]
+    N = ctx.N
+
+    def short(m):
+        return m.c and sum(map(abs, ts_decompose(m, nearest=True).exponents)) <= 100 * N
+
+    sign = st.sampled_from((1, -1))
+    shears = st.builds(lambda s, b: Mat2(s, b, 0, s), sign, st.integers(-3 * N, 3 * N))
+    gamma = data.draw(st.one_of(gamma0_matrices(N, 10**6 * N).filter(short), shears))
+    assert fast_sum(ctx, gamma) == _twisted_walk(ctx, gamma)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(("ctx9", "ctx28", "ctx35_l12")), st.data())
 def test_derivation_formula_matches_the_double_sum(contexts, name, data):
@@ -806,56 +892,56 @@ def test_derivation_formula_matches_the_double_sum(contexts, name, data):
     derivation formula psi(lambda) S(U(r_k, x)) + G(lambda) - G(lambda u),
     u = d(U(r_k, x)) mod N, with every sum on the right from
     `sum_on_gamma0`, equals `sum_on_gamma0` on U(t, x) and the context's
-    derived sum."""
+    derived sum; and u is the scalar of the key k x over P^1."""
     ctx = contexts[name]
-    chi1, chi2, N, g = ctx.chi1, ctx.chi2, ctx.N, ctx.t_g0.members
-    p1 = transversal_g0_in_sl2(N)
+    chi1, chi2, N, g, p1 = ctx.chi1, ctx.chi2, ctx.N, ctx.t_g0.members, ctx.p1
     key = data.draw(st.sampled_from(sorted(p1.classes)))
     gen = data.draw(st.sampled_from((("T", 1), ("S", 1))))
     k, lam = p1.classes[key]
-    u0 = u_func(p1.members[k], T if gen[0] == "T" else S, p1)
+    x = T if gen[0] == "T" else S
+    u0 = u_func(p1.members[k], x, p1)
     assert u0.in_gamma0(N)
+    assert u0.d % N == p1.classes[(k[0] * x.a + k[1] * x.c) % N, (k[0] * x.b + k[1] * x.d) % N][1]
     oracle = partial(sum_on_gamma0, chi1, chi2)
     formula = psi(chi1, chi2, g[lam]) * oracle(u0) + oracle(g[lam]) - oracle(g[lam * u0.d % N])
-    assert formula == oracle(ctx.alphabet[key, gen]) == ctx.sums_alphabet[key, gen]
+    u1 = u_func(ctx.t_sl2.members[key], x, ctx.t_sl2)
+    assert formula == oracle(u1) == gamma1_sums(ctx)[key, gen]
 
 
 def test_fast_sum_over_common_denominator_3(ctx28):
-    """Shift the generators U(I, T) and U(I, S) by 1/3: the rows follow
-    `sums_alphabet` through `dataclasses.replace`, the denominator becomes
-    3, every derived row still equals its sum from the shifted generators,
-    and each sum moves by exactly (the number of shifted generators its
-    full-alphabet terms add up) / 3."""
+    """Shift the Gamma0 generators U(I, T) and U(I, S) by 1/3: the rows
+    follow `sums_alphabet` through `dataclasses.replace`, the denominator
+    becomes 3, and every derived row still equals its sum from the derived
+    generators.  Over a word the G terms telescope, so each sum moves by
+    psi(lambda)/3 per S slot at a key (0, lambda), the keys over the point
+    (0, 1), and by a psi(lambda)/3 per T^a slot there."""
     assert ctx28.den == 1
     N, L = ctx28.N, ctx28.L
     shifted = _shifted(ctx28, [((0, 1), ("T", 1)), ((0, 1), ("S", 1))])  # U(I, T), U(I, S)
     assert shifted.den == 3
-
-    def uses(key, gen):
-        """How often U(I, T) or U(I, S) enters the sum of (key, gen)."""
-        (c, d), (name, i) = key, gen
-        if name == "T":  # U(t T^j, T) for j < i
-            return sum((c, (d + j * c) % N) == (0, 1) for j in range(i))
-        return sum(k == (0, 1) for k in ((c, d), (d, -c % N))[:i])  # U(t S^j, S)
-
     for kind, key, row, expect in derived_rows(shifted):
         assert row == expect, (kind, key)
     # the T-orbit of (0, 1) is (0, 1) alone: its total is U(I, T)'s sum
     third = CycElem.from_rational(L, Fraction(1, 3))
     totals = [as_cyc(ctx, ctx.potential[0, 1].total) for ctx in (ctx28, shifted)]
     assert totals[1] == totals[0] + third
+    twist = dedekind._twists(ctx28.chi1, ctx28.chi2, N)
     rng = random.Random(3)
     mats = [random_gamma0(N, rng, kmax=10**30) for _ in range(40)]
     mats += [Mat2.t_power(10**40 + 5), Mat2.t_power(-(10**25)), -Mat2.t_power(7 * 10**18)]
-    moved = set()
+    moved = []
     for gamma in mats:
-        _, terms = _terms(ctx28, gamma)
-        m = sum(mult * uses(key, gen) for key, gen, mult in terms)
+        _, w, keys = _slots(ctx28, gamma)
+        slots = [*zip(keys[::2], w.exponents), *((k, 1) for k in keys[1::2])]
+        m = CycElem.zero(L)
+        for k, a in slots:
+            if k < N:  # the key (0, k)
+                m = m + a * root_of_unity(L, twist[k])
         delta = fast_sum(shifted, gamma) - fast_sum(ctx28, gamma)
-        assert delta == CycElem.from_rational(L, Fraction(m, 3))
-        moved.add(m)
-    # words that open with S, and shears whose T^N multiplicity is huge
-    assert 1 in moved and max(moved) > 10**20 and min(moved) < -(10**20)
+        assert delta == third * m
+        moved.append(max(abs(x) for x in m.coeffs))
+    # every word opens at (0, 1), and the shears' T slots there are huge
+    assert min(moved[:40]) > 0 and max(moved) > 10**20
 
 
 @pytest.fixture(scope="module")
@@ -916,8 +1002,9 @@ FIXTURE_OF = {"9": "ctx9", "28": "ctx28", "35-odd": "ctx35", "35-l12": "ctx35_l1
 @pytest.mark.parametrize("transversal", ["schreier", "lift"])
 @pytest.mark.parametrize("pair", sorted(PAIRS))
 def test_solved_table_matches_all_oracle(request, monkeypatch, pair, transversal):
-    """Every solved sum equals the double sum on its matrix, over the
-    Schreier transversal and over the lift transversal."""
+    """Every solved Gamma0 generator sum, and every Gamma0 transversal sum
+    and Gamma1 generator sum derived from them, equals the double sum on
+    its matrix, over the Schreier transversal and over the lift one."""
     chi1, chi2 = _pair(request, pair)
     if transversal == "lift":
         monkeypatch.setattr(dedekind, "transversal_g0_in_sl2", lift_p1_transversal)
@@ -926,26 +1013,29 @@ def test_solved_table_matches_all_oracle(request, monkeypatch, pair, transversal
         ctx = request.getfixturevalue(FIXTURE_OF[pair])
     else:
         ctx = _precompute(chi1, chi2)
-    ref = all_oracle_context(chi1, chi2, ctx.t_sl2)
+    ref = all_oracle_context(chi1, chi2, ctx.p1)
     assert ctx.alphabet == ref.alphabet
     assert ctx.sums_alphabet == ref.sums_alphabet
-    assert ctx.sums_g0 == ref.sums_g0
+    sums_g0, sums1 = oracle_gamma1(ctx)
+    assert ctx.sums_g0 == ref.sums_g0 == sums_g0
+    assert gamma1_sums(ctx) == gamma1_sums(ref) == sums1
     if pair.endswith("-odd"):
-        assert not any(ctx.sums_alphabet.values())
+        assert not any(ctx.sums_alphabet.values()) and not any(sums1.values())
     else:
-        assert any(ctx.sums_alphabet.values())
+        assert any(ctx.sums_alphabet.values()) and any(sums1.values())
 
 
 @pytest.mark.parametrize("pair", sorted(PAIRS))
 def test_derived_sums_obey_the_gamma1_relations(request, pair):
     """Every relation S^4 = I and (ST)^3 = S^2 read from a coset key of
     Gamma1(N) holds on the derived U(t, T) and U(t, S) sums, as integer
-    rows.  The twisted relations imply them, so precompute does not check
-    them; an entry `_derive` put at the wrong key would break one."""
+    rows from `_derive`.  The twisted relations imply them, so precompute
+    does not check them; an entry `_derive` put at the wrong key would
+    break one."""
     chi1, chi2 = _pair(request, pair)
     ctx = request.getfixturevalue(FIXTURE_OF[pair]) if pair in FIXTURE_OF else _precompute(chi1, chi2)
-    rows = dedekind._generator_rows(ctx.sums_alphabet)[1]
-    zero = [0] * len(next(iter(rows.values())))
+    rows = gamma1_rows(ctx)[1]
+    zero = list(ctx.zero)
     checked = 0
     for checked, (name, k, lhs, rhs) in enumerate(gamma1_relations(ctx.N, ctx.t_sl2.members), 1):
         total = [list(map(sum, zip(zero, *(rows[v] for v in side)))) for side in (lhs, rhs)]
@@ -1026,7 +1116,7 @@ def test_oracle_calls_within_twice_the_rank(request, monkeypatch, caplog, pair):
         f"precompute N={ctx.N}: {points} points of P^1, {keys} keys, "
         f"{stats.identity} identity entries, {stats.solved} solved, "
         f"{stats.oracle_calls} oracle calls, oracle total |c| {stats.oracle_c}; "
-        "solve {:.4f} s, derive {:.4f} s, check {:.4f} s, tables {:.4f} s".format(*phases)
+        "solve {:.4f} s, check {:.4f} s, context {:.4f} s, G check {:.4f} s".format(*phases)
     )
 
 
@@ -1053,8 +1143,8 @@ def test_solve_rescales_to_a_new_denominator(request, monkeypatch):
     S(its conjugate) is a crossed homomorphism with the same psi, and so is
     f(g) = S(g) + (S(g) + conj S(its conjugate))/3.  The first nonzero f
     the solve asks for is integral and a later one is not, so rows already
-    solved are rescaled mid-solve; the table still equals the all-oracle
-    one under the same oracle."""
+    solved are rescaled mid-solve; the table, and the Gamma1 generator sums
+    derived from it, still equal the all-oracle ones under the same oracle."""
     chi1, chi2 = _pair(request, "28")
     N = 28
     third = CycElem.from_rational(pair_order(chi1, chi2), Fraction(1, 3))
@@ -1071,5 +1161,6 @@ def test_solve_rescales_to_a_new_denominator(request, monkeypatch):
     dens = [max(x.denominator for x in v.coeffs) for v in values if v]
     assert dens[0] == 1 and 3 in dens
     assert ctx.den == 3
-    ref = all_oracle_context(chi1, chi2, ctx.t_sl2)
+    ref = all_oracle_context(chi1, chi2, ctx.p1)
     assert ctx.sums_alphabet == ref.sums_alphabet
+    assert gamma1_sums(ctx) == oracle_gamma1(ctx)[1]
