@@ -19,7 +19,7 @@ ctx = precompute(chi1, chi2)
 print(
     f"Precomputed tables for the pair mod (4, 7): level N = {ctx.N}, "
     f"{len(ctx.sums_alphabet)} Gamma0 generator sums over {len(ctx.p1)} points of P^1, "
-    f"rows for {len(ctx.t_sl2)} coset keys, {time.perf_counter() - t0:.2f} s (one-time)"
+    f"rows for {len(ctx.p1.classes)} coset keys, {time.perf_counter() - t0:.2f} s (one-time)"
 )
 
 print("\nAgreement with the double sum on random matrices in Gamma0(28):")

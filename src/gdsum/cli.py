@@ -171,7 +171,7 @@ def _load_or_build(args, *, force: bool = False, announce: bool = False) -> Cont
         # the solve's pivots, then one check per Gamma0 transversal member but I
         calls = catcher.stats.oracle_calls + len(ctx.t_g0) - 1
         print(
-            f"precomputed N={ctx.N}: |T_g0|={len(ctx.t_g0)}, |T_sl2|={len(ctx.t_sl2)} keys, "
+            f"precomputed N={ctx.N}: |T_g0|={len(ctx.t_g0)}, |T_sl2|={len(ctx.p1.classes)} keys, "
             f"{len(ctx.p1)} points of P^1, {len(ctx.sums_alphabet)} stored generator sums, "
             f"order L={ctx.L}, {calls} oracle calls ({elapsed:.2f} s) -> {path}"
         )
@@ -218,8 +218,9 @@ def _print_trace(ctx: Context, gamma: Mat2) -> None:
     word = " S ".join(f"T^{e}" for e in w.exponents)
     print(f"gamma = {gamma} = {sign}{word}")
     lam = -d % ctx.N if w.negate else d
-    print(f"the walk ends at key (0, {lam}), whose member is g = {ctx.t_sl2.members[0, lam]}")
-    keys = modified_rewrite(w, ctx.t_sl2, product=gamma)
+    # the Gamma1 transversal member at (0, lambda) is g_lambda r_(0, 1) = g_lambda
+    print(f"the walk ends at key (0, {lam}), whose member is g = {ctx.t_g0.members[lam]}")
+    keys = modified_rewrite(w, ctx.p1, product=gamma)
     factors = as_factors(w, keys, ctx.N)
     print("rewritten factors:")
     for f in factors:
@@ -230,8 +231,7 @@ def _print_trace(ctx: Context, gamma: Mat2) -> None:
         print(f"  {format_term(f)}")
     if not terms:
         print("  none")
-    rows = [ctx.potential[k].step.row if g == "S" else ctx.potential[k].total for k, g, _ in factors]
-    zero = sum(row is ctx.zero for row in rows)
+    zero = [(ctx.s_slot if g == "S" else ctx.t_slot)[c * ctx.N + d] for (c, d), g, _ in factors].count(None)
     print(f"{zero} of {len(factors)} factors add a zero row")
 
 

@@ -29,18 +29,15 @@ powers everything here:
     (ST)^3 = S^2 give twisted identities that fix the others once a few
     pivots come from the double sum (`_solve`);
   * those 2 mu sums are the one sum format: `_solve` finds them, the cache
-    stores them, and a `Context` is built from them, deriving the Gamma1(N)
-    generator sums the evaluator reads, two per coset key (`_derive`).  The
-    identities and the pivots validate every stored sum at load.
+    stores them, and a `Context` is built from them, deriving the two slot
+    tables the evaluator reads (`_slot_tables`).  The identities and the
+    pivots validate every stored sum at load.
 
 The generator sums are a dict keyed like their alphabet, (k, ("T", 1)) and
 (k, ("S", 1)), with one shared CycElem per distinct sum.  `_generator_rows`
 turns them into integer rows over one common denominator D (1 for every
-pair tried), each distinct sum once, so the solve, the checks, the derived
-rows and `fast_sum`'s accumulation are integer adds and root-of-unity turns.
-A `Context` takes the pair, the P^1 transversal and the Gamma0 generator
-sums and derives the rest; no generator matrix is stored, and
-`Context.alphabet` builds the Gamma0 ones on access.
+pair tried), so the solve, the checks, the derived rows and `fast_sum`'s
+accumulation are integer adds and root-of-unity turns.
 """
 
 from __future__ import annotations
@@ -54,7 +51,7 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from math import gcd, lcm
 from operator import add, itemgetter, sub
 from typing import NamedTuple
@@ -76,7 +73,7 @@ from .cosets import (
     transversal_g1_in_g0,
     transversal_g1_in_sl2,
 )
-from .exactnum import CycElem, root_of_unity
+from .exactnum import CycElem, _reduce, root_of_unity
 from .modgroup import I2, Mat2, ts_decompose
 from .rewriter import Term, _new, modified_rewrite, reduce_word
 
@@ -124,9 +121,9 @@ def naive_sum(chi1: DirichletCharacter, chi2: DirichletCharacter, gamma: Mat2) -
     e2 = [chi2.exponent_at(n, L) for n in range(q2)]
     # integer numerators per zeta-exponent over the common denominator
     # 2*q1*c: the half range doubles (2j - c)/(2c) * A[m]
-    acc = [0] * L
     if e1[-1] != e2[-1]:  # chi1*chi2(-1) = -1; both exponents are 0 or L/2
-        return CycElem(L, acc)
+        return CycElem.zero(L)
+    acc = [0] * L
     M = q1 * c
     qa = q1 * a % M  # floor(y) = (qa * j mod M) // c
     half = (c + 1) // 2
@@ -143,8 +140,8 @@ def naive_sum(chi1: DirichletCharacter, chi2: DirichletCharacter, gamma: Mat2) -
                     k1 = e1[(k - m) % q1]
                     if k1 is not None:
                         acc[-(k2 + k1) % L] += 2 * k * w
-    den = 2 * q1 * c
-    return CycElem(L, [Fraction(v, den) for v in acc])
+    den = 2 * q1 * c  # reduced mod Phi_L in integers, then one Fraction per coefficient
+    return CycElem._raw(L, tuple([Fraction(v, den) for v in _reduce(L, acc)]))
 
 
 def sum_on_gamma0(chi1, chi2, gamma: Mat2) -> CycElem:
@@ -189,33 +186,31 @@ class Context:
     """All precomputed tables for one character pair.
 
     Immutable after `precompute`; `fast_sum` is pure, so one context can
-    serve concurrent evaluations.
-
-    It takes three inputs: the pair `chi1`, `chi2`; `p1`, the transversal
-    of Gamma0(N) over P^1(Z/N); and `sums_alphabet`, the sums s0 of the
-    2 mu generators U(r_k, T), U(r_k, S) of `alphabet` (built on each
-    access), keyed (k, ("T", 1)), (k, ("S", 1)): what `_solve` finds and
-    the cache stores.  `__post_init__` derives the rest in integers over
-    the common denominator `den`: `N`, `L` and `parity_ok`
-    (chi1*chi2(-1) = 1) from the pair; `t_g0` (Gamma1(N) in Gamma0(N),
-    keyed by d mod N), `t_sl2` (keyed by coset key) and `sums_g0`, the
-    sums G(lambda) of the `t_g0` members, one of which `fast_sum` adds at
-    the end of each walk; and from the Gamma1 generator sums s_T, s_S of
-    `_derive`, an `OrbitRow` per key in `potential`.  With F(k) the sum of
-    s_T along k's T-orbit up to k and Sigma the orbit total, the cocycle
-    identity gives, for every integer a,
+    serve concurrent evaluations.  Its inputs are the pair `chi1`, `chi2`;
+    `p1`, the transversal of Gamma0(N) over P^1(Z/N); and `sums_alphabet`,
+    the sums s0 of the 2 mu generators U(r_k, T), U(r_k, S) of `alphabet`
+    (built on each access), keyed (k, ("T", 1)), (k, ("S", 1)): what
+    `_solve` finds and the cache stores.  `__post_init__` derives only what
+    `fast_sum` reads, in integers over the common denominator `den`: `N`,
+    `L` and `parity_ok` (chi1*chi2(-1) = 1); `t_g0` (Gamma1(N) in
+    Gamma0(N), keyed by d mod N) and `sums_g0`, the sums G(lambda) of its
+    members, one of which ends each walk; and the slot tables.  With F(k)
+    the sum of the Gamma1 generator sums s_T along k's T-orbit up to k and
+    Sigma the orbit total, the cocycle identity gives, for every integer a,
 
         S(U(t_k, T^a)) = F(k T^a) - F(k) + floor((pos(k) + a) / length) Sigma.
 
     Over a word the F terms cancel across each S letter into
     B(k) = F(k) + s_S[k] - F(kS), and vanish at both ends: the walk starts
     at key (0, 1) and ends at some (0, lambda), keys alone on their orbits.
-    Every zero row is the one tuple `zero`.  `reduce_word` reads the same
-    objects by key index c*N + d: `t_slot[i]` is the key's `OrbitRow` and
-    `s_slot[i]` its S-step term, each None if its row is zero or i is no
-    key.  Nothing derived is passed in, so `dataclasses.replace(ctx,
-    sums_alphabet=...)` evaluates the sums it holds, and replacing a
-    derived field raises.  `precompute` and `load_context` check relations.
+    `reduce_word` reads `t_slot[i]`, the `OrbitRow` of the key with index
+    i = c*N + d, and `s_slot[i]`, its S-step term, each None where its row
+    is zero or i is no key; every zero row is the one tuple `zero`.
+    `t_sl2` (the Gamma1(N) transversal) and `potential` (an `OrbitRow` per
+    key) are views for `verify` and tests, built on first access and then
+    kept.  Nothing derived is passed in, so `dataclasses.replace(
+    ctx, sums_alphabet=...)` evaluates the sums it holds, and replacing a
+    derived field raises; `precompute` and `load_context` check relations.
     """
 
     chi1: DirichletCharacter
@@ -226,10 +221,8 @@ class Context:
     L: int = field(init=False)
     parity_ok: bool = field(init=False)
     t_g0: Transversal = field(init=False, compare=False, repr=False)
-    t_sl2: Transversal = field(init=False, compare=False, repr=False)
     sums_g0: dict = field(init=False, compare=False, repr=False)
     den: int = field(init=False, compare=False)
-    potential: dict = field(init=False, compare=False, repr=False)
     zero: tuple = field(init=False, compare=False, repr=False)
     t_slot: list = field(init=False, compare=False, repr=False)
     s_slot: list = field(init=False, compare=False, repr=False)
@@ -237,6 +230,21 @@ class Context:
     @property
     def alphabet(self) -> dict:
         return schreier_alphabet(self.N, self.p1)
+
+    @cached_property
+    def t_sl2(self) -> Transversal:
+        return transversal_g1_in_sl2(self.N, self.p1)
+
+    @cached_property
+    def potential(self) -> dict:
+        """Each key's `OrbitRow`: its `t_slot` entry, else one with the total
+        `zero` and the key's `s_slot` entry or a zero S-step term."""
+        N, out = self.N, {}
+        for c, d in self.p1.classes:
+            g, step = gcd(c, N), self.s_slot[c * N + d] or _new(Term, ((c, d), "S", 1, self.zero))
+            pos = d // g * pow(c // g, -1, N // g) % (N // g)  # d = d mod g + pos c mod N
+            out[c, d] = self.t_slot[c * N + d] or _new(OrbitRow, (pos, N // g, self.zero, step))
+        return out
 
     def __post_init__(self):
         chi1, chi2, p1 = self.chi1, self.chi2, self.p1
@@ -251,32 +259,7 @@ class Context:
         self.t_g0 = transversal_g1_in_g0(N)
         g_rows = _gamma0_rows(L, p1, rows, twist, self.t_g0)
         self.sums_g0 = _cyc_rows(L, self.den, g_rows)
-        self.t_sl2 = transversal_g1_in_sl2(N, p1)
-        s_T, s_S = _derive(L, p1, rows, g_rows, twist, zero)
-        # F along each T-orbit from its base (c, d mod g), g = gcd(c, N),
-        # where t T^j has the key (c, d + j c)
-        f_of, total_of = {}, {}
-        for c, d in self.t_sl2.members:
-            g = gcd(c, N)
-            if (c, d % g) in total_of:
-                continue  # its orbit is done
-            f = zero
-            for pos in range(N // g):
-                key = (c, (d % g + pos * c) % N)
-                f_of[key] = pos, f
-                f = f if (row := s_T[key]) is zero else tuple(map(add, f, row))
-            total_of[c, d % g] = f if any(f) else zero
-        self.potential = potential = {}
-        self.t_slot, self.s_slot = t_slot, s_slot = [None] * N * N, [None] * N * N
-        for key in self.t_sl2.members:
-            (pos, f), (c, d), g = f_of[key], key, gcd(key[0], N)
-            row, h = s_S[key], f_of[d, -c % N][1]
-            if f is not h and not any(row := tuple(map(sub, map(add, f, row), h))):
-                row = zero  # B(k) = F(k) + s_S[k] - F(kS) is 0
-            step = _new(Term, (key, "S", 1, row))
-            potential[key] = orbit = _new(OrbitRow, (pos, N // g, total_of[c, d % g], step))
-            t_slot[c * N + d] = None if orbit[2] is zero else orbit
-            s_slot[c * N + d] = None if row is zero else step
+        self.t_slot, self.s_slot = _slot_tables(L, p1, rows, g_rows, twist, zero)
 
 
 def _validate_pair(chi1, chi2, allow_large: bool):
@@ -328,7 +311,7 @@ def precompute(
         log.debug(
             "precompute N=%d: %d points of P^1, %d keys, %d identity entries, %d solved, "
             "%d oracle calls, oracle total |c| %d; " + _PHASES + ", G check %.4f s",
-            N, len(p1), len(ctx.t_sl2), *stats, *phases,
+            N, len(p1), len(p1.classes), *stats, *phases,
             extra={"solve_stats": stats, "phases": phases},
         )
     if not ctx.parity_ok:
@@ -380,10 +363,11 @@ def _twists(chi1, chi2, N: int) -> dict[int, int]:
 
 @lru_cache(maxsize=None)
 def _turns(L: int) -> tuple:
-    """turns[e][i] is the integer row of zeta_L^(e + i), so that a row r
-    times zeta_L^e is the sum of r[i] * turns[e][i] (Phi_L is monic)."""
-    powers = [tuple(map(int, root_of_unity(L, j).coeffs)) for j in range(L)]
-    return tuple(tuple(powers[(e + i) % L] for i in range(len(powers[0]))) for e in range(L))
+    """turns[e][i] holds the nonzero entries (j, x) of the integer row of
+    zeta_L^(e + i), so that a row r times zeta_L^e is the sum of r[i] *
+    turns[e][i] (Phi_L is monic)."""
+    sparse = [tuple((j, int(x)) for j, x in enumerate(root_of_unity(L, k).coeffs) if x) for k in range(L)]
+    return tuple(tuple(sparse[(e + i) % L] for i in range(len(CycElem.zero(L).coeffs))) for e in range(L))
 
 
 def _twisted_sum(L: int, rows: dict, terms) -> tuple:
@@ -393,7 +377,7 @@ def _twisted_sum(L: int, rows: dict, terms) -> tuple:
     for v, e in terms:
         for n, power in zip(rows[v], turns[e % L]):
             if n:
-                for j, x in enumerate(power):
+                for j, x in power:
                     acc[j] += n * x
     return tuple(acc)
 
@@ -420,9 +404,9 @@ def _solve(chi1, chi2, p1: Transversal, gens: dict, oracle) -> tuple[dict, Solve
     exact; the sums come back one CycElem per distinct row.
     """
     N, L = p1.N, pair_order(chi1, chi2)
-    twist, turns = _twists(chi1, chi2, N), _turns(L)
-    unit = {by[0]: j for j, by in enumerate(turns)}  # the row of zeta^j -> j
-    zero = (0,) * len(turns[0])
+    twist, powers = _twists(chi1, chi2, N), [tuple(map(int, root_of_unity(L, j).coeffs)) for j in range(L)]
+    unit = {p: j for j, p in enumerate(powers)}  # the row of zeta^j -> j
+    zero = (0,) * len(powers[0])
     known = {v: zero for v, m in gens.items() if m.c == m.b == 0}
     identity = len(known)
     if twist[N - 1] == L // 2:  # S(-g) = S(g) + psi(g) S(-I) = -S(g)
@@ -431,7 +415,7 @@ def _solve(chi1, chi2, p1: Transversal, gens: dict, oracle) -> tuple[dict, Solve
     for _, _, terms in _relations(p1, L, twist):
         coef = {}  # entry -> its coefficient, the sum of its terms' zeta^e, as a row
         for v, e in terms:
-            coef[v] = tuple(map(add, coef.get(v, zero), turns[e][0]))
+            coef[v] = tuple(map(add, coef.get(v, zero), powers[e]))
         coef = {v: c for v, c in coef.items() if any(c)}
         for v in coef:
             uses[v].append(len(relations))
@@ -504,33 +488,47 @@ def _gamma0_rows(L: int, p1: Transversal, rows: dict, twist: dict, t_g0: Transve
     return out
 
 
-def _derive(L: int, p1: Transversal, rows: dict, g_rows: dict, twist: dict, zero: tuple):
-    """The U(t, T) and U(t, S) sums over `transversal_g1_in_sl2(N, p1)`, as
-    two dicts of rows keyed by coset key, from the Gamma0 generator rows
-    `rows` and the rows G(lambda) of `g_rows`; equal rows are one tuple,
-    and a zero row is `zero`.  With u the scalar of the key k x over P^1,
-    which is d(U(r_k, x)) mod N, U(g_lambda r_k, x) = g_lambda U(r_k, x)
-    g_{lambda u}^-1, so s1[lambda k, x] = psi(lambda) s0[k, x] + G(lambda) - G(lambda u)."""
-    N, classes = p1.N, p1.classes
-    seen, turned, steps = {zero: zero}, {}, {}  # steps[u][lambda]: G(lambda) - G(lambda u)
-    point = {  # k -> (x, u, steps[u], s0[k, x] != 0) per letter x
-        (c, d): [(x, u := classes[kx][1], steps.setdefault(u, {}), any(rows[(c, d), (x, 1)]))
-                 for x, kx in (("T", (c, (d + c) % N)), ("S", (d, -c % N)))]
-        for c, d in p1.members
-    }
-    out = {"T": {}, "S": {}}
-    for key, (k, lam) in classes.items():
-        for x, u, by_lam, live in point[k]:
-            if (row := by_lam.get(lam)) is None:
-                row = tuple(map(sub, g_rows[lam], g_rows[lam * u % N]))
-                row = by_lam[lam] = seen.setdefault(row, row)
-            if live:  # plus psi(lambda) s0[k, x]
-                if (v := ((k, (x, 1)), twist[lam])) not in turned:
-                    turned[v] = _twisted_sum(L, rows, (v,))
-                row = tuple(map(add, row, turned[v]))
-                row = seen.setdefault(row, row)
-            out[x][key] = row
-    return out["T"], out["S"]
+def _slot_tables(L: int, p1: Transversal, rows: dict, g_rows: dict, twist: dict, zero: tuple):
+    """`t_slot` and `s_slot`, in two flat passes over the keys c*N + d,
+    from the Gamma0 generator rows and the rows G(lambda) of `g_rows`.  At
+    the key lambda k over the point k, the Gamma1 generator sum is
+    psi(lambda) s0[k, x] + G(lambda) - G(lambda u), lambda u the scalar of
+    the key after x, so the G terms telescope along each T-orbit
+    (c, d0 + j c): F(k) + G(lambda) is G at the base plus the
+    psi(lambda_j) s0[k_j, T] before k, the total their sum over the orbit,
+    and B(k) = F(k) + G(lambda) - F(kS) - G(lambda u) + psi(lambda) s0[k, S]."""
+    N, classes, turned = p1.N, p1.classes, {}
+    # per point k, its entries (k, (x, 1)) for x = T, S, or None where s0[k, x] is zero
+    point = {k: [v if any(rows[v := (k, (x, 1))]) else None for x in "TS"] for k in p1.members}
+
+    def turn(v, e):  # zeta_L^e s0[v], each computed once
+        if (out := turned.get((v, e))) is None:
+            out = turned[v, e] = _twisted_sum(L, rows, ((v, e),))
+        return out
+
+    f_of, s_of, orbits = [None] * N * N, [None] * N * N, []  # F(k) + G(lambda), psi(lambda) s0[k, S]
+    for c, d0 in [(c, d) for c in range(N) for d in range(gcd(c, N)) if gcd(c, d, N) == 1]:  # orbit bases
+        f = base = g_rows[classes[c, d0][1]]
+        for d in ((d0 + j * c) % N for j in range(N // gcd(c, N))):
+            (k, lam), i = classes[c, d], c * N + d
+            f_of[i], (t, s) = f, point[k]
+            if t is not None:
+                f = tuple(map(add, f, turn(t, twist[lam])))
+            s_of[i] = zero if s is None else turn(s, twist[lam])
+        total = tuple(map(sub, f, base))
+        orbits.append((c, d0, N // gcd(c, N), total if any(total) else zero))
+    t_slot, s_slot = [None] * N * N, [None] * N * N
+    for c, d0, length, total in orbits:
+        for pos, d in enumerate((d0 + j * c) % N for j in range(length)):
+            i = c * N + d
+            row, f, h = s_of[i], f_of[i], f_of[d * N + (-c % N)]  # kS = (d, -c)
+            if f is not h and not any(row := tuple(map(add, map(sub, f, h), row))):
+                row = zero
+            if row is not zero or total is not zero:
+                step = _new(Term, ((c, d), "S", 1, row))
+                s_slot[i] = None if row is zero else step
+                t_slot[i] = None if total is zero else _new(OrbitRow, (pos, length, total, step))
+    return t_slot, s_slot
 
 
 def split_gamma0(ctx: Context, gamma: Mat2) -> int:
@@ -557,7 +555,7 @@ def fast_sum(ctx: Context, gamma: Mat2) -> CycElem:
     """
     d = split_gamma0(ctx, gamma)
     word = ts_decompose(gamma, nearest=True)
-    terms = reduce_word(word, modified_rewrite(word, ctx.t_sl2, product=gamma), ctx)
+    terms = reduce_word(word, modified_rewrite(word, ctx.p1, product=gamma), ctx)
     acc = map(sum, zip(ctx.zero, *map(itemgetter(3), terms)))  # ctx.zero keeps each column
     g = ctx.sums_g0[-d % ctx.N if word.negate else d]
     return CycElem._raw(
@@ -688,7 +686,7 @@ def load_context(path, *, allow_large: bool = False) -> Context:
     ctx = Context(chi1, chi2, p1, sums)
     if laps:
         _lap(laps)
-        stats = LoadStats(len(p1), len(ctx.t_sl2), relations, pivots)
+        stats = LoadStats(len(p1), len(p1.classes), relations, pivots)
         phases = tuple(map(sub, laps[1:], laps))
         log.debug(
             "load_context N=%d: %d points of P^1, %d keys, %d relations checked, "

@@ -64,17 +64,19 @@ def cyclotomic_polynomial(L: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _reduce(L: int, raw: list[Fraction]) -> tuple[Fraction, ...]:
-    # Polynomial remainder mod Phi_L (monic, integral), exact in Q.
+def _reduce(L: int, raw: list) -> tuple:
+    """Polynomial remainder of raw mod Phi_L (monic, integral), reusing raw;
+    exact for Fraction and for integer coefficients, which stay integers."""
     phi = cyclotomic_polynomial(L)
     deg = len(phi) - 1
+    terms = [(k, a) for k, a in enumerate(phi[:deg]) if a]
     if len(raw) < deg:
         raw = raw + [Fraction(0)] * (deg - len(raw))
     for i in range(len(raw) - 1, deg - 1, -1):
         c = raw[i]
         if c:
-            for k in range(deg):
-                raw[i - deg + k] -= c * phi[k]
+            for k, a in terms:
+                raw[i - deg + k] -= c * a
     return tuple(raw[:deg])
 
 

@@ -9,12 +9,13 @@ the U(t, T) and U(t, S) sums that the derived ones must obey.
 `all_oracle_context` evaluates every Gamma0 generator sum U(r, T), U(r, S)
 with the double sum instead of solving them, and `oracle_gamma1` every
 Gamma0 transversal sum and every Gamma1 generator sum U(t, T), U(t, S),
-which a context derives.  `gamma1_rows` gives those derived sums, the rows
-of `dedekind._derive`, and `gamma1_sums` the same as CycElems.  `full_alphabet` builds every
-U(t, T^i) and U(t, S^k) matrix, and `alphabet_sum` rebuilds their sums from
-the derived generator sums in CycElem arithmetic, apart from the integer
-rows the context derives from them.  `reduce_word` maps rewrite factors onto that
-alphabet, each T^a as q * T^N + T^r, so a word's sum can be added up
+whose running sums a context's rows are.  `gamma1_rows` derives those
+Gamma1 sums from the Gamma0 ones, as integer rows, by the formula the
+context's rows telescope, and `gamma1_sums` gives them as CycElems.
+`full_alphabet` builds every U(t, T^i) and U(t, S^k) matrix, and
+`alphabet_sum` rebuilds their sums from the derived generator sums in
+CycElem arithmetic, apart from the integer rows the context derives
+from them.  `reduce_word` maps rewrite factors onto that alphabet, each T^a as q * T^N + T^r, so a word's sum can be added up
 without the potential table; `derived_rows` pairs every row of the
 context's potential table with its value from `alphabet_sum`.
 `factor_rewrite` and `factor_terms` are the evaluator's rewrite and
@@ -140,14 +141,23 @@ def oracle_gamma1(ctx) -> tuple[dict, dict]:
 
 def gamma1_rows(ctx) -> tuple[int, dict]:
     """The common denominator and the integer rows over it of the U(t, T)
-    and U(t, S) sums over ctx.t_sl2, as `dedekind._derive` gives them from
-    the context's Gamma0 generator sums, keyed like
-    `schreier_alphabet(N, ctx.t_sl2)`."""
-    twist = dedekind._twists(ctx.chi1, ctx.chi2, ctx.N)
+    and U(t, S) sums over ctx.t_sl2, keyed like
+    `schreier_alphabet(N, ctx.t_sl2)`, by the derivation formula
+    s1[lambda k, x] = psi(lambda) s0[k, x] + G(lambda) - G(lambda u), with
+    u the scalar of k x over P^1, from the context's Gamma0 generator sums
+    and its Gamma0 transversal.  The context itself keeps no such row: its
+    slot tables add them up along each T-orbit."""
+    N, L, classes = ctx.N, ctx.L, ctx.p1.classes
+    twist = dedekind._twists(ctx.chi1, ctx.chi2, N)
     den, rows = dedekind._generator_rows(ctx.sums_alphabet)
-    g_rows = dedekind._gamma0_rows(ctx.L, ctx.p1, rows, twist, ctx.t_g0)
-    derived = dedekind._derive(ctx.L, ctx.p1, rows, g_rows, twist, ctx.zero)
-    return den, {(key, (x, 1)): row for x, by_key in zip("TS", derived) for key, row in by_key.items()}
+    g_rows = dedekind._gamma0_rows(L, ctx.p1, rows, twist, ctx.t_g0)
+    out = {}
+    for key, ((c, d), lam) in classes.items():
+        for x, kx in (("T", (c, (d + c) % N)), ("S", (d, -c % N))):
+            turned = dedekind._twisted_sum(L, rows, [(((c, d), (x, 1)), twist[lam])])
+            moved = g_rows[lam * classes[kx][1] % N]
+            out[key, (x, 1)] = tuple(p + q - r for p, q, r in zip(turned, g_rows[lam], moved))
+    return den, out
 
 
 def gamma1_sums(ctx) -> dict:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import logging
 import random
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gdsum import dedekind, find_character
+from gdsum import cli, cosets, dedekind, exactnum, find_character
 from gdsum.characters import pair_order, psi
 from gdsum.cosets import schreier_alphabet, transversal_g0_in_sl2, u_func
 from gdsum.dedekind import (
@@ -76,6 +77,37 @@ def test_naive_sum_regression_complex_pair(chi4, chi7_56):
     assert naive_sum(chi4, chi7_56, Mat2(5, 4, 56, 45)) == CycElem(
         6, [Fraction(-1), Fraction(1)]
     )
+
+
+# sha256 of the coefficients of every sweep value, pinned from `naive_sum`
+# when it still reduced mod Phi_L in Fractions
+SWEEP_DIGESTS = {
+    "ctx9": "3df3e42476aaacadc3605236cb9d41f576d80bb0be414d0403dbea5a8d4d6d51",
+    "ctx28": "67b86320f31d5c219bf00a44712385ae842da6e72ac04d3c368920ff12495d9b",
+    "ctx35_l12": "f8d9efab99a2e47cc16e2a58e0edeedd360426d2e007fbc335f9e7f6c6a814a5",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_DIGESTS))
+def test_naive_sum_reduces_its_integers_like_fractions(request, monkeypatch, name):
+    """`naive_sum` reduces its integer numerators mod Phi_L before it
+    builds a Fraction: on three matrices per c = N, 2N, ... <= 2000, each
+    value is the Fraction reduction of the same numerators over 2 q1 c,
+    and all of them together are the values pinned before the change."""
+    ctx = request.getfixturevalue(name)
+    N, q1, numerators = ctx.N, ctx.chi1.modulus, []
+    monkeypatch.setattr(dedekind, "_reduce", lambda L, raw: numerators.append(raw[:]) or exactnum._reduce(L, raw))
+    values = []
+    for c in range(N, 2001, N):
+        for a in (1, c - 1, random.Random(c).choice([a for a in range(1, c) if gcd(a, c) == 1])):
+            d = pow(a, -1, c)
+            value = naive_sum(ctx.chi1, ctx.chi2, Mat2(a, (a * d - 1) // c, c, d))
+            (raw,) = numerators
+            numerators.clear()
+            assert all(type(n) is int for n in raw) and len(raw) == ctx.L
+            assert value == CycElem(ctx.L, [Fraction(n, 2 * q1 * c) for n in raw])
+            values.append(",".join(map(str, value.coeffs)))
+    assert hashlib.sha256("\n".join(values).encode()).hexdigest() == SWEEP_DIGESTS[name]
 
 
 def test_naive_sum_rejects_nonpositive_c(chi3):
@@ -241,8 +273,8 @@ def test_derive_powers_matches_direct(ctx9, chi3):
 
 @pytest.mark.parametrize("name", ["ctx28", "ctx35_l12"])
 def test_rows_match_reference_sums(request, name):
-    """Every Gamma1 generator sum `_derive` gives equals the double sum on
-    its matrix, and every integer row of the potential table (S-step rows
+    """Every Gamma1 generator sum `gamma1_rows` derives equals the double sum
+    on its matrix, and every integer row of the potential table (S-step rows
     and orbit totals) equals the sum the cocycle identity gives from those
     generator sums in CycElem arithmetic."""
     ctx = request.getfixturevalue(name)
@@ -436,6 +468,39 @@ def test_alphabet_is_built_on_access_only(tmp_path, monkeypatch, ctx28):
         assert "alphabet" not in vars(c)
         assert c.alphabet == schreier_alphabet(28, c.p1)
         assert len(c.alphabet) == 2 * len(c.p1) and c.alphabet.keys() == c.sums_alphabet.keys()
+
+
+def test_setup_and_evaluation_build_no_gamma1_transversal(tmp_path, monkeypatch, capsys, ctx28):
+    """precompute, save, load, fast_sum and `sum --trace` never build the
+    Gamma1 transversal: the slot tables are all they read.  `t_sl2` and
+    `potential` are views, each built on its first access and then kept."""
+
+    real, members, potential = cosets.transversal_g1_in_sl2, ctx28.t_sl2.members, ctx28.potential
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Gamma1 transversal was built")
+
+    for mod in (cosets, dedekind, cli):
+        if hasattr(mod, "transversal_g1_in_sl2"):
+            monkeypatch.setattr(mod, "transversal_g1_in_sl2", refuse)
+    ctx = precompute(ctx28.chi1, ctx28.chi2)
+    save_context(ctx, tmp_path / "ctx28.json")
+    loaded = load_context(tmp_path / "ctx28.json")
+    rng = random.Random(12)
+    for _ in range(100):  # 200 evaluations, c up to 10^40
+        gamma = random_gamma0(28, rng, kmax=10**40 // 28, d_shift=3)
+        gamma = rng.choice((gamma, -gamma, gamma.inv()))
+        assert fast_sum(ctx, gamma) == fast_sum(loaded, gamma) == fast_sum(ctx28, gamma)
+    args = ["--chi1", "q=4;g=3;v=1/2", "--chi2", "q=7;g=3;v=5/6", "--cache-dir", str(tmp_path / "cli")]
+    for matrix in ("3,1;140,47", "-3,-1;-140,-47"):  # built, then loaded
+        assert cli.main(["sum", *args, "--matrix", matrix, "--trace"]) == 0, matrix
+    assert capsys.readouterr().out.count("factors add a zero row") == 2
+    built = []
+    monkeypatch.setattr(dedekind, "transversal_g1_in_sl2", lambda *a: built.append(a) or real(*a))
+    for c in (ctx, loaded):
+        assert c.t_sl2 is c.t_sl2 and c.potential is c.potential
+        assert c.t_sl2.members == ctx28.t_sl2.members and c.potential == ctx28.potential
+    assert built == [(28, ctx.p1), (28, loaded.p1)]
 
 
 @pytest.mark.parametrize("name", ["N", "L", "parity_ok"])
@@ -1029,8 +1094,8 @@ def test_solved_table_matches_all_oracle(request, monkeypatch, pair, transversal
 def test_derived_sums_obey_the_gamma1_relations(request, pair):
     """Every relation S^4 = I and (ST)^3 = S^2 read from a coset key of
     Gamma1(N) holds on the derived U(t, T) and U(t, S) sums, as integer
-    rows from `_derive`.  The twisted relations imply them, so precompute
-    does not check them; an entry `_derive` put at the wrong key would
+    rows from `gamma1_rows`.  The twisted relations imply them, so
+    precompute does not check them; a derived entry at the wrong key would
     break one."""
     chi1, chi2 = _pair(request, pair)
     ctx = request.getfixturevalue(FIXTURE_OF[pair]) if pair in FIXTURE_OF else _precompute(chi1, chi2)

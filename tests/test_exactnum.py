@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from gdsum.exactnum import CycElem, b1, cyclotomic_polynomial, root_of_unity
+from gdsum.exactnum import CycElem, _reduce, b1, cyclotomic_polynomial, root_of_unity
 
 
 def test_b1_values():
@@ -28,6 +28,24 @@ def test_cyclotomic_against_sympy():
         poly = sympy.Poly(sympy.cyclotomic_poly(L, x), x)
         expect = tuple(int(c) for c in reversed(poly.all_coeffs()))
         assert cyclotomic_polynomial(L) == expect
+
+
+@pytest.mark.parametrize("L", [2, 4, 6, 10, 12, 30, 60, 105])
+def test_reduce_in_integers_equals_reduce_in_fractions(L):
+    """`_reduce` takes integer numerators as well as Fractions: reducing
+    integers over one denominator mod Phi_L, then dividing each by it, gives
+    the Fraction reduction, and the integers stay integers.  Phi_105 is the
+    first with a coefficient other than 0 and +-1 (-2 at x^7)."""
+    if L == 105:
+        assert cyclotomic_polynomial(L)[7] == -2
+    rng = random.Random(L)
+    for _ in range(40):
+        nums = [rng.choice((0, rng.randint(-(10**9), 10**9))) for _ in range(L)]
+        den = rng.randint(1, 10**6)
+        reduced = _reduce(L, list(nums))
+        assert len(reduced) == len(cyclotomic_polynomial(L)) - 1
+        assert all(type(n) is int for n in reduced)
+        assert [Fraction(n, den) for n in reduced] == list(_reduce(L, [Fraction(n, den) for n in nums]))
 
 
 def test_roots_of_unity():
