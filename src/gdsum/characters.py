@@ -246,6 +246,8 @@ def parse_spec_fields(spec: str) -> tuple[int, list[tuple[int, Fraction]]]:
             raise ValueError(f"unknown field {key!r} in character spec {spec!r}")
     if q is None:
         raise ValueError(f"character spec {spec!r} is missing q=")
+    if q < 1:
+        raise ValueError(f"modulus q={q} in character spec {spec!r} must be a positive integer")
     if pending_g is not None:
         raise ValueError(f"dangling generator in character spec {spec!r}")
     return q, pairs

@@ -41,8 +41,9 @@ from .exactnum import CycElem
 from .modgroup import I2, Mat2, S, T, random_gamma0, random_sl2, ts_decompose
 from .rewriter import as_factors, format_factor, format_term, modified_rewrite, reduce_word
 
-# Largest lower-left entry for which the double sum is run: the default of
-# `bench --naive-cutoff` and the limit of `sum --naive` and `verify --cmax`.
+# Largest lower-left entry for which the double sum is run: the default and
+# limit of `bench --naive-cutoff`, and the limit of `sum --naive` and
+# `verify --cmax`.
 # `naive_sum` walks j < c/2 once, about (c/2) phi(q2)/q2 integer steps:
 # ~10 ms at c = 10^5 for N = 28 (CPython 3.11, one core of a 2-core VM).
 NAIVE_CUTOFF = 10**5
@@ -102,7 +103,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--samples", type=int, default=5, help="matrices per k")
     p.add_argument(
-        "--naive-cutoff", type=int, default=NAIVE_CUTOFF, help="skip the double sum above this c"
+        "--naive-cutoff", type=int, default=NAIVE_CUTOFF,
+        help=f"skip the double sum above this c, at most {NAIVE_CUTOFF}",
     )
     p.add_argument("--output", required=True, help="CSV file to write")
     p.add_argument("--seed", type=int, default=0)
@@ -430,6 +432,8 @@ def cmd_bench(args) -> int:
         raise CliError("need 1 <= kmin <= kmax")
     if args.samples < 1:
         raise CliError("--samples must be at least 1")
+    if args.naive_cutoff > NAIVE_CUTOFF:
+        raise CliError(f"--naive-cutoff must not exceed the double-sum cutoff {NAIVE_CUTOFF}")
     ctx = _load_or_build(args)
     rng = random.Random(args.seed)
     rows = []

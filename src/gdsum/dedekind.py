@@ -30,8 +30,9 @@ powers everything here:
     pivots come from the double sum (`_solve`);
   * those 2 mu sums are the one sum format: `_solve` finds them, the cache
     stores them, and a `Context` is built from them, deriving the two slot
-    tables the evaluator reads (`_slot_tables`).  The identities and the
-    pivots validate every stored sum at load.
+    tables the evaluator reads (`_slot_tables`).  A load builds the stored
+    pair's context again, as a precompute does (`_build`), and requires the
+    file to be exactly what that context writes.
 
 The generator sums are a dict keyed like their alphabet, (k, ("T", 1)) and
 (k, ("S", 1)), with one shared CycElem per distinct sum.  `_generator_rows`
@@ -45,13 +46,12 @@ from __future__ import annotations
 import json
 import logging
 import os
-import re
 import tempfile
 import time
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import add, itemgetter, sub
 from typing import NamedTuple
@@ -81,9 +81,7 @@ from .rewriter import Term, _new, modified_rewrite, reduce_word
 # row per coset key, |keys| ~ N^2, while the double sums grow with mu ~ N.
 DEFAULT_LEVEL_LIMIT = 80
 
-CACHE_VERSION = 4  # bump when the stored sums or their transversal change: load rebuilds the rest
-
-_FRACTION = re.compile(r"-?[0-9]+(/[0-9]+)?")
+CACHE_VERSION = 4  # bump when what context_to_json writes changes: load rebuilds it and compares
 
 log = logging.getLogger(__name__)
 
@@ -210,7 +208,7 @@ class Context:
     key) are views for `verify` and tests, built on first access and then
     kept.  Nothing derived is passed in, so `dataclasses.replace(
     ctx, sums_alphabet=...)` evaluates the sums it holds, and replacing a
-    derived field raises; `precompute` and `load_context` check relations.
+    derived field raises; `_build` checks the relations.
     """
 
     chi1: DirichletCharacter
@@ -268,7 +266,10 @@ def _validate_pair(chi1, chi2, allow_large: bool):
             raise ValueError(f"{name} (mod {chi.modulus}) is not primitive")
         if chi.conductor() <= 1:
             raise ValueError(f"{name} must have conductor > 1")
-    N = chi1.modulus * chi2.modulus
+    _check_level(chi1.modulus * chi2.modulus, allow_large)
+
+
+def _check_level(N: int, allow_large: bool):
     if N > DEFAULT_LEVEL_LIMIT and not allow_large:
         raise ValueError(
             f"level N = {N} exceeds the guardrail {DEFAULT_LEVEL_LIMIT}; pass allow_large=True "
@@ -281,29 +282,15 @@ def precompute(
 ) -> Context:
     """The context of a pair, from its solved and checked Gamma0 generator sums.
 
-    `_solve` finds the sums of the 2 mu Gamma0(N) generators U(r_k, T) and
-    U(r_k, S), two per point k of P^1(Z/N), with the double sum at its
-    pivots only (9 of the 96 at N = 35).  They must obey every twisted
-    relation, and the context's Gamma0 transversal sums the double sum.
-    One DEBUG line on the `gdsum.dedekind` logger gives the counts and the
-    seconds per phase, timed only when it is logged, as
-    `record.solve_stats` and `record.phases`.  Levels above
-    DEFAULT_LEVEL_LIMIT need allow_large.
+    `_build` solves them and checks every twisted relation; then the
+    context's Gamma0 transversal sums must equal the double sum.  One DEBUG
+    line on the `gdsum.dedekind` logger gives the counts and the seconds
+    per phase, timed only when it is logged, as `record.solve_stats` and
+    `record.phases`.  Levels above DEFAULT_LEVEL_LIMIT need allow_large.
     """
-    _validate_pair(chi1, chi2, allow_large)
-    N = chi1.modulus * chi2.modulus
-    laps = [time.perf_counter()] if log.isEnabledFor(logging.DEBUG) else None
-    p1 = transversal_g0_in_sl2(N)
-    gens = schreier_alphabet(N, p1)
-    oracle = partial(sum_on_gamma0, chi1, chi2)
-    sums, stats = _solve(chi1, chi2, p1, gens, lambda v: oracle(gens[v]))
-    _lap(laps)
-    _check_relations(chi1, chi2, p1, sums)
-    _lap(laps)
-    ctx = Context(chi1, chi2, p1, sums)
-    _lap(laps)
+    ctx, stats, _, laps = _build(chi1, chi2, allow_large)
     for d, m in ctx.t_g0.members.items():
-        if m != I2 and oracle(m) != ctx.sums_g0[d]:
+        if m != I2 and sum_on_gamma0(chi1, chi2, m) != ctx.sums_g0[d]:
             raise ValueError(f"the Gamma0 transversal sum at d = {d} breaks the cocycle identity")
     if laps:
         _lap(laps)
@@ -311,7 +298,7 @@ def precompute(
         log.debug(
             "precompute N=%d: %d points of P^1, %d keys, %d identity entries, %d solved, "
             "%d oracle calls, oracle total |c| %d; " + _PHASES + ", G check %.4f s",
-            N, len(p1), len(p1.classes), *stats, *phases,
+            ctx.N, len(ctx.p1), len(ctx.p1.classes), *stats, *phases,
             extra={"solve_stats": stats, "phases": phases},
         )
     if not ctx.parity_ok:
@@ -322,6 +309,28 @@ def precompute(
             stacklevel=2,
         )
     return ctx
+
+
+def _build(chi1, chi2, allow_large: bool):
+    """The context of a pair, built one way for `precompute` and for
+    `load_context`: the checks of the pair; `_solve` for the sums of the
+    2 mu Gamma0(N) generators U(r_k, T) and U(r_k, S), two per point k of
+    P^1(Z/N), with the double sum at its pivots only (9 of the 96 at
+    N = 35); every twisted relation on them; and the Context.  Returns it
+    with the solve's stats, the number of relations checked and the clock
+    readings of those phases, None unless DEBUG is logged."""
+    _validate_pair(chi1, chi2, allow_large)
+    N = chi1.modulus * chi2.modulus
+    laps = [time.perf_counter()] if log.isEnabledFor(logging.DEBUG) else None
+    p1 = transversal_g0_in_sl2(N)
+    gens = schreier_alphabet(N, p1)
+    sums, stats = _solve(chi1, chi2, p1, gens, lambda v: sum_on_gamma0(chi1, chi2, gens[v]))
+    _lap(laps)
+    relations = _check_relations(chi1, chi2, p1, sums)
+    _lap(laps)
+    ctx = Context(chi1, chi2, p1, sums)
+    _lap(laps)
+    return ctx, stats, relations, laps
 
 
 # Seconds per phase: the Gamma0 generator sums; their relation checks; the
@@ -576,25 +585,12 @@ def crossed_hom_check(chi1, chi2, ga: Mat2, gb: Mat2) -> bool:
 # ---------------------------------------------------------------------------
 # cache serialization
 
-def _parse_fraction(s: str) -> Fraction:
-    # "p/q" or "p" exactly as str(Fraction) writes them: Fraction(s) would
-    # also take "1.5" and "1e3", and int() " 3", "+3" and "1_0"
-    if not _FRACTION.fullmatch(s):
-        raise ValueError(f"coefficient {s!r} is not written p/q")
-    num, _, den = s.partition("/")
-    return Fraction(int(num), int(den) if den else 1)
-
-
 def _chi_to_json(chi: DirichletCharacter) -> dict:
     gens = []
     for g, _ in unit_group_gens(chi.modulus):
         k = chi.exponent(g)
         gens.append({"g": g, "v": str(Fraction(k, chi.order))})
     return {"q": chi.modulus, "gens": gens}
-
-
-def _chi_from_json(obj) -> DirichletCharacter:
-    return find_character(obj["q"], [(g["g"], Fraction(g["v"])) for g in obj["gens"]])
 
 
 def context_to_json(ctx: Context) -> dict:
@@ -638,93 +634,60 @@ class LoadStats(NamedTuple):
 
     points: int  # points of P^1(Z/N), two stored sums each
     keys: int  # coset keys of Gamma1(N), two derived sums each
-    relations: int  # twisted relation identities checked on the stored sums
-    spot_checks: int  # pivots of the solve compared with the double sum
+    relations: int  # twisted relation identities checked on the rebuilt sums
+    spot_checks: int  # pivots of the rebuild's solve, evaluated by the double sum
 
 
 def load_context(path, *, allow_large: bool = False) -> Context:
-    """Load a cached context and validate every stored sum.
+    """Load a cached context by building it again from its stored pair, and
+    require the file to be exactly what the rebuilt context writes.
 
-    The file holds the pair, which must pass `precompute`'s checks, and
-    the 2 mu Gamma0 generator sums, each distinct vector parsed once; the
-    rest is rebuilt by the code `precompute` runs.  The stored sums must be
-    0 at the generators +-I, obey every twisted relation and, at the pivots
-    of `_solve`, equal the double sum: the peel then pins every other one.
-    Any malformed structure, or a level `precompute` refuses without
-    allow_large, raises ValueError too.  One DEBUG line on the
+    The version must be CACHE_VERSION, and the level of the stored moduli
+    must pass the guardrail (unless allow_large) before any character is
+    built.  The pair then goes through `_build`, as in `precompute`: its
+    checks, the solve with the double sum at the pivots, and every twisted
+    relation.  Each top-level field of `context_to_json` of the result must
+    serialize as the file's does, with none missing or extra, so every
+    stored sum is checked, each coefficient as the string `str(Fraction)`
+    writes.  Otherwise a ValueError names the first field that differs; a
+    malformed file raises ValueError too.  One DEBUG line on the
     `gdsum.dedekind` logger says what was validated and the seconds per
     phase, as `record.load_stats` and `record.phases`.
     """
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     try:
-        chi1, chi2, sums = _sums_from_json(data)
+        if data.get("version") != CACHE_VERSION:
+            raise ValueError(
+                f"cache version {data.get('version')!r} is not {CACHE_VERSION}; "
+                "rebuild it with `gdsum precompute --force`"
+            )
+        stored = data["chi1"], data["chi2"]
+        if not all(type(c["q"]) is int and c["q"] >= 1 for c in stored):
+            raise ValueError(f"cache {path}: a stored modulus is not a positive integer")
+        _check_level(stored[0]["q"] * stored[1]["q"], allow_large)
+        chi1, chi2 = (
+            find_character(c["q"], [(g["g"], Fraction(g["v"])) for g in c["gens"]]) for c in stored
+        )
     except (LookupError, TypeError, AttributeError, ArithmeticError) as exc:
         raise ValueError(f"malformed cache {path}: {type(exc).__name__}: {exc}") from exc
-    _validate_pair(chi1, chi2, allow_large)
-    N = chi1.modulus * chi2.modulus
-    laps = [time.perf_counter()] if log.isEnabledFor(logging.DEBUG) else None
-    p1 = transversal_g0_in_sl2(N)
-    if set(sums) != {(k, (g, 1)) for k in p1.members for g in ("T", "S")}:
-        raise ValueError(f"cached sums are not keyed by the {len(p1)} points of P^1(Z/{N})")
-    gens = schreier_alphabet(N, p1)
-    if any(sums[v] for v, m in gens.items() if m.c == m.b == 0):
-        raise ValueError("a cached sum of a generator +-I is not 0")
-
-    def pivot(v):
-        if sum_on_gamma0(chi1, chi2, gens[v]) != sums[v]:
-            raise ValueError(f"cached sum for Gamma0 generator {v} fails the double sum")
-        return sums[v]
-
-    pivots = _solve(chi1, chi2, p1, gens, pivot)[1].oracle_calls
-    _lap(laps)
-    try:
-        relations = _check_relations(chi1, chi2, p1, sums)
-    except ValueError as exc:
-        raise ValueError(f"cache {path}: {exc}") from None
-    _lap(laps)
-    ctx = Context(chi1, chi2, p1, sums)
+    ctx, stats, relations, laps = _build(chi1, chi2, allow_large)
+    rebuilt = context_to_json(ctx)
+    for name in {**rebuilt, **data}:
+        if name not in data or name not in rebuilt or json.dumps(data[name]) != json.dumps(rebuilt[name]):
+            raise ValueError(
+                f"cache {path}: its field {name!r} is not what the stored pair gives; "
+                "rebuild it with `gdsum precompute --force`"
+            )
     if laps:
-        _lap(laps)
-        stats = LoadStats(len(p1), len(p1.classes), relations, pivots)
+        stats = LoadStats(len(ctx.p1), len(ctx.p1.classes), relations, stats.oracle_calls)
         phases = tuple(map(sub, laps[1:], laps))
         log.debug(
             "load_context N=%d: %d points of P^1, %d keys, %d relations checked, "
             "%d pivots checked against the double sum; " + _PHASES,
-            N, *stats, *phases, extra={"load_stats": stats, "phases": phases},
+            ctx.N, *stats, *phases, extra={"load_stats": stats, "phases": phases},
         )
     return ctx
-
-
-def _sums_from_json(data):
-    """The pair and the stored Gamma0 generator sums, keyed (key, ("T", 1))
-    and (key, ("S", 1)) from keys written "c,d" exactly, with one CycElem
-    per distinct stored vector: a JSON list of coefficient strings."""
-    if data.get("version") != CACHE_VERSION:
-        raise ValueError(
-            f"cache version {data.get('version')!r} is not {CACHE_VERSION}; "
-            "rebuild it with `gdsum precompute --force`"
-        )
-    chi1 = _chi_from_json(data["chi1"])
-    chi2 = _chi_from_json(data["chi2"])
-    if chi1.modulus != data["q1"] or chi2.modulus != data["q2"]:
-        raise ValueError("cache moduli do not match the stored characters")
-    L = pair_order(chi1, chi2)
-    if data["L"] != L:
-        raise ValueError(f"cache order {data['L']} != expected {L}")
-    deg = len(CycElem.zero(L).coeffs)
-    cyc, sums = {}, {}
-    for name in ("T", "S"):
-        for key, v in data["sums_alphabet"][name].items():
-            if type(v) is not list or len(v) != deg or not all(type(x) is str for x in v):
-                raise ValueError(f"stored sum at {key} is not a list of {deg} coefficient strings")
-            v = tuple(v)
-            if v not in cyc:
-                cyc[v] = CycElem._raw(L, tuple([_parse_fraction(x) for x in v]))
-            if ",".join(map(str, k := tuple(map(int, key.split(","))))) != key:
-                raise ValueError(f"stored key {key!r} is not written c,d")
-            sums[k, (name, 1)] = cyc[v]
-    return chi1, chi2, sums
 
 
 def _relations(p1: Transversal, L: int, twist: dict):

@@ -280,14 +280,15 @@ def test_malformed_cache_exits_1(tmp_path, capsys, key, wrong_type):
 @pytest.mark.parametrize("key", [" 0,1", "+0,1", "00,1", "0,01", "0, 1", "0,1 "])
 def test_cache_key_not_written_c_d_exits_1(tmp_path, capsys, key):
     """A stored key must read "c,d" as the cache writes it: int() would
-    also take these forms, and two of them could name one point."""
+    also take these forms, and two of them could name one point; the sums
+    rebuilt from the stored pair are keyed otherwise."""
     assert main(["precompute", *_pair_args(tmp_path)]) == 0
     capsys.readouterr()
     cache = next(tmp_path.glob("*.json"))
     data = json.loads(cache.read_text())
     data["sums_alphabet"]["S"][key] = data["sums_alphabet"]["S"].pop("0,1")
     cache.write_text(json.dumps(data))
-    with pytest.raises(ValueError, match="is not written c,d"):
+    with pytest.raises(ValueError, match="field 'sums_alphabet' is not what the stored pair gives"):
         load_context(cache)
     assert main(["sum", *_pair_args(tmp_path), "--matrix", "17,32;9,17"]) == 1
     assert capsys.readouterr().err.startswith("error:")
@@ -484,6 +485,19 @@ def test_bench_naive_cutoff(tmp_path):
     assert rows[3][4] == ""
 
 
+def test_bench_naive_cutoff_above_the_limit_exits_1(tmp_path, capsys, monkeypatch):
+    """`bench --naive-cutoff` stops at NAIVE_CUTOFF, as `sum --naive` and
+    `verify --cmax` do: a larger value is refused before any precompute,
+    and no CSV is written."""
+    monkeypatch.setattr(cli, "precompute", lambda *a, **k: pytest.fail("a table was built"))
+    out_csv = tmp_path / "bench.csv"
+    bench = ["bench", *_pair_args(tmp_path / "cache"), "--kmin", "1", "--kmax", "2", "--output", str(out_csv)]
+    assert main([*bench, "--naive-cutoff", str(cli.NAIVE_CUTOFF + 1)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--naive-cutoff" in err and str(cli.NAIVE_CUTOFF) in err
+    assert not out_csv.exists() and not (tmp_path / "cache").exists()
+
+
 def test_bench_ar_zero(tmp_path):
     out_csv = tmp_path / "bench.csv"
     rc = main(
@@ -522,20 +536,25 @@ def test_run_verify_report_structure(ctx9):
 
 
 @pytest.mark.parametrize(
-    "chi1, message",
-    [("q=5;g=2;v=1/0", "divides by 0"), ("q=100003;g=2;v=1/2", "guardrail")],
-    ids=["zero-denominator", "huge-modulus"],
+    "chi1, chi2, message",
+    [
+        ("q=5;g=2;v=1/0", CHI3, "divides by 0"),
+        ("q=100003;g=2;v=1/2", CHI3, "guardrail"),
+        ("q=1601;g=3;v=1/2", "q=0", "must be a positive integer"),
+    ],
+    ids=["zero-denominator", "huge-modulus", "zero-modulus"],
 )
-def test_bad_spec_exits_1(tmp_path, capsys, monkeypatch, chi1, message):
-    """A zero denominator and a level far above the guardrail are errors,
-    and the guardrail is checked before any character table is built."""
+def test_bad_spec_exits_1(tmp_path, capsys, monkeypatch, chi1, chi2, message):
+    """A zero denominator, a level far above the guardrail and a modulus
+    below 1 are errors; the last two are found before any character table
+    is built, although q1 * q2 = 0 passes the guardrail."""
 
     def no_tables(*args):
         raise AssertionError("a character table was built")
 
-    if message == "guardrail":
+    if message != "divides by 0":
         monkeypatch.setattr(cli, "find_character", no_tables)
-    rc = main(["sum", "--chi1", chi1, "--chi2", CHI3, "--cache-dir", str(tmp_path), "--matrix", "1,0;0,1"])
+    rc = main(["sum", "--chi1", chi1, "--chi2", chi2, "--cache-dir", str(tmp_path), "--matrix", "1,0;0,1"])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err and "Traceback" not in err

@@ -3,7 +3,6 @@ import hashlib
 import json
 import logging
 import random
-import re
 import time
 import warnings
 from collections import Counter
@@ -561,8 +560,8 @@ def test_load_logs_what_it_validated(tmp_path, monkeypatch, caplog, ctx28):
 def test_load_rejects_a_cache_wrong_at_one_pivot(tmp_path, ctx28):
     """The pivots of the solve are free coordinates of the twisted
     relations: a cache solved with an oracle that is wrong at one pivot
-    satisfies every twisted relation, and load refuses it only because that
-    pivot fails the double sum."""
+    satisfies every twisted relation, and load refuses it only because the
+    sums rebuilt with the double sum at that pivot differ."""
     chi1, chi2, N = ctx28.chi1, ctx28.chi2, 28
     p1 = transversal_g0_in_sl2(N)
     gens = schreier_alphabet(N, p1)
@@ -582,7 +581,7 @@ def test_load_rejects_a_cache_wrong_at_one_pivot(tmp_path, ctx28):
     for (key, (name, _)), value in sums.items():
         data["sums_alphabet"][name]["%d,%d" % key] = [str(x) for x in value.coeffs]
     path.write_text(json.dumps(data))
-    with pytest.raises(ValueError, match=re.escape(f"Gamma0 generator {pivots[1]} fails the double sum")):
+    with pytest.raises(ValueError, match="field 'sums_alphabet' is not what the stored pair gives"):
         load_context(path)
 
 
@@ -603,14 +602,16 @@ def test_load_rejects_every_corrupted_row(tmp_path, ctx9):
 
 @pytest.mark.parametrize(
     "coeff",
-    [0, 0.0, 1.5, "0.0", "0e3", "1.5", "1e3", "", "0/", "0_0", " 0", "+0", "0/ 1", "0/1/1"],
+    [0, 0.0, 1.5, "0.0", "0e3", "1.5", "1e3", "", "0/", "0_0", " 0", "+0", "0/ 1", "0/1/1"]
+    + ["3/", "1_0", " 3", "+3", "2/ 4", "3 ", "1/-2", "\u0663"],
     ids=repr,
 )
 def test_load_rejects_coefficients_not_written_p_q(tmp_path, ctx9, coeff):
     """Stored coefficients are "p/q" or "p" strings, -?[0-9]+(/[0-9]+)?, as
     str(Fraction) writes them.  The sum of the identity entry U((1, 0), T),
     stored as "0", is refused as a JSON number, a decimal string or any
-    other form int() or Fraction() would take, even one equal to 0."""
+    other form int() or Fraction() would take, even one equal to 0, and
+    any other value."""
     path = tmp_path / "ctx9.json"
     save_context(ctx9, path)
     data = json.loads(path.read_text())
@@ -621,24 +622,16 @@ def test_load_rejects_coefficients_not_written_p_q(tmp_path, ctx9, coeff):
         load_context(path)
 
 
-@pytest.mark.parametrize("text", ["3/", "1_0", " 3", "+3", "2/ 4", "3 ", "1/-2", "\u0663"])
-def test_parse_fraction_takes_only_what_str_fraction_writes(text):
-    """int() and Fraction() take each of these; the cache grammar does not."""
-    assert [dedekind._parse_fraction(t) for t in ("-7", "3/4", "0")] == [-7, Fraction(3, 4), 0]
-    with pytest.raises(ValueError, match="not written p/q"):
-        dedekind._parse_fraction(text)
-
-
 def test_load_rejects_a_nonzero_sum_at_an_identity_generator(tmp_path, ctx9):
-    """The solve takes the generators +-I to have sum 0 without reading
-    them, so load checks that the cache stores 0 there."""
+    """The solve takes the generators +-I to have sum 0, so a cache that
+    stores another value there is not what its pair gives."""
     path = tmp_path / "ctx9.json"
     save_context(ctx9, path)
     data = json.loads(path.read_text())
     assert data["sums_alphabet"]["T"]["1,0"] == ["0"]  # U(S, T) = I
     data["sums_alphabet"]["T"]["1,0"] = ["1/3"]
     path.write_text(json.dumps(data))
-    with pytest.raises(ValueError, match=r"generator \+-I is not 0"):
+    with pytest.raises(ValueError, match="field 'sums_alphabet' is not what the stored pair gives"):
         load_context(path)
 
 
@@ -651,8 +644,58 @@ def test_load_rejects_a_string_for_a_coefficient_list(tmp_path, ctx9):
     assert data["sums_alphabet"]["T"]["1,0"] == ["0"]
     data["sums_alphabet"]["T"]["1,0"] = "0"
     path.write_text(json.dumps(data))
-    with pytest.raises(ValueError, match="not a list"):
+    with pytest.raises(ValueError, match="field 'sums_alphabet' is not what the stored pair gives"):
         load_context(path)
+
+
+@pytest.mark.parametrize("extra", ["field", "entry"])
+def test_load_rejects_anything_the_pair_does_not_give(tmp_path, ctx9, extra):
+    """A cache must be exactly what its pair gives: one more top-level
+    field, or one more stored sum at a key that is no point of P^1(Z/9),
+    is refused, naming the field that differs."""
+    path = tmp_path / "ctx9.json"
+    save_context(ctx9, path)
+    data = json.loads(path.read_text())
+    if extra == "field":
+        data["note"], name = "rebuilt by hand", "note"
+    else:
+        data["sums_alphabet"]["S"]["9,1"], name = ["0"], "sums_alphabet"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=f"field '{name}' is not what the stored pair gives; rebuild it"):
+        load_context(path)
+
+
+def test_load_checks_the_stored_level_before_any_character(tmp_path, monkeypatch, ctx9):
+    """A stored modulus far above the guardrail is refused before any
+    character is built: building every character mod 1601 alone takes
+    seconds.  A modulus that is no positive integer is refused too."""
+    path = tmp_path / "ctx9.json"
+    save_context(ctx9, path)
+    data = json.loads(path.read_text())
+    monkeypatch.setattr(dedekind, "find_character", lambda *a: pytest.fail("a character was built"))
+    for q in (1601, 0, 3.0, True):
+        message = "level N = 4803 exceeds the guardrail 80" if q == 1601 else "not a positive integer"
+        data["chi2"]["q"] = q
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=message):
+            load_context(path)
+
+
+def test_load_calls_the_double_sum_at_the_pivots_only(tmp_path, monkeypatch, ctx28):
+    """A load rebuilds the context without calling `precompute`: the double
+    sum runs at the pivots a precompute's solve sends to it, and nowhere
+    else, and the loaded context equals the precomputed one."""
+    path = tmp_path / "ctx28.json"
+    save_context(ctx28, path)
+    calls = _counting_oracle(monkeypatch)
+    ctx = precompute(ctx28.chi1, ctx28.chi2)
+    pivots = calls[: len(calls) - (len(ctx.t_g0) - 1)]  # then one G check per member but I
+    calls.clear()
+    monkeypatch.setattr(dedekind, "precompute", lambda *a, **k: pytest.fail("load called precompute"))
+    loaded = load_context(path)
+    assert calls == pivots and len(pivots) == 9
+    for name in ("sums_alphabet", "sums_g0", "den", "t_slot", "s_slot"):
+        assert getattr(loaded, name) == getattr(ctx, name), name
 
 
 @pytest.mark.parametrize("name, distinct", [("ctx28", 8), ("ctx35_l12", 13)])
