@@ -25,6 +25,7 @@ from .cosets import u_func
 from .dedekind import (
     DEFAULT_LEVEL_LIMIT,
     Context,
+    LevelError,
     ParityWarning,
     _validate_pair,
     cache_filename,
@@ -125,14 +126,17 @@ class _StatsCatcher(logging.Handler):
         self.stats = getattr(record, "solve_stats", self.stats)
 
 
+def _level_error(level, where: str = "") -> CliError:
+    return CliError(
+        f"level N = {level} exceeds the guardrail {DEFAULT_LEVEL_LIMIT}{where}; pass --allow-large-n to lift it"
+    )
+
+
 def _pair(args):
     """The requested pair, after the level guardrail and `precompute`'s checks."""
     (q1, gens1), (q2, gens2) = parse_spec_fields(args.chi1), parse_spec_fields(args.chi2)
     if q1 * q2 > DEFAULT_LEVEL_LIMIT and not args.allow_large_n:
-        raise CliError(
-            f"level N = {q1} * {q2} = {q1 * q2} exceeds the guardrail {DEFAULT_LEVEL_LIMIT}; "
-            "pass --allow-large-n to lift it"
-        )
+        raise _level_error(f"{q1} * {q2} = {q1 * q2}")
     chi1, chi2 = find_character(q1, gens1), find_character(q2, gens2)
     _validate_pair(chi1, chi2, args.allow_large_n)
     return chi1, chi2
@@ -143,7 +147,10 @@ def _load_or_build(args, *, force: bool = False, announce: bool = False) -> Cont
     cache_dir = Path(args.cache_dir)
     path = cache_dir / cache_filename(chi1, chi2)
     if path.exists() and not force:
-        ctx = load_context(path, allow_large=args.allow_large_n)
+        try:
+            ctx = load_context(path, allow_large=args.allow_large_n)
+        except LevelError as exc:  # the stored pair's level, not the requested one's
+            raise _level_error(exc.N, f" in cache {path}") from exc
         if (ctx.chi1, ctx.chi2) != (chi1, chi2):
             raise CliError(
                 f"cache {path} holds the pair {_pair_specs(ctx.chi1, ctx.chi2)}, not the requested "

@@ -86,6 +86,17 @@ CACHE_VERSION = 4  # bump when what context_to_json writes changes: load rebuild
 log = logging.getLogger(__name__)
 
 
+class LevelError(ValueError):
+    """A level N above the guardrail; a front end names its own way to lift it."""
+
+    def __init__(self, N: int):
+        super().__init__(
+            f"level N = {N} exceeds the guardrail {DEFAULT_LEVEL_LIMIT}; pass allow_large=True "
+            f"(the tables would have {sl2_coset_count(N):,} coset keys)"
+        )
+        self.N = N
+
+
 class ParityWarning(UserWarning):
     """chi1*chi2(-1) != 1: the defining hypothesis fails, and the double sum
     is 0 on every matrix, so every table entry and every sum is 0."""
@@ -271,10 +282,7 @@ def _validate_pair(chi1, chi2, allow_large: bool):
 
 def _check_level(N: int, allow_large: bool):
     if N > DEFAULT_LEVEL_LIMIT and not allow_large:
-        raise ValueError(
-            f"level N = {N} exceeds the guardrail {DEFAULT_LEVEL_LIMIT}; pass allow_large=True "
-            f"(the tables would have {sl2_coset_count(N):,} coset keys)"
-        )
+        raise LevelError(N)
 
 
 def precompute(
@@ -560,11 +568,12 @@ def fast_sum(ctx: Context, gamma: Mat2) -> CycElem:
     and a multiple of the orbit total at each T slot that wraps around its
     T-orbit, none for a zero row.  Their rows are summed column by column
     into numerators over `ctx.den`; each nonzero one becomes a Fraction
-    added to G(lambda).
+    added to G(lambda).  `ts_decompose` checks the word's exact product,
+    so no matrix is rebuilt here.
     """
     d = split_gamma0(ctx, gamma)
     word = ts_decompose(gamma, nearest=True)
-    terms = reduce_word(word, modified_rewrite(word, ctx.p1, product=gamma), ctx)
+    terms = reduce_word(word, modified_rewrite(word, ctx.p1), ctx)
     acc = map(sum, zip(ctx.zero, *map(itemgetter(3), terms)))  # ctx.zero keeps each column
     g = ctx.sums_g0[-d % ctx.N if word.negate else d]
     return CycElem._raw(

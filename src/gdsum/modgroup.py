@@ -6,7 +6,8 @@ and -I = S^2.  `ts_decompose` writes any such matrix as
 +-T^a1 S T^a2 S ... T^ar via floor-quotient Euclidean steps on the first
 column, so the letter count grows logarithmically in the lower-left entry;
 with nearest-integer quotients, as the evaluator asks for, |c| at least
-halves with every letter.
+halves with every letter.  Each word's exact product is checked to be
+the matrix as the word is emitted.
 """
 
 from __future__ import annotations
@@ -136,27 +137,19 @@ def _letter_cap(c: int) -> int:
     return int(WORD_LENGTH_K * math.log(abs(c) + 2)) + WORD_LENGTH_K
 
 
-def _strip_letters(m: Mat2, nearest: bool, cap: int | None):
-    # Each step strips T^q S from the left, leaving S^-1 T^-q (a b; c d), until
-    # the tail is +-T^b; r has the sign of c, and a nearest q rounds up past c/2.
-    a, b, c, d = m.entries()
-    exps = []
-    for _ in repeat(None) if cap is None else range(cap):
-        if not c:
-            break
-        q, r = divmod(a, c)
-        if nearest and ((r + r > c) if c > 0 else (r + r < c)):
-            q += 1
-            r -= c
-        exps.append(q)
-        a, b, c, d = c, d, -r, q * d - b
-    if c:
-        return None  # the cap ran out
-    if a == 1:
-        exps.append(b)
-        return TSWord(False, tuple(exps))
-    exps.append(-b)
-    return TSWord(True, tuple(exps))
+def _continuants(exps) -> tuple[int, int, int, int]:
+    """(x, z, x', z') with T^q1 S T^q2 S ... T^qk S = (x, -x'; z, -z')."""
+    x, z, xp, zp = 1, 0, 0, -1
+    for q in exps:
+        x, xp = x * q - xp, x
+        z, zp = z * q - zp, z
+    return x, z, xp, zp
+
+
+def _entries(w: TSWord, x: int, z: int, xp: int, zp: int) -> tuple[int, int, int, int]:
+    """w's product +-(x, -x'; z, -z') T^e from the continuants of all but its last exponent e."""
+    e, s = w.exponents[-1], -1 if w.negate else 1
+    return s * x, s * (x * e - xp), s * z, s * (z * e - zp)
 
 
 def ts_decompose(m: Mat2, *, nearest: bool = False) -> TSWord:
@@ -168,25 +161,35 @@ def ts_decompose(m: Mat2, *, nearest: bool = False) -> TSWord:
     decomposition restarts with nearest-integer quotients (ties toward
     floor), which at least halve |c| every step.  With `nearest`, those
     quotients are used from the start, so the word has at most
-    log2|c| + 2 exponents; the evaluator decomposes this way.
+    log2|c| + 2 exponents; the evaluator decomposes this way.  Euclid runs
+    on (a, c) alone, the continuants of its quotients give the last
+    exponent and the sign, and ValueError is raised unless the word's
+    exact product is m: the evaluation path's one product check.
     """
-    if not nearest:
-        word = _strip_letters(m, nearest=False, cap=_letter_cap(m.c))
-        if word is not None:
-            return word
-    return _strip_letters(m, nearest=True, cap=None)
+    a, c, exps = m.a, m.c, []
+    for _ in repeat(None) if nearest else range(_letter_cap(c)):
+        if not c:
+            break
+        q, r = divmod(a, c)  # r has the sign of c; a nearest q rounds up past c/2
+        if nearest and ((r + r > c) if c > 0 else (r + r < c)):
+            q += 1
+            r -= c
+        exps.append(q)
+        a, c = c, -r
+    if c:  # the floor word ran past its cap
+        return ts_decompose(m, nearest=True)
+    # m = +-P T^e with P = (x, -x'; z, -z'), so +-T^e = P^-1 m = (-z', x'; -z, x) m
+    _, _, xp, zp = cont = _continuants(exps)
+    e = xp * m.d - zp * m.b
+    w = TSWord(a != 1, (*exps, e if a == 1 else -e))
+    if (p := _entries(w, *cont)) != m.entries():
+        raise ValueError(f"word product {Mat2(*p)} is not {m}")
+    return w
 
 
 def ts_reconstruct(w: TSWord) -> Mat2:
     """Exact matrix product of the word."""
-    exps = w.exponents
-    a, b, c, d = 1, exps[0], 0, 1
-    for e in exps[1:]:
-        # (a b; c d) S T^e
-        a, b, c, d = b, b * e - a, d, d * e - c
-    if w.negate:
-        a, b, c, d = -a, -b, -c, -d
-    return Mat2(a, b, c, d)
+    return Mat2(*_entries(w, *_continuants(w.exponents[:-1])))
 
 
 def random_sl2(rng, max_len: int = 30) -> Mat2:

@@ -2,20 +2,22 @@
 
 `modified_rewrite` collects exponents and returns one int per slot of the
 word: the coset key c*N + d of the prefix before each T-power and each S,
-2 * letters - 1 keys.  It multiplies no prefix matrices: T^a maps the key
-(c, d) to (c, d + a*c), S to (d, -c); the word's product is rebuilt once,
-in plain integers, for the checks.  The walk starts at the identity's key
+2 * letters - 1 keys.  It multiplies no matrices: T^a maps the key (c, d)
+to (c, d + a*c), S to (d, -c).  The walk starts at the identity's key
 (0, 1) and ends at (0, lambda), lambda = +-d mod N, whose Gamma1(N)
 transversal member is g_lambda: the unsigned word is its U-factors times
-g_lambda.  `reduce_word` then reads the context's two tables indexed by
-key: each S slot adds its key's S-step term, each T^a slot its orbit's
-total only as often as a wraps around the T-orbit; a zero row has no
-entry, so it adds no term.  `as_factors` spells the keys as
-`RewriteFactor`s for display.
+g_lambda.  The exact product check is `ts_decompose`'s, done as it emits
+the word; here the last key's c must be 0 mod N (gamma in Gamma0(N)), and
+the product is rebuilt only to compare it with one a caller passes.
+`reduce_word` then reads the context's two tables indexed by key: each S
+slot adds its key's S-step term, each T^a slot its orbit's total only as
+often as a wraps around the T-orbit; a zero row has no entry, so it adds
+no term.  `as_factors` spells the keys as `RewriteFactor`s for display.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import NamedTuple
 
 from .cosets import Transversal
@@ -49,16 +51,14 @@ def modified_rewrite(w: TSWord, t: Transversal, product: Mat2 | None = None) -> 
     """The slot keys of a TS word with product in Gamma0(N).
 
     c*N + d for the prefix key (c, d) before each T-power and each S, in
-    word order, from the identity's key (0, 1).  `product`, if given, must
-    equal the word's exact product, which must lie in Gamma0(N), or
-    ValueError is raised.
+    word order, from the identity's key (0, 1).  ValueError is raised
+    unless the walk ends at a key (0, lambda), so the product lies in
+    Gamma0(N), and, when `product` is given, unless the word's exact
+    product, rebuilt, equals it.
     """
-    g = ts_reconstruct(w)
-    if product is not None and g != product:
+    if product is not None and (g := ts_reconstruct(w)) != product:
         raise ValueError(f"word product {g} is not {product}")
     N = t.N
-    if not g.in_gamma0(N):
-        raise ValueError(f"word product {g} is not in Gamma0({N})")
     keys = []
     append = keys.append
     c, d = 0, 1 % N  # key of the prefix before the next letter
@@ -67,7 +67,8 @@ def modified_rewrite(w: TSWord, t: Transversal, product: Mat2 | None = None) -> 
         d = (d + a * c) % N
         append(c * N + d)
         c, d = d, -c % N
-    keys.pop()  # the word ends in T^ar: no S after it
+    if keys.pop() >= N:  # the word ends in T^ar: no S after it, and its key is the product's
+        raise ValueError(f"word product {ts_reconstruct(w)} is not in Gamma0({N})")
     return keys
 
 
@@ -80,8 +81,8 @@ def reduce_word(w: TSWord, keys: list[int], ctx) -> list[Term]:
     S-step term.  A zero row has no table entry (None), so it gives no term.
     """
     t_slot, s_slot, out = ctx.t_slot, ctx.s_slot, []
-    # o is (pos, length, total, step); the last S slot is 0 = (0, 0), no key
-    for a, k, s in zip(w.exponents, keys[::2], [*keys[1::2], 0]):
+    it = iter(keys)  # each T slot, then its S slot; o is (pos, length, total, step)
+    for a, k, s in zip(w.exponents, it, chain(it, (0,))):  # the last S slot: 0 = (0, 0), no key
         if (o := t_slot[k]) is not None and (m := (o[0] + a) // o[1]):
             row = o[2] if m == 1 else tuple([m * n for n in o[2]])
             out.append(_new(Term, (o[3][0], "T", m, row)))

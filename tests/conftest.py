@@ -1,9 +1,12 @@
+import random
 import warnings
+from math import gcd
 
 import pytest
 
 from gdsum import find_character, precompute
 from gdsum.dedekind import ParityWarning
+from gdsum.modgroup import I2, Mat2
 
 
 @pytest.fixture(scope="session")
@@ -64,3 +67,25 @@ def ctx35(chi5, chi7_13):
 def ctx35_l12(chi5_14, chi7_16):
     # order L = 12: degree-4 rows, and the parity hypothesis holds
     return precompute(chi5_14, chi7_16)
+
+
+@pytest.fixture(scope="session")
+def sweep():
+    """The matrices of the decomposition sweep, 5,000 or more: at N = 9, 28
+    and 35, Gamma0(N) members with c log-uniform up to 10^60 and d shifted
+    by up to one c, each also negated, inverted and both (so c < 0 too);
+    the shears +-T^b and (+-1, 0; N b, +-1); and +-I."""
+    rng, out = random.Random(20), [I2, -I2]
+    for N in (9, 28, 35):
+        for _ in range(420):
+            c = N * max(1, int(10 ** rng.uniform(0, 60)) // N)
+            a = rng.randrange(1, c + 1)
+            while gcd(a, c) != 1:
+                a += 1
+            d = pow(a, -1, c) + c * rng.randint(-1, 1)
+            m = Mat2(a, (a * d - 1) // c, c, d)
+            out += [m, -m, m.inv(), -m.inv()]
+        for b in range(-20, 21):
+            out += [Mat2(s, s * b, 0, s) for s in (1, -1)]
+            out += [Mat2(s, 0, N * b, s) for s in (1, -1)]
+    return out

@@ -23,10 +23,15 @@ reduction in their factor form: a `RewriteFactor` per letter, and terms
 read from the keyed `potential` table, each times its multiplicity.
 `unsigned_product` is a word's product without its sign, the matrix its
 factors times the transversal member at the walk's end key multiply to.
+`strip_letters` is the Euclidean decomposition on the whole matrix, which
+carries b and d through every step and reads the last exponent and the
+sign off the +-T^b it ends at; `ts_decompose`, which runs Euclid on the
+first column alone, must give the same words.
 """
 
 import dataclasses
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
 from typing import NamedTuple
 
@@ -38,7 +43,7 @@ from gdsum.cosets import (
     u_func,
 )
 from gdsum.exactnum import CycElem
-from gdsum.modgroup import I2, Mat2, S, ts_reconstruct
+from gdsum.modgroup import I2, Mat2, S, TSWord, ts_reconstruct
 from gdsum.rewriter import RewriteFactor, Term
 
 
@@ -355,3 +360,28 @@ def unsigned_product(w) -> Mat2:
     """T^a1 S T^a2 ... T^ar, the word's product without its sign: its
     bottom row mod N is the walk's end key (0, +-d)."""
     return ts_reconstruct(dataclasses.replace(w, negate=False))
+
+
+def strip_letters(m: Mat2, nearest: bool, cap: int | None):
+    """The T/S word of m from Euclid on all four entries, or None when more
+    than `cap` letters would be stripped.  Each step strips T^q S from the
+    left, leaving S^-1 T^-q (a b; c d), until the tail is +-T^b; r has the
+    sign of c, and a nearest q rounds up past c/2."""
+    a, b, c, d = m.entries()
+    exps = []
+    for _ in repeat(None) if cap is None else range(cap):
+        if not c:
+            break
+        q, r = divmod(a, c)
+        if nearest and ((r + r > c) if c > 0 else (r + r < c)):
+            q += 1
+            r -= c
+        exps.append(q)
+        a, b, c, d = c, d, -r, q * d - b
+    if c:
+        return None  # the cap ran out
+    if a == 1:
+        exps.append(b)
+        return TSWord(False, tuple(exps))
+    exps.append(-b)
+    return TSWord(True, tuple(exps))

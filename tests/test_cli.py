@@ -318,6 +318,26 @@ def test_load_refuses_a_level_above_the_guardrail(tmp_path, capsys, monkeypatch)
     assert "holds the pair" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["sum", "verify"])
+def test_a_stored_level_above_the_guardrail_names_the_cli_flag(tmp_path, capsys, command):
+    """The N = 143 pair saved under the file name of a pair at N = 9: the
+    CLI exits 1 with an error line naming --allow-large-n, its own way to
+    lift the guardrail, not the library's allow_large=True, which a
+    library caller of `load_context` still reads."""
+    chi1, chi2 = find_character(11, [(2, "1/2")]), find_character(13, [(2, "1/12")])
+    chi3 = find_character(3, [(2, "1/2")])
+    cache = tmp_path / dedekind.cache_filename(chi3, chi3)
+    dedekind.save_context(dedekind.precompute(chi1, chi2, allow_large=True), cache)
+    with pytest.raises(ValueError, match="pass allow_large=True"):
+        load_context(cache)
+    args = [command, *_pair_args(tmp_path)] + (["--matrix", "17,32;9,17"] if command == "sum" else [])
+    assert main(args) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: level N = 143 exceeds the guardrail 80 in cache ")
+    assert "--allow-large-n" in err and "allow_large" not in err
+
+
 def test_sum_rejects_non_member(tmp_path, capsys):
     rc = main(["sum", *_pair_args(tmp_path), "--matrix", "1,0;5,1"])
     assert rc == 1

@@ -47,6 +47,7 @@ from reference_tables import (
     lift_p1_transversal,
     oracle_gamma1,
     orbit_f,
+    strip_letters,
     unsigned_product,
 )
 from reference_tables import reduce_word as alphabet_terms
@@ -868,6 +869,31 @@ def test_slot_keys_match_the_factor_reference(contexts, name, data):
     terms = factor_terms(factors, ctx)
     expected = [(k, kind, m, tuple([m * n for n in row])) for k, kind, m, row in terms]
     assert [tuple(term) for term in reduce_word(w, keys, ctx)] == expected
+
+
+@pytest.mark.parametrize("name", ["ctx9", "ctx28", "ctx35", "ctx35_l12"])
+def test_fast_sum_on_the_sweep(tmp_path, contexts, sweep, name):
+    """On the decomposition sweep's members of Gamma0(N), the parity-violating
+    N = 35 pair included, `fast_sum` on a loaded context equals it on the
+    precomputed one, and on every 12th matrix it equals the full-alphabet
+    terms of the whole-matrix Euclid word, checked against gamma by
+    `ts_reconstruct`, summed as CycElems, plus G at the walk's end key."""
+    ctx = contexts[name]
+    save_context(ctx, tmp_path / "ctx.json")
+    loaded = load_context(tmp_path / "ctx.json")
+    mats = [m for m in sweep if m.in_gamma0(ctx.N)]
+    assert len(mats) > 1700
+    for i, gamma in enumerate(mats):
+        value = fast_sum(ctx, gamma)
+        assert fast_sum(loaded, gamma) == value, gamma
+        if i % 12:
+            continue
+        w = strip_letters(gamma, nearest=True, cap=None)
+        keys = modified_rewrite(w, ctx.t_sl2, product=gamma)
+        expected = ctx.sums_g0[unsigned_product(w).d % ctx.N]
+        for key, gen, m in alphabet_terms(as_factors(w, keys, ctx.N), ctx.N):
+            expected = expected + m * alphabet_sum(ctx, key, gen)
+        assert value == expected, gamma
 
 
 @pytest.mark.parametrize("name", ["ctx9", "ctx28", "ctx35_l12", "ctx28_shifted"])

@@ -9,6 +9,7 @@ from gdsum.cosets import transversal_g1_in_g0
 from gdsum.modgroup import (
     I2,
     WORD_LENGTH_K,
+    _letter_cap,
     Mat2,
     S,
     T,
@@ -18,6 +19,7 @@ from gdsum.modgroup import (
     ts_decompose,
     ts_reconstruct,
 )
+from reference_tables import strip_letters
 
 
 def test_constructor_checks_determinant():
@@ -120,6 +122,18 @@ def test_determinant_preserved():
         assert p.a * p.d - p.b * p.c == 1
         q = p.inv()
         assert q.a * q.d - q.b * q.c == 1
+
+
+def test_words_equal_the_whole_matrix_euclid(sweep):
+    """`ts_decompose` runs Euclid on the first column and solves the last
+    exponent and the sign, so it must give the words of Euclid on the
+    whole matrix, which reads them off the +-T^b it ends at: nearest words
+    exactly, floor words within their cap, else the nearest word."""
+    assert len(sweep) >= 5000 and any(m.c < 0 for m in sweep)
+    for m in sweep:
+        assert ts_decompose(m, nearest=True) == strip_letters(m, nearest=True, cap=None), m
+        floor = strip_letters(m, nearest=False, cap=_letter_cap(m.c))
+        assert ts_decompose(m) == (floor or strip_letters(m, nearest=True, cap=None)), m
 
 
 def test_decompose_deterministic():

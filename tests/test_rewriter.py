@@ -7,10 +7,13 @@ import sys
 import pytest
 
 import gdsum
-from gdsum.cosets import schreier_alphabet, transversal_g1_in_sl2, u_func
-from gdsum.modgroup import I2, Mat2, S, T, random_gamma0, ts_decompose
+from gdsum import modgroup
+from gdsum.cosets import schreier_alphabet, transversal_g0_in_sl2, transversal_g1_in_sl2, u_func
+from gdsum.dedekind import fast_sum, naive_sum
+from gdsum.modgroup import I2, Mat2, S, T, random_gamma0, random_sl2, ts_decompose
 from gdsum.rewriter import RewriteFactor, Term, as_factors, format_factor, format_term, modified_rewrite
 from reference_tables import expand_factor, full_alphabet, reduce_t_power, reduce_word, unsigned_product
+from word_faults import FAULTS, stand_in
 
 FACTOR_COUNT_K = 9
 
@@ -230,6 +233,89 @@ def test_checks_survive_stripped_asserts():
     assert "ValueError: word product (10, 1; 9, 1) is not (1, 0; 9, 1)" in out
     assert "ValueError: corrupted transversal: U entry" in out
     assert "ValueError: corrupted transversal: member" in out and "is off its key" in out
+
+
+# in Gamma0(9), with a nine-letter nearest word
+CHECKED = Mat2(416911, 407685, 512937, 501586)
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_a_wrong_word_is_refused(monkeypatch, ctx9, chi3, fault):
+    """`ts_decompose` checks its own word, so a word wrong in any one
+    place, an interior exponent, the last quotient, the solved last
+    exponent or the sign, makes it and `fast_sum`, which rebuilds no
+    product, raise ValueError naming the matrix."""
+    assert ts_decompose(CHECKED, nearest=True).letters == 9
+    for call in (lambda: ts_decompose(CHECKED, nearest=True), lambda: fast_sum(ctx9, CHECKED)):
+        with monkeypatch.context() as patch:
+            patch.setattr(modgroup, *stand_in(modgroup, fault, CHECKED), raising=False)
+            with pytest.raises(ValueError, match=r"word product \(.*\) is not \(416911, 407685; 512937, 501586\)"):
+                call()
+    assert fast_sum(ctx9, CHECKED) == naive_sum(chi3, chi3, CHECKED)
+
+
+@pytest.mark.parametrize("N", [9, 28, 35])
+def test_modified_rewrite_checks_gamma0_at_its_end_key(N):
+    """With no `product`, the walk's end key alone decides: a word whose
+    product is off Gamma0(N), negated or not, raises, and one in
+    Gamma0(N) is walked."""
+    p1, rng = transversal_g0_in_sl2(N), random.Random(N)
+    mats = [random_sl2(rng, 30) for _ in range(200)] + [random_gamma0(N, rng, kmax=10**12) for _ in range(20)]
+    mats += [Mat2(1, 0, N * k + r, 1) for k in (0, 3) for r in (1, N - 1)]
+    refused = 0
+    for m in mats + [-m for m in mats]:
+        w = ts_decompose(m, nearest=True)
+        if m.in_gamma0(N):
+            assert len(modified_rewrite(w, p1)) == 2 * w.letters - 1
+            continue
+        refused += 1
+        with pytest.raises(ValueError, match=rf"is not in Gamma0\({N}\)"):
+            modified_rewrite(w, p1)
+    assert refused >= 100
+
+
+def test_word_check_survives_stripped_asserts():
+    """Under python -O, a word wrong in any one place still makes
+    `ts_decompose` and `fast_sum` raise, and `modified_rewrite` with no
+    product still refuses a word off Gamma0(N) at N = 9, 28 and 35."""
+    code = """if True:
+        from gdsum import find_character, modgroup, precompute
+        from gdsum.cosets import transversal_g0_in_sl2
+        from gdsum.dedekind import fast_sum
+        from gdsum.modgroup import Mat2, ts_decompose
+        from gdsum.rewriter import modified_rewrite
+        from word_faults import FAULTS, stand_in
+        chi = find_character(3, [(2, "1/2")])
+        ctx, m, word = precompute(chi, chi), Mat2(416911, 407685, 512937, 501586), modgroup.TSWord
+        for fault in FAULTS:
+            for call in (lambda: ts_decompose(m, nearest=True), lambda: fast_sum(ctx, m)):
+                name, fake = stand_in(modgroup, fault, m)
+                setattr(modgroup, name, fake)
+                try:
+                    print(fault, "gave", call())
+                except ValueError as exc:
+                    print(fault, "ValueError:", exc)
+                finally:
+                    modgroup.TSWord = word
+                    vars(modgroup).pop("divmod", None)
+        for N in (9, 28, 35):
+            try:
+                modified_rewrite(ts_decompose(Mat2(1, 0, N + 1, 1), nearest=True), transversal_g0_in_sl2(N))
+            except ValueError as exc:
+                print("ValueError:", exc)
+        print("debug", __debug__)
+    """
+    src = os.path.dirname(os.path.dirname(gdsum.__file__))
+    tests = os.path.dirname(__file__)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, tests, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.endswith("debug False\n") and " gave " not in out
+    for fault in FAULTS:
+        assert out.count(f"{fault} ValueError: word product (") == 2, fault
+    for N in (9, 28, 35):
+        assert f"ValueError: word product (1, 0; {N + 1}, 1) is not in Gamma0({N})" in out
 
 
 def test_reduce_t_power():
