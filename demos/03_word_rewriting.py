@@ -7,7 +7,7 @@ times the Gamma1-in-Gamma0 transversal member at which the walk ends.  The
 rewrite walks only the coset key (c mod N, d mod N) of each prefix; beside
 each factor this script prints the matrix-level reference: the key of the
 full prefix matrix and the U-value itself.  Last, it regroups the factors
-the way the evaluator's potential table does, one matrix per S letter plus
+the way the evaluator's slot tables do, one matrix per S letter plus
 powers of one matrix per T-orbit, and checks that they too multiply back
 to the target.
 """
@@ -19,7 +19,6 @@ from gdsum.cosets import (
     transversal_g0_in_sl2,
     transversal_g1_in_g0,
     transversal_g1_in_sl2,
-    u_func,
 )
 from gdsum.modgroup import I2, Mat2, S, ts_decompose, ts_reconstruct
 from gdsum.rewriter import as_factors, format_factor, modified_rewrite
@@ -38,14 +37,23 @@ def spell(w):
     return ("-" if w.negate else "") + " S ".join(f"T^{e}" for e in w.exponents)
 
 
-w = ts_decompose(gamma0, nearest=True)
-floor = ts_decompose(gamma0)
+w = ts_decompose(gamma0)
 print(f"\nT/S word, nearest-integer quotients ({w.letters} exponents): {spell(w)}")
-print(f"(floor quotients would give {floor.letters}: {spell(floor)})")
 assert ts_reconstruct(w) == gamma0 and not w.negate
 
 t_sl2 = transversal_g1_in_sl2(N)
 print(f"\nFull-group transversal has {len(t_sl2)} members, keyed by (c, d) mod {N}.")
+
+
+def key(m):
+    return m.c % N, m.d % N
+
+
+def u_func(x, y):
+    """U(x, y) = x y (coset rep of x y)^-1, an element of Gamma1(N)."""
+    return x * y * t_sl2.members[key(x * y)].inv()
+
+
 keys = modified_rewrite(w, t_sl2)
 factors = as_factors(w, keys, N)
 print(
@@ -60,18 +68,18 @@ print(
 def u_value(f):
     """The exact U-matrix a rewrite factor stands for."""
     step = Mat2.t_power(f.exponent) if f.gen == "T" else S
-    return u_func(t_sl2.members[f.base_key], step, t_sl2)
+    return u_func(t_sl2.members[f.base_key], step)
 
 
 prefix = I2
 prod = I2
 for f in factors:
     u = u_value(f)
-    print(f"  {format_factor(f):<20} prefix key {t_sl2.key_of(prefix)}  U = {u}")
-    assert t_sl2.key_of(prefix) == f.base_key
-    prefix = prefix.mul_t_power(f.exponent) if f.gen == "T" else prefix.mul_s()
+    print(f"  {format_factor(f):<20} prefix key {key(prefix)}  U = {u}")
+    assert key(prefix) == f.base_key
+    prefix = prefix.mul_t_power(f.exponent) if f.gen == "T" else prefix * S
     prod = prod * u
-end = t_sl2.key_of(prefix)
+end = key(prefix)
 g = t_sl2.members[end]
 print(
     f"\nThe walk ends at the key {end} = (0, d mod {N}), whose member is the Gamma0\n"
@@ -81,9 +89,9 @@ print(
 )
 negated = Mat2(101, 33, 153, 50)
 print(
-    f"A negated word, such as {spell(ts_decompose(negated, nearest=True))} for\n"
+    f"A negated word, such as {spell(ts_decompose(negated))} for\n"
     f"{negated}, multiplies to -gamma without its sign, so its walk ends at\n"
-    f"{t_sl2.key_of(-negated)} = (0, -d mod {N}); S(-gamma) = psi(-1) S(gamma) = S(gamma) unless\n"
+    f"{key(-negated)} = (0, -d mod {N}); S(-gamma) = psi(-1) S(gamma) = S(gamma) unless\n"
     "psi(-1) = -1, and then every sum is 0."
 )
 
@@ -99,7 +107,7 @@ def orbit(key):
 def climb(key):
     """P(key) = U(base, T^pos): the walk along key's T-orbit from its base."""
     base, pos, _ = orbit(key)
-    return u_func(base, Mat2.t_power(pos), t_sl2)
+    return u_func(base, Mat2.t_power(pos))
 
 
 print(
@@ -116,7 +124,7 @@ for f in factors:
         base, pos, length = orbit(f.base_key)
         w = (pos + f.exponent) // length
         if w:
-            z = u_func(base, Mat2.t_power(length), t_sl2)
+            z = u_func(base, Mat2.t_power(length))
             print(f"  {f'{w} * orbit total at {f.base_key}':<28}  Z = {z}")
             for _ in range(abs(w)):
                 prod = prod * (z if w > 0 else z.inv())
@@ -127,14 +135,14 @@ for f in factors:
         prod = prod * m
 print(f"Exact product of the terms times g equals gamma0: {prod * g == gamma0}")
 
-generators = schreier_alphabet(N, t_sl2)
-print(f"\nThe evaluator reads sums of the {len(generators)} Schreier generators only: U(t, T)")
+generators = 2 * len(t_sl2)
+print(f"\nThe evaluator reads sums of the {generators} Schreier generators only: U(t, T)")
 print(f"and U(t, S) for each of the {len(t_sl2)} members t.  Every matrix above is a")
 print("product of them, so its sum is a sum of theirs, derived once per key: one")
 print("S-step row per key and one total per T-orbit.  A sum over the terms evaluates")
 print("the whole matrix in time proportional to the word length; a row that is 0")
 print("(most orbit totals, and the S-step row at (0, 1)) adds no term at all.")
 p1 = transversal_g0_in_sl2(N)
-print(f"A context derives those {len(generators)} sums, once, from the {len(schreier_alphabet(N, p1))}")
+print(f"A context derives those {generators} sums, once, from the {len(schreier_alphabet(N, p1))}")
 print(f"sums of the Gamma0({N}) generators over the {len(p1)} points of P^1(Z/{N}): the only")
 print("sums a precompute solves, a cache stores and a context is built from.")

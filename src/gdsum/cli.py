@@ -15,13 +15,10 @@ import sys
 import time
 import warnings
 from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import reduce
 from math import gcd
 from pathlib import Path
 
 from .characters import character_spec_string, find_character, parse_spec_fields
-from .cosets import u_func
 from .dedekind import (
     DEFAULT_LEVEL_LIMIT,
     Context,
@@ -38,8 +35,7 @@ from .dedekind import (
     split_gamma0,
     sum_on_gamma0,
 )
-from .exactnum import CycElem
-from .modgroup import I2, Mat2, S, T, random_gamma0, random_sl2, ts_decompose
+from .modgroup import I2, Mat2, random_gamma0, ts_decompose
 from .rewriter import as_factors, format_factor, format_term, modified_rewrite, reduce_word
 
 # Largest lower-left entry for which the double sum is run: the default and
@@ -222,7 +218,7 @@ def cmd_sum(args) -> int:
 
 def _print_trace(ctx: Context, gamma: Mat2) -> None:
     d = split_gamma0(ctx, gamma)
-    w = ts_decompose(gamma, nearest=True)
+    w = ts_decompose(gamma)
     sign = "-" if w.negate else ""
     word = " S ".join(f"T^{e}" for e in w.exponents)
     print(f"gamma = {gamma} = {sign}{word}")
@@ -260,10 +256,12 @@ class VerifyReport:
 
 
 def run_verify(ctx: Context, *, trials: int, seed: int, cmax: int) -> VerifyReport:
-    """Oracle-equivalence and exact-identity suites; all checks exact."""
+    """Exact checks of the pair's tables and of the evaluator against the
+    double sum.  The identities of the coset maps, which hold at every level
+    whatever the pair, are tested by the test suite instead."""
     report = VerifyReport()
     rng = random.Random(seed)
-    N, t = ctx.N, ctx.t_sl2
+    N = ctx.N
 
     # every Gamma0-transversal sum against the double sum
     bad = []
@@ -283,19 +281,6 @@ def run_verify(ctx: Context, *, trials: int, seed: int, cmax: int) -> VerifyRepo
         if sum_on_gamma0(ctx.chi1, ctx.chi2, m) != ctx.sums_alphabet[key]:
             bad.append(f"entry {key}: matrix {m}")
     report.record("alphabet-spot-check", not bad, bad[0] if bad else f"{len(picked)} entries")
-
-    # random S-step rows and orbit totals, on matrices with |c| <= cmax,
-    # against the double sum's closure on those matrices
-    derived = [("S", key) for key in ctx.potential]
-    derived += [("T", key) for key, row in ctx.potential.items() if row.pos == 0]
-    derived = [(kind, key, _derived_entry(ctx, kind, key)) for kind, key in derived]
-    derived = [entry for entry in derived if abs(entry[2][0].c) <= cmax]
-    picked = rng.sample(derived, min(20, len(derived)))
-    bad = []
-    for kind, key, (m, row) in picked:
-        if sum_on_gamma0(ctx.chi1, ctx.chi2, m) != CycElem(ctx.L, [Fraction(n, ctx.den) for n in row]):
-            bad.append(f"{kind} row at {key}: matrix {m}")
-    report.record("derived-spot-check", not bad, bad[0] if bad else f"{len(picked)} entries")
 
     # fast path vs the double sum
     kmax = max(1, cmax // N)
@@ -321,84 +306,7 @@ def run_verify(ctx: Context, *, trials: int, seed: int, cmax: int) -> VerifyRepo
             bad.append(f"ga={ga}, gb={gb}")
     report.record("crossed-homomorphism", not bad, bad[0] if bad else f"{trials} pairs")
 
-    # exact coset/U-function identities
-    bad = []
-    for _ in range(trials):
-        x, y = random_sl2(rng, 14), random_sl2(rng, 14)
-        if t.bar(x * y) != t.bar(t.bar(x) * y):
-            bad.append(f"x={x}, y={y}")
-    report.record("nested-coset-law", not bad, bad[0] if bad else f"{trials} pairs")
-
-    bad = []
-    for _ in range(trials):
-        x, y = random_sl2(rng, 14), random_sl2(rng, 14)
-        if not u_func(x, y, t).in_gamma1(N):
-            bad.append(f"x={x}, y={y}")
-    report.record("u-in-gamma1", not bad, bad[0] if bad else f"{trials} pairs")
-
-    bad = []
-    for _ in range(trials):
-        m = random_sl2(rng, 14)
-        if t.bar(m.mul_t_power(N)) != t.bar(m):
-            bad.append(f"m={m}")
-    report.record("t-power-coset-cycle", not bad, bad[0] if bad else f"{trials} matrices")
-
-    bad = []
-    for _ in range(trials):
-        a = random_sl2(rng, 10)
-        b = rng.choice((S, T))
-        k = rng.randint(1, 12)
-        lhs = u_func(t.bar(a), reduce(Mat2.__mul__, [b] * k, I2), t)
-        rhs = I2
-        cur = a
-        for _ in range(k):
-            rhs = rhs * u_func(t.bar(cur), b, t)
-            cur = cur * b
-        if lhs != rhs:
-            bad.append(f"a={a}, b={b}, k={k}")
-            continue
-        lhs = u_func(t.bar(a), reduce(Mat2.__mul__, [b.inv()] * k, I2), t)
-        rhs = I2
-        cur = a
-        for _ in range(k):
-            cur = cur * b.inv()
-            rhs = rhs * u_func(t.bar(cur), b, t).inv()
-        if lhs != rhs:
-            bad.append(f"a={a}, b={b}, k=-{k}")
-    report.record("power-product-identities", not bad, bad[0] if bad else f"{trials} instances")
-
-    bad = []
-    for _ in range(trials):
-        m = random_sl2(rng, 14)
-        a = rng.randint(-6 * N, 6 * N)
-        # U(t, T^a) = U(base, T^pos)^-1 U(base, T^length)^w U(base, T^r) with
-        # pos + a = w * length + r along the T-orbit of t's key
-        key = t.key_of(m)
-        base, (pos, length, _, _) = _orbit_base(ctx, key), ctx.potential[key]
-        w, r = divmod(pos + a, length)
-        climb, wrap, rest = (u_func(base, Mat2.t_power(i), t) for i in (pos, length, r))
-        wraps = reduce(Mat2.__mul__, [wrap if w > 0 else wrap.inv()] * abs(w), I2)
-        if u_func(t.bar(m), Mat2.t_power(a), t) != climb.inv() * wraps * rest:
-            bad.append(f"m={m}, a={a}")
-    report.record("t-power-reduction", not bad, bad[0] if bad else f"{trials} instances")
-
     return report
-
-
-def _orbit_base(ctx: Context, key) -> Mat2:
-    """The member at the base (c, d mod gcd(c, N)) of the T-orbit of key (c, d)."""
-    return ctx.t_sl2.members[key[0], key[1] % gcd(key[0], ctx.N)]
-
-
-def _derived_entry(ctx: Context, kind: str, key) -> tuple[Mat2, tuple]:
-    """The matrix whose sum the row of kind "S" or "T" at key is, and the
-    row: B(k) is the sum of U(base, T^pos S T^-pos(kS)), an orbit total
-    that of U(base, T^length)."""
-    t, base, (pos, length, total, step) = ctx.t_sl2, _orbit_base(ctx, key), ctx.potential[key]
-    if kind == "S":
-        word = Mat2.t_power(pos) * S * Mat2.t_power(-ctx.potential[key[1], -key[0] % ctx.N].pos)
-        return u_func(base, word, t), step.row
-    return u_func(base, Mat2.t_power(length), t), total
 
 
 def cmd_verify(args) -> int:
@@ -427,10 +335,10 @@ def _bench_matrix(N: int, c: int, rng, ar_zero: bool) -> Mat2:
     gamma = Mat2(a, b, c, d)
     if ar_zero:
         # shifting d by m*c adds m to the trailing exponent
-        tail = ts_decompose(gamma, nearest=True).exponents[-1]
+        tail = ts_decompose(gamma).exponents[-1]
         if tail:
             gamma = gamma.mul_t_power(-tail)
-            assert ts_decompose(gamma, nearest=True).exponents[-1] == 0
+            assert ts_decompose(gamma).exponents[-1] == 0
     return gamma
 
 

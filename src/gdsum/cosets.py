@@ -5,23 +5,18 @@ in the unimodular group by the pair (c mod N, d mod N) with
 gcd(c, d, N) = 1, and cosets of Gamma0(N) in it by the points of
 P^1(Z/N), such pairs up to a unit scalar, so a lookup is a dictionary
 access.  The P^1 transversal r_k is a Schreier transversal, and the
-full-group one is t = g_lambda r_k.  The alphabet of a transversal holds
-its Schreier generators U(t, T) and U(t, S), where U(x, y) = x y (coset
-rep of x y)^-1 lies in the subgroup; by Reidemeister-Schreier they
-generate it, and `u_func` builds any U(t, g) on demand.
+full-group one is t = g_lambda r_k.  The alphabet of the P^1 transversal
+holds its Schreier generators U(r, T) and U(r, S), where U(x, y) = x y
+(coset rep of x y)^-1 lies in Gamma0(N); by Reidemeister-Schreier they
+generate it.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from .characters import euler_phi, _factorize
+from .characters import _factorize
 from .modgroup import I2, Mat2
-
-
-def gamma0_coset_count(N: int) -> int:
-    """Number of Gamma1(N) cosets inside Gamma0(N): phi(N)."""
-    return euler_phi(N)
 
 
 def sl2_coset_count(N: int) -> int:
@@ -53,22 +48,6 @@ class Transversal:
         self.kind = kind
         self.members = members
         self.classes = classes
-
-    def key_of(self, m: Mat2):
-        if self.kind == "gamma0":
-            if m.c % self.N != 0:
-                raise ValueError(f"{m} is not in Gamma0({self.N})")
-            return m.d % self.N
-        key = (m.c % self.N, m.d % self.N)
-        return self.classes[key][0] if self.classes else key
-
-    def bar(self, m: Mat2) -> Mat2:
-        """The transversal member sharing m's right coset."""
-        key = self.key_of(m)
-        try:
-            return self.members[key]
-        except KeyError:
-            raise ValueError(f"corrupted transversal: no member for key {key}") from None
 
     def __len__(self):
         return len(self.members)
@@ -130,32 +109,23 @@ def transversal_g1_in_sl2(N: int, p1: Transversal | None = None) -> Transversal:
     return Transversal(N, "sl2", members)
 
 
-def u_func(x: Mat2, y: Mat2, t: Transversal) -> Mat2:
-    """U(x, y) = x y (coset rep of x y)^-1, an element of Gamma1(N)."""
-    m = x * y
-    return m * t.bar(m).inv()
-
-
-def schreier_alphabet(N: int, t: Transversal) -> dict[tuple, Mat2]:
-    """The Schreier generators U(member, T) and U(member, S), keyed by
-    (key, ("T", 1)) and (key, ("S", 1)): 2 * len(t) entries, in Gamma1(N)
-    for kind "sl2" and in Gamma0(N) for "p1".  Products are walked in plain
-    integers, one Mat2 per entry.
+def schreier_alphabet(N: int, p1: Transversal) -> dict[tuple, Mat2]:
+    """The Schreier generators U(r, T) and U(r, S) of Gamma0(N) over the
+    P^1 transversal `p1`, keyed by (k, ("T", 1)) and (k, ("S", 1)): two
+    per point k.  Products are walked in plain integers, one Mat2 per entry.
     """
-    if t.kind == "gamma0":
-        raise ValueError("the alphabet is built over a transversal of the full group")
-    members, classes = t.members, t.classes
-    in_group = Mat2.in_gamma0 if classes else Mat2.in_gamma1
+    if p1.kind != "p1":
+        raise ValueError("the alphabet is built over the transversal of P^1(Z/N)")
+    members, classes = p1.members, p1.classes
 
     def u_entry(a, b, c, d):
         # (a b; c d) times the inverse (rd, -rb; -rc, ra) of its coset rep
-        key = (c % N, d % N)
-        r = members.get(classes[key][0] if classes else key)
-        if r is None:
-            raise ValueError(f"corrupted transversal: no member for key {key}")
+        k = classes[c % N, d % N][0]
+        if (r := members.get(k)) is None:
+            raise ValueError(f"corrupted transversal: no member for key {k}")
         u = Mat2(a * r.d - b * r.c, b * r.a - a * r.b, c * r.d - d * r.c, d * r.a - c * r.b)
-        if not in_group(u, N):
-            raise ValueError(f"corrupted transversal: U entry {u} is not in the subgroup of level {N}")
+        if not u.in_gamma0(N):
+            raise ValueError(f"corrupted transversal: U entry {u} is not in Gamma0({N})")
         return u
 
     out = {}

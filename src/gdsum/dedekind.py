@@ -215,11 +215,11 @@ class Context:
     `reduce_word` reads `t_slot[i]`, the `OrbitRow` of the key with index
     i = c*N + d, and `s_slot[i]`, its S-step term, each None where its row
     is zero or i is no key; every zero row is the one tuple `zero`.
-    `t_sl2` (the Gamma1(N) transversal) and `potential` (an `OrbitRow` per
-    key) are views for `verify` and tests, built on first access and then
-    kept.  Nothing derived is passed in, so `dataclasses.replace(
-    ctx, sums_alphabet=...)` evaluates the sums it holds, and replacing a
-    derived field raises; `_build` checks the relations.
+    `t_sl2`, the Gamma1(N) transversal, is built on first access and then
+    kept, for the benchmark's table comparison and the tests.  Nothing
+    derived is passed in, so `dataclasses.replace(ctx, sums_alphabet=...)`
+    evaluates the sums it holds, and replacing a derived field raises;
+    `_build` checks the relations.
     """
 
     chi1: DirichletCharacter
@@ -243,17 +243,6 @@ class Context:
     @cached_property
     def t_sl2(self) -> Transversal:
         return transversal_g1_in_sl2(self.N, self.p1)
-
-    @cached_property
-    def potential(self) -> dict:
-        """Each key's `OrbitRow`: its `t_slot` entry, else one with the total
-        `zero` and the key's `s_slot` entry or a zero S-step term."""
-        N, out = self.N, {}
-        for c, d in self.p1.classes:
-            g, step = gcd(c, N), self.s_slot[c * N + d] or _new(Term, ((c, d), "S", 1, self.zero))
-            pos = d // g * pow(c // g, -1, N // g) % (N // g)  # d = d mod g + pos c mod N
-            out[c, d] = self.t_slot[c * N + d] or _new(OrbitRow, (pos, N // g, self.zero, step))
-        return out
 
     def __post_init__(self):
         chi1, chi2, p1 = self.chi1, self.chi2, self.p1
@@ -499,7 +488,7 @@ def _gamma0_rows(L: int, p1: Transversal, rows: dict, twist: dict, t_g0: Transve
     every sum is 0)."""
     out = {}
     for lam, g in t_g0.members.items():
-        word = ts_decompose(g, nearest=True).exponents
+        word = ts_decompose(g).exponents
         letters = "S".join("T" * a if a > 0 else "t" * -a for a in word)
         out[lam] = _twisted_sum(L, rows, _walk(L, p1, twist, (0, 1 % p1.N), letters))
     return out
@@ -572,7 +561,7 @@ def fast_sum(ctx: Context, gamma: Mat2) -> CycElem:
     so no matrix is rebuilt here.
     """
     d = split_gamma0(ctx, gamma)
-    word = ts_decompose(gamma, nearest=True)
+    word = ts_decompose(gamma)
     terms = reduce_word(word, modified_rewrite(word, ctx.p1), ctx)
     acc = map(sum, zip(ctx.zero, *map(itemgetter(3), terms)))  # ctx.zero keeps each column
     g = ctx.sums_g0[-d % ctx.N if word.negate else d]

@@ -3,18 +3,14 @@
 T = (1 1; 0 1) is the unit shear, S = (0 -1; 1 0) the order-4 rotation;
 together they generate the full group of determinant-1 integer matrices,
 and -I = S^2.  `ts_decompose` writes any such matrix as
-+-T^a1 S T^a2 S ... T^ar via floor-quotient Euclidean steps on the first
-column, so the letter count grows logarithmically in the lower-left entry;
-with nearest-integer quotients, as the evaluator asks for, |c| at least
-halves with every letter.  Each word's exact product is checked to be
-the matrix as the word is emitted.
++-T^a1 S T^a2 S ... T^ar via nearest-integer Euclidean steps on the first
+column, so |c| at least halves with every letter.  Each word's exact
+product is checked to be the matrix as the word is emitted.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import repeat
 from math import gcd
 
 
@@ -76,15 +72,8 @@ class Mat2:
         """self * T^n, without building the power."""
         return Mat2(self.a, self.a * n + self.b, self.c, self.c * n + self.d)
 
-    def mul_s(self) -> "Mat2":
-        """self * S."""
-        return Mat2(self.b, -self.a, self.d, -self.c)
-
     def in_gamma0(self, N: int) -> bool:
         return self.c % N == 0
-
-    def in_gamma1(self, N: int) -> bool:
-        return self.c % N == 0 and self.a % N == 1 % N and self.d % N == 1 % N
 
     def entries(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
@@ -130,13 +119,6 @@ class TSWord:
         return len(self.exponents)
 
 
-WORD_LENGTH_K = 4  # letter count stays below K*log(|c|+2) + K
-
-
-def _letter_cap(c: int) -> int:
-    return int(WORD_LENGTH_K * math.log(abs(c) + 2)) + WORD_LENGTH_K
-
-
 def _continuants(exps) -> tuple[int, int, int, int]:
     """(x, z, x', z') with T^q1 S T^q2 S ... T^qk S = (x, -x'; z, -z')."""
     x, z, xp, zp = 1, 0, 0, -1
@@ -152,32 +134,22 @@ def _entries(w: TSWord, x: int, z: int, xp: int, zp: int) -> tuple[int, int, int
     return s * x, s * (x * e - xp), s * z, s * (z * e - zp)
 
 
-def ts_decompose(m: Mat2, *, nearest: bool = False) -> TSWord:
-    """Euclidean T/S decomposition; deterministic, O(log|c|) exponents.
+def ts_decompose(m: Mat2) -> TSWord:
+    """Euclidean T/S decomposition; deterministic, at most log2|c| + 2 exponents.
 
-    Floor quotients are used by default, matching the worked small cases;
-    their sign-flipped near-ratio-1 chains can descend arithmetically, so
-    when the floor word would exceed the K*log(|c|+2) + K letter cap the
-    decomposition restarts with nearest-integer quotients (ties toward
-    floor), which at least halve |c| every step.  With `nearest`, those
-    quotients are used from the start, so the word has at most
-    log2|c| + 2 exponents; the evaluator decomposes this way.  Euclid runs
-    on (a, c) alone, the continuants of its quotients give the last
-    exponent and the sign, and ValueError is raised unless the word's
-    exact product is m: the evaluation path's one product check.
+    Nearest-integer quotients (ties toward floor) at least halve |c| every
+    step.  Euclid runs on (a, c) alone, the continuants of its quotients
+    give the last exponent and the sign, and ValueError is raised unless
+    the word's exact product is m: the evaluation path's one product check.
     """
     a, c, exps = m.a, m.c, []
-    for _ in repeat(None) if nearest else range(_letter_cap(c)):
-        if not c:
-            break
+    while c:
         q, r = divmod(a, c)  # r has the sign of c; a nearest q rounds up past c/2
-        if nearest and ((r + r > c) if c > 0 else (r + r < c)):
+        if (r + r > c) if c > 0 else (r + r < c):
             q += 1
             r -= c
         exps.append(q)
         a, c = c, -r
-    if c:  # the floor word ran past its cap
-        return ts_decompose(m, nearest=True)
     # m = +-P T^e with P = (x, -x'; z, -z'), so +-T^e = P^-1 m = (-z', x'; -z, x) m
     _, _, xp, zp = cont = _continuants(exps)
     e = xp * m.d - zp * m.b
@@ -190,14 +162,6 @@ def ts_decompose(m: Mat2, *, nearest: bool = False) -> TSWord:
 def ts_reconstruct(w: TSWord) -> Mat2:
     """Exact matrix product of the word."""
     return Mat2(*_entries(w, *_continuants(w.exponents[:-1])))
-
-
-def random_sl2(rng, max_len: int = 30) -> Mat2:
-    """Random product of S, T, T^-1 letters."""
-    m = I2
-    for _ in range(rng.randint(1, max_len)):
-        m = m * rng.choice((S, T, Mat2(1, -1, 0, 1)))
-    return m
 
 
 def random_gamma0(N: int, rng, kmin: int = 1, kmax: int = 100, d_shift: int = 0) -> Mat2:

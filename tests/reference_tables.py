@@ -26,25 +26,32 @@ factors times the transversal member at the walk's end key multiply to.
 `strip_letters` is the Euclidean decomposition on the whole matrix, which
 carries b and d through every step and reads the last exponent and the
 sign off the +-T^b it ends at; `ts_decompose`, which runs Euclid on the
-first column alone, must give the same words.
+first column alone, must give the same words.  `floor_word` is the
+floor-quotient word within a letter cap, a second word the rewrite must
+walk as it walks the nearest one.
+
+The coset maps the evaluator never calls live here too: `key_of` and `bar`
+read a matrix's coset off a transversal, `u_func` builds any
+U(x, y) = x y (coset rep of x y)^-1, `in_gamma1` and `random_sl2` test and
+draw matrices, and `gamma1_alphabet` builds the Schreier generators of the
+Gamma1(N) transversal.  `orbit` gives a key's position and length along its
+T-orbit from the key alone, `potential` reads every key's `OrbitRow` off a
+context's slot tables, and `derived_mismatches` checks each S-step row and
+orbit total there against the double sum on the matrix it is the sum of.
 """
 
 import dataclasses
+import math
 from fractions import Fraction
 from itertools import repeat
 from math import gcd
 from typing import NamedTuple
 
 from gdsum import dedekind
-from gdsum.cosets import (
-    Transversal,
-    schreier_alphabet,
-    transversal_g0_in_sl2,
-    u_func,
-)
+from gdsum.cosets import Transversal, schreier_alphabet, transversal_g0_in_sl2
 from gdsum.exactnum import CycElem
-from gdsum.modgroup import I2, Mat2, S, TSWord, ts_reconstruct
-from gdsum.rewriter import RewriteFactor, Term
+from gdsum.modgroup import I2, Mat2, S, T, TSWord, ts_decompose, ts_reconstruct
+from gdsum.rewriter import RewriteFactor, Term, _new
 
 
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
@@ -136,18 +143,18 @@ def oracle_gamma1(ctx) -> tuple[dict, dict]:
     """What ctx derives, by `dedekind.sum_on_gamma0` instead (looked up at
     call time): the sums of its Gamma0 transversal members, keyed by d, and
     of the Schreier generators U(t, T), U(t, S) of its Gamma1 transversal,
-    keyed like `schreier_alphabet(N, ctx.t_sl2)`, two double sums per key."""
+    keyed like `gamma1_alphabet(N, ctx.t_sl2)`, two double sums per key."""
     oracle = dedekind.sum_on_gamma0
     zero = CycElem.zero(ctx.L)
     sums_g0 = {d: zero if m == I2 else oracle(ctx.chi1, ctx.chi2, m) for d, m in ctx.t_g0.members.items()}
-    alphabet = schreier_alphabet(ctx.N, ctx.t_sl2)
+    alphabet = gamma1_alphabet(ctx.N, ctx.t_sl2)
     return sums_g0, {entry: oracle(ctx.chi1, ctx.chi2, m) for entry, m in alphabet.items()}
 
 
 def gamma1_rows(ctx) -> tuple[int, dict]:
     """The common denominator and the integer rows over it of the U(t, T)
     and U(t, S) sums over ctx.t_sl2, keyed like
-    `schreier_alphabet(N, ctx.t_sl2)`, by the derivation formula
+    `gamma1_alphabet(N, ctx.t_sl2)`, by the derivation formula
     s1[lambda k, x] = psi(lambda) s0[k, x] + G(lambda) - G(lambda u), with
     u the scalar of k x over P^1, from the context's Gamma0 generator sums
     and its Gamma0 transversal.  The context itself keeps no such row: its
@@ -266,7 +273,7 @@ def derived_rows(ctx):
     """(kind, key, the context's row as a CycElem, its value from
     `alphabet_sum`) for every S-step row and orbit total."""
     N = ctx.N
-    for (c, d), (pos, length, total, step) in ctx.potential.items():
+    for (c, d), (pos, length, total, step) in potential(ctx).items():
         expect = orbit_f(ctx, (c, d)) + gamma1_sums(ctx)[(c, d), ("S", 1)]
         expect = expect - orbit_f(ctx, (d, -c % N))
         yield "S", (c, d), as_cyc(ctx, step.row), expect
@@ -340,11 +347,11 @@ def factor_rewrite(w, t: Transversal, product=None) -> list:
 
 def factor_terms(factors, ctx) -> list:
     """The terms (key, kind, multiplicity, row) of the factors, read from
-    `ctx.potential`: multiplicity times row adds up to the sum of the
+    `potential(ctx)`: multiplicity times row adds up to the sum of the
     factors' product, and a zero row gives no term."""
-    out = []
+    out, rows = [], potential(ctx)
     for key, gen, exponent in factors:
-        pos, length, total, step = ctx.potential[key]
+        pos, length, total, step = rows[key]
         if gen == "S":
             if step.row is not ctx.zero:
                 out.append(step)
@@ -385,3 +392,107 @@ def strip_letters(m: Mat2, nearest: bool, cap: int | None):
         return TSWord(False, tuple(exps))
     exps.append(-b)
     return TSWord(True, tuple(exps))
+
+
+def floor_word(m: Mat2) -> TSWord:
+    """m's floor-quotient word, or its nearest word when the floor one would
+    pass 4 ln(|c| + 2) + 4 letters: near ratio 1, floor chains descend
+    arithmetically."""
+    cap = int(4 * math.log(abs(m.c) + 2)) + 4
+    return strip_letters(m, nearest=False, cap=cap) or ts_decompose(m)
+
+
+def key_of(t: Transversal, m: Mat2):
+    """The key of m's right coset in t: d mod N for kind "gamma0" (ValueError
+    off Gamma0(N)), else (c mod N, d mod N), or its class key over P^1."""
+    N = t.N
+    if t.kind == "gamma0":
+        if m.c % N:
+            raise ValueError(f"{m} is not in Gamma0({N})")
+        return m.d % N
+    key = (m.c % N, m.d % N)
+    return t.classes[key][0] if t.classes else key
+
+
+def bar(t: Transversal, m: Mat2) -> Mat2:
+    """The member of t sharing m's right coset."""
+    return t.members[key_of(t, m)]
+
+
+def u_func(x: Mat2, y: Mat2, t: Transversal) -> Mat2:
+    """U(x, y) = x y (coset rep of x y)^-1, in the subgroup t is a transversal of."""
+    m = x * y
+    return m * bar(t, m).inv()
+
+
+def in_gamma1(m: Mat2, N: int) -> bool:
+    return m.c % N == 0 and m.a % N == 1 % N and m.d % N == 1 % N
+
+
+def random_sl2(rng, max_len: int = 30) -> Mat2:
+    """Random product of S, T, T^-1 letters."""
+    m = I2
+    for _ in range(rng.randint(1, max_len)):
+        m = m * rng.choice((S, T, Mat2(1, -1, 0, 1)))
+    return m
+
+
+def gamma1_alphabet(N: int, t: Transversal) -> dict:
+    """U(t, T) and U(t, S) for every member of the Gamma1(N) transversal t,
+    keyed (key, ("T", 1)) and (key, ("S", 1)); ValueError unless each lies
+    in Gamma1(N)."""
+    out = {}
+    for key, mem in t.members.items():
+        for name, g in (("T", T), ("S", S)):
+            u = out[key, (name, 1)] = u_func(mem, g, t)
+            if not in_gamma1(u, N):
+                raise ValueError(f"U entry {u} at {key} is not in Gamma1({N})")
+    return out
+
+
+def orbit(key, N: int) -> tuple[tuple[int, int], int, int]:
+    """The base key (c, d mod gcd(c, N)) of key's T-orbit (c, d + j c) mod N,
+    key's position j along it and the orbit's length N / gcd(c, N)."""
+    c, d = key
+    g = gcd(c, N)
+    pos = d // g * pow(c // g, -1, N // g) % (N // g)  # d = d mod g + pos c mod N
+    return (c, d % g), pos, N // g
+
+
+def potential(ctx) -> dict:
+    """Each key's `OrbitRow` as `reduce_word` reads it: the position, length
+    and total from its `t_slot` entry (total `ctx.zero` where there is
+    none), and the S-step term from its `s_slot` entry (a zero row where
+    there is none).  Where the two tables agree, as a context builds them,
+    the row is the `t_slot` entry itself."""
+    N, out = ctx.N, {}
+    for c, d in ctx.p1.classes:
+        i = c * N + d
+        row, step = ctx.t_slot[i], ctx.s_slot[i] or _new(Term, ((c, d), "S", 1, ctx.zero))
+        if row is None or row.step.row is not step.row:
+            _, pos, length = orbit((c, d), N)
+            row = _new(dedekind.OrbitRow, (pos, length, ctx.zero if row is None else row.total, step))
+        out[c, d] = row
+    return out
+
+
+def derived_mismatches(ctx, cmax: int) -> tuple[int, list]:
+    """Every S-step row and every orbit total of `potential(ctx)` whose
+    matrix has |c| <= cmax, against the double sum's closure on that
+    matrix: how many were checked, and (kind, key, matrix) for each that
+    differs.  Over the Gamma1 transversal, the S-step row at k is the sum of
+    U(base, T^pos S T^-pos(kS)) and the orbit total that of U(base, T^length)."""
+    N, t, checked, bad = ctx.N, ctx.t_sl2, 0, []
+    for key, row in potential(ctx).items():
+        base_key, pos, length = orbit(key, N)
+        back = orbit((key[1], -key[0] % N), N)[1]
+        entries = [("S", Mat2.t_power(pos) * S * Mat2.t_power(-back), row.step.row)]
+        if pos == 0:
+            entries.append(("T", Mat2.t_power(length), row.total))
+        for kind, word, value in entries:
+            m = u_func(t.members[base_key], word, t)
+            if abs(m.c) <= cmax:
+                checked += 1
+                if dedekind.sum_on_gamma0(ctx.chi1, ctx.chi2, m) != as_cyc(ctx, value):
+                    bad.append((kind, key, m))
+    return checked, bad

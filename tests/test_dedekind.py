@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from gdsum import cli, cosets, dedekind, exactnum, find_character
 from gdsum.characters import pair_order, psi
-from gdsum.cosets import schreier_alphabet, transversal_g0_in_sl2, u_func
+from gdsum.cosets import schreier_alphabet, transversal_g0_in_sl2
 from gdsum.dedekind import (
     CACHE_VERSION,
     ParityWarning,
@@ -40,14 +40,19 @@ from reference_tables import (
     derived_rows,
     factor_rewrite,
     factor_terms,
+    floor_word,
     full_alphabet,
+    gamma1_alphabet,
     gamma1_relations,
     gamma1_rows,
     gamma1_sums,
+    in_gamma1,
     lift_p1_transversal,
     oracle_gamma1,
     orbit_f,
+    potential,
     strip_letters,
+    u_func,
     unsigned_product,
 )
 from reference_tables import reduce_word as alphabet_terms
@@ -140,7 +145,7 @@ def test_homomorphism_on_gamma1(chi3):
         if h1.c < 1 or h2.c < 1 or (h1 * h2).c < 1:
             continue
         done += 1
-        assert h1.in_gamma1(9) and h2.in_gamma1(9)
+        assert in_gamma1(h1, 9) and in_gamma1(h2, 9)
         assert naive_sum(chi3, chi3, h1 * h2) == naive_sum(chi3, chi3, h1) + naive_sum(
             chi3, chi3, h2
         )
@@ -204,16 +209,17 @@ def test_precompute_structure(ctx9):
     assert ctx9.L == 2 and ctx9.parity_ok
     # the derived sums: two Gamma1 generators per coset key
     full = full_alphabet(9, ctx9.t_sl2)
-    assert gamma1_sums(ctx9).keys() == schreier_alphabet(9, ctx9.t_sl2).keys()
-    for entry, u in schreier_alphabet(9, ctx9.t_sl2).items():
-        assert u == full[entry] and u.in_gamma1(9)
+    assert gamma1_sums(ctx9).keys() == gamma1_alphabet(9, ctx9.t_sl2).keys()
+    for entry, u in gamma1_alphabet(9, ctx9.t_sl2).items():
+        assert u == full[entry] and in_gamma1(u, 9)
     # one OrbitRow per key: its position along its T-orbit (c, d + j c),
     # counted from the base key (c, d mod gcd(c, N))
-    assert ctx9.potential.keys() == ctx9.t_sl2.members.keys()
-    for (c, d), row in ctx9.potential.items():
+    rows = potential(ctx9)
+    assert rows.keys() == ctx9.t_sl2.members.keys()
+    for (c, d), row in rows.items():
         assert row.length == 9 // gcd(c, 9) and 0 <= row.pos < row.length
         assert (d - row.pos * c) % 9 == d % gcd(c, 9)
-        assert ctx9.potential[c, d % gcd(c, 9)].total is row.total
+        assert rows[c, d % gcd(c, 9)].total is row.total
 
 
 def test_precompute_rejects_bad_characters(chi3):
@@ -286,7 +292,7 @@ def test_rows_match_reference_sums(request, name):
     # one S-step row per key and one total per T-orbit (their lengths add up
     # to the number of keys), nothing else
     assert set(kinds) == {"S", "T"} and kinds["S"] == len(ctx.t_sl2)
-    bases = [row for row in ctx.potential.values() if row.pos == 0]
+    bases = [row for row in potential(ctx).values() if row.pos == 0]
     assert kinds["T"] == len(bases) and sum(row.length for row in bases) == len(ctx.t_sl2)
 
 
@@ -302,12 +308,13 @@ def test_wrap_formula_every_key(request, name):
         assert all(ctx.den % x.denominator == 0 for x in v.coeffs)
         return [x.numerator * ctx.den // x.denominator for x in v.coeffs]
 
-    f = {key: row(orbit_f(ctx, key)) for key in ctx.potential}
+    rows = potential(ctx)
+    f = {key: row(orbit_f(ctx, key)) for key in rows}
     power = {
         key: [row(alphabet_sum(ctx, key, ("T", a))) for a in range(2 * N + 1)]
-        for key in ctx.potential
+        for key in rows
     }
-    for (c, d), (pos, length, total, _) in ctx.potential.items():
+    for (c, d), (pos, length, total, _) in rows.items():
         for a in range(-2 * N, 2 * N + 1):
             w = (pos + a) // length
             moved = (c, (d + a * c) % N)
@@ -472,10 +479,11 @@ def test_alphabet_is_built_on_access_only(tmp_path, monkeypatch, ctx28):
 
 def test_setup_and_evaluation_build_no_gamma1_transversal(tmp_path, monkeypatch, capsys, ctx28):
     """precompute, save, load, fast_sum and `sum --trace` never build the
-    Gamma1 transversal: the slot tables are all they read.  `t_sl2` and
-    `potential` are views, each built on its first access and then kept."""
+    Gamma1 transversal: the slot tables are all they read.  `t_sl2` is a
+    view, built on its first access and then kept, and the rows the slot
+    tables hold are those of the context the fixture precomputed."""
 
-    real, members, potential = cosets.transversal_g1_in_sl2, ctx28.t_sl2.members, ctx28.potential
+    real, members = cosets.transversal_g1_in_sl2, ctx28.t_sl2.members
 
     def refuse(*args, **kwargs):
         raise AssertionError("the Gamma1 transversal was built")
@@ -498,8 +506,8 @@ def test_setup_and_evaluation_build_no_gamma1_transversal(tmp_path, monkeypatch,
     built = []
     monkeypatch.setattr(dedekind, "transversal_g1_in_sl2", lambda *a: built.append(a) or real(*a))
     for c in (ctx, loaded):
-        assert c.t_sl2 is c.t_sl2 and c.potential is c.potential
-        assert c.t_sl2.members == ctx28.t_sl2.members and c.potential == ctx28.potential
+        assert c.t_sl2 is c.t_sl2
+        assert c.t_sl2.members == members and potential(c) == potential(ctx28)
     assert built == [(28, ctx.p1), (28, loaded.p1)]
 
 
@@ -793,7 +801,7 @@ def gamma0_matrices(draw, N, max_c=10**60):
 def _slots(ctx, gamma):
     """The walk's end key lambda, read off the word's unsigned product,
     and gamma's word with its slot keys."""
-    w = ts_decompose(gamma, nearest=True)
+    w = ts_decompose(gamma)
     keys = modified_rewrite(w, ctx.t_sl2, product=gamma)
     return unsigned_product(w).d % ctx.N, w, keys
 
@@ -832,15 +840,15 @@ def test_potential_terms_match_alphabet_terms(contexts, name, data):
     else:
         gamma = data.draw(gamma0_matrices(ctx.N))
     _, w, keys = _slots(ctx, gamma)
-    potential = CycElem.zero(ctx.L)
+    summed = CycElem.zero(ctx.L)
     for _, kind, m, row in reduce_word(w, keys, ctx):
         assert m != 0 and (m == 1 or kind == "T")
         assert any(row), kind
-        potential = potential + as_cyc(ctx, row)  # the row already holds m times the total
+        summed = summed + as_cyc(ctx, row)  # the row already holds m times the total
     reference = CycElem.zero(ctx.L)
     for key, gen, m in alphabet_terms(as_factors(w, keys, ctx.N), ctx.N):
         reference = reference + m * alphabet_sum(ctx, key, gen)
-    assert potential == reference
+    assert summed == reference
 
 
 @settings(max_examples=300, deadline=None)
@@ -853,13 +861,13 @@ def test_slot_keys_match_the_factor_reference(contexts, name, data):
     Gamma0, puts T^0 at either end."""
     ctx, N = contexts[name], contexts[name].N
     gamma = data.draw(st.one_of(gamma0_matrices(N), st.sampled_from(_zero_row_words(N))))
-    nearest = data.draw(st.booleans())
+    decompose = data.draw(st.sampled_from((ts_decompose, floor_word)))
     trim = data.draw(st.sampled_from(("", "left", "right", "both")))
     if trim in ("left", "both"):
-        gamma = Mat2.t_power(-ts_decompose(gamma, nearest=nearest).exponents[0]) * gamma
+        gamma = Mat2.t_power(-decompose(gamma).exponents[0]) * gamma
     if trim in ("right", "both"):
-        gamma = gamma.mul_t_power(-ts_decompose(gamma, nearest=nearest).exponents[-1])
-    w = ts_decompose(gamma, nearest=nearest)
+        gamma = gamma.mul_t_power(-decompose(gamma).exponents[-1])
+    w = decompose(gamma)
     assert trim not in ("left", "both") or w.exponents[0] == 0
     assert trim not in ("right", "both") or w.exponents[-1] == 0
     keys = modified_rewrite(w, ctx.t_sl2, product=gamma)
@@ -904,16 +912,17 @@ def test_slot_tables_hold_the_potential_objects(contexts, name):
     ctx = contexts[name]
     N, zero = ctx.N, ctx.zero
     assert len(ctx.t_slot) == len(ctx.s_slot) == N * N
+    rows = potential(ctx)
     for i, (orbit, step) in enumerate(zip(ctx.t_slot, ctx.s_slot)):
-        row = ctx.potential.get(divmod(i, N))
+        row = rows.get(divmod(i, N))
         if row is None:
             assert orbit is None and step is None, i
             continue
         assert orbit is (None if row.total is zero else row), i
         assert step is (None if row.step.row is zero else row.step), i
     if name == "ctx28_shifted":  # rows that are 0 in every real table
-        assert ctx.t_slot[1] is ctx.potential[0, 1]
-        assert ctx.s_slot[N - 1] is ctx.potential[0, N - 1].step
+        assert ctx.t_slot[1] is rows[0, 1]
+        assert ctx.s_slot[N - 1] is rows[0, N - 1].step
 
 
 def test_slot_tables_follow_the_generator_sums(ctx35_l12):
@@ -928,7 +937,7 @@ def test_slot_tables_follow_the_generator_sums(ctx35_l12):
     point = (31, 34)
     k = next(s for s in keys[1::2] if classes[divmod(s, N)][0] == point)
     shifted = _shifted(ctx, [(point, ("S", 1))])
-    assert shifted.s_slot[k] is shifted.potential[divmod(k, N)].step is not ctx.s_slot[k]
+    assert shifted.s_slot[k] is potential(shifted)[divmod(k, N)].step is not ctx.s_slot[k]
     twist = dedekind._twists(ctx.chi1, ctx.chi2, N)
     over = [classes[divmod(s, N)][1] for s in keys[1::2] if classes[divmod(s, N)][0] == point]
     assert len({twist[lam] for lam in over}) == 3
@@ -956,7 +965,7 @@ def test_fast_sum_reads_sums_g0_at_the_end_key(contexts):
     mats += [Mat2(s, 0, N * b, s) for s in (1, -1) for b in range(-5, 6)]
     seen = Counter()
     for m in mats:
-        w = ts_decompose(m, nearest=True)
+        w = ts_decompose(m)
         end = unsigned_product(w).d % N  # the walk's end key (0, end)
         delta = fast_sum(shifted, m) - fast_sum(ctx, m)
         assert delta == (third if end == lam else CycElem.zero(ctx.L)), m
@@ -989,7 +998,7 @@ def _twisted_walk(ctx, gamma) -> CycElem:
     nearest-integer word, walked from the key (0, 1) over P^1, where the
     i-th prefix key is lambda_i k_i: S(gamma) by Reidemeister-Schreier
     over Gamma0(N) itself, with no Gamma1 row and no G."""
-    w = ts_decompose(gamma, nearest=True)
+    w = ts_decompose(gamma)
     letters = "S".join("T" * a if a > 0 else "t" * -a for a in w.exponents)
     twist = dedekind._twists(ctx.chi1, ctx.chi2, ctx.N)
     den, rows = dedekind._generator_rows(ctx.sums_alphabet)
@@ -1011,7 +1020,7 @@ def test_fast_sum_is_the_twisted_walk_on_arbitrary_sums(arbitrary_contexts, name
     N = ctx.N
 
     def short(m):
-        return m.c and sum(map(abs, ts_decompose(m, nearest=True).exponents)) <= 100 * N
+        return m.c and sum(map(abs, ts_decompose(m).exponents)) <= 100 * N
 
     sign = st.sampled_from((1, -1))
     shears = st.builds(lambda s, b: Mat2(s, b, 0, s), sign, st.integers(-3 * N, 3 * N))
@@ -1057,7 +1066,7 @@ def test_fast_sum_over_common_denominator_3(ctx28):
         assert row == expect, (kind, key)
     # the T-orbit of (0, 1) is (0, 1) alone: its total is U(I, T)'s sum
     third = CycElem.from_rational(L, Fraction(1, 3))
-    totals = [as_cyc(ctx, ctx.potential[0, 1].total) for ctx in (ctx28, shifted)]
+    totals = [as_cyc(ctx, potential(ctx)[0, 1].total) for ctx in (ctx28, shifted)]
     assert totals[1] == totals[0] + third
     twist = dedekind._twists(ctx28.chi1, ctx28.chi2, N)
     rng = random.Random(3)

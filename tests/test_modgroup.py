@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -8,18 +7,15 @@ from hypothesis import strategies as st
 from gdsum.cosets import transversal_g1_in_g0
 from gdsum.modgroup import (
     I2,
-    WORD_LENGTH_K,
-    _letter_cap,
     Mat2,
     S,
     T,
     TSWord,
     random_gamma0,
-    random_sl2,
     ts_decompose,
     ts_reconstruct,
 )
-from reference_tables import strip_letters
+from reference_tables import in_gamma1, random_sl2, strip_letters
 
 
 def test_constructor_checks_determinant():
@@ -40,10 +36,10 @@ def test_products_and_inverse():
 
 def test_congruence_membership():
     m = Mat2(17, 32, 9, 17)
-    assert m.in_gamma0(9) and not m.in_gamma1(9)
+    assert m.in_gamma0(9) and not in_gamma1(m, 9)
     g1 = Mat2(-152, 137, -81, 73)
-    assert g1.in_gamma1(9)
-    assert I2.in_gamma0(7) and I2.in_gamma1(7)
+    assert in_gamma1(g1, 9)
+    assert I2.in_gamma0(7) and in_gamma1(I2, 7)
     assert not Mat2(1, 0, 1, 1).in_gamma0(5)
 
 
@@ -56,10 +52,14 @@ def test_ts_decompose_basics():
 
 
 def test_ts_word_regression():
+    """The floor-quotient word of criterion 2, and the nearest word the
+    library gives, both rebuild the matrix exactly."""
     g1 = Mat2(-152, 137, -81, 73)
-    w = ts_decompose(g1)
+    w = strip_letters(g1, nearest=False, cap=None)
     assert w == TSWord(True, (1, -2, -2, -2, -2, -2, -2, -2, -11, -1))
     assert ts_reconstruct(w) == g1
+    w = ts_decompose(g1)
+    assert w == TSWord(False, (2, 8, -10, -1)) and ts_reconstruct(w) == g1
 
 
 def test_ts_word_validation():
@@ -89,29 +89,31 @@ def test_roundtrip_gamma0_members():
         assert ts_reconstruct(ts_decompose(m)) == m
 
 
+def _within_nearest_bound(m, w):
+    # letters <= log2|c| + 2, in integers; a shear is one letter
+    return w.letters == 1 if m.c == 0 else 2 ** (w.letters - 2) <= abs(m.c)
+
+
 def test_word_length_logarithmic():
     rng = random.Random(2)
     for _ in range(300):
         m = random_gamma0(9, rng, kmax=10**10, d_shift=1)
-        w = ts_decompose(m)
-        bound = WORD_LENGTH_K * math.log(abs(m.c) + 2) + WORD_LENGTH_K
-        assert w.letters <= bound
+        assert _within_nearest_bound(m, ts_decompose(m))
     for _ in range(300):
         m = random_sl2(rng, 40)
-        w = ts_decompose(m)
-        assert w.letters <= WORD_LENGTH_K * math.log(abs(m.c) + 2) + WORD_LENGTH_K
+        assert _within_nearest_bound(m, ts_decompose(m))
 
 
 def test_word_length_adversarial_ratios():
     # near-ratio-1 columns make floor quotients descend arithmetically;
-    # the decomposition must still come out short and exact
+    # nearest quotients still halve |c| every step
     for c in (10**6, 10**9, 10**12 + 39):
         a = c - 1
         d = pow(a, -1, c)
         m = Mat2(a, (a * d - 1) // c, c, d)
         w = ts_decompose(m)
         assert ts_reconstruct(w) == m
-        assert w.letters <= WORD_LENGTH_K * math.log(c + 2) + WORD_LENGTH_K
+        assert _within_nearest_bound(m, w)
 
 
 def test_determinant_preserved():
@@ -126,14 +128,11 @@ def test_determinant_preserved():
 
 def test_words_equal_the_whole_matrix_euclid(sweep):
     """`ts_decompose` runs Euclid on the first column and solves the last
-    exponent and the sign, so it must give the words of Euclid on the
-    whole matrix, which reads them off the +-T^b it ends at: nearest words
-    exactly, floor words within their cap, else the nearest word."""
+    exponent and the sign, so it must give the nearest words of Euclid on
+    the whole matrix, which reads them off the +-T^b it ends at."""
     assert len(sweep) >= 5000 and any(m.c < 0 for m in sweep)
     for m in sweep:
-        assert ts_decompose(m, nearest=True) == strip_letters(m, nearest=True, cap=None), m
-        floor = strip_letters(m, nearest=False, cap=_letter_cap(m.c))
-        assert ts_decompose(m) == (floor or strip_letters(m, nearest=True, cap=None)), m
+        assert ts_decompose(m) == strip_letters(m, nearest=True, cap=None), m
 
 
 def test_decompose_deterministic():
@@ -161,7 +160,7 @@ def words(draw):
     """A product T^k1 S T^k2 S ..., so any sign and size of entry appears."""
     m = I2
     for k in draw(st.lists(st.integers(-(10**20), 10**20), max_size=6)):
-        m = m.mul_t_power(k).mul_s()
+        m = m.mul_t_power(k) * S
     return m
 
 

@@ -8,11 +8,23 @@ import pytest
 
 import gdsum
 from gdsum import modgroup
-from gdsum.cosets import schreier_alphabet, transversal_g0_in_sl2, transversal_g1_in_sl2, u_func
+from gdsum.cosets import transversal_g0_in_sl2, transversal_g1_in_sl2
 from gdsum.dedekind import fast_sum, naive_sum
-from gdsum.modgroup import I2, Mat2, S, T, random_gamma0, random_sl2, ts_decompose
+from gdsum.modgroup import I2, Mat2, S, T, random_gamma0, ts_decompose
 from gdsum.rewriter import RewriteFactor, Term, as_factors, format_factor, format_term, modified_rewrite
-from reference_tables import expand_factor, full_alphabet, reduce_t_power, reduce_word, unsigned_product
+from reference_tables import (
+    bar,
+    expand_factor,
+    full_alphabet,
+    gamma1_alphabet,
+    in_gamma1,
+    random_sl2,
+    reduce_t_power,
+    reduce_word,
+    strip_letters,
+    u_func,
+    unsigned_product,
+)
 from word_faults import FAULTS, stand_in
 
 FACTOR_COUNT_K = 9
@@ -33,7 +45,7 @@ def classic_rewrite(word, t):
     if len(word) > CLASSIC_MAX_LETTERS:
         raise ValueError(f"classic rewriting capped at {CLASSIC_MAX_LETTERS} letters")
     h = _word_product(word)
-    if not h.in_gamma1(t.N):
+    if not in_gamma1(h, t.N):
         raise ValueError(f"word product {h} is not in Gamma1({t.N})")
     out = []
     prefix = I2
@@ -41,12 +53,12 @@ def classic_rewrite(word, t):
         g = T if name == "T" else S
         if eps == 1:
             # base is the rep of the prefix before this letter
-            out.append((u_func(t.bar(prefix), g, t), 1))
+            out.append((u_func(bar(t, prefix), g, t), 1))
             prefix = prefix * g
         else:
             # base is the rep of the prefix including this letter
             prefix = prefix * g.inv()
-            out.append((u_func(t.bar(prefix), g, t), -1))
+            out.append((u_func(bar(t, prefix), g, t), -1))
     return out
 
 
@@ -74,7 +86,7 @@ def _random_gamma1_words(N, rng, count, max_len=12):
     words = []
     while len(words) < count:
         word = [(rng.choice("TS"), rng.choice((1, -1))) for _ in range(rng.randint(1, max_len))]
-        if _word_product(word).in_gamma1(N):
+        if in_gamma1(_word_product(word), N):
             words.append(word)
     return words
 
@@ -87,7 +99,7 @@ def test_classic_rewrite_reconstructs():
         assert len(factors) == len(word)
         prod = I2
         for u, eps in factors:
-            assert u.in_gamma1(9)
+            assert in_gamma1(u, 9)
             prod = prod * (u if eps == 1 else u.inv())
         assert prod == _word_product(word)
 
@@ -113,7 +125,7 @@ def test_classic_rewrite_five_letter_pattern():
     assert [eps for _, eps in factors] == [1, 1, 1, -1, -1]
     prod = I2
     for u, eps in factors:
-        assert u.in_gamma1(2)
+        assert in_gamma1(u, 2)
         prod = prod * (u if eps == 1 else u.inv())
     assert prod == -Mat2.t_power(3)
 
@@ -142,14 +154,15 @@ def test_classic_matches_modified_products():
             modified = modified * expand_factor(f, t)
         # the factors times the member at the walk's end key (0, +-1)
         unsigned = unsigned_product(w)
-        assert classic == target and modified * t.bar(unsigned) == unsigned
+        assert classic == target and modified * bar(t, unsigned) == unsigned
         assert unsigned in (target, -target)
 
 
 def test_modified_rewrite_worked_word():
+    # the floor-quotient word of criterion 2
     t = transversal_g1_in_sl2(9)
     g1 = Mat2(-152, 137, -81, 73)
-    w = ts_decompose(g1)
+    w = strip_letters(g1, nearest=False, cap=None)
     factors = as_factors(w, modified_rewrite(w, t), 9)
     expected = [
         ((0, 1), "T", 1),
@@ -198,12 +211,12 @@ def test_modified_rewrite_rejects_outsiders():
     with pytest.raises(ValueError, match="not in Gamma0"):
         modified_rewrite(ts_decompose(Mat2(1, 0, 1, 1)), t)
     w = ts_decompose(Mat2(8, 7, 9, 8))
-    assert not Mat2(8, 7, 9, 8).in_gamma1(9)
+    assert not in_gamma1(Mat2(8, 7, 9, 8), 9)
     assert len(modified_rewrite(w, t)) == 2 * w.letters - 1
 
 
 def test_checks_survive_stripped_asserts():
-    # under python -O, the product check of modified_rewrite, the Gamma1
+    # under python -O, the product check of modified_rewrite, the Gamma0
     # check of schreier_alphabet and the key check of transversal_g1_in_sl2
     # still raise
     code = """if True:
@@ -212,11 +225,12 @@ def test_checks_survive_stripped_asserts():
         from gdsum.rewriter import modified_rewrite
         t = transversal_g1_in_sl2(9)
         p1 = transversal_g0_in_sl2(9)
+        bad = Transversal(9, "p1", {**p1.members, (1, 0): Mat2(1, 1, 0, 1)}, p1.classes)
         g1 = Mat2(10, 1, 9, 1)
         for call in (
             lambda: modified_rewrite(ts_decompose(g1), t, product=Mat2(1, 0, 9, 1)),
-            lambda: schreier_alphabet(9, Transversal(9, "sl2", {**t.members, (0, 1): Mat2(0, -1, 1, 0)})),
-            lambda: transversal_g1_in_sl2(9, Transversal(9, "p1", {**p1.members, (1, 0): Mat2(1, 1, 0, 1)}, p1.classes)),
+            lambda: schreier_alphabet(9, bad),
+            lambda: transversal_g1_in_sl2(9, bad),
         ):
             try:
                 call()
@@ -245,8 +259,8 @@ def test_a_wrong_word_is_refused(monkeypatch, ctx9, chi3, fault):
     place, an interior exponent, the last quotient, the solved last
     exponent or the sign, makes it and `fast_sum`, which rebuilds no
     product, raise ValueError naming the matrix."""
-    assert ts_decompose(CHECKED, nearest=True).letters == 9
-    for call in (lambda: ts_decompose(CHECKED, nearest=True), lambda: fast_sum(ctx9, CHECKED)):
+    assert ts_decompose(CHECKED).letters == 9
+    for call in (lambda: ts_decompose(CHECKED), lambda: fast_sum(ctx9, CHECKED)):
         with monkeypatch.context() as patch:
             patch.setattr(modgroup, *stand_in(modgroup, fault, CHECKED), raising=False)
             with pytest.raises(ValueError, match=r"word product \(.*\) is not \(416911, 407685; 512937, 501586\)"):
@@ -264,7 +278,7 @@ def test_modified_rewrite_checks_gamma0_at_its_end_key(N):
     mats += [Mat2(1, 0, N * k + r, 1) for k in (0, 3) for r in (1, N - 1)]
     refused = 0
     for m in mats + [-m for m in mats]:
-        w = ts_decompose(m, nearest=True)
+        w = ts_decompose(m)
         if m.in_gamma0(N):
             assert len(modified_rewrite(w, p1)) == 2 * w.letters - 1
             continue
@@ -288,7 +302,7 @@ def test_word_check_survives_stripped_asserts():
         chi = find_character(3, [(2, "1/2")])
         ctx, m, word = precompute(chi, chi), Mat2(416911, 407685, 512937, 501586), modgroup.TSWord
         for fault in FAULTS:
-            for call in (lambda: ts_decompose(m, nearest=True), lambda: fast_sum(ctx, m)):
+            for call in (lambda: ts_decompose(m), lambda: fast_sum(ctx, m)):
                 name, fake = stand_in(modgroup, fault, m)
                 setattr(modgroup, name, fake)
                 try:
@@ -300,7 +314,7 @@ def test_word_check_survives_stripped_asserts():
                     vars(modgroup).pop("divmod", None)
         for N in (9, 28, 35):
             try:
-                modified_rewrite(ts_decompose(Mat2(1, 0, N + 1, 1), nearest=True), transversal_g0_in_sl2(N))
+                modified_rewrite(ts_decompose(Mat2(1, 0, N + 1, 1)), transversal_g0_in_sl2(N))
             except ValueError as exc:
                 print("ValueError:", exc)
         print("debug", __debug__)
@@ -355,14 +369,14 @@ def test_reduce_word_preserves_product():
         factors = as_factors(w, modified_rewrite(w, t), N)
         unsigned = unsigned_product(w)
         assert unsigned in (m, -m)
-        assert expand_reduced(reduce_word(factors, N), alphabet) * t.bar(unsigned) == unsigned
+        assert expand_reduced(reduce_word(factors, N), alphabet) * bar(t, unsigned) == unsigned
 
 
 def test_reconstruction_many_levels():
     rng = random.Random(3)
     for N in (6, 9, 12):
         t = transversal_g1_in_sl2(N)
-        alphabet = schreier_alphabet(N, t)
+        alphabet = gamma1_alphabet(N, t)
         vals = [v for v in alphabet.values() if v != I2]
         for _ in range(200):
             m = I2
@@ -374,7 +388,7 @@ def test_reconstruction_many_levels():
             for f in factors:
                 prod = prod * expand_factor(f, t)
             unsigned = unsigned_product(w)
-            assert unsigned in (m, -m) and prod * t.bar(unsigned) == unsigned
+            assert unsigned in (m, -m) and prod * bar(t, unsigned) == unsigned
 
 
 def test_factor_count_logarithmic():

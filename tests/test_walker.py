@@ -16,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gdsum.cosets import transversal_g1_in_sl2
-from gdsum.modgroup import I2, Mat2, ts_decompose, ts_reconstruct
+from gdsum.modgroup import I2, Mat2, S, ts_decompose, ts_reconstruct
 from gdsum.rewriter import as_factors, modified_rewrite
-from reference_tables import full_alphabet, reduce_word, unsigned_product
+from reference_tables import floor_word, full_alphabet, key_of, reduce_word, unsigned_product
 
 LEVELS = (6, 9, 28)
 
@@ -35,11 +35,11 @@ def _matrix_rewrite(w, t, product):
     prefix = I2
     for idx, a in enumerate(w.exponents):
         if a != 0:
-            out.append((t.key_of(prefix), "T", a))
+            out.append((key_of(t, prefix), "T", a))
             prefix = prefix.mul_t_power(a)
         if idx < len(w.exponents) - 1:
-            out.append((t.key_of(prefix), "S", 1))
-            prefix = prefix.mul_s()
+            out.append((key_of(t, prefix), "S", 1))
+            prefix = prefix * S
     assert (-prefix if w.negate else prefix) == product
     return out
 
@@ -87,7 +87,7 @@ def gamma0_elements(draw, max_c=10**60):
 def test_key_walk_matches_matrix_prefixes(case, nearest):
     N, gamma = case
     t = _tables(N)[0]
-    w = ts_decompose(gamma, nearest=nearest)
+    w = ts_decompose(gamma) if nearest else floor_word(gamma)
     factors = as_factors(w, modified_rewrite(w, t, product=gamma), N)
     expected = _matrix_rewrite(w, t, gamma)
     assert [tuple(f) for f in factors] == expected
@@ -112,20 +112,20 @@ def test_terms_times_end_member_multiply_to_gamma(case):
     multiply to gamma, or to -gamma when negated."""
     N, gamma = case
     t, alphabet = _tables(N)
-    w = ts_decompose(gamma, nearest=True)
+    w = ts_decompose(gamma)
     terms = reduce_word(as_factors(w, modified_rewrite(w, t, product=gamma), N), N)
     prod = I2
     for key, gen, m in terms:
         prod = prod * _power(alphabet[key, gen], m)
     unsigned = -gamma if w.negate else gamma
-    assert t.key_of(unsigned) == (0, (-1 if w.negate else 1) * gamma.d % N)
-    assert prod * t.members[t.key_of(unsigned)] == unsigned == unsigned_product(w)
+    assert key_of(t, unsigned) == (0, (-1 if w.negate else 1) * gamma.d % N)
+    assert prod * t.members[key_of(t, unsigned)] == unsigned == unsigned_product(w)
 
 
 @settings(max_examples=500, deadline=None)
 @given(sl2_matrices())
 def test_nearest_decomposition_is_short_and_exact(m):
-    w = ts_decompose(m, nearest=True)
+    w = ts_decompose(m)
     assert ts_reconstruct(w) == m
     # letters <= log2|c| + 2, in integers
     assert 2 ** (w.letters - 2) <= abs(m.c)

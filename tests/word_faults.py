@@ -22,7 +22,7 @@ def stand_in(modgroup, fault, m):
         return "TSWord", lambda negate, exps: word(not negate, exps)
     if fault == "last exponent":
         return "TSWord", lambda negate, exps: word(negate, (*exps[:-1], exps[-1] + 1))
-    at, calls = 2 if fault == "interior exponent" else modgroup.ts_decompose(m, nearest=True).letters - 1, []
+    at, calls = 2 if fault == "interior exponent" else modgroup.ts_decompose(m).letters - 1, []
 
     def faulty_divmod(a, c):
         calls.append(None)
