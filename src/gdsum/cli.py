@@ -63,7 +63,8 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, run):
+        p.set_defaults(run=run)
         p.add_argument("--chi1", required=True, help='character spec, e.g. "q=5;g=2;v=3/4"')
         p.add_argument("--chi2", required=True, help='character spec, e.g. "q=7;g=3;v=5/6"')
         p.add_argument("--cache-dir", default=".gdsum-cache", help="directory for table caches")
@@ -75,11 +76,11 @@ def _build_parser() -> _Parser:
         )
 
     p = sub.add_parser("precompute", help="build and cache the tables for a pair")
-    add_common(p)
+    add_common(p, cmd_precompute)
     p.add_argument("--force", action="store_true", help="rebuild even if cached")
 
     p = sub.add_parser("sum", help="evaluate one sum")
-    add_common(p)
+    add_common(p, cmd_sum)
     p.add_argument("--matrix", required=True, help='matrix "a,b;c,d"')
     p.add_argument(
         "--naive",
@@ -89,13 +90,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--trace", action="store_true", help="print the word and the terms it adds")
 
     p = sub.add_parser("verify", help="randomized exact verification suites")
-    add_common(p)
+    add_common(p, cmd_verify)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cmax", type=int, default=2000, help=f"largest c tested, N to {NAIVE_CUTOFF}")
 
     p = sub.add_parser("bench", help="fast-vs-naive timing sweep, CSV output")
-    add_common(p)
+    add_common(p, cmd_bench)
     p.add_argument("--kmin", type=int, required=True)
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--samples", type=int, default=5, help="matrices per k")
@@ -264,14 +265,11 @@ def run_verify(ctx: Context, *, trials: int, seed: int, cmax: int) -> VerifyRepo
     N = ctx.N
 
     # every Gamma0-transversal sum against the double sum
-    bad = []
+    bad, sums_g0 = [], ctx.sums_g0
     for d, mem in ctx.t_g0.members.items():
-        expect = naive_sum(ctx.chi1, ctx.chi2, mem) if mem != I2 else None
-        if expect is not None and expect != ctx.sums_g0[d]:
-            bad.append(f"d={d}: table {ctx.sums_g0[d]} vs oracle {expect}")
-    report.record(
-        "transversal-sums", not bad, bad[0] if bad else f"{len(ctx.t_g0)} entries"
-    )
+        if mem != I2 and (expect := naive_sum(ctx.chi1, ctx.chi2, mem)) != sums_g0[d]:
+            bad.append(f"d={d}: table {sums_g0[d]} vs oracle {expect}")
+    report.record("transversal-sums", not bad, bad[0] if bad else f"{len(ctx.t_g0)} entries")
 
     # random stored sums, but those of +-I, with |c| <= cmax against the double sum
     checkable = [(k, m) for k, m in ctx.alphabet.items() if (m.c or m.b) and abs(m.c) <= cmax]
@@ -294,8 +292,7 @@ def run_verify(ctx: Context, *, trials: int, seed: int, cmax: int) -> VerifyRepo
     report.record("oracle-equivalence", not bad, bad[0] if bad else f"{trials} matrices")
 
     # crossed homomorphism under the double sum
-    bad = []
-    done = 0
+    bad, done = [], 0
     while done < trials:
         ga = random_gamma0(N, rng, kmax=max(1, min(kmax, 8)))
         gb = random_gamma0(N, rng, kmax=max(1, min(kmax, 8)))
@@ -385,13 +382,7 @@ def main(argv=None) -> int:
             argv[i : i + 2] = ["--matrix=" + argv[i + 1]]
     try:
         args = parser.parse_args(argv)
-        handler = {
-            "precompute": cmd_precompute,
-            "sum": cmd_sum,
-            "verify": cmd_verify,
-            "bench": cmd_bench,
-        }[args.command]
-        return handler(args)
+        return args.run(args)
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

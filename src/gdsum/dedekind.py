@@ -36,9 +36,9 @@ powers everything here:
 
 The generator sums are a dict keyed like their alphabet, (k, ("T", 1)) and
 (k, ("S", 1)), with one shared CycElem per distinct sum.  `_generator_rows`
-turns them into integer rows over one common denominator D (1 for every
-pair tried), so the solve, the checks, the derived rows and `fast_sum`'s
-accumulation are integer adds and root-of-unity turns.
+turns them into integer rows over one common denominator D (3 at N = 9,
+5 at N = 35 with L = 12), so the solve, the checks, the derived rows, G
+and `fast_sum`'s column sums are integer adds and root-of-unity turns.
 """
 
 from __future__ import annotations
@@ -202,8 +202,9 @@ class Context:
     `_solve` finds and the cache stores.  `__post_init__` derives only what
     `fast_sum` reads, in integers over the common denominator `den`: `N`,
     `L` and `parity_ok` (chi1*chi2(-1) = 1); `t_g0` (Gamma1(N) in
-    Gamma0(N), keyed by d mod N) and `sums_g0`, the sums G(lambda) of its
-    members, one of which ends each walk; and the slot tables.  With F(k)
+    Gamma0(N), keyed by d mod N) and `g_rows[lambda]`, the row of the sum
+    G(lambda) of its member, one of which ends each walk (`sums_g0` builds
+    their CycElems on each access); and the slot tables.  With F(k)
     the sum of the Gamma1 generator sums s_T along k's T-orbit up to k and
     Sigma the orbit total, the cocycle identity gives, for every integer a,
 
@@ -230,7 +231,7 @@ class Context:
     L: int = field(init=False)
     parity_ok: bool = field(init=False)
     t_g0: Transversal = field(init=False, compare=False, repr=False)
-    sums_g0: dict = field(init=False, compare=False, repr=False)
+    g_rows: list = field(init=False, compare=False, repr=False)
     den: int = field(init=False, compare=False)
     zero: tuple = field(init=False, compare=False, repr=False)
     t_slot: list = field(init=False, compare=False, repr=False)
@@ -239,6 +240,10 @@ class Context:
     @property
     def alphabet(self) -> dict:
         return schreier_alphabet(self.N, self.p1)
+
+    @property
+    def sums_g0(self) -> dict:
+        return _cyc_rows(self.L, self.den, {lam: self.g_rows[lam] for lam in self.t_g0.members})
 
     @cached_property
     def t_sl2(self) -> Transversal:
@@ -255,8 +260,7 @@ class Context:
         twist = _twists(chi1, chi2, N)
         self.den, rows = _generator_rows(self.sums_alphabet)
         self.t_g0 = transversal_g1_in_g0(N)
-        g_rows = _gamma0_rows(L, p1, rows, twist, self.t_g0)
-        self.sums_g0 = _cyc_rows(L, self.den, g_rows)
+        self.g_rows = g_rows = _gamma0_rows(L, p1, rows, twist, self.t_g0)
         self.t_slot, self.s_slot = _slot_tables(L, p1, rows, g_rows, twist, zero)
 
 
@@ -286,8 +290,9 @@ def precompute(
     `record.phases`.  Levels above DEFAULT_LEVEL_LIMIT need allow_large.
     """
     ctx, stats, _, laps = _build(chi1, chi2, allow_large)
+    sums_g0 = ctx.sums_g0
     for d, m in ctx.t_g0.members.items():
-        if m != I2 and sum_on_gamma0(chi1, chi2, m) != ctx.sums_g0[d]:
+        if m != I2 and sum_on_gamma0(chi1, chi2, m) != sums_g0[d]:
             raise ValueError(f"the Gamma0 transversal sum at d = {d} breaks the cocycle identity")
     if laps:
         _lap(laps)
@@ -479,14 +484,14 @@ def _walk(L: int, p1: Transversal, twist: dict, key, letters: str) -> list:
     return terms
 
 
-def _gamma0_rows(L: int, p1: Transversal, rows: dict, twist: dict, t_g0: Transversal) -> dict:
+def _gamma0_rows(L: int, p1: Transversal, rows: dict, twist: dict, t_g0: Transversal) -> list:
     """G(lambda) = S(g_lambda) for the members of `t_g0`, as rows over the
-    denominator of the Gamma0 generator rows `rows`, from g_lambda's T/S
-    word walked from the identity's point.  The walk ends there too, whose
-    member is I, so the generators multiply to the word: g_lambda or
-    -g_lambda, which has the same sum (S(-I) = 0, and psi(-1) = 1 unless
-    every sum is 0)."""
-    out = {}
+    denominator of the Gamma0 generator rows `rows` indexed by lambda (None
+    at non-units), from g_lambda's T/S word walked from the identity's
+    point.  The walk ends there too, whose member is I, so the generators
+    multiply to the word: g_lambda or -g_lambda, which has the same sum
+    (S(-I) = 0, and psi(-1) = 1 unless every sum is 0)."""
+    out = [None] * p1.N
     for lam, g in t_g0.members.items():
         word = ts_decompose(g).exponents
         letters = "S".join("T" * a if a > 0 else "t" * -a for a in word)
@@ -552,22 +557,20 @@ def fast_sum(ctx: Context, gamma: Mat2) -> CycElem:
     (0, lambda), lambda = d mod N, or -d mod N when the word is negated.
     The unsigned word is then its U-factors times g_lambda, and
     S(-W) = psi(-1) S(W) = S(W) whenever any sum is nonzero, so S(gamma)
-    is the sum of the U-factors plus G(lambda) = `ctx.sums_g0[lambda]`.
+    is the sum of the U-factors plus G(lambda).
     `reduce_word` turns the keys into terms: the S-step row at each S slot
     and a multiple of the orbit total at each T slot that wraps around its
-    T-orbit, none for a zero row.  Their rows are summed column by column
-    into numerators over `ctx.den`; each nonzero one becomes a Fraction
-    added to G(lambda).  `ts_decompose` checks the word's exact product,
-    so no matrix is rebuilt here.
+    T-orbit, none for a zero row.  Their rows and G's integer row
+    `ctx.g_rows[lambda]` are summed column by column into numerators over
+    `ctx.den`, and each becomes one Fraction.  `ts_decompose` checks the
+    word's exact product, so no matrix is rebuilt here.
     """
     d = split_gamma0(ctx, gamma)
     word = ts_decompose(gamma)
     terms = reduce_word(word, modified_rewrite(word, ctx.p1), ctx)
-    acc = map(sum, zip(ctx.zero, *map(itemgetter(3), terms)))  # ctx.zero keeps each column
-    g = ctx.sums_g0[-d % ctx.N if word.negate else d]
-    return CycElem._raw(
-        ctx.L, tuple(x + Fraction(n, ctx.den) if n else x for x, n in zip(g.coeffs, acc))
-    )
+    g, den = ctx.g_rows[-d % ctx.N if word.negate else d], ctx.den
+    acc = map(sum, zip(g, *map(itemgetter(3), terms)))
+    return CycElem._raw(ctx.L, tuple([Fraction(n, den) for n in acc]))
 
 
 def crossed_hom_check(chi1, chi2, ga: Mat2, gb: Mat2) -> bool:

@@ -49,7 +49,11 @@ class Mat2:
             cols = row.split(",")
             if len(cols) != 2:
                 raise ValueError(f"matrix row {row!r} must have two ,-separated entries")
-            entries.extend(int(col.strip()) for col in cols)
+            for col in cols:
+                try:
+                    entries.append(int(col))
+                except ValueError:
+                    raise ValueError(f"matrix entry {col.strip()!r} in {text!r} is not an integer") from None
         return cls(*entries)
 
     def __mul__(self, other):

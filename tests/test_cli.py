@@ -2,14 +2,12 @@ import csv
 import dataclasses
 import json
 import logging
-from fractions import Fraction
 
 import pytest
 
 from gdsum import cli, dedekind, find_character
 from gdsum.cli import main, run_verify
 from gdsum.dedekind import load_context, naive_sum, sum_on_gamma0
-from gdsum.exactnum import CycElem
 from gdsum.modgroup import Mat2
 from reference_tables import derived_mismatches
 
@@ -344,6 +342,12 @@ def test_sum_rejects_non_member(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_sum_names_a_non_integer_matrix_entry(tmp_path, capsys):
+    assert main(["sum", *_pair_args(tmp_path), "--matrix", "a,b;c,d"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: matrix entry 'a' in 'a,b;c,d' is not an integer\n"
+
+
 def test_usage_errors_exit_1(tmp_path, capsys):
     assert main(["sum", "--chi1", CHI3]) == 1
     assert main(["bogus"]) == 1
@@ -419,9 +423,11 @@ def test_verify_detects_corruption(tmp_path, capsys, monkeypatch):
 
     def corrupted_load(path, **kwargs):
         # the cache does not store the Gamma0 transversal sums G, which the
-        # context derives: corrupt one on a copy; verify re-checks all of them
+        # context derives: corrupt the integer row of one on a copy; verify
+        # re-checks all of them
         ctx = dataclasses.replace(load_context(path, **kwargs))
-        ctx.sums_g0 = {**ctx.sums_g0, 2: CycElem.from_rational(ctx.L, Fraction(7, 3))}
+        ctx.g_rows = list(ctx.g_rows)
+        ctx.g_rows[2] = (7,) * len(ctx.zero)
         return ctx
 
     monkeypatch.setattr(cli, "load_context", corrupted_load)

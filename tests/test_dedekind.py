@@ -100,19 +100,39 @@ def test_naive_sum_reduces_its_integers_like_fractions(request, monkeypatch, nam
     value is the Fraction reduction of the same numerators over 2 q1 c,
     and all of them together are the values pinned before the change."""
     ctx = request.getfixturevalue(name)
-    N, q1, numerators = ctx.N, ctx.chi1.modulus, []
+    q1, numerators = ctx.chi1.modulus, []
     monkeypatch.setattr(dedekind, "_reduce", lambda L, raw: numerators.append(raw[:]) or exactnum._reduce(L, raw))
     values = []
+    for gamma in _sweep_matrices(ctx.N):
+        value = naive_sum(ctx.chi1, ctx.chi2, gamma)
+        (raw,) = numerators
+        numerators.clear()
+        assert all(type(n) is int for n in raw) and len(raw) == ctx.L
+        assert value == CycElem(ctx.L, [Fraction(n, 2 * q1 * gamma.c) for n in raw])
+        values.append(",".join(map(str, value.coeffs)))
+    assert hashlib.sha256("\n".join(values).encode()).hexdigest() == SWEEP_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_DIGESTS))
+def test_fast_sum_gives_the_pinned_sweep_values(request, name):
+    """`fast_sum` on the matrices of the `naive_sum` sweep gives the values
+    pinned there, each coefficient a Fraction whose denominator divides
+    the context's `den`."""
+    ctx, values = request.getfixturevalue(name), []
+    for gamma in _sweep_matrices(ctx.N):
+        value = fast_sum(ctx, gamma)
+        assert all(type(x) is Fraction and ctx.den % x.denominator == 0 for x in value.coeffs), gamma
+        values.append(",".join(map(str, value.coeffs)))
+    assert hashlib.sha256("\n".join(values).encode()).hexdigest() == SWEEP_DIGESTS[name]
+
+
+def _sweep_matrices(N):
+    """Three Gamma0(N) matrices per c = N, 2N, ... <= 2000: a = 1, c - 1
+    and a unit drawn with seed c."""
     for c in range(N, 2001, N):
         for a in (1, c - 1, random.Random(c).choice([a for a in range(1, c) if gcd(a, c) == 1])):
             d = pow(a, -1, c)
-            value = naive_sum(ctx.chi1, ctx.chi2, Mat2(a, (a * d - 1) // c, c, d))
-            (raw,) = numerators
-            numerators.clear()
-            assert all(type(n) is int for n in raw) and len(raw) == ctx.L
-            assert value == CycElem(ctx.L, [Fraction(n, 2 * q1 * c) for n in raw])
-            values.append(",".join(map(str, value.coeffs)))
-    assert hashlib.sha256("\n".join(values).encode()).hexdigest() == SWEEP_DIGESTS[name]
+            yield Mat2(a, (a * d - 1) // c, c, d)
 
 
 def test_naive_sum_rejects_nonpositive_c(chi3):
@@ -703,7 +723,7 @@ def test_load_calls_the_double_sum_at_the_pivots_only(tmp_path, monkeypatch, ctx
     monkeypatch.setattr(dedekind, "precompute", lambda *a, **k: pytest.fail("load called precompute"))
     loaded = load_context(path)
     assert calls == pivots and len(pivots) == 9
-    for name in ("sums_alphabet", "sums_g0", "den", "t_slot", "s_slot"):
+    for name in ("sums_alphabet", "sums_g0", "g_rows", "den", "t_slot", "s_slot"):
         assert getattr(loaded, name) == getattr(ctx, name), name
 
 
@@ -956,9 +976,11 @@ def test_fast_sum_reads_sums_g0_at_the_end_key(contexts):
         assert all(g[d] == g[-d % contexts[name].N] for d in g), name
     ctx, lam = contexts["ctx28"], 3
     N = ctx.N
-    third = CycElem.from_rational(ctx.L, Fraction(1, 3))
-    shifted = dataclasses.replace(ctx)  # G is derived: shift it on a copy
-    shifted.sums_g0 = {**ctx.sums_g0, lam: ctx.sums_g0[lam] + third}
+    one = CycElem.one(ctx.L)
+    shifted = dataclasses.replace(ctx)  # G is derived: shift its integer row by den on a copy
+    shifted.g_rows = list(ctx.g_rows)
+    shifted.g_rows[lam] = (ctx.g_rows[lam][0] + ctx.den, *ctx.g_rows[lam][1:])
+    assert shifted.sums_g0 == {**ctx.sums_g0, lam: ctx.sums_g0[lam] + one}
     rng = random.Random(12)
     mats = [random_gamma0(N, rng, kmax=10**20, d_shift=2) for _ in range(150)]
     mats = [m for g in mats for m in (g, -g, g.inv(), -g.inv())]
@@ -968,7 +990,7 @@ def test_fast_sum_reads_sums_g0_at_the_end_key(contexts):
         w = ts_decompose(m)
         end = unsigned_product(w).d % N  # the walk's end key (0, end)
         delta = fast_sum(shifted, m) - fast_sum(ctx, m)
-        assert delta == (third if end == lam else CycElem.zero(ctx.L)), m
+        assert delta == (one if end == lam else CycElem.zero(ctx.L)), m
         seen[end == lam, w.negate, m.d % N == lam] += 1
     # the end key is lambda for words that are negated or not, and a matrix
     # with d = lambda whose walk ends at -lambda is left alone
