@@ -229,11 +229,13 @@ def parse_spec_fields(spec: str) -> tuple[int, list[tuple[int, Fraction]]]:
         key = key.strip()
         val = val.strip()
         if key == "q":
-            q = int(val)
+            if q is not None:
+                raise ValueError(f"character spec {spec!r} gives q= twice")
+            q = _spec_int("modulus", val, spec)
         elif key == "g":
             if pending_g is not None:
                 raise ValueError(f"dangling generator in character spec {spec!r}")
-            pending_g = int(val)
+            pending_g = _spec_int("generator", val, spec)
         elif key == "v":
             if pending_g is None:
                 raise ValueError(f"value without generator in character spec {spec!r}")
@@ -241,6 +243,8 @@ def parse_spec_fields(spec: str) -> tuple[int, list[tuple[int, Fraction]]]:
                 pairs.append((pending_g, Fraction(val)))
             except ZeroDivisionError:
                 raise ValueError(f"value {val!r} in character spec {spec!r} divides by 0") from None
+            except ValueError:
+                raise ValueError(f"value {val!r} in character spec {spec!r} is not a rational") from None
             pending_g = None
         else:
             raise ValueError(f"unknown field {key!r} in character spec {spec!r}")
@@ -253,19 +257,16 @@ def parse_spec_fields(spec: str) -> tuple[int, list[tuple[int, Fraction]]]:
     return q, pairs
 
 
+def _spec_int(name: str, val: str, spec: str) -> int:
+    try:
+        return int(val)
+    except ValueError:
+        raise ValueError(f"{name} {val!r} in character spec {spec!r} is not an integer") from None
+
+
 def parse_character_spec(spec: str) -> DirichletCharacter:
     """Parse "q=5;g=2;v=3/4" (repeatable g=..;v=.. pairs) to a character."""
     return find_character(*parse_spec_fields(spec))
-
-
-def character_spec_string(chi: DirichletCharacter) -> str:
-    """Canonical spec string (values on the unit-group generators)."""
-    parts = [f"q={chi.modulus}"]
-    for g, _ in unit_group_gens(chi.modulus):
-        k = chi.exponent(g)
-        parts.append(f"g={g}")
-        parts.append(f"v={Fraction(k, chi.order)}")
-    return ";".join(parts)
 
 
 def pair_order(chi1: DirichletCharacter, chi2: DirichletCharacter) -> int:

@@ -1,46 +1,38 @@
-"""Command-line front end: precompute, sum, verify, bench.
+"""Command-line front end: precompute, sum, verify.
 
-Exit codes: 0 success, 1 usage/configuration error, 2 verification failure.
-All randomness is driven by --seed, so reports are reproducible; only the
-wall-clock columns of bench vary between runs.
+Each run builds the pair's context in-process, at most once, and writes no
+file.  Exit codes: 0 success, 1 usage/configuration error, 2 verification
+failure.  All randomness is driven by --seed, so reports are reproducible.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import logging
 import random
 import sys
 import time
 import warnings
 from dataclasses import dataclass, field
-from math import gcd
-from pathlib import Path
 
-from .characters import character_spec_string, find_character, parse_spec_fields
+from .characters import find_character, parse_spec_fields
 from .dedekind import (
     DEFAULT_LEVEL_LIMIT,
     Context,
-    LevelError,
     ParityWarning,
     _validate_pair,
-    cache_filename,
     crossed_hom_check,
     fast_sum,
-    load_context,
     naive_sum,
     precompute,
-    save_context,
     split_gamma0,
     sum_on_gamma0,
 )
 from .modgroup import I2, Mat2, random_gamma0, ts_decompose
 from .rewriter import as_factors, format_factor, format_term, modified_rewrite, reduce_word
 
-# Largest lower-left entry for which the double sum is run: the default and
-# limit of `bench --naive-cutoff`, and the limit of `sum --naive` and
-# `verify --cmax`.
+# Largest lower-left entry for which the double sum is run: the limit of
+# `sum --naive` and `verify --cmax`.
 # `naive_sum` walks j < c/2 once, about (c/2) phi(q2)/q2 integer steps:
 # ~10 ms at c = 10^5 for N = 28 (CPython 3.11, one core of a 2-core VM).
 NAIVE_CUTOFF = 10**5
@@ -67,7 +59,6 @@ def _build_parser() -> _Parser:
         p.set_defaults(run=run)
         p.add_argument("--chi1", required=True, help='character spec, e.g. "q=5;g=2;v=3/4"')
         p.add_argument("--chi2", required=True, help='character spec, e.g. "q=7;g=3;v=5/6"')
-        p.add_argument("--cache-dir", default=".gdsum-cache", help="directory for table caches")
         p.add_argument(
             "--allow-large-n",
             action="store_true",
@@ -75,9 +66,8 @@ def _build_parser() -> _Parser:
             "any character is built (the tables hold |keys| ~ N^2 rows)",
         )
 
-    p = sub.add_parser("precompute", help="build and cache the tables for a pair")
+    p = sub.add_parser("precompute", help="build the tables for a pair and summarize them")
     add_common(p, cmd_precompute)
-    p.add_argument("--force", action="store_true", help="rebuild even if cached")
 
     p = sub.add_parser("sum", help="evaluate one sum")
     add_common(p, cmd_sum)
@@ -94,23 +84,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cmax", type=int, default=2000, help=f"largest c tested, N to {NAIVE_CUTOFF}")
-
-    p = sub.add_parser("bench", help="fast-vs-naive timing sweep, CSV output")
-    add_common(p, cmd_bench)
-    p.add_argument("--kmin", type=int, required=True)
-    p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--samples", type=int, default=5, help="matrices per k")
-    p.add_argument(
-        "--naive-cutoff", type=int, default=NAIVE_CUTOFF,
-        help=f"skip the double sum above this c, at most {NAIVE_CUTOFF}",
-    )
-    p.add_argument("--output", required=True, help="CSV file to write")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--ar-zero",
-        action="store_true",
-        help="shift d so the trailing T-exponent of each sample is 0",
-    )
     return parser
 
 
@@ -123,39 +96,23 @@ class _StatsCatcher(logging.Handler):
         self.stats = getattr(record, "solve_stats", self.stats)
 
 
-def _level_error(level, where: str = "") -> CliError:
-    return CliError(
-        f"level N = {level} exceeds the guardrail {DEFAULT_LEVEL_LIMIT}{where}; pass --allow-large-n to lift it"
-    )
-
-
 def _pair(args):
     """The requested pair, after the level guardrail and `precompute`'s checks."""
     (q1, gens1), (q2, gens2) = parse_spec_fields(args.chi1), parse_spec_fields(args.chi2)
     if q1 * q2 > DEFAULT_LEVEL_LIMIT and not args.allow_large_n:
-        raise _level_error(f"{q1} * {q2} = {q1 * q2}")
+        raise CliError(
+            f"level N = {q1} * {q2} = {q1 * q2} exceeds the guardrail {DEFAULT_LEVEL_LIMIT}; "
+            "pass --allow-large-n to lift it"
+        )
     chi1, chi2 = find_character(q1, gens1), find_character(q2, gens2)
     _validate_pair(chi1, chi2, args.allow_large_n)
     return chi1, chi2
 
 
-def _load_or_build(args, *, force: bool = False, announce: bool = False) -> Context:
+def _context(args, *, announce: bool = False) -> Context:
+    """The requested pair's context, built by `precompute`; its parity
+    warning goes to stderr, and with `announce` its summary to stdout."""
     chi1, chi2 = _pair(args)
-    cache_dir = Path(args.cache_dir)
-    path = cache_dir / cache_filename(chi1, chi2)
-    if path.exists() and not force:
-        try:
-            ctx = load_context(path, allow_large=args.allow_large_n)
-        except LevelError as exc:  # the stored pair's level, not the requested one's
-            raise _level_error(exc.N, f" in cache {path}") from exc
-        if (ctx.chi1, ctx.chi2) != (chi1, chi2):
-            raise CliError(
-                f"cache {path} holds the pair {_pair_specs(ctx.chi1, ctx.chi2)}, not the requested "
-                f"{_pair_specs(chi1, chi2)}; rebuild it with `gdsum precompute --force`"
-            )
-        if announce:
-            print(f"reusing cache {path}")
-        return ctx
     t0 = time.perf_counter()
     logger, catcher = logging.getLogger("gdsum"), _StatsCatcher()
     level = logger.level
@@ -170,22 +127,16 @@ def _load_or_build(args, *, force: bool = False, announce: bool = False) -> Cont
         logger.setLevel(level)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
-    elapsed = time.perf_counter() - t0
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    save_context(ctx, path)
     if announce:
+        elapsed = time.perf_counter() - t0
         # the solve's pivots, then one check per Gamma0 transversal member but I
         calls = catcher.stats.oracle_calls + len(ctx.t_g0) - 1
         print(
             f"precomputed N={ctx.N}: |T_g0|={len(ctx.t_g0)}, |T_sl2|={len(ctx.p1.classes)} keys, "
             f"{len(ctx.p1)} points of P^1, {len(ctx.sums_alphabet)} stored generator sums, "
-            f"order L={ctx.L}, {calls} oracle calls ({elapsed:.2f} s) -> {path}"
+            f"order L={ctx.L}, {calls} oracle calls ({elapsed:.2f} s)"
         )
     return ctx
-
-
-def _pair_specs(chi1, chi2) -> str:
-    return f'"{character_spec_string(chi1)}" x "{character_spec_string(chi2)}"'
 
 
 def _format_value(v) -> str:
@@ -194,7 +145,7 @@ def _format_value(v) -> str:
 
 
 def cmd_precompute(args) -> int:
-    _load_or_build(args, force=args.force, announce=True)
+    _context(args, announce=True)
     return 0
 
 
@@ -206,10 +157,10 @@ def cmd_sum(args) -> int:
             f"cutoff {NAIVE_CUTOFF}, so drop --naive to use the table path"
         )
     if args.naive and not args.trace:
-        # the double sum needs the pair alone: no table is loaded or built
+        # the double sum needs the pair alone: no table is built
         print(_format_value(sum_on_gamma0(*_pair(args), gamma)))
         return 0
-    ctx = _load_or_build(args)
+    ctx = _context(args)
     if args.trace:
         _print_trace(ctx, gamma)
     value = sum_on_gamma0(ctx.chi1, ctx.chi2, gamma) if args.naive else fast_sum(ctx, gamma)
@@ -312,65 +263,13 @@ def cmd_verify(args) -> int:
     N = parse_spec_fields(args.chi1)[0] * parse_spec_fields(args.chi2)[0]
     if not N <= args.cmax <= NAIVE_CUTOFF:
         raise CliError(f"--cmax must lie between N = {N} and the double-sum cutoff {NAIVE_CUTOFF}")
-    ctx = _load_or_build(args)
+    ctx = _context(args)
     report = run_verify(ctx, trials=args.trials, seed=args.seed, cmax=args.cmax)
     for name, ok, detail in report.lines:
         print(f"{'PASS' if ok else 'FAIL'}  {name}  ({detail})")
     if not report.ok:
         print(f"{len(report.failures)} suite(s) failed; first counterexamples above")
         return 2
-    return 0
-
-
-def _bench_matrix(N: int, c: int, rng, ar_zero: bool) -> Mat2:
-    while True:
-        a = rng.randrange(1, c)
-        if gcd(a, c) == 1:
-            break
-    d = pow(a, -1, c)
-    b = (a * d - 1) // c
-    gamma = Mat2(a, b, c, d)
-    if ar_zero:
-        # shifting d by m*c adds m to the trailing exponent
-        tail = ts_decompose(gamma).exponents[-1]
-        if tail:
-            gamma = gamma.mul_t_power(-tail)
-            assert ts_decompose(gamma).exponents[-1] == 0
-    return gamma
-
-
-def cmd_bench(args) -> int:
-    if args.kmin < 1 or args.kmax < args.kmin:
-        raise CliError("need 1 <= kmin <= kmax")
-    if args.samples < 1:
-        raise CliError("--samples must be at least 1")
-    if args.naive_cutoff > NAIVE_CUTOFF:
-        raise CliError(f"--naive-cutoff must not exceed the double-sum cutoff {NAIVE_CUTOFF}")
-    ctx = _load_or_build(args)
-    rng = random.Random(args.seed)
-    rows = []
-    for k in range(args.kmin, args.kmax + 1):
-        c = ctx.N * k
-        mats = [_bench_matrix(ctx.N, c, rng, args.ar_zero) for _ in range(args.samples)]
-        fast_sum(ctx, mats[0])  # warm-up
-        t0 = time.perf_counter()
-        for m in mats:
-            fast_sum(ctx, m)
-        fast_mean = (time.perf_counter() - t0) / len(mats)
-        naive_mean = ""
-        if c <= args.naive_cutoff:
-            t0 = time.perf_counter()
-            for m in mats:
-                naive_sum(ctx.chi1, ctx.chi2, m)
-            naive_mean = (time.perf_counter() - t0) / len(mats)
-        rows.append((k, c, len(mats), fast_mean, naive_mean))
-    out = Path(args.output)
-    with out.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "c", "n_samples", "fast_mean_s", "naive_mean_s"])
-        for k, c, n, fast_mean, naive_mean in rows:
-            writer.writerow([k, c, n, f"{fast_mean:.9f}", "" if naive_mean == "" else f"{naive_mean:.9f}"])
-    print(f"wrote {len(rows)} rows to {out}")
     return 0
 
 

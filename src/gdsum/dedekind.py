@@ -58,7 +58,6 @@ from typing import NamedTuple
 
 from .characters import (
     DirichletCharacter,
-    character_spec_string,
     find_character,
     pair_order,
     parity_product,
@@ -661,7 +660,7 @@ def load_context(path, *, allow_large: bool = False) -> Context:
         if data.get("version") != CACHE_VERSION:
             raise ValueError(
                 f"cache version {data.get('version')!r} is not {CACHE_VERSION}; "
-                "rebuild it with `gdsum precompute --force`"
+                "rebuild it with `save_context(precompute(chi1, chi2), path)`"
             )
         stored = data["chi1"], data["chi2"]
         if not all(type(c["q"]) is int and c["q"] >= 1 for c in stored):
@@ -678,7 +677,7 @@ def load_context(path, *, allow_large: bool = False) -> Context:
         if name not in data or name not in rebuilt or json.dumps(data[name]) != json.dumps(rebuilt[name]):
             raise ValueError(
                 f"cache {path}: its field {name!r} is not what the stored pair gives; "
-                "rebuild it with `gdsum precompute --force`"
+                "rebuild it with `save_context(precompute(chi1, chi2), path)`"
             )
     if laps:
         stats = LoadStats(len(ctx.p1), len(ctx.p1.classes), relations, stats.oracle_calls)
@@ -719,9 +718,3 @@ def _check_relations(chi1, chi2, p1: Transversal, sums: dict) -> int:
             raise ValueError(f"U(r, T) and U(r, S) sums over P^1 at key {k} break {name}")
     return checked
 
-
-def cache_filename(chi1: DirichletCharacter, chi2: DirichletCharacter) -> str:
-    def slug(chi):
-        return character_spec_string(chi).replace(";", "_").replace("=", "").replace("/", "-")
-
-    return f"sums_{slug(chi1)}__{slug(chi2)}.json"

@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gdsum.characters import (
-    character_spec_string,
     characters_mod,
     euler_phi,
     find_character,
@@ -16,6 +15,7 @@ from gdsum.characters import (
     parity_product,
     parse_character_spec,
     psi,
+    unit_group_gens,
 )
 from gdsum.exactnum import CycElem, root_of_unity
 from gdsum.modgroup import Mat2, random_gamma0
@@ -176,7 +176,10 @@ def _primitive_characters(max_q=64):
 @given(st.data(), st.booleans())
 def test_character_spec_round_trip(data, spaced):
     chi = data.draw(st.sampled_from(_primitive_characters()))
-    spec = character_spec_string(chi)
+    spec = ";".join(
+        [f"q={chi.modulus}"]
+        + [f"g={g};v={Fraction(chi.exponent(g), chi.order)}" for g, _ in unit_group_gens(chi.modulus)]
+    )
     if spaced:
         spec = " " + spec.replace(";", " ; ").replace("=", " = ") + " "
     assert parse_character_spec(spec) == chi
@@ -194,3 +197,5 @@ def test_parse_character_spec():
         parse_character_spec("q=5;g=2")
     with pytest.raises(ValueError):
         parse_character_spec("q=5;x=1")
+    with pytest.raises(ValueError, match="value 'x' in character spec 'q=5;g=2;v=x' is not a rational"):
+        parse_character_spec("q=5;g=2;v=x")

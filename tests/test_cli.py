@@ -1,4 +1,3 @@
-import csv
 import dataclasses
 import json
 import logging
@@ -7,35 +6,68 @@ import pytest
 
 from gdsum import cli, dedekind, find_character
 from gdsum.cli import main, run_verify
-from gdsum.dedekind import load_context, naive_sum, sum_on_gamma0
+from gdsum.dedekind import load_context, naive_sum, precompute, save_context, sum_on_gamma0
 from gdsum.modgroup import Mat2
 from reference_tables import derived_mismatches
 
 CHI3 = "q=3;g=2;v=1/2"
-CHI4 = "q=4;g=3;v=1/2"
-CHI7 = "q=7;g=3;v=5/6"
+PAIR = ["--chi1", CHI3, "--chi2", CHI3]
 
 
-def _pair_args(cache_dir):
-    return ["--chi1", CHI3, "--chi2", CHI3, "--cache-dir", str(cache_dir)]
+@pytest.fixture
+def builds(monkeypatch):
+    """The pairs the CLI passes to `precompute`, which still runs."""
+    calls, real = [], cli.precompute
+    monkeypatch.setattr(cli, "precompute", lambda *a, **k: calls.append(a) or real(*a, **k))
+    return calls
 
 
-def test_precompute_builds_and_reuses(tmp_path, capsys):
-    assert main(["precompute", *_pair_args(tmp_path)]) == 0
+def test_precompute_prints_its_summary(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for _ in range(2):  # nothing is kept between runs: each builds and prints its summary
+        assert main(["precompute", *PAIR]) == 0
+        out = capsys.readouterr().out
+        assert "N=9" in out and "|T_g0|=6" in out and "|T_sl2|=72" in out
+        # what the context stores: two Gamma0 generator sums per point of P^1
+        assert "|T_sl2|=72 keys, 12 points of P^1, 24 stored generator sums," in out
+        assert out.count("\n") == 1 and out.endswith(" s)\n")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sum", "--matrix", "149,108;189,137"], ["sum", "--matrix", "149,108;189,137", "--trace"], ["verify"]],
+    ids=["sum", "sum-trace", "verify"],
+)
+def test_one_precompute_and_no_file(tmp_path, capsys, monkeypatch, builds, argv):
+    """`sum`, `sum --trace` and `verify` build the pair's context once, in
+    process, and leave their working directory empty."""
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, *PAIR]) == 0
+    assert len(builds) == 1
+    assert not any(tmp_path.iterdir())
     out = capsys.readouterr().out
-    assert "N=9" in out and "|T_g0|=6" in out and "|T_sl2|=72" in out
-    # what the context stores: two Gamma0 generator sums per point of P^1
-    assert "|T_sl2|=72 keys, 12 points of P^1, 24 stored generator sums," in out
-    caches = list(tmp_path.glob("*.json"))
-    assert len(caches) == 1
-    mtime = caches[0].stat().st_mtime_ns
-
-    assert main(["precompute", *_pair_args(tmp_path)]) == 0
-    assert "reusing" in capsys.readouterr().out
-    assert caches[0].stat().st_mtime_ns == mtime
+    if argv[0] == "sum":
+        assert out.splitlines()[-2] == "-2/3"
+    else:
+        assert "FAIL" not in out
 
 
-def test_precompute_reports_oracle_calls(tmp_path, capsys, monkeypatch):
+def test_parity_warning_on_every_run(capsys):
+    """A pair with chi1*chi2(-1) = -1: each `sum` run builds its own
+    context, so each prints the one parity warning line, and the sum 0."""
+    pair = ["--chi1", CHI3, "--chi2", "q=5;g=2;v=1/2"]
+    for _ in range(2):
+        assert main(["sum", *pair, "--matrix", "2,1;15,8"]) == 0
+        out, err = capsys.readouterr()
+        assert err == (
+            "warning: chi1*chi2(-1) != 1 for the pair mod (3, 5); "
+            "the double sum vanishes for such a pair, so every sum is 0\n"
+        )
+        assert out.splitlines()[0] == "0"
+
+
+def test_precompute_reports_oracle_calls(capsys, monkeypatch):
     calls = []
 
     def oracle(chi1, chi2, gamma):
@@ -44,22 +76,22 @@ def test_precompute_reports_oracle_calls(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(dedekind, "sum_on_gamma0", oracle)
     level = logging.getLogger("gdsum").level
-    assert main(["precompute", *_pair_args(tmp_path)]) == 0
+    assert main(["precompute", *PAIR]) == 0
     out, err = capsys.readouterr()
     assert 0 < len(calls) < 72 and f"L=2, {len(calls)} oracle calls (" in out
     assert err == ""  # the DEBUG line is caught, not printed
     assert logging.getLogger("gdsum").level == level
 
 
-def test_sum_kernel_matrix(tmp_path, capsys):
-    rc = main(["sum", *_pair_args(tmp_path), "--matrix", "17,32;9,17"])
+def test_sum_kernel_matrix(capsys):
+    rc = main(["sum", *PAIR, "--matrix", "17,32;9,17"])
     assert rc == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "0"
 
 
-def test_sum_naive_flag_matches(tmp_path, capsys):
-    args = ["sum", *_pair_args(tmp_path), "--matrix", "20,17;27,23"]
+def test_sum_naive_flag_matches(capsys):
+    args = ["sum", *PAIR, "--matrix", "20,17;27,23"]
     assert main(args) == 0
     fast_out = capsys.readouterr().out
     assert main([*args, "--naive"]) == 0
@@ -68,18 +100,8 @@ def test_sum_naive_flag_matches(tmp_path, capsys):
     assert fast_out.splitlines()[0] == "2/3"
 
 
-def test_sum_with_and_without_cache_reload(tmp_path, capsys):
-    args = ["sum", *_pair_args(tmp_path), "--matrix", "149,108;189,137"]
-    assert main(args) == 0
-    first = capsys.readouterr().out
-    # second run goes through the cache file
-    assert main(args) == 0
-    assert capsys.readouterr().out == first
-    assert first.splitlines()[0] == "-2/3"
-
-
-def test_sum_trace(tmp_path, capsys):
-    rc = main(["sum", *_pair_args(tmp_path), "--matrix", "101,33;153,50", "--trace"])
+def test_sum_trace(capsys):
+    rc = main(["sum", *PAIR, "--matrix", "101,33;153,50", "--trace"])
     assert rc == 0
     out = capsys.readouterr().out
     # the nearest-integer word the evaluator walks: negated, so the walk
@@ -96,34 +118,23 @@ def test_sum_trace(tmp_path, capsys):
         "5 of 8 factors add a zero row\n-34/3\n"
     ) in out
     # every factor of this word adds a zero row, so no term at all
-    assert main(["sum", *_pair_args(tmp_path), "--matrix", "17,32;9,17", "--trace"]) == 0
+    assert main(["sum", *PAIR, "--matrix", "17,32;9,17", "--trace"]) == 0
     out = capsys.readouterr().out
     assert "= T^2 S T^9 S T^2\nthe walk ends at key (0, 8)" in out
     assert "  none\n5 of 5 factors add a zero row\n0\n" in out
     # a Gamma0 transversal member, here negated: its factors add no term,
     # and its sum is G(7) = G(2)
-    assert main(["sum", *_pair_args(tmp_path), "--matrix", "5,1;9,2", "--trace"]) == 0
+    assert main(["sum", *PAIR, "--matrix", "5,1;9,2", "--trace"]) == 0
     out = capsys.readouterr().out
     assert "the walk ends at key (0, 7), whose member is g = (4, 3; 9, 7)\n" in out
     assert "  none\n6 of 6 factors add a zero row\n-2/3\n" in out
-    # the same terms after a precompute and after a load, whose keys come in
-    # another order
-    for _ in range(2):
-        args = _pair_args(tmp_path / "fresh")
-        rc = main(["sum", *args, "--matrix", "101,33;153,50", "--trace"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert (
-            "  S-step row at (1, 3)\n  6 * orbit total at (3, 8)\n  S-step row at (3, 5)\n"
-            "5 of 8 factors add a zero row\n-34/3\n"
-        ) in out
 
 
 @pytest.mark.parametrize("matrix", ["107,-42;1470,-577", "743,-527;1400,-993", "67,42;595,373"])
-def test_sum_trace_l12(tmp_path, capsys, matrix):
+def test_sum_trace_l12(capsys, matrix):
     # N = 35, L = 12: degree-4 rows; the first word is negated, so its walk
     # ends at (0, -d mod 35), and the third adds no term
-    args = ["sum", "--chi1", "q=5;g=2;v=1/4", "--chi2", "q=7;g=3;v=1/6", "--cache-dir", str(tmp_path)]
+    args = ["sum", "--chi1", "q=5;g=2;v=1/4", "--chi2", "q=7;g=3;v=1/6"]
     assert main([*args, "--matrix", matrix, "--naive"]) == 0
     naive = capsys.readouterr().out
     assert main([*args, "--matrix", matrix, "--trace"]) == 0
@@ -132,11 +143,11 @@ def test_sum_trace_l12(tmp_path, capsys, matrix):
 
 
 @pytest.mark.parametrize("matrix", ["-1,0;0,-1", "-107,42;-1470,577"])
-def test_sum_matrix_starting_with_minus(tmp_path, capsys, matrix):
+def test_sum_matrix_starting_with_minus(capsys, matrix):
     """A --matrix value that starts with "-" is read as spaced as after "=";
     a dash value for another option, or an option after --matrix, is
     still an error."""
-    pair = ["--chi1", "q=5;g=2;v=1/4", "--chi2", "q=7;g=3;v=1/6", "--cache-dir", str(tmp_path)]
+    pair = ["--chi1", "q=5;g=2;v=1/4", "--chi2", "q=7;g=3;v=1/6"]
     assert main(["sum", *pair, f"--matrix={matrix}"]) == 0
     attached = capsys.readouterr().out
     assert main(["sum", *pair, "--matrix", matrix]) == 0
@@ -146,30 +157,7 @@ def test_sum_matrix_starting_with_minus(tmp_path, capsys, matrix):
         assert "expected one argument" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["sum", "verify"])
-def test_foreign_cache_exits_1(tmp_path, capsys, command):
-    # a cache built for one pair, copied over the file name of another pair
-    # of the same level, is refused rather than evaluated
-    other = "q=7;g=3;v=1/6"
-    pair = ["--chi1", CHI4, "--chi2", other, "--cache-dir", str(tmp_path)]
-    assert main(["precompute", "--chi1", CHI4, "--chi2", CHI7, "--cache-dir", str(tmp_path / "a")]) == 0
-    assert main(["precompute", *pair]) == 0
-    capsys.readouterr()
-    (cache,) = tmp_path.glob("*.json")
-    cache.write_bytes(next((tmp_path / "a").glob("*.json")).read_bytes())
-    extra = ["--matrix", "81,47;112,65"] if command == "sum" else ["--trials", "2"]
-    assert main([command, *pair, *extra]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error:") and "precompute --force" in err
-    assert f'"{CHI7}"' in err and f'"{other}"' in err
-    # the rebuild the message names gives the pair's own value
-    assert main(["precompute", *pair, "--force"]) == 0
-    assert main(["sum", *pair, "--matrix", "81,47;112,65"]) == 0
-    assert capsys.readouterr().out.splitlines()[-2] == "1 + 3*z"
-
-
-def test_sum_naive_rejects_huge_c(tmp_path, capsys, monkeypatch):
+def test_sum_naive_rejects_huge_c(capsys, monkeypatch, builds):
     # a 60-digit c, of either sign: the double sum would never return, so
     # the one `cli` calls raises here, and a regressed cutoff fails at once
     def no_double_sum(*args):
@@ -178,34 +166,30 @@ def test_sum_naive_rejects_huge_c(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "sum_on_gamma0", no_double_sum)
     c = 9 * 10**59
     for matrix in (f"1,0;{c},1", f"1,0;-{c},1"):
-        rc = main(["sum", *_pair_args(tmp_path), "--matrix", matrix, "--naive"])
+        rc = main(["sum", *PAIR, "--matrix", matrix, "--naive"])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "cutoff" in err
-        assert not list(tmp_path.glob("*.json"))  # rejected before any precompute
+        assert not builds  # rejected before any precompute
     # the table path takes the same matrix
-    assert main(["sum", *_pair_args(tmp_path), "--matrix", f"1,0;{c},1"]) == 0
+    assert main(["sum", *PAIR, "--matrix", f"1,0;{c},1"]) == 0
 
 
-def test_sum_naive_builds_no_table(tmp_path, capsys, monkeypatch):
+def test_sum_naive_builds_no_table(capsys, monkeypatch):
     """--naive evaluates the double sum from the pair alone: without
-    --trace no table is loaded or built, and the cache directory stays
-    empty; --naive --trace still reads the table it explains."""
+    --trace no table is built; --naive --trace still builds the table it
+    explains."""
 
     def no_table(*args, **kwargs):
-        raise AssertionError("a table was loaded or built")
+        raise AssertionError("a table was built")
 
     monkeypatch.setattr(cli, "precompute", no_table)
-    monkeypatch.setattr(cli, "load_context", no_table)
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    pair = ["--chi1", "q=7;g=3;v=1/6", "--chi2", "q=11;g=2;v=1/2", "--cache-dir", str(cache)]
+    pair = ["--chi1", "q=7;g=3;v=1/6", "--chi2", "q=11;g=2;v=1/2"]
     args = ["sum", *pair, "--matrix", "3,2;385,257", "--naive"]
     assert main(args) == 0
     chi1, chi2 = find_character(7, [(3, "1/6")]), find_character(11, [(2, "1/2")])
     value = naive_sum(chi1, chi2, Mat2(3, 2, 385, 257))
     assert capsys.readouterr().out.splitlines()[0] == str(value) == "4/7 + 2/7*z"
-    assert not any(cache.iterdir())
     with pytest.raises(AssertionError, match="table"):
         main([*args, "--trace"])
 
@@ -213,32 +197,35 @@ def test_sum_naive_builds_no_table(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize(
     "matrix", ["-1,0;0,-1", "1,-7;0,1", "-1,3;0,-1", "1,0;-70,1", "-107,42;-1470,577"]
 )
-def test_sum_naive_takes_nonpositive_c(tmp_path, capsys, monkeypatch, matrix):
+def test_sum_naive_takes_nonpositive_c(capsys, monkeypatch, matrix):
     """--naive evaluates -I, the shears +-T^b and matrices with c < 0 by the
-    double sum's closure, with no table loaded or built, and prints what
-    the table path prints."""
-    pair = ["--chi1", "q=5;g=2;v=1/4", "--chi2", "q=7;g=3;v=1/6", "--cache-dir", str(tmp_path)]
+    double sum's closure, with no table built, and prints what the table
+    path prints."""
+    pair = ["--chi1", "q=5;g=2;v=1/4", "--chi2", "q=7;g=3;v=1/6"]
     assert main(["sum", *pair, "--matrix", matrix]) == 0
     fast = capsys.readouterr().out
 
     def no_table(*args, **kwargs):
-        raise AssertionError("a table was loaded or built")
+        raise AssertionError("a table was built")
 
     monkeypatch.setattr(cli, "precompute", no_table)
-    monkeypatch.setattr(cli, "load_context", no_table)
     assert main(["sum", *pair, "--matrix", matrix, "--naive"]) == 0
     assert capsys.readouterr().out == fast
 
 
 def test_cached_conductor_one_pair_exits_1(tmp_path, capsys, monkeypatch):
-    """A table built for a pair `precompute` rejects (chi2 of conductor 1),
-    stored under that pair's cache name, is refused like the pair itself."""
+    """A table built for a pair `precompute` rejects (chi2 of conductor 1)
+    and saved is refused by `load_context` like the pair itself, and the
+    CLI refuses the pair with that one error line."""
     chi1, chi2 = find_character(5, [(2, "1/2")]), find_character(1, [])
     with monkeypatch.context() as m:
         m.setattr(dedekind, "_validate_pair", lambda *pair: None)
-        ctx = dedekind.precompute(chi1, chi2)
-    dedekind.save_context(ctx, tmp_path / dedekind.cache_filename(chi1, chi2))
-    pair = ["--chi1", "q=5;g=2;v=1/2", "--chi2", "q=1", "--cache-dir", str(tmp_path)]
+        ctx = precompute(chi1, chi2)
+    cache = tmp_path / "ctx5.json"
+    save_context(ctx, cache)
+    with pytest.raises(ValueError, match="chi2 must have conductor > 1"):
+        load_context(cache)
+    pair = ["--chi1", "q=5;g=2;v=1/2", "--chi2", "q=1"]
     for command in (["sum", "--matrix", "2,1;5,3"], ["sum", "--matrix", "2,1;5,3", "--naive"], ["verify"]):
         assert main([*command, *pair]) == 1
         out, err = capsys.readouterr()
@@ -258,10 +245,9 @@ MALFORMED = {
 
 @pytest.mark.parametrize("wrong_type", [False, True], ids=["deleted", "wrong-type"])
 @pytest.mark.parametrize("key", sorted(MALFORMED))
-def test_malformed_cache_exits_1(tmp_path, capsys, key, wrong_type):
-    assert main(["precompute", *_pair_args(tmp_path)]) == 0
-    capsys.readouterr()
-    cache = next(tmp_path.glob("*.json"))
+def test_malformed_cache_exits_1(tmp_path, ctx9, key, wrong_type):
+    cache = tmp_path / "ctx9.json"
+    save_context(ctx9, cache)
     data = json.loads(cache.read_text())
     assert set(data) == set(MALFORMED)
     if wrong_type:
@@ -271,98 +257,82 @@ def test_malformed_cache_exits_1(tmp_path, capsys, key, wrong_type):
     cache.write_text(json.dumps(data))
     with pytest.raises(ValueError):
         load_context(cache)
-    assert main(["sum", *_pair_args(tmp_path), "--matrix", "17,32;9,17"]) == 1
-    assert capsys.readouterr().err.startswith("error:")
 
 
 @pytest.mark.parametrize("key", [" 0,1", "+0,1", "00,1", "0,01", "0, 1", "0,1 "])
-def test_cache_key_not_written_c_d_exits_1(tmp_path, capsys, key):
+def test_cache_key_not_written_c_d_exits_1(tmp_path, ctx9, key):
     """A stored key must read "c,d" as the cache writes it: int() would
     also take these forms, and two of them could name one point; the sums
     rebuilt from the stored pair are keyed otherwise."""
-    assert main(["precompute", *_pair_args(tmp_path)]) == 0
-    capsys.readouterr()
-    cache = next(tmp_path.glob("*.json"))
+    cache = tmp_path / "ctx9.json"
+    save_context(ctx9, cache)
     data = json.loads(cache.read_text())
     data["sums_alphabet"]["S"][key] = data["sums_alphabet"]["S"].pop("0,1")
     cache.write_text(json.dumps(data))
     with pytest.raises(ValueError, match="field 'sums_alphabet' is not what the stored pair gives"):
         load_context(cache)
-    assert main(["sum", *_pair_args(tmp_path), "--matrix", "17,32;9,17"]) == 1
-    assert capsys.readouterr().err.startswith("error:")
 
 
-def test_load_refuses_a_level_above_the_guardrail(tmp_path, capsys, monkeypatch):
+def test_load_refuses_a_level_above_the_guardrail(tmp_path, monkeypatch):
     """A cache of level N = 143 loads only with allow_large, and without it
-    is refused before any transversal is built; under a small pair's file
-    name, `gdsum sum` exits 1 naming the level, or with --allow-large-n
-    loads it and refuses it as another pair's."""
+    is refused before any transversal is built."""
     chi1, chi2 = find_character(11, [(2, "1/2")]), find_character(13, [(2, "1/12")])
     big = tmp_path / "big.json"
-    dedekind.save_context(dedekind.precompute(chi1, chi2, allow_large=True), big)
+    save_context(precompute(chi1, chi2, allow_large=True), big)
     assert load_context(big, allow_large=True).N == 143
     with monkeypatch.context() as m:
         m.setattr(dedekind, "transversal_g0_in_sl2", lambda N: pytest.fail("a transversal was built"))
         with pytest.raises(ValueError, match="level N = 143 exceeds the guardrail 80"):
             load_context(big)
-    cache_dir = tmp_path / "cache"
-    assert main(["precompute", *_pair_args(cache_dir)]) == 0
-    capsys.readouterr()
-    next(cache_dir.glob("*.json")).write_bytes(big.read_bytes())
-    assert main(["sum", *_pair_args(cache_dir), "--matrix", "17,32;9,17"]) == 1
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: level N = 143 exceeds the guardrail")
-    assert main(["sum", *_pair_args(cache_dir), "--allow-large-n", "--matrix", "17,32;9,17"]) == 1
-    assert "holds the pair" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["sum", "verify"])
-def test_a_stored_level_above_the_guardrail_names_the_cli_flag(tmp_path, capsys, command):
-    """The N = 143 pair saved under the file name of a pair at N = 9: the
-    CLI exits 1 with an error line naming --allow-large-n, its own way to
-    lift the guardrail, not the library's allow_large=True, which a
-    library caller of `load_context` still reads."""
+def test_a_stored_level_above_the_guardrail_names_the_cli_flag(tmp_path, capsys, monkeypatch, command):
+    """The N = 143 pair: `load_context` refuses its saved context with an
+    error naming allow_large=True, the library's way to lift the guardrail,
+    and the CLI, before it builds any character, exits 1 with an error line
+    naming --allow-large-n, its own way."""
     chi1, chi2 = find_character(11, [(2, "1/2")]), find_character(13, [(2, "1/12")])
-    chi3 = find_character(3, [(2, "1/2")])
-    cache = tmp_path / dedekind.cache_filename(chi3, chi3)
-    dedekind.save_context(dedekind.precompute(chi1, chi2, allow_large=True), cache)
+    cache = tmp_path / "ctx143.json"
+    save_context(precompute(chi1, chi2, allow_large=True), cache)
     with pytest.raises(ValueError, match="pass allow_large=True"):
         load_context(cache)
-    args = [command, *_pair_args(tmp_path)] + (["--matrix", "17,32;9,17"] if command == "sum" else [])
-    assert main(args) == 1
+    monkeypatch.setattr(cli, "find_character", lambda *a: pytest.fail("a character was built"))
+    pair = ["--chi1", "q=11;g=2;v=1/2", "--chi2", "q=13;g=2;v=1/12"]
+    assert main([command, *pair] + (["--matrix", "1,0;143,1"] if command == "sum" else [])) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
-    assert err.startswith("error: level N = 143 exceeds the guardrail 80 in cache ")
+    assert err.startswith("error: level N = 11 * 13 = 143 exceeds the guardrail 80; ")
     assert "--allow-large-n" in err and "allow_large" not in err
 
 
-def test_sum_rejects_non_member(tmp_path, capsys):
-    rc = main(["sum", *_pair_args(tmp_path), "--matrix", "1,0;5,1"])
+def test_sum_rejects_non_member(capsys):
+    rc = main(["sum", *PAIR, "--matrix", "1,0;5,1"])
     assert rc == 1
     assert "error" in capsys.readouterr().err
 
 
-def test_sum_names_a_non_integer_matrix_entry(tmp_path, capsys):
-    assert main(["sum", *_pair_args(tmp_path), "--matrix", "a,b;c,d"]) == 1
+def test_sum_names_a_non_integer_matrix_entry(capsys):
+    assert main(["sum", *PAIR, "--matrix", "a,b;c,d"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err == "error: matrix entry 'a' in 'a,b;c,d' is not an integer\n"
 
 
-def test_usage_errors_exit_1(tmp_path, capsys):
+def test_usage_errors_exit_1(capsys):
     assert main(["sum", "--chi1", CHI3]) == 1
     assert main(["bogus"]) == 1
-    assert main(["sum", *_pair_args(tmp_path), "--matrix", "1,2;3"]) == 1
+    assert main(["sum", *PAIR, "--matrix", "1,2;3"]) == 1
     assert main(["precompute", "--chi1", "q=3;g=2", "--chi2", CHI3]) == 1
 
 
-def test_conductor_one_rejected(tmp_path, capsys):
-    rc = main(["precompute", "--chi1", "q=1", "--chi2", CHI3, "--cache-dir", str(tmp_path)])
+def test_conductor_one_rejected(capsys):
+    rc = main(["precompute", "--chi1", "q=1", "--chi2", CHI3])
     assert rc == 1
     assert "conductor" in capsys.readouterr().err
 
 
-def test_verify_passes(tmp_path, capsys):
-    rc = main(["verify", *_pair_args(tmp_path), "--trials", "8", "--seed", "3", "--cmax", "600"])
+def test_verify_passes(capsys):
+    rc = main(["verify", *PAIR, "--trials", "8", "--seed", "3", "--cmax", "600"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "PASS  oracle-equivalence" in out
@@ -395,159 +365,54 @@ def test_verify_checks_derived_rows(ctx9):
 @pytest.mark.parametrize(
     "cmax, rc", [("9", 0), ("100000", 0), ("100001", 1), ("100000000000", 1), ("8", 1), ("-5", 1)]
 )
-def test_verify_cmax_range(tmp_path, capsys, cmax, rc):
+def test_verify_cmax_range(capsys, builds, cmax, rc):
     """--cmax runs from N, the smallest c of the level, to the double-sum
     cutoff: above it the double sum would run for O(c) steps, and below N
     every matrix would silently have c = N.  Both are rejected before any
     precompute."""
-    assert main(["verify", *_pair_args(tmp_path), "--trials", "1", "--cmax", cmax]) == rc
+    assert main(["verify", *PAIR, "--trials", "1", "--cmax", cmax]) == rc
     out, err = capsys.readouterr()
     if rc:
         assert err.startswith("error:") and "--cmax" in err and "Traceback" not in err
-        assert not list(tmp_path.glob("*.json"))
+        assert not builds
     else:
         assert "FAIL" not in out
 
 
-def test_verify_deterministic(tmp_path, capsys):
-    args = ["verify", *_pair_args(tmp_path), "--trials", "5", "--seed", "11", "--cmax", "300"]
+def test_verify_deterministic(capsys):
+    args = ["verify", *PAIR, "--trials", "5", "--seed", "11", "--cmax", "300"]
     assert main(args) == 0
     first = capsys.readouterr().out
     assert main(args) == 0
     assert capsys.readouterr().out == first
 
 
-def test_verify_detects_corruption(tmp_path, capsys, monkeypatch):
-    assert main(["precompute", *_pair_args(tmp_path)]) == 0
-    capsys.readouterr()
-
-    def corrupted_load(path, **kwargs):
-        # the cache does not store the Gamma0 transversal sums G, which the
-        # context derives: corrupt the integer row of one on a copy; verify
-        # re-checks all of them
-        ctx = dataclasses.replace(load_context(path, **kwargs))
+def test_verify_detects_corruption(capsys, monkeypatch):
+    def corrupted_precompute(*args, **kwargs):
+        # the context derives the Gamma0 transversal sums G: corrupt the
+        # integer row of one on a copy; verify re-checks all of them
+        ctx = dataclasses.replace(precompute(*args, **kwargs))
         ctx.g_rows = list(ctx.g_rows)
         ctx.g_rows[2] = (7,) * len(ctx.zero)
         return ctx
 
-    monkeypatch.setattr(cli, "load_context", corrupted_load)
-    rc = main(["verify", *_pair_args(tmp_path), "--trials", "4", "--seed", "0", "--cmax", "200"])
+    monkeypatch.setattr(cli, "precompute", corrupted_precompute)
+    rc = main(["verify", *PAIR, "--trials", "4", "--seed", "0", "--cmax", "200"])
     assert rc == 2
     out = capsys.readouterr().out
     assert "FAIL  transversal-sums" in out
     assert "d=2" in out
 
 
-def test_load_rejects_tampered_alphabet(tmp_path, capsys):
-    assert main(["precompute", *_pair_args(tmp_path)]) == 0
-    cache = next(tmp_path.glob("*.json"))
+def test_load_rejects_tampered_alphabet(tmp_path, ctx9):
+    cache = tmp_path / "ctx9.json"
+    save_context(ctx9, cache)
     data = json.loads(cache.read_text())
     # tamper with the stored U(I, S) sum, which most words use
     data["sums_alphabet"]["S"]["0,1"] = ["5/7"]
     cache.write_text(json.dumps(data))
-    rc = main(["sum", *_pair_args(tmp_path), "--matrix", "17,32;9,17"])
-    assert rc == 1
-    assert capsys.readouterr().err.startswith("error:")
-
-
-def test_bench_csv(tmp_path, capsys):
-    out_csv = tmp_path / "bench.csv"
-    rc = main(
-        [
-            "bench",
-            "--chi1",
-            CHI4,
-            "--chi2",
-            CHI7,
-            "--cache-dir",
-            str(tmp_path),
-            "--kmin",
-            "12",
-            "--kmax",
-            "15",
-            "--samples",
-            "4",
-            "--seed",
-            "1",
-            "--output",
-            str(out_csv),
-        ]
-    )
-    assert rc == 0
-    with out_csv.open() as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["k", "c", "n_samples", "fast_mean_s", "naive_mean_s"]
-    assert len(rows) == 5
-    for k, row in zip(range(12, 16), rows[1:]):
-        assert row[0] == str(k)
-        assert row[1] == str(28 * k)
-        assert row[2] == "4"
-        assert float(row[3]) < float(row[4]), "fast should beat the double sum"
-
-
-def test_bench_naive_cutoff(tmp_path):
-    out_csv = tmp_path / "bench.csv"
-    rc = main(
-        [
-            "bench",
-            *_pair_args(tmp_path),
-            "--kmin",
-            "1",
-            "--kmax",
-            "3",
-            "--samples",
-            "2",
-            "--naive-cutoff",
-            "17",
-            "--output",
-            str(out_csv),
-        ]
-    )
-    assert rc == 0
-    rows = list(csv.reader(out_csv.open()))
-    assert rows[1][4] != ""  # c = 9 timed
-    assert rows[2][4] == ""  # c = 18 above cutoff
-    assert rows[3][4] == ""
-
-
-def test_bench_naive_cutoff_above_the_limit_exits_1(tmp_path, capsys, monkeypatch):
-    """`bench --naive-cutoff` stops at NAIVE_CUTOFF, as `sum --naive` and
-    `verify --cmax` do: a larger value is refused before any precompute,
-    and no CSV is written."""
-    monkeypatch.setattr(cli, "precompute", lambda *a, **k: pytest.fail("a table was built"))
-    out_csv = tmp_path / "bench.csv"
-    bench = ["bench", *_pair_args(tmp_path / "cache"), "--kmin", "1", "--kmax", "2", "--output", str(out_csv)]
-    assert main([*bench, "--naive-cutoff", str(cli.NAIVE_CUTOFF + 1)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "--naive-cutoff" in err and str(cli.NAIVE_CUTOFF) in err
-    assert not out_csv.exists() and not (tmp_path / "cache").exists()
-
-
-def test_bench_ar_zero(tmp_path):
-    out_csv = tmp_path / "bench.csv"
-    rc = main(
-        [
-            "bench",
-            *_pair_args(tmp_path),
-            "--kmin",
-            "2",
-            "--kmax",
-            "2",
-            "--samples",
-            "4",
-            "--ar-zero",
-            "--output",
-            str(out_csv),
-        ]
-    )
-    assert rc == 0
-
-
-def test_bench_bad_range(tmp_path, capsys):
-    rc = main(
-        ["bench", *_pair_args(tmp_path), "--kmin", "5", "--kmax", "2", "--output", "x.csv"]
-    )
-    assert rc == 1
+    with pytest.raises(ValueError, match="field 'sums_alphabet' is not what the stored pair gives"):
+        load_context(cache)
 
 
 def test_run_verify_report_structure(ctx9):
@@ -563,31 +428,32 @@ def test_run_verify_report_structure(ctx9):
         ("q=5;g=2;v=1/0", CHI3, "divides by 0"),
         ("q=100003;g=2;v=1/2", CHI3, "guardrail"),
         ("q=1601;g=3;v=1/2", "q=0", "must be a positive integer"),
+        ("q=abc", CHI3, "modulus 'abc' in character spec 'q=abc' is not an integer"),
+        ("q=5;g=x;v=1/2", CHI3, "generator 'x' in character spec 'q=5;g=x;v=1/2' is not an integer"),
+        ("q=7;q=5;g=2;v=1/4", CHI3, "character spec 'q=7;q=5;g=2;v=1/4' gives q= twice"),
     ],
-    ids=["zero-denominator", "huge-modulus", "zero-modulus"],
+    ids=["zero-denominator", "huge-modulus", "zero-modulus", "non-integer-modulus", "non-integer-generator", "repeated-modulus"],
 )
-def test_bad_spec_exits_1(tmp_path, capsys, monkeypatch, chi1, chi2, message):
-    """A zero denominator, a level far above the guardrail and a modulus
-    below 1 are errors; the last two are found before any character table
-    is built, although q1 * q2 = 0 passes the guardrail."""
+def test_bad_spec_exits_1(capsys, monkeypatch, chi1, chi2, message):
+    """A zero denominator, a level far above the guardrail, a modulus below
+    1, a modulus or generator that is not an integer and a second q= are
+    errors, each one line naming the spec; all but the first are found
+    before any character table is built, although q1 * q2 = 0 passes the
+    guardrail."""
 
     def no_tables(*args):
         raise AssertionError("a character table was built")
 
     if message != "divides by 0":
         monkeypatch.setattr(cli, "find_character", no_tables)
-    rc = main(["sum", "--chi1", chi1, "--chi2", chi2, "--cache-dir", str(tmp_path), "--matrix", "1,0;0,1"])
+    rc = main(["sum", "--chi1", chi1, "--chi2", chi2, "--matrix", "1,0;0,1"])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and message in err and "Traceback" not in err
+    assert err.startswith("error:") and message in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])
-def test_nonpositive_counts_exit_1(tmp_path, capsys, count):
-    out_csv = tmp_path / "bench.csv"
-    bench = ["bench", *_pair_args(tmp_path), "--kmin", "1", "--kmax", "2", "--output", str(out_csv)]
-    assert main([*bench, "--samples", count]) == 1
-    assert "--samples" in capsys.readouterr().err and not out_csv.exists()
-    assert main(["verify", *_pair_args(tmp_path), "--trials", count]) == 1
+def test_nonpositive_counts_exit_1(capsys, count):
+    assert main(["verify", *PAIR, "--trials", count]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "--trials" in err
