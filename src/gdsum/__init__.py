@@ -6,8 +6,9 @@ on a finite generating alphabet of Gamma1(q1 q2), reached by an
 exponent-collecting coset rewriting of the matrix's T/S word (time
 logarithmic in the lower-left entry).  Those sums are derived from the
 sums of the Schreier generators of Gamma0(q1 q2), two per point of
-P^1(Z/q1 q2): the only sums a precompute solves and a cache stores.  All arithmetic is exact, in
-cyclotomic fields over the rationals.
+P^1(Z/q1 q2): the only sums a precompute solves.  A cache stores the pair
+alone, and a load builds its context as a precompute does.  All arithmetic
+is exact, in cyclotomic fields over the rationals.
 """
 
 from .characters import (

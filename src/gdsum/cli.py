@@ -21,6 +21,7 @@ from .dedekind import (
     Context,
     ParityWarning,
     _validate_pair,
+    _warn_parity,
     crossed_hom_check,
     fast_sum,
     naive_sum,
@@ -109,6 +110,17 @@ def _pair(args):
     return chi1, chi2
 
 
+def _warned(fn, *args, **kwargs):
+    """fn(*args, **kwargs), printing each warning it raises to stderr as one
+    line, the ParityWarning of a pair with chi1*chi2(-1) != 1 included."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ParityWarning)
+        out = fn(*args, **kwargs)
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    return out
+
+
 def _context(args, *, announce: bool = False) -> Context:
     """The requested pair's context, built by `precompute`; its parity
     warning goes to stderr, and with `announce` its summary to stdout."""
@@ -119,14 +131,10 @@ def _context(args, *, announce: bool = False) -> Context:
     logger.addHandler(catcher)
     logger.setLevel(logging.DEBUG)
     try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", ParityWarning)
-            ctx = precompute(chi1, chi2, allow_large=args.allow_large_n)
+        ctx = _warned(precompute, chi1, chi2, allow_large=args.allow_large_n)
     finally:
         logger.removeHandler(catcher)
         logger.setLevel(level)
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
     if announce:
         elapsed = time.perf_counter() - t0
         # the solve's pivots, then one check per Gamma0 transversal member but I
@@ -158,7 +166,9 @@ def cmd_sum(args) -> int:
         )
     if args.naive and not args.trace:
         # the double sum needs the pair alone: no table is built
-        print(_format_value(sum_on_gamma0(*_pair(args), gamma)))
+        chi1, chi2 = _pair(args)
+        _warned(_warn_parity, chi1, chi2)
+        print(_format_value(sum_on_gamma0(chi1, chi2, gamma)))
         return 0
     ctx = _context(args)
     if args.trace:
@@ -177,7 +187,7 @@ def _print_trace(ctx: Context, gamma: Mat2) -> None:
     lam = -d % ctx.N if w.negate else d
     # the Gamma1 transversal member at (0, lambda) is g_lambda r_(0, 1) = g_lambda
     print(f"the walk ends at key (0, {lam}), whose member is g = {ctx.t_g0.members[lam]}")
-    keys = modified_rewrite(w, ctx.p1, product=gamma)
+    keys = modified_rewrite(w, ctx.p1)
     factors = as_factors(w, keys, ctx.N)
     print("rewritten factors:")
     for f in factors:

@@ -28,10 +28,10 @@ powers everything here:
     than evaluated: the generators +-I have sum 0, and S^2 = -I and
     (ST)^3 = S^2 give twisted identities that fix the others once a few
     pivots come from the double sum (`_solve`);
-  * those 2 mu sums are the one sum format: `_solve` finds them, the cache
-    stores them, and a `Context` is built from them, deriving the two slot
-    tables the evaluator reads (`_slot_tables`).  A load builds the stored
-    pair's context again, as a precompute does (`_build`), and requires the
+  * those 2 mu sums are the one sum format: `_solve` finds them, and a
+    `Context` is built from them, deriving the two slot tables the
+    evaluator reads (`_slot_tables`).  A cache stores only the pair: a load
+    builds its context as a precompute does (`_build`), and requires the
     file to be exactly what that context writes.
 
 The generator sums are a dict keyed like their alphabet, (k, ("T", 1)) and
@@ -80,20 +80,9 @@ from .rewriter import Term, _new, modified_rewrite, reduce_word
 # row per coset key, |keys| ~ N^2, while the double sums grow with mu ~ N.
 DEFAULT_LEVEL_LIMIT = 80
 
-CACHE_VERSION = 4  # bump when what context_to_json writes changes: load rebuilds it and compares
+CACHE_VERSION = 5  # bump when what context_to_json writes changes: load rebuilds it and compares
 
 log = logging.getLogger(__name__)
-
-
-class LevelError(ValueError):
-    """A level N above the guardrail; a front end names its own way to lift it."""
-
-    def __init__(self, N: int):
-        super().__init__(
-            f"level N = {N} exceeds the guardrail {DEFAULT_LEVEL_LIMIT}; pass allow_large=True "
-            f"(the tables would have {sl2_coset_count(N):,} coset keys)"
-        )
-        self.N = N
 
 
 class ParityWarning(UserWarning):
@@ -193,19 +182,20 @@ class OrbitRow(NamedTuple):
 class Context:
     """All precomputed tables for one character pair.
 
-    Immutable after `precompute`; `fast_sum` is pure, so one context can
-    serve concurrent evaluations.  Its inputs are the pair `chi1`, `chi2`;
-    `p1`, the transversal of Gamma0(N) over P^1(Z/N); and `sums_alphabet`,
-    the sums s0 of the 2 mu generators U(r_k, T), U(r_k, S) of `alphabet`
-    (built on each access), keyed (k, ("T", 1)), (k, ("S", 1)): what
-    `_solve` finds and the cache stores.  `__post_init__` derives only what
-    `fast_sum` reads, in integers over the common denominator `den`: `N`,
-    `L` and `parity_ok` (chi1*chi2(-1) = 1); `t_g0` (Gamma1(N) in
-    Gamma0(N), keyed by d mod N) and `g_rows[lambda]`, the row of the sum
-    G(lambda) of its member, one of which ends each walk (`sums_g0` builds
-    their CycElems on each access); and the slot tables.  With F(k)
-    the sum of the Gamma1 generator sums s_T along k's T-orbit up to k and
-    Sigma the orbit total, the cocycle identity gives, for every integer a,
+    Immutable once `precompute` or `load_context` has built it; `fast_sum`
+    is pure, so one context can serve concurrent evaluations.  Its inputs
+    are the pair `chi1`, `chi2`; `p1`, the transversal of Gamma0(N) over
+    P^1(Z/N); and `sums_alphabet`, the sums s0 of the 2 mu generators
+    U(r_k, T), U(r_k, S) of `alphabet` (built on each access), keyed
+    (k, ("T", 1)), (k, ("S", 1)), as `_solve` finds them.  `__post_init__`
+    derives only what `fast_sum` reads, in integers over the common
+    denominator `den`: `N`, `L` and `parity_ok` (chi1*chi2(-1) = 1);
+    `t_g0` (Gamma1(N) in Gamma0(N), keyed by d mod N) and `g_rows[lambda]`,
+    the row of the sum G(lambda) of its member, one of which ends each walk
+    (`sums_g0` builds their CycElems on each access); and the slot tables.
+    With F(k) the sum of the Gamma1 generator sums s_T along k's T-orbit
+    up to k and Sigma the orbit total, the cocycle identity gives, for
+    every integer a,
 
         S(U(t_k, T^a)) = F(k T^a) - F(k) + floor((pos(k) + a) / length) Sigma.
 
@@ -219,7 +209,7 @@ class Context:
     kept, for the benchmark's table comparison and the tests.  Nothing
     derived is passed in, so `dataclasses.replace(ctx, sums_alphabet=...)`
     evaluates the sums it holds, and replacing a derived field raises;
-    `_build` checks the relations.
+    `_build` checks the relations and G.
     """
 
     chi1: DirichletCharacter
@@ -274,21 +264,56 @@ def _validate_pair(chi1, chi2, allow_large: bool):
 
 def _check_level(N: int, allow_large: bool):
     if N > DEFAULT_LEVEL_LIMIT and not allow_large:
-        raise LevelError(N)
+        raise ValueError(
+            f"level N = {N} exceeds the guardrail {DEFAULT_LEVEL_LIMIT}; pass allow_large=True "
+            f"(the tables would have {sl2_coset_count(N):,} coset keys)"
+        )
 
 
 def precompute(
     chi1: DirichletCharacter, chi2: DirichletCharacter, *, allow_large: bool = False
 ) -> Context:
-    """The context of a pair, from its solved and checked Gamma0 generator sums.
+    """The context of a pair, built by `_build`, with a ParityWarning when
+    chi1*chi2(-1) != 1.  Levels above DEFAULT_LEVEL_LIMIT need allow_large."""
+    ctx = _build(chi1, chi2, allow_large)
+    _warn_parity(chi1, chi2)
+    return ctx
 
-    `_build` solves them and checks every twisted relation; then the
-    context's Gamma0 transversal sums must equal the double sum.  One DEBUG
-    line on the `gdsum.dedekind` logger gives the counts and the seconds
-    per phase, timed only when it is logged, as `record.solve_stats` and
-    `record.phases`.  Levels above DEFAULT_LEVEL_LIMIT need allow_large.
-    """
-    ctx, stats, _, laps = _build(chi1, chi2, allow_large)
+
+def _warn_parity(chi1, chi2):
+    """A ParityWarning, to the caller's caller, when chi1*chi2(-1) != 1."""
+    if parity_product(chi1, chi2) != CycElem.one(pair_order(chi1, chi2)):
+        warnings.warn(
+            f"chi1*chi2(-1) != 1 for the pair mod ({chi1.modulus}, {chi2.modulus}); "
+            "the double sum vanishes for such a pair, so every sum is 0",
+            ParityWarning,
+            stacklevel=3,
+        )
+
+
+def _build(chi1, chi2, allow_large: bool) -> Context:
+    """The context of a pair, built one way for `precompute` and for
+    `load_context`: the checks of the pair; `_solve` for the sums of the
+    2 mu Gamma0(N) generators U(r_k, T) and U(r_k, S), two per point k of
+    P^1(Z/N), with the double sum at its pivots only (9 of the 96 at
+    N = 35); every twisted relation of the solve on its rows; the Context;
+    and its Gamma0 transversal sums against the double sum.  One DEBUG line
+    on the `gdsum.dedekind` logger gives the counts and the seconds per
+    phase, timed only when it is logged, as `record.solve_stats` and
+    `record.phases`."""
+    _validate_pair(chi1, chi2, allow_large)
+    N, L = chi1.modulus * chi2.modulus, pair_order(chi1, chi2)
+    laps = [time.perf_counter()] if log.isEnabledFor(logging.DEBUG) else None
+    p1 = transversal_g0_in_sl2(N)
+    gens = schreier_alphabet(N, p1)
+    den, rows, relations, stats = _solve(chi1, chi2, p1, gens, lambda v: sum_on_gamma0(chi1, chi2, gens[v]))
+    _lap(laps)
+    for name, k, terms, _ in relations:
+        if any(_twisted_sum(L, rows, terms)):
+            raise ValueError(f"U(r, T) and U(r, S) sums over P^1 at key {k} break {name}")
+    _lap(laps)
+    ctx = Context(chi1, chi2, p1, _cyc_rows(L, den, rows))
+    _lap(laps)
     sums_g0 = ctx.sums_g0
     for d, m in ctx.t_g0.members.items():
         if m != I2 and sum_on_gamma0(chi1, chi2, m) != sums_g0[d]:
@@ -298,45 +323,12 @@ def precompute(
         phases = tuple(map(sub, laps[1:], laps))
         log.debug(
             "precompute N=%d: %d points of P^1, %d keys, %d identity entries, %d solved, "
-            "%d oracle calls, oracle total |c| %d; " + _PHASES + ", G check %.4f s",
-            ctx.N, len(ctx.p1), len(ctx.p1.classes), *stats, *phases,
+            "%d oracle calls, oracle total |c| %d; solve %.4f s, check %.4f s, context %.4f s, "
+            "G check %.4f s",
+            N, len(p1), len(p1.classes), *stats, *phases,
             extra={"solve_stats": stats, "phases": phases},
         )
-    if not ctx.parity_ok:
-        warnings.warn(
-            f"chi1*chi2(-1) != 1 for the pair mod ({chi1.modulus}, {chi2.modulus}); "
-            "the double sum vanishes for such a pair, so every sum is 0",
-            ParityWarning,
-            stacklevel=2,
-        )
     return ctx
-
-
-def _build(chi1, chi2, allow_large: bool):
-    """The context of a pair, built one way for `precompute` and for
-    `load_context`: the checks of the pair; `_solve` for the sums of the
-    2 mu Gamma0(N) generators U(r_k, T) and U(r_k, S), two per point k of
-    P^1(Z/N), with the double sum at its pivots only (9 of the 96 at
-    N = 35); every twisted relation on them; and the Context.  Returns it
-    with the solve's stats, the number of relations checked and the clock
-    readings of those phases, None unless DEBUG is logged."""
-    _validate_pair(chi1, chi2, allow_large)
-    N = chi1.modulus * chi2.modulus
-    laps = [time.perf_counter()] if log.isEnabledFor(logging.DEBUG) else None
-    p1 = transversal_g0_in_sl2(N)
-    gens = schreier_alphabet(N, p1)
-    sums, stats = _solve(chi1, chi2, p1, gens, lambda v: sum_on_gamma0(chi1, chi2, gens[v]))
-    _lap(laps)
-    relations = _check_relations(chi1, chi2, p1, sums)
-    _lap(laps)
-    ctx = Context(chi1, chi2, p1, sums)
-    _lap(laps)
-    return ctx, stats, relations, laps
-
-
-# Seconds per phase: the Gamma0 generator sums; their relation checks; the
-# Context; and, for a precompute, the Gamma0 transversal sums' oracle check.
-_PHASES = "solve %.4f s, check %.4f s, context %.4f s"
 
 
 def _lap(laps):
@@ -401,9 +393,11 @@ class SolveStats(NamedTuple):
     oracle_c: int  # sum of |c| over those entries
 
 
-def _solve(chi1, chi2, p1: Transversal, gens: dict, oracle) -> tuple[dict, SolveStats]:
+def _solve(chi1, chi2, p1: Transversal, gens: dict, oracle) -> tuple[int, dict, list, SolveStats]:
     """The sums of the Gamma0 generators `gens` over `p1`, with as few
-    `oracle(entry)` values as the peel allows, and the stats.
+    `oracle(entry)` values as the peel allows: their common denominator,
+    their integer rows over it keyed like `gens`, the relations of
+    `_relations` it read, as (name, key, terms, coefficients), and the stats.
 
     An entry whose matrix is +-I is 0, and every entry is when
     psi(-1) = -1.  A twisted relation of `_relations` with one unknown left
@@ -411,7 +405,8 @@ def _solve(chi1, chi2, p1: Transversal, gens: dict, oracle) -> tuple[dict, Solve
     left, the unknown entry of smallest |c| (S before T, then by key) goes
     to the oracle, so these pivots depend on the pair and the level alone.
     A value with a new denominator rescales the known rows, which stay
-    exact; the sums come back one CycElem per distinct row.
+    exact.  The relations are read once, here; `_build` checks them all on
+    the rows, since a peel uses only some of them.
     """
     N, L = p1.N, pair_order(chi1, chi2)
     twist, powers = _twists(chi1, chi2, N), [tuple(map(int, root_of_unity(L, j).coeffs)) for j in range(L)]
@@ -422,15 +417,15 @@ def _solve(chi1, chi2, p1: Transversal, gens: dict, oracle) -> tuple[dict, Solve
     if twist[N - 1] == L // 2:  # S(-g) = S(g) + psi(g) S(-I) = -S(g)
         known = dict.fromkeys(gens, zero)
     relations, uses = [], {v: [] for v in gens}  # entry -> relations it enters
-    for _, _, terms in _relations(p1, L, twist):
+    for name, k, terms in _relations(p1, L, twist):
         coef = {}  # entry -> its coefficient, the sum of its terms' zeta^e, as a row
         for v, e in terms:
             coef[v] = tuple(map(add, coef.get(v, zero), powers[e]))
         coef = {v: c for v, c in coef.items() if any(c)}
         for v in coef:
             uses[v].append(len(relations))
-        relations.append((terms, coef))
-    open_ = [sum(v not in known for v in coef) for _, coef in relations]
+        relations.append((name, k, terms, coef))
+    open_ = [sum(v not in known for v in coef) for *_, coef in relations]
     ready = [i for i, n in enumerate(open_) if n == 1]
     by_c = iter(sorted((abs(m.c), v[1], v) for v, m in gens.items() if v not in known))
     den, solved, calls, total_c = 1, len(known) - identity, 0, 0
@@ -444,7 +439,7 @@ def _solve(chi1, chi2, p1: Transversal, gens: dict, oracle) -> tuple[dict, Solve
 
     while len(known) < len(gens):
         if ready:
-            terms, coef = relations[ready.pop()]
+            _, _, terms, coef = relations[ready.pop()]
             left = [v for v in coef if v not in known]
             j = unit.get(coef[left[0]]) if len(left) == 1 else None
             if j is not None:  # zeta^j x = -(the rest), so x = sum zeta^(e - j + L/2) s_v
@@ -461,7 +456,7 @@ def _solve(chi1, chi2, p1: Transversal, gens: dict, oracle) -> tuple[dict, Solve
             for v, row in known.items():
                 known[v] = tuple([scale * n for n in row])
         settle(x, _row(den, value.coeffs))
-    return _cyc_rows(L, den, {v: known[v] for v in gens}), SolveStats(identity, solved, calls, total_c)
+    return den, {v: known[v] for v in gens}, relations, SolveStats(identity, solved, calls, total_c)
 
 
 def _walk(L: int, p1: Transversal, twist: dict, key, letters: str) -> list:
@@ -583,7 +578,7 @@ def crossed_hom_check(chi1, chi2, ga: Mat2, gb: Mat2) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# cache serialization
+# cache serialization: the pair only
 
 def _chi_to_json(chi: DirichletCharacter) -> dict:
     gens = []
@@ -594,22 +589,8 @@ def _chi_to_json(chi: DirichletCharacter) -> dict:
 
 
 def context_to_json(ctx: Context) -> dict:
-    """The cache document: the pair, and the sums S(U(r, T)) and S(U(r, S))
-    of the Gamma0 generators, `ctx.sums_alphabet`, keyed by "c,d", the
-    class key of r in `ctx.p1`.  Nothing else costs oracle time."""
-    points = sorted(ctx.p1.members)
-    return {
-        "version": CACHE_VERSION,
-        "q1": ctx.chi1.modulus,
-        "q2": ctx.chi2.modulus,
-        "chi1": _chi_to_json(ctx.chi1),
-        "chi2": _chi_to_json(ctx.chi2),
-        "L": ctx.L,
-        "sums_alphabet": {
-            x: {f"{c},{d}": [str(q) for q in ctx.sums_alphabet[(c, d), (x, 1)].coeffs] for c, d in points}
-            for x in ("T", "S")
-        },
-    }
+    """The cache document: the pair, and nothing a load would recompute."""
+    return {"version": CACHE_VERSION, "chi1": _chi_to_json(ctx.chi1), "chi2": _chi_to_json(ctx.chi2)}
 
 
 def save_context(ctx: Context, path) -> None:
@@ -629,30 +610,19 @@ def save_context(ctx: Context, path) -> None:
         raise
 
 
-class LoadStats(NamedTuple):
-    """What `load_context` validated."""
-
-    points: int  # points of P^1(Z/N), two stored sums each
-    keys: int  # coset keys of Gamma1(N), two derived sums each
-    relations: int  # twisted relation identities checked on the rebuilt sums
-    spot_checks: int  # pivots of the rebuild's solve, evaluated by the double sum
-
-
 def load_context(path, *, allow_large: bool = False) -> Context:
-    """Load a cached context by building it again from its stored pair, and
-    require the file to be exactly what the rebuilt context writes.
+    """Load a cached context by building its stored pair's context, as
+    `precompute` does, and require the file to be exactly what that context
+    writes.
 
     The version must be CACHE_VERSION, and the level of the stored moduli
     must pass the guardrail (unless allow_large) before any character is
-    built.  The pair then goes through `_build`, as in `precompute`: its
-    checks, the solve with the double sum at the pivots, and every twisted
-    relation.  Each top-level field of `context_to_json` of the result must
-    serialize as the file's does, with none missing or extra, so every
-    stored sum is checked, each coefficient as the string `str(Fraction)`
-    writes.  Otherwise a ValueError names the first field that differs; a
-    malformed file raises ValueError too.  One DEBUG line on the
-    `gdsum.dedekind` logger says what was validated and the seconds per
-    phase, as `record.load_stats` and `record.phases`.
+    built.  The pair then goes through `_build`: its checks, the solve with
+    the double sum at the pivots, every twisted relation and the G check.
+    Each top-level field of `context_to_json` of the result must serialize
+    as the file's does, with none missing or extra, so each character value
+    must be the string `str(Fraction)` writes.  Otherwise a ValueError names
+    the first field that differs; a malformed file raises ValueError too.
     """
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
@@ -671,7 +641,7 @@ def load_context(path, *, allow_large: bool = False) -> Context:
         )
     except (LookupError, TypeError, AttributeError, ArithmeticError) as exc:
         raise ValueError(f"malformed cache {path}: {type(exc).__name__}: {exc}") from exc
-    ctx, stats, relations, laps = _build(chi1, chi2, allow_large)
+    ctx = _build(chi1, chi2, allow_large)
     rebuilt = context_to_json(ctx)
     for name in {**rebuilt, **data}:
         if name not in data or name not in rebuilt or json.dumps(data[name]) != json.dumps(rebuilt[name]):
@@ -679,14 +649,6 @@ def load_context(path, *, allow_large: bool = False) -> Context:
                 f"cache {path}: its field {name!r} is not what the stored pair gives; "
                 "rebuild it with `save_context(precompute(chi1, chi2), path)`"
             )
-    if laps:
-        stats = LoadStats(len(ctx.p1), len(ctx.p1.classes), relations, stats.oracle_calls)
-        phases = tuple(map(sub, laps[1:], laps))
-        log.debug(
-            "load_context N=%d: %d points of P^1, %d keys, %d relations checked, "
-            "%d pivots checked against the double sum; " + _PHASES,
-            ctx.N, *stats, *phases, extra={"load_stats": stats, "phases": phases},
-        )
     return ctx
 
 
@@ -706,15 +668,3 @@ def _relations(p1: Transversal, L: int, twist: dict):
         if k <= terms[1][0][0]:  # k and kS share one identity
             yield "S^2 = -I", k, terms
         yield "(ST)^3 = S^2", k, _walk(L, p1, twist, k, "TSTST") + [((k, ("S", 1)), L // 2)]
-
-
-def _check_relations(chi1, chi2, p1: Transversal, sums: dict) -> int:
-    """Raise ValueError unless the Gamma0 generator sums obey every relation
-    of `_relations`, and return how many were checked; the pivots of
-    `_solve` pin what the relations leave free."""
-    L, rows, checked = pair_order(chi1, chi2), _generator_rows(sums)[1], 0
-    for checked, (name, k, terms) in enumerate(_relations(p1, L, _twists(chi1, chi2, p1.N)), 1):
-        if any(_twisted_sum(L, rows, terms)):
-            raise ValueError(f"U(r, T) and U(r, S) sums over P^1 at key {k} break {name}")
-    return checked
-

@@ -7,8 +7,7 @@ to (c, d + a*c), S to (d, -c).  The walk starts at the identity's key
 (0, 1) and ends at (0, lambda), lambda = +-d mod N, whose Gamma1(N)
 transversal member is g_lambda: the unsigned word is its U-factors times
 g_lambda.  The exact product check is `ts_decompose`'s, done as it emits
-the word; here the last key's c must be 0 mod N (gamma in Gamma0(N)), and
-the product is rebuilt only to compare it with one a caller passes.
+the word; here the last key's c must be 0 mod N (gamma in Gamma0(N)).
 `reduce_word` then reads the context's two tables indexed by key: each S
 slot adds its key's S-step term, each T^a slot its orbit's total only as
 often as a wraps around the T-orbit; a zero row has no entry, so it adds
@@ -21,7 +20,7 @@ from itertools import chain
 from typing import NamedTuple
 
 from .cosets import Transversal
-from .modgroup import Mat2, TSWord, ts_reconstruct
+from .modgroup import TSWord, ts_reconstruct
 
 # A NamedTuple's own constructor is a Python-level call; building the tuple
 # directly halves the cost of each term on the evaluation path.
@@ -47,17 +46,14 @@ class Term(NamedTuple):
     row: tuple[int, ...]
 
 
-def modified_rewrite(w: TSWord, t: Transversal, product: Mat2 | None = None) -> list[int]:
+def modified_rewrite(w: TSWord, t: Transversal) -> list[int]:
     """The slot keys of a TS word with product in Gamma0(N).
 
     c*N + d for the prefix key (c, d) before each T-power and each S, in
     word order, from the identity's key (0, 1).  ValueError is raised
     unless the walk ends at a key (0, lambda), so the product lies in
-    Gamma0(N), and, when `product` is given, unless the word's exact
-    product, rebuilt, equals it.
+    Gamma0(N).
     """
-    if product is not None and (g := ts_reconstruct(w)) != product:
-        raise ValueError(f"word product {g} is not {product}")
     N = t.N
     keys = []
     append = keys.append

@@ -1,4 +1,3 @@
-import random
 from math import gcd
 
 import pytest
@@ -20,7 +19,6 @@ from reference_tables import (
     key_of,
     lift_p1_transversal,
     lift_transversal,
-    random_sl2,
     u_func,
 )
 
@@ -79,83 +77,14 @@ def test_bar_basics():
         assert bar(t, m) == m
 
 
-def test_bar_t_power_cycle():
-    t = transversal_g1_in_sl2(9)
-    rng = random.Random(0)
-    for _ in range(100):
-        m = random_sl2(rng, 20)
-        assert bar(t, m.mul_t_power(9)) == bar(t, m)
-
-
-def test_nested_coset_law():
-    t = transversal_g1_in_sl2(9)
-    rng = random.Random(1)
-    for _ in range(200):
-        x, y = random_sl2(rng, 15), random_sl2(rng, 15)
-        assert bar(t, x * y) == bar(t, bar(t, x) * y)
-
-
 def test_u_func_properties():
-    N = 9
-    t = transversal_g1_in_sl2(N)
-    rng = random.Random(2)
-    # U(identity, h) = h for h in Gamma1
+    # U(identity, h) = h for h in Gamma1, and U(member, identity) = identity;
+    # that U lands in Gamma1 is tested at every level in test_group_identities
+    t = transversal_g1_in_sl2(9)
     h = Mat2(-152, 137, -81, 73)
     assert u_func(I2, h, t) == h
-    # U(member, identity) = identity
     for m in list(t)[:10]:
         assert u_func(m, I2, t) == I2
-    # U always lands in Gamma1; in particular U(bar(M), T^9)
-    for _ in range(50):
-        m = random_sl2(rng, 15)
-        assert in_gamma1(u_func(bar(t, m), Mat2.t_power(9), t), 9)
-    for _ in range(200):
-        x, y = random_sl2(rng, 12), random_sl2(rng, 12)
-        assert in_gamma1(u_func(x, y, t), 9)
-
-
-def _pow(m, k):
-    out = I2
-    base = m if k >= 0 else m.inv()
-    for _ in range(abs(k)):
-        out = out * base
-    return out
-
-
-def test_power_product_identities():
-    N = 9
-    t = transversal_g1_in_sl2(N)
-    rng = random.Random(3)
-    for _ in range(200):
-        a = random_sl2(rng, 10)
-        b = rng.choice((S, T))
-        k = rng.randint(1, 12)
-        lhs = u_func(bar(t, a), _pow(b, k), t)
-        rhs, cur = I2, a
-        for _ in range(k):
-            rhs = rhs * u_func(bar(t, cur), b, t)
-            cur = cur * b
-        assert lhs == rhs
-        lhs = u_func(bar(t, a), _pow(b, -k), t)
-        rhs, cur = I2, a
-        for _ in range(k):
-            cur = cur * b.inv()
-            rhs = rhs * u_func(bar(t, cur), b, t).inv()
-        assert lhs == rhs
-
-
-def test_t_cycle_reduction_law():
-    N = 9
-    t = transversal_g1_in_sl2(N)
-    rng = random.Random(4)
-    for _ in range(200):
-        m = random_sl2(rng, 12)
-        a = rng.randint(-60, 60)
-        q, r = a // N, a % N
-        lhs = u_func(bar(t, m), Mat2.t_power(a), t)
-        un = u_func(bar(t, m), Mat2.t_power(N), t)
-        rhs = _pow(un, q) * u_func(bar(t, m), Mat2.t_power(r), t)
-        assert lhs == rhs
 
 
 def test_alphabet_structure():

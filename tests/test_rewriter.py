@@ -216,19 +216,15 @@ def test_modified_rewrite_rejects_outsiders():
 
 
 def test_checks_survive_stripped_asserts():
-    # under python -O, the product check of modified_rewrite, the Gamma0
-    # check of schreier_alphabet and the key check of transversal_g1_in_sl2
-    # still raise
+    # under python -O, the Gamma0 check of schreier_alphabet and the key
+    # check of transversal_g1_in_sl2 still raise;
+    # test_word_check_survives_stripped_asserts covers the word's product
     code = """if True:
         from gdsum.cosets import Transversal, schreier_alphabet, transversal_g0_in_sl2, transversal_g1_in_sl2
-        from gdsum.modgroup import Mat2, ts_decompose
-        from gdsum.rewriter import modified_rewrite
-        t = transversal_g1_in_sl2(9)
+        from gdsum.modgroup import Mat2
         p1 = transversal_g0_in_sl2(9)
         bad = Transversal(9, "p1", {**p1.members, (1, 0): Mat2(1, 1, 0, 1)}, p1.classes)
-        g1 = Mat2(10, 1, 9, 1)
         for call in (
-            lambda: modified_rewrite(ts_decompose(g1), t, product=Mat2(1, 0, 9, 1)),
             lambda: schreier_alphabet(9, bad),
             lambda: transversal_g1_in_sl2(9, bad),
         ):
@@ -244,7 +240,6 @@ def test_checks_survive_stripped_asserts():
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.endswith("debug False\n")
-    assert "ValueError: word product (10, 1; 9, 1) is not (1, 0; 9, 1)" in out
     assert "ValueError: corrupted transversal: U entry" in out
     assert "ValueError: corrupted transversal: member" in out and "is off its key" in out
 
@@ -270,9 +265,8 @@ def test_a_wrong_word_is_refused(monkeypatch, ctx9, chi3, fault):
 
 @pytest.mark.parametrize("N", [9, 28, 35])
 def test_modified_rewrite_checks_gamma0_at_its_end_key(N):
-    """With no `product`, the walk's end key alone decides: a word whose
-    product is off Gamma0(N), negated or not, raises, and one in
-    Gamma0(N) is walked."""
+    """The walk's end key alone decides: a word whose product is off
+    Gamma0(N), negated or not, raises, and one in Gamma0(N) is walked."""
     p1, rng = transversal_g0_in_sl2(N), random.Random(N)
     mats = [random_sl2(rng, 30) for _ in range(200)] + [random_gamma0(N, rng, kmax=10**12) for _ in range(20)]
     mats += [Mat2(1, 0, N * k + r, 1) for k in (0, 3) for r in (1, N - 1)]
@@ -290,8 +284,8 @@ def test_modified_rewrite_checks_gamma0_at_its_end_key(N):
 
 def test_word_check_survives_stripped_asserts():
     """Under python -O, a word wrong in any one place still makes
-    `ts_decompose` and `fast_sum` raise, and `modified_rewrite` with no
-    product still refuses a word off Gamma0(N) at N = 9, 28 and 35."""
+    `ts_decompose` and `fast_sum` raise, and `modified_rewrite` still
+    refuses a word off Gamma0(N) at N = 9, 28 and 35."""
     code = """if True:
         from gdsum import find_character, modgroup, precompute
         from gdsum.cosets import transversal_g0_in_sl2

@@ -88,7 +88,8 @@ def test_key_walk_matches_matrix_prefixes(case, nearest):
     N, gamma = case
     t = _tables(N)[0]
     w = ts_decompose(gamma) if nearest else floor_word(gamma)
-    factors = as_factors(w, modified_rewrite(w, t, product=gamma), N)
+    assert ts_reconstruct(w) == gamma
+    factors = as_factors(w, modified_rewrite(w, t), N)
     expected = _matrix_rewrite(w, t, gamma)
     assert [tuple(f) for f in factors] == expected
     reference = []
@@ -113,7 +114,7 @@ def test_terms_times_end_member_multiply_to_gamma(case):
     N, gamma = case
     t, alphabet = _tables(N)
     w = ts_decompose(gamma)
-    terms = reduce_word(as_factors(w, modified_rewrite(w, t, product=gamma), N), N)
+    terms = reduce_word(as_factors(w, modified_rewrite(w, t), N), N)
     prod = I2
     for key, gen, m in terms:
         prod = prod * _power(alphabet[key, gen], m)
