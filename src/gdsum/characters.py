@@ -208,10 +208,8 @@ def find_character(q: int, assignments) -> DirichletCharacter:
         if ok:
             matches.append(chi)
     if len(matches) != 1:
-        raise ValueError(
-            f"character spec (q={q}, {assignments}) matches "
-            f"{len(matches)} primitive characters, need exactly 1"
-        )
+        spec = ";".join([f"q={q}", *(f"g={g};v={t}" for g, t in assignments)])
+        raise ValueError(f"character spec '{spec}' matches {len(matches)} primitive characters, need exactly 1")
     return matches[0]
 
 

@@ -17,15 +17,16 @@ The sum obeys S(g h) = S(g) + psi(g) S(h) with psi(g) = chi1 conj(chi2)(d(g))
 on all of Gamma0(N), and psi is trivial on Gamma1(N); that single identity
 powers everything here:
 
-  * values on matrices with c <= 0, where the double sum does not apply,
-    are pinned through S(g) = -psi(g) S(g^-1) (the inverse has c >= 1) and,
-    for the shears +-T^b, through products with an oracle-valid partner;
+  * the double sum reads only a mod c and c, so S(g T^b) = S(g) and the
+    shears +-T^b have sum 0, and S(-g) = psi(-1) S(g) = S(g) whenever any
+    sum is nonzero: a matrix with c <= -1, where the double sum does not
+    apply, has the double sum of its negation (`sum_on_gamma0`);
   * the fast path rewrites gamma's own word over the Schreier alphabet of
     Gamma1(N), adds up precomputed sums with multiplicities, and adds the
     sum of the transversal member g_{+-d} at which the walk ends;
   * the sums s0 of the 2 mu Gamma0(N) Schreier generators U(r_k, T) and
     U(r_k, S), over the mu points k of P^1(Z/N), are mostly solved rather
-    than evaluated: the generators +-I have sum 0, and S^2 = -I and
+    than evaluated: the shears +-T^b among them have sum 0, and S^2 = -I and
     (ST)^3 = S^2 give twisted identities that fix the others once a few
     pivots come from the double sum (`_solve`);
   * those 2 mu sums are the one sum format: `_solve` finds them, and a
@@ -144,28 +145,18 @@ def naive_sum(chi1: DirichletCharacter, chi2: DirichletCharacter, gamma: Mat2) -
 def sum_on_gamma0(chi1, chi2, gamma: Mat2) -> CycElem:
     """S on any Gamma0(N) matrix, via the double sum or its closure.
 
-    c >= 1: the double sum.  c <= -1: -psi(gamma) S(gamma^-1).  c = 0 means
-    gamma = +-T^b; T^b is pinned via S(h T^b) - S(h) with h = (1,0;N,1), and
-    the -I factor contributes S(-I) = 0 (forced when chi1*chi2(-1) = 1;
-    otherwise the double sum, and so S everywhere, is 0).
+    The double sum reads only a mod c and c, so S(gamma T^b) = S(gamma),
+    and the cocycle identity gives S(+-T^b) = 0: c = 0 is 0.  S(-gamma) =
+    psi(-1) S(gamma) = S(gamma) whenever any sum is nonzero, so c <= -1 is
+    the double sum of -gamma.  Raises ValueError when gamma itself is not
+    in Gamma0(N).
     """
     N = chi1.modulus * chi2.modulus
-    L = pair_order(chi1, chi2)
-    c = gamma.c
-    if c >= 1:
-        return naive_sum(chi1, chi2, gamma)
-    if c <= -1:
-        return -(psi(chi1, chi2, gamma) * naive_sum(chi1, chi2, gamma.inv()))
-    # c == 0: gamma = (s, b; 0, s) with s = +-1
-    sgn, b = gamma.a, gamma.b
-    if sgn == 1 and b == 0:
-        return CycElem.zero(L)
-    h = Mat2(1, 0, N, 1)
-    if sgn == 1:
-        return naive_sum(chi1, chi2, h.mul_t_power(b)) - naive_sum(chi1, chi2, h)
-    # gamma = -T^(-b): S(-I) + psi(-I) * S(T^(-b)) with S(-I) = 0
-    shear = sum_on_gamma0(chi1, chi2, Mat2.t_power(-b))
-    return parity_product(chi1, chi2) * shear
+    if not gamma.in_gamma0(N):
+        raise ValueError(f"{gamma} is not in Gamma0({N})")
+    if gamma.c == 0:
+        return CycElem.zero(pair_order(chi1, chi2))
+    return naive_sum(chi1, chi2, gamma if gamma.c > 0 else -gamma)
 
 
 class OrbitRow(NamedTuple):
@@ -189,10 +180,10 @@ class Context:
     U(r_k, T), U(r_k, S) of `alphabet` (built on each access), keyed
     (k, ("T", 1)), (k, ("S", 1)), as `_solve` finds them.  `__post_init__`
     derives only what `fast_sum` reads, in integers over the common
-    denominator `den`: `N`, `L` and `parity_ok` (chi1*chi2(-1) = 1);
-    `t_g0` (Gamma1(N) in Gamma0(N), keyed by d mod N) and `g_rows[lambda]`,
-    the row of the sum G(lambda) of its member, one of which ends each walk
-    (`sums_g0` builds their CycElems on each access); and the slot tables.
+    denominator `den`: `N` and `L`; `t_g0` (Gamma1(N) in Gamma0(N), keyed
+    by d mod N) and `g_rows[lambda]`, the row of the sum G(lambda) of its
+    member, one of which ends each walk (`sums_g0` builds their CycElems on
+    each access); and the slot tables.
     With F(k) the sum of the Gamma1 generator sums s_T along k's T-orbit
     up to k and Sigma the orbit total, the cocycle identity gives, for
     every integer a,
@@ -218,7 +209,6 @@ class Context:
     sums_alphabet: dict
     N: int = field(init=False)
     L: int = field(init=False)
-    parity_ok: bool = field(init=False)
     t_g0: Transversal = field(init=False, compare=False, repr=False)
     g_rows: list = field(init=False, compare=False, repr=False)
     den: int = field(init=False, compare=False)
@@ -244,7 +234,6 @@ class Context:
         if p1.kind != "p1" or p1.N != N:
             raise ValueError(f"the generator sums need a transversal over P^1(Z/{N})")
         self.L = L = pair_order(chi1, chi2)
-        self.parity_ok = parity_product(chi1, chi2) == CycElem.one(L)
         self.zero = zero = (0,) * len(CycElem.zero(L).coeffs)
         twist = _twists(chi1, chi2, N)
         self.den, rows = _generator_rows(self.sums_alphabet)
@@ -295,7 +284,7 @@ def _build(chi1, chi2, allow_large: bool) -> Context:
     """The context of a pair, built one way for `precompute` and for
     `load_context`: the checks of the pair; `_solve` for the sums of the
     2 mu Gamma0(N) generators U(r_k, T) and U(r_k, S), two per point k of
-    P^1(Z/N), with the double sum at its pivots only (9 of the 96 at
+    P^1(Z/N), with the double sum at its pivots only (8 of the 96 at
     N = 35); every twisted relation of the solve on its rows; the Context;
     and its Gamma0 transversal sums against the double sum.  One DEBUG line
     on the `gdsum.dedekind` logger gives the counts and the seconds per
@@ -314,10 +303,8 @@ def _build(chi1, chi2, allow_large: bool) -> Context:
     _lap(laps)
     ctx = Context(chi1, chi2, p1, _cyc_rows(L, den, rows))
     _lap(laps)
-    sums_g0 = ctx.sums_g0
-    for d, m in ctx.t_g0.members.items():
-        if m != I2 and sum_on_gamma0(chi1, chi2, m) != sums_g0[d]:
-            raise ValueError(f"the Gamma0 transversal sum at d = {d} breaks the cocycle identity")
+    if bad := next(_g_mismatches(ctx), None):
+        raise ValueError(f"the Gamma0 transversal sum at d = {bad[0]} breaks the cocycle identity")
     if laps:
         _lap(laps)
         phases = tuple(map(sub, laps[1:], laps))
@@ -329,6 +316,16 @@ def _build(chi1, chi2, allow_large: bool) -> Context:
             extra={"solve_stats": stats, "phases": phases},
         )
     return ctx
+
+
+def _g_mismatches(ctx: Context):
+    """(d, table sum, double sum) at each member g_d of the Gamma0
+    transversal but I whose sum in ctx is not its double sum, lazily:
+    `_build` raises at the first, and `verify` reports it."""
+    sums_g0 = ctx.sums_g0
+    for d, m in ctx.t_g0.members.items():
+        if m != I2 and (expect := sum_on_gamma0(ctx.chi1, ctx.chi2, m)) != sums_g0[d]:
+            yield d, sums_g0[d], expect
 
 
 def _lap(laps):
@@ -387,7 +384,7 @@ def _twisted_sum(L: int, rows: dict, terms) -> tuple:
 class SolveStats(NamedTuple):
     """How `_solve` found the 2 mu Gamma0 generator sums."""
 
-    identity: int  # entries whose matrix is +-I, so 0
+    identity: int  # entries whose matrix is a shear +-T^b, +-I included, so 0
     solved: int  # entries solved from one relation
     oracle_calls: int  # entries evaluated by the oracle: the pivots
     oracle_c: int  # sum of |c| over those entries
@@ -399,20 +396,21 @@ def _solve(chi1, chi2, p1: Transversal, gens: dict, oracle) -> tuple[int, dict, 
     their integer rows over it keyed like `gens`, the relations of
     `_relations` it read, as (name, key, terms, coefficients), and the stats.
 
-    An entry whose matrix is +-I is 0, and every entry is when
-    psi(-1) = -1.  A twisted relation of `_relations` with one unknown left
-    at a coefficient +-zeta^j gives it from the known rows.  When none is
-    left, the unknown entry of smallest |c| (S before T, then by key) goes
-    to the oracle, so these pivots depend on the pair and the level alone.
-    A value with a new denominator rescales the known rows, which stay
-    exact.  The relations are read once, here; `_build` checks them all on
-    the rows, since a peel uses only some of them.
+    An entry whose matrix is a shear +-T^b (c = 0, +-I included) is 0, so
+    no shear is a pivot, and every entry is 0 when psi(-1) = -1.  A twisted
+    relation of `_relations` with one unknown left at a coefficient
+    +-zeta^j gives it from the known rows.  When none is left, the unknown
+    entry of smallest |c| (S before T, then by key) goes to the oracle, so
+    these pivots depend on the pair and the level alone.  A value with a
+    new denominator rescales the known rows, which stay exact.  The
+    relations are read once, here; `_build` checks them all on the rows,
+    since a peel uses only some of them.
     """
     N, L = p1.N, pair_order(chi1, chi2)
     twist, powers = _twists(chi1, chi2, N), [tuple(map(int, root_of_unity(L, j).coeffs)) for j in range(L)]
     unit = {p: j for j, p in enumerate(powers)}  # the row of zeta^j -> j
     zero = (0,) * len(powers[0])
-    known = {v: zero for v, m in gens.items() if m.c == m.b == 0}
+    known = {v: zero for v, m in gens.items() if m.c == 0}
     identity = len(known)
     if twist[N - 1] == L // 2:  # S(-g) = S(g) + psi(g) S(-I) = -S(g)
         known = dict.fromkeys(gens, zero)

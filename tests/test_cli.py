@@ -234,6 +234,17 @@ def test_sum_naive_takes_nonpositive_c(capsys, monkeypatch, matrix):
     assert capsys.readouterr().out == fast
 
 
+def test_sum_off_gamma0_names_the_matrix_given(capsys):
+    """A matrix with c < 0 off Gamma0(N) is refused with exit 1 by the
+    double sum and by the table path alike, each naming the matrix as it
+    was given, not its inverse or negation."""
+    pair = ["--chi1", "q=4;g=3;v=1/2", "--chi2", "q=7;g=3;v=5/6"]
+    for naive in ([], ["--naive"]):
+        assert main(["sum", *pair, "--matrix", "-3,-1;-14,-5", *naive]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: (-3, -1; -14, -5) is not in Gamma0(28)\n", naive
+
+
 def test_cached_conductor_one_pair_exits_1(tmp_path, capsys, monkeypatch):
     """A table built for a pair `precompute` rejects (chi2 of conductor 1)
     and saved is refused by `load_context` like the pair itself, and the
@@ -354,8 +365,9 @@ def test_verify_passes(capsys):
     out = capsys.readouterr().out
     assert "PASS  oracle-equivalence" in out
     assert "PASS  crossed-homomorphism" in out
-    # the 8 stored Gamma0 generator sums at N = 9 that are not those of +-I
-    assert "PASS  alphabet-spot-check  (8 entries)" in out
+    # the 4 stored Gamma0 generator sums at N = 9 that are not those of the
+    # shears +-T^b, whose 0 the closure gives without the double sum
+    assert "PASS  alphabet-spot-check  (4 entries)" in out
     assert "FAIL" not in out
 
 
@@ -437,25 +449,31 @@ def test_run_verify_report_structure(ctx9):
         ("q=abc", CHI3, "modulus 'abc' in character spec 'q=abc' is not an integer"),
         ("q=5;g=x;v=1/2", CHI3, "generator 'x' in character spec 'q=5;g=x;v=1/2' is not an integer"),
         ("q=7;q=5;g=2;v=1/4", CHI3, "character spec 'q=7;q=5;g=2;v=1/4' gives q= twice"),
+        ("q=4;g=2;v=1/2", CHI3, "character spec 'q=4;g=2;v=1/2' matches 0 primitive characters, need exactly 1"),
     ],
-    ids=["zero-denominator", "huge-modulus", "zero-modulus", "non-integer-modulus", "non-integer-generator", "repeated-modulus"],
+    ids=[
+        "zero-denominator", "huge-modulus", "zero-modulus", "non-integer-modulus", "non-integer-generator",
+        "repeated-modulus", "no-character",
+    ],
 )
 def test_bad_spec_exits_1(capsys, monkeypatch, chi1, chi2, message):
     """A zero denominator, a level far above the guardrail, a modulus below
-    1, a modulus or generator that is not an integer and a second q= are
-    errors, each one line naming the spec; all but the first are found
+    1, a modulus or generator that is not an integer, a second q= and a
+    spec no primitive character matches are errors, each one line naming
+    the spec as it was written; all but the first and the last are found
     before any character table is built, although q1 * q2 = 0 passes the
     guardrail."""
 
     def no_tables(*args):
         raise AssertionError("a character table was built")
 
-    if message != "divides by 0":
+    if message != "divides by 0" and "matches" not in message:
         monkeypatch.setattr(cli, "find_character", no_tables)
     rc = main(["sum", "--chi1", chi1, "--chi2", chi2, "--matrix", "1,0;0,1"])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err and err.count("\n") == 1
+    assert "Fraction(" not in err
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])

@@ -3,6 +3,7 @@ import hashlib
 import json
 import logging
 import random
+import re
 import time
 import warnings
 from collections import Counter
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gdsum import cli, cosets, dedekind, exactnum, find_character
-from gdsum.characters import pair_order, psi
+from gdsum.characters import pair_order, parity_product, psi
 from gdsum.cosets import schreier_alphabet, transversal_g0_in_sl2
 from gdsum.dedekind import (
     CACHE_VERSION,
@@ -197,24 +198,45 @@ def test_crossed_hom_gamma1_left_factor(chi3):
         )
 
 
-def test_sum_on_gamma0_closure(chi3):
-    # negative lower-left entries agree with the inverse relation and with
-    # direct crossed-homomorphism bookkeeping
-    rng = random.Random(3)
-    for _ in range(10):
-        g = random_gamma0(9, rng, kmax=15)
-        neg = -g  # c < 0
-        v = sum_on_gamma0(chi3, chi3, neg)
-        # S(-g) = S(-I) + psi(-I) S(g) = S(g) for this even pair
-        assert v == naive_sum(chi3, chi3, g)
-    # shears: S(T^b) through the oracle-valid partner
-    h = Mat2(1, 0, 9, 1)
-    for b in (-7, -1, 1, 2, 9, 30):
-        direct = sum_on_gamma0(chi3, chi3, Mat2.t_power(b))
-        partner = naive_sum(chi3, chi3, h.mul_t_power(b)) - naive_sum(chi3, chi3, h)
-        assert direct == partner
-    assert sum_on_gamma0(chi3, chi3, I2) == CycElem.zero(2)
-    assert sum_on_gamma0(chi3, chi3, -I2) == CycElem.zero(2)
+def test_sum_on_gamma0_closure(request):
+    """c = 0 gives 0 and c < 0 the double sum of -gamma: on each pair that
+    equals what the cocycle identity derives, -psi(gamma) S(gamma^-1) for
+    c < 0 and S(h T^b) - S(h), h = (1, 0; N, 1), for the shears T^b (times
+    psi(-1) for -T^b), at N = 9 and 28, at N = 35 with L = 12 and psi not
+    real, and on the N = 35 pair that breaks the parity hypothesis.  A
+    matrix off Gamma0(N) is named as given, not negated."""
+    for pair in ("9", "28", "35-l12", "35-odd"):
+        chi1, chi2 = _pair(request, pair)
+        N, L = chi1.modulus * chi2.modulus, pair_order(chi1, chi2)
+        rng = random.Random(3)
+        for _ in range(10):
+            g = random_gamma0(N, rng, kmax=15)
+            neg = -g  # c < 0
+            v = sum_on_gamma0(chi1, chi2, neg)
+            assert v == naive_sum(chi1, chi2, g) == -(psi(chi1, chi2, neg) * naive_sum(chi1, chi2, neg.inv()))
+        h = Mat2(1, 0, N, 1)
+        for b in (-7, -1, 1, 2, 9, 30):
+            partner = naive_sum(chi1, chi2, h.mul_t_power(b)) - naive_sum(chi1, chi2, h)
+            assert sum_on_gamma0(chi1, chi2, Mat2.t_power(b)) == partner, (pair, b)
+            assert sum_on_gamma0(chi1, chi2, -Mat2.t_power(b)) == parity_product(chi1, chi2) * partner
+        assert sum_on_gamma0(chi1, chi2, I2) == sum_on_gamma0(chi1, chi2, -I2) == CycElem.zero(L)
+        off = Mat2(-1, 0, -1, -1)
+        with pytest.raises(ValueError, match=re.escape(f"{off} is not in Gamma0({N})")):
+            sum_on_gamma0(chi1, chi2, off)
+
+
+@pytest.mark.parametrize("pair, pivots", [("9", 2), ("28", 8), ("35-l12", 8), ("143", 28)])
+def test_no_shear_is_a_pivot(request, monkeypatch, pair, pivots):
+    """The solve sets every generator with c = 0, a shear +-T^b, to 0, so
+    the double sum runs only on generators with c != 0."""
+    chi1, chi2 = (
+        (find_character(11, [(2, "1/2")]), find_character(13, [(2, "1/12")])) if pair == "143"
+        else _pair(request, pair)
+    )
+    calls = _counting_oracle(monkeypatch)
+    ctx = precompute(chi1, chi2, allow_large=True)
+    solved = calls[: len(calls) - (len(ctx.t_g0) - 1)]  # then one G check per member but I
+    assert len(solved) == pivots and all(m.c for m in solved)
 
 
 def test_precompute_structure(ctx9):
@@ -226,7 +248,7 @@ def test_precompute_structure(ctx9):
     assert all(u.in_gamma0(9) for u in ctx9.alphabet.values())
     assert ctx9.sums_g0[1] == CycElem.zero(2)
     assert alphabet_sum(ctx9, (0, 1), ("S", 0)) == CycElem.zero(2)
-    assert ctx9.L == 2 and ctx9.parity_ok
+    assert ctx9.L == 2 and parity_product(ctx9.chi1, ctx9.chi2) == CycElem.one(2)
     # the derived sums: two Gamma1 generators per coset key
     full = full_alphabet(9, ctx9.t_sl2)
     assert gamma1_sums(ctx9).keys() == gamma1_alphabet(9, ctx9.t_sl2).keys()
@@ -461,7 +483,7 @@ def test_cache_round_trip_rebuilds_tables(tmp_path, request, name):
     assert loaded.alphabet == ctx.alphabet
     assert loaded.sums_g0 == ctx.sums_g0
     assert loaded.sums_alphabet == ctx.sums_alphabet
-    assert (loaded.chi1, loaded.chi2, loaded.parity_ok) == (ctx.chi1, ctx.chi2, ctx.parity_ok)
+    assert (loaded.chi1, loaded.chi2) == (ctx.chi1, ctx.chi2)
 
 
 @pytest.mark.parametrize("name", ["ctx9", "ctx28", "ctx35_l12"])
@@ -528,14 +550,14 @@ def test_setup_and_evaluation_build_no_gamma1_transversal(tmp_path, monkeypatch,
     assert built == [(28, ctx.p1), (28, loaded.p1)]
 
 
-@pytest.mark.parametrize("name", ["N", "L", "parity_ok"])
+@pytest.mark.parametrize("name", ["N", "L"])
 def test_context_derives_pair_fields(ctx35, name):
     # a context takes its pair, the P^1 transversal and the Gamma0 generator
-    # sums, and derives the rest, so no replace can set a level, order or
-    # parity flag its pair does not have, nor any other derived field
+    # sums, and derives the rest, so no replace can set a level or order
+    # its pair does not have, nor any other derived field
     inputs = [f.name for f in dataclasses.fields(ctx35) if f.init]
     assert inputs == ["chi1", "chi2", "p1", "sums_alphabet"]
-    assert (ctx35.N, ctx35.L, ctx35.parity_ok) == (35, 12, False)
+    assert (ctx35.N, ctx35.L) == (35, 12)
     with pytest.raises(ValueError, match=name):
         dataclasses.replace(ctx35, **{name: getattr(ctx35, name)})
     for f in dataclasses.fields(ctx35):
@@ -650,7 +672,7 @@ def test_load_rejects_a_cache_wrong_at_one_pivot(tmp_path, monkeypatch, ctx28):
     monkeypatch.setattr(dedekind, "sum_on_gamma0", wrong_at_second)
     with pytest.raises(ValueError, match="the Gamma0 transversal sum at d = .* breaks the cocycle identity"):
         load_context(path)
-    assert len(calls) > 9  # the 9 pivots, then the G check
+    assert len(calls) > 9  # the 8 pivots, then the G check up to the member it refuses
 
 
 @pytest.mark.parametrize(
@@ -725,7 +747,7 @@ def test_load_calls_the_double_sum_at_the_pivots_only(tmp_path, monkeypatch, ctx
     calls.clear()
     monkeypatch.setattr(dedekind, "precompute", lambda *a, **k: pytest.fail("load called precompute"))
     loaded = load_context(path)
-    assert calls == built and len(pivots) == 9
+    assert calls == built and len(pivots) == 8
     for name in ("sums_alphabet", "sums_g0", "g_rows", "den", "t_slot", "s_slot"):
         assert getattr(loaded, name) == getattr(ctx, name), name
 
@@ -1248,7 +1270,8 @@ def test_oracle_calls_within_twice_the_rank(request, monkeypatch, caplog, pair):
     (record,) = [r for r in caplog.records if r.name == "gdsum.dedekind"]
     stats, phases = record.solve_stats, record.phases
     assert stats.oracle_calls <= 2 * _free_dimension(chi1, chi2)
-    assert stats.oracle_calls > 0 or not ctx.parity_ok  # psi(-1) = -1 makes every sum 0
+    # psi(-1) = -1 makes every sum 0
+    assert stats.oracle_calls > 0 or parity_product(chi1, chi2) != CycElem.one(ctx.L)
     assert len(calls) == stats.oracle_calls + len(ctx.t_g0) - 1
     assert stats.oracle_c == sum(abs(m.c) for m in calls[: stats.oracle_calls])
     assert stats.identity + stats.solved + stats.oracle_calls == 2 * points
