@@ -54,6 +54,11 @@ def u_func(x, y):
     return x * y * t_sl2.members[key(x * y)].inv()
 
 
+def t_power(n):
+    """T^n = (1 n; 0 1)."""
+    return Mat2(1, n, 0, 1)
+
+
 keys = modified_rewrite(w, t_sl2)
 factors = as_factors(w, keys, N)
 print(
@@ -67,7 +72,7 @@ print(
 
 def u_value(f):
     """The exact U-matrix a rewrite factor stands for."""
-    step = Mat2.t_power(f.exponent) if f.gen == "T" else S
+    step = t_power(f.exponent) if f.gen == "T" else S
     return u_func(t_sl2.members[f.base_key], step)
 
 
@@ -77,7 +82,7 @@ for f in factors:
     u = u_value(f)
     print(f"  {format_factor(f):<20} prefix key {key(prefix)}  U = {u}")
     assert key(prefix) == f.base_key
-    prefix = prefix.mul_t_power(f.exponent) if f.gen == "T" else prefix * S
+    prefix = prefix * (t_power(f.exponent) if f.gen == "T" else S)
     prod = prod * u
 end = key(prefix)
 g = t_sl2.members[end]
@@ -107,7 +112,7 @@ def orbit(key):
 def climb(key):
     """P(key) = U(base, T^pos): the walk along key's T-orbit from its base."""
     base, pos, _ = orbit(key)
-    return u_func(base, Mat2.t_power(pos))
+    return u_func(base, t_power(pos))
 
 
 print(
@@ -124,7 +129,7 @@ for f in factors:
         base, pos, length = orbit(f.base_key)
         w = (pos + f.exponent) // length
         if w:
-            z = u_func(base, Mat2.t_power(length))
+            z = u_func(base, t_power(length))
             print(f"  {f'{w} * orbit total at {f.base_key}':<28}  Z = {z}")
             for _ in range(abs(w)):
                 prod = prod * (z if w > 0 else z.inv())

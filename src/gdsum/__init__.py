@@ -7,8 +7,10 @@ exponent-collecting coset rewriting of the matrix's T/S word (time
 logarithmic in the lower-left entry).  Those sums are derived from the
 sums of the Schreier generators of Gamma0(q1 q2), two per point of
 P^1(Z/q1 q2): the only sums a precompute solves.  A cache stores the pair
-alone, and a load builds its context as a precompute does.  All arithmetic
-is exact, in cyclotomic fields over the rationals.
+alone, and a load builds its context as a precompute does.  A build logs its
+counts and phase times on the `gdsum` logger at DEBUG, and times nothing
+when DEBUG is off.  All arithmetic is exact, in cyclotomic fields over the
+rationals.
 """
 
 from .characters import (
@@ -29,7 +31,7 @@ from .dedekind import (
     precompute,
     save_context,
 )
-from .exactnum import CycElem, b1, cyclotomic_polynomial, root_of_unity
+from .exactnum import CycElem, cyclotomic_polynomial, root_of_unity
 from .modgroup import Mat2, TSWord, ts_decompose, ts_reconstruct
 
 __all__ = [
@@ -39,7 +41,6 @@ __all__ = [
     "Mat2",
     "ParityWarning",
     "TSWord",
-    "b1",
     "characters_mod",
     "crossed_hom_check",
     "cyclotomic_polynomial",

@@ -1,36 +1,38 @@
 """Command-line front end: precompute, sum, verify.
 
-Each run builds the pair's context in-process, at most once, and writes no
-file.  Exit codes: 0 success, 1 usage/configuration error, 2 verification
-failure.  All randomness is driven by --seed, so reports are reproducible.
+Each run builds the pair's context in-process, at most once, as
+`precompute` does, and writes no file.  It leaves the `gdsum` logger as it
+finds it, so a build times its phases only when the caller has turned on
+DEBUG.  A matrix entry may have any number of digits: `main` lifts CPython's
+int-to-str digit limit for the run, and a message gives an entry past 256
+bits by its bit length.  Exit codes: 0 success, 1 usage/configuration
+error, 2 verification failure.  All randomness is driven by --seed, so
+reports are reproducible.
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
 import random
 import sys
 import time
-import warnings
 from dataclasses import dataclass, field
 
 from .characters import find_character, parse_spec_fields
 from .dedekind import (
     DEFAULT_LEVEL_LIMIT,
     Context,
-    ParityWarning,
+    _build,
     _g_mismatches,
+    _parity_message,
     _validate_pair,
-    _warn_parity,
     crossed_hom_check,
     fast_sum,
     naive_sum,
-    precompute,
     split_gamma0,
     sum_on_gamma0,
 )
-from .modgroup import Mat2, random_gamma0, ts_decompose
+from .modgroup import Mat2, _short, random_gamma0, ts_decompose
 from .rewriter import as_factors, format_factor, format_term, modified_rewrite, reduce_word
 
 # Largest lower-left entry for which the double sum is run: the limit of
@@ -89,17 +91,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
-class _StatsCatcher(logging.Handler):
-    """Keeps the `solve_stats` that `precompute` attaches to its DEBUG line."""
-
-    stats = None
-
-    def emit(self, record):
-        self.stats = getattr(record, "solve_stats", self.stats)
-
-
 def _pair(args):
-    """The requested pair, after the level guardrail and `precompute`'s checks."""
+    """The requested pair, after the level guardrail and `precompute`'s
+    checks; the text of its ParityWarning, if any, goes to stderr as one
+    line, once per run."""
     (q1, gens1), (q2, gens2) = parse_spec_fields(args.chi1), parse_spec_fields(args.chi2)
     if q1 * q2 > DEFAULT_LEVEL_LIMIT and not args.allow_large_n:
         raise CliError(
@@ -108,38 +103,22 @@ def _pair(args):
         )
     chi1, chi2 = find_character(q1, gens1), find_character(q2, gens2)
     _validate_pair(chi1, chi2, args.allow_large_n)
+    if message := _parity_message(chi1, chi2):
+        print(f"warning: {message}", file=sys.stderr)
     return chi1, chi2
 
 
-def _warned(fn, *args, **kwargs):
-    """fn(*args, **kwargs), printing each warning it raises to stderr as one
-    line, the ParityWarning of a pair with chi1*chi2(-1) != 1 included."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ParityWarning)
-        out = fn(*args, **kwargs)
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
-    return out
-
-
 def _context(args, *, announce: bool = False) -> Context:
-    """The requested pair's context, built by `precompute`; its parity
-    warning goes to stderr, and with `announce` its summary to stdout."""
+    """The requested pair's context, built by `_build` as `precompute`
+    builds it; with `announce`, its summary goes to stdout, with the double
+    sums the build ran counted from the SolveStats it returns."""
     chi1, chi2 = _pair(args)
     t0 = time.perf_counter()
-    logger, catcher = logging.getLogger("gdsum"), _StatsCatcher()
-    level = logger.level
-    logger.addHandler(catcher)
-    logger.setLevel(logging.DEBUG)
-    try:
-        ctx = _warned(precompute, chi1, chi2, allow_large=args.allow_large_n)
-    finally:
-        logger.removeHandler(catcher)
-        logger.setLevel(level)
+    ctx, stats = _build(chi1, chi2, args.allow_large_n)
     if announce:
         elapsed = time.perf_counter() - t0
         # the solve's pivots, then one check per Gamma0 transversal member but I
-        calls = catcher.stats.oracle_calls + len(ctx.t_g0) - 1
+        calls = stats.oracle_calls + len(ctx.t_g0) - 1
         print(
             f"precomputed N={ctx.N}: |T_g0|={len(ctx.t_g0)}, |T_sl2|={len(ctx.p1.classes)} keys, "
             f"{len(ctx.p1)} points of P^1, {len(ctx.sums_alphabet)} stored generator sums, "
@@ -162,13 +141,12 @@ def cmd_sum(args) -> int:
     gamma = Mat2.parse(args.matrix)
     if args.naive and abs(gamma.c) > NAIVE_CUTOFF:
         raise CliError(
-            f"--naive runs the double sum, O(|c|) terms; c = {gamma.c} is beyond the "
+            f"--naive runs the double sum, O(|c|) terms; c = {_short(gamma.c)} is beyond the "
             f"cutoff {NAIVE_CUTOFF}, so drop --naive to use the table path"
         )
     if args.naive and not args.trace:
         # the double sum needs the pair alone: no table is built
         chi1, chi2 = _pair(args)
-        _warned(_warn_parity, chi1, chi2)
         print(_format_value(sum_on_gamma0(chi1, chi2, gamma)))
         return 0
     ctx = _context(args)
@@ -289,12 +267,20 @@ def main(argv=None) -> int:
     for i in reversed(range(len(argv) - 1)):  # argparse takes a separate "-1,0;0,-1" for an option
         if argv[i] == "--matrix" and argv[i + 1][:1] == "-" and argv[i + 1][1:2].isdigit():
             argv[i : i + 2] = ["--matrix=" + argv[i + 1]]
+    # CPython >= 3.10.7 refuses int <-> str conversions past `limit` digits;
+    # a matrix entry may have more, so the limit is lifted for this run
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         args = parser.parse_args(argv)
         return args.run(args)
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

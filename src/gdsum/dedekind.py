@@ -262,34 +262,35 @@ def _check_level(N: int, allow_large: bool):
 def precompute(
     chi1: DirichletCharacter, chi2: DirichletCharacter, *, allow_large: bool = False
 ) -> Context:
-    """The context of a pair, built by `_build`, with a ParityWarning when
-    chi1*chi2(-1) != 1.  Levels above DEFAULT_LEVEL_LIMIT need allow_large."""
-    ctx = _build(chi1, chi2, allow_large)
-    _warn_parity(chi1, chi2)
+    """The context of a pair, built by `_build` (whose SolveStats it drops),
+    with a ParityWarning when chi1*chi2(-1) != 1.  Levels above
+    DEFAULT_LEVEL_LIMIT need allow_large."""
+    ctx, _ = _build(chi1, chi2, allow_large)
+    if message := _parity_message(chi1, chi2):
+        warnings.warn(message, ParityWarning, stacklevel=2)
     return ctx
 
 
-def _warn_parity(chi1, chi2):
-    """A ParityWarning, to the caller's caller, when chi1*chi2(-1) != 1."""
+def _parity_message(chi1, chi2) -> str | None:
+    """The text of the ParityWarning when chi1*chi2(-1) != 1, else None."""
     if parity_product(chi1, chi2) != CycElem.one(pair_order(chi1, chi2)):
-        warnings.warn(
+        return (
             f"chi1*chi2(-1) != 1 for the pair mod ({chi1.modulus}, {chi2.modulus}); "
-            "the double sum vanishes for such a pair, so every sum is 0",
-            ParityWarning,
-            stacklevel=3,
+            "the double sum vanishes for such a pair, so every sum is 0"
         )
+    return None
 
 
-def _build(chi1, chi2, allow_large: bool) -> Context:
-    """The context of a pair, built one way for `precompute` and for
-    `load_context`: the checks of the pair; `_solve` for the sums of the
-    2 mu Gamma0(N) generators U(r_k, T) and U(r_k, S), two per point k of
-    P^1(Z/N), with the double sum at its pivots only (8 of the 96 at
-    N = 35); every twisted relation of the solve on its rows; the Context;
-    and its Gamma0 transversal sums against the double sum.  One DEBUG line
-    on the `gdsum.dedekind` logger gives the counts and the seconds per
-    phase, timed only when it is logged, as `record.solve_stats` and
-    `record.phases`."""
+def _build(chi1, chi2, allow_large: bool) -> tuple[Context, SolveStats]:
+    """The context of a pair and the SolveStats of its solve, built one way
+    for `precompute`, `load_context` and the CLI: the checks of the pair;
+    `_solve` for the sums of the 2 mu Gamma0(N) generators U(r_k, T) and
+    U(r_k, S), two per point k of P^1(Z/N), with the double sum at its
+    pivots only (8 of the 96 at N = 35); every twisted relation of the
+    solve on its rows; the Context; and its Gamma0 transversal sums against
+    the double sum.  One DEBUG line on the `gdsum.dedekind` logger gives the
+    counts and the seconds per phase, timed only when it is logged, as
+    `record.solve_stats` and `record.phases`."""
     _validate_pair(chi1, chi2, allow_large)
     N, L = chi1.modulus * chi2.modulus, pair_order(chi1, chi2)
     laps = [time.perf_counter()] if log.isEnabledFor(logging.DEBUG) else None
@@ -309,13 +310,13 @@ def _build(chi1, chi2, allow_large: bool) -> Context:
         _lap(laps)
         phases = tuple(map(sub, laps[1:], laps))
         log.debug(
-            "precompute N=%d: %d points of P^1, %d keys, %d identity entries, %d solved, "
+            "precompute N=%d: %d points of P^1, %d keys, %d shear entries, %d solved, "
             "%d oracle calls, oracle total |c| %d; solve %.4f s, check %.4f s, context %.4f s, "
             "G check %.4f s",
             N, len(p1), len(p1.classes), *stats, *phases,
             extra={"solve_stats": stats, "phases": phases},
         )
-    return ctx
+    return ctx, stats
 
 
 def _g_mismatches(ctx: Context):
@@ -384,7 +385,7 @@ def _twisted_sum(L: int, rows: dict, terms) -> tuple:
 class SolveStats(NamedTuple):
     """How `_solve` found the 2 mu Gamma0 generator sums."""
 
-    identity: int  # entries whose matrix is a shear +-T^b, +-I included, so 0
+    shear: int  # entries whose matrix is a shear +-T^b, +-I included, so 0
     solved: int  # entries solved from one relation
     oracle_calls: int  # entries evaluated by the oracle: the pivots
     oracle_c: int  # sum of |c| over those entries
@@ -411,7 +412,7 @@ def _solve(chi1, chi2, p1: Transversal, gens: dict, oracle) -> tuple[int, dict, 
     unit = {p: j for j, p in enumerate(powers)}  # the row of zeta^j -> j
     zero = (0,) * len(powers[0])
     known = {v: zero for v, m in gens.items() if m.c == 0}
-    identity = len(known)
+    shear = len(known)
     if twist[N - 1] == L // 2:  # S(-g) = S(g) + psi(g) S(-I) = -S(g)
         known = dict.fromkeys(gens, zero)
     relations, uses = [], {v: [] for v in gens}  # entry -> relations it enters
@@ -426,7 +427,7 @@ def _solve(chi1, chi2, p1: Transversal, gens: dict, oracle) -> tuple[int, dict, 
     open_ = [sum(v not in known for v in coef) for *_, coef in relations]
     ready = [i for i, n in enumerate(open_) if n == 1]
     by_c = iter(sorted((abs(m.c), v[1], v) for v, m in gens.items() if v not in known))
-    den, solved, calls, total_c = 1, len(known) - identity, 0, 0
+    den, solved, calls, total_c = 1, len(known) - shear, 0, 0
 
     def settle(v, row):
         known[v] = row
@@ -454,7 +455,7 @@ def _solve(chi1, chi2, p1: Transversal, gens: dict, oracle) -> tuple[int, dict, 
             for v, row in known.items():
                 known[v] = tuple([scale * n for n in row])
         settle(x, _row(den, value.coeffs))
-    return den, {v: known[v] for v in gens}, relations, SolveStats(identity, solved, calls, total_c)
+    return den, {v: known[v] for v in gens}, relations, SolveStats(shear, solved, calls, total_c)
 
 
 def _walk(L: int, p1: Transversal, twist: dict, key, letters: str) -> list:
@@ -639,7 +640,7 @@ def load_context(path, *, allow_large: bool = False) -> Context:
         )
     except (LookupError, TypeError, AttributeError, ArithmeticError) as exc:
         raise ValueError(f"malformed cache {path}: {type(exc).__name__}: {exc}") from exc
-    ctx = _build(chi1, chi2, allow_large)
+    ctx, _ = _build(chi1, chi2, allow_large)
     rebuilt = context_to_json(ctx)
     for name in {**rebuilt, **data}:
         if name not in data or name not in rebuilt or json.dumps(data[name]) != json.dumps(rebuilt[name]):

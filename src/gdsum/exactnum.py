@@ -14,13 +14,6 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 
-def b1(x) -> Fraction:
-    """First Bernoulli function: 0 at integers, else x - floor(x) - 1/2."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return Fraction(0)
-    return x - (x.numerator // x.denominator) - Fraction(1, 2)
-
 
 def _divisors(n: int) -> list[int]:
     ds = []
@@ -83,8 +76,7 @@ def _reduce(L: int, raw: list) -> tuple:
 class CycElem:
     """Element of Q(zeta_L): sum coeffs[k] * zeta_L^k, degree < deg Phi_L.
 
-    Immutable after construction.  Binary operations require equal orders;
-    use `embed` to move into a larger field first.
+    Immutable after construction.  Binary operations require equal orders.
     """
 
     __slots__ = ("order", "coeffs")
@@ -122,7 +114,7 @@ class CycElem:
     def _check_order(self, other: "CycElem"):
         if self.order != other.order:
             raise ValueError(
-                f"order mismatch: {self.order} vs {other.order}; embed first"
+                f"order mismatch: {self.order} vs {other.order}"
             )
 
     def __add__(self, other):
@@ -181,27 +173,6 @@ class CycElem:
 
     def __bool__(self):
         return any(self.coeffs)
-
-    def conj(self) -> "CycElem":
-        """Complex conjugation: zeta_L -> zeta_L^(L-1)."""
-        L = self.order
-        raw = [Fraction(0)] * L
-        for k, c in enumerate(self.coeffs):
-            raw[(L - k) % L] += c
-        return CycElem(L, raw)
-
-    def embed(self, M: int) -> "CycElem":
-        """Rewrite at order M (zeta_L = zeta_M^(M/L)); L must divide M."""
-        L = self.order
-        if M % L != 0:
-            raise ValueError(f"cannot embed order {L} into order {M}")
-        if M == L:
-            return self
-        step = M // L
-        raw = [Fraction(0)] * M
-        for k, c in enumerate(self.coeffs):
-            raw[(k * step) % M] += c
-        return CycElem(M, raw)
 
     def approx(self) -> complex:
         """Floating approximation for display; never used in exact code."""

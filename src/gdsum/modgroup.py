@@ -14,6 +14,18 @@ from dataclasses import dataclass
 from math import gcd
 
 
+def _short(x: int) -> str:
+    """x in decimal, or past 256 bits its bit length, so that a message stays
+    one short line and needs no int-to-str conversion (CPython refuses one
+    past 4,300 digits)."""
+    return str(x) if x.bit_length() <= 256 else f"{'-' if x < 0 else ''}<{x.bit_length():,}-bit integer>"
+
+
+def _clip(text: str) -> str:
+    """repr(text), or past 80 characters that of its first 40 and its length."""
+    return repr(text) if len(text) <= 80 else f"{text[:40]!r}... ({len(text):,} characters)"
+
+
 class Mat2:
     """Integer matrix (a b; c d) with ad - bc = 1; immutable."""
 
@@ -21,6 +33,7 @@ class Mat2:
 
     def __init__(self, a: int, b: int, c: int, d: int):
         if a * d - b * c != 1:
+            a, b, c, d = map(_short, (a, b, c, d))
             raise ValueError(f"determinant of ({a},{b};{c},{d}) is not 1")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -35,25 +48,24 @@ class Mat2:
         return cls(1, 0, 0, 1)
 
     @classmethod
-    def t_power(cls, n: int) -> "Mat2":
-        return cls(1, n, 0, 1)
-
-    @classmethod
     def parse(cls, text: str) -> "Mat2":
-        """Parse "a,b;c,d" with optional whitespace."""
+        """Parse "a,b;c,d" with optional whitespace.  An entry longer than
+        the interpreter's int_max_str_digits does not parse; the CLI lifts
+        that limit."""
         rows = text.strip().split(";")
         if len(rows) != 2:
-            raise ValueError(f"matrix spec {text!r} must have two ;-separated rows")
+            raise ValueError(f"matrix spec {_clip(text)} must have two ;-separated rows")
         entries = []
         for row in rows:
             cols = row.split(",")
             if len(cols) != 2:
-                raise ValueError(f"matrix row {row!r} must have two ,-separated entries")
+                raise ValueError(f"matrix row {_clip(row)} must have two ,-separated entries")
             for col in cols:
                 try:
                     entries.append(int(col))
                 except ValueError:
-                    raise ValueError(f"matrix entry {col.strip()!r} in {text!r} is not an integer") from None
+                    entry = _clip(col.strip())
+                    raise ValueError(f"matrix entry {entry} in {_clip(text)} is not an integer") from None
         return cls(*entries)
 
     def __mul__(self, other):
@@ -71,10 +83,6 @@ class Mat2:
 
     def __neg__(self):
         return Mat2(-self.a, -self.b, -self.c, -self.d)
-
-    def mul_t_power(self, n: int) -> "Mat2":
-        """self * T^n, without building the power."""
-        return Mat2(self.a, self.a * n + self.b, self.c, self.c * n + self.d)
 
     def in_gamma0(self, N: int) -> bool:
         return self.c % N == 0
@@ -94,7 +102,9 @@ class Mat2:
         return f"Mat2({self.a}, {self.b}, {self.c}, {self.d})"
 
     def __str__(self):
-        return f"({self.a}, {self.b}; {self.c}, {self.d})"
+        """(a, b; c, d), each entry past 256 bits given by its bit length."""
+        a, b, c, d = map(_short, self.entries())
+        return f"({a}, {b}; {c}, {d})"
 
 
 I2 = Mat2.identity()

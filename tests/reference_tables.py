@@ -38,6 +38,10 @@ Gamma1(N) transversal.  `orbit` gives a key's position and length along its
 T-orbit from the key alone, `potential` reads every key's `OrbitRow` off a
 context's slot tables, and `derived_mismatches` checks each S-step row and
 orbit total there against the double sum on the matrix it is the sum of.
+
+Helpers only the tests call: `t_power` and `mul_t_power` build T^n and
+m T^n, `conj` conjugates an element of Q(zeta_L), and `embed` rewrites
+one at a multiple of its order.
 """
 
 import dataclasses
@@ -319,7 +323,7 @@ def expand_factor(f, t: Transversal) -> Mat2:
     """The exact U-matrix a rewrite factor stands for."""
     base = t.members[f.base_key]
     if f.gen == "T":
-        return u_func(base, Mat2.t_power(f.exponent), t)
+        return u_func(base, t_power(f.exponent), t)
     return u_func(base, S, t)
 
 
@@ -437,6 +441,36 @@ def random_sl2(rng, max_len: int = 30) -> Mat2:
     return m
 
 
+def t_power(n: int) -> Mat2:
+    """T^n = (1 n; 0 1)."""
+    return Mat2(1, n, 0, 1)
+
+
+def mul_t_power(m: Mat2, n: int) -> Mat2:
+    """m * T^n, without building the power."""
+    return Mat2(m.a, m.a * n + m.b, m.c, m.c * n + m.d)
+
+
+def conj(x: CycElem) -> CycElem:
+    """Complex conjugation: zeta_L -> zeta_L^(L-1)."""
+    L = x.order
+    raw = [Fraction(0)] * L
+    for k, c in enumerate(x.coeffs):
+        raw[(L - k) % L] += c
+    return CycElem(L, raw)
+
+
+def embed(x: CycElem, M: int) -> CycElem:
+    """x rewritten at order M (zeta_L = zeta_M^(M/L)); L must divide M."""
+    L = x.order
+    if M % L != 0:
+        raise ValueError(f"cannot embed order {L} into order {M}")
+    raw = [Fraction(0)] * M
+    for k, c in enumerate(x.coeffs):
+        raw[k * (M // L) % M] += c
+    return CycElem(M, raw)
+
+
 def gamma1_alphabet(N: int, t: Transversal) -> dict:
     """U(t, T) and U(t, S) for every member of the Gamma1(N) transversal t,
     keyed (key, ("T", 1)) and (key, ("S", 1)); ValueError unless each lies
@@ -486,9 +520,9 @@ def derived_mismatches(ctx, cmax: int) -> tuple[int, list]:
     for key, row in potential(ctx).items():
         base_key, pos, length = orbit(key, N)
         back = orbit((key[1], -key[0] % N), N)[1]
-        entries = [("S", Mat2.t_power(pos) * S * Mat2.t_power(-back), row.step.row)]
+        entries = [("S", t_power(pos) * S * t_power(-back), row.step.row)]
         if pos == 0:
-            entries.append(("T", Mat2.t_power(length), row.total))
+            entries.append(("T", t_power(length), row.total))
         for kind, word, value in entries:
             m = u_func(t.members[base_key], word, t)
             if abs(m.c) <= cmax:

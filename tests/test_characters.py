@@ -19,7 +19,7 @@ from gdsum.characters import (
 )
 from gdsum.exactnum import CycElem, root_of_unity
 from gdsum.modgroup import Mat2, random_gamma0
-from reference_tables import in_gamma1
+from reference_tables import embed, in_gamma1
 
 
 def test_enumeration_small_moduli():
@@ -103,7 +103,7 @@ def test_conductor_and_primitivity():
     # agreement with the primitive source on shared units
     for n in range(1, 13):
         if gcd(n, 6) == 1:
-            assert induced.eval(n).embed(2) == quad3.eval(n).embed(2)
+            assert embed(induced.eval(n), 2) == embed(quad3.eval(n), 2)
 
 
 def test_eval_powers_of_generator():

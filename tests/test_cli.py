@@ -1,6 +1,11 @@
 import dataclasses
 import json
 import logging
+import random
+import sys
+import time
+from math import gcd
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,6 +14,7 @@ from gdsum.cli import main, run_verify
 from gdsum.dedekind import load_context, naive_sum, precompute, save_context, sum_on_gamma0
 from gdsum.modgroup import Mat2
 from reference_tables import derived_mismatches
+from test_oracle import floor_sum_oracle
 
 CHI3 = "q=3;g=2;v=1/2"
 PAIR = ["--chi1", CHI3, "--chi2", CHI3]
@@ -16,9 +22,9 @@ PAIR = ["--chi1", CHI3, "--chi2", CHI3]
 
 @pytest.fixture
 def builds(monkeypatch):
-    """The pairs the CLI passes to `precompute`, which still runs."""
-    calls, real = [], cli.precompute
-    monkeypatch.setattr(cli, "precompute", lambda *a, **k: calls.append(a) or real(*a, **k))
+    """The pairs the CLI passes to `_build`, which still runs."""
+    calls, real = [], cli._build
+    monkeypatch.setattr(cli, "_build", lambda *a, **k: calls.append(a) or real(*a, **k))
     return calls
 
 
@@ -102,6 +108,27 @@ def test_precompute_reports_oracle_calls(capsys, monkeypatch):
     assert 0 < len(calls) < 72 and f"L=2, {len(calls)} oracle calls (" in out
     assert err == ""  # the DEBUG line is caught, not printed
     assert logging.getLogger("gdsum").level == level
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["precompute"], ["sum", "--matrix", "149,108;189,137"], ["verify", "--trials", "2", "--cmax", "100"]],
+    ids=["precompute", "sum", "verify"],
+)
+def test_cli_leaves_logging_alone(capsys, monkeypatch, argv):
+    """The CLI reads the build's counts from its return value: it leaves the
+    `gdsum` logger's level and handlers as they were, so its build times no
+    phase."""
+    clock = []
+    monkeypatch.setattr(
+        dedekind, "time", SimpleNamespace(perf_counter=lambda: clock.append(1) or time.perf_counter())
+    )
+    logger = logging.getLogger("gdsum")
+    level, handlers = logger.level, list(logger.handlers)
+    assert main([*argv, *PAIR]) == 0
+    assert logger.level == level and logger.handlers == handlers
+    assert not clock
+    assert capsys.readouterr().err == ""
 
 
 def test_sum_kernel_matrix(capsys):
@@ -204,7 +231,7 @@ def test_sum_naive_builds_no_table(capsys, monkeypatch):
     def no_table(*args, **kwargs):
         raise AssertionError("a table was built")
 
-    monkeypatch.setattr(cli, "precompute", no_table)
+    monkeypatch.setattr(cli, "_build", no_table)
     pair = ["--chi1", "q=7;g=3;v=1/6", "--chi2", "q=11;g=2;v=1/2"]
     args = ["sum", *pair, "--matrix", "3,2;385,257", "--naive"]
     assert main(args) == 0
@@ -229,7 +256,7 @@ def test_sum_naive_takes_nonpositive_c(capsys, monkeypatch, matrix):
     def no_table(*args, **kwargs):
         raise AssertionError("a table was built")
 
-    monkeypatch.setattr(cli, "precompute", no_table)
+    monkeypatch.setattr(cli, "_build", no_table)
     assert main(["sum", *pair, "--matrix", matrix, "--naive"]) == 0
     assert capsys.readouterr().out == fast
 
@@ -346,6 +373,53 @@ def test_sum_names_a_non_integer_matrix_entry(capsys):
     assert out == "" and err == "error: matrix entry 'a' in 'a,b;c,d' is not an integer\n"
 
 
+def _decimal(*entries) -> list[str]:
+    """The entries in decimal, past CPython's int-to-str digit limit too."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return [str(x) for x in entries]
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_sum_takes_a_5000_digit_matrix(capsys):
+    """A matrix in Gamma0(28) whose c has 5,000 digits, past the 4,300 that
+    CPython's int() reads by default: `sum` prints its sum, the floor-sum
+    oracle's value.  The same matrix with c + 1 (det != 1), its transpose
+    (off Gamma0(28)) and the matrix under --naive (past the cutoff) exit 1
+    with one short error line, each naming an entry by its bit length.
+    Its a has 100 digits, so its word, and the oracle's recursion on a/c,
+    are about 130 steps long."""
+    chi1, chi2 = find_character(4, [(3, "1/2")]), find_character(7, [(3, "5/6")])
+    pair = ["--chi1", "q=4;g=3;v=1/2", "--chi2", "q=7;g=3;v=5/6"]
+    rng = random.Random(5000)
+    c = 28 * rng.randrange(10**4999 // 28 + 1, 10**5000 // 28)
+    while gcd(a := rng.randrange(10**99, 10**100), c) != 1:
+        pass
+    d = pow(a, -1, c)
+    gamma = Mat2(a, (a * d - 1) // c, c, d)
+    a, b, c, d, c1 = _decimal(*gamma.entries(), gamma.c + 1)
+    assert len(c) == 5000 and gamma.b % 28
+    assert main(["sum", *pair, "--matrix", f"{a},{b};{c},{d}"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == str(floor_sum_oracle(chi1, chi2, gamma))
+    bits = f"<{gamma.c.bit_length():,}-bit integer>"
+    for argv, message in [
+        (["--matrix", f"{a},{b};{c1},{d}"], f"determinant of (<{gamma.a.bit_length():,}-bit integer>,"),
+        (["--matrix", f"{a},{c};{b},{d}"], f"{bits}; <{gamma.b.bit_length():,}-bit integer>, "),
+        (["--matrix", f"{a},{b};{c},{d}", "--naive"], f"O(|c|) terms; c = {bits} is beyond the cutoff"),
+    ]:
+        assert main(["sum", *pair, *argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+        assert len(err) < 200 and message in err, err
+    if hasattr(sys, "get_int_max_str_digits"):  # main restored the limit it lifted
+        with pytest.raises(ValueError, match="limit"):
+            str(gamma.c)
+
+
 def test_usage_errors_exit_1(capsys):
     assert main(["sum", "--chi1", CHI3]) == 1
     assert main(["bogus"]) == 1
@@ -417,15 +491,16 @@ def test_verify_deterministic(capsys):
 
 
 def test_verify_detects_corruption(capsys, monkeypatch):
-    def corrupted_precompute(*args, **kwargs):
+    def corrupted_build(*args, **kwargs):
         # the context derives the Gamma0 transversal sums G: corrupt the
         # integer row of one on a copy; verify re-checks all of them
-        ctx = dataclasses.replace(precompute(*args, **kwargs))
+        ctx, stats = dedekind._build(*args, **kwargs)
+        ctx = dataclasses.replace(ctx)
         ctx.g_rows = list(ctx.g_rows)
         ctx.g_rows[2] = (7,) * len(ctx.zero)
-        return ctx
+        return ctx, stats
 
-    monkeypatch.setattr(cli, "precompute", corrupted_precompute)
+    monkeypatch.setattr(cli, "_build", corrupted_build)
     rc = main(["verify", *PAIR, "--trials", "4", "--seed", "0", "--cmax", "200"])
     assert rc == 2
     out = capsys.readouterr().out

@@ -19,6 +19,8 @@ from reference_tables import (
     key_of,
     lift_p1_transversal,
     lift_transversal,
+    mul_t_power,
+    t_power,
     u_func,
 )
 
@@ -95,11 +97,11 @@ def test_alphabet_structure():
         assert full[((0, 1 % N), ("S", 0))] == I2
         for (key, (name, k)), u in full.items():
             assert in_gamma1(u, N)
-            g = Mat2.t_power(k) if name == "T" else [I2, S, S * S][k]
+            g = t_power(k) if name == "T" else [I2, S, S * S][k]
             assert u == u_func(t.members[key], g, t)
         # identity-based T entries are the plain shears
         for i in range(1, N + 1):
-            assert full[((0, 1 % N), ("T", i))] == Mat2.t_power(i)
+            assert full[((0, 1 % N), ("T", i))] == t_power(i)
         # the Schreier generators are the 2 |T| entries at T^1 and S^1
         alpha = gamma1_alphabet(N, t)
         assert len(alpha) == 2 * len(t)
@@ -148,7 +150,7 @@ def test_sl2_transversal_is_schreier(N):
     members = set(p1)
     for m in p1:
         if m != I2:
-            assert {m.mul_t_power(-1), m.mul_t_power(1), m * S * S * S} & members
+            assert {mul_t_power(m, -1), mul_t_power(m, 1), m * S * S * S} & members
     alpha = schreier_alphabet(N, p1)
     identity = sum(u == I2 for u in alpha.values())
     assert identity >= len(p1) - 1

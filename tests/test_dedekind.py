@@ -38,6 +38,7 @@ from reference_tables import (
     all_oracle_context,
     alphabet_sum,
     as_cyc,
+    conj,
     derived_rows,
     factor_rewrite,
     factor_terms,
@@ -49,10 +50,12 @@ from reference_tables import (
     gamma1_sums,
     in_gamma1,
     lift_p1_transversal,
+    mul_t_power,
     oracle_gamma1,
     orbit_f,
     potential,
     strip_letters,
+    t_power,
     u_func,
     unsigned_product,
 )
@@ -146,6 +149,9 @@ def test_naive_sum_rejects_nonpositive_c(chi3):
 def test_naive_sum_rejects_non_members(chi3):
     with pytest.raises(ValueError):
         naive_sum(chi3, chi3, Mat2(1, 0, 5, 1))
+    # a 5,000-digit c is named by its bit length, past CPython's int-to-str limit
+    with pytest.raises(ValueError, match=r"^\(1, 0; <16,610-bit integer>, 1\) is not in Gamma0\(9\)$"):
+        naive_sum(chi3, chi3, Mat2(1, 0, 9 * 10**4999 + 1, 1))
 
 
 def test_homomorphism_on_gamma1(chi3):
@@ -216,9 +222,9 @@ def test_sum_on_gamma0_closure(request):
             assert v == naive_sum(chi1, chi2, g) == -(psi(chi1, chi2, neg) * naive_sum(chi1, chi2, neg.inv()))
         h = Mat2(1, 0, N, 1)
         for b in (-7, -1, 1, 2, 9, 30):
-            partner = naive_sum(chi1, chi2, h.mul_t_power(b)) - naive_sum(chi1, chi2, h)
-            assert sum_on_gamma0(chi1, chi2, Mat2.t_power(b)) == partner, (pair, b)
-            assert sum_on_gamma0(chi1, chi2, -Mat2.t_power(b)) == parity_product(chi1, chi2) * partner
+            partner = naive_sum(chi1, chi2, mul_t_power(h, b)) - naive_sum(chi1, chi2, h)
+            assert sum_on_gamma0(chi1, chi2, t_power(b)) == partner, (pair, b)
+            assert sum_on_gamma0(chi1, chi2, -t_power(b)) == parity_product(chi1, chi2) * partner
         assert sum_on_gamma0(chi1, chi2, I2) == sum_on_gamma0(chi1, chi2, -I2) == CycElem.zero(L)
         off = Mat2(-1, 0, -1, -1)
         with pytest.raises(ValueError, match=re.escape(f"{off} is not in Gamma0({N})")):
@@ -387,7 +393,7 @@ def test_fast_sum_handles_nonpositive_c(contexts):
         N = ctx.N
         mats = [m for g in ctx.t_g0 for m in (g, -g)] + [I2, -I2]
         for b in range(-5, 6):
-            mats += [Mat2.t_power(b), -Mat2.t_power(b), Mat2(1, 0, N * b, 1), Mat2(-1, 0, N * b, -1)]
+            mats += [t_power(b), -t_power(b), Mat2(1, 0, N * b, 1), Mat2(-1, 0, N * b, -1)]
         for _ in range(10):
             g = random_gamma0(N, rng, kmax=50, d_shift=1)
             mats += [-g, g.inv(), -g.inv()]
@@ -399,6 +405,9 @@ def test_fast_sum_handles_nonpositive_c(contexts):
 def test_fast_sum_rejects_non_members(ctx9):
     with pytest.raises(ValueError):
         fast_sum(ctx9, Mat2(1, 0, 5, 1))
+    # a 5,000-digit c is named by its bit length, past CPython's int-to-str limit
+    with pytest.raises(ValueError, match=r"^\(1, 0; -<16,610-bit integer>, 1\) is not in Gamma0\(9\)$"):
+        fast_sum(ctx9, Mat2(1, 0, -9 * 10**4999 - 1, 1))
 
 
 def test_oracle_equivalence_sample(ctx9, chi3):
@@ -595,11 +604,11 @@ def test_load_logs_what_it_validated(tmp_path, monkeypatch, caplog, ctx28):
     points, keys = len(ctx28.p1), len(ctx28.t_sl2)
     # the solve's pivots, then one G check per Gamma0 transversal member but I
     assert len(oracle) == stats.oracle_calls + len(ctx28.t_g0) - 1 and stats.oracle_calls > 0
-    assert stats.identity + stats.solved + stats.oracle_calls == 2 * points
+    assert stats.shear + stats.solved + stats.oracle_calls == 2 * points
     assert len(clock) == 5 and len(phases) == 4
     assert record.getMessage() == (
         f"precompute N=28: {points} points of P^1, {keys} keys, "
-        f"{stats.identity} identity entries, {stats.solved} solved, "
+        f"{stats.shear} shear entries, {stats.solved} solved, "
         f"{stats.oracle_calls} oracle calls, oracle total |c| {stats.oracle_c}; "
         "solve {:.4f} s, check {:.4f} s, context {:.4f} s, G check {:.4f} s".format(*phases)
     )
@@ -823,7 +832,7 @@ def _zero_row_words(N):
     shear (negated words whose walk stays at (0, 1)), a shear wrapping
     around the orbit of (0, 1), and at N = 9 words with some or all of
     their factors on zero rows."""
-    words = [-I2, -Mat2.t_power(5), Mat2.t_power(5 * N + 1), Mat2(1, 0, N, 1)]
+    words = [-I2, -t_power(5), t_power(5 * N + 1), Mat2(1, 0, N, 1)]
     return words + ([Mat2(17, 32, 9, 17), Mat2(101, 33, 153, 50)] if N == 9 else [])
 
 
@@ -909,9 +918,9 @@ def test_slot_keys_match_the_factor_reference(contexts, name, data):
     decompose = data.draw(st.sampled_from((ts_decompose, floor_word)))
     trim = data.draw(st.sampled_from(("", "left", "right", "both")))
     if trim in ("left", "both"):
-        gamma = Mat2.t_power(-decompose(gamma).exponents[0]) * gamma
+        gamma = t_power(-decompose(gamma).exponents[0]) * gamma
     if trim in ("right", "both"):
-        gamma = gamma.mul_t_power(-decompose(gamma).exponents[-1])
+        gamma = mul_t_power(gamma, -decompose(gamma).exponents[-1])
     w = decompose(gamma)
     assert trim not in ("left", "both") or w.exponents[0] == 0
     assert trim not in ("right", "both") or w.exponents[-1] == 0
@@ -1120,7 +1129,7 @@ def test_fast_sum_over_common_denominator_3(ctx28):
     twist = dedekind._twists(ctx28.chi1, ctx28.chi2, N)
     rng = random.Random(3)
     mats = [random_gamma0(N, rng, kmax=10**30) for _ in range(40)]
-    mats += [Mat2.t_power(10**40 + 5), Mat2.t_power(-(10**25)), -Mat2.t_power(7 * 10**18)]
+    mats += [t_power(10**40 + 5), t_power(-(10**25)), -t_power(7 * 10**18)]
     moved = []
     for gamma in mats:
         _, w, keys = _slots(ctx28, gamma)
@@ -1220,10 +1229,10 @@ def _counting_oracle(monkeypatch):
 
 
 def _free_dimension(chi1, chi2) -> int:
-    """The dimension the twisted relations and the zero sums of the +-I
-    generators leave free among the 2 mu Gamma0 generator sums: 2 mu minus
-    their rank over F_p, for the least prime p = 1 mod L, with zeta_L sent
-    to a primitive L-th root of unity mod p."""
+    """The dimension the twisted relations and the zero sums of the shear
+    generators +-T^b (c = 0) leave free among the 2 mu Gamma0 generator
+    sums: 2 mu minus their rank over F_p, for the least prime p = 1 mod L,
+    with zeta_L sent to a primitive L-th root of unity mod p."""
     N, L = chi1.modulus * chi2.modulus, pair_order(chi1, chi2)
     p = next(q for q in range(L + 1, 10**6, L) if all(q % f for f in range(2, int(q**0.5) + 1)))
     zeta = next(
@@ -1234,7 +1243,7 @@ def _free_dimension(chi1, chi2) -> int:
     gens = schreier_alphabet(N, p1)
     column = {v: i for i, v in enumerate(gens)}
     twist = dedekind._twists(chi1, chi2, N)
-    rows = [[int(v == x) for x in gens] for v, m in gens.items() if m.c == m.b == 0]
+    rows = [[int(v == x) for x in gens] for v, m in gens.items() if m.c == 0]
     for _, _, terms in dedekind._relations(p1, L, twist):
         row = [0] * len(gens)
         for v, e in terms:
@@ -1256,12 +1265,13 @@ def _free_dimension(chi1, chi2) -> int:
 
 
 @pytest.mark.parametrize("pair", ["9", "12", "28", "35-odd", "35-l12"])
-def test_oracle_calls_within_twice_the_rank(request, monkeypatch, caplog, pair):
-    """The twisted relations leave a space of small dimension free among
-    the 2 mu Gamma0 generator sums (9 of 96 at N = 28): precompute calls
-    the double sum on at most twice that many of them, then once per Gamma0
-    transversal member to check the result, and its DEBUG line says how
-    many, with the seconds per phase."""
+def test_oracle_calls_equal_the_free_dimension(request, monkeypatch, caplog, pair):
+    """The twisted relations and the zero sums of the shears leave a space
+    of small dimension free among the 2 mu Gamma0 generator sums (8 of 96
+    at N = 28, 0 for a pair with psi(-1) = -1): precompute calls the double
+    sum on exactly that many of them, then once per Gamma0 transversal
+    member to check the result, and its DEBUG line says how many, with the
+    seconds per phase."""
     chi1, chi2 = _pair(request, pair)
     calls = _counting_oracle(monkeypatch)
     with caplog.at_level(logging.DEBUG, logger="gdsum"):
@@ -1269,17 +1279,17 @@ def test_oracle_calls_within_twice_the_rank(request, monkeypatch, caplog, pair):
     points, keys = len(transversal_g0_in_sl2(ctx.N)), len(ctx.t_sl2)
     (record,) = [r for r in caplog.records if r.name == "gdsum.dedekind"]
     stats, phases = record.solve_stats, record.phases
-    assert stats.oracle_calls <= 2 * _free_dimension(chi1, chi2)
+    assert stats.oracle_calls == _free_dimension(chi1, chi2)
     # psi(-1) = -1 makes every sum 0
     assert stats.oracle_calls > 0 or parity_product(chi1, chi2) != CycElem.one(ctx.L)
     assert len(calls) == stats.oracle_calls + len(ctx.t_g0) - 1
     assert stats.oracle_c == sum(abs(m.c) for m in calls[: stats.oracle_calls])
-    assert stats.identity + stats.solved + stats.oracle_calls == 2 * points
-    assert stats.identity >= points - 1  # one tree edge per point but the identity's
+    assert stats.shear + stats.solved + stats.oracle_calls == 2 * points
+    assert stats.shear >= points - 1  # one tree edge per point but the identity's
     assert record.levelno == logging.DEBUG and len(phases) == 4
     assert record.getMessage() == (
         f"precompute N={ctx.N}: {points} points of P^1, {keys} keys, "
-        f"{stats.identity} identity entries, {stats.solved} solved, "
+        f"{stats.shear} shear entries, {stats.solved} solved, "
         f"{stats.oracle_calls} oracle calls, oracle total |c| {stats.oracle_c}; "
         "solve {:.4f} s, check {:.4f} s, context {:.4f} s, G check {:.4f} s".format(*phases)
     )
@@ -1318,7 +1328,7 @@ def test_solve_rescales_to_a_new_denominator(request, monkeypatch):
     def oracle(a, b, g):
         fricke = Mat2(g.d, -g.c // N, -N * g.b, g.a)
         s = sum_on_gamma0(a, b, g)
-        values.append(s + third * (s + sum_on_gamma0(a, b, fricke).conj()))
+        values.append(s + third * (s + conj(sum_on_gamma0(a, b, fricke))))
         return values[-1]
 
     monkeypatch.setattr(dedekind, "sum_on_gamma0", oracle)

@@ -15,7 +15,7 @@ from gdsum.modgroup import (
     ts_decompose,
     ts_reconstruct,
 )
-from reference_tables import in_gamma1, random_sl2, strip_letters
+from reference_tables import in_gamma1, mul_t_power, random_sl2, strip_letters
 
 
 def test_constructor_checks_determinant():
@@ -155,12 +155,30 @@ def test_parse():
         Mat2.parse("2,0;0,2")
 
 
+def test_messages_give_huge_entries_by_bit_length():
+    """An entry past 256 bits is given by its bit length in str() and in the
+    determinant error, which then need no int-to-str conversion, and a parse
+    error cuts a text past 80 characters to its start."""
+    edge, past, huge = 2**256 - 1, 2**256, 10**6000
+    assert str(Mat2(1, edge, 0, 1)) == f"(1, {edge}; 0, 1)"
+    assert str(Mat2(-1, past, 0, -1)) == "(-1, <257-bit integer>; 0, -1)"
+    assert str(Mat2(1, 0, -huge, 1)) == "(1, 0; -<19,932-bit integer>, 1)"
+    with pytest.raises(ValueError, match=r"^determinant of \(<19,932-bit integer>,1;0,1\) is not 1$"):
+        Mat2(huge, 1, 0, 1)
+    with pytest.raises(ValueError) as info:
+        Mat2.parse("1,0;" + "9" * 5000 + "x,1")
+    assert str(info.value) == (
+        f"matrix entry {'9' * 40!r}... (5,001 characters) in {'1,0;' + '9' * 36!r}... "
+        "(5,007 characters) is not an integer"
+    )
+
+
 @st.composite
 def words(draw):
     """A product T^k1 S T^k2 S ..., so any sign and size of entry appears."""
     m = I2
     for k in draw(st.lists(st.integers(-(10**20), 10**20), max_size=6)):
-        m = m.mul_t_power(k) * S
+        m = mul_t_power(m, k) * S
     return m
 
 

@@ -22,6 +22,7 @@ from reference_tables import (
     reduce_t_power,
     reduce_word,
     strip_letters,
+    t_power,
     u_func,
     unsigned_product,
 )
@@ -111,7 +112,7 @@ def test_classic_rewrite_shear_word():
     prod = I2
     for u, eps in factors:
         prod = prod * (u if eps == 1 else u.inv())
-    assert prod == Mat2.t_power(3)
+    assert prod == t_power(3)
     assert classic_rewrite([], t) == []
 
 
@@ -127,7 +128,7 @@ def test_classic_rewrite_five_letter_pattern():
     for u, eps in factors:
         assert in_gamma1(u, 2)
         prod = prod * (u if eps == 1 else u.inv())
-    assert prod == -Mat2.t_power(3)
+    assert prod == -t_power(3)
 
 
 def test_classic_rewrite_guards():
@@ -199,7 +200,7 @@ def test_modified_rewrite_identity_and_shears():
     w = ts_decompose(I2)
     assert as_factors(w, modified_rewrite(w, t), 9) == []
     # pure shear: a single T factor
-    w = ts_decompose(Mat2.t_power(7))
+    w = ts_decompose(t_power(7))
     factors = as_factors(w, modified_rewrite(w, t), 9)
     assert [(f.base_key, f.gen, f.exponent) for f in factors] == [((0, 1), "T", 7)]
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from gdsum.cosets import transversal_g1_in_sl2
 from gdsum.modgroup import I2, Mat2, S, ts_decompose, ts_reconstruct
 from gdsum.rewriter import as_factors, modified_rewrite
-from reference_tables import floor_word, full_alphabet, key_of, reduce_word, unsigned_product
+from reference_tables import floor_word, full_alphabet, key_of, mul_t_power, reduce_word, unsigned_product
 
 LEVELS = (6, 9, 28)
 
@@ -36,7 +36,7 @@ def _matrix_rewrite(w, t, product):
     for idx, a in enumerate(w.exponents):
         if a != 0:
             out.append((key_of(t, prefix), "T", a))
-            prefix = prefix.mul_t_power(a)
+            prefix = mul_t_power(prefix, a)
         if idx < len(w.exponents) - 1:
             out.append((key_of(t, prefix), "S", 1))
             prefix = prefix * S
