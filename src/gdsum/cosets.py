@@ -82,9 +82,9 @@ def transversal_g0_in_sl2(N: int) -> Transversal:
 
     def visit(m):
         c, d = m[2] % N, m[3] % N
-        if (c, d) not in classes:
-            members[c, d] = Mat2(*m)
-            classes.update(((u * c % N, u * d % N), ((c, d), u)) for u in units)
+        if (k := (c, d)) not in classes:
+            members[k] = Mat2(*m)
+            classes.update({(u * c % N, u * d % N): (k, u) for u in units})
             found.append(m)
 
     visit((1, 0, 0, 1))

@@ -73,7 +73,7 @@ from .cosets import (
     transversal_g1_in_g0,
     transversal_g1_in_sl2,
 )
-from .exactnum import CycElem, _reduce, root_of_unity
+from .exactnum import CycElem, _reduce
 from .modgroup import I2, Mat2, ts_decompose
 from .rewriter import Term, _new, modified_rewrite, reduce_word
 
@@ -115,29 +115,31 @@ def naive_sum(chi1: DirichletCharacter, chi2: DirichletCharacter, gamma: Mat2) -
         raise ValueError("the double sum is evaluated for non-principal chi1 only")
     L = pair_order(chi1, chi2)
     # chi(n) = zeta_L^e[n], or None where chi(n) = 0; summands take conjugates
-    e1 = [chi1.exponent_at(n, L) for n in range(q1)]
-    e2 = [chi2.exponent_at(n, L) for n in range(q2)]
+    s1, s2 = L // chi1.order, L // chi2.order
+    e1 = [None if k is None else k * s1 for k in map(chi1.exponent, range(q1))]
+    e2 = [None if k is None else k * s2 for k in map(chi2.exponent, range(q2))]
     # integer numerators per zeta-exponent over the common denominator
     # 2*q1*c: the half range doubles (2j - c)/(2c) * A[m]
     if e1[-1] != e2[-1]:  # chi1*chi2(-1) = -1; both exponents are 0 or L/2
         return CycElem.zero(L)
-    acc = [0] * L
     M = q1 * c
     qa = q1 * a % M  # floor(y) = (qa * j mod M) // c
     half = (c + 1) // 2
+    buckets = {}  # chi2 exponent -> the buckets of the j with that exponent
     for u in range(1, q2):
-        k2 = e2[u]
-        if k2 is None:
-            continue
-        bucket = [0] * q1
-        for j in range(u, half, q2):
-            bucket[qa * j % M // c] += 2 * j - c
+        if (k2 := e2[u]) is not None:
+            if (bucket := buckets.get(k2)) is None:
+                bucket = buckets[k2] = [0] * q1
+            for j in range(u, half, q2):
+                bucket[qa * j % M // c] += 2 * j - c
+    # bucket m adds 2k conj(chi1(k - m)), k = 1 .. q1 - 1: its terms (-exponent, 2k)
+    terms = [[(-k1 % L, 2 * k) for k in range(1, q1) if (k1 := e1[(k - m) % q1]) is not None] for m in range(q1)]
+    acc = [0] * L
+    for k2, bucket in buckets.items():
         for m, w in enumerate(bucket):
             if w:
-                for k in range(1, q1):
-                    k1 = e1[(k - m) % q1]
-                    if k1 is not None:
-                        acc[-(k2 + k1) % L] += 2 * k * w
+                for t, x in terms[m]:
+                    acc[(t - k2) % L] += x * w
     den = 2 * q1 * c  # reduced mod Phi_L in integers, then one Fraction per coefficient
     return CycElem._raw(L, tuple([Fraction(v, den) for v in _reduce(L, acc)]))
 
@@ -234,12 +236,12 @@ class Context:
         if p1.kind != "p1" or p1.N != N:
             raise ValueError(f"the generator sums need a transversal over P^1(Z/{N})")
         self.L = L = pair_order(chi1, chi2)
-        self.zero = zero = (0,) * len(CycElem.zero(L).coeffs)
-        twist = _twists(chi1, chi2, N)
+        self.zero = zero = (0,) * len(_powers(L)[0])
         self.den, rows = _generator_rows(self.sums_alphabet)
+        t_rows, s_rows = _key_rows(L, p1, rows, _twists(chi1, chi2, N))
         self.t_g0 = transversal_g1_in_g0(N)
-        self.g_rows = g_rows = _gamma0_rows(L, p1, rows, twist, self.t_g0)
-        self.t_slot, self.s_slot = _slot_tables(L, p1, rows, g_rows, twist, zero)
+        self.g_rows = g_rows = _gamma0_rows(N, t_rows, s_rows, self.t_g0, zero)
+        self.t_slot, self.s_slot = _slot_tables(N, p1.classes, t_rows, s_rows, g_rows, zero)
 
 
 def _validate_pair(chi1, chi2, allow_large: bool):
@@ -322,11 +324,14 @@ def _build(chi1, chi2, allow_large: bool) -> tuple[Context, SolveStats]:
 def _g_mismatches(ctx: Context):
     """(d, table sum, double sum) at each member g_d of the Gamma0
     transversal but I whose sum in ctx is not its double sum, lazily:
-    `_build` raises at the first, and `verify` reports it."""
-    sums_g0 = ctx.sums_g0
+    `_build` raises at the first, and `verify` reports it.  Each double sum
+    p/q is compared with its G row entry n over den as p * den = n * q."""
+    den = ctx.den
     for d, m in ctx.t_g0.members.items():
-        if m != I2 and (expect := sum_on_gamma0(ctx.chi1, ctx.chi2, m)) != sums_g0[d]:
-            yield d, sums_g0[d], expect
+        if m != I2:
+            expect = sum_on_gamma0(ctx.chi1, ctx.chi2, m)
+            if any(x.numerator * den != n * x.denominator for x, n in zip(expect.coeffs, ctx.g_rows[d])):
+                yield d, ctx.sums_g0[d], expect
 
 
 def _lap(laps):
@@ -362,12 +367,31 @@ def _twists(chi1, chi2, N: int) -> dict[int, int]:
 
 
 @lru_cache(maxsize=None)
+def _powers(L: int) -> tuple:
+    """powers[e], the integer row of zeta_L^e, for each e < L (Phi_L is
+    monic): per-L data, read by `_solve` for its coefficients and by
+    `_turns`."""
+    return tuple(_reduce(L, [int(k == e) for k in range(L)]) for e in range(L))
+
+
+@lru_cache(maxsize=None)
 def _turns(L: int) -> tuple:
     """turns[e][i] holds the nonzero entries (j, x) of the integer row of
     zeta_L^(e + i), so that a row r times zeta_L^e is the sum of r[i] *
-    turns[e][i] (Phi_L is monic)."""
-    sparse = [tuple((j, int(x)) for j, x in enumerate(root_of_unity(L, k).coeffs) if x) for k in range(L)]
-    return tuple(tuple(sparse[(e + i) % L] for i in range(len(CycElem.zero(L).coeffs))) for e in range(L))
+    turns[e][i] (`_turn`)."""
+    powers = _powers(L)
+    sparse = [tuple((j, x) for j, x in enumerate(p) if x) for p in powers]
+    return tuple(tuple(sparse[(e + i) % L] for i in range(len(powers[0]))) for e in range(L))
+
+
+def _turn(row, turn) -> tuple:
+    """The row times zeta_L^e, with turn = `_turns(L)[e]`."""
+    acc = [0] * len(row)
+    for n, power in zip(row, turn):
+        if n:
+            for j, x in power:
+                acc[j] += n * x
+    return tuple(acc)
 
 
 def _twisted_sum(L: int, rows: dict, terms) -> tuple:
@@ -375,10 +399,11 @@ def _twisted_sum(L: int, rows: dict, terms) -> tuple:
     turns = _turns(L)
     acc = [0] * len(turns[0])
     for v, e in terms:
-        for n, power in zip(rows[v], turns[e % L]):
-            if n:
-                for j, x in power:
-                    acc[j] += n * x
+        if any(row := rows[v]):
+            for n, power in zip(row, turns[e % L]):
+                if n:
+                    for j, x in power:
+                        acc[j] += n * x
     return tuple(acc)
 
 
@@ -408,7 +433,7 @@ def _solve(chi1, chi2, p1: Transversal, gens: dict, oracle) -> tuple[int, dict, 
     since a peel uses only some of them.
     """
     N, L = p1.N, pair_order(chi1, chi2)
-    twist, powers = _twists(chi1, chi2, N), [tuple(map(int, root_of_unity(L, j).coeffs)) for j in range(L)]
+    twist, powers = _twists(chi1, chi2, N), _powers(L)
     unit = {p: j for j, p in enumerate(powers)}  # the row of zeta^j -> j
     zero = (0,) * len(powers[0])
     known = {v: zero for v, m in gens.items() if m.c == 0}
@@ -419,8 +444,9 @@ def _solve(chi1, chi2, p1: Transversal, gens: dict, oracle) -> tuple[int, dict, 
     for name, k, terms in _relations(p1, L, twist):
         coef = {}  # entry -> its coefficient, the sum of its terms' zeta^e, as a row
         for v, e in terms:
-            coef[v] = tuple(map(add, coef.get(v, zero), powers[e]))
-        coef = {v: c for v, c in coef.items() if any(c)}
+            coef[v] = tuple(map(add, coef[v], powers[e])) if v in coef else powers[e]
+        if len(coef) < len(terms):  # only an entry met twice can have coefficient 0
+            coef = {v: c for v, c in coef.items() if any(c)}
         for v in coef:
             uses[v].append(len(relations))
         relations.append((name, k, terms, coef))
@@ -463,76 +489,128 @@ def _walk(L: int, p1: Transversal, twist: dict, key, letters: str) -> list:
     S and t = T^-1: a T or S at the key lambda k gives psi(lambda) s0[k, x],
     psi(lambda) = zeta_L^twist[lambda], and a t minus that of the T it
     undoes.  On keys, k S = (d, -c) and k T = (c, d + c) mod N."""
-    N, terms = p1.N, []
+    N, classes, terms = p1.N, p1.classes, []
+    c, d = key
     for x in letters:
-        c, d = key
-        if x == "t":  # step back first, then subtract the T from there
-            key = (c, (d - c) % N)
-        k, lam = p1.classes[key]
-        terms.append(((k, ("S" if x == "S" else "T", 1)), twist[lam] + (L // 2 if x == "t" else 0)))
-        if x == "T":
-            key = (c, (d + c) % N)
-        elif x == "S":
-            key = (d, -c % N)
+        if x == "S":
+            k, lam = classes[c, d]
+            terms.append(((k, ("S", 1)), twist[lam]))
+            c, d = d, -c % N
+        elif x == "T":
+            k, lam = classes[c, d]
+            terms.append(((k, ("T", 1)), twist[lam]))
+            d = (d + c) % N
+        else:  # t: step back first, then subtract the T from there
+            d = (d - c) % N
+            k, lam = classes[c, d]
+            terms.append(((k, ("T", 1)), twist[lam] + L // 2))
     return terms
 
 
-def _gamma0_rows(L: int, p1: Transversal, rows: dict, twist: dict, t_g0: Transversal) -> list:
+def _key_rows(L: int, p1: Transversal, rows: dict, twist: dict) -> tuple[list, list]:
+    """The rows psi(lambda) s0[k, T] and psi(lambda) s0[k, S] at each key
+    lambda k, in two flat lists indexed by c*N + d, None where the row is
+    zero or c*N + d is no key: what a T or an S letter read at that key
+    adds (`_walk`).  Each point turns its two rows once per twist e, and
+    the units with that twist share the turned row."""
+    N, turns, units = p1.N, _turns(L), {}
+    for u, e in twist.items():  # e -> the units lambda with psi(lambda) = zeta_L^e
+        units.setdefault(e, []).append(u)
+    t_rows, s_rows = [None] * N * N, [None] * N * N
+    for c, d in p1.members:
+        for x, out in (("T", t_rows), ("S", s_rows)):
+            if any(row := rows[(c, d), (x, 1)]):
+                for e, us in units.items():
+                    turned = _turn(row, turns[e])
+                    for u in us:
+                        out[u * c % N * N + u * d % N] = turned
+    return t_rows, s_rows
+
+
+def _gamma0_rows(N: int, t_rows: list, s_rows: list, t_g0: Transversal, zero: tuple) -> list:
     """G(lambda) = S(g_lambda) for the members of `t_g0`, as rows over the
-    denominator of the Gamma0 generator rows `rows` indexed by lambda (None
-    at non-units), from g_lambda's T/S word walked from the identity's
-    point.  The walk ends there too, whose member is I, so the generators
-    multiply to the word: g_lambda or -g_lambda, which has the same sum
-    (S(-I) = 0, and psi(-1) = 1 unless every sum is 0)."""
-    out = [None] * p1.N
+    denominator of the key rows of `_key_rows`, indexed by lambda (None at
+    non-units): g_lambda's T/S word walked from the identity's key (0, 1),
+    adding the row at each key a T or an S is read from, and subtracting
+    it for a T^-1, read from the key it steps back to.  The walk ends at
+    the identity's point too, whose member is I, so the generators multiply
+    to the word: g_lambda or -g_lambda, which has the same sum (S(-I) = 0,
+    and psi(-1) = 1 unless every sum is 0)."""
+    out = [None] * N
     for lam, g in t_g0.members.items():
-        word = ts_decompose(g).exponents
-        letters = "S".join("T" * a if a > 0 else "t" * -a for a in word)
-        out[lam] = _twisted_sum(L, rows, _walk(L, p1, twist, (0, 1 % p1.N), letters))
+        acc, c, d = zero, 0, 1 % N
+        for n, a in enumerate(ts_decompose(g).exponents):
+            if n:  # the S before T^a
+                if (row := s_rows[c * N + d]) is not None:
+                    acc = tuple(map(add, acc, row))
+                c, d = d, -c % N
+            for _ in range(a):
+                if (row := t_rows[c * N + d]) is not None:
+                    acc = tuple(map(add, acc, row))
+                d = (d + c) % N
+            for _ in range(-a):
+                d = (d - c) % N
+                if (row := t_rows[c * N + d]) is not None:
+                    acc = tuple(map(sub, acc, row))
+        out[lam] = acc
     return out
 
 
-def _slot_tables(L: int, p1: Transversal, rows: dict, g_rows: dict, twist: dict, zero: tuple):
+def _slot_tables(N: int, classes: dict, t_rows: list, s_rows: list, g_rows: list, zero: tuple):
     """`t_slot` and `s_slot`, in two flat passes over the keys c*N + d,
-    from the Gamma0 generator rows and the rows G(lambda) of `g_rows`.  At
-    the key lambda k over the point k, the Gamma1 generator sum is
+    from the key rows of `_key_rows` and the rows G(lambda) of `g_rows`.
+    At the key lambda k over the point k, the Gamma1 generator sum is
     psi(lambda) s0[k, x] + G(lambda) - G(lambda u), lambda u the scalar of
     the key after x, so the G terms telescope along each T-orbit
     (c, d0 + j c): F(k) + G(lambda) is G at the base plus the
     psi(lambda_j) s0[k_j, T] before k, the total their sum over the orbit,
     and B(k) = F(k) + G(lambda) - F(kS) - G(lambda u) + psi(lambda) s0[k, S]."""
-    N, classes, turned = p1.N, p1.classes, {}
-    # per point k, its entries (k, (x, 1)) for x = T, S, or None where s0[k, x] is zero
-    point = {k: [v if any(rows[v := (k, (x, 1))]) else None for x in "TS"] for k in p1.members}
+    sums, label, f_of, orbits = [], {}, [None] * N * N, []  # the distinct F(k) + G(lambda), and each key's
 
-    def turn(v, e):  # zeta_L^e s0[v], each computed once
-        if (out := turned.get((v, e))) is None:
-            out = turned[v, e] = _twisted_sum(L, rows, ((v, e),))
-        return out
+    def intern(f):  # the index of the row f in sums
+        if (a := label.get(f)) is None:
+            a = label[f] = len(sums)
+            sums.append(f)
+        return a
 
-    f_of, s_of, orbits = [None] * N * N, [None] * N * N, []  # F(k) + G(lambda), psi(lambda) s0[k, S]
-    for c, d0 in [(c, d) for c in range(N) for d in range(gcd(c, N)) if gcd(c, d, N) == 1]:  # orbit bases
-        f = base = g_rows[classes[c, d0][1]]
-        for d in ((d0 + j * c) % N for j in range(N // gcd(c, N))):
-            (k, lam), i = classes[c, d], c * N + d
-            f_of[i], (t, s) = f, point[k]
-            if t is not None:
-                f = tuple(map(add, f, turn(t, twist[lam])))
-            s_of[i] = zero if s is None else turn(s, twist[lam])
-        total = tuple(map(sub, f, base))
-        orbits.append((c, d0, N // gcd(c, N), total if any(total) else zero))
+    for c in range(N):
+        g = gcd(c, N)
+        for d0 in range(g):
+            if gcd(d0, g) != 1:  # gcd(c, d0, N) = 1 at a key
+                continue
+            f = base = g_rows[classes[c, d0][1]]
+            a, d = intern(f), d0
+            for _ in range(N // g):
+                f_of[c * N + d] = a
+                if (row := t_rows[c * N + d]) is not None:
+                    f = tuple(map(add, f, row))
+                    a = intern(f)
+                d = (d + c) % N
+            orbits.append((c, d0, N // g, _or_zero(tuple(map(sub, f, base)), zero)))
+    n, diffs = len(sums), {}  # a * n + b -> sums[a] - sums[b], each computed once
     t_slot, s_slot = [None] * N * N, [None] * N * N
     for c, d0, length, total in orbits:
-        for pos, d in enumerate((d0 + j * c) % N for j in range(length)):
+        d, back = d0, -c % N
+        for pos in range(length):
             i = c * N + d
-            row, f, h = s_of[i], f_of[i], f_of[d * N + (-c % N)]  # kS = (d, -c)
-            if f is not h and not any(row := tuple(map(add, map(sub, f, h), row))):
+            a, b, row = f_of[i], f_of[d * N + back], s_rows[i]  # kS = (d, -c)
+            if a != b:
+                if (diff := diffs.get(a * n + b)) is None:
+                    diff = diffs[a * n + b] = _or_zero(tuple(map(sub, sums[a], sums[b])), zero)
+                if diff is not zero:
+                    row = diff if row is None else _or_zero(tuple(map(add, diff, row)), zero)
+            if row is None:
                 row = zero
             if row is not zero or total is not zero:
                 step = _new(Term, ((c, d), "S", 1, row))
                 s_slot[i] = None if row is zero else step
                 t_slot[i] = None if total is zero else _new(OrbitRow, (pos, length, total, step))
+            d = (d + c) % N
     return t_slot, s_slot
+
+
+def _or_zero(row: tuple, zero: tuple) -> tuple:
+    return row if any(row) else zero
 
 
 def split_gamma0(ctx: Context, gamma: Mat2) -> int:

@@ -166,7 +166,7 @@ def gamma1_rows(ctx) -> tuple[int, dict]:
     N, L, classes = ctx.N, ctx.L, ctx.p1.classes
     twist = dedekind._twists(ctx.chi1, ctx.chi2, N)
     den, rows = dedekind._generator_rows(ctx.sums_alphabet)
-    g_rows = dedekind._gamma0_rows(L, ctx.p1, rows, twist, ctx.t_g0)
+    g_rows = ctx.g_rows
     out = {}
     for key, ((c, d), lam) in classes.items():
         for x, kx in (("T", (c, (d + c) % N)), ("S", (d, -c % N))):
