@@ -134,9 +134,6 @@ class DirichletCharacter:
     def is_primitive(self) -> bool:
         return self.conductor() == self.modulus
 
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
     def __eq__(self, other):
         if not isinstance(other, DirichletCharacter):
             return NotImplemented

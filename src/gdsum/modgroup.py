@@ -10,6 +10,8 @@ product is checked to be the matrix as the word is emitted.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from math import gcd
 
@@ -19,6 +21,19 @@ def _short(x: int) -> str:
     one short line and needs no int-to-str conversion (CPython refuses one
     past 4,300 digits)."""
     return str(x) if x.bit_length() <= 256 else f"{'-' if x < 0 else ''}<{x.bit_length():,}-bit integer>"
+
+
+def _decimal(x: int) -> str:
+    """x in decimal, or past the interpreter's int-to-str digit limit as
+    `_short` gives it."""
+    try:
+        return str(x)
+    except ValueError:
+        return _short(x)
+
+
+# what int() parses, so that an entry it refuses is refused for its length alone
+_INT_LITERAL = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
 
 
 def _clip(text: str) -> str:
@@ -50,8 +65,9 @@ class Mat2:
     @classmethod
     def parse(cls, text: str) -> "Mat2":
         """Parse "a,b;c,d" with optional whitespace.  An entry longer than
-        the interpreter's int_max_str_digits does not parse; the CLI lifts
-        that limit."""
+        the interpreter's int_max_str_digits does not parse, and the error
+        says so and names sys.set_int_max_str_digits; the CLI lifts that
+        limit."""
         rows = text.strip().split(";")
         if len(rows) != 2:
             raise ValueError(f"matrix spec {_clip(text)} must have two ;-separated rows")
@@ -65,6 +81,12 @@ class Mat2:
                     entries.append(int(col))
                 except ValueError:
                     entry = _clip(col.strip())
+                    if _INT_LITERAL.fullmatch(col):
+                        raise ValueError(
+                            f"matrix entry {entry} in {_clip(text)} is past the interpreter's limit of "
+                            f"{sys.get_int_max_str_digits():,} digits for int-to-str conversion; "
+                            "lift it with sys.set_int_max_str_digits"
+                        ) from None
                     raise ValueError(f"matrix entry {entry} in {_clip(text)} is not an integer") from None
         return cls(*entries)
 
@@ -99,7 +121,10 @@ class Mat2:
         return hash(self.entries())
 
     def __repr__(self):
-        return f"Mat2({self.a}, {self.b}, {self.c}, {self.d})"
+        """Mat2(a, b, c, d), each entry past the int-to-str digit limit given
+        by its bit length, as str() gives it."""
+        a, b, c, d = map(_decimal, self.entries())
+        return f"Mat2({a}, {b}, {c}, {d})"
 
     def __str__(self):
         """(a, b; c, d), each entry past 256 bits given by its bit length."""

@@ -273,10 +273,10 @@ def test_precompute_structure(ctx9):
 def test_precompute_rejects_bad_characters(chi3):
     from gdsum.characters import characters_mod
 
-    trivial = [c for c in characters_mod(3) if c.is_trivial()][0]
+    trivial = [c for c in characters_mod(3) if c.order == 1][0]
     with pytest.raises(ValueError):
         precompute(trivial, chi3)
-    induced = [c for c in characters_mod(6) if not c.is_trivial()][0]
+    induced = [c for c in characters_mod(6) if c.order != 1][0]
     with pytest.raises(ValueError):
         precompute(induced, chi3)
 

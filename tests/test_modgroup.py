@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -171,6 +172,39 @@ def test_messages_give_huge_entries_by_bit_length():
         f"matrix entry {'9' * 40!r}... (5,001 characters) in {'1,0;' + '9' * 36!r}... "
         "(5,007 characters) is not an integer"
     )
+
+
+@pytest.fixture
+def digit_limit_4300():
+    """The interpreter's default int-to-str digit limit, restored after."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def test_parse_names_the_digit_limit(digit_limit_4300):
+    """An integer entry longer than the digit limit is refused for its
+    length, by a message that says so and names the call that lifts it."""
+    with pytest.raises(ValueError) as info:
+        Mat2.parse("1,0;" + "9" * 5000 + ",1")
+    assert str(info.value) == (
+        f"matrix entry {'9' * 40!r}... (5,000 characters) in {'1,0;' + '9' * 36!r}... (5,006 characters) "
+        "is past the interpreter's limit of 4,300 digits for int-to-str conversion; "
+        "lift it with sys.set_int_max_str_digits"
+    )
+
+
+def test_repr_gives_huge_entries_as_str_does(digit_limit_4300):
+    """repr writes an entry in decimal up to the digit limit and past it by
+    its bit length, the form str() uses; it never raises."""
+    huge = 10**4999 * 9 + 1  # 5,000 digits
+    m = Mat2(1, 0, huge, 1)
+    assert repr(m) == f"Mat2(1, 0, <{huge.bit_length():,}-bit integer>, 1)" == "Mat2(1, 0, <16,610-bit integer>, 1)"
+    assert repr(Mat2(1, 0, 10**4299, 1)) == f"Mat2(1, 0, 1{'0' * 4299}, 1)"
+    assert repr(Mat2(17, 32, 9, 17)) == "Mat2(17, 32, 9, 17)"
 
 
 @st.composite
