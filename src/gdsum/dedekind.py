@@ -99,8 +99,8 @@ def naive_sum(chi1: DirichletCharacter, chi2: DirichletCharacter, gamma: Mat2) -
     A[floor(y)] = (1/q1) sum_k k conj(chi1(k - floor(y))) for non-principal
     chi1, plus conj(chi1(-y))/2 when y is an integer; but y is an integer
     only when c/q1, a multiple of q2, divides j, and then chi2(j) = 0.  So
-    the j of each unit residue mod q2 add 2j - c to one of q1 buckets, and
-    the buckets are combined once.  Pairing j with c - j multiplies the
+    each j adds 2j - c to one of the q1 buckets of its chi2 exponent, and
+    each set of buckets is combined once.  Pairing j with c - j multiplies the
     summand by chi1*chi2(-1): only j < c/2 is walked, and the sum is 0 when
     that sign is -1.
     """
@@ -115,9 +115,8 @@ def naive_sum(chi1: DirichletCharacter, chi2: DirichletCharacter, gamma: Mat2) -
         raise ValueError("the double sum is evaluated for non-principal chi1 only")
     L = pair_order(chi1, chi2)
     # chi(n) = zeta_L^e[n], or None where chi(n) = 0; summands take conjugates
-    s1, s2 = L // chi1.order, L // chi2.order
-    e1 = [None if k is None else k * s1 for k in map(chi1.exponent, range(q1))]
-    e2 = [None if k is None else k * s2 for k in map(chi2.exponent, range(q2))]
+    e1 = [None if k is None else k * L // chi1.order for k in map(chi1.exponent, range(q1))]
+    e2 = [None if k is None else k * L // chi2.order for k in map(chi2.exponent, range(q2))]
     # integer numerators per zeta-exponent over the common denominator
     # 2*q1*c: the half range doubles (2j - c)/(2c) * A[m]
     if e1[-1] != e2[-1]:  # chi1*chi2(-1) = -1; both exponents are 0 or L/2
@@ -128,18 +127,16 @@ def naive_sum(chi1: DirichletCharacter, chi2: DirichletCharacter, gamma: Mat2) -
     buckets = {}  # chi2 exponent -> the buckets of the j with that exponent
     for u in range(1, q2):
         if (k2 := e2[u]) is not None:
-            if (bucket := buckets.get(k2)) is None:
-                bucket = buckets[k2] = [0] * q1
+            bucket = buckets.setdefault(k2, [0] * q1)
             for j in range(u, half, q2):
                 bucket[qa * j % M // c] += 2 * j - c
-    # bucket m adds 2k conj(chi1(k - m)), k = 1 .. q1 - 1: its terms (-exponent, 2k)
-    terms = [[(-k1 % L, 2 * k) for k in range(1, q1) if (k1 := e1[(k - m) % q1]) is not None] for m in range(q1)]
     acc = [0] * L
     for k2, bucket in buckets.items():
         for m, w in enumerate(bucket):
             if w:
-                for t, x in terms[m]:
-                    acc[(t - k2) % L] += x * w
+                for k in range(1, q1):
+                    if (k1 := e1[k - m]) is not None:  # e1[(k - m) % q1]: a negative index wraps
+                        acc[-(k2 + k1) % L] += 2 * k * w
     den = 2 * q1 * c  # reduced mod Phi_L in integers, then one Fraction per coefficient
     return CycElem._raw(L, tuple([Fraction(v, den) for v in _reduce(L, acc)]))
 
@@ -238,10 +235,9 @@ class Context:
         self.L = L = pair_order(chi1, chi2)
         self.zero = zero = (0,) * len(_powers(L)[0])
         self.den, rows = _generator_rows(self.sums_alphabet)
-        t_rows, s_rows = _key_rows(L, p1, rows, _twists(chi1, chi2, N))
         self.t_g0 = transversal_g1_in_g0(N)
-        self.g_rows = g_rows = _gamma0_rows(N, t_rows, s_rows, self.t_g0, zero)
-        self.t_slot, self.s_slot = _slot_tables(N, p1.classes, t_rows, s_rows, g_rows, zero)
+        t_rows, s_rows, self.g_rows = _key_rows(L, p1, rows, _twists(chi1, chi2, N), self.t_g0, zero)
+        self.t_slot, self.s_slot = _slot_tables(N, p1.classes, t_rows, s_rows, self.g_rows, zero)
 
 
 def _validate_pair(chi1, chi2, allow_large: bool):
@@ -322,15 +318,13 @@ def _build(chi1, chi2, allow_large: bool) -> tuple[Context, SolveStats]:
 
 
 def _g_mismatches(ctx: Context):
-    """(d, table sum, double sum) at each member g_d of the Gamma0
-    transversal but I whose sum in ctx is not its double sum, lazily:
-    `_build` raises at the first, and `verify` reports it.  Each double sum
-    p/q is compared with its G row entry n over den as p * den = n * q."""
-    den = ctx.den
+    """(d, table sum, double sum) at each member g_d of the Gamma0 transversal
+    but I whose G row over den is not its double sum p/q (n * q != p * den),
+    lazily: `_build` raises at the first, and `verify` reports it."""
     for d, m in ctx.t_g0.members.items():
         if m != I2:
             expect = sum_on_gamma0(ctx.chi1, ctx.chi2, m)
-            if any(x.numerator * den != n * x.denominator for x, n in zip(expect.coeffs, ctx.g_rows[d])):
+            if any(x.numerator * ctx.den != n * x.denominator for x, n in zip(expect.coeffs, ctx.g_rows[d])):
                 yield d, ctx.sums_g0[d], expect
 
 
@@ -368,30 +362,16 @@ def _twists(chi1, chi2, N: int) -> dict[int, int]:
 
 @lru_cache(maxsize=None)
 def _powers(L: int) -> tuple:
-    """powers[e], the integer row of zeta_L^e, for each e < L (Phi_L is
-    monic): per-L data, read by `_solve` for its coefficients and by
-    `_turns`."""
+    """The integer rows of zeta_L^e, e < L (Phi_L is monic): per-L data."""
     return tuple(_reduce(L, [int(k == e) for k in range(L)]) for e in range(L))
 
 
 @lru_cache(maxsize=None)
 def _turns(L: int) -> tuple:
-    """turns[e][i] holds the nonzero entries (j, x) of the integer row of
-    zeta_L^(e + i), so that a row r times zeta_L^e is the sum of r[i] *
-    turns[e][i] (`_turn`)."""
-    powers = _powers(L)
-    sparse = [tuple((j, x) for j, x in enumerate(p) if x) for p in powers]
-    return tuple(tuple(sparse[(e + i) % L] for i in range(len(powers[0]))) for e in range(L))
-
-
-def _turn(row, turn) -> tuple:
-    """The row times zeta_L^e, with turn = `_turns(L)[e]`."""
-    acc = [0] * len(row)
-    for n, power in zip(row, turn):
-        if n:
-            for j, x in power:
-                acc[j] += n * x
-    return tuple(acc)
+    """turns[e][i], the nonzero entries (j, x) of the row of zeta_L^(e + i):
+    a row r times zeta_L^e is the sum of r[i] * turns[e][i]."""
+    sparse = [tuple((j, x) for j, x in enumerate(p) if x) for p in _powers(L)]
+    return tuple(tuple(sparse[(e + i) % L] for i in range(len(_powers(L)[0]))) for e in range(L))
 
 
 def _twisted_sum(L: int, rows: dict, terms) -> tuple:
@@ -445,8 +425,7 @@ def _solve(chi1, chi2, p1: Transversal, gens: dict, oracle) -> tuple[int, dict, 
         coef = {}  # entry -> its coefficient, the sum of its terms' zeta^e, as a row
         for v, e in terms:
             coef[v] = tuple(map(add, coef[v], powers[e])) if v in coef else powers[e]
-        if len(coef) < len(terms):  # only an entry met twice can have coefficient 0
-            coef = {v: c for v, c in coef.items() if any(c)}
+        coef = {v: c for v, c in coef.items() if any(c)}
         for v in coef:
             uses[v].append(len(relations))
         relations.append((name, k, terms, coef))
@@ -484,110 +463,63 @@ def _solve(chi1, chi2, p1: Transversal, gens: dict, oracle) -> tuple[int, dict, 
     return den, {v: known[v] for v in gens}, relations, SolveStats(shear, solved, calls, total_c)
 
 
-def _walk(L: int, p1: Transversal, twist: dict, key, letters: str) -> list:
-    """The terms (entry, e) of a word read from `key` over P^1, letters T,
-    S and t = T^-1: a T or S at the key lambda k gives psi(lambda) s0[k, x],
-    psi(lambda) = zeta_L^twist[lambda], and a t minus that of the T it
-    undoes.  On keys, k S = (d, -c) and k T = (c, d + c) mod N."""
-    N, classes, terms = p1.N, p1.classes, []
-    c, d = key
-    for x in letters:
-        if x == "S":
-            k, lam = classes[c, d]
-            terms.append(((k, ("S", 1)), twist[lam]))
-            c, d = d, -c % N
-        elif x == "T":
-            k, lam = classes[c, d]
-            terms.append(((k, ("T", 1)), twist[lam]))
-            d = (d + c) % N
-        else:  # t: step back first, then subtract the T from there
-            d = (d - c) % N
-            k, lam = classes[c, d]
-            terms.append(((k, ("T", 1)), twist[lam] + L // 2))
-    return terms
-
-
-def _key_rows(L: int, p1: Transversal, rows: dict, twist: dict) -> tuple[list, list]:
-    """The rows psi(lambda) s0[k, T] and psi(lambda) s0[k, S] at each key
-    lambda k, in two flat lists indexed by c*N + d, None where the row is
-    zero or c*N + d is no key: what a T or an S letter read at that key
-    adds (`_walk`).  Each point turns its two rows once per twist e, and
-    the units with that twist share the turned row."""
+def _key_rows(L: int, p1: Transversal, rows: dict, twist: dict, t_g0: Transversal, zero: tuple):
+    """The rows psi(lambda) s0[k, x] that a letter x = T, S adds at each key
+    lambda k, in lists indexed by c*N + d (`zero` for none), each turned once
+    per point and twist; and G(lambda) = S(g_lambda) over `t_g0`: the key rows
+    of the T and S letters of g_lambda's word read from (0, 1), less those a
+    T^-1 steps back over.  The walk ends over the identity's point, so its
+    product is +-g_lambda, of one sum (S(-I) = 0)."""
     N, turns, units = p1.N, _turns(L), {}
-    for u, e in twist.items():  # e -> the units lambda with psi(lambda) = zeta_L^e
+    for u, e in twist.items():
         units.setdefault(e, []).append(u)
-    t_rows, s_rows = [None] * N * N, [None] * N * N
+    t_rows, s_rows, g_rows = [zero] * N * N, [zero] * N * N, [None] * N
     for c, d in p1.members:
         for x, out in (("T", t_rows), ("S", s_rows)):
             if any(row := rows[(c, d), (x, 1)]):
                 for e, us in units.items():
-                    turned = _turn(row, turns[e])
+                    acc = [0] * len(row)
+                    for n, power in zip(row, turns[e]):
+                        for j, y in power:
+                            acc[j] += n * y
+                    turned = tuple(acc)
                     for u in us:
                         out[u * c % N * N + u * d % N] = turned
-    return t_rows, s_rows
-
-
-def _gamma0_rows(N: int, t_rows: list, s_rows: list, t_g0: Transversal, zero: tuple) -> list:
-    """G(lambda) = S(g_lambda) for the members of `t_g0`, as rows over the
-    denominator of the key rows of `_key_rows`, indexed by lambda (None at
-    non-units): g_lambda's T/S word walked from the identity's key (0, 1),
-    adding the row at each key a T or an S is read from, and subtracting
-    it for a T^-1, read from the key it steps back to.  The walk ends at
-    the identity's point too, whose member is I, so the generators multiply
-    to the word: g_lambda or -g_lambda, which has the same sum (S(-I) = 0,
-    and psi(-1) = 1 unless every sum is 0)."""
-    out = [None] * N
     for lam, g in t_g0.members.items():
         acc, c, d = zero, 0, 1 % N
         for n, a in enumerate(ts_decompose(g).exponents):
             if n:  # the S before T^a
-                if (row := s_rows[c * N + d]) is not None:
-                    acc = tuple(map(add, acc, row))
+                acc = tuple(map(add, acc, s_rows[c * N + d]))
                 c, d = d, -c % N
-            for _ in range(a):
-                if (row := t_rows[c * N + d]) is not None:
-                    acc = tuple(map(add, acc, row))
-                d = (d + c) % N
-            for _ in range(-a):
-                d = (d - c) % N
-                if (row := t_rows[c * N + d]) is not None:
-                    acc = tuple(map(sub, acc, row))
-        out[lam] = acc
-    return out
+            op, steps = (add, range(a)) if a > 0 else (sub, range(a, 0))  # the keys (c, d + j c) read
+            for j in steps:
+                if (row := t_rows[c * N + (d + j * c) % N]) is not zero:
+                    acc = tuple(map(op, acc, row))
+            d = (d + a * c) % N
+        g_rows[lam] = acc
+    return t_rows, s_rows, g_rows
 
 
 def _slot_tables(N: int, classes: dict, t_rows: list, s_rows: list, g_rows: list, zero: tuple):
-    """`t_slot` and `s_slot`, in two flat passes over the keys c*N + d,
-    from the key rows of `_key_rows` and the rows G(lambda) of `g_rows`.
-    At the key lambda k over the point k, the Gamma1 generator sum is
-    psi(lambda) s0[k, x] + G(lambda) - G(lambda u), lambda u the scalar of
-    the key after x, so the G terms telescope along each T-orbit
-    (c, d0 + j c): F(k) + G(lambda) is G at the base plus the
-    psi(lambda_j) s0[k_j, T] before k, the total their sum over the orbit,
-    and B(k) = F(k) + G(lambda) - F(kS) - G(lambda u) + psi(lambda) s0[k, S]."""
-    sums, label, f_of, orbits = [], {}, [None] * N * N, []  # the distinct F(k) + G(lambda), and each key's
-
-    def intern(f):  # the index of the row f in sums
-        if (a := label.get(f)) is None:
-            a = label[f] = len(sums)
-            sums.append(f)
-        return a
-
-    for c in range(N):
-        g = gcd(c, N)
-        for d0 in range(g):
-            if gcd(d0, g) != 1:  # gcd(c, d0, N) = 1 at a key
-                continue
-            f = base = g_rows[classes[c, d0][1]]
-            a, d = intern(f), d0
-            for _ in range(N // g):
-                f_of[c * N + d] = a
-                if (row := t_rows[c * N + d]) is not None:
-                    f = tuple(map(add, f, row))
-                    a = intern(f)
-                d = (d + c) % N
-            orbits.append((c, d0, N // g, _or_zero(tuple(map(sub, f, base)), zero)))
-    n, diffs = len(sums), {}  # a * n + b -> sums[a] - sums[b], each computed once
+    """`t_slot` and `s_slot`, in two passes over the keys c*N + d.  At the
+    key lambda k the Gamma1 generator sum is psi(lambda) s0[k, x] + G(lambda)
+    - G(lambda u), lambda u the scalar of the key after x, so along each
+    T-orbit (c, d0 + j c) F(k) + G(lambda) is G at the base plus the T key
+    rows before k, the total their sum, and B(k) = F(k) + G(lambda) - F(kS)
+    - G(lambda u) + the S key row, each difference computed once."""
+    label, f_of, orbits = {}, [None] * N * N, []  # value of F + G -> its number; each key's number
+    for c, d0 in [(c, d) for c in range(N) for d in range(gcd(c, N)) if gcd(c, d, N) == 1]:  # orbit bases
+        f = base = g_rows[classes[c, d0][1]]
+        a, d, length = label.setdefault(f, len(label)), d0, N // gcd(c, N)
+        for _ in range(length):
+            f_of[c * N + d] = a
+            if (row := t_rows[c * N + d]) is not zero:
+                f = tuple(map(add, f, row))
+                a = label.setdefault(f, len(label))
+            d = (d + c) % N
+        total = tuple(map(sub, f, base))
+        orbits.append((c, d0, length, total if any(total) else zero))
+    sums, n, diffs = list(label), len(label), {}  # a * n + b -> sums[a] - sums[b]
     t_slot, s_slot = [None] * N * N, [None] * N * N
     for c, d0, length, total in orbits:
         d, back = d0, -c % N
@@ -596,21 +528,18 @@ def _slot_tables(N: int, classes: dict, t_rows: list, s_rows: list, g_rows: list
             a, b, row = f_of[i], f_of[d * N + back], s_rows[i]  # kS = (d, -c)
             if a != b:
                 if (diff := diffs.get(a * n + b)) is None:
-                    diff = diffs[a * n + b] = _or_zero(tuple(map(sub, sums[a], sums[b])), zero)
-                if diff is not zero:
-                    row = diff if row is None else _or_zero(tuple(map(add, diff, row)), zero)
-            if row is None:
-                row = zero
+                    diff = tuple(map(sub, sums[a], sums[b]))
+                    diff = diffs[a * n + b] = diff if any(diff) else zero
+                if row is zero:
+                    row = diff
+                elif diff is not zero and not any(row := tuple(map(add, diff, row))):
+                    row = zero
             if row is not zero or total is not zero:
                 step = _new(Term, ((c, d), "S", 1, row))
                 s_slot[i] = None if row is zero else step
                 t_slot[i] = None if total is zero else _new(OrbitRow, (pos, length, total, step))
             d = (d + c) % N
     return t_slot, s_slot
-
-
-def _or_zero(row: tuple, zero: tuple) -> tuple:
-    return row if any(row) else zero
 
 
 def split_gamma0(ctx: Context, gamma: Mat2) -> int:
@@ -735,13 +664,24 @@ def _relations(p1: Transversal, L: int, twist: dict):
     over the terms (entry, e) is 0.  A group relation read from the member
     r_k gives one identity through the cocycle identity, where a generator
     met at the key lambda k' enters with psi(lambda), the psi of the word
-    before it (`_walk`).  Per point k (per pair k, kS for the first):
+    before it, psi(lambda) = zeta_L^twist[lambda]; on keys, k S = (d, -c)
+    and k T = (c, d + c) mod N.  Per point k (per pair k, kS for the first):
       S^2 = -I:   s_S[k] + psi s_S[kS] = S(-I) = 0
       TSTST = S:  s_T[k] + psi s_S[kT] + psi s_T[kTS] + psi s_S[kTST] + psi s_T[kTSTS] = s_S[k]
     No other code lists them.
     """
+    N, classes = p1.N, p1.classes
+
+    def walk(c, d, letters):  # the terms (entry, e) of a word in T and S read from the key (c, d)
+        terms = []
+        for x in letters:
+            k, lam = classes[c, d]
+            terms.append(((k, ("S", 1) if x == "S" else ("T", 1)), twist[lam]))
+            c, d = (d, -c % N) if x == "S" else (c, (d + c) % N)
+        return terms
+
     for k in p1.members:
-        terms = _walk(L, p1, twist, k, "SS")
+        terms = walk(*k, "SS")
         if k <= terms[1][0][0]:  # k and kS share one identity
             yield "S^2 = -I", k, terms
-        yield "(ST)^3 = S^2", k, _walk(L, p1, twist, k, "TSTST") + [((k, ("S", 1)), L // 2)]
+        yield "(ST)^3 = S^2", k, walk(*k, "TSTST") + [((k, ("S", 1)), L // 2)]

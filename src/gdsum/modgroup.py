@@ -11,7 +11,6 @@ product is checked to be the matrix as the word is emitted.
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass
 from math import gcd
 
@@ -21,19 +20,6 @@ def _short(x: int) -> str:
     one short line and needs no int-to-str conversion (CPython refuses one
     past 4,300 digits)."""
     return str(x) if x.bit_length() <= 256 else f"{'-' if x < 0 else ''}<{x.bit_length():,}-bit integer>"
-
-
-def _decimal(x: int) -> str:
-    """x in decimal, or past the interpreter's int-to-str digit limit as
-    `_short` gives it."""
-    try:
-        return str(x)
-    except ValueError:
-        return _short(x)
-
-
-# what int() parses, so that an entry it refuses is refused for its length alone
-_INT_LITERAL = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
 
 
 def _clip(text: str) -> str:
@@ -66,8 +52,7 @@ class Mat2:
     def parse(cls, text: str) -> "Mat2":
         """Parse "a,b;c,d" with optional whitespace.  An entry longer than
         the interpreter's int_max_str_digits does not parse, and the error
-        says so and names sys.set_int_max_str_digits; the CLI lifts that
-        limit."""
+        says so; the CLI lifts that limit."""
         rows = text.strip().split(";")
         if len(rows) != 2:
             raise ValueError(f"matrix spec {_clip(text)} must have two ;-separated rows")
@@ -80,14 +65,10 @@ class Mat2:
                 try:
                     entries.append(int(col))
                 except ValueError:
-                    entry = _clip(col.strip())
-                    if _INT_LITERAL.fullmatch(col):
-                        raise ValueError(
-                            f"matrix entry {entry} in {_clip(text)} is past the interpreter's limit of "
-                            f"{sys.get_int_max_str_digits():,} digits for int-to-str conversion; "
-                            "lift it with sys.set_int_max_str_digits"
-                        ) from None
-                    raise ValueError(f"matrix entry {entry} in {_clip(text)} is not an integer") from None
+                    why = "is not an integer"
+                    if re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", col):  # an integer, refused for its length
+                        why = "is past the interpreter's int-to-str digit limit; see sys.set_int_max_str_digits"
+                    raise ValueError(f"matrix entry {_clip(col.strip())} in {_clip(text)} {why}") from None
         return cls(*entries)
 
     def __mul__(self, other):
@@ -121,10 +102,10 @@ class Mat2:
         return hash(self.entries())
 
     def __repr__(self):
-        """Mat2(a, b, c, d), each entry past the int-to-str digit limit given
-        by its bit length, as str() gives it."""
-        a, b, c, d = map(_decimal, self.entries())
-        return f"Mat2({a}, {b}, {c}, {d})"
+        try:  # past the int-to-str digit limit, the entries as str() gives them
+            return f"Mat2({self.a}, {self.b}, {self.c}, {self.d})"
+        except ValueError:
+            return "Mat2({}, {}, {}, {})".format(*map(_short, self.entries()))
 
     def __str__(self):
         """(a, b; c, d), each entry past 256 bits given by its bit length."""

@@ -1055,13 +1055,23 @@ def _twisted_walk(ctx, gamma) -> CycElem:
     """The sum of psi(lambda_i) s0[k_i, x_i] over the letters of gamma's
     nearest-integer word, walked from the key (0, 1) over P^1, where the
     i-th prefix key is lambda_i k_i: S(gamma) by Reidemeister-Schreier
-    over Gamma0(N) itself, with no Gamma1 row and no G."""
-    w = ts_decompose(gamma)
-    letters = "S".join("T" * a if a > 0 else "t" * -a for a in w.exponents)
-    twist = dedekind._twists(ctx.chi1, ctx.chi2, ctx.N)
+    over Gamma0(N) itself, with no Gamma1 row and no G.  A T^-1 steps back
+    first and subtracts the T it undoes, read from there."""
+    N, L, classes = ctx.N, ctx.L, ctx.p1.classes
+    twist = dedekind._twists(ctx.chi1, ctx.chi2, N)
     den, rows = dedekind._generator_rows(ctx.sums_alphabet)
-    terms = dedekind._walk(ctx.L, ctx.p1, twist, (0, 1 % ctx.N), letters)
-    return CycElem(ctx.L, [Fraction(n, den) for n in dedekind._twisted_sum(ctx.L, rows, terms)])
+    terms, (c, d) = [], (0, 1 % N)
+    for i, a in enumerate(ts_decompose(gamma).exponents):
+        if i:  # the S before T^a
+            k, lam = classes[c, d]
+            terms.append(((k, ("S", 1)), twist[lam]))
+            c, d = d, -c % N
+        for _ in range(abs(a)):
+            d = (d - c) % N if a < 0 else d
+            k, lam = classes[c, d]
+            terms.append(((k, ("T", 1)), twist[lam] + (L // 2 if a < 0 else 0)))
+            d = (d + c) % N if a > 0 else d
+    return CycElem(L, [Fraction(n, den) for n in dedekind._twisted_sum(L, rows, terms)])
 
 
 @settings(max_examples=300, deadline=None)

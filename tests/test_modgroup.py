@@ -192,8 +192,7 @@ def test_parse_names_the_digit_limit(digit_limit_4300):
         Mat2.parse("1,0;" + "9" * 5000 + ",1")
     assert str(info.value) == (
         f"matrix entry {'9' * 40!r}... (5,000 characters) in {'1,0;' + '9' * 36!r}... (5,006 characters) "
-        "is past the interpreter's limit of 4,300 digits for int-to-str conversion; "
-        "lift it with sys.set_int_max_str_digits"
+        "is past the interpreter's int-to-str digit limit; see sys.set_int_max_str_digits"
     )
 
 
