@@ -161,7 +161,7 @@ def gamma1_rows(ctx) -> tuple[int, dict]:
     `gamma1_alphabet(N, ctx.t_sl2)`, by the derivation formula
     s1[lambda k, x] = psi(lambda) s0[k, x] + G(lambda) - G(lambda u), with
     u the scalar of k x over P^1, from the context's Gamma0 generator sums
-    and its Gamma0 transversal.  The context itself keeps no such row: its
+    and its G rows `ctx.g_rows`.  The context itself keeps no such row: its
     slot tables add them up along each T-orbit."""
     N, L, classes = ctx.N, ctx.L, ctx.p1.classes
     twist = dedekind._twists(ctx.chi1, ctx.chi2, N)

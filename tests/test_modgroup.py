@@ -201,7 +201,8 @@ def test_repr_gives_huge_entries_as_str_does(digit_limit_4300):
     its bit length, the form str() uses; it never raises."""
     huge = 10**4999 * 9 + 1  # 5,000 digits
     m = Mat2(1, 0, huge, 1)
-    assert repr(m) == f"Mat2(1, 0, <{huge.bit_length():,}-bit integer>, 1)" == "Mat2(1, 0, <16,610-bit integer>, 1)"
+    assert repr(m) == "Mat2(1, 0, <16,610-bit integer>, 1)"
+    assert str(m) == "(1, 0; <16,610-bit integer>, 1)"
     assert repr(Mat2(1, 0, 10**4299, 1)) == f"Mat2(1, 0, 1{'0' * 4299}, 1)"
     assert repr(Mat2(17, 32, 9, 17)) == "Mat2(17, 32, 9, 17)"
 

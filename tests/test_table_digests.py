@@ -38,7 +38,9 @@ DIGESTS = {
 
 
 def table_digest(ctx, stats) -> str:
-    t_slot = [(i, o.pos, o.length, o.total, o.step.key, o.step.row) for i, o in enumerate(ctx.t_slot) if o is not None]
+    t_slot = [
+        (i, o.pos, o.length, o.total, o.step.key, o.step.row) for i, o in enumerate(ctx.t_slot) if o is not None
+    ]
     s_slot = [(i, *o) for i, o in enumerate(ctx.s_slot) if o is not None]
     tables = (ctx.den, ctx.g_rows, t_slot, s_slot, tuple(stats))
     return hashlib.sha256(repr(tables).encode()).hexdigest()
