@@ -124,13 +124,12 @@ def naive_sum(chi1: DirichletCharacter, chi2: DirichletCharacter, gamma: Mat2) -
     M = q1 * c
     qa = q1 * a % M  # floor(y) = (qa * j mod M) // c
     half = (c + 1) // 2
-    buckets = {}  # chi2 exponent -> the buckets of the j with that exponent
+    buckets, acc = {}, [0] * L  # chi2 exponent -> the buckets of the j with that exponent
     for u in range(1, q2):
         if (k2 := e2[u]) is not None:
             bucket = buckets.setdefault(k2, [0] * q1)
             for j in range(u, half, q2):
                 bucket[qa * j % M // c] += 2 * j - c
-    acc = [0] * L
     for k2, bucket in buckets.items():
         for m, w in enumerate(bucket):
             if w:
