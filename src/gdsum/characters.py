@@ -3,7 +3,7 @@
 A character mod q is stored as an exponent table: chi(n) = zeta_order^k(n)
 for units n, and 0 when gcd(n, q) > 1.  Exponents (rather than field
 elements) make re-embedding at any common cyclotomic order a cheap integer
-rescale.
+rescale (`exponent_table`), and a pair's psi is read from those tables.
 
 Construction enumerates the full dual group of (Z/qZ)^* from a generating
 set built by CRT over the prime powers dividing q: a primitive root for an
@@ -18,6 +18,7 @@ from functools import lru_cache
 from math import gcd, lcm, prod
 
 from .exactnum import CycElem, _divisors, root_of_unity
+from .modgroup import _clip, _refusal, _short
 
 
 def euler_phi(n: int) -> int:
@@ -88,13 +89,14 @@ def unit_group_gens(q: int) -> list[tuple[int, int]]:
 class DirichletCharacter:
     """Character mod q given by exponents of zeta_order on each residue."""
 
-    __slots__ = ("modulus", "order", "_exps", "_conductor")
+    __slots__ = ("modulus", "order", "_exps", "_conductor", "_tables")
 
     def __init__(self, modulus: int, order: int, exps):
         self.modulus = modulus
         self.order = order
         self._exps = tuple(exps)
         self._conductor = None
+        self._tables = {}
         if len(self._exps) != max(modulus, 1):
             raise ValueError("exponent table must cover all residues")
 
@@ -102,12 +104,14 @@ class DirichletCharacter:
         """k with chi(n) = zeta_order^k, or None when gcd(n, q) > 1."""
         return self._exps[n % self.modulus]
 
-    def exponent_at(self, n: int, L: int):
-        """Exponent of chi(n) rewritten as a power of zeta_L."""
-        if L % self.order != 0:
-            raise ValueError(f"character order {self.order} does not divide {L}")
-        k = self.exponent(n)
-        return None if k is None else (k * (L // self.order)) % L
+    def exponent_table(self, L: int) -> tuple:
+        """e with chi(n) = zeta_L^e[n mod q], None where gcd(n, q) > 1, for
+        an order L that the character's order divides."""
+        if L not in self._tables:
+            if L % self.order != 0:
+                raise ValueError(f"character order {self.order} does not divide {L}")
+            self._tables[L] = tuple([None if k is None else k * (L // self.order) for k in self._exps])
+        return self._tables[L]
 
     def eval(self, n: int) -> CycElem:
         k = self.exponent(n)
@@ -205,58 +209,58 @@ def find_character(q: int, assignments) -> DirichletCharacter:
         if ok:
             matches.append(chi)
     if len(matches) != 1:
-        spec = ";".join([f"q={q}", *(f"g={g};v={t}" for g, t in assignments)])
+        spec = ";".join([f"q={_short(q)}"] + [
+            f"g={_short(g)};v={_short(t.numerator)}{f'/{_short(t.denominator)}' if t.denominator > 1 else ''}"
+            for g, t in assignments])
         raise ValueError(f"character spec '{spec}' matches {len(matches)} primitive characters, need exactly 1")
     return matches[0]
 
 
 def parse_spec_fields(spec: str) -> tuple[int, list[tuple[int, Fraction]]]:
     """The modulus and the (generator, value) pairs of a spec "q=5;g=2;v=3/4",
-    read without building any character."""
+    read without building any character; an error says when a number is
+    past the interpreter's int_max_str_digits, and cuts a long text."""
     q = None
     pairs: list[tuple[int, Fraction]] = []
     pending_g = None
+    at = f"in character spec {_clip(spec)}"
     for field in spec.split(";"):
         field = field.strip()
         if not field:
             continue
         key, _, val = field.partition("=")
-        key = key.strip()
-        val = val.strip()
+        key, val = key.strip(), val.strip()
         if key == "q":
             if q is not None:
-                raise ValueError(f"character spec {spec!r} gives q= twice")
-            q = _spec_int("modulus", val, spec)
+                raise ValueError(f"character spec {_clip(spec)} gives q= twice")
+            q = _spec_number("modulus", val, at)
         elif key == "g":
             if pending_g is not None:
-                raise ValueError(f"dangling generator in character spec {spec!r}")
-            pending_g = _spec_int("generator", val, spec)
+                raise ValueError(f"dangling generator {at}")
+            pending_g = _spec_number("generator", val, at)
         elif key == "v":
             if pending_g is None:
-                raise ValueError(f"value without generator in character spec {spec!r}")
-            try:
-                pairs.append((pending_g, Fraction(val)))
-            except ZeroDivisionError:
-                raise ValueError(f"value {val!r} in character spec {spec!r} divides by 0") from None
-            except ValueError:
-                raise ValueError(f"value {val!r} in character spec {spec!r} is not a rational") from None
+                raise ValueError(f"value without generator {at}")
+            pairs.append((pending_g, _spec_number("value", val, at, Fraction)))
             pending_g = None
         else:
-            raise ValueError(f"unknown field {key!r} in character spec {spec!r}")
+            raise ValueError(f"unknown field {_clip(key)} {at}")
     if q is None:
-        raise ValueError(f"character spec {spec!r} is missing q=")
+        raise ValueError(f"character spec {_clip(spec)} is missing q=")
     if q < 1:
-        raise ValueError(f"modulus q={q} in character spec {spec!r} must be a positive integer")
+        raise ValueError(f"modulus q={_short(q)} {at} must be a positive integer")
     if pending_g is not None:
-        raise ValueError(f"dangling generator in character spec {spec!r}")
+        raise ValueError(f"dangling generator {at}")
     return q, pairs
 
 
-def _spec_int(name: str, val: str, spec: str) -> int:
+def _spec_number(name: str, val: str, at: str, parse=int):
     try:
-        return int(val)
+        return parse(val)
+    except ZeroDivisionError:
+        raise ValueError(f"{name} {_clip(val)} {at} divides by 0") from None
     except ValueError:
-        raise ValueError(f"{name} {val!r} in character spec {spec!r} is not an integer") from None
+        raise ValueError(f"{name} {_clip(val)} {at} {_refusal(val, parse is Fraction)}") from None
 
 
 def parse_character_spec(spec: str) -> DirichletCharacter:
@@ -269,22 +273,28 @@ def pair_order(chi1: DirichletCharacter, chi2: DirichletCharacter) -> int:
     return lcm(chi1.order, chi2.order, 2)
 
 
+def _psi_odd(chi1: DirichletCharacter, chi2: DirichletCharacter) -> bool:
+    """Whether psi(-1) = chi1*chi2(-1) is -1: the two exponents at L, each 0 or L/2, differ."""
+    L = pair_order(chi1, chi2)
+    return chi1.exponent_table(L)[-1] != chi2.exponent_table(L)[-1]
+
+
 def parity_product(chi1: DirichletCharacter, chi2: DirichletCharacter) -> CycElem:
     """chi1(-1) * chi2(-1) at the pair's common order."""
-    L = pair_order(chi1, chi2)
-    e = (chi1.exponent_at(-1, L) + chi2.exponent_at(-1, L)) % L
-    return root_of_unity(L, e)
+    return CycElem.from_rational(pair_order(chi1, chi2), -1 if _psi_odd(chi1, chi2) else 1)
+
+
+def _twists(chi1: DirichletCharacter, chi2: DirichletCharacter) -> dict[int, int]:
+    """e with psi(lambda) = zeta_L^e, L the pair's order, per unit lambda mod q1 q2."""
+    L, q1, q2 = pair_order(chi1, chi2), chi1.modulus, chi2.modulus
+    e1, e2, N = chi1.exponent_table(L), chi2.exponent_table(L), q1 * q2
+    return {u: (e1[u % q1] - e2[u % q2]) % L for u in range(N) if gcd(u, N) == 1}
 
 
 def psi(chi1: DirichletCharacter, chi2: DirichletCharacter, gamma) -> CycElem:
     """Twist chi1 * conj(chi2) evaluated at the lower-right entry of gamma."""
-    L = pair_order(chi1, chi2)
-    d = gamma.d
-    k1 = chi1.exponent_at(d, L)
-    k2 = chi2.exponent_at(d, L)
+    L, d = pair_order(chi1, chi2), gamma.d
+    k1, k2 = chi1.exponent_table(L)[d % chi1.modulus], chi2.exponent_table(L)[d % chi2.modulus]
     if k1 is None or k2 is None:
-        raise ValueError(
-            f"lower-right entry {d} shares a factor with "
-            f"{chi1.modulus * chi2.modulus}"
-        )
-    return root_of_unity(L, (k1 - k2) % L)
+        raise ValueError(f"lower-right entry {_short(d)} shares a factor with {chi1.modulus * chi2.modulus}")
+    return root_of_unity(L, k1 - k2)

@@ -98,8 +98,8 @@ def _pair(args):
     (q1, gens1), (q2, gens2) = parse_spec_fields(args.chi1), parse_spec_fields(args.chi2)
     if q1 * q2 > DEFAULT_LEVEL_LIMIT and not args.allow_large_n:
         raise CliError(
-            f"level N = {q1} * {q2} = {q1 * q2} exceeds the guardrail {DEFAULT_LEVEL_LIMIT}; "
-            "pass --allow-large-n to lift it"
+            f"level N = {_short(q1)} * {_short(q2)} = {_short(q1 * q2)} exceeds the guardrail "
+            f"{DEFAULT_LEVEL_LIMIT}; pass --allow-large-n to lift it"
         )
     chi1, chi2 = find_character(q1, gens1), find_character(q2, gens2)
     _validate_pair(chi1, chi2, args.allow_large_n)
@@ -250,7 +250,7 @@ def cmd_verify(args) -> int:
         raise CliError("--trials must be at least 1")
     N = parse_spec_fields(args.chi1)[0] * parse_spec_fields(args.chi2)[0]
     if not N <= args.cmax <= NAIVE_CUTOFF:
-        raise CliError(f"--cmax must lie between N = {N} and the double-sum cutoff {NAIVE_CUTOFF}")
+        raise CliError(f"--cmax must lie between N = {_short(N)} and the double-sum cutoff {NAIVE_CUTOFF}")
     ctx = _context(args)
     report = run_verify(ctx, trials=args.trials, seed=args.seed, cmax=args.cmax)
     for name, ok, detail in report.lines:

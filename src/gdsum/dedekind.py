@@ -36,10 +36,11 @@ powers everything here:
     file to be exactly what that context writes.
 
 The generator sums are a dict keyed like their alphabet, (k, ("T", 1)) and
-(k, ("S", 1)), with one shared CycElem per distinct sum.  `_generator_rows`
-turns them into integer rows over one common denominator D (3 at N = 9,
-5 at N = 35 with L = 12), so the solve, the checks, the derived rows, G
-and `fast_sum`'s column sums are integer adds and root-of-unity turns.
+(k, ("S", 1)), with one shared CycElem per distinct sum.  `exactnum` turns
+them into integer rows over one common denominator D (3 at N = 9, 5 at
+N = 35 with L = 12) and back, so the solve, the checks, the derived rows,
+G and `fast_sum`'s column sums are integer adds and root-of-unity turns;
+`characters` gives the exponents of chi1, chi2 and psi at the order L.
 """
 
 from __future__ import annotations
@@ -52,16 +53,17 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from math import gcd, lcm
+from functools import cached_property
+from math import gcd
 from operator import add, itemgetter, sub
 from typing import NamedTuple
 
 from .characters import (
     DirichletCharacter,
+    _psi_odd,
+    _twists,
     find_character,
     pair_order,
-    parity_product,
     psi,
     unit_group_gens,
 )
@@ -73,7 +75,7 @@ from .cosets import (
     transversal_g1_in_g0,
     transversal_g1_in_sl2,
 )
-from .exactnum import CycElem, _reduce
+from .exactnum import CycElem, _cyc, _powers, _rows, _turns
 from .modgroup import I2, Mat2, ts_decompose
 from .rewriter import Term, _new, modified_rewrite, reduce_word
 
@@ -114,13 +116,12 @@ def naive_sum(chi1: DirichletCharacter, chi2: DirichletCharacter, gamma: Mat2) -
     if chi1.order == 1:
         raise ValueError("the double sum is evaluated for non-principal chi1 only")
     L = pair_order(chi1, chi2)
+    if _psi_odd(chi1, chi2):
+        return CycElem.zero(L)
     # chi(n) = zeta_L^e[n], or None where chi(n) = 0; summands take conjugates
-    e1 = [None if k is None else k * L // chi1.order for k in map(chi1.exponent, range(q1))]
-    e2 = [None if k is None else k * L // chi2.order for k in map(chi2.exponent, range(q2))]
+    e1, e2 = chi1.exponent_table(L), chi2.exponent_table(L)
     # integer numerators per zeta-exponent over the common denominator
     # 2*q1*c: the half range doubles (2j - c)/(2c) * A[m]
-    if e1[-1] != e2[-1]:  # chi1*chi2(-1) = -1; both exponents are 0 or L/2
-        return CycElem.zero(L)
     M = q1 * c
     qa = q1 * a % M  # floor(y) = (qa * j mod M) // c
     half = (c + 1) // 2
@@ -136,8 +137,7 @@ def naive_sum(chi1: DirichletCharacter, chi2: DirichletCharacter, gamma: Mat2) -
                 for k in range(1, q1):
                     if (k1 := e1[k - m]) is not None:  # e1[(k - m) % q1]: a negative index wraps
                         acc[-(k2 + k1) % L] += 2 * k * w
-    den = 2 * q1 * c  # reduced mod Phi_L in integers, then one Fraction per coefficient
-    return CycElem._raw(L, tuple([Fraction(v, den) for v in _reduce(L, acc)]))
+    return _cyc(L, 2 * q1 * c, acc)
 
 
 def sum_on_gamma0(chi1, chi2, gamma: Mat2) -> CycElem:
@@ -203,7 +203,7 @@ class Context:
 
     chi1: DirichletCharacter
     chi2: DirichletCharacter
-    p1: Transversal
+    p1: Transversal = field(compare=False)  # N, compared, fixes it
     sums_alphabet: dict
     N: int = field(init=False)
     L: int = field(init=False)
@@ -220,7 +220,7 @@ class Context:
 
     @property
     def sums_g0(self) -> dict:
-        return _cyc_rows(self.L, self.den, {lam: self.g_rows[lam] for lam in self.t_g0.members})
+        return {lam: _cyc(self.L, self.den, self.g_rows[lam]) for lam in self.t_g0.members}
 
     @cached_property
     def t_sl2(self) -> Transversal:
@@ -233,9 +233,9 @@ class Context:
             raise ValueError(f"the generator sums need a transversal over P^1(Z/{N})")
         self.L = L = pair_order(chi1, chi2)
         self.zero = zero = (0,) * len(_powers(L)[0])
-        self.den, rows = _generator_rows(self.sums_alphabet)
+        self.den, rows = _rows(self.sums_alphabet)
         self.t_g0 = transversal_g1_in_g0(N)
-        t_rows, s_rows, self.g_rows = _key_rows(L, p1, rows, _twists(chi1, chi2, N), self.t_g0, zero)
+        t_rows, s_rows, self.g_rows = _key_rows(L, p1, rows, _twists(chi1, chi2), self.t_g0, zero)
         self.t_slot, self.s_slot = _slot_tables(N, p1.classes, t_rows, s_rows, self.g_rows, zero)
 
 
@@ -270,12 +270,11 @@ def precompute(
 
 def _parity_message(chi1, chi2) -> str | None:
     """The text of the ParityWarning when chi1*chi2(-1) != 1, else None."""
-    if parity_product(chi1, chi2) != CycElem.one(pair_order(chi1, chi2)):
+    if _psi_odd(chi1, chi2):
         return (
             f"chi1*chi2(-1) != 1 for the pair mod ({chi1.modulus}, {chi2.modulus}); "
             "the double sum vanishes for such a pair, so every sum is 0"
         )
-    return None
 
 
 def _build(chi1, chi2, allow_large: bool) -> tuple[Context, SolveStats]:
@@ -299,7 +298,8 @@ def _build(chi1, chi2, allow_large: bool) -> tuple[Context, SolveStats]:
         if any(_twisted_sum(L, rows, terms)):
             raise ValueError(f"U(r, T) and U(r, S) sums over P^1 at key {k} break {name}")
     _lap(laps)
-    ctx = Context(chi1, chi2, p1, _cyc_rows(L, den, rows))
+    cyc = {r: _cyc(L, den, r) for r in set(rows.values())}  # one CycElem per distinct row
+    ctx = Context(chi1, chi2, p1, {v: cyc[r] for v, r in rows.items()})
     _lap(laps)
     if bad := next(_g_mismatches(ctx), None):
         raise ValueError(f"the Gamma0 transversal sum at d = {bad[0]} breaks the cocycle identity")
@@ -318,59 +318,18 @@ def _build(chi1, chi2, allow_large: bool) -> tuple[Context, SolveStats]:
 
 def _g_mismatches(ctx: Context):
     """(d, table sum, double sum) at each member g_d of the Gamma0 transversal
-    but I whose G row over den is not its double sum p/q (n * q != p * den),
+    but I whose G row over den is not the row of its double sum over den,
     lazily: `_build` raises at the first, and `verify` reports it."""
     for d, m in ctx.t_g0.members.items():
         if m != I2:
             expect = sum_on_gamma0(ctx.chi1, ctx.chi2, m)
-            if any(x.numerator * ctx.den != n * x.denominator for x, n in zip(expect.coeffs, ctx.g_rows[d])):
+            if _rows({d: expect}, ctx.den) != (ctx.den, {d: ctx.g_rows[d]}):
                 yield d, ctx.sums_g0[d], expect
 
 
 def _lap(laps):
     if laps is not None:
         laps.append(time.perf_counter())
-
-
-def _row(den: int, coeffs) -> tuple[int, ...]:
-    """Fraction coefficients as integer numerators over den."""
-    return tuple([x.numerator * den // x.denominator for x in coeffs])
-
-
-def _generator_rows(sums: dict) -> tuple[int, dict]:
-    """The common denominator D of the generator sums and, keyed like sums,
-    their integer rows over D, one per distinct CycElem."""
-    distinct = {id(v): v for v in sums.values()}
-    den = lcm(*{x.denominator for v in distinct.values() for x in v.coeffs})
-    row_of = {i: _row(den, v.coeffs) for i, v in distinct.items()}
-    return den, {k: row_of[id(v)] for k, v in sums.items()}
-
-
-def _cyc_rows(L: int, den: int, rows: dict) -> dict:
-    """Integer rows over den as CycElems, one shared object per distinct row."""
-    cyc = {r: CycElem._raw(L, tuple([Fraction(n, den) for n in r])) for r in set(rows.values())}
-    return {v: cyc[r] for v, r in rows.items()}
-
-
-def _twists(chi1, chi2, N: int) -> dict[int, int]:
-    """e with psi(lambda) = zeta_L^e, for each unit lambda mod N."""
-    L = pair_order(chi1, chi2)
-    units = (u for u in range(N) if gcd(u, N) == 1)
-    return {u: (chi1.exponent_at(u, L) - chi2.exponent_at(u, L)) % L for u in units}
-
-
-@lru_cache(maxsize=None)
-def _powers(L: int) -> tuple:
-    """The integer rows of zeta_L^e, e < L (Phi_L is monic): per-L data."""
-    return tuple(_reduce(L, [int(k == e) for k in range(L)]) for e in range(L))
-
-
-@lru_cache(maxsize=None)
-def _turns(L: int) -> tuple:
-    """turns[e][i], the nonzero entries (j, x) of the row of zeta_L^(e + i):
-    a row r times zeta_L^e is the sum of r[i] * turns[e][i]."""
-    sparse = [tuple((j, x) for j, x in enumerate(p) if x) for p in _powers(L)]
-    return tuple(tuple(sparse[(e + i) % L] for i in range(len(_powers(L)[0]))) for e in range(L))
 
 
 def _twisted_sum(L: int, rows: dict, terms) -> tuple:
@@ -411,13 +370,13 @@ def _solve(chi1, chi2, p1: Transversal, gens: dict, oracle) -> tuple[int, dict, 
     relations are read once, here; `_build` checks them all on the rows,
     since a peel uses only some of them.
     """
-    N, L = p1.N, pair_order(chi1, chi2)
-    twist, powers = _twists(chi1, chi2, N), _powers(L)
+    L = pair_order(chi1, chi2)
+    twist, powers = _twists(chi1, chi2), _powers(L)
     unit = {p: j for j, p in enumerate(powers)}  # the row of zeta^j -> j
     zero = (0,) * len(powers[0])
     known = {v: zero for v, m in gens.items() if m.c == 0}
     shear = len(known)
-    if twist[N - 1] == L // 2:  # S(-g) = S(g) + psi(g) S(-I) = -S(g)
+    if _psi_odd(chi1, chi2):  # S(-g) = S(g) + psi(g) S(-I) = -S(g)
         known = dict.fromkeys(gens, zero)
     relations, uses = [], {v: [] for v in gens}  # entry -> relations it enters
     for name, k, terms in _relations(p1, L, twist):
@@ -451,14 +410,13 @@ def _solve(chi1, chi2, p1: Transversal, gens: dict, oracle) -> tuple[int, dict, 
                 solved += 1
             continue
         c, _, x = next(e for e in by_c if e[2] not in known)
-        value = oracle(x)
         calls, total_c = calls + 1, total_c + c
-        new_den = lcm(den, *(q.denominator for q in value.coeffs))
+        new_den, row = _rows({x: oracle(x)}, den)
         if new_den != den:
             scale, den = new_den // den, new_den
-            for v, row in known.items():
-                known[v] = tuple([scale * n for n in row])
-        settle(x, _row(den, value.coeffs))
+            for v, old in known.items():
+                known[v] = tuple([scale * n for n in old])
+        settle(x, row[x])
     return den, {v: known[v] for v in gens}, relations, SolveStats(shear, solved, calls, total_c)
 
 
@@ -561,15 +519,14 @@ def fast_sum(ctx: Context, gamma: Mat2) -> CycElem:
     and a multiple of the orbit total at each T slot that wraps around its
     T-orbit, none for a zero row.  Their rows and G's integer row
     `ctx.g_rows[lambda]` are summed column by column into numerators over
-    `ctx.den`, and each becomes one Fraction.  `ts_decompose` checks the
-    word's exact product, so no matrix is rebuilt here.
+    `ctx.den`, which `exactnum._cyc` turns into the value.  `ts_decompose`
+    checks the word's exact product, so no matrix is rebuilt here.
     """
     d = split_gamma0(ctx, gamma)
     word = ts_decompose(gamma)
     terms = reduce_word(word, modified_rewrite(word, ctx.p1), ctx)
-    g, den = ctx.g_rows[-d % ctx.N if word.negate else d], ctx.den
-    acc = map(sum, zip(g, *map(itemgetter(3), terms)))
-    return CycElem._raw(ctx.L, tuple([Fraction(n, den) for n in acc]))
+    g = ctx.g_rows[-d % ctx.N if word.negate else d]
+    return _cyc(ctx.L, ctx.den, [*map(sum, zip(g, *map(itemgetter(3), terms)))])
 
 
 def crossed_hom_check(chi1, chi2, ga: Mat2, gb: Mat2) -> bool:

@@ -5,7 +5,7 @@ Q(zeta_L) with rational coefficients.  Elements are stored reduced modulo
 the L-th cyclotomic polynomial Phi_L, so that equality of two elements of
 the same order is literally coefficient-wise equality; exact zero-testing
 is what the rest of the engine leans on.  No floats anywhere except the
-display-only `approx`.
+display-only `approx`.  `_rows` and `_cyc` convert to and from integer rows over one denominator.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 
 def _divisors(n: int) -> list[int]:
@@ -211,8 +212,35 @@ class CycElem:
 
 def root_of_unity(L: int, k: int) -> CycElem:
     """zeta_L^(k mod L) in canonical form."""
-    if L < 1:
-        raise ValueError("order must be a positive integer")
-    raw = [Fraction(0)] * L
-    raw[k % L] = Fraction(1)
-    return CycElem(L, raw)
+    return _cyc(L, 1, [int(j == k % L) for j in range(L)])
+
+
+@lru_cache(maxsize=None)
+def _powers(L: int) -> tuple:
+    """The integer rows of zeta_L^e, e < L (Phi_L is monic, so over den 1): per-L data."""
+    return tuple(_rows({e: root_of_unity(L, e) for e in range(L)})[1].values())
+
+
+@lru_cache(maxsize=None)
+def _turns(L: int) -> tuple:
+    """turns[e][i], the nonzero (j, x) of the row of zeta_L^(e + i): r zeta_L^e = sum r[i] turns[e][i]."""
+    sparse = [tuple((j, x) for j, x in enumerate(p) if x) for p in _powers(L)]
+    return tuple(tuple(sparse[(e + i) % L] for i in range(len(_powers(L)[0]))) for e in range(L))
+
+
+def _rows(values: dict, den: int = 1) -> tuple[int, dict]:
+    """D = lcm(den, the CycElems' denominators) and their rows over D, one tuple per distinct object."""
+    distinct = {id(v): v for v in values.values()}
+    den = lcm(den, *{x.denominator for v in distinct.values() for x in v.coeffs})
+    row_of = {i: tuple([x.numerator * (den // x.denominator) for x in v.coeffs]) for i, v in distinct.items()}
+    return den, {k: row_of[id(v)] for k, v in values.items()}
+
+
+def _cyc(order: int, den: int, row) -> CycElem:
+    """row/den as a CycElem: row holds deg Phi_order integers, or `order` in a list reduced first in place."""
+    if len(row) >= order:
+        row = _reduce(order, row)
+    self = object.__new__(CycElem)  # as `CycElem._raw` does, one call less per `fast_sum`
+    object.__setattr__(self, "order", order)
+    object.__setattr__(self, "coeffs", tuple([Fraction(n, den) for n in row]))
+    return self

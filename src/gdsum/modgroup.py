@@ -27,6 +27,13 @@ def _clip(text: str) -> str:
     return repr(text) if len(text) <= 80 else f"{text[:40]!r}... ({len(text):,} characters)"
 
 
+def _refusal(text: str, ratio: bool = False) -> str:
+    """Why int(text), or Fraction(text) with ratio, refused text: one so written only for its length."""
+    if re.fullmatch(r"\s*[+-]?\d+(_\d+)*" + (r"(/\d+(_\d+)*)?" if ratio else "") + r"\s*", text):
+        return "is past the interpreter's int-to-str digit limit; see sys.set_int_max_str_digits"
+    return f"is not {'a rational' if ratio else 'an integer'}"
+
+
 class Mat2:
     """Integer matrix (a b; c d) with ad - bc = 1; immutable."""
 
@@ -65,9 +72,7 @@ class Mat2:
                 try:
                     entries.append(int(col))
                 except ValueError:
-                    why = "is not an integer"
-                    if re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", col):  # an integer, refused for its length
-                        why = "is past the interpreter's int-to-str digit limit; see sys.set_int_max_str_digits"
+                    why = _refusal(col)
                     raise ValueError(f"matrix entry {_clip(col.strip())} in {_clip(text)} {why}") from None
         return cls(*entries)
 

@@ -1,4 +1,5 @@
 import random
+import sys
 import warnings
 from math import gcd
 
@@ -7,6 +8,17 @@ import pytest
 from gdsum import find_character, precompute
 from gdsum.dedekind import ParityWarning
 from gdsum.modgroup import I2, Mat2
+
+
+@pytest.fixture
+def digit_limit_4300():
+    """The interpreter's default int-to-str digit limit, restored after."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(limit)
 
 
 @pytest.fixture(scope="session")

@@ -51,7 +51,7 @@ from itertools import repeat
 from math import gcd
 from typing import NamedTuple
 
-from gdsum import dedekind
+from gdsum import characters, dedekind, exactnum
 from gdsum.cosets import Transversal, schreier_alphabet, transversal_g0_in_sl2
 from gdsum.exactnum import CycElem
 from gdsum.modgroup import I2, Mat2, S, T, TSWord, ts_decompose, ts_reconstruct
@@ -164,8 +164,8 @@ def gamma1_rows(ctx) -> tuple[int, dict]:
     and its G rows `ctx.g_rows`.  The context itself keeps no such row: its
     slot tables add them up along each T-orbit."""
     N, L, classes = ctx.N, ctx.L, ctx.p1.classes
-    twist = dedekind._twists(ctx.chi1, ctx.chi2, N)
-    den, rows = dedekind._generator_rows(ctx.sums_alphabet)
+    twist = characters._twists(ctx.chi1, ctx.chi2)
+    den, rows = exactnum._rows(ctx.sums_alphabet)
     g_rows = ctx.g_rows
     out = {}
     for key, ((c, d), lam) in classes.items():

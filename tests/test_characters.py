@@ -7,16 +7,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gdsum import cli
 from gdsum.characters import (
+    _psi_odd,
+    _twists,
     characters_mod,
     euler_phi,
     find_character,
     pair_order,
     parity_product,
     parse_character_spec,
+    parse_spec_fields,
     psi,
     unit_group_gens,
 )
+from gdsum.cosets import transversal_g1_in_g0
 from gdsum.exactnum import CycElem, root_of_unity
 from gdsum.modgroup import Mat2, random_gamma0
 from reference_tables import embed, in_gamma1
@@ -199,3 +204,94 @@ def test_parse_character_spec():
         parse_character_spec("q=5;x=1")
     with pytest.raises(ValueError, match="value 'x' in character spec 'q=5;g=2;v=x' is not a rational"):
         parse_character_spec("q=5;g=2;v=x")
+
+
+
+def test_exponent_tables_psi_tables_and_parity_of_every_pair_to_level_80():
+    """For every pair of primitive characters with q1 q2 <= 80 (838 ordered
+    pairs): each character's exponent table at the pair's order L and at 2L
+    gives chi(n) for every n mod q and is kept once built, and an order that
+    the character's does not divide is refused; the psi table `_twists` has
+    the units mod N as keys and gives `psi` at the member of the Gamma0
+    transversal at each; and `_psi_odd` is the parity that `parity_product`
+    gives, which is chi1(-1) chi2(-1)."""
+    chars = [chi for chi in _primitive_characters() if chi.modulus <= 80 // 3]
+    pairs = [(chi1, chi2) for chi1 in chars for chi2 in chars if chi1.modulus * chi2.modulus <= 80]
+    assert len(pairs) == 838
+    for chi, M in {(chi, k * pair_order(*pair)) for pair in pairs for chi in pair for k in (1, 2)}:
+        table = chi.exponent_table(M)
+        assert len(table) == chi.modulus and chi.exponent_table(M) is table
+        for n, e in enumerate(table):
+            value = embed(chi.eval(n), M)
+            assert value == (CycElem.zero(M) if e is None else root_of_unity(M, e)), (chi, M, n)
+        if chi.order > 1:
+            with pytest.raises(ValueError, match=f"character order {chi.order} does not divide {M + 1}"):
+                chi.exponent_table(M + 1)
+    transversals = {}
+    for chi1, chi2 in pairs:
+        L, N = pair_order(chi1, chi2), chi1.modulus * chi2.modulus
+        members = transversals.setdefault(N, transversal_g1_in_g0(N)).members
+        twist = _twists(chi1, chi2)
+        assert sorted(twist) == sorted(members) == [u for u in range(N) if gcd(u, N) == 1]
+        for d, m in members.items():
+            assert psi(chi1, chi2, m) == root_of_unity(L, twist[d]), (chi1, chi2, d)
+        sign = embed(chi1(-1), L) * embed(chi2(-1), L)
+        assert parity_product(chi1, chi2) == sign
+        assert _psi_odd(chi1, chi2) == (sign == -1) != (sign == 1)
+
+
+def test_character_messages_give_huge_integers_by_bit_length(capsys, digit_limit_4300, chi4, chi7_56):
+    """Integers past 256 bits are named by their bit length, spec texts past
+    80 characters are cut, and a number past the interpreter's digit limit
+    is named as past it, not as malformed: in `psi`, in the message of
+    `find_character`, in `parse_spec_fields`, and through `gdsum sum`, which
+    lifts the limit and then finds no character for a 5,000-digit g; and
+    `gdsum precompute` and `verify` give a 5,000-digit q's level by its bit
+    length."""
+    d = 2 * 10**5000
+    with pytest.raises(ValueError) as info:
+        psi(chi4, chi7_56, Mat2(1, d - 1, 1, d))
+    assert str(info.value) == "lower-right entry <16,611-bit integer> shares a factor with 28"
+    with pytest.raises(ValueError) as info:
+        find_character(5, [(10**5000 + 2, "1/3")])
+    assert str(info.value) == (
+        "character spec 'q=5;g=<16,610-bit integer>;v=1/3' matches 0 primitive characters, need exactly 1"
+    )
+    with pytest.raises(ValueError) as info:
+        find_character(5, [(2, Fraction(10**5000 + 1, 3))])
+    assert "v=<16,610-bit integer>/3' matches 0" in str(info.value)
+    limit = "is past the interpreter's int-to-str digit limit; see sys.set_int_max_str_digits"
+    for text, name, val, why in [
+        ("q=" + "7" * 5000 + ";g=2;v=1/4", "modulus", "7" * 5000, limit),
+        ("q=5;g=2;v=" + "7" * 5000, "value", "7" * 5000, limit),
+        ("q=5;g=2;v=1/" + "3" * 5000, "value", "1/" + "3" * 5000, limit),
+        ("q=5;g=x" + "7" * 5000, "generator", "x" + "7" * 5000, "is not an integer"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            parse_spec_fields(text)
+        assert str(info.value) == (
+            f"{name} {val[:40]!r}... ({len(val):,} characters) "
+            f"in character spec {text[:40]!r}... ({len(text):,} characters) {why}"
+        )
+    with pytest.raises(ValueError) as info:
+        parse_spec_fields("q=-" + "7" * 80)
+    assert str(info.value) == (
+        f"modulus q=-<266-bit integer> in character spec {'q=-' + '7' * 37!r}... (83 characters) "
+        "must be a positive integer"
+    )
+    chi1 = "q=5;g=" + "7" * 5000 + ";v=1/3"
+    status = cli.main(["sum", "--chi1", chi1, "--chi2", "q=7;g=3;v=1/6", "--matrix", "1,0;0,1"])
+    err = capsys.readouterr().err
+    assert status == 1 and len(err.encode()) < 200, err
+    assert err == (
+        "error: character spec 'q=5;g=<16,610-bit integer>;v=1/3' matches 0 primitive characters, "
+        "need exactly 1\n"
+    )
+    pair = ["--chi1", "q=1" + "0" * 5000 + ";g=2;v=1/4", "--chi2", "q=7;g=3;v=1/6"]
+    for command, message in [
+        ("precompute", "level N = <16,610-bit integer> * 7 = <16,613-bit integer> exceeds the guardrail 80"),
+        ("verify", "--cmax must lie between N = <16,613-bit integer> and the double-sum cutoff 100000"),
+    ]:
+        assert cli.main([command, *pair]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1 and len(err.encode()) < 200, err

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gdsum import cli, cosets, dedekind, exactnum, find_character
+from gdsum import characters, cli, cosets, dedekind, exactnum, find_character
 from gdsum.characters import pair_order, parity_product, psi
 from gdsum.cosets import schreier_alphabet, transversal_g0_in_sl2
 from gdsum.dedekind import (
@@ -104,13 +104,13 @@ def test_naive_sum_reduces_its_integers_like_fractions(request, monkeypatch, nam
     value is the Fraction reduction of the same numerators over 2 q1 c,
     and all of them together are the values pinned before the change."""
     ctx = request.getfixturevalue(name)
-    q1, numerators = ctx.chi1.modulus, []
-    monkeypatch.setattr(dedekind, "_reduce", lambda L, raw: numerators.append(raw[:]) or exactnum._reduce(L, raw))
+    q1, numerators, reduce = ctx.chi1.modulus, [], exactnum._reduce
+    monkeypatch.setattr(exactnum, "_reduce", lambda L, raw: numerators.append(raw[:]) or reduce(L, raw))
     values = []
     for gamma in _sweep_matrices(ctx.N):
+        numerators.clear()
         value = naive_sum(ctx.chi1, ctx.chi2, gamma)
         (raw,) = numerators
-        numerators.clear()
         assert all(type(n) is int for n in raw) and len(raw) == ctx.L
         assert value == CycElem(ctx.L, [Fraction(n, 2 * q1 * gamma.c) for n in raw])
         values.append(",".join(map(str, value.coeffs)))
@@ -579,6 +579,18 @@ def test_context_derives_pair_fields(ctx35, name):
             dataclasses.replace(ctx35, p1=p1)
 
 
+def test_contexts_of_one_pair_are_equal(tmp_path, chi4, chi7_56):
+    """Two builds of a pair, and a load of its cache, are equal contexts:
+    `p1` is not compared, since N, which is, fixes it.  A copy with one
+    generator sum changed is not equal."""
+    ctx = precompute(chi4, chi7_56)
+    save_context(ctx, tmp_path / "ctx.json")
+    assert ctx == precompute(chi4, chi7_56) == load_context(tmp_path / "ctx.json")
+    key = next(k for k, v in ctx.sums_alphabet.items() if v)
+    changed = dataclasses.replace(ctx, sums_alphabet={**ctx.sums_alphabet, key: 2 * ctx.sums_alphabet[key]})
+    assert changed != ctx and changed.p1 is ctx.p1
+
+
 def test_load_logs_what_it_validated(tmp_path, monkeypatch, caplog, ctx28):
     """One DEBUG line per load, the one a precompute logs, with the solve's
     stats and the seconds per phase on the record; nothing is logged or
@@ -993,7 +1005,7 @@ def test_slot_tables_follow_the_generator_sums(ctx35_l12):
     k = next(s for s in keys[1::2] if classes[divmod(s, N)][0] == point)
     shifted = _shifted(ctx, [(point, ("S", 1))])
     assert shifted.s_slot[k] is potential(shifted)[divmod(k, N)].step is not ctx.s_slot[k]
-    twist = dedekind._twists(ctx.chi1, ctx.chi2, N)
+    twist = characters._twists(ctx.chi1, ctx.chi2)
     over = [classes[divmod(s, N)][1] for s in keys[1::2] if classes[divmod(s, N)][0] == point]
     assert len({twist[lam] for lam in over}) == 3
     third = CycElem.from_rational(ctx.L, Fraction(1, 3))
@@ -1045,7 +1057,7 @@ def arbitrary_contexts(ctx28, ctx35_l12):
             for v in ctx.sums_alphabet
         }
         out[name] = dedekind.Context(ctx.chi1, ctx.chi2, ctx.p1, sums)
-        twist, rows = dedekind._twists(ctx.chi1, ctx.chi2, ctx.N), dedekind._generator_rows(sums)[1]
+        twist, rows = characters._twists(ctx.chi1, ctx.chi2), exactnum._rows(sums)[1]
         relations = dedekind._relations(ctx.p1, ctx.L, twist)
         assert any(any(dedekind._twisted_sum(ctx.L, rows, terms)) for _, _, terms in relations)
     return out
@@ -1058,8 +1070,8 @@ def _twisted_walk(ctx, gamma) -> CycElem:
     over Gamma0(N) itself, with no Gamma1 row and no G.  A T^-1 steps back
     first and subtracts the T it undoes, read from there."""
     N, L, classes = ctx.N, ctx.L, ctx.p1.classes
-    twist = dedekind._twists(ctx.chi1, ctx.chi2, N)
-    den, rows = dedekind._generator_rows(ctx.sums_alphabet)
+    twist = characters._twists(ctx.chi1, ctx.chi2)
+    den, rows = exactnum._rows(ctx.sums_alphabet)
     terms, (c, d) = [], (0, 1 % N)
     for i, a in enumerate(ts_decompose(gamma).exponents):
         if i:  # the S before T^a
@@ -1136,7 +1148,7 @@ def test_fast_sum_over_common_denominator_3(ctx28):
     third = CycElem.from_rational(L, Fraction(1, 3))
     totals = [as_cyc(ctx, potential(ctx)[0, 1].total) for ctx in (ctx28, shifted)]
     assert totals[1] == totals[0] + third
-    twist = dedekind._twists(ctx28.chi1, ctx28.chi2, N)
+    twist = characters._twists(ctx28.chi1, ctx28.chi2)
     rng = random.Random(3)
     mats = [random_gamma0(N, rng, kmax=10**30) for _ in range(40)]
     mats += [t_power(10**40 + 5), t_power(-(10**25)), -t_power(7 * 10**18)]
@@ -1252,7 +1264,7 @@ def _free_dimension(chi1, chi2) -> int:
     p1 = transversal_g0_in_sl2(N)
     gens = schreier_alphabet(N, p1)
     column = {v: i for i, v in enumerate(gens)}
-    twist = dedekind._twists(chi1, chi2, N)
+    twist = characters._twists(chi1, chi2)
     rows = [[int(v == x) for x in gens] for v, m in gens.items() if m.c == 0]
     for _, _, terms in dedekind._relations(p1, L, twist):
         row = [0] * len(gens)

@@ -1,10 +1,20 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 import sympy
 
-from gdsum.exactnum import CycElem, _reduce, cyclotomic_polynomial, root_of_unity
+from gdsum.exactnum import (
+    CycElem,
+    _cyc,
+    _powers,
+    _reduce,
+    _rows,
+    _turns,
+    cyclotomic_polynomial,
+    root_of_unity,
+)
 from reference_tables import conj, embed
 
 
@@ -153,3 +163,30 @@ def test_immutability():
     e = root_of_unity(6, 1)
     with pytest.raises(AttributeError):
         e.order = 12
+
+
+def test_row_conversions_round_trip():
+    """`_rows` gives random CycElems at orders 1 to 30 as integer rows over
+    the lcm of their denominators (and of a given den), one tuple per
+    distinct object, and `_cyc` turns each row back into its CycElem; a row
+    of L coefficients is first reduced mod Phi_L, and `_powers`/`_turns`
+    hold the rows of zeta_L^e."""
+    rng = random.Random(30)
+    for L in range(1, 31):
+        deg = len(cyclotomic_polynomial(L)) - 1
+        values = {
+            i: CycElem(L, [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(deg)]) for i in range(6)
+        }
+        values["again"] = values[0]
+        den, rows = _rows(values)
+        assert den == lcm(*(x.denominator for v in values.values() for x in v.coeffs))
+        assert rows["again"] is rows[0] and set(rows) == set(values)
+        for k, v in values.items():
+            assert all(type(n) is int for n in rows[k]) and _cyc(L, den, rows[k]) == v
+        assert _rows(values, 7 * den) == (7 * den, {k: tuple(7 * n for n in row) for k, row in rows.items()})
+        raw = [rng.randint(-50, 50) for _ in range(L)]
+        assert CycElem(L, [Fraction(n, 6) for n in raw]) == _cyc(L, 6, raw)  # `_cyc` reduces raw in place
+        for e, row in enumerate(_powers(L)):
+            assert _cyc(L, 1, row) == CycElem(L, [int(k == e) for k in range(L)]) == root_of_unity(L, e + L)
+            sparse = tuple((j, x) for j, x in enumerate(row) if x)
+            assert all(_turns(L)[(e - i) % L][i] == sparse for i in range(deg))

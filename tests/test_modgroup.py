@@ -1,5 +1,4 @@
 import random
-import sys
 
 import pytest
 from hypothesis import given
@@ -172,17 +171,6 @@ def test_messages_give_huge_entries_by_bit_length():
         f"matrix entry {'9' * 40!r}... (5,001 characters) in {'1,0;' + '9' * 36!r}... "
         "(5,007 characters) is not an integer"
     )
-
-
-@pytest.fixture
-def digit_limit_4300():
-    """The interpreter's default int-to-str digit limit, restored after."""
-    if not hasattr(sys, "get_int_max_str_digits"):
-        pytest.skip("this interpreter has no int-to-str digit limit")
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield
-    sys.set_int_max_str_digits(limit)
 
 
 def test_parse_names_the_digit_limit(digit_limit_4300):

@@ -38,10 +38,11 @@ def literal_sum(chi1, chi2, gamma):
     q1, a, c = chi1.modulus, gamma.a, gamma.c
     L = pair_order(chi1, chi2)
     acc = [0] * L
+    e1, e2 = chi1.exponent_table(L), chi2.exponent_table(L)
     for j in range(1, c + 1):
-        k2 = chi2.exponent_at(j, L)
+        k2 = e2[j % chi2.modulus]
         for n in range(1, q1 + 1):
-            k1 = chi1.exponent_at(n, L)
+            k1 = e1[n % q1]
             if k1 is not None and k2 is not None:
                 # B1(n/q1 + a*j/c) = B1((n*c + a*j*q1) / (q1*c))
                 acc[-(k1 + k2) % L] += _b1(j, c) * _b1(n * c + a * j * q1, q1 * c)
@@ -85,8 +86,7 @@ def floor_sum_oracle(chi1, chi2, gamma):
     q1, q2 = chi1.modulus, chi2.modulus
     a, c = gamma.a, gamma.c
     L = pair_order(chi1, chi2)
-    e1 = [chi1.exponent_at(n, L) for n in range(q1)]
-    e2 = [chi2.exponent_at(n, L) for n in range(q2)]
+    e1, e2 = chi1.exponent_table(L), chi2.exponent_table(L)
     acc = [0] * L
     if e1[-1] != e2[-1]:  # chi1*chi2(-1) = -1: the halves cancel
         return CycElem(L, acc)
