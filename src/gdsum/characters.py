@@ -193,9 +193,18 @@ def characters_mod(q: int) -> list[DirichletCharacter]:
 
 def find_character(q: int, assignments) -> DirichletCharacter:
     """The unique primitive character mod q with chi(g) = exp(2*pi*i*t)
-    for every (g, t) in assignments; raises if none or several match.
+    for every (g, t) in assignments; raises if none or several match,
+    naming the spec that q and the assignments spell.
     """
     assignments = [(g, Fraction(t)) for g, t in assignments]
+    spec = ";".join([f"q={_short(q)}"] + [
+        f"g={_short(g)};v={_short(t.numerator)}{f'/{_short(t.denominator)}' if t.denominator > 1 else ''}"
+        for g, t in assignments])
+    return _find_character(q, assignments, f"'{spec}'")
+
+
+def _find_character(q: int, assignments, spec: str) -> DirichletCharacter:
+    """`find_character` on Fraction values, its error naming `spec`."""
     matches = []
     for chi in characters_mod(q):
         if not chi.is_primitive():
@@ -209,10 +218,7 @@ def find_character(q: int, assignments) -> DirichletCharacter:
         if ok:
             matches.append(chi)
     if len(matches) != 1:
-        spec = ";".join([f"q={_short(q)}"] + [
-            f"g={_short(g)};v={_short(t.numerator)}{f'/{_short(t.denominator)}' if t.denominator > 1 else ''}"
-            for g, t in assignments])
-        raise ValueError(f"character spec '{spec}' matches {len(matches)} primitive characters, need exactly 1")
+        raise ValueError(f"character spec {spec} matches {len(matches)} primitive characters, need exactly 1")
     return matches[0]
 
 
@@ -265,7 +271,7 @@ def _spec_number(name: str, val: str, at: str, parse=int):
 
 def parse_character_spec(spec: str) -> DirichletCharacter:
     """Parse "q=5;g=2;v=3/4" (repeatable g=..;v=.. pairs) to a character."""
-    return find_character(*parse_spec_fields(spec))
+    return _find_character(*parse_spec_fields(spec), _clip(spec))
 
 
 def pair_order(chi1: DirichletCharacter, chi2: DirichletCharacter) -> int:

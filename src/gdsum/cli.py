@@ -18,7 +18,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .characters import find_character, parse_spec_fields
+from .characters import _find_character, parse_spec_fields
 from .dedekind import (
     DEFAULT_LEVEL_LIMIT,
     Context,
@@ -32,7 +32,7 @@ from .dedekind import (
     split_gamma0,
     sum_on_gamma0,
 )
-from .modgroup import Mat2, _short, random_gamma0, ts_decompose
+from .modgroup import Mat2, _clip, _short, random_gamma0, ts_decompose
 from .rewriter import as_factors, format_factor, format_term, modified_rewrite, reduce_word
 
 # Largest lower-left entry for which the double sum is run: the limit of
@@ -91,17 +91,22 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _pair(args):
-    """The requested pair, after the level guardrail and `precompute`'s
-    checks; the text of its ParityWarning, if any, goes to stderr as one
-    line, once per run."""
-    (q1, gens1), (q2, gens2) = parse_spec_fields(args.chi1), parse_spec_fields(args.chi2)
+def _specs(args):
+    """The parsed --chi1 and --chi2, before any character is built, after the level guardrail."""
+    (q1, _), (q2, _) = specs = parse_spec_fields(args.chi1), parse_spec_fields(args.chi2)
     if q1 * q2 > DEFAULT_LEVEL_LIMIT and not args.allow_large_n:
         raise CliError(
             f"level N = {_short(q1)} * {_short(q2)} = {_short(q1 * q2)} exceeds the guardrail "
             f"{DEFAULT_LEVEL_LIMIT}; pass --allow-large-n to lift it"
         )
-    chi1, chi2 = find_character(q1, gens1), find_character(q2, gens2)
+    return specs
+
+
+def _pair(args):
+    """The requested pair, after the level guardrail and `precompute`'s
+    checks, an unmatched spec named as typed; the text of its
+    ParityWarning, if any, goes to stderr as one line, once per run."""
+    chi1, chi2 = (_find_character(q, g, _clip(t)) for t, (q, g) in zip((args.chi1, args.chi2), _specs(args)))
     _validate_pair(chi1, chi2, args.allow_large_n)
     if message := _parity_message(chi1, chi2):
         print(f"warning: {message}", file=sys.stderr)
@@ -171,10 +176,11 @@ def _print_trace(ctx: Context, gamma: Mat2) -> None:
     print("rewritten factors:")
     for f in factors:
         print(f"  {format_factor(f)}")
-    terms = reduce_word(w, keys, ctx)
+    terms = []  # (kind, slot index, multiplicity) per row added
+    reduce_word(w, keys, ctx, terms)
     print(f"terms added to the Gamma0 transversal sum at d = {lam}:")
-    for f in terms:
-        print(f"  {format_term(f)}")
+    for kind, i, m in terms:
+        print(f"  {format_term(kind, divmod(i, ctx.N), m)}")
     if not terms:
         print("  none")
     zero = [(ctx.s_slot if g == "S" else ctx.t_slot)[c * ctx.N + d] for (c, d), g, _ in factors].count(None)
@@ -248,7 +254,8 @@ def run_verify(ctx: Context, *, trials: int, seed: int, cmax: int) -> VerifyRepo
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise CliError("--trials must be at least 1")
-    N = parse_spec_fields(args.chi1)[0] * parse_spec_fields(args.chi2)[0]
+    (q1, _), (q2, _) = _specs(args)
+    N = q1 * q2
     if not N <= args.cmax <= NAIVE_CUTOFF:
         raise CliError(f"--cmax must lie between N = {_short(N)} and the double-sum cutoff {NAIVE_CUTOFF}")
     ctx = _context(args)

@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from operator import add, itemgetter, sub
+from operator import add, sub
 from typing import NamedTuple
 
 from .characters import (
@@ -77,7 +77,7 @@ from .cosets import (
 )
 from .exactnum import CycElem, _cyc, _powers, _rows, _turns
 from .modgroup import I2, Mat2, ts_decompose
-from .rewriter import Term, _new, modified_rewrite, reduce_word
+from .rewriter import modified_rewrite, reduce_word
 
 # Guardrail for precompute and load, lifted by allow_large: the tables hold a
 # row per coset key, |keys| ~ N^2, while the double sums grow with mu ~ N.
@@ -157,16 +157,6 @@ def sum_on_gamma0(chi1, chi2, gamma: Mat2) -> CycElem:
     return naive_sum(chi1, chi2, gamma if gamma.c > 0 else -gamma)
 
 
-class OrbitRow(NamedTuple):
-    """What `fast_sum` reads at one coset key k = (c, d), whose T-orbit
-    (c, d + j c) mod N starts at the base key (c, d mod gcd(c, N))."""
-
-    pos: int  # k's position along its T-orbit
-    length: int  # the orbit's length, N / gcd(c, N)
-    total: tuple  # the orbit total, the sum of U(base, T^length)
-    step: Term  # the S-step term 1 * B(k), B(k) = F(k) + s_S[k] - F(kS)
-
-
 @dataclass
 class Context:
     """All precomputed tables for one character pair.
@@ -191,9 +181,11 @@ class Context:
     Over a word the F terms cancel across each S letter into
     B(k) = F(k) + s_S[k] - F(kS), and vanish at both ends: the walk starts
     at key (0, 1) and ends at some (0, lambda), keys alone on their orbits.
-    `reduce_word` reads `t_slot[i]`, the `OrbitRow` of the key with index
-    i = c*N + d, and `s_slot[i]`, its S-step term, each None where its row
-    is zero or i is no key; every zero row is the one tuple `zero`.
+    At the index i = c*N + d of a key k = (c, d), `reduce_word` reads
+    `t_slot[i]` = (pos, length, total): k's position along its T-orbit
+    (c, d + j c) mod N from the base key (c, d mod gcd(c, N)), the orbit's
+    length N / gcd(c, N) and Sigma; and `s_slot[i]` = B(k).  Each is None
+    where its row is zero or i is no key; every zero row is the tuple `zero`.
     `t_sl2`, the Gamma1(N) transversal, is built on first access and then
     kept, for the benchmark's table comparison and the tests.  Nothing
     derived is passed in, so `dataclasses.replace(ctx, sums_alphabet=...)`
@@ -458,12 +450,14 @@ def _key_rows(L: int, p1: Transversal, rows: dict, twist: dict, t_g0: Transversa
 
 
 def _slot_tables(N: int, classes: dict, t_rows: list, s_rows: list, g_rows: list, zero: tuple):
-    """`t_slot` and `s_slot`, in two passes over the keys c*N + d.  At the
-    key lambda k the Gamma1 generator sum is psi(lambda) s0[k, x] + G(lambda)
-    - G(lambda u), lambda u the scalar of the key after x, so along each
-    T-orbit (c, d0 + j c) F(k) + G(lambda) is G at the base plus the T key
-    rows before k, the total their sum, and B(k) = F(k) + G(lambda) - F(kS)
-    - G(lambda u) + the S key row, each difference computed once."""
+    """`t_slot` and `s_slot`, in two passes over the keys c*N + d: at each
+    key, (pos, length, total) and the S-step row B(k), None for a zero
+    total or row.  At the key lambda k the Gamma1 generator sum is
+    psi(lambda) s0[k, x] + G(lambda) - G(lambda u), lambda u the scalar of
+    the key after x, so along each T-orbit (c, d0 + j c) F(k) + G(lambda)
+    is G at the base plus the T key rows before k, the total their sum, and
+    B(k) = F(k) + G(lambda) - F(kS) - G(lambda u) + the S key row, each
+    difference computed once."""
     label, f_of, orbits = {}, [None] * N * N, []  # value of F + G -> its number; each key's number
     for c, d0 in [(c, d) for c in range(N) for d in range(gcd(c, N)) if gcd(c, d, N) == 1]:  # orbit bases
         f = base = g_rows[classes[c, d0][1]]
@@ -491,10 +485,10 @@ def _slot_tables(N: int, classes: dict, t_rows: list, s_rows: list, g_rows: list
                     row = diff
                 elif diff is not zero and not any(row := tuple(map(add, diff, row))):
                     row = zero
-            if row is not zero or total is not zero:
-                step = _new(Term, ((c, d), "S", 1, row))
-                s_slot[i] = None if row is zero else step
-                t_slot[i] = None if total is zero else _new(OrbitRow, (pos, length, total, step))
+            if row is not zero:
+                s_slot[i] = row
+            if total is not zero:
+                t_slot[i] = (pos, length, total)
             d = (d + c) % N
     return t_slot, s_slot
 
@@ -515,18 +509,18 @@ def fast_sum(ctx: Context, gamma: Mat2) -> CycElem:
     The unsigned word is then its U-factors times g_lambda, and
     S(-W) = psi(-1) S(W) = S(W) whenever any sum is nonzero, so S(gamma)
     is the sum of the U-factors plus G(lambda).
-    `reduce_word` turns the keys into terms: the S-step row at each S slot
+    `reduce_word` turns the keys into rows: the S-step row at each S slot
     and a multiple of the orbit total at each T slot that wraps around its
-    T-orbit, none for a zero row.  Their rows and G's integer row
+    T-orbit, none for a zero row.  They and G's integer row
     `ctx.g_rows[lambda]` are summed column by column into numerators over
     `ctx.den`, which `exactnum._cyc` turns into the value.  `ts_decompose`
     checks the word's exact product, so no matrix is rebuilt here.
     """
     d = split_gamma0(ctx, gamma)
     word = ts_decompose(gamma)
-    terms = reduce_word(word, modified_rewrite(word, ctx.p1), ctx)
+    rows = reduce_word(word, modified_rewrite(word, ctx.p1), ctx)
     g = ctx.g_rows[-d % ctx.N if word.negate else d]
-    return _cyc(ctx.L, ctx.den, [*map(sum, zip(g, *map(itemgetter(3), terms)))])
+    return _cyc(ctx.L, ctx.den, [*map(sum, zip(g, *rows))])
 
 
 def crossed_hom_check(chi1, chi2, ga: Mat2, gb: Mat2) -> bool:

@@ -8,10 +8,12 @@ to (c, d + a*c), S to (d, -c).  The walk starts at the identity's key
 transversal member is g_lambda: the unsigned word is its U-factors times
 g_lambda.  The exact product check is `ts_decompose`'s, done as it emits
 the word; here the last key's c must be 0 mod N (gamma in Gamma0(N)).
-`reduce_word` then reads the context's two tables indexed by key: each S
-slot adds its key's S-step term, each T^a slot its orbit's total only as
-often as a wraps around the T-orbit; a zero row has no entry, so it adds
-no term.  `as_factors` spells the keys as `RewriteFactor`s for display.
+`reduce_word` then reads the context's two tables indexed by key and
+returns the rows to add: each S slot's S-step row, each T^a slot's orbit
+total times the number of times a wraps around the T-orbit, and nothing
+for a zero row, which has no entry.  `--trace` passes it a list to fill
+with each row's kind, slot index and multiplicity, and `as_factors` spells
+the keys as `RewriteFactor`s.
 """
 
 from __future__ import annotations
@@ -22,28 +24,12 @@ from typing import NamedTuple
 from .cosets import Transversal
 from .modgroup import TSWord, ts_reconstruct
 
-# A NamedTuple's own constructor is a Python-level call; building the tuple
-# directly halves the cost of each term on the evaluation path.
-_new = tuple.__new__
-
-
 class RewriteFactor(NamedTuple):
     """U(member at base_key, gen^exponent); gen "T" or "S"."""
 
     base_key: tuple[int, int]
     gen: str
     exponent: int
-
-
-class Term(NamedTuple):
-    """One row `fast_sum` adds, of kind "S" (the S-step row of key) or "T"
-    (`multiplicity` times the orbit total of key's T-orbit, as often as the
-    T-power wraps around it)."""
-
-    key: tuple[int, int]
-    kind: str
-    multiplicity: int
-    row: tuple[int, ...]
 
 
 def modified_rewrite(w: TSWord, t: Transversal) -> list[int]:
@@ -68,22 +54,27 @@ def modified_rewrite(w: TSWord, t: Transversal) -> list[int]:
     return keys
 
 
-def reduce_word(w: TSWord, keys: list[int], ctx) -> list[Term]:
-    """The terms whose rows add up to the sum of the word's U-factors, read
-    from the context's tables at the slot keys of `modified_rewrite`.
+def reduce_word(w: TSWord, keys: list[int], ctx, terms: list | None = None) -> list[tuple]:
+    """The rows that add up to the sum of the word's U-factors, read from
+    the context's tables at the slot keys of `modified_rewrite`.
 
-    A T^a slot at key k gives k's orbit total, times w = floor((pos + a) /
-    length), when it wraps around the orbit (w != 0).  An S slot gives k's
-    S-step term.  A zero row has no table entry (None), so it gives no term.
+    A T^a slot at index k gives k's orbit total times m = floor((pos + a) /
+    length) when it wraps around the orbit (m != 0).  An S slot gives k's
+    S-step row.  A zero row has no table entry (None), so it gives no row.
+    When `terms` is a list, (kind, k, m) is appended to it for each row, of
+    kind "T" or "S" (m = 1).
     """
     t_slot, s_slot, out = ctx.t_slot, ctx.s_slot, []
-    it = iter(keys)  # each T slot, then its S slot; o is (pos, length, total, step)
+    it = iter(keys)  # each T slot, then its S slot; o is (pos, length, total)
     for a, k, s in zip(w.exponents, it, chain(it, (0,))):  # the last S slot: 0 = (0, 0), no key
         if (o := t_slot[k]) is not None and (m := (o[0] + a) // o[1]):
-            row = o[2] if m == 1 else tuple([m * n for n in o[2]])
-            out.append(_new(Term, (o[3][0], "T", m, row)))
-        if (o := s_slot[s]) is not None:
-            out.append(o)
+            out.append(o[2] if m == 1 else tuple([m * n for n in o[2]]))
+            if terms is not None:
+                terms.append(("T", k, m))
+        if (row := s_slot[s]) is not None:
+            out.append(row)
+            if terms is not None:
+                terms.append(("S", s, 1))
     return out
 
 
@@ -98,8 +89,8 @@ def format_factor(f: RewriteFactor) -> str:
     return f"U({f.base_key}, T^{f.exponent})" if f.gen == "T" else f"U({f.base_key}, S)"
 
 
-def format_term(f: Term) -> str:
-    what = "S-step row" if f.kind == "S" else "orbit total"
-    if f.multiplicity == 1:
-        return f"{what} at {f.key}"
-    return f"{f.multiplicity} * {what} at {f.key}"
+def format_term(kind: str, key: tuple[int, int], multiplicity: int) -> str:
+    what = "S-step row" if kind == "S" else "orbit total"
+    if multiplicity == 1:
+        return f"{what} at {key}"
+    return f"{multiplicity} * {what} at {key}"

@@ -19,8 +19,8 @@ from them.  `reduce_word` maps rewrite factors onto that alphabet, each T^a as q
 without the potential table; `derived_rows` pairs every row of the
 context's potential table with its value from `alphabet_sum`.
 `factor_rewrite` and `factor_terms` are the evaluator's rewrite and
-reduction in their factor form: a `RewriteFactor` per letter, and terms
-read from the keyed `potential` table, each times its multiplicity.
+reduction in their factor form: a `RewriteFactor` per letter, and a `Term`
+per row, read from the keyed `potential` table, with its multiplicity.
 `unsigned_product` is a word's product without its sign, the matrix its
 factors times the transversal member at the walk's end key multiply to.
 `strip_letters` is the Euclidean decomposition on the whole matrix, which
@@ -35,8 +35,8 @@ read a matrix's coset off a transversal, `u_func` builds any
 U(x, y) = x y (coset rep of x y)^-1, `in_gamma1` and `random_sl2` test and
 draw matrices, and `gamma1_alphabet` builds the Schreier generators of the
 Gamma1(N) transversal.  `orbit` gives a key's position and length along its
-T-orbit from the key alone, `potential` reads every key's `OrbitRow` off a
-context's slot tables, and `derived_mismatches` checks each S-step row and
+T-orbit from the key alone, `potential` reads every key's two slot entries
+off a context's slot tables, and `derived_mismatches` checks each S-step row and
 orbit total there against the double sum on the matrix it is the sum of.
 
 Helpers only the tests call: `t_power` and `mul_t_power` build T^n and
@@ -55,7 +55,7 @@ from gdsum import characters, dedekind, exactnum
 from gdsum.cosets import Transversal, schreier_alphabet, transversal_g0_in_sl2
 from gdsum.exactnum import CycElem
 from gdsum.modgroup import I2, Mat2, S, T, TSWord, ts_decompose, ts_reconstruct
-from gdsum.rewriter import RewriteFactor, Term, _new
+from gdsum.rewriter import RewriteFactor
 
 
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
@@ -277,12 +277,23 @@ def derived_rows(ctx):
     """(kind, key, the context's row as a CycElem, its value from
     `alphabet_sum`) for every S-step row and orbit total."""
     N = ctx.N
-    for (c, d), (pos, length, total, step) in potential(ctx).items():
+    for (c, d), ((pos, length, total), step) in potential(ctx).items():
         expect = orbit_f(ctx, (c, d)) + gamma1_sums(ctx)[(c, d), ("S", 1)]
         expect = expect - orbit_f(ctx, (d, -c % N))
-        yield "S", (c, d), as_cyc(ctx, step.row), expect
+        yield "S", (c, d), as_cyc(ctx, step), expect
         if pos == 0:
             yield "T", (c, d), as_cyc(ctx, total), alphabet_sum(ctx, (c, d), ("T", length))
+
+
+class Term(NamedTuple):
+    """One row of a word's sum in factor form, of kind "S" (the S-step row
+    of key) or "T" (the orbit total of key's T-orbit, `multiplicity` times
+    as often as the T-power wraps around it)."""
+
+    key: tuple[int, int]
+    kind: str
+    multiplicity: int
+    row: tuple[int, ...]
 
 
 class ReducedFactor(NamedTuple):
@@ -350,15 +361,15 @@ def factor_rewrite(w, t: Transversal, product=None) -> list:
 
 
 def factor_terms(factors, ctx) -> list:
-    """The terms (key, kind, multiplicity, row) of the factors, read from
+    """The `Term`s (key, kind, multiplicity, row) of the factors, read from
     `potential(ctx)`: multiplicity times row adds up to the sum of the
     factors' product, and a zero row gives no term."""
     out, rows = [], potential(ctx)
     for key, gen, exponent in factors:
-        pos, length, total, step = rows[key]
+        (pos, length, total), step = rows[key]
         if gen == "S":
-            if step.row is not ctx.zero:
-                out.append(step)
+            if step is not ctx.zero:
+                out.append(Term(key, "S", 1, step))
         elif gen == "T":
             if total is not ctx.zero and (w := (pos + exponent) // length):
                 out.append(Term(key, "T", w, total))
@@ -494,19 +505,15 @@ def orbit(key, N: int) -> tuple[tuple[int, int], int, int]:
 
 
 def potential(ctx) -> dict:
-    """Each key's `OrbitRow` as `reduce_word` reads it: the position, length
-    and total from its `t_slot` entry (total `ctx.zero` where there is
-    none), and the S-step term from its `s_slot` entry (a zero row where
-    there is none).  Where the two tables agree, as a context builds them,
-    the row is the `t_slot` entry itself."""
+    """Each key's slot entries as `reduce_word` reads them, with the zero
+    rows filled in: its `t_slot` entry (pos, length, total), or where there
+    is none (pos, length, `ctx.zero`) from the key alone, and its `s_slot`
+    S-step row, or `ctx.zero` where there is none."""
     N, out = ctx.N, {}
     for c, d in ctx.p1.classes:
         i = c * N + d
-        row, step = ctx.t_slot[i], ctx.s_slot[i] or _new(Term, ((c, d), "S", 1, ctx.zero))
-        if row is None or row.step.row is not step.row:
-            _, pos, length = orbit((c, d), N)
-            row = _new(dedekind.OrbitRow, (pos, length, ctx.zero if row is None else row.total, step))
-        out[c, d] = row
+        row = ctx.t_slot[i] or (*orbit((c, d), N)[1:], ctx.zero)
+        out[c, d] = row, ctx.s_slot[i] or ctx.zero
     return out
 
 
@@ -517,12 +524,12 @@ def derived_mismatches(ctx, cmax: int) -> tuple[int, list]:
     differs.  Over the Gamma1 transversal, the S-step row at k is the sum of
     U(base, T^pos S T^-pos(kS)) and the orbit total that of U(base, T^length)."""
     N, t, checked, bad = ctx.N, ctx.t_sl2, 0, []
-    for key, row in potential(ctx).items():
+    for key, ((_, _, total), step) in potential(ctx).items():
         base_key, pos, length = orbit(key, N)
         back = orbit((key[1], -key[0] % N), N)[1]
-        entries = [("S", t_power(pos) * S * t_power(-back), row.step.row)]
+        entries = [("S", t_power(pos) * S * t_power(-back), step)]
         if pos == 0:
-            entries.append(("T", t_power(length), row.total))
+            entries.append(("T", t_power(length), total))
         for kind, word, value in entries:
             m = u_func(t.members[base_key], word, t)
             if abs(m.c) <= cmax:

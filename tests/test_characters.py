@@ -245,9 +245,10 @@ def test_character_messages_give_huge_integers_by_bit_length(capsys, digit_limit
     80 characters are cut, and a number past the interpreter's digit limit
     is named as past it, not as malformed: in `psi`, in the message of
     `find_character`, in `parse_spec_fields`, and through `gdsum sum`, which
-    lifts the limit and then finds no character for a 5,000-digit g; and
-    `gdsum precompute` and `verify` give a 5,000-digit q's level by its bit
-    length."""
+    lifts the limit and then finds no character for a 5,000-digit g, and
+    names that spec as typed, cut; and `gdsum precompute` and `verify` give
+    a 5,000-digit q's level by its bit length, in the guardrail's message,
+    or with --allow-large-n in `verify`'s --cmax range."""
     d = 2 * 10**5000
     with pytest.raises(ValueError) as info:
         psi(chi4, chi7_56, Mat2(1, d - 1, 1, d))
@@ -284,14 +285,17 @@ def test_character_messages_give_huge_integers_by_bit_length(capsys, digit_limit
     err = capsys.readouterr().err
     assert status == 1 and len(err.encode()) < 200, err
     assert err == (
-        "error: character spec 'q=5;g=<16,610-bit integer>;v=1/3' matches 0 primitive characters, "
+        f"error: character spec {chi1[:40]!r}... (5,012 characters) matches 0 primitive characters, "
         "need exactly 1\n"
     )
     pair = ["--chi1", "q=1" + "0" * 5000 + ";g=2;v=1/4", "--chi2", "q=7;g=3;v=1/6"]
+    guardrail = "level N = <16,610-bit integer> * 7 = <16,613-bit integer> exceeds the guardrail 80"
+    cmax = "--cmax must lie between N = <16,613-bit integer> and the double-sum cutoff 100000"
     for command, message in [
-        ("precompute", "level N = <16,610-bit integer> * 7 = <16,613-bit integer> exceeds the guardrail 80"),
-        ("verify", "--cmax must lie between N = <16,613-bit integer> and the double-sum cutoff 100000"),
+        (["precompute"], guardrail),
+        (["verify"], guardrail),
+        (["verify", "--allow-large-n"], cmax),
     ]:
-        assert cli.main([command, *pair]) == 1
+        assert cli.main([*command, *pair]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1 and len(err.encode()) < 200, err

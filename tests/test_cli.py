@@ -352,7 +352,7 @@ def test_a_stored_level_above_the_guardrail_names_the_cli_flag(tmp_path, capsys,
     save_context(precompute(chi1, chi2, allow_large=True), cache)
     with pytest.raises(ValueError, match="pass allow_large=True"):
         load_context(cache)
-    monkeypatch.setattr(cli, "find_character", lambda *a: pytest.fail("a character was built"))
+    monkeypatch.setattr(cli, "_find_character", lambda *a: pytest.fail("a character was built"))
     pair = ["--chi1", "q=11;g=2;v=1/2", "--chi2", "q=13;g=2;v=1/12"]
     assert main([command, *pair] + (["--matrix", "1,0;143,1"] if command == "sum" else [])) == 1
     out, err = capsys.readouterr()
@@ -454,10 +454,10 @@ def test_verify_checks_derived_rows(ctx9):
         ctx = dataclasses.replace(ctx9)  # rows derived afresh, not shared with ctx9
         table = getattr(ctx, slots)
         for i, entry in enumerate(table):
-            if entry is not None:
-                field = "row" if kind == "S" else "total"
-                row = getattr(entry, field)
-                table[i] = entry._replace(**{field: (row[0] + ctx.den, *row[1:])})
+            if entry is not None:  # the S-step row, or (pos, length, total)
+                row = entry if kind == "S" else entry[2]
+                row = (row[0] + ctx.den, *row[1:])
+                table[i] = row if kind == "S" else (*entry[:2], row)
         _, bad = derived_mismatches(ctx, cmax=2000)
         assert bad and {k for k, _, _ in bad} == {kind}, kind
         report = run_verify(ctx, trials=2, seed=0, cmax=300)
@@ -543,12 +543,43 @@ def test_bad_spec_exits_1(capsys, monkeypatch, chi1, chi2, message):
         raise AssertionError("a character table was built")
 
     if message != "divides by 0" and "matches" not in message:
-        monkeypatch.setattr(cli, "find_character", no_tables)
+        monkeypatch.setattr(cli, "_find_character", no_tables)
     rc = main(["sum", "--chi1", chi1, "--chi2", chi2, "--matrix", "1,0;0,1"])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err and err.count("\n") == 1
     assert "Fraction(" not in err
+
+
+@pytest.mark.parametrize("command", ["precompute", "sum", "verify"])
+def test_an_unmatched_spec_is_named_as_typed(capsys, command):
+    """A spec no primitive character matches is quoted as typed, spaces,
+    leading zeros and decimals kept, not as its parsed values would spell
+    it, whichever of the two it is."""
+    spec = " q = 5 ; g=07; v=0.3"
+    for pair in (["--chi1", spec, "--chi2", "q=7;g=3;v=1/6"], ["--chi1", "q=7;g=3;v=1/6", "--chi2", spec]):
+        assert main([command, *pair] + (["--matrix", "1,0;0,1"] if command == "sum" else [])) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: character spec ' q = 5 ; g=07; v=0.3' matches 0 primitive characters, need exactly 1\n"
+        )
+
+
+def test_verify_applies_the_guardrail_before_the_cmax_range(capsys, monkeypatch, builds):
+    """At N = 2021, above the guardrail and above the default --cmax,
+    `verify` names the guardrail and --allow-large-n; with the flag it names
+    the --cmax range.  Neither builds a character or a context."""
+    monkeypatch.setattr(cli, "_find_character", lambda *a: pytest.fail("a character was built"))
+    pair = ["--chi1", "q=43;g=3;v=1/2", "--chi2", "q=47;g=5;v=1/2"]
+    for flags, message in [
+        ([], "error: level N = 43 * 47 = 2021 exceeds the guardrail 80; pass --allow-large-n to lift it\n"),
+        (["--allow-large-n"], "error: --cmax must lie between N = 2021 and the double-sum cutoff 100000\n"),
+    ]:
+        assert main(["verify", *flags, *pair]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == message
+    assert not builds
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])

@@ -260,14 +260,14 @@ def test_precompute_structure(ctx9):
     assert gamma1_sums(ctx9).keys() == gamma1_alphabet(9, ctx9.t_sl2).keys()
     for entry, u in gamma1_alphabet(9, ctx9.t_sl2).items():
         assert u == full[entry] and in_gamma1(u, 9)
-    # one OrbitRow per key: its position along its T-orbit (c, d + j c),
-    # counted from the base key (c, d mod gcd(c, N))
+    # one (pos, length, total) per key: its position along its T-orbit
+    # (c, d + j c), counted from the base key (c, d mod gcd(c, N))
     rows = potential(ctx9)
     assert rows.keys() == ctx9.t_sl2.members.keys()
-    for (c, d), row in rows.items():
-        assert row.length == 9 // gcd(c, 9) and 0 <= row.pos < row.length
-        assert (d - row.pos * c) % 9 == d % gcd(c, 9)
-        assert rows[c, d % gcd(c, 9)].total is row.total
+    for (c, d), ((pos, length, total), _) in rows.items():
+        assert length == 9 // gcd(c, 9) and 0 <= pos < length
+        assert (d - pos * c) % 9 == d % gcd(c, 9)
+        assert rows[c, d % gcd(c, 9)][0][2] is total
 
 
 def test_precompute_rejects_bad_characters(chi3):
@@ -340,8 +340,8 @@ def test_rows_match_reference_sums(request, name):
     # one S-step row per key and one total per T-orbit (their lengths add up
     # to the number of keys), nothing else
     assert set(kinds) == {"S", "T"} and kinds["S"] == len(ctx.t_sl2)
-    bases = [row for row in potential(ctx).values() if row.pos == 0]
-    assert kinds["T"] == len(bases) and sum(row.length for row in bases) == len(ctx.t_sl2)
+    bases = [length for (pos, length, _), _ in potential(ctx).values() if pos == 0]
+    assert kinds["T"] == len(bases) and sum(bases) == len(ctx.t_sl2)
 
 
 @pytest.mark.parametrize("name", ["ctx9", "ctx28", "ctx35_l12"])
@@ -362,7 +362,7 @@ def test_wrap_formula_every_key(request, name):
         key: [row(alphabet_sum(ctx, key, ("T", a))) for a in range(2 * N + 1)]
         for key in rows
     }
-    for (c, d), (pos, length, total, _) in rows.items():
+    for (c, d), ((pos, length, total), _) in rows.items():
         for a in range(-2 * N, 2 * N + 1):
             w = (pos + a) // length
             moved = (c, (d + a * c) % N)
@@ -906,8 +906,10 @@ def test_potential_terms_match_alphabet_terms(contexts, name, data):
     else:
         gamma = data.draw(gamma0_matrices(ctx.N))
     _, w, keys = _slots(ctx, gamma)
-    summed = CycElem.zero(ctx.L)
-    for _, kind, m, row in reduce_word(w, keys, ctx):
+    summed, terms = CycElem.zero(ctx.L), []
+    rows = reduce_word(w, keys, ctx, terms)
+    assert len(rows) == len(terms)
+    for (kind, _, m), row in zip(terms, rows):
         assert m != 0 and (m == 1 or kind == "T")
         assert any(row), kind
         summed = summed + as_cyc(ctx, row)  # the row already holds m times the total
@@ -921,8 +923,9 @@ def test_potential_terms_match_alphabet_terms(contexts, name, data):
 @given(st.sampled_from(("ctx9", "ctx28", "ctx35_l12", "ctx28_shifted")), st.data())
 def test_slot_keys_match_the_factor_reference(contexts, name, data):
     """`as_factors` spells the slot keys as the factor-form rewrite of
-    `reference_tables` does, and `reduce_word`'s terms are the factor-form
-    terms with each row times its multiplicity.  The Gamma0 words come from
+    `reference_tables` does, and `reduce_word`'s rows, with the kind, slot
+    index and multiplicity it lists, are the factor-form terms with each
+    row times its multiplicity.  The Gamma0 words come from
     either decomposition, negated or not, and T^k gamma T^l, also in
     Gamma0, puts T^0 at either end."""
     ctx, N = contexts[name], contexts[name].N
@@ -942,7 +945,10 @@ def test_slot_keys_match_the_factor_reference(contexts, name, data):
     assert as_factors(w, keys, N) == factors
     terms = factor_terms(factors, ctx)
     expected = [(k, kind, m, tuple([m * n for n in row])) for k, kind, m, row in terms]
-    assert [tuple(term) for term in reduce_word(w, keys, ctx)] == expected
+    terms = []
+    rows = reduce_word(w, keys, ctx, terms)
+    listed = [(divmod(i, N), kind, m, row) for (kind, i, m), row in zip(terms, rows, strict=True)]
+    assert listed == expected
 
 
 @pytest.mark.parametrize("name", ["ctx9", "ctx28", "ctx35", "ctx35_l12"])
@@ -975,7 +981,7 @@ def test_fast_sum_on_the_sweep(tmp_path, contexts, sweep, name):
 def test_slot_tables_hold_the_potential_objects(contexts, name):
     """Each list has one entry per key index c*N + d, and an entry only at
     a coset key whose row is not zero: there it is the same object as the
-    key's `OrbitRow` (t_slot) or S-step term (s_slot)."""
+    key's (pos, length, total) (t_slot) or S-step row (s_slot)."""
     ctx = contexts[name]
     N, zero = ctx.N, ctx.zero
     assert len(ctx.t_slot) == len(ctx.s_slot) == N * N
@@ -985,11 +991,11 @@ def test_slot_tables_hold_the_potential_objects(contexts, name):
         if row is None:
             assert orbit is None and step is None, i
             continue
-        assert orbit is (None if row.total is zero else row), i
-        assert step is (None if row.step.row is zero else row.step), i
+        assert orbit is (None if row[0][2] is zero else row[0]), i
+        assert step is (None if row[1] is zero else row[1]), i
     if name == "ctx28_shifted":  # rows that are 0 in every real table
-        assert ctx.t_slot[1] is rows[0, 1]
-        assert ctx.s_slot[N - 1] is rows[0, N - 1].step
+        assert ctx.t_slot[1] is rows[0, 1][0]
+        assert ctx.s_slot[N - 1] is rows[0, N - 1][1]
 
 
 def test_slot_tables_follow_the_generator_sums(ctx35_l12):
@@ -1004,7 +1010,7 @@ def test_slot_tables_follow_the_generator_sums(ctx35_l12):
     point = (31, 34)
     k = next(s for s in keys[1::2] if classes[divmod(s, N)][0] == point)
     shifted = _shifted(ctx, [(point, ("S", 1))])
-    assert shifted.s_slot[k] is potential(shifted)[divmod(k, N)].step is not ctx.s_slot[k]
+    assert shifted.s_slot[k] is potential(shifted)[divmod(k, N)][1] is not ctx.s_slot[k]
     twist = characters._twists(ctx.chi1, ctx.chi2)
     over = [classes[divmod(s, N)][1] for s in keys[1::2] if classes[divmod(s, N)][0] == point]
     assert len({twist[lam] for lam in over}) == 3
@@ -1146,7 +1152,7 @@ def test_fast_sum_over_common_denominator_3(ctx28):
         assert row == expect, (kind, key)
     # the T-orbit of (0, 1) is (0, 1) alone: its total is U(I, T)'s sum
     third = CycElem.from_rational(L, Fraction(1, 3))
-    totals = [as_cyc(ctx, potential(ctx)[0, 1].total) for ctx in (ctx28, shifted)]
+    totals = [as_cyc(ctx, potential(ctx)[0, 1][0][2]) for ctx in (ctx28, shifted)]
     assert totals[1] == totals[0] + third
     twist = characters._twists(ctx28.chi1, ctx28.chi2)
     rng = random.Random(3)

@@ -11,7 +11,7 @@ from gdsum import modgroup
 from gdsum.cosets import transversal_g0_in_sl2, transversal_g1_in_sl2
 from gdsum.dedekind import fast_sum, naive_sum
 from gdsum.modgroup import I2, Mat2, S, T, random_gamma0, ts_decompose
-from gdsum.rewriter import RewriteFactor, Term, as_factors, format_factor, format_term, modified_rewrite
+from gdsum.rewriter import RewriteFactor, as_factors, format_factor, format_term, modified_rewrite
 from reference_tables import (
     bar,
     expand_factor,
@@ -402,5 +402,5 @@ def test_factor_count_logarithmic():
 def test_format_helpers():
     assert format_factor(RewriteFactor((1, 0), "T", -2)) == "U((1, 0), T^-2)"
     assert format_factor(RewriteFactor((1, 7), "S", 1)) == "U((1, 7), S)"
-    assert format_term(Term((1, 2), "T", -2, (1, 0))) == "-2 * orbit total at (1, 2)"
-    assert format_term(Term((1, 7), "S", 1, (1, 0))) == "S-step row at (1, 7)"
+    assert format_term("T", (1, 2), -2) == "-2 * orbit total at (1, 2)"
+    assert format_term("S", (1, 7), 1) == "S-step row at (1, 7)"

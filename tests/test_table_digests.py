@@ -1,13 +1,19 @@
 """The tables a build gives, pinned by digest.
 
 A faster build must give the same context, entry for entry: `den`, the G
-rows, every `t_slot` entry (pos, length, total, step.key, step.row), every
-`s_slot` entry, and the SolveStats of its solve.  Each digest is SHA-256 of
-the repr of plain tuples and lists of ints, strings and None, so it reads
-no class name and no object identity.
+rows, every `t_slot` entry (pos, length, total), every `s_slot` entry, and
+the SolveStats of its solve.  Each digest is SHA-256 of the repr of plain
+tuples and lists of ints, strings and None, so it reads no class name and
+no object identity.  The tuples are those of the slot layout the digests
+were first taken on, where each key's entries carried its S-step term
+(key, "S", 1, row) with the key (c, d) = divmod(i, N): `table_digest`
+rebuilds them from the rows.
 """
 
 import hashlib
+from fractions import Fraction
+from functools import cache
+from math import gcd
 
 import pytest
 
@@ -38,16 +44,45 @@ DIGESTS = {
 
 
 def table_digest(ctx, stats) -> str:
+    N = ctx.N
     t_slot = [
-        (i, o.pos, o.length, o.total, o.step.key, o.step.row) for i, o in enumerate(ctx.t_slot) if o is not None
+        (i, *o, divmod(i, N), ctx.s_slot[i] or ctx.zero) for i, o in enumerate(ctx.t_slot) if o is not None
     ]
-    s_slot = [(i, *o) for i, o in enumerate(ctx.s_slot) if o is not None]
+    s_slot = [(i, divmod(i, N), "S", 1, row) for i, row in enumerate(ctx.s_slot) if row is not None]
     tables = (ctx.den, ctx.g_rows, t_slot, s_slot, tuple(stats))
     return hashlib.sha256(repr(tables).encode()).hexdigest()
 
 
+@cache
+def _built(N):
+    return _build(*(find_character(q, gens) for q, gens in PAIRS[N]), True)
+
+
 @pytest.mark.parametrize("N", sorted(PAIRS))
 def test_a_build_gives_the_pinned_tables(N):
-    ctx, stats = _build(*(find_character(q, gens) for q, gens in PAIRS[N]), True)
+    ctx, stats = _built(N)
     assert tuple(stats) == STATS[N]
     assert table_digest(ctx, stats) == DIGESTS[N]
+
+
+@pytest.mark.parametrize("N, pivots", [(9, 2), (28, 8), (35, 8), (143, 28)])
+def test_the_pivots_are_the_free_dimension_of_the_genus_formula(N, pivots):
+    """At a level with no elliptic points the solve's pivots are 2g + (cusps
+    - 2): g = 1 + mu/12 - nu2/4 - nu3/3 - nu_inf/2, with mu the index of
+    Gamma0(N), nu2 and nu3 the counts of x mod N with x^2 + 1 = 0 and
+    x^2 + x + 1 = 0, and nu_inf = sum over d | N of phi(gcd(d, N/d)) cusps
+    (Diamond and Shurman, A First Course in Modular Forms, ch. 3).  None of
+    it reads the relations the solve peels."""
+    mu = N
+    for p in {p for p in range(2, N + 1) if N % p == 0 and all(p % f for f in range(2, p))}:
+        mu += mu // p
+    nu2 = sum((x * x + 1) % N == 0 for x in range(N))
+    nu3 = sum((x * x + x + 1) % N == 0 for x in range(N))
+    cusps = sum(
+        sum(gcd(k, g) == 1 for k in range(1, g + 1))
+        for d in range(1, N + 1) if N % d == 0 for g in [gcd(d, N // d)]
+    )
+    genus = 1 + Fraction(mu, 12) - Fraction(nu2, 4) - Fraction(nu3, 3) - Fraction(cusps, 2)
+    assert nu2 == nu3 == 0 and genus.denominator == 1
+    assert 2 * genus + cusps - 2 == pivots
+    assert _built(N)[1].oracle_calls == pivots
