@@ -9,6 +9,7 @@ import random
 import time
 
 from gdsum import fast_sum, find_character, naive_sum, precompute
+from gdsum.cosets import sl2_coset_count
 from gdsum.modgroup import Mat2, random_gamma0
 
 chi1 = find_character(4, [(3, "1/2")])
@@ -19,7 +20,7 @@ ctx = precompute(chi1, chi2)
 print(
     f"Precomputed tables for the pair mod (4, 7): level N = {ctx.N}, "
     f"{len(ctx.sums_alphabet)} Gamma0 generator sums over {len(ctx.p1)} points of P^1, "
-    f"rows for {len(ctx.p1.classes)} coset keys, {time.perf_counter() - t0:.2f} s (one-time)"
+    f"rows for {sl2_coset_count(ctx.N)} coset keys, {time.perf_counter() - t0:.2f} s (one-time)"
 )
 
 print("\nAgreement with the double sum on random matrices in Gamma0(28):")

@@ -141,11 +141,7 @@ class DirichletCharacter:
     def __eq__(self, other):
         if not isinstance(other, DirichletCharacter):
             return NotImplemented
-        return (self.modulus, self.order, self._exps) == (
-            other.modulus,
-            other.order,
-            other._exps,
-        )
+        return (self.modulus, self.order, self._exps) == (other.modulus, other.order, other._exps)
 
     def __hash__(self):
         return hash((self.modulus, self.order, self._exps))
@@ -173,9 +169,7 @@ def _characters_mod_cached(q: int) -> tuple[DirichletCharacter, ...]:
             n: sum(k * t * (E // s) for k, t, s in zip(ks, ts, orders)) % E
             for n, ks in unit_log.items()
         }
-        g0 = E
-        for v in w.values():
-            g0 = gcd(g0, v)
+        g0 = gcd(E, *w.values())
         order = E // g0
         exps = [None] * q
         for n, v in w.items():

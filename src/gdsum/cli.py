@@ -19,6 +19,7 @@ import time
 from dataclasses import dataclass, field
 
 from .characters import _find_character, parse_spec_fields
+from .cosets import sl2_coset_count
 from .dedekind import (
     DEFAULT_LEVEL_LIMIT,
     Context,
@@ -125,7 +126,7 @@ def _context(args, *, announce: bool = False) -> Context:
         # the solve's pivots, then one check per Gamma0 transversal member but I
         calls = stats.oracle_calls + len(ctx.t_g0) - 1
         print(
-            f"precomputed N={ctx.N}: |T_g0|={len(ctx.t_g0)}, |T_sl2|={len(ctx.p1.classes)} keys, "
+            f"precomputed N={ctx.N}: |T_g0|={len(ctx.t_g0)}, |T_sl2|={sl2_coset_count(ctx.N)} keys, "
             f"{len(ctx.p1)} points of P^1, {len(ctx.sums_alphabet)} stored generator sums, "
             f"order L={ctx.L}, {calls} oracle calls ({elapsed:.2f} s)"
         )

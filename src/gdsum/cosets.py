@@ -3,12 +3,13 @@
 Cosets of Gamma1(N) in Gamma0(N) are keyed by d mod N, cosets of Gamma1(N)
 in the unimodular group by the pair (c mod N, d mod N) with
 gcd(c, d, N) = 1, and cosets of Gamma0(N) in it by the points of
-P^1(Z/N), such pairs up to a unit scalar, so a lookup is a dictionary
-access.  The P^1 transversal r_k is a Schreier transversal, and the
-full-group one is t = g_lambda r_k.  The alphabet of the P^1 transversal
-holds its Schreier generators U(r, T) and U(r, S), where U(x, y) = x y
-(coset rep of x y)^-1 lies in Gamma0(N); by Reidemeister-Schreier they
-generate it.
+P^1(Z/N), such pairs up to a unit scalar.  The P^1 transversal r_k is a
+Schreier transversal, and its breadth-first walk records the point and
+scalar that T and S take each point to; the full-group transversal is
+t = g_lambda r_k, a member per point and unit.  The alphabet of the P^1
+transversal holds its Schreier generators U(r, T) and U(r, S), where
+U(x, y) = x y (coset rep of x y)^-1 lies in Gamma0(N); by
+Reidemeister-Schreier they generate it.
 """
 
 from __future__ import annotations
@@ -33,21 +34,20 @@ class Transversal:
     kind "gamma0": keys d mod N, ambient group Gamma0(N).
     kind "sl2":    keys (c mod N, d mod N), ambient the whole group.
     kind "p1":     cosets of Gamma0(N) in the whole group, keyed by one
-                   (c, d) per point of P^1(Z/N), its class key; `classes`
-                   maps every (c, d) to (class key k, lambda), (c, d) = lambda k.
+                   (c, d) per point of P^1(Z/N), its class key; `edges`
+                   maps (k, ("T", 1)) and (k, ("S", 1)) to (k', lambda)
+                   with k x = lambda k' mod N, and `bases` each T-orbit
+                   base (c, d mod gcd(c, N)) to the lambda of its class.
     Contains the identity at the identity coset.  Built once, then treated
     as immutable; safe to share across threads.
     """
 
-    __slots__ = ("N", "kind", "members", "classes")
+    __slots__ = ("N", "kind", "members", "edges", "bases")
 
-    def __init__(self, N: int, kind: str, members: dict, classes: dict | None = None):
+    def __init__(self, N: int, kind: str, members: dict, edges: dict = None, bases: dict = None):
         if kind not in ("gamma0", "sl2", "p1"):
             raise ValueError(f"unknown transversal kind {kind!r}")
-        self.N = N
-        self.kind = kind
-        self.members = members
-        self.classes = classes
+        self.N, self.kind, self.members, self.edges, self.bases = N, kind, members, edges, bases
 
     def __len__(self):
         return len(self.members)
@@ -76,23 +76,32 @@ def transversal_g0_in_sl2(N: int) -> Transversal:
     member's word is a member too (a Schreier transversal), and each tree
     edge gives a generator equal to the identity: U(r, T) or U(r, S) for an
     edge r -> r T or r -> r S, and U(r T^-1, T) for an edge r -> r T^-1.
+    It keeps what the build reads, the `edges` and `bases`; its map from
+    each key to its point and scalar is two lists, freed on return.
     """
     units = [u for u in range(N) if gcd(u, N) == 1]
-    members, classes, found = {}, {}, []
+    point, scalar = [None] * N * N, [0] * N * N  # at c*N + d: (c, d) = scalar * point
+    members, edges, found = {}, {}, []
 
-    def visit(m):
-        c, d = m[2] % N, m[3] % N
-        if (k := (c, d)) not in classes:
+    def visit(m):  # the point and scalar of m's bottom row, a new member if its point is new
+        i = m[2] % N * N + m[3] % N
+        if point[i] is None:
+            c, d = k = divmod(i, N)
             members[k] = Mat2(*m)
-            classes.update({(u * c % N, u * d % N): (k, u) for u in units})
-            found.append(m)
+            for u in units:
+                j = u * c % N * N + u * d % N
+                point[j], scalar[j] = k, u
+            found.append((k, *m))
+        return point[i], scalar[i]
 
     visit((1, 0, 0, 1))
-    for a, b, c, d in found:  # grows while walked
+    for k, a, b, c, d in found:  # grows while walked
         # (a b; c d) times T, T^-1 and S
-        for m in ((a, a + b, c, c + d), (a, b - a, c, d - c), (b, -a, d, -c)):
-            visit(m)
-    return Transversal(N, "p1", members, classes)
+        edges[k, ("T", 1)] = visit((a, a + b, c, c + d))
+        visit((a, b - a, c, d - c))
+        edges[k, ("S", 1)] = visit((b, -a, d, -c))
+    bases = {(c, d): scalar[c * N + d] for c in range(N) for d in range(gcd(c, N)) if gcd(c, d, N) == 1}
+    return Transversal(N, "p1", members, edges, bases)
 
 
 def transversal_g1_in_sl2(N: int, p1: Transversal | None = None) -> Transversal:
@@ -103,7 +112,7 @@ def transversal_g1_in_sl2(N: int, p1: Transversal | None = None) -> Transversal:
     its key raises: else some U(t, x) = t x (rep of t x)^-1 is not in Gamma1."""
     p1 = p1 or transversal_g0_in_sl2(N)
     g = transversal_g1_in_g0(N).members
-    members = {key: g[lam] * p1.members[k] for key, (k, lam) in p1.classes.items()}
+    members = {(lam * c % N, lam * d % N): g[lam] * r for (c, d), r in p1.members.items() for lam in g}
     if off := [(key, m) for key, m in members.items() if (m.c % N, m.d % N) != key]:
         raise ValueError(f"corrupted transversal: member {off[0][1]} is off its key {off[0][0]} mod {N}")
     return Transversal(N, "sl2", members)
@@ -116,11 +125,10 @@ def schreier_alphabet(N: int, p1: Transversal) -> dict[tuple, Mat2]:
     """
     if p1.kind != "p1":
         raise ValueError("the alphabet is built over the transversal of P^1(Z/N)")
-    members, classes = p1.members, p1.classes
+    members, edges = p1.members, p1.edges
 
-    def u_entry(a, b, c, d):
-        # (a b; c d) times the inverse (rd, -rb; -rc, ra) of its coset rep
-        k = classes[c % N, d % N][0]
+    def u_entry(k, a, b, c, d):
+        # (a b; c d), of point k, times the inverse (rd, -rb; -rc, ra) of its coset rep
         if (r := members.get(k)) is None:
             raise ValueError(f"corrupted transversal: no member for key {k}")
         u = Mat2(a * r.d - b * r.c, b * r.a - a * r.b, c * r.d - d * r.c, d * r.a - c * r.b)
@@ -131,6 +139,6 @@ def schreier_alphabet(N: int, p1: Transversal) -> dict[tuple, Mat2]:
     out = {}
     for key, mem in members.items():
         a, b, c, d = mem.entries()
-        out[key, ("T", 1)] = u_entry(a, a + b, c, c + d)  # times T
-        out[key, ("S", 1)] = u_entry(b, -a, d, -c)  # times S
+        out[key, ("T", 1)] = u_entry(edges[key, ("T", 1)][0], a, a + b, c, c + d)  # times T
+        out[key, ("S", 1)] = u_entry(edges[key, ("S", 1)][0], b, -a, d, -c)  # times S
     return out

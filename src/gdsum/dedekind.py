@@ -164,14 +164,15 @@ class Context:
     Immutable once `precompute` or `load_context` has built it; `fast_sum`
     is pure, so one context can serve concurrent evaluations.  Its inputs
     are the pair `chi1`, `chi2`; `p1`, the transversal of Gamma0(N) over
-    P^1(Z/N); and `sums_alphabet`, the sums s0 of the 2 mu generators
-    U(r_k, T), U(r_k, S) of `alphabet` (built on each access), keyed
-    (k, ("T", 1)), (k, ("S", 1)), as `_solve` finds them.  `__post_init__`
-    derives only what `fast_sum` reads, in integers over the common
-    denominator `den`: `N` and `L`; `t_g0` (Gamma1(N) in Gamma0(N), keyed
-    by d mod N) and `g_rows[lambda]`, the row of the sum G(lambda) of its
-    member, one of which ends each walk (`sums_g0` builds their CycElems on
-    each access); and the slot tables.
+    P^1(Z/N) with the T and S edges and orbit-base scalars its walk found;
+    and `sums_alphabet`, the sums s0 of the 2 mu generators U(r_k, T),
+    U(r_k, S) of `alphabet` (built on each access), keyed (k, ("T", 1)),
+    (k, ("S", 1)), as `_solve` finds them.  `__post_init__` derives only
+    what `fast_sum` reads, in integers over the common denominator `den`:
+    `N` and `L`; `t_g0` (Gamma1(N) in Gamma0(N), keyed by d mod N) and
+    `g_rows[lambda]`, the row of the sum G(lambda) of its member, one of
+    which ends each walk (`sums_g0` builds their CycElems on each access);
+    and the slot tables, the only lists of size N^2 it keeps.
     With F(k) the sum of the Gamma1 generator sums s_T along k's T-orbit
     up to k and Sigma the orbit total, the cocycle identity gives, for
     every integer a,
@@ -186,11 +187,11 @@ class Context:
     (c, d + j c) mod N from the base key (c, d mod gcd(c, N)), the orbit's
     length N / gcd(c, N) and Sigma; and `s_slot[i]` = B(k).  Each is None
     where its row is zero or i is no key; every zero row is the tuple `zero`.
-    `t_sl2`, the Gamma1(N) transversal, is built on first access and then
-    kept, for the benchmark's table comparison and the tests.  Nothing
-    derived is passed in, so `dataclasses.replace(ctx, sums_alphabet=...)`
-    evaluates the sums it holds, and replacing a derived field raises;
-    `_build` checks the relations and G.
+    `t_sl2`, the Gamma1(N) transversal (N^2 members), is built on first
+    access and then kept, for the benchmark's table comparison and the
+    tests.  Nothing derived is passed in, so `dataclasses.replace(ctx,
+    sums_alphabet=...)` evaluates the sums it holds, and replacing a
+    derived field raises; `_build` checks the relations and G.
     """
 
     chi1: DirichletCharacter
@@ -228,7 +229,7 @@ class Context:
         self.den, rows = _rows(self.sums_alphabet)
         self.t_g0 = transversal_g1_in_g0(N)
         t_rows, s_rows, self.g_rows = _key_rows(L, p1, rows, _twists(chi1, chi2), self.t_g0, zero)
-        self.t_slot, self.s_slot = _slot_tables(N, p1.classes, t_rows, s_rows, self.g_rows, zero)
+        self.t_slot, self.s_slot = _slot_tables(N, p1.bases, t_rows, s_rows, self.g_rows, zero)
 
 
 def _validate_pair(chi1, chi2, allow_large: bool):
@@ -302,7 +303,7 @@ def _build(chi1, chi2, allow_large: bool) -> tuple[Context, SolveStats]:
             "precompute N=%d: %d points of P^1, %d keys, %d shear entries, %d solved, "
             "%d oracle calls, oracle total |c| %d; solve %.4f s, check %.4f s, context %.4f s, "
             "G check %.4f s",
-            N, len(p1), len(p1.classes), *stats, *phases,
+            N, len(p1), sl2_coset_count(N), *stats, *phases,
             extra={"solve_stats": stats, "phases": phases},
         )
     return ctx, stats
@@ -419,19 +420,15 @@ def _key_rows(L: int, p1: Transversal, rows: dict, twist: dict, t_g0: Transversa
     of the T and S letters of g_lambda's word read from (0, 1), less those a
     T^-1 steps back over.  The walk ends over the identity's point, so its
     product is +-g_lambda, of one sum (S(-I) = 0)."""
-    N, turns, units = p1.N, _turns(L), {}
+    N, units = p1.N, {}
     for u, e in twist.items():
         units.setdefault(e, []).append(u)
     t_rows, s_rows, g_rows = [zero] * N * N, [zero] * N * N, [None] * N
     for c, d in p1.members:
         for x, out in (("T", t_rows), ("S", s_rows)):
-            if any(row := rows[(c, d), (x, 1)]):
+            if any(rows[(c, d), (x, 1)]):
                 for e, us in units.items():
-                    acc = [0] * len(row)
-                    for n, power in zip(row, turns[e]):
-                        for j, y in power:
-                            acc[j] += n * y
-                    turned = tuple(acc)
+                    turned = _twisted_sum(L, rows, [(((c, d), (x, 1)), e)])
                     for u in us:
                         out[u * c % N * N + u * d % N] = turned
     for lam, g in t_g0.members.items():
@@ -449,7 +446,7 @@ def _key_rows(L: int, p1: Transversal, rows: dict, twist: dict, t_g0: Transversa
     return t_rows, s_rows, g_rows
 
 
-def _slot_tables(N: int, classes: dict, t_rows: list, s_rows: list, g_rows: list, zero: tuple):
+def _slot_tables(N: int, bases: dict, t_rows: list, s_rows: list, g_rows: list, zero: tuple):
     """`t_slot` and `s_slot`, in two passes over the keys c*N + d: at each
     key, (pos, length, total) and the S-step row B(k), None for a zero
     total or row.  At the key lambda k the Gamma1 generator sum is
@@ -459,8 +456,8 @@ def _slot_tables(N: int, classes: dict, t_rows: list, s_rows: list, g_rows: list
     B(k) = F(k) + G(lambda) - F(kS) - G(lambda u) + the S key row, each
     difference computed once."""
     label, f_of, orbits = {}, [None] * N * N, []  # value of F + G -> its number; each key's number
-    for c, d0 in [(c, d) for c in range(N) for d in range(gcd(c, N)) if gcd(c, d, N) == 1]:  # orbit bases
-        f = base = g_rows[classes[c, d0][1]]
+    for (c, d0), lam in bases.items():  # the orbit bases, each lambda k
+        f = base = g_rows[lam]
         a, d, length = label.setdefault(f, len(label)), d0, N // gcd(c, N)
         for _ in range(length):
             f_of[c * N + d] = a
@@ -614,24 +611,24 @@ def _relations(p1: Transversal, L: int, twist: dict):
     over the terms (entry, e) is 0.  A group relation read from the member
     r_k gives one identity through the cocycle identity, where a generator
     met at the key lambda k' enters with psi(lambda), the psi of the word
-    before it, psi(lambda) = zeta_L^twist[lambda]; on keys, k S = (d, -c)
-    and k T = (c, d + c) mod N.  Per point k (per pair k, kS for the first):
+    before it, psi(lambda) = zeta_L^twist[lambda]; the edge k x = u k' of
+    `p1` leads to (k', lambda u).  Per point k (per pair k, kS for the first):
       S^2 = -I:   s_S[k] + psi s_S[kS] = S(-I) = 0
       TSTST = S:  s_T[k] + psi s_S[kT] + psi s_T[kTS] + psi s_S[kTST] + psi s_T[kTSTS] = s_S[k]
     No other code lists them.
     """
-    N, classes = p1.N, p1.classes
+    N, edges = p1.N, p1.edges
 
-    def walk(c, d, letters):  # the terms (entry, e) of a word in T and S read from the key (c, d)
-        terms = []
+    def walk(k, letters):  # the terms (entry, e) of a word in T and S read from the point k
+        terms, lam = [], 1 % N
         for x in letters:
-            k, lam = classes[c, d]
-            terms.append(((k, ("S", 1) if x == "S" else ("T", 1)), twist[lam]))
-            c, d = (d, -c % N) if x == "S" else (c, (d + c) % N)
+            terms.append(((k, (x, 1)), twist[lam]))
+            k, u = edges[k, (x, 1)]
+            lam = lam * u % N
         return terms
 
     for k in p1.members:
-        terms = walk(*k, "SS")
+        terms = walk(k, "SS")
         if k <= terms[1][0][0]:  # k and kS share one identity
             yield "S^2 = -I", k, terms
-        yield "(ST)^3 = S^2", k, walk(*k, "TSTST") + [((k, ("S", 1)), L // 2)]
+        yield "(ST)^3 = S^2", k, walk(k, "TSTST") + [((k, ("S", 1)), L // 2)]

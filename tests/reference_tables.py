@@ -4,7 +4,10 @@
 and completing the top row by extended gcd: a valid transversal that is
 not a Schreier transversal, so the sums must not depend on the choice.
 `lift_p1_transversal` does the same for each point of P^1(Z/N), keeping
-the library's class keys.  `gamma1_relations` lists the relations among
+the library's class keys, edges and orbit bases.  `p1_classes` maps every
+key (c, d) of a P^1 transversal to its class key k and the scalar lambda
+with (c, d) = lambda k, rebuilt from the members times the units: the
+library keeps no such map.  `gamma1_relations` lists the relations among
 the U(t, T) and U(t, S) sums that the derived ones must obey.
 `all_oracle_context` evaluates every Gamma0 generator sum U(r, T), U(r, S)
 with the double sum instead of solving them, and `oracle_gamma1` every
@@ -45,6 +48,7 @@ one at a multiple of its order.
 """
 
 import dataclasses
+import functools
 import math
 from fractions import Fraction
 from itertools import repeat
@@ -106,9 +110,9 @@ def lift_p1_transversal(N: int, lift: str = "least_abs") -> Transversal:
     """`transversal_g0_in_sl2(N)` with each point's member replaced by a
     lift of its class key (c, d): the bottom row c' = c or c - N (N when
     c = 0) and d' = d + j N, coprime, of least max(|c'|, |d'|), and the top
-    row by extended gcd as `lift_transversal` picks it.  The same keys and
-    classes, small entries, and a transversal that is not a Schreier
-    transversal."""
+    row by extended gcd as `lift_transversal` picks it.  The same keys,
+    and so the same edges and orbit bases, small entries, and a
+    transversal that is not a Schreier transversal."""
     if lift not in ("least_abs", "least_pos"):
         raise ValueError(f"unknown lift style {lift!r}")
     p1 = transversal_g0_in_sl2(N)
@@ -130,7 +134,17 @@ def lift_p1_transversal(N: int, lift: str = "least_abs") -> Transversal:
         else:
             a = r if r > 0 else abs(cp)
         members[c, d] = Mat2(a, (a * dp - 1) // cp, cp, dp)
-    return Transversal(N, "p1", members, p1.classes)
+    return Transversal(N, "p1", members, p1.edges, p1.bases)
+
+
+@functools.cache
+def p1_classes(p1: Transversal) -> dict:
+    """Every key (c, d) with gcd(c, d, N) = 1 -> (k, lambda), its class key
+    in the P^1 transversal p1 and the unit with (c, d) = lambda k mod N, in
+    the order of p1's members, then of the units."""
+    N = p1.N
+    units = [u for u in range(N) if gcd(u, N) == 1]
+    return {(u * c % N, u * d % N): ((c, d), u) for c, d in p1.members for u in units}
 
 
 def all_oracle_context(chi1, chi2, p1: Transversal):
@@ -163,7 +177,7 @@ def gamma1_rows(ctx) -> tuple[int, dict]:
     u the scalar of k x over P^1, from the context's Gamma0 generator sums
     and its G rows `ctx.g_rows`.  The context itself keeps no such row: its
     slot tables add them up along each T-orbit."""
-    N, L, classes = ctx.N, ctx.L, ctx.p1.classes
+    N, L, classes = ctx.N, ctx.L, p1_classes(ctx.p1)
     twist = characters._twists(ctx.chi1, ctx.chi2)
     den, rows = exactnum._rows(ctx.sums_alphabet)
     g_rows = ctx.g_rows
@@ -426,7 +440,7 @@ def key_of(t: Transversal, m: Mat2):
             raise ValueError(f"{m} is not in Gamma0({N})")
         return m.d % N
     key = (m.c % N, m.d % N)
-    return t.classes[key][0] if t.classes else key
+    return p1_classes(t)[key][0] if t.kind == "p1" else key
 
 
 def bar(t: Transversal, m: Mat2) -> Mat2:
@@ -510,7 +524,7 @@ def potential(ctx) -> dict:
     is none (pos, length, `ctx.zero`) from the key alone, and its `s_slot`
     S-step row, or `ctx.zero` where there is none."""
     N, out = ctx.N, {}
-    for c, d in ctx.p1.classes:
+    for c, d in p1_classes(ctx.p1):
         i = c * N + d
         row = ctx.t_slot[i] or (*orbit((c, d), N)[1:], ctx.zero)
         out[c, d] = row, ctx.s_slot[i] or ctx.zero

@@ -37,6 +37,13 @@ def test_precompute_prints_its_summary(tmp_path, capsys, monkeypatch):
         # what the context stores: two Gamma0 generator sums per point of P^1
         assert "|T_sl2|=72 keys, 12 points of P^1, 24 stored generator sums," in out
         assert out.count("\n") == 1 and out.endswith(" s)\n")
+    # the key count is N^2 prod(1 - 1/p^2), counted without building the keys
+    for pair, keys in (
+        (["--chi1", "q=5;g=2;v=1/4", "--chi2", "q=7;g=3;v=1/6"], 1152),
+        (["--allow-large-n", "--chi1", "q=11;g=2;v=1/2", "--chi2", "q=13;g=2;v=1/12"], 20160),
+    ):
+        assert main(["precompute", *pair]) == 0
+        assert f"|T_sl2|={keys} keys, " in capsys.readouterr().out
     assert not any(tmp_path.iterdir())
 
 

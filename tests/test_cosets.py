@@ -4,6 +4,7 @@ import pytest
 
 from gdsum.characters import euler_phi
 from gdsum.cosets import (
+    Transversal,
     schreier_alphabet,
     sl2_coset_count,
     transversal_g0_in_sl2,
@@ -20,6 +21,7 @@ from reference_tables import (
     lift_p1_transversal,
     lift_transversal,
     mul_t_power,
+    p1_classes,
     t_power,
     u_func,
 )
@@ -134,7 +136,7 @@ def test_sl2_transversal_rejects_a_member_off_its_key():
     its class key breaks that, and the build raises."""
     p1 = transversal_g0_in_sl2(9)
     assert p1.members[1, 0] == S
-    bad = type(p1)(9, "p1", {**p1.members, (1, 0): T}, p1.classes)
+    bad = type(p1)(9, "p1", {**p1.members, (1, 0): T}, p1.edges, p1.bases)
     with pytest.raises(ValueError, match="corrupted transversal: member .* is off its key"):
         transversal_g1_in_sl2(9, bad)
 
@@ -160,10 +162,55 @@ def test_sl2_transversal_is_schreier(N):
     assert max(abs(x) for m in p1 for x in m.entries()).bit_length() <= 8
     g = transversal_g1_in_g0(N).members
     t = transversal_g1_in_sl2(N)
-    assert len(p1.classes) == len(t) == len(p1) * len(g)
-    for key, (k, lam) in p1.classes.items():
+    classes = p1_classes(p1)
+    assert len(classes) == len(t) == len(p1) * len(g)
+    for key, (k, lam) in classes.items():
         assert key == (lam * k[0] % N, lam * k[1] % N)
         assert t.members[key] == g[lam] * p1.members[k]
+
+
+def _containers(root) -> list:
+    """Every dict, list, tuple and set reachable from root through the
+    slots of a Transversal and the items of a container."""
+    out, stack, seen = [], [root], set()
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Transversal):
+            stack += [getattr(obj, name) for name in obj.__slots__]
+        elif isinstance(obj, dict):
+            out.append(obj)
+            stack += [*obj.keys(), *obj.values()]
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            out.append(obj)
+            stack += obj
+    return out
+
+
+@pytest.mark.parametrize("N", LEVELS)
+def test_p1_edges_are_the_point_map(N, request):
+    """Each edge (k', lambda) of a member k and a letter x = T, S has
+    k x = lambda k' mod N, with k' a member key; each T-orbit base
+    (c, d mod gcd(c, N)) has the scalar of its class.  Nothing the P^1
+    transversal holds has N^2 entries: no container reachable from it, or
+    from the `p1` of a built context, is larger than 2 mu plus the number
+    of orbit bases."""
+    p1 = transversal_g0_in_sl2(N)
+    for c, d in p1.members:
+        for x, (xc, xd) in (("T", (c, d + c)), ("S", (d, -c))):
+            k, lam = p1.edges[(c, d), (x, 1)]
+            assert k in p1.members
+            assert (xc % N, xd % N) == (lam * k[0] % N, lam * k[1] % N)
+    assert len(p1.edges) == 2 * len(p1)
+    classes = p1_classes(p1)
+    assert list(p1.bases) == [(c, d) for c in range(N) for d in range(gcd(c, N)) if gcd(c, d, N) == 1]
+    for key, lam in p1.bases.items():
+        assert lam == classes[key][1]
+    built = {9: "ctx9", 28: "ctx28", 35: "ctx35"}
+    for t in [p1] + ([request.getfixturevalue(built[N]).p1] if N in built else []):
+        assert max(map(len, _containers(t))) <= 2 * len(t) + len(t.bases)
 
 
 def test_bar_requires_gamma0_membership():

@@ -53,6 +53,7 @@ from reference_tables import (
     mul_t_power,
     oracle_gamma1,
     orbit_f,
+    p1_classes,
     potential,
     strip_letters,
     t_power,
@@ -1004,7 +1005,7 @@ def test_slot_tables_follow_the_generator_sums(ctx35_l12):
     the lists are derived from `sums_alphabet`: `fast_sum` moves by
     psi(lambda)/3 per S slot of the word at a key lambda k.  This word's S
     slots over the point (31, 34) have three distinct psi(lambda)."""
-    ctx, N, classes = ctx35_l12, ctx35_l12.N, ctx35_l12.p1.classes
+    ctx, N, classes = ctx35_l12, ctx35_l12.N, p1_classes(ctx35_l12.p1)
     gamma = Mat2(2507577, 1826678, 6538315, 4762923)
     _, _, keys = _slots(ctx, gamma)
     point = (31, 34)
@@ -1075,7 +1076,7 @@ def _twisted_walk(ctx, gamma) -> CycElem:
     i-th prefix key is lambda_i k_i: S(gamma) by Reidemeister-Schreier
     over Gamma0(N) itself, with no Gamma1 row and no G.  A T^-1 steps back
     first and subtracts the T it undoes, read from there."""
-    N, L, classes = ctx.N, ctx.L, ctx.p1.classes
+    N, L, classes = ctx.N, ctx.L, p1_classes(ctx.p1)
     twist = characters._twists(ctx.chi1, ctx.chi2)
     den, rows = exactnum._rows(ctx.sums_alphabet)
     terms, (c, d) = [], (0, 1 % N)
@@ -1124,13 +1125,14 @@ def test_derivation_formula_matches_the_double_sum(contexts, name, data):
     derived sum; and u is the scalar of the key k x over P^1."""
     ctx = contexts[name]
     chi1, chi2, N, g, p1 = ctx.chi1, ctx.chi2, ctx.N, ctx.t_g0.members, ctx.p1
-    key = data.draw(st.sampled_from(sorted(p1.classes)))
+    classes = p1_classes(p1)
+    key = data.draw(st.sampled_from(sorted(classes)))
     gen = data.draw(st.sampled_from((("T", 1), ("S", 1))))
-    k, lam = p1.classes[key]
+    k, lam = classes[key]
     x = T if gen[0] == "T" else S
     u0 = u_func(p1.members[k], x, p1)
     assert u0.in_gamma0(N)
-    assert u0.d % N == p1.classes[(k[0] * x.a + k[1] * x.c) % N, (k[0] * x.b + k[1] * x.d) % N][1]
+    assert u0.d % N == classes[(k[0] * x.a + k[1] * x.c) % N, (k[0] * x.b + k[1] * x.d) % N][1]
     oracle = partial(sum_on_gamma0, chi1, chi2)
     formula = psi(chi1, chi2, g[lam]) * oracle(u0) + oracle(g[lam]) - oracle(g[lam * u0.d % N])
     u1 = u_func(ctx.t_sl2.members[key], x, ctx.t_sl2)

@@ -224,7 +224,7 @@ def test_checks_survive_stripped_asserts():
         from gdsum.cosets import Transversal, schreier_alphabet, transversal_g0_in_sl2, transversal_g1_in_sl2
         from gdsum.modgroup import Mat2
         p1 = transversal_g0_in_sl2(9)
-        bad = Transversal(9, "p1", {**p1.members, (1, 0): Mat2(1, 1, 0, 1)}, p1.classes)
+        bad = Transversal(9, "p1", {**p1.members, (1, 0): Mat2(1, 1, 0, 1)}, p1.edges, p1.bases)
         for call in (
             lambda: schreier_alphabet(9, bad),
             lambda: transversal_g1_in_sl2(9, bad),
