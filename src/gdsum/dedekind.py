@@ -75,7 +75,7 @@ from .cosets import (
     transversal_g1_in_g0,
     transversal_g1_in_sl2,
 )
-from .exactnum import CycElem, _cyc, _powers, _rows, _turns
+from .exactnum import CycElem, _cyc, _powers, _rotations, _rows, _turns
 from .modgroup import I2, Mat2, ts_decompose
 from .rewriter import modified_rewrite, reduce_word
 
@@ -191,7 +191,7 @@ class Context:
     access and then kept, for the benchmark's table comparison and the
     tests.  Nothing derived is passed in, so `dataclasses.replace(ctx,
     sums_alphabet=...)` evaluates the sums it holds, and replacing a
-    derived field raises; `_build` checks the relations and G.
+    derived field raises; `_build` checks the shear sums, relations and G.
     """
 
     chi1: DirichletCharacter
@@ -275,11 +275,11 @@ def _build(chi1, chi2, allow_large: bool) -> tuple[Context, SolveStats]:
     for `precompute`, `load_context` and the CLI: the checks of the pair;
     `_solve` for the sums of the 2 mu Gamma0(N) generators U(r_k, T) and
     U(r_k, S), two per point k of P^1(Z/N), with the double sum at its
-    pivots only (8 of the 96 at N = 35); every twisted relation of the
-    solve on its rows; the Context; and its Gamma0 transversal sums against
-    the double sum.  One DEBUG line on the `gdsum.dedekind` logger gives the
-    counts and the seconds per phase, timed only when it is logged, as
-    `record.solve_stats` and `record.phases`."""
+    pivots only (8 of the 96 at N = 35); on its rows, each shear sum against
+    0 and each relation the solve kept (23 of 72 at N = 35); the Context;
+    and its Gamma0 transversal sums against the double sum.  One DEBUG line
+    on `gdsum.dedekind` gives the counts, the checks and the seconds per
+    phase, timed only when logged, as `record.solve_stats`/`record.phases`."""
     _validate_pair(chi1, chi2, allow_large)
     N, L = chi1.modulus * chi2.modulus, pair_order(chi1, chi2)
     laps = [time.perf_counter()] if log.isEnabledFor(logging.DEBUG) else None
@@ -287,7 +287,8 @@ def _build(chi1, chi2, allow_large: bool) -> tuple[Context, SolveStats]:
     gens = schreier_alphabet(N, p1)
     den, rows, relations, stats = _solve(chi1, chi2, p1, gens, lambda v: sum_on_gamma0(chi1, chi2, gens[v]))
     _lap(laps)
-    for name, k, terms, _ in relations:
+    shears = [("S(+-T^b) = 0", k, [((k, x), 0)]) for (k, x), m in gens.items() if m.c == 0]
+    for name, k, terms, *_ in shears + relations:
         if any(_twisted_sum(L, rows, terms)):
             raise ValueError(f"U(r, T) and U(r, S) sums over P^1 at key {k} break {name}")
     _lap(laps)
@@ -301,9 +302,9 @@ def _build(chi1, chi2, allow_large: bool) -> tuple[Context, SolveStats]:
         phases = tuple(map(sub, laps[1:], laps))
         log.debug(
             "precompute N=%d: %d points of P^1, %d keys, %d shear entries, %d solved, "
-            "%d oracle calls, oracle total |c| %d; solve %.4f s, check %.4f s, context %.4f s, "
-            "G check %.4f s",
-            N, len(p1), sl2_coset_count(N), *stats, *phases,
+            "%d oracle calls, oracle total |c| %d; %d relations and %d shear sums checked; "
+            "solve %.4f s, check %.4f s, context %.4f s, G check %.4f s",
+            N, len(p1), sl2_coset_count(N), *stats, len(relations), len(shears), *phases,
             extra={"solve_stats": stats, "phases": phases},
         )
     return ctx, stats
@@ -351,7 +352,7 @@ def _solve(chi1, chi2, p1: Transversal, gens: dict, oracle) -> tuple[int, dict, 
     """The sums of the Gamma0 generators `gens` over `p1`, with as few
     `oracle(entry)` values as the peel allows: their common denominator,
     their integer rows over it keyed like `gens`, the relations of
-    `_relations` it read, as (name, key, terms, coefficients), and the stats.
+    `_relations` it kept, as (name, key, terms, coefficients), and the stats.
 
     An entry whose matrix is a shear +-T^b (c = 0, +-I included) is 0, so
     no shear is a pivot, and every entry is 0 when psi(-1) = -1.  A twisted
@@ -360,8 +361,8 @@ def _solve(chi1, chi2, p1: Transversal, gens: dict, oracle) -> tuple[int, dict, 
     entry of smallest |c| (S before T, then by key) goes to the oracle, so
     these pivots depend on the pair and the level alone.  A value with a
     new denominator rescales the known rows, which stay exact.  The
-    relations are read once, here; `_build` checks them all on the rows,
-    since a peel uses only some of them.
+    relations are read once, here, and those on shears alone dropped:
+    `_build` checks that each shear row is 0, then the rest on the rows.
     """
     L = pair_order(chi1, chi2)
     twist, powers = _twists(chi1, chi2), _powers(L)
@@ -373,6 +374,8 @@ def _solve(chi1, chi2, p1: Transversal, gens: dict, oracle) -> tuple[int, dict, 
         known = dict.fromkeys(gens, zero)
     relations, uses = [], {v: [] for v in gens}  # entry -> relations it enters
     for name, k, terms in _relations(p1, L, twist):
+        if all(gens[v].c == 0 for v, _ in terms):  # shears alone: 0 = 0 once `_build` checks them
+            continue
         coef = {}  # entry -> its coefficient, the sum of its terms' zeta^e, as a row
         for v, e in terms:
             coef[v] = tuple(map(add, coef[v], powers[e])) if v in coef else powers[e]
@@ -415,22 +418,19 @@ def _solve(chi1, chi2, p1: Transversal, gens: dict, oracle) -> tuple[int, dict, 
 
 def _key_rows(L: int, p1: Transversal, rows: dict, twist: dict, t_g0: Transversal, zero: tuple):
     """The rows psi(lambda) s0[k, x] that a letter x = T, S adds at each key
-    lambda k, in lists indexed by c*N + d (`zero` for none), each turned once
-    per point and twist; and G(lambda) = S(g_lambda) over `t_g0`: the key rows
-    of the T and S letters of g_lambda's word read from (0, 1), less those a
-    T^-1 steps back over.  The walk ends over the identity's point, so its
-    product is +-g_lambda, of one sum (S(-I) = 0)."""
-    N, units = p1.N, {}
-    for u, e in twist.items():
-        units.setdefault(e, []).append(u)
+    lambda k, in lists indexed by c*N + d (`zero` for none), read from the L
+    `_rotations` of each nonzero row s0[k, x]; and G(lambda) = S(g_lambda)
+    over `t_g0`: the key rows of the T and S letters of g_lambda's word read
+    from (0, 1), less those a T^-1 steps back over.  The walk ends over the
+    identity's point, so its product is +-g_lambda, of one sum (S(-I) = 0)."""
+    N = p1.N
     t_rows, s_rows, g_rows = [zero] * N * N, [zero] * N * N, [None] * N
     for c, d in p1.members:
         for x, out in (("T", t_rows), ("S", s_rows)):
-            if any(rows[(c, d), (x, 1)]):
-                for e, us in units.items():
-                    turned = _twisted_sum(L, rows, [(((c, d), (x, 1)), e)])
-                    for u in us:
-                        out[u * c % N * N + u * d % N] = turned
+            if any(row := rows[(c, d), (x, 1)]):
+                turns = _rotations(L, row)
+                for u, e in twist.items():
+                    out[u * c % N * N + u * d % N] = turns[e]
     for lam, g in t_g0.members.items():
         acc, c, d = zero, 0, 1 % N
         for n, a in enumerate(ts_decompose(g).exponents):
@@ -570,8 +570,8 @@ def load_context(path, *, allow_large: bool = False) -> Context:
 
     The version must be CACHE_VERSION, and the level of the stored moduli
     must pass the guardrail (unless allow_large) before any character is
-    built.  The pair then goes through `_build`: its checks, the solve with
-    the double sum at the pivots, every twisted relation and the G check.
+    built.  The pair then goes through `_build`: its checks, the solve (the
+    double sum at its pivots), shear sums, kept relations and the G check.
     Each top-level field of `context_to_json` of the result must serialize
     as the file's does, with none missing or extra, so each character value
     must be the string `str(Fraction)` writes.  Otherwise a ValueError names

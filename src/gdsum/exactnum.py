@@ -5,7 +5,8 @@ Q(zeta_L) with rational coefficients.  Elements are stored reduced modulo
 the L-th cyclotomic polynomial Phi_L, so that equality of two elements of
 the same order is literally coefficient-wise equality; exact zero-testing
 is what the rest of the engine leans on.  No floats anywhere except the
-display-only `approx`.  `_rows` and `_cyc` convert to and from integer rows over one denominator.
+display-only `approx`.  `_rows`/`_cyc` convert to and from integer rows over one denominator, which
+`_rotations` multiplies by each power of zeta_L.
 """
 
 from __future__ import annotations
@@ -215,10 +216,21 @@ def root_of_unity(L: int, k: int) -> CycElem:
     return _cyc(L, 1, [int(j == k % L) for j in range(L)])
 
 
+def _rotations(L: int, row) -> list:
+    """The rows zeta_L^e row, e < L, each the previous times zeta_L: a shift, the top folded by Phi_L."""
+    fold, out = [(k, a) for k, a in enumerate(cyclotomic_polynomial(L)[:-1]) if a], [tuple(row)]
+    for _ in range(L - 1):
+        top, row = row[-1], [0, *row[:-1]]
+        for k, a in fold:
+            row[k] -= top * a
+        out.append(tuple(row))
+    return out
+
+
 @lru_cache(maxsize=None)
 def _powers(L: int) -> tuple:
-    """The integer rows of zeta_L^e, e < L (Phi_L is monic, so over den 1): per-L data."""
-    return tuple(_rows({e: root_of_unity(L, e) for e in range(L)})[1].values())
+    """The integer rows of zeta_L^e, e < L (over den 1): per-L data."""
+    return tuple(_rotations(L, [1] + [0] * (len(cyclotomic_polynomial(L)) - 2)))
 
 
 @lru_cache(maxsize=None)

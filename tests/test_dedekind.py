@@ -619,10 +619,12 @@ def test_load_logs_what_it_validated(tmp_path, monkeypatch, caplog, ctx28):
     assert len(oracle) == stats.oracle_calls + len(ctx28.t_g0) - 1 and stats.oracle_calls > 0
     assert stats.shear + stats.solved + stats.oracle_calls == 2 * points
     assert len(clock) == 5 and len(phases) == 4
+    relations, shears = _checked_counts(ctx28.chi1, ctx28.chi2)
     assert record.getMessage() == (
         f"precompute N=28: {points} points of P^1, {keys} keys, "
         f"{stats.shear} shear entries, {stats.solved} solved, "
         f"{stats.oracle_calls} oracle calls, oracle total |c| {stats.oracle_c}; "
+        f"{relations} relations and {shears} shear sums checked; "
         "solve {:.4f} s, check {:.4f} s, context {:.4f} s, G check {:.4f} s".format(*phases)
     )
 
@@ -630,8 +632,8 @@ def test_load_logs_what_it_validated(tmp_path, monkeypatch, caplog, ctx28):
 @pytest.mark.parametrize("name", ["ctx9", "ctx28", "ctx35_l12"])
 def test_a_build_walks_the_relations_once(tmp_path, monkeypatch, request, name):
     """A precompute and a load each read `_relations` once, in the solve,
-    and check every relation it yields on the solved rows: one (ST)^3
-    identity per point of P^1, one S^2 identity per pair k, kS."""
+    which yields one (ST)^3 identity per point of P^1 and one S^2 identity
+    per pair k, kS; the build checks those the solve keeps on its rows."""
     ctx = request.getfixturevalue(name)
     path = tmp_path / "ctx.json"
     save_context(ctx, path)
@@ -675,6 +677,57 @@ def test_a_build_checks_every_relation_on_the_solved_rows(monkeypatch, ctx28):
     monkeypatch.setattr(dedekind, "_solve", off_by_one)
     monkeypatch.setattr(dedekind, "Context", lambda *a: pytest.fail("a context was built"))
     with pytest.raises(ValueError, match=r"U\(r, T\) and U\(r, S\) sums over P\^1 at key .* break "):
+        precompute(ctx28.chi1, ctx28.chi2)
+
+
+def _read_relations(chi1, chi2):
+    """The alphabet of the pair's level, every relation `_relations` lists
+    there, and those among them that read a generator with c != 0."""
+    N, L = chi1.modulus * chi2.modulus, pair_order(chi1, chi2)
+    p1 = transversal_g0_in_sl2(N)
+    gens = schreier_alphabet(N, p1)
+    every = list(dedekind._relations(p1, L, characters._twists(chi1, chi2)))
+    return p1, gens, every, [r for r in every if any(gens[v].c for v, _ in r[2])]
+
+
+def _checked_counts(chi1, chi2) -> tuple[int, int]:
+    """What a build checks: the relations that read a non-shear generator,
+    and the shear generators, each of whose sums must be 0."""
+    _, gens, _, read = _read_relations(chi1, chi2)
+    return len(read), sum(m.c == 0 for m in gens.values())
+
+
+@pytest.mark.parametrize("pair, read, every", [("9", 6, 18), ("28", 24, 72), ("35-l12", 23, 72), ("143", 88, 252)])
+def test_the_solve_keeps_only_relations_that_read_a_non_shear_generator(request, pair, read, every):
+    """A relation among shear sums alone reads 0 = 0 once every shear sum
+    is 0, which the build checks: the solve peels, and returns for the
+    build to check, exactly the relations with a term off the shears, in
+    the order `_relations` lists them."""
+    chi1, chi2 = (
+        (find_character(11, [(2, "1/2")]), find_character(13, [(2, "1/12")])) if pair == "143"
+        else _pair(request, pair)
+    )
+    p1, gens, relations, expect = _read_relations(chi1, chi2)
+    _, _, solved, _ = dedekind._solve(chi1, chi2, p1, gens, lambda v: sum_on_gamma0(chi1, chi2, gens[v]))
+    assert [r[:3] for r in solved] == expect
+    assert (len(expect), len(relations)) == (read, every)
+
+
+def test_a_build_checks_a_shear_sum_no_checked_relation_reads(monkeypatch, ctx28):
+    """A nonzero shear sum is refused by the build even where only the
+    relations among shears, which it skips, read it."""
+    real = dedekind._solve
+    *_, relations, read = _read_relations(ctx28.chi1, ctx28.chi2)
+    in_read = {v for r in read for v, _ in r[2]}
+    v = next(v for r in relations for v, _ in r[2] if v not in in_read)
+
+    def off_by_one(*args):
+        den, rows, relations, stats = real(*args)
+        return den, {**rows, v: (rows[v][0] + den, *rows[v][1:])}, relations, stats
+
+    monkeypatch.setattr(dedekind, "_solve", off_by_one)
+    monkeypatch.setattr(dedekind, "Context", lambda *a: pytest.fail("a context was built"))
+    with pytest.raises(ValueError, match=re.escape(f"sums over P^1 at key {v[0]} break S(+-T^b) = 0")):
         precompute(ctx28.chi1, ctx28.chi2)
 
 
@@ -1317,10 +1370,12 @@ def test_oracle_calls_equal_the_free_dimension(request, monkeypatch, caplog, pai
     assert stats.shear + stats.solved + stats.oracle_calls == 2 * points
     assert stats.shear >= points - 1  # one tree edge per point but the identity's
     assert record.levelno == logging.DEBUG and len(phases) == 4
+    relations, shears = _checked_counts(chi1, chi2)
     assert record.getMessage() == (
         f"precompute N={ctx.N}: {points} points of P^1, {keys} keys, "
         f"{stats.shear} shear entries, {stats.solved} solved, "
         f"{stats.oracle_calls} oracle calls, oracle total |c| {stats.oracle_c}; "
+        f"{relations} relations and {shears} shear sums checked; "
         "solve {:.4f} s, check {:.4f} s, context {:.4f} s, G check {:.4f} s".format(*phases)
     )
 

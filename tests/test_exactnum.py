@@ -5,11 +5,13 @@ from math import lcm
 import pytest
 import sympy
 
+from gdsum import dedekind
 from gdsum.exactnum import (
     CycElem,
     _cyc,
     _powers,
     _reduce,
+    _rotations,
     _rows,
     _turns,
     cyclotomic_polynomial,
@@ -190,3 +192,17 @@ def test_row_conversions_round_trip():
             assert _cyc(L, 1, row) == CycElem(L, [int(k == e) for k in range(L)]) == root_of_unity(L, e + L)
             sparse = tuple((j, x) for j, x in enumerate(row) if x)
             assert all(_turns(L)[(e - i) % L][i] == sparse for i in range(deg))
+
+
+@pytest.mark.parametrize("L", [2, 4, 6, 10, 12, 60, 144])
+def test_rotations_step_a_row_through_the_powers_of_zeta(L):
+    """Entry e of `_rotations(L, row)` is the row of zeta_L^e times row, as
+    the sparse `_twisted_sum` turns it, for seeded random integer rows, and
+    `_powers(L)` is `_rotations` of the unit row."""
+    rng, deg = random.Random(L), len(cyclotomic_polynomial(L)) - 1
+    for _ in range(4):
+        row = tuple(rng.randint(-10**6, 10**6) for _ in range(deg))
+        turns = _rotations(L, row)
+        assert len(turns) == L and turns[0] == row
+        assert all(turns[e] == dedekind._twisted_sum(L, {0: row}, [(0, e)]) for e in range(L))
+    assert _powers(L) == tuple(_rotations(L, (1,) + (0,) * (deg - 1)))
