@@ -41,6 +41,7 @@ them into integer rows over one common denominator D (3 at N = 9, 5 at
 N = 35 with L = 12) and back, so the solve, the checks, the derived rows,
 G and `fast_sum`'s column sums are integer adds and root-of-unity turns;
 `characters` gives the exponents of chi1, chi2 and psi at the order L.
+A build reads each double sum as a row over its own denominator (`_gamma0_row`).
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from math import gcd
+from functools import cached_property, lru_cache
+from math import gcd, lcm
 from operator import add, sub
 from typing import NamedTuple
 
@@ -102,9 +103,9 @@ def naive_sum(chi1: DirichletCharacter, chi2: DirichletCharacter, gamma: Mat2) -
     chi1, plus conj(chi1(-y))/2 when y is an integer; but y is an integer
     only when c/q1, a multiple of q2, divides j, and then chi2(j) = 0.  So
     each j adds 2j - c to one of the q1 buckets of its chi2 exponent, and
-    each set of buckets is combined once.  Pairing j with c - j multiplies the
-    summand by chi1*chi2(-1): only j < c/2 is walked, and the sum is 0 when
-    that sign is -1.
+    each set of buckets is combined once, with the terms `_bucket_terms`
+    tables.  Pairing j with c - j multiplies the summand by chi1*chi2(-1):
+    only j < c/2 is walked, and the sum is 0 when that sign is -1.
     """
     q1, q2 = chi1.modulus, chi2.modulus
     N = q1 * q2
@@ -118,8 +119,8 @@ def naive_sum(chi1: DirichletCharacter, chi2: DirichletCharacter, gamma: Mat2) -
     L = pair_order(chi1, chi2)
     if _psi_odd(chi1, chi2):
         return CycElem.zero(L)
-    # chi(n) = zeta_L^e[n], or None where chi(n) = 0; summands take conjugates
-    e1, e2 = chi1.exponent_table(L), chi2.exponent_table(L)
+    # chi2(j) = zeta_L^e2[j], or None where chi2(j) = 0; summands take conjugates
+    e2, terms = chi2.exponent_table(L), _bucket_terms(chi1, L)
     # integer numerators per zeta-exponent over the common denominator
     # 2*q1*c: the half range doubles (2j - c)/(2c) * A[m]
     M = q1 * c
@@ -134,10 +135,18 @@ def naive_sum(chi1: DirichletCharacter, chi2: DirichletCharacter, gamma: Mat2) -
     for k2, bucket in buckets.items():
         for m, w in enumerate(bucket):
             if w:
-                for k in range(1, q1):
-                    if (k1 := e1[k - m]) is not None:  # e1[(k - m) % q1]: a negative index wraps
-                        acc[-(k2 + k1) % L] += 2 * k * w
+                for t, x in terms[m]:
+                    acc[t - k2] += x * w  # t - k2 > -L: a negative index wraps
     return _cyc(L, 2 * q1 * c, acc)
+
+
+@lru_cache(maxsize=None)
+def _bucket_terms(chi1: DirichletCharacter, L: int) -> tuple:
+    """Per bucket m < q1, the pairs (exponent of conj chi1(k - m) at the
+    order L, 2k) over the k < q1 with chi1(k - m) != 0: the terms of A[m]."""
+    e1, q1 = chi1.exponent_table(L), chi1.modulus
+    pairs = [[(-e1[k - m] % L, 2 * k) for k in range(1, q1) if e1[k - m] is not None] for m in range(q1)]
+    return tuple(map(tuple, pairs))
 
 
 def sum_on_gamma0(chi1, chi2, gamma: Mat2) -> CycElem:
@@ -147,7 +156,7 @@ def sum_on_gamma0(chi1, chi2, gamma: Mat2) -> CycElem:
     and the cocycle identity gives S(+-T^b) = 0: c = 0 is 0.  S(-gamma) =
     psi(-1) S(gamma) = S(gamma) whenever any sum is nonzero, so c <= -1 is
     the double sum of -gamma.  Raises ValueError when gamma itself is not
-    in Gamma0(N).
+    in Gamma0(N).  A build reads it through `_gamma0_row`.
     """
     N = chi1.modulus * chi2.modulus
     if not gamma.in_gamma0(N):
@@ -155,6 +164,14 @@ def sum_on_gamma0(chi1, chi2, gamma: Mat2) -> CycElem:
     if gamma.c == 0:
         return CycElem.zero(pair_order(chi1, chi2))
     return naive_sum(chi1, chi2, gamma if gamma.c > 0 else -gamma)
+
+
+def _gamma0_row(chi1, chi2, gamma: Mat2) -> tuple[int, tuple]:
+    """`sum_on_gamma0` at gamma, looked up at call time, as the row a build
+    reads: (den, row), gcd(den, *row) = 1, den the lcm of its denominators."""
+    coeffs = sum_on_gamma0(chi1, chi2, gamma).coeffs
+    den = lcm(*[x.denominator for x in coeffs])
+    return den, tuple([x.numerator * (den // x.denominator) for x in coeffs])
 
 
 @dataclass
@@ -275,9 +292,10 @@ def _build(chi1, chi2, allow_large: bool) -> tuple[Context, SolveStats]:
     for `precompute`, `load_context` and the CLI: the checks of the pair;
     `_solve` for the sums of the 2 mu Gamma0(N) generators U(r_k, T) and
     U(r_k, S), two per point k of P^1(Z/N), with the double sum at its
-    pivots only (8 of the 96 at N = 35); on its rows, each shear sum against
+    pivots only (8 of the 96 at N = 35); on its rows, each shear row against
     0 and each relation the solve kept (23 of 72 at N = 35); the Context;
-    and its Gamma0 transversal sums against the double sum.  One DEBUG line
+    and its Gamma0 transversal sums against the double sum, each double sum
+    read by `_gamma0_row` (31 at N = 35).  One DEBUG line
     on `gdsum.dedekind` gives the counts, the checks and the seconds per
     phase, timed only when logged, as `record.solve_stats`/`record.phases`."""
     _validate_pair(chi1, chi2, allow_large)
@@ -285,12 +303,12 @@ def _build(chi1, chi2, allow_large: bool) -> tuple[Context, SolveStats]:
     laps = [time.perf_counter()] if log.isEnabledFor(logging.DEBUG) else None
     p1 = transversal_g0_in_sl2(N)
     gens = schreier_alphabet(N, p1)
-    den, rows, relations, stats = _solve(chi1, chi2, p1, gens, lambda v: sum_on_gamma0(chi1, chi2, gens[v]))
+    den, rows, relations, stats = _solve(chi1, chi2, p1, gens, lambda v: _gamma0_row(chi1, chi2, gens[v]))
     _lap(laps)
-    shears = [("S(+-T^b) = 0", k, [((k, x), 0)]) for (k, x), m in gens.items() if m.c == 0]
-    for name, k, terms, *_ in shears + relations:
-        if any(_twisted_sum(L, rows, terms)):
-            raise ValueError(f"U(r, T) and U(r, S) sums over P^1 at key {k} break {name}")
+    broken = [(v[0], "S(+-T^b) = 0") for v, m in gens.items() if m.c == 0 and any(rows[v])]
+    broken = broken or [(k, name) for name, k, terms, _ in relations if any(_twisted_sum(L, rows, terms))]
+    if broken:
+        raise ValueError("U(r, T) and U(r, S) sums over P^1 at key %s break %s" % broken[0])
     _lap(laps)
     cyc = {r: _cyc(L, den, r) for r in set(rows.values())}  # one CycElem per distinct row
     ctx = Context(chi1, chi2, p1, {v: cyc[r] for v, r in rows.items()})
@@ -304,7 +322,7 @@ def _build(chi1, chi2, allow_large: bool) -> tuple[Context, SolveStats]:
             "precompute N=%d: %d points of P^1, %d keys, %d shear entries, %d solved, "
             "%d oracle calls, oracle total |c| %d; %d relations and %d shear sums checked; "
             "solve %.4f s, check %.4f s, context %.4f s, G check %.4f s",
-            N, len(p1), sl2_coset_count(N), *stats, len(relations), len(shears), *phases,
+            N, len(p1), sl2_coset_count(N), *stats, len(relations), stats.shear, *phases,
             extra={"solve_stats": stats, "phases": phases},
         )
     return ctx, stats
@@ -312,13 +330,13 @@ def _build(chi1, chi2, allow_large: bool) -> tuple[Context, SolveStats]:
 
 def _g_mismatches(ctx: Context):
     """(d, table sum, double sum) at each member g_d of the Gamma0 transversal
-    but I whose G row over den is not the row of its double sum over den,
-    lazily: `_build` raises at the first, and `verify` reports it."""
+    but I whose G row over ctx.den is not its double sum's row over its den,
+    by cross-multiplication, lazily: `_build` raises at the first, and `verify` reports it."""
     for d, m in ctx.t_g0.members.items():
         if m != I2:
-            expect = sum_on_gamma0(ctx.chi1, ctx.chi2, m)
-            if _rows({d: expect}, ctx.den) != (ctx.den, {d: ctx.g_rows[d]}):
-                yield d, ctx.sums_g0[d], expect
+            den, row = _gamma0_row(ctx.chi1, ctx.chi2, m)
+            if any(ctx.den * n != den * g for n, g in zip(row, ctx.g_rows[d])):
+                yield d, ctx.sums_g0[d], _cyc(ctx.L, den, row)
 
 
 def _lap(laps):
@@ -350,9 +368,10 @@ class SolveStats(NamedTuple):
 
 def _solve(chi1, chi2, p1: Transversal, gens: dict, oracle) -> tuple[int, dict, list, SolveStats]:
     """The sums of the Gamma0 generators `gens` over `p1`, with as few
-    `oracle(entry)` values as the peel allows: their common denominator,
-    their integer rows over it keyed like `gens`, the relations of
-    `_relations` it kept, as (name, key, terms, coefficients), and the stats.
+    `oracle(entry)` values, (den, row) in lowest terms as `_gamma0_row`
+    gives them, as the peel allows: their common denominator, their integer
+    rows over it keyed like `gens`, the relations of `_relations` it kept,
+    as (name, key, terms, coefficients), and the stats.
 
     An entry whose matrix is a shear +-T^b (c = 0, +-I included) is 0, so
     no shear is a pivot, and every entry is 0 when psi(-1) = -1.  A twisted
@@ -360,7 +379,9 @@ def _solve(chi1, chi2, p1: Transversal, gens: dict, oracle) -> tuple[int, dict, 
     +-zeta^j gives it from the known rows.  When none is left, the unknown
     entry of smallest |c| (S before T, then by key) goes to the oracle, so
     these pivots depend on the pair and the level alone.  A value with a
-    new denominator rescales the known rows, which stay exact.  The
+    new denominator rescales the known rows, which stay exact.  The peel
+    reads only entries with a nonzero coefficient: where S or ST fixes a
+    point, an entry's terms can cancel while it is still unknown.  The
     relations are read once, here, and those on shears alone dropped:
     `_build` checks that each shear row is 0, then the rest on the rows.
     """
@@ -369,12 +390,12 @@ def _solve(chi1, chi2, p1: Transversal, gens: dict, oracle) -> tuple[int, dict, 
     unit = {p: j for j, p in enumerate(powers)}  # the row of zeta^j -> j
     zero = (0,) * len(powers[0])
     known = {v: zero for v, m in gens.items() if m.c == 0}
-    shear = len(known)
+    shear, shears = len(known), set(known)
     if _psi_odd(chi1, chi2):  # S(-g) = S(g) + psi(g) S(-I) = -S(g)
         known = dict.fromkeys(gens, zero)
     relations, uses = [], {v: [] for v in gens}  # entry -> relations it enters
     for name, k, terms in _relations(p1, L, twist):
-        if all(gens[v].c == 0 for v, _ in terms):  # shears alone: 0 = 0 once `_build` checks them
+        if shears.issuperset([v for v, _ in terms]):  # shears alone: 0 = 0 once `_build` checks them
             continue
         coef = {}  # entry -> its coefficient, the sum of its terms' zeta^e, as a row
         for v, e in terms:
@@ -402,17 +423,18 @@ def _solve(chi1, chi2, p1: Transversal, gens: dict, oracle) -> tuple[int, dict, 
             j = unit.get(coef[left[0]]) if len(left) == 1 else None
             if j is not None:  # zeta^j x = -(the rest), so x = sum zeta^(e - j + L/2) s_v
                 x = left[0]
-                settle(x, _twisted_sum(L, known, [(v, e - j + L // 2) for v, e in terms if v != x]))
+                rest = [(v, e - j + L // 2) for v, e in terms if v != x and v in coef]
+                settle(x, _twisted_sum(L, known, rest))
                 solved += 1
             continue
         c, _, x = next(e for e in by_c if e[2] not in known)
         calls, total_c = calls + 1, total_c + c
-        new_den, row = _rows({x: oracle(x)}, den)
-        if new_den != den:
-            scale, den = new_den // den, new_den
+        d, row = oracle(x)
+        if den % d:
+            scale, den = d // gcd(den, d), lcm(den, d)
             for v, old in known.items():
                 known[v] = tuple([scale * n for n in old])
-        settle(x, row[x])
+        settle(x, tuple([den // d * n for n in row]))
     return den, {v: known[v] for v in gens}, relations, SolveStats(shear, solved, calls, total_c)
 
 
@@ -619,16 +641,19 @@ def _relations(p1: Transversal, L: int, twist: dict):
     """
     N, edges = p1.N, p1.edges
 
+    T, S = ("T", 1), ("S", 1)
+
     def walk(k, letters):  # the terms (entry, e) of a word in T and S read from the point k
         terms, lam = [], 1 % N
         for x in letters:
-            terms.append(((k, (x, 1)), twist[lam]))
-            k, u = edges[k, (x, 1)]
+            entry = k, x
+            terms.append((entry, twist[lam]))
+            k, u = edges[entry]
             lam = lam * u % N
         return terms
 
     for k in p1.members:
-        terms = walk(k, "SS")
+        terms = walk(k, (S, S))
         if k <= terms[1][0][0]:  # k and kS share one identity
             yield "S^2 = -I", k, terms
-        yield "(ST)^3 = S^2", k, walk(k, "TSTST") + [((k, ("S", 1)), L // 2)]
+        yield "(ST)^3 = S^2", k, walk(k, (T, S, T, S, T)) + [((k, S), L // 2)]

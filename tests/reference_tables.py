@@ -43,8 +43,9 @@ off a context's slot tables, and `derived_mismatches` checks each S-step row and
 orbit total there against the double sum on the matrix it is the sum of.
 
 Helpers only the tests call: `t_power` and `mul_t_power` build T^n and
-m T^n, `conj` conjugates an element of Q(zeta_L), and `embed` rewrites
-one at a multiple of its order.
+m T^n, `conj` conjugates an element of Q(zeta_L), `embed` rewrites
+one at a multiple of its order, and `row_oracle` turns an oracle of
+CycElems into the row oracle `dedekind._solve` reads.
 """
 
 import dataclasses
@@ -155,6 +156,17 @@ def all_oracle_context(chi1, chi2, p1: Transversal):
     oracle = dedekind.sum_on_gamma0
     sums = {entry: oracle(chi1, chi2, m) for entry, m in schreier_alphabet(p1.N, p1).items()}
     return dedekind.Context(chi1, chi2, p1, sums)
+
+
+def row_oracle(oracle):
+    """The oracle `dedekind._solve` reads, from one that gives CycElems:
+    each value as (den, row), gcd(den, *row) = 1, by `exactnum._rows`."""
+
+    def rows(entry):
+        den, row = exactnum._rows({entry: oracle(entry)})
+        return den, row[entry]
+
+    return rows
 
 
 def oracle_gamma1(ctx) -> tuple[dict, dict]:

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gdsum import characters, cli, cosets, dedekind, exactnum, find_character
-from gdsum.characters import pair_order, parity_product, psi
+from gdsum.characters import _psi_odd, characters_mod, pair_order, parity_product, psi
 from gdsum.cosets import schreier_alphabet, transversal_g0_in_sl2
 from gdsum.dedekind import (
     CACHE_VERSION,
@@ -55,6 +55,7 @@ from reference_tables import (
     orbit_f,
     p1_classes,
     potential,
+    row_oracle,
     strip_letters,
     t_power,
     u_func,
@@ -230,6 +231,71 @@ def test_sum_on_gamma0_closure(request):
         off = Mat2(-1, 0, -1, -1)
         with pytest.raises(ValueError, match=re.escape(f"{off} is not in Gamma0({N})")):
             sum_on_gamma0(chi1, chi2, off)
+
+
+@pytest.mark.parametrize("name", ["ctx9", "ctx28", "ctx35_l12", "ctx35"])
+def test_the_build_reads_each_double_sum_as_a_row_in_lowest_terms(request, name):
+    """The row a build reads for S(gamma), on the sweep's matrices, their
+    negations and the shears +-T^b, is (den, row) with gcd(den, *row) = 1,
+    and row/den is `sum_on_gamma0` coefficient by coefficient; ctx35's
+    pair has psi(-1) = -1, so every row there is 0 over 1."""
+    ctx = request.getfixturevalue(name)
+    mats = list(_sweep_matrices(ctx.N))
+    mats += [-m for m in mats] + [t_power(b) for b in (-3, 0, 2)] + [-t_power(b) for b in (-1, 0, 5)]
+    for gamma in mats:
+        den, row = dedekind._gamma0_row(ctx.chi1, ctx.chi2, gamma)
+        assert den >= 1 and gcd(den, *row) == 1 and all(type(n) is int for n in row), gamma
+        assert tuple(Fraction(n, den) for n in row) == sum_on_gamma0(ctx.chi1, ctx.chi2, gamma).coeffs, gamma
+        assert name != "ctx35" or (den, any(row)) == (1, False)
+
+
+@pytest.mark.parametrize("name", ["ctx9", "ctx28", "ctx35_l12"])
+def test_the_bucket_terms_are_the_exponents_of_chi1(request, name):
+    """Per bucket m, the double sum combines the pairs (e, 2k) with
+    conj(chi1(k - m)) = zeta_L^e over 0 < k < q1 where chi1(k - m) != 0,
+    read here from chi1's own exponents; the table is built once per
+    character and order."""
+    ctx = request.getfixturevalue(name)
+    chi1, L = ctx.chi1, ctx.L
+    q1, table = chi1.modulus, dedekind._bucket_terms(chi1, L)
+    assert len(table) == q1 and dedekind._bucket_terms(chi1, L) is table
+    for m, pairs in enumerate(table):
+        units = [k for k in range(1, q1) if gcd(k - m, q1) == 1]
+        assert list(pairs) == [(-chi1.exponent(k - m) * L // chi1.order % L, 2 * k) for k in units], m
+
+
+@pytest.mark.parametrize("name, double_sums", [("ctx28", 19), ("ctx35_l12", 31)])
+def test_a_build_reads_its_double_sums_as_rows(monkeypatch, request, name, double_sums):
+    """A build reads each double sum, at its pivots and its Gamma0
+    transversal members but I, as one row over its own denominator:
+    `exactnum._rows` runs once, for the Context's generator sums (before,
+    once more per double sum), and `_cyc` once per double sum, for the
+    value `naive_sum` returns, and once per distinct generator row."""
+    ctx, calls = request.getfixturevalue(name), Counter()
+    for f in ("_rows", "_cyc"):
+        real = getattr(exactnum, f)
+        monkeypatch.setattr(dedekind, f, lambda *a, f=f, real=real: calls.update([f]) or real(*a))
+    _, stats = dedekind._build(ctx.chi1, ctx.chi2, False)
+    assert stats.oracle_calls + len(ctx.t_g0) - 1 == double_sums
+    assert calls == {"_rows": 1, "_cyc": double_sums + len(set(ctx.sums_alphabet.values()))}
+
+
+@pytest.mark.parametrize("N, pairs", [(21, 3), (65, 17), (91, 28)])
+def test_every_even_pair_builds_at_a_level_with_elliptic_points(N, pairs):
+    """At N = 21 (e3 = 2), 65 (e2 = 4) and 91 (e3 = 4) S or ST fixes a point
+    of P^1, and an (ST)^3 = S^2 walk there can meet one generator twice
+    with terms that cancel.  Every primitive pair mod (q1, q2), q1 < q2,
+    with psi(-1) = 1 builds, and `fast_sum` equals `naive_sum` on 10
+    seeded matrices per pair."""
+    q1 = next(p for p in range(2, N) if N % p == 0)
+    chars = [[chi for chi in characters_mod(q) if chi.is_primitive()] for q in (q1, N // q1)]
+    even = [(chi1, chi2) for chi1 in chars[0] for chi2 in chars[1] if not _psi_odd(chi1, chi2)]
+    assert len(even) == pairs
+    rng = random.Random(N)
+    for chi1, chi2 in even:
+        ctx = precompute(chi1, chi2, allow_large=True)
+        for gamma in (random_gamma0(N, rng, kmax=40, d_shift=1) for _ in range(10)):
+            assert fast_sum(ctx, gamma) == naive_sum(chi1, chi2, gamma), (chi1, chi2, gamma)
 
 
 @pytest.mark.parametrize("pair, pivots", [("9", 2), ("28", 8), ("35-l12", 8), ("143", 28)])
@@ -708,7 +774,8 @@ def test_the_solve_keeps_only_relations_that_read_a_non_shear_generator(request,
         else _pair(request, pair)
     )
     p1, gens, relations, expect = _read_relations(chi1, chi2)
-    _, _, solved, _ = dedekind._solve(chi1, chi2, p1, gens, lambda v: sum_on_gamma0(chi1, chi2, gens[v]))
+    oracle = row_oracle(lambda v: sum_on_gamma0(chi1, chi2, gens[v]))
+    _, _, solved, _ = dedekind._solve(chi1, chi2, p1, gens, oracle)
     assert [r[:3] for r in solved] == expect
     assert (len(expect), len(relations)) == (read, every)
 
