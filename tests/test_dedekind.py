@@ -268,9 +268,9 @@ def test_the_bucket_terms_are_the_exponents_of_chi1(request, name):
 def test_a_build_reads_its_double_sums_as_rows(monkeypatch, request, name, double_sums):
     """A build reads each double sum, at its pivots and its Gamma0
     transversal members but I, as one row over its own denominator:
-    `exactnum._rows` runs once, for the Context's generator sums (before,
-    once more per double sum), and `_cyc` once per double sum, for the
-    value `naive_sum` returns, and once per distinct generator row."""
+    `exactnum._rows` runs once, for the Context's generator sums, and
+    `_cyc` once per double sum, for the value `naive_sum` returns, and once
+    per distinct generator row."""
     ctx, calls = request.getfixturevalue(name), Counter()
     for f in ("_rows", "_cyc"):
         real = getattr(exactnum, f)
