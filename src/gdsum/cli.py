@@ -6,13 +6,15 @@ finds it, so a build times its phases only when the caller has turned on
 DEBUG.  A matrix entry may have any number of digits: `main` lifts CPython's
 int-to-str digit limit for the run, and a message gives an entry past 256
 bits by its bit length.  Exit codes: 0 success, 1 usage/configuration
-error, 2 verification failure.  All randomness is driven by --seed, so
-reports are reproducible.
+error, or any other error as one `error: internal error:` line, its
+traceback logged at DEBUG on `gdsum.cli`, 2 verification failure.  All
+randomness is driven by --seed, so reports are reproducible.
 """
 
 from __future__ import annotations
 
 import argparse
+import logging
 import random
 import sys
 import time
@@ -123,7 +125,7 @@ def _context(args, *, announce: bool = False) -> Context:
     ctx, stats = _build(chi1, chi2, args.allow_large_n)
     if announce:
         elapsed = time.perf_counter() - t0
-        # the solve's pivots, then one check per Gamma0 transversal member but I
+        # the solve's pivots, then G's double sum at each Gamma0 transversal member but I
         calls = stats.oracle_calls + len(ctx.t_g0) - 1
         print(
             f"precomputed N={ctx.N}: |T_g0|={len(ctx.t_g0)}, |T_sl2|={sl2_coset_count(ctx.N)} keys, "
@@ -211,7 +213,7 @@ def run_verify(ctx: Context, *, trials: int, seed: int, cmax: int) -> VerifyRepo
     rng = random.Random(seed)
     N = ctx.N
 
-    # every Gamma0-transversal sum against the double sum, up to the first that differs
+    # fast_sum at each Gamma0-transversal member against G, up to the first that differs
     bad = next(_g_mismatches(ctx), None)
     detail = f"d={bad[0]}: table {bad[1]} vs oracle {bad[2]}" if bad else f"{len(ctx.t_g0)} entries"
     report.record("transversal-sums", not bad, detail)
@@ -285,6 +287,10 @@ def main(argv=None) -> int:
         return args.run(args)
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:  # never a raw traceback; KeyboardInterrupt and SystemExit propagate
+        logging.getLogger(__name__).debug("internal error", exc_info=True)
+        print(" ".join(f"error: internal error: {type(exc).__name__}: {exc}".split())[:200], file=sys.stderr)
         return 1
     finally:
         if limit:

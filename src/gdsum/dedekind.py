@@ -30,18 +30,19 @@ powers everything here:
     (ST)^3 = S^2 give twisted identities that fix the others once a few
     pivots come from the double sum (`_solve`);
   * those 2 mu sums are the one sum format: `_solve` finds them, and a
-    `Context` is built from them, deriving the two slot tables the
-    evaluator reads (`_slot_tables`).  A cache stores only the pair: a load
-    builds its context as a precompute does (`_build`), and requires the
-    file to be exactly what that context writes.
+    `Context` is built from them and the double sums G(d) at the Gamma0
+    transversal members g_d, deriving the two slot tables the evaluator
+    reads (`_slot_tables`).  A cache stores only the pair: a load builds
+    its context as a precompute does (`_build`), and requires the file to
+    be exactly what that context writes.
 
 The generator sums are a dict keyed like their alphabet, (k, ("T", 1)) and
 (k, ("S", 1)), with one shared CycElem per distinct sum.  `exactnum` turns
 them into integer rows over one common denominator D (3 at N = 9, 5 at
-N = 35 with L = 12) and back, so the solve, the checks, the derived rows,
-G and `fast_sum`'s column sums are integer adds and root-of-unity turns;
+N = 35 with L = 12) and back, so the solve, the checks, the derived rows
+and `fast_sum`'s column sums are integer adds and root-of-unity turns;
 `characters` gives the exponents of chi1, chi2 and psi at the order L.
-A build reads each double sum as a row over its own denominator (`_gamma0_row`).
+The solve reads each double sum as a row over its own denominator (`_gamma0_row`).
 """
 
 from __future__ import annotations
@@ -156,7 +157,7 @@ def sum_on_gamma0(chi1, chi2, gamma: Mat2) -> CycElem:
     and the cocycle identity gives S(+-T^b) = 0: c = 0 is 0.  S(-gamma) =
     psi(-1) S(gamma) = S(gamma) whenever any sum is nonzero, so c <= -1 is
     the double sum of -gamma.  Raises ValueError when gamma itself is not
-    in Gamma0(N).  A build reads it through `_gamma0_row`.
+    in Gamma0(N).  A build reads it through `_gamma0_row` and in `Context`.
     """
     N = chi1.modulus * chi2.modulus
     if not gamma.in_gamma0(N):
@@ -188,8 +189,9 @@ class Context:
     what `fast_sum` reads, in integers over the common denominator `den`:
     `N` and `L`; `t_g0` (Gamma1(N) in Gamma0(N), keyed by d mod N) and
     `g_rows[lambda]`, the row of the sum G(lambda) of its member, one of
-    which ends each walk (`sums_g0` builds their CycElems on each access);
-    and the slot tables, the only lists of size N^2 it keeps.
+    which ends each walk (`sums_g0` builds their CycElems on each access),
+    read from the double sum with the generator sums (`zero` at I); and the
+    slot tables, the only lists of size N^2 it keeps.
     With F(k) the sum of the Gamma1 generator sums s_T along k's T-orbit
     up to k and Sigma the orbit total, the cocycle identity gives, for
     every integer a,
@@ -243,9 +245,11 @@ class Context:
             raise ValueError(f"the generator sums need a transversal over P^1(Z/{N})")
         self.L = L = pair_order(chi1, chi2)
         self.zero = zero = (0,) * len(_powers(L)[0])
-        self.den, rows = _rows(self.sums_alphabet)
-        self.t_g0 = transversal_g1_in_g0(N)
-        t_rows, s_rows, self.g_rows = _key_rows(L, p1, rows, _twists(chi1, chi2), self.t_g0, zero)
+        self.t_g0 = t_g0 = transversal_g1_in_g0(N)
+        g = {lam: sum_on_gamma0(chi1, chi2, m) for lam, m in t_g0.members.items() if m != I2}
+        self.den, rows = _rows({**self.sums_alphabet, **g})
+        self.g_rows = [rows.get(lam, zero) if lam in t_g0.members else None for lam in range(N)]
+        t_rows, s_rows = _key_rows(L, p1, rows, _twists(chi1, chi2), zero)
         self.t_slot, self.s_slot = _slot_tables(N, p1.bases, t_rows, s_rows, self.g_rows, zero)
 
 
@@ -293,10 +297,10 @@ def _build(chi1, chi2, allow_large: bool) -> tuple[Context, SolveStats]:
     `_solve` for the sums of the 2 mu Gamma0(N) generators U(r_k, T) and
     U(r_k, S), two per point k of P^1(Z/N), with the double sum at its
     pivots only (8 of the 96 at N = 35); on its rows, each shear row against
-    0 and each relation the solve kept (23 of 72 at N = 35); the Context;
-    and its Gamma0 transversal sums against the double sum, each double sum
-    read by `_gamma0_row` (31 at N = 35).  One DEBUG line
-    on `gdsum.dedekind` gives the counts, the checks and the seconds per
+    0 and each relation the solve kept (23 of 72 at N = 35); the Context,
+    with G, the double sum at each Gamma0 transversal member but I (31 in
+    all at N = 35); and `fast_sum` at each such member against G.  One DEBUG
+    line on `gdsum.dedekind` gives the counts, the checks and the seconds per
     phase, timed only when logged, as `record.solve_stats`/`record.phases`."""
     _validate_pair(chi1, chi2, allow_large)
     N, L = chi1.modulus * chi2.modulus, pair_order(chi1, chi2)
@@ -330,13 +334,11 @@ def _build(chi1, chi2, allow_large: bool) -> tuple[Context, SolveStats]:
 
 def _g_mismatches(ctx: Context):
     """(d, table sum, double sum) at each member g_d of the Gamma0 transversal
-    but I whose G row over ctx.den is not its double sum's row over its den,
-    by cross-multiplication, lazily: `_build` raises at the first, and `verify` reports it."""
+    but I where `fast_sum`'s integer row over ctx.den is not G's, lazily:
+    `_build` raises at the first, and `verify` reports it."""
     for d, m in ctx.t_g0.members.items():
-        if m != I2:
-            den, row = _gamma0_row(ctx.chi1, ctx.chi2, m)
-            if any(ctx.den * n != den * g for n, g in zip(row, ctx.g_rows[d])):
-                yield d, ctx.sums_g0[d], _cyc(ctx.L, den, row)
+        if m != I2 and _numerators(ctx, m) != [*ctx.g_rows[d]]:
+            yield d, fast_sum(ctx, m), _cyc(ctx.L, ctx.den, ctx.g_rows[d])
 
 
 def _lap(laps):
@@ -438,34 +440,19 @@ def _solve(chi1, chi2, p1: Transversal, gens: dict, oracle) -> tuple[int, dict, 
     return den, {v: known[v] for v in gens}, relations, SolveStats(shear, solved, calls, total_c)
 
 
-def _key_rows(L: int, p1: Transversal, rows: dict, twist: dict, t_g0: Transversal, zero: tuple):
+def _key_rows(L: int, p1: Transversal, rows: dict, twist: dict, zero: tuple):
     """The rows psi(lambda) s0[k, x] that a letter x = T, S adds at each key
     lambda k, in lists indexed by c*N + d (`zero` for none), read from the L
-    `_rotations` of each nonzero row s0[k, x]; and G(lambda) = S(g_lambda)
-    over `t_g0`: the key rows of the T and S letters of g_lambda's word read
-    from (0, 1), less those a T^-1 steps back over.  The walk ends over the
-    identity's point, so its product is +-g_lambda, of one sum (S(-I) = 0)."""
+    `_rotations` of each nonzero row s0[k, x]."""
     N = p1.N
-    t_rows, s_rows, g_rows = [zero] * N * N, [zero] * N * N, [None] * N
+    t_rows, s_rows = [zero] * N * N, [zero] * N * N
     for c, d in p1.members:
         for x, out in (("T", t_rows), ("S", s_rows)):
             if any(row := rows[(c, d), (x, 1)]):
                 turns = _rotations(L, row)
                 for u, e in twist.items():
                     out[u * c % N * N + u * d % N] = turns[e]
-    for lam, g in t_g0.members.items():
-        acc, c, d = zero, 0, 1 % N
-        for n, a in enumerate(ts_decompose(g).exponents):
-            if n:  # the S before T^a
-                acc = tuple(map(add, acc, s_rows[c * N + d]))
-                c, d = d, -c % N
-            op, steps = (add, range(a)) if a > 0 else (sub, range(a, 0))  # the keys (c, d + j c) read
-            for j in steps:
-                if (row := t_rows[c * N + (d + j * c) % N]) is not zero:
-                    acc = tuple(map(op, acc, row))
-            d = (d + a * c) % N
-        g_rows[lam] = acc
-    return t_rows, s_rows, g_rows
+    return t_rows, s_rows
 
 
 def _slot_tables(N: int, bases: dict, t_rows: list, s_rows: list, g_rows: list, zero: tuple):
@@ -532,14 +519,19 @@ def fast_sum(ctx: Context, gamma: Mat2) -> CycElem:
     and a multiple of the orbit total at each T slot that wraps around its
     T-orbit, none for a zero row.  They and G's integer row
     `ctx.g_rows[lambda]` are summed column by column into numerators over
-    `ctx.den`, which `exactnum._cyc` turns into the value.  `ts_decompose`
-    checks the word's exact product, so no matrix is rebuilt here.
+    `ctx.den` (`_numerators`), which `exactnum._cyc` turns into the value.
+    `ts_decompose` checks the word's exact product, so no matrix is rebuilt.
     """
+    return _cyc(ctx.L, ctx.den, _numerators(ctx, gamma))
+
+
+def _numerators(ctx: Context, gamma: Mat2) -> list:
+    """The integer row of S(gamma) over ctx.den, as `fast_sum` reads it."""
     d = split_gamma0(ctx, gamma)
     word = ts_decompose(gamma)
     rows = reduce_word(word, modified_rewrite(word, ctx.p1), ctx)
     g = ctx.g_rows[-d % ctx.N if word.negate else d]
-    return _cyc(ctx.L, ctx.den, [*map(sum, zip(g, *rows))])
+    return [*map(sum, zip(g, *rows))]
 
 
 def crossed_hom_check(chi1, chi2, ga: Mat2, gb: Mat2) -> bool:

@@ -233,7 +233,8 @@ def test_sum_naive_rejects_huge_c(capsys, monkeypatch, builds):
 def test_sum_naive_builds_no_table(capsys, monkeypatch):
     """--naive evaluates the double sum from the pair alone: without
     --trace no table is built; --naive --trace still builds the table it
-    explains."""
+    explains, so the stand-in build's error reaches main's internal-error
+    line."""
 
     def no_table(*args, **kwargs):
         raise AssertionError("a table was built")
@@ -245,8 +246,8 @@ def test_sum_naive_builds_no_table(capsys, monkeypatch):
     chi1, chi2 = find_character(7, [(3, "1/6")]), find_character(11, [(2, "1/2")])
     value = naive_sum(chi1, chi2, Mat2(3, 2, 385, 257))
     assert capsys.readouterr().out.splitlines()[0] == str(value) == "4/7 + 2/7*z"
-    with pytest.raises(AssertionError, match="table"):
-        main([*args, "--trace"])
+    assert main([*args, "--trace"]) == 1
+    assert capsys.readouterr().err == "error: internal error: AssertionError: a table was built\n"
 
 
 @pytest.mark.parametrize(
@@ -594,3 +595,32 @@ def test_nonpositive_counts_exit_1(capsys, count):
     assert main(["verify", *PAIR, "--trials", count]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "--trials" in err
+
+
+def test_an_unexpected_error_exits_1_with_one_line(capsys, caplog, monkeypatch):
+    """An exception no known error covers still gives exit 1 and one
+    `error: internal error:` line, never a raw traceback; the traceback is
+    logged at DEBUG on `gdsum.cli`."""
+
+    def broken_build(*args, **kwargs):
+        raise KeyError(((11, 29), ("T", 1)))
+
+    monkeypatch.setattr(cli, "_build", broken_build)
+    with caplog.at_level(logging.DEBUG, logger="gdsum.cli"):
+        assert main(["precompute", *PAIR]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: internal error: KeyError: ") and err.count("\n") == 1, err
+    assert len(err) <= 201 and "Traceback" not in err
+    (record,) = caplog.records
+    assert record.name == "gdsum.cli" and record.levelno == logging.DEBUG and record.exc_info[0] is KeyError
+
+
+def test_an_interrupt_still_propagates(monkeypatch):
+    """main catches Exception only: a KeyboardInterrupt is not turned into an error line."""
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_build", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["precompute", *PAIR])

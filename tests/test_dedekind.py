@@ -280,13 +280,13 @@ def test_a_build_reads_its_double_sums_as_rows(monkeypatch, request, name, doubl
     assert calls == {"_rows": 1, "_cyc": double_sums + len(set(ctx.sums_alphabet.values()))}
 
 
-@pytest.mark.parametrize("N, pairs", [(21, 3), (65, 17), (91, 28)])
+@pytest.mark.parametrize("N, pairs", [(21, 3), (65, 17), (91, 28), (183, 30)])
 def test_every_even_pair_builds_at_a_level_with_elliptic_points(N, pairs):
-    """At N = 21 (e3 = 2), 65 (e2 = 4) and 91 (e3 = 4) S or ST fixes a point
-    of P^1, and an (ST)^3 = S^2 walk there can meet one generator twice
-    with terms that cancel.  Every primitive pair mod (q1, q2), q1 < q2,
-    with psi(-1) = 1 builds, and `fast_sum` equals `naive_sum` on 10
-    seeded matrices per pair."""
+    """At N = 21 (e3 = 2), 65 (e2 = 4), 91 (e3 = 4) and 183 (e3 = 2) S or
+    ST fixes a point of P^1, and an (ST)^3 = S^2 walk there can meet one
+    generator twice with terms that cancel.  Every primitive pair mod
+    (q1, q2), q1 < q2, with psi(-1) = 1 builds, and `fast_sum` equals
+    `naive_sum` on 10 seeded matrices per pair."""
     q1 = next(p for p in range(2, N) if N % p == 0)
     chars = [[chi for chi in characters_mod(q) if chi.is_primitive()] for q in (q1, N // q1)]
     even = [(chi1, chi2) for chi1 in chars[0] for chi2 in chars[1] if not _psi_odd(chi1, chi2)]
@@ -296,6 +296,19 @@ def test_every_even_pair_builds_at_a_level_with_elliptic_points(N, pairs):
         ctx = precompute(chi1, chi2, allow_large=True)
         for gamma in (random_gamma0(N, rng, kmax=40, d_shift=1) for _ in range(10)):
             assert fast_sum(ctx, gamma) == naive_sum(chi1, chi2, gamma), (chi1, chi2, gamma)
+
+
+def test_a_build_checks_the_evaluator_at_the_gamma0_members(monkeypatch, chi4, chi7_56):
+    """The build runs `fast_sum`'s own walk at each Gamma0 transversal
+    member but I and compares it with G, the double sum there: a
+    `reduce_word` that adds one more row, 1 in its first coefficient, fails
+    the build."""
+    real = dedekind.reduce_word
+    monkeypatch.setattr(
+        dedekind, "reduce_word", lambda w, keys, ctx: [*real(w, keys, ctx), (ctx.den, *ctx.zero[1:])]
+    )
+    with pytest.raises(ValueError, match=r"the Gamma0 transversal sum at d = \d+ "):
+        precompute(chi4, chi7_56)
 
 
 @pytest.mark.parametrize("pair, pivots", [("9", 2), ("28", 8), ("35-l12", 8), ("143", 28)])

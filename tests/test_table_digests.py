@@ -33,6 +33,7 @@ PAIRS = {
 PIVOT_PAIRS = {
     21: ((3, [(2, "1/2")]), (7, [(3, "1/2")])),  # L = 2, e3 = 2
     65: ((5, [(2, "1/4")]), (13, [(2, "1/12")])),  # L = 12, e2 = 4
+    183: ((3, [(2, "1/2")]), (61, [(2, "1/60")])),  # L = 60, e3 = 2
 }
 
 STATS = {  # shear, solved, oracle calls (the pivots), oracle total |c|
@@ -75,7 +76,7 @@ def test_a_build_gives_the_pinned_tables(N):
 
 
 @pytest.mark.parametrize(
-    "N, pivots", [(9, 2), (28, 8), (35, 8), (143, 28), (21, 6), (65, 16), (91, 20)]
+    "N, pivots", [(9, 2), (28, 8), (35, 8), (143, 28), (21, 6), (65, 16), (91, 20), (183, 42)]
 )
 def test_the_pivots_are_the_free_dimension_of_the_genus_formula(N, pivots):
     """The solve's pivots are 2g + (cusps - 2) + nu2 + nu3:
@@ -83,9 +84,9 @@ def test_the_pivots_are_the_free_dimension_of_the_genus_formula(N, pivots):
     Gamma0(N), nu2 and nu3 the counts of x mod N with x^2 + 1 = 0 and
     x^2 + x + 1 = 0, its elliptic points of orders 2 and 3, and
     nu_inf = sum over d | N of phi(gcd(d, N/d)) cusps (Diamond and
-    Shurman, A First Course in Modular Forms, ch. 3).  N = 21 and 91 have
-    elliptic points of order 3, N = 65 of order 2, the others none.  None
-    of it reads the relations the solve peels."""
+    Shurman, A First Course in Modular Forms, ch. 3).  N = 21, 91 and 183
+    have elliptic points of order 3, N = 65 of order 2, the others none.
+    None of it reads the relations the solve peels."""
     mu = N
     for p in {p for p in range(2, N + 1) if N % p == 0 and all(p % f for f in range(2, p))}:
         mu += mu // p
@@ -96,6 +97,6 @@ def test_the_pivots_are_the_free_dimension_of_the_genus_formula(N, pivots):
         for d in range(1, N + 1) if N % d == 0 for g in [gcd(d, N // d)]
     )
     genus = 1 + Fraction(mu, 12) - Fraction(nu2, 4) - Fraction(nu3, 3) - Fraction(cusps, 2)
-    assert genus.denominator == 1 and (nu2 > 0, nu3 > 0) == (N == 65, N in (21, 91))
+    assert genus.denominator == 1 and (nu2 > 0, nu3 > 0) == (N == 65, N in (21, 91, 183))
     assert 2 * genus + cusps - 2 + nu2 + nu3 == pivots
     assert _built(N)[1].oracle_calls == pivots
