@@ -118,15 +118,13 @@ def _pair(args):
 
 def _context(args, *, announce: bool = False) -> Context:
     """The requested pair's context, built by `_build` as `precompute`
-    builds it; with `announce`, its summary goes to stdout, with the double
-    sums the build ran counted from the SolveStats it returns."""
+    builds it; with `announce`, its summary goes to stdout, with the count
+    of double sums the build returns."""
     chi1, chi2 = _pair(args)
     t0 = time.perf_counter()
-    ctx, stats = _build(chi1, chi2, args.allow_large_n)
+    ctx, _, calls = _build(chi1, chi2, args.allow_large_n)
     if announce:
         elapsed = time.perf_counter() - t0
-        # the solve's pivots, then G's double sum at each Gamma0 transversal member but I
-        calls = stats.oracle_calls + len(ctx.t_g0) - 1
         print(
             f"precomputed N={ctx.N}: |T_g0|={len(ctx.t_g0)}, |T_sl2|={sl2_coset_count(ctx.N)} keys, "
             f"{len(ctx.p1)} points of P^1, {len(ctx.sums_alphabet)} stored generator sums, "

@@ -30,11 +30,13 @@ powers everything here:
     (ST)^3 = S^2 give twisted identities that fix the others once a few
     pivots come from the double sum (`_solve`);
   * those 2 mu sums are the one sum format: `_solve` finds them, and a
-    `Context` is built from them and the double sums G(d) at the Gamma0
+    `Context` is built from them and the sums G(d) at the Gamma0
     transversal members g_d, deriving the two slot tables the evaluator
-    reads (`_slot_tables`).  A cache stores only the pair: a load builds
-    its context as a precompute does (`_build`), and requires the file to
-    be exactly what that context writes.
+    reads (`_slot_tables`).  G is the double sum at one member of each
+    +-d pair, which gives the other's and every pivot with c = +-N.  A
+    cache stores only the pair: a load builds its context as a precompute
+    does (`_build`), and requires the file to be exactly what that context
+    writes.
 
 The generator sums are a dict keyed like their alphabet, (k, ("T", 1)) and
 (k, ("S", 1)), with one shared CycElem per distinct sum.  `exactnum` turns
@@ -42,7 +44,7 @@ them into integer rows over one common denominator D (3 at N = 9, 5 at
 N = 35 with L = 12) and back, so the solve, the checks, the derived rows
 and `fast_sum`'s column sums are integer adds and root-of-unity turns;
 `characters` gives the exponents of chi1, chi2 and psi at the order L.
-The solve reads each double sum as a row over its own denominator (`_gamma0_row`).
+The solve reads each value as a row over its own denominator (`_row`).
 """
 
 from __future__ import annotations
@@ -128,7 +130,7 @@ def naive_sum(chi1: DirichletCharacter, chi2: DirichletCharacter, gamma: Mat2) -
     qa = q1 * a % M  # floor(y) = (qa * j mod M) // c
     half = (c + 1) // 2
     buckets, acc = {}, [0] * L  # chi2 exponent -> the buckets of the j with that exponent
-    for u in range(1, q2):
+    for u in range(1, min(q2, half)):  # j = u + t q2 < c/2
         if (k2 := e2[u]) is not None:
             bucket = buckets.setdefault(k2, [0] * q1)
             for j in range(u, half, q2):
@@ -157,7 +159,7 @@ def sum_on_gamma0(chi1, chi2, gamma: Mat2) -> CycElem:
     and the cocycle identity gives S(+-T^b) = 0: c = 0 is 0.  S(-gamma) =
     psi(-1) S(gamma) = S(gamma) whenever any sum is nonzero, so c <= -1 is
     the double sum of -gamma.  Raises ValueError when gamma itself is not
-    in Gamma0(N).  A build reads it through `_gamma0_row` and in `Context`.
+    in Gamma0(N).  A build looks it up at call time, for G and its pivots.
     """
     N = chi1.modulus * chi2.modulus
     if not gamma.in_gamma0(N):
@@ -167,12 +169,11 @@ def sum_on_gamma0(chi1, chi2, gamma: Mat2) -> CycElem:
     return naive_sum(chi1, chi2, gamma if gamma.c > 0 else -gamma)
 
 
-def _gamma0_row(chi1, chi2, gamma: Mat2) -> tuple[int, tuple]:
-    """`sum_on_gamma0` at gamma, looked up at call time, as the row a build
-    reads: (den, row), gcd(den, *row) = 1, den the lcm of its denominators."""
-    coeffs = sum_on_gamma0(chi1, chi2, gamma).coeffs
-    den = lcm(*[x.denominator for x in coeffs])
-    return den, tuple([x.numerator * (den // x.denominator) for x in coeffs])
+def _row(value: CycElem) -> tuple[int, tuple]:
+    """A sum as the row a build reads: (den, row), gcd(den, *row) = 1, den
+    the lcm of its denominators."""
+    den = lcm(*[x.denominator for x in value.coeffs])
+    return den, tuple([x.numerator * (den // x.denominator) for x in value.coeffs])
 
 
 @dataclass
@@ -183,15 +184,15 @@ class Context:
     is pure, so one context can serve concurrent evaluations.  Its inputs
     are the pair `chi1`, `chi2`; `p1`, the transversal of Gamma0(N) over
     P^1(Z/N) with the T and S edges and orbit-base scalars its walk found;
-    and `sums_alphabet`, the sums s0 of the 2 mu generators U(r_k, T),
+    `sums_alphabet`, the sums s0 of the 2 mu generators U(r_k, T),
     U(r_k, S) of `alphabet` (built on each access), keyed (k, ("T", 1)),
-    (k, ("S", 1)), as `_solve` finds them.  `__post_init__` derives only
-    what `fast_sum` reads, in integers over the common denominator `den`:
-    `N` and `L`; `t_g0` (Gamma1(N) in Gamma0(N), keyed by d mod N) and
-    `g_rows[lambda]`, the row of the sum G(lambda) of its member, one of
-    which ends each walk (`sums_g0` builds their CycElems on each access),
-    read from the double sum with the generator sums (`zero` at I); and the
-    slot tables, the only lists of size N^2 it keeps.
+    (k, ("S", 1)), as `_solve` finds them; and `sums_g0`, lambda -> G(lambda),
+    the sum of the member g_lambda of `t_g0` (Gamma1(N) in Gamma0(N), keyed
+    by d mod N), 0 at I, one of which ends each walk.  `__post_init__`
+    derives only what `fast_sum` reads, in integers over the common
+    denominator `den`: `N` and `L`; `t_g0` and `g_rows[lambda]`, the row of
+    G(lambda), None off the units; and the slot tables, the only lists of
+    size N^2 it keeps.
     With F(k) the sum of the Gamma1 generator sums s_T along k's T-orbit
     up to k and Sigma the orbit total, the cocycle identity gives, for
     every integer a,
@@ -217,6 +218,7 @@ class Context:
     chi2: DirichletCharacter
     p1: Transversal = field(compare=False)  # N, compared, fixes it
     sums_alphabet: dict
+    sums_g0: dict
     N: int = field(init=False)
     L: int = field(init=False)
     t_g0: Transversal = field(init=False, compare=False, repr=False)
@@ -230,10 +232,6 @@ class Context:
     def alphabet(self) -> dict:
         return schreier_alphabet(self.N, self.p1)
 
-    @property
-    def sums_g0(self) -> dict:
-        return {lam: _cyc(self.L, self.den, self.g_rows[lam]) for lam in self.t_g0.members}
-
     @cached_property
     def t_sl2(self) -> Transversal:
         return transversal_g1_in_sl2(self.N, self.p1)
@@ -246,9 +244,10 @@ class Context:
         self.L = L = pair_order(chi1, chi2)
         self.zero = zero = (0,) * len(_powers(L)[0])
         self.t_g0 = t_g0 = transversal_g1_in_g0(N)
-        g = {lam: sum_on_gamma0(chi1, chi2, m) for lam, m in t_g0.members.items() if m != I2}
-        self.den, rows = _rows({**self.sums_alphabet, **g})
-        self.g_rows = [rows.get(lam, zero) if lam in t_g0.members else None for lam in range(N)]
+        if self.sums_g0.keys() != t_g0.members.keys():
+            raise ValueError(f"G needs one sum per unit mod {N}")
+        self.den, rows = _rows({**self.sums_alphabet, **self.sums_g0})
+        self.g_rows = [rows[lam] if lam in t_g0.members else None for lam in range(N)]
         t_rows, s_rows = _key_rows(L, p1, rows, _twists(chi1, chi2), zero)
         self.t_slot, self.s_slot = _slot_tables(N, p1.bases, t_rows, s_rows, self.g_rows, zero)
 
@@ -273,10 +272,10 @@ def _check_level(N: int, allow_large: bool):
 def precompute(
     chi1: DirichletCharacter, chi2: DirichletCharacter, *, allow_large: bool = False
 ) -> Context:
-    """The context of a pair, built by `_build` (whose SolveStats it drops),
+    """The context of a pair, built by `_build` (whose counts it drops),
     with a ParityWarning when chi1*chi2(-1) != 1.  Levels above
     DEFAULT_LEVEL_LIMIT need allow_large."""
-    ctx, _ = _build(chi1, chi2, allow_large)
+    ctx, *_ = _build(chi1, chi2, allow_large)
     if message := _parity_message(chi1, chi2):
         warnings.warn(message, ParityWarning, stacklevel=2)
     return ctx
@@ -291,23 +290,40 @@ def _parity_message(chi1, chi2) -> str | None:
         )
 
 
-def _build(chi1, chi2, allow_large: bool) -> tuple[Context, SolveStats]:
-    """The context of a pair and the SolveStats of its solve, built one way
-    for `precompute`, `load_context` and the CLI: the checks of the pair;
-    `_solve` for the sums of the 2 mu Gamma0(N) generators U(r_k, T) and
-    U(r_k, S), two per point k of P^1(Z/N), with the double sum at its
-    pivots only (8 of the 96 at N = 35); on its rows, each shear row against
-    0 and each relation the solve kept (23 of 72 at N = 35); the Context,
-    with G, the double sum at each Gamma0 transversal member but I (31 in
-    all at N = 35); and `fast_sum` at each such member against G.  One DEBUG
-    line on `gdsum.dedekind` gives the counts, the checks and the seconds per
-    phase, timed only when logged, as `record.solve_stats`/`record.phases`."""
+def _build(chi1, chi2, allow_large: bool) -> tuple[Context, SolveStats, int]:
+    """The context of a pair, the SolveStats of its solve and the number of
+    double sums it ran, built one way for `precompute`, `load_context` and
+    the CLI: the checks of the pair; G at each member g_lambda of the Gamma0
+    transversal but I, the double sum at (1/lambda mod N, N) for one member
+    of each +-lambda pair, and for the other read from it by j -> c - j,
+    S(-a, c) = -chi2(-1) S(a, c); `_solve` for the sums of the 2 mu Gamma0(N)
+    generators U(r_k, T) and U(r_k, S), two per point k of P^1(Z/N), with
+    the double sum at its pivots only (8 of the 96 at N = 35), read from G
+    at +-d mod N where c = +-N (7 of the 8); on its rows, each shear row
+    against 0 and each relation the solve kept (23 of 72 at N = 35); the
+    Context; and `fast_sum` at each member but I against G.  That is 13
+    double sums at N = 35.  One DEBUG line on `gdsum.dedekind` gives the
+    counts, the checks and the seconds per phase, timed only when logged,
+    as `record.solve_stats`/`record.oracle_calls`/`record.phases`."""
     _validate_pair(chi1, chi2, allow_large)
     N, L = chi1.modulus * chi2.modulus, pair_order(chi1, chi2)
     laps = [time.perf_counter()] if log.isEnabledFor(logging.DEBUG) else None
     p1 = transversal_g0_in_sl2(N)
     gens = schreier_alphabet(N, p1)
-    den, rows, relations, stats = _solve(chi1, chi2, p1, gens, lambda v: _gamma0_row(chi1, chi2, gens[v]))
+    g, runs, even = {}, 0, chi2.exponent(-1) == 0
+    for lam, m in transversal_g1_in_g0(N).members.items():  # in key order: -lam < lam comes first
+        if (twin := g.get(-lam % N)) is not None:
+            g[lam] = -twin if even else twin
+        elif m != I2:
+            g[lam], runs = sum_on_gamma0(chi1, chi2, m), runs + 1
+
+    def oracle(v):  # at c = +-N, G's input (a mod N, N) at +-d mod N, a = 1/(+-d)
+        nonlocal runs
+        if abs((m := gens[v]).c) != N or (value := g.get(m.d * m.c // N % N)) is None:
+            value, runs = sum_on_gamma0(chi1, chi2, m), runs + 1
+        return _row(value)
+
+    den, rows, relations, stats = _solve(chi1, chi2, p1, gens, oracle)
     _lap(laps)
     broken = [(v[0], "S(+-T^b) = 0") for v, m in gens.items() if m.c == 0 and any(rows[v])]
     broken = broken or [(k, name) for name, k, terms, _ in relations if any(_twisted_sum(L, rows, terms))]
@@ -315,7 +331,7 @@ def _build(chi1, chi2, allow_large: bool) -> tuple[Context, SolveStats]:
         raise ValueError("U(r, T) and U(r, S) sums over P^1 at key %s break %s" % broken[0])
     _lap(laps)
     cyc = {r: _cyc(L, den, r) for r in set(rows.values())}  # one CycElem per distinct row
-    ctx = Context(chi1, chi2, p1, {v: cyc[r] for v, r in rows.items()})
+    ctx = Context(chi1, chi2, p1, {v: cyc[r] for v, r in rows.items()}, {1 % N: CycElem.zero(L), **g})
     _lap(laps)
     if bad := next(_g_mismatches(ctx), None):
         raise ValueError(f"the Gamma0 transversal sum at d = {bad[0]} breaks the cocycle identity")
@@ -324,21 +340,21 @@ def _build(chi1, chi2, allow_large: bool) -> tuple[Context, SolveStats]:
         phases = tuple(map(sub, laps[1:], laps))
         log.debug(
             "precompute N=%d: %d points of P^1, %d keys, %d shear entries, %d solved, "
-            "%d oracle calls, oracle total |c| %d; %d relations and %d shear sums checked; "
+            "%d pivots, pivot total |c| %d, %d oracle calls; %d relations and %d shear sums checked; "
             "solve %.4f s, check %.4f s, context %.4f s, G check %.4f s",
-            N, len(p1), sl2_coset_count(N), *stats, len(relations), stats.shear, *phases,
-            extra={"solve_stats": stats, "phases": phases},
+            N, len(p1), sl2_coset_count(N), *stats, runs, len(relations), stats.shear, *phases,
+            extra={"solve_stats": stats, "oracle_calls": runs, "phases": phases},
         )
-    return ctx, stats
+    return ctx, stats, runs
 
 
 def _g_mismatches(ctx: Context):
-    """(d, table sum, double sum) at each member g_d of the Gamma0 transversal
-    but I where `fast_sum`'s integer row over ctx.den is not G's, lazily:
-    `_build` raises at the first, and `verify` reports it."""
+    """(d, table sum, G) at each member g_d of the Gamma0 transversal but I
+    where `fast_sum`'s integer row over ctx.den is not G's, lazily: `_build`
+    raises at the first, and `verify` reports it."""
     for d, m in ctx.t_g0.members.items():
         if m != I2 and _numerators(ctx, m) != [*ctx.g_rows[d]]:
-            yield d, fast_sum(ctx, m), _cyc(ctx.L, ctx.den, ctx.g_rows[d])
+            yield d, fast_sum(ctx, m), ctx.sums_g0[d]
 
 
 def _lap(laps):
@@ -370,7 +386,7 @@ class SolveStats(NamedTuple):
 
 def _solve(chi1, chi2, p1: Transversal, gens: dict, oracle) -> tuple[int, dict, list, SolveStats]:
     """The sums of the Gamma0 generators `gens` over `p1`, with as few
-    `oracle(entry)` values, (den, row) in lowest terms as `_gamma0_row`
+    `oracle(entry)` values, (den, row) in lowest terms as `_row`
     gives them, as the peel allows: their common denominator, their integer
     rows over it keyed like `gens`, the relations of `_relations` it kept,
     as (name, key, terms, coefficients), and the stats.
@@ -608,7 +624,7 @@ def load_context(path, *, allow_large: bool = False) -> Context:
         )
     except (LookupError, TypeError, AttributeError, ArithmeticError) as exc:
         raise ValueError(f"malformed cache {path}: {type(exc).__name__}: {exc}") from exc
-    ctx, _ = _build(chi1, chi2, allow_large)
+    ctx, *_ = _build(chi1, chi2, allow_large)
     rebuilt = context_to_json(ctx)
     for name in {**rebuilt, **data}:
         if name not in data or name not in rebuilt or json.dumps(data[name]) != json.dumps(rebuilt[name]):

@@ -10,7 +10,8 @@ with (c, d) = lambda k, rebuilt from the members times the units: the
 library keeps no such map.  `gamma1_relations` lists the relations among
 the U(t, T) and U(t, S) sums that the derived ones must obey.
 `all_oracle_context` evaluates every Gamma0 generator sum U(r, T), U(r, S)
-with the double sum instead of solving them, and `oracle_gamma1` every
+and every Gamma0 transversal sum with the double sum instead of solving
+them or reading one of each +-d pair off the other, and `oracle_gamma1` every
 Gamma0 transversal sum and every Gamma1 generator sum U(t, T), U(t, S),
 whose running sums a context's rows are.  `gamma1_rows` derives those
 Gamma1 sums from the Gamma0 ones, as integer rows, by the formula the
@@ -57,7 +58,7 @@ from math import gcd
 from typing import NamedTuple
 
 from gdsum import characters, dedekind, exactnum
-from gdsum.cosets import Transversal, schreier_alphabet, transversal_g0_in_sl2
+from gdsum.cosets import Transversal, schreier_alphabet, transversal_g0_in_sl2, transversal_g1_in_g0
 from gdsum.exactnum import CycElem
 from gdsum.modgroup import I2, Mat2, S, T, TSWord, ts_decompose, ts_reconstruct
 from gdsum.rewriter import RewriteFactor
@@ -150,12 +151,20 @@ def p1_classes(p1: Transversal) -> dict:
 
 def all_oracle_context(chi1, chi2, p1: Transversal):
     """The context over the P^1 transversal p1 with every U(r, T) and
-    U(r, S) sum evaluated by `dedekind.sum_on_gamma0` (looked up at call
-    time, so a test's replacement oracle applies), two double sums per
-    point."""
+    U(r, S) sum, two double sums per point, and every G(d) evaluated by
+    `dedekind.sum_on_gamma0` (looked up at call time, so a test's
+    replacement oracle applies)."""
     oracle = dedekind.sum_on_gamma0
     sums = {entry: oracle(chi1, chi2, m) for entry, m in schreier_alphabet(p1.N, p1).items()}
-    return dedekind.Context(chi1, chi2, p1, sums)
+    return dedekind.Context(chi1, chi2, p1, sums, oracle_g0(chi1, chi2))
+
+
+def oracle_g0(chi1, chi2) -> dict:
+    """G(d) by `dedekind.sum_on_gamma0` (looked up at call time) at each
+    member g_d of the Gamma0 transversal, keyed by d, and 0 at I."""
+    zero = CycElem.zero(characters.pair_order(chi1, chi2))
+    members = transversal_g1_in_g0(chi1.modulus * chi2.modulus).members
+    return {d: zero if m == I2 else dedekind.sum_on_gamma0(chi1, chi2, m) for d, m in members.items()}
 
 
 def row_oracle(oracle):
@@ -175,10 +184,8 @@ def oracle_gamma1(ctx) -> tuple[dict, dict]:
     of the Schreier generators U(t, T), U(t, S) of its Gamma1 transversal,
     keyed like `gamma1_alphabet(N, ctx.t_sl2)`, two double sums per key."""
     oracle = dedekind.sum_on_gamma0
-    zero = CycElem.zero(ctx.L)
-    sums_g0 = {d: zero if m == I2 else oracle(ctx.chi1, ctx.chi2, m) for d, m in ctx.t_g0.members.items()}
     alphabet = gamma1_alphabet(ctx.N, ctx.t_sl2)
-    return sums_g0, {entry: oracle(ctx.chi1, ctx.chi2, m) for entry, m in alphabet.items()}
+    return oracle_g0(ctx.chi1, ctx.chi2), {entry: oracle(ctx.chi1, ctx.chi2, m) for entry, m in alphabet.items()}
 
 
 def gamma1_rows(ctx) -> tuple[int, dict]:

@@ -502,11 +502,11 @@ def test_verify_detects_corruption(capsys, monkeypatch):
     def corrupted_build(*args, **kwargs):
         # the context derives the Gamma0 transversal sums G: corrupt the
         # integer row of one on a copy; verify re-checks all of them
-        ctx, stats = dedekind._build(*args, **kwargs)
+        ctx, *counts = dedekind._build(*args, **kwargs)
         ctx = dataclasses.replace(ctx)
         ctx.g_rows = list(ctx.g_rows)
         ctx.g_rows[2] = (7,) * len(ctx.zero)
-        return ctx, stats
+        return ctx, *counts
 
     monkeypatch.setattr(cli, "_build", corrupted_build)
     rc = main(["verify", *PAIR, "--trials", "4", "--seed", "0", "--cmax", "200"])

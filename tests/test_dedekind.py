@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from gdsum import characters, cli, cosets, dedekind, exactnum, find_character
 from gdsum.characters import _psi_odd, characters_mod, pair_order, parity_product, psi
-from gdsum.cosets import schreier_alphabet, transversal_g0_in_sl2
+from gdsum.cosets import schreier_alphabet, transversal_g0_in_sl2, transversal_g1_in_g0
 from gdsum.dedekind import (
     CACHE_VERSION,
     ParityWarning,
@@ -243,7 +243,7 @@ def test_the_build_reads_each_double_sum_as_a_row_in_lowest_terms(request, name)
     mats = list(_sweep_matrices(ctx.N))
     mats += [-m for m in mats] + [t_power(b) for b in (-3, 0, 2)] + [-t_power(b) for b in (-1, 0, 5)]
     for gamma in mats:
-        den, row = dedekind._gamma0_row(ctx.chi1, ctx.chi2, gamma)
+        den, row = dedekind._row(sum_on_gamma0(ctx.chi1, ctx.chi2, gamma))
         assert den >= 1 and gcd(den, *row) == 1 and all(type(n) is int for n in row), gamma
         assert tuple(Fraction(n, den) for n in row) == sum_on_gamma0(ctx.chi1, ctx.chi2, gamma).coeffs, gamma
         assert name != "ctx35" or (den, any(row)) == (1, False)
@@ -264,20 +264,78 @@ def test_the_bucket_terms_are_the_exponents_of_chi1(request, name):
         assert list(pairs) == [(-chi1.exponent(k - m) * L // chi1.order % L, 2 * k) for k in units], m
 
 
-@pytest.mark.parametrize("name, double_sums", [("ctx28", 19), ("ctx35_l12", 31)])
+@pytest.mark.parametrize("name, double_sums", [("ctx28", 9), ("ctx35_l12", 13)])
 def test_a_build_reads_its_double_sums_as_rows(monkeypatch, request, name, double_sums):
-    """A build reads each double sum, at its pivots and its Gamma0
-    transversal members but I, as one row over its own denominator:
-    `exactnum._rows` runs once, for the Context's generator sums, and
-    `_cyc` once per double sum, for the value `naive_sum` returns, and once
-    per distinct generator row."""
+    """A build reads each double sum, at one Gamma0 transversal member of
+    each +-d pair but I and at its pivots off c = +-N, as one row over its
+    own denominator: `exactnum._rows` runs once, for the Context's
+    generator sums and G, and `_cyc` once per double sum, for the value
+    `naive_sum` returns, and once per distinct generator row."""
     ctx, calls = request.getfixturevalue(name), Counter()
     for f in ("_rows", "_cyc"):
         real = getattr(exactnum, f)
         monkeypatch.setattr(dedekind, f, lambda *a, f=f, real=real: calls.update([f]) or real(*a))
-    _, stats = dedekind._build(ctx.chi1, ctx.chi2, False)
-    assert stats.oracle_calls + len(ctx.t_g0) - 1 == double_sums
+    _, _, runs = dedekind._build(ctx.chi1, ctx.chi2, False)
+    assert runs == double_sums
     assert calls == {"_rows": 1, "_cyc": double_sums + len(set(ctx.sums_alphabet.values()))}
+
+
+def test_the_double_sum_at_minus_lambda_is_minus_chi2_of_minus_one_times_it():
+    """j -> c - j gives S(-a, c) = -chi2(-1) S(a, c), and the members g_lambda
+    and g_-lambda of the Gamma0 transversal have c = N and a = 1/lambda and
+    -1/lambda mod N: so `naive_sum` at g_-lambda is -chi2(-1) times its value
+    at g_lambda, at every member but I and g_-1, for every primitive pair at
+    N = 9, 28, 35 and 91, with chi2 odd or even and psi(-1) = 1 or -1."""
+    seen = set()
+    for q1, q2 in [(3, 3), (4, 7), (5, 7), (7, 13)]:
+        N, members = q1 * q2, transversal_g1_in_g0(q1 * q2).members
+        chars = [[chi for chi in characters_mod(q) if chi.is_primitive()] for q in (q1, q2)]
+        for chi1, chi2 in ((chi1, chi2) for chi1 in chars[0] for chi2 in chars[1]):
+            even = chi2.exponent(-1) == 0
+            seen.add((N, even, _psi_odd(chi1, chi2)))
+            for lam, m in members.items():
+                if I2 not in (m, twin := members[-lam % N]):
+                    value = naive_sum(chi1, chi2, m)
+                    assert naive_sum(chi1, chi2, twin) == (-value if even else value), (chi1, chi2, lam)
+    assert {(even, odd) for _, even, odd in seen} == {(e, o) for e in (True, False) for o in (True, False)}
+    assert {(N, even) for N, even, odd in seen if not odd} >= {(9, False), (28, False), (35, True), (91, True)}
+
+
+@pytest.mark.parametrize("name", ["ctx9", "ctx28", "ctx35_l12"])
+def test_every_generator_on_c_plus_minus_n_has_the_double_sum_of_g(request, name):
+    """A Gamma0 generator (a b; +-N d) has the double sum's input (a mod N,
+    N), up to the sign of the matrix, which G has at the member g_+-d:
+    `sum_on_gamma0` there equals G(+-d mod N), which the build reads for a
+    pivot there.  No such generator has the key 1 of I, where G is 0 and
+    no double sum, and the build would run the double sum."""
+    ctx = request.getfixturevalue(name)
+    on_n = [m for m in ctx.alphabet.values() if abs(m.c) == ctx.N]
+    keys = [m.d * m.c // ctx.N % ctx.N for m in on_n]
+    assert len(on_n) >= 4 and 1 not in keys
+    for m, lam in zip(on_n, keys):
+        assert sum_on_gamma0(ctx.chi1, ctx.chi2, m) == ctx.sums_g0[lam], m
+
+
+@pytest.mark.parametrize("pair", ["9", "28", "35-odd", "35-l12", "35-even", "143"])
+def test_a_build_runs_each_double_sum_once(request, monkeypatch, pair):
+    """A build runs the double sum at phi(N)/2 Gamma0 transversal members
+    for G, before its solve, and never twice on one input (a mod c, c),
+    read off -gamma when c < 0; it returns how many it ran."""
+    if pair == "143":
+        chi1, chi2 = find_character(11, [(2, "1/2")]), find_character(13, [(2, "1/12")])
+    elif pair == "35-even":  # chi2 even, psi(-1) = 1
+        chi1, chi2 = find_character(5, [(2, "1/2")]), request.getfixturevalue("chi7_13")
+    else:
+        chi1, chi2 = _pair(request, pair)
+    calls, real, started = _counting_oracle(monkeypatch), dedekind._solve, []
+    monkeypatch.setattr(dedekind, "_solve", lambda *a: started.append(len(calls)) or real(*a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ParityWarning)
+        ctx, _, runs = dedekind._build(chi1, chi2, True)
+    inputs = [(m.a % m.c, m.c) if m.c > 0 else (-m.a % -m.c, -m.c) for m in calls]
+    assert len(set(inputs)) == len(inputs) == runs
+    assert started == [len(ctx.t_g0) // 2]
+    assert all(m in ctx.t_g0.members.values() for m in calls[: started[0]])
 
 
 @pytest.mark.parametrize("N, pairs", [(21, 3), (65, 17), (91, 28), (183, 30)])
@@ -319,9 +377,8 @@ def test_no_shear_is_a_pivot(request, monkeypatch, pair, pivots):
         (find_character(11, [(2, "1/2")]), find_character(13, [(2, "1/12")])) if pair == "143"
         else _pair(request, pair)
     )
-    calls = _counting_oracle(monkeypatch)
-    ctx = precompute(chi1, chi2, allow_large=True)
-    solved = calls[: len(calls) - (len(ctx.t_g0) - 1)]  # then one G check per member but I
+    solved = _solve_oracle_calls(monkeypatch)
+    precompute(chi1, chi2, allow_large=True)
     assert len(solved) == pivots and all(m.c for m in solved)
 
 
@@ -645,7 +702,7 @@ def test_context_derives_pair_fields(ctx35, name):
     # sums, and derives the rest, so no replace can set a level or order
     # its pair does not have, nor any other derived field
     inputs = [f.name for f in dataclasses.fields(ctx35) if f.init]
-    assert inputs == ["chi1", "chi2", "p1", "sums_alphabet"]
+    assert inputs == ["chi1", "chi2", "p1", "sums_alphabet", "sums_g0"]
     assert (ctx35.N, ctx35.L) == (35, 12)
     with pytest.raises(ValueError, match=name):
         dataclasses.replace(ctx35, **{name: getattr(ctx35, name)})
@@ -694,15 +751,15 @@ def test_load_logs_what_it_validated(tmp_path, monkeypatch, caplog, ctx28):
     assert record.name == "gdsum.dedekind" and record.levelno == logging.DEBUG
     stats, phases = record.solve_stats, record.phases
     points, keys = len(ctx28.p1), len(ctx28.t_sl2)
-    # the solve's pivots, then one G check per Gamma0 transversal member but I
-    assert len(oracle) == stats.oracle_calls + len(ctx28.t_g0) - 1 and stats.oracle_calls > 0
+    # G at one member of each +-d pair, then the pivots off c = +-N
+    assert len(oracle) == record.oracle_calls == 9 and stats.oracle_calls == 8
     assert stats.shear + stats.solved + stats.oracle_calls == 2 * points
     assert len(clock) == 5 and len(phases) == 4
     relations, shears = _checked_counts(ctx28.chi1, ctx28.chi2)
     assert record.getMessage() == (
         f"precompute N=28: {points} points of P^1, {keys} keys, "
         f"{stats.shear} shear entries, {stats.solved} solved, "
-        f"{stats.oracle_calls} oracle calls, oracle total |c| {stats.oracle_c}; "
+        f"{stats.oracle_calls} pivots, pivot total |c| {stats.oracle_c}, 9 oracle calls; "
         f"{relations} relations and {shears} shear sums checked; "
         "solve {:.4f} s, check {:.4f} s, context {:.4f} s, G check {:.4f} s".format(*phases)
     )
@@ -813,21 +870,25 @@ def test_a_build_checks_a_shear_sum_no_checked_relation_reads(monkeypatch, ctx28
 
 def test_load_rejects_a_cache_wrong_at_one_pivot(tmp_path, monkeypatch, ctx28):
     """The pivots of the solve are free coordinates of the twisted
-    relations: a load whose double sum is wrong at one pivot passes every
-    relation, and is refused by the G check it runs, as a precompute does."""
+    relations: a load whose solve reads a value wrong by 1/3 at its second
+    pivot passes every relation, and is refused by the G check it runs, as
+    a precompute does."""
     path = tmp_path / "ctx28.json"
     save_context(ctx28, path)
-    third = CycElem.from_rational(ctx28.L, Fraction(1, 3))
-    calls = []
+    calls, real = [], dedekind._solve
 
-    def wrong_at_second(chi1, chi2, gamma):
-        calls.append(gamma)
-        return sum_on_gamma0(chi1, chi2, gamma) + (third if len(calls) == 2 else 0)
+    def wrong_at_second(chi1, chi2, p1, gens, oracle):
+        def wrong(v):
+            calls.append(v)
+            den, row = oracle(v)
+            return (3 * den, (3 * row[0] + den * (len(calls) == 2), *[3 * n for n in row[1:]]))
 
-    monkeypatch.setattr(dedekind, "sum_on_gamma0", wrong_at_second)
+        return real(chi1, chi2, p1, gens, wrong)
+
+    monkeypatch.setattr(dedekind, "_solve", wrong_at_second)
     with pytest.raises(ValueError, match="the Gamma0 transversal sum at d = .* breaks the cocycle identity"):
         load_context(path)
-    assert len(calls) > 9  # the 8 pivots, then the G check up to the member it refuses
+    assert len(calls) == 8  # every pivot, and only the second one wrong
 
 
 @pytest.mark.parametrize(
@@ -890,19 +951,19 @@ def test_load_checks_the_stored_level_before_any_character(tmp_path, monkeypatch
 
 def test_load_calls_the_double_sum_at_the_pivots_only(tmp_path, monkeypatch, ctx28):
     """A load rebuilds the context without calling `precompute`: the double
-    sum runs at the pivots a precompute's solve sends to it and then at the
-    Gamma0 transversal members of the G check, as in a precompute, never
-    once per sum, and the loaded context equals the precomputed one."""
+    sum runs at one Gamma0 transversal member of each +-d pair but I, for
+    G, and at the pivots of the solve that G does not give, as in a
+    precompute, never once per sum, and the loaded context equals the
+    precomputed one."""
     path = tmp_path / "ctx28.json"
     save_context(ctx28, path)
-    calls = _counting_oracle(monkeypatch)
+    calls, pivots = _counting_oracle(monkeypatch), _solve_oracle_calls(monkeypatch)
     ctx = precompute(ctx28.chi1, ctx28.chi2)
-    pivots = calls[: len(calls) - (len(ctx.t_g0) - 1)]  # then one G check per member but I
-    built = list(calls)
-    calls.clear()
+    built, asked = list(calls), list(pivots)
+    calls.clear(), pivots.clear()
     monkeypatch.setattr(dedekind, "precompute", lambda *a, **k: pytest.fail("load called precompute"))
     loaded = load_context(path)
-    assert calls == built and len(pivots) == 8
+    assert calls == built and pivots == asked and (len(built), len(asked)) == (9, 8)
     for name in ("sums_alphabet", "sums_g0", "g_rows", "den", "t_slot", "s_slot"):
         assert getattr(loaded, name) == getattr(ctx, name), name
 
@@ -1164,10 +1225,11 @@ def test_fast_sum_reads_sums_g0_at_the_end_key(contexts):
     ctx, lam = contexts["ctx28"], 3
     N = ctx.N
     one = CycElem.one(ctx.L)
-    shifted = dataclasses.replace(ctx)  # G is derived: shift its integer row by den on a copy
+    # the slot tables are derived from G too: shift G's integer row by den on a copy alone
+    shifted = dataclasses.replace(ctx)
     shifted.g_rows = list(ctx.g_rows)
     shifted.g_rows[lam] = (ctx.g_rows[lam][0] + ctx.den, *ctx.g_rows[lam][1:])
-    assert shifted.sums_g0 == {**ctx.sums_g0, lam: ctx.sums_g0[lam] + one}
+    assert exactnum._cyc(ctx.L, ctx.den, shifted.g_rows[lam]) == ctx.sums_g0[lam] + one
     rng = random.Random(12)
     mats = [random_gamma0(N, rng, kmax=10**20, d_shift=2) for _ in range(150)]
     mats = [m for g in mats for m in (g, -g, g.inv(), -g.inv())]
@@ -1196,7 +1258,7 @@ def arbitrary_contexts(ctx28, ctx35_l12):
             v: CycElem(ctx.L, [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(deg)])
             for v in ctx.sums_alphabet
         }
-        out[name] = dedekind.Context(ctx.chi1, ctx.chi2, ctx.p1, sums)
+        out[name] = dedekind.Context(ctx.chi1, ctx.chi2, ctx.p1, sums, ctx.sums_g0)
         twist, rows = characters._twists(ctx.chi1, ctx.chi2), exactnum._rows(sums)[1]
         relations = dedekind._relations(ctx.p1, ctx.L, twist)
         assert any(any(dedekind._twisted_sum(ctx.L, rows, terms)) for _, _, terms in relations)
@@ -1391,6 +1453,18 @@ def _counting_oracle(monkeypatch):
     return calls
 
 
+def _solve_oracle_calls(monkeypatch):
+    """The matrices of the entries `_solve` asks its oracle for, its
+    pivots, in the order asked, however the oracle answers."""
+    calls, real = [], dedekind._solve
+
+    def solve(chi1, chi2, p1, gens, oracle):
+        return real(chi1, chi2, p1, gens, lambda v: calls.append(gens[v]) or oracle(v))
+
+    monkeypatch.setattr(dedekind, "_solve", solve)
+    return calls
+
+
 def _free_dimension(chi1, chi2) -> int:
     """The dimension the twisted relations and the zero sums of the shear
     generators +-T^b (c = 0) leave free among the 2 mu Gamma0 generator
@@ -1431,12 +1505,11 @@ def _free_dimension(chi1, chi2) -> int:
 def test_oracle_calls_equal_the_free_dimension(request, monkeypatch, caplog, pair):
     """The twisted relations and the zero sums of the shears leave a space
     of small dimension free among the 2 mu Gamma0 generator sums (8 of 96
-    at N = 28, 0 for a pair with psi(-1) = -1): precompute calls the double
-    sum on exactly that many of them, then once per Gamma0 transversal
-    member to check the result, and its DEBUG line says how many, with the
-    seconds per phase."""
+    at N = 28, 0 for a pair with psi(-1) = -1): precompute's solve asks its
+    oracle for exactly that many of them, and its DEBUG line says how many,
+    and how many double sums the build ran, with the seconds per phase."""
     chi1, chi2 = _pair(request, pair)
-    calls = _counting_oracle(monkeypatch)
+    calls, pivots = _counting_oracle(monkeypatch), _solve_oracle_calls(monkeypatch)
     with caplog.at_level(logging.DEBUG, logger="gdsum"):
         ctx = _precompute(chi1, chi2)
     points, keys = len(transversal_g0_in_sl2(ctx.N)), len(ctx.t_sl2)
@@ -1445,8 +1518,8 @@ def test_oracle_calls_equal_the_free_dimension(request, monkeypatch, caplog, pai
     assert stats.oracle_calls == _free_dimension(chi1, chi2)
     # psi(-1) = -1 makes every sum 0
     assert stats.oracle_calls > 0 or parity_product(chi1, chi2) != CycElem.one(ctx.L)
-    assert len(calls) == stats.oracle_calls + len(ctx.t_g0) - 1
-    assert stats.oracle_c == sum(abs(m.c) for m in calls[: stats.oracle_calls])
+    assert len(calls) == record.oracle_calls and len(pivots) == stats.oracle_calls
+    assert stats.oracle_c == sum(abs(m.c) for m in pivots)
     assert stats.shear + stats.solved + stats.oracle_calls == 2 * points
     assert stats.shear >= points - 1  # one tree edge per point but the identity's
     assert record.levelno == logging.DEBUG and len(phases) == 4
@@ -1454,7 +1527,7 @@ def test_oracle_calls_equal_the_free_dimension(request, monkeypatch, caplog, pai
     assert record.getMessage() == (
         f"precompute N={ctx.N}: {points} points of P^1, {keys} keys, "
         f"{stats.shear} shear entries, {stats.solved} solved, "
-        f"{stats.oracle_calls} oracle calls, oracle total |c| {stats.oracle_c}; "
+        f"{stats.oracle_calls} pivots, pivot total |c| {stats.oracle_c}, {len(calls)} oracle calls; "
         f"{relations} relations and {shears} shear sums checked; "
         "solve {:.4f} s, check {:.4f} s, context {:.4f} s, G check {:.4f} s".format(*phases)
     )
