@@ -6,9 +6,9 @@ The twist psi(gamma) = chi1 * conj(chi2) at the lower-right entry is the
 multiplier in the sums' twisted additivity.
 """
 
-from gdsum import characters_mod, find_character, parity_product, psi
+from gdsum import characters_mod, find_character, psi
 from gdsum.characters import pair_order
-from gdsum.modgroup import Mat2
+from gdsum.modgroup import I2, Mat2
 
 print("All characters mod 7 (values as exponents k with chi(3) = zeta_order^k):")
 for chi in characters_mod(7):
@@ -34,7 +34,7 @@ print()
 print("Parity of a pair decides whether the double sum's hypothesis holds:")
 for q2_spec, label in (("5/6", "odd*odd"), ("1/3", "odd*even")):
     c2 = find_character(7, [(3, q2_spec)])
-    p = parity_product(chi1, c2)
+    p = psi(chi1, c2, -I2)  # chi1(-1) * conj(chi2(-1)) = chi1*chi2(-1)
     print(f"  chi1 mod 5 with chi2(3)=e(2pi i {q2_spec}): chi1*chi2(-1) = {p} ({label})")
 
 print()

@@ -21,7 +21,7 @@ from gdsum.cosets import (
     transversal_g1_in_sl2,
 )
 from gdsum.modgroup import I2, Mat2, S, ts_decompose, ts_reconstruct
-from gdsum.rewriter import as_factors, format_factor, modified_rewrite
+from gdsum.rewriter import modified_rewrite
 
 N = 9
 gamma0 = Mat2(17, 32, 9, 17)
@@ -60,7 +60,10 @@ def t_power(n):
 
 
 keys = modified_rewrite(w, t_sl2)
-factors = as_factors(w, keys, N)
+# one U-factor (base key, generator, exponent) per nonzero T-power and per S,
+# based at its slot key (c, d); zip drops the S after the last T-power
+letters = [x for a in w.exponents for x in (("T", a), ("S", 1))]
+factors = [(divmod(k, N), gen, e) for k, (gen, e) in zip(keys, letters) if e]
 print(
     f"Rewriting walks {len(keys)} slot keys c*{N} + d, one before each T-power and each S:\n"
     f"  {keys}\n"
@@ -70,19 +73,18 @@ print(
 )
 
 
-def u_value(f):
-    """The exact U-matrix a rewrite factor stands for."""
-    step = t_power(f.exponent) if f.gen == "T" else S
-    return u_func(t_sl2.members[f.base_key], step)
+def step(gen, e):
+    return t_power(e) if gen == "T" else S
 
 
 prefix = I2
 prod = I2
-for f in factors:
-    u = u_value(f)
-    print(f"  {format_factor(f):<20} prefix key {key(prefix)}  U = {u}")
-    assert key(prefix) == f.base_key
-    prefix = prefix * (t_power(f.exponent) if f.gen == "T" else S)
+for base, gen, e in factors:
+    u = u_func(t_sl2.members[base], step(gen, e))
+    spelled = f"U({base}, T^{e})" if gen == "T" else f"U({base}, S)"
+    print(f"  {spelled:<20} prefix key {key(prefix)}  U = {u}")
+    assert key(prefix) == base
+    prefix = prefix * step(gen, e)
     prod = prod * u
 end = key(prefix)
 g = t_sl2.members[end]
@@ -124,18 +126,17 @@ print(
     "for each T-power that wraps around its orbit:"
 )
 prod = I2
-for f in factors:
-    if f.gen == "T":
-        base, pos, length = orbit(f.base_key)
-        w = (pos + f.exponent) // length
+for k, gen, e in factors:
+    if gen == "T":
+        base, pos, length = orbit(k)
+        w = (pos + e) // length
         if w:
             z = u_func(base, t_power(length))
-            print(f"  {f'{w} * orbit total at {f.base_key}':<28}  Z = {z}")
+            print(f"  {f'{w} * orbit total at {k}':<28}  Z = {z}")
             for _ in range(abs(w)):
                 prod = prod * (z if w > 0 else z.inv())
     else:
-        k = f.base_key
-        m = climb(k) * u_value(f) * climb((k[1], -k[0] % N)).inv()
+        m = climb(k) * u_func(t_sl2.members[k], S) * climb((k[1], -k[0] % N)).inv()
         print(f"  {f'S-step row at {k}':<28}  U = {m}")
         prod = prod * m
 print(f"Exact product of the terms times g equals gamma0: {prod * g == gamma0}")

@@ -17,7 +17,6 @@ from .characters import (
     DirichletCharacter,
     characters_mod,
     find_character,
-    parity_product,
     parse_character_spec,
     psi,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "find_character",
     "load_context",
     "naive_sum",
-    "parity_product",
     "parse_character_spec",
     "precompute",
     "psi",

@@ -279,11 +279,6 @@ def _psi_odd(chi1: DirichletCharacter, chi2: DirichletCharacter) -> bool:
     return chi1.exponent_table(L)[-1] != chi2.exponent_table(L)[-1]
 
 
-def parity_product(chi1: DirichletCharacter, chi2: DirichletCharacter) -> CycElem:
-    """chi1(-1) * chi2(-1) at the pair's common order."""
-    return CycElem.from_rational(pair_order(chi1, chi2), -1 if _psi_odd(chi1, chi2) else 1)
-
-
 def _twists(chi1: DirichletCharacter, chi2: DirichletCharacter) -> dict[int, int]:
     """e with psi(lambda) = zeta_L^e, L the pair's order, per unit lambda mod q1 q2."""
     L, q1, q2 = pair_order(chi1, chi2), chi1.modulus, chi2.modulus

@@ -36,7 +36,7 @@ from .dedekind import (
     sum_on_gamma0,
 )
 from .modgroup import Mat2, _clip, _short, random_gamma0, ts_decompose
-from .rewriter import as_factors, format_factor, format_term, modified_rewrite, reduce_word
+from .rewriter import modified_rewrite, reduce_word
 
 # Largest lower-left entry for which the double sum is run: the limit of
 # `sum --naive` and `verify --cmax`.
@@ -172,19 +172,22 @@ def _print_trace(ctx: Context, gamma: Mat2) -> None:
     lam = -d % ctx.N if w.negate else d
     # the Gamma1 transversal member at (0, lambda) is g_lambda r_(0, 1) = g_lambda
     print(f"the walk ends at key (0, {lam}), whose member is g = {ctx.t_g0.members[lam]}")
-    keys = modified_rewrite(w, ctx.p1)
-    factors = as_factors(w, keys, ctx.N)
+    N, keys = ctx.N, modified_rewrite(w, ctx.p1)
+    # a factor per nonzero T-power and per S, at its slot key; zip drops the last S
+    letters = [x for a in w.exponents for x in ((f"T^{a}" if a else None, ctx.t_slot), ("S", ctx.s_slot))]
+    factors = [(k, gen, table) for k, (gen, table) in zip(keys, letters) if gen]
     print("rewritten factors:")
-    for f in factors:
-        print(f"  {format_factor(f)}")
+    for k, gen, _ in factors:
+        print(f"  U({divmod(k, N)}, {gen})")
     terms = []  # (kind, slot index, multiplicity) per row added
     reduce_word(w, keys, ctx, terms)
     print(f"terms added to the Gamma0 transversal sum at d = {lam}:")
     for kind, i, m in terms:
-        print(f"  {format_term(kind, divmod(i, ctx.N), m)}")
+        what = f"{'S-step row' if kind == 'S' else 'orbit total'} at {divmod(i, N)}"
+        print(f"  {what}" if m == 1 else f"  {m} * {what}")
     if not terms:
         print("  none")
-    zero = [(ctx.s_slot if g == "S" else ctx.t_slot)[c * ctx.N + d] for (c, d), g, _ in factors].count(None)
+    zero = sum(table[k] is None for k, _, table in factors)
     print(f"{zero} of {len(factors)} factors add a zero row")
 
 

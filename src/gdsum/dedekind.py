@@ -73,6 +73,7 @@ from .characters import (
 )
 from .cosets import (
     Transversal,
+    _g0_member,
     schreier_alphabet,
     sl2_coset_count,
     transversal_g0_in_sl2,
@@ -311,11 +312,11 @@ def _build(chi1, chi2, allow_large: bool) -> tuple[Context, SolveStats, int]:
     p1 = transversal_g0_in_sl2(N)
     gens = schreier_alphabet(N, p1)
     g, runs, even = {}, 0, chi2.exponent(-1) == 0
-    for lam, m in transversal_g1_in_g0(N).members.items():  # in key order: -lam < lam comes first
+    for lam in [u for u in range(2, N) if gcd(u, N) == 1]:  # G's keys but 1: -lam < lam comes first
         if (twin := g.get(-lam % N)) is not None:
             g[lam] = -twin if even else twin
-        elif m != I2:
-            g[lam], runs = sum_on_gamma0(chi1, chi2, m), runs + 1
+        else:
+            g[lam], runs = sum_on_gamma0(chi1, chi2, _g0_member(N, lam)), runs + 1
 
     def oracle(v):  # at c = +-N, G's input (a mod N, N) at +-d mod N, a = 1/(+-d)
         nonlocal runs

@@ -12,24 +12,15 @@ the word; here the last key's c must be 0 mod N (gamma in Gamma0(N)).
 returns the rows to add: each S slot's S-step row, each T^a slot's orbit
 total times the number of times a wraps around the T-orbit, and nothing
 for a zero row, which has no entry.  `--trace` passes it a list to fill
-with each row's kind, slot index and multiplicity, and `as_factors` spells
-the keys as `RewriteFactor`s.
+with each row's kind, slot index and multiplicity.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import NamedTuple
 
 from .cosets import Transversal
 from .modgroup import TSWord, ts_reconstruct
-
-class RewriteFactor(NamedTuple):
-    """U(member at base_key, gen^exponent); gen "T" or "S"."""
-
-    base_key: tuple[int, int]
-    gen: str
-    exponent: int
 
 
 def modified_rewrite(w: TSWord, t: Transversal) -> list[int]:
@@ -76,21 +67,3 @@ def reduce_word(w: TSWord, keys: list[int], ctx, terms: list | None = None) -> l
             if terms is not None:
                 terms.append(("S", s, 1))
     return out
-
-
-def as_factors(w: TSWord, keys: list[int], N: int) -> list[RewriteFactor]:
-    """The U-factors the slot keys stand for: one per nonzero T-power and
-    one per S."""
-    gens = [g for a in w.exponents for g in (("T", a), ("S", 1))]  # zip drops the last S
-    return [RewriteFactor(divmod(k, N), *g) for k, g in zip(keys, gens) if g[1]]
-
-
-def format_factor(f: RewriteFactor) -> str:
-    return f"U({f.base_key}, T^{f.exponent})" if f.gen == "T" else f"U({f.base_key}, S)"
-
-
-def format_term(kind: str, key: tuple[int, int], multiplicity: int) -> str:
-    what = "S-step row" if kind == "S" else "orbit total"
-    if multiplicity == 1:
-        return f"{what} at {key}"
-    return f"{multiplicity} * {what} at {key}"

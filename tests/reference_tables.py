@@ -24,7 +24,8 @@ without the potential table; `derived_rows` pairs every row of the
 context's potential table with its value from `alphabet_sum`.
 `factor_rewrite` and `factor_terms` are the evaluator's rewrite and
 reduction in their factor form: a `RewriteFactor` per letter, and a `Term`
-per row, read from the keyed `potential` table, with its multiplicity.
+per row, read from the keyed `potential` table, with its multiplicity;
+`slot_factors` spells `modified_rewrite`'s slot keys in that form.
 `unsigned_product` is a word's product without its sign, the matrix its
 factors times the transversal member at the walk's end key multiply to.
 `strip_letters` is the Euclidean decomposition on the whole matrix, which
@@ -61,7 +62,6 @@ from gdsum import characters, dedekind, exactnum
 from gdsum.cosets import Transversal, schreier_alphabet, transversal_g0_in_sl2, transversal_g1_in_g0
 from gdsum.exactnum import CycElem
 from gdsum.modgroup import I2, Mat2, S, T, TSWord, ts_decompose, ts_reconstruct
-from gdsum.rewriter import RewriteFactor
 
 
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
@@ -318,6 +318,14 @@ def derived_rows(ctx):
             yield "T", (c, d), as_cyc(ctx, total), alphabet_sum(ctx, (c, d), ("T", length))
 
 
+class RewriteFactor(NamedTuple):
+    """U(member at base_key, gen^exponent); gen "T" or "S"."""
+
+    base_key: tuple[int, int]
+    gen: str
+    exponent: int
+
+
 class Term(NamedTuple):
     """One row of a word's sum in factor form, of kind "S" (the S-step row
     of key) or "T" (the orbit total of key's T-orbit, `multiplicity` times
@@ -391,6 +399,12 @@ def factor_rewrite(w, t: Transversal, product=None) -> list:
         c, d = d, -c % N
     factors.pop()  # the word ends in T^ar: no S after it
     return factors
+
+
+def slot_factors(w, keys: list[int], N: int) -> list[RewriteFactor]:
+    """`factor_rewrite`'s form of the factors `modified_rewrite`'s slot keys stand for."""
+    gens = [g for a in w.exponents for g in (("T", a), ("S", 1))]  # zip drops the last S
+    return [RewriteFactor(divmod(k, N), *g) for k, g in zip(keys, gens) if g[1]]
 
 
 def factor_terms(factors, ctx) -> list:

@@ -15,7 +15,6 @@ from gdsum.characters import (
     euler_phi,
     find_character,
     pair_order,
-    parity_product,
     parse_character_spec,
     parse_spec_fields,
     psi,
@@ -23,7 +22,7 @@ from gdsum.characters import (
 )
 from gdsum.cosets import transversal_g1_in_g0
 from gdsum.exactnum import CycElem, root_of_unity
-from gdsum.modgroup import Mat2, random_gamma0
+from gdsum.modgroup import I2, Mat2, random_gamma0
 from reference_tables import embed, in_gamma1
 
 
@@ -121,11 +120,12 @@ def test_eval_powers_of_generator():
 
 
 def test_parity_products(chi3, chi4, chi5, chi7_56, chi7_13):
+    """chi1(-1) chi2(-1), each +-1, is psi = chi1 conj(chi2) at -I."""
     L33 = pair_order(chi3, chi3)
-    assert parity_product(chi3, chi3) == CycElem.one(L33)
-    assert parity_product(chi4, chi7_56) == CycElem.one(pair_order(chi4, chi7_56))
+    assert psi(chi3, chi3, -I2) == CycElem.one(L33)
+    assert psi(chi4, chi7_56, -I2) == CycElem.one(pair_order(chi4, chi7_56))
     L = pair_order(chi5, chi7_13)
-    assert parity_product(chi5, chi7_13) == CycElem.from_rational(L, -1)
+    assert psi(chi5, chi7_13, -I2) == CycElem.from_rational(L, -1)
 
 
 def test_psi_values(chi3, chi4, chi7_56):
@@ -213,8 +213,8 @@ def test_exponent_tables_psi_tables_and_parity_of_every_pair_to_level_80():
     gives chi(n) for every n mod q and is kept once built, and an order that
     the character's does not divide is refused; the psi table `_twists` has
     the units mod N as keys and gives `psi` at the member of the Gamma0
-    transversal at each; and `_psi_odd` is the parity that `parity_product`
-    gives, which is chi1(-1) chi2(-1)."""
+    transversal at each; and `_psi_odd` is the parity that `psi` gives at
+    -I, which is chi1(-1) chi2(-1)."""
     chars = [chi for chi in _primitive_characters() if chi.modulus <= 80 // 3]
     pairs = [(chi1, chi2) for chi1 in chars for chi2 in chars if chi1.modulus * chi2.modulus <= 80]
     assert len(pairs) == 838
@@ -236,7 +236,7 @@ def test_exponent_tables_psi_tables_and_parity_of_every_pair_to_level_80():
         for d, m in members.items():
             assert psi(chi1, chi2, m) == root_of_unity(L, twist[d]), (chi1, chi2, d)
         sign = embed(chi1(-1), L) * embed(chi2(-1), L)
-        assert parity_product(chi1, chi2) == sign
+        assert psi(chi1, chi2, -I2) == sign
         assert _psi_odd(chi1, chi2) == (sign == -1) != (sign == 1)
 
 

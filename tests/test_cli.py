@@ -155,46 +155,164 @@ def test_sum_naive_flag_matches(capsys):
     assert fast_out.splitlines()[0] == "2/3"
 
 
-def test_sum_trace(capsys):
-    rc = main(["sum", *PAIR, "--matrix", "101,33;153,50", "--trace"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    # the nearest-integer word the evaluator walks: negated, so the walk
-    # ends at (0, -50 mod 9) = (0, 4)
-    assert "gamma = (101, 33; 153, 50) = -T^1 S T^3 S T^17 S T^-3 S T^0\n" in out
-    assert "the walk ends at key (0, 4), whose member is g = (7, 3; 9, 4)\n" in out
-    assert "U((0, 1), T^1)" in out
-    assert "U((3, 8), T^17)" in out
+# The complete stdout of `gdsum sum --trace`: the nearest-integer word, the
+# walk's end key and its member, one line per U-factor (a nonzero T-power
+# or an S, at the slot key before it), the rows added with their
+# multiplicities, the count of factors on a zero row, and the value.
+TRACES = {
+    # N = 9: a negated word, whose walk ends at (0, -50 mod 9) = (0, 4);
     # T^17 at (3, 8), at position 2 along its orbit of length 3, wraps
-    # (2 + 17) // 3 = 6 times; the other five factors add zero rows
-    assert (
-        "terms added to the Gamma0 transversal sum at d = 4:\n"
-        "  S-step row at (1, 3)\n  6 * orbit total at (3, 8)\n  S-step row at (3, 5)\n"
-        "5 of 8 factors add a zero row\n-34/3\n"
-    ) in out
+    # (2 + 17) // 3 = 6 times, and the other five factors add zero rows
+    "101,33;153,50": """\
+gamma = (101, 33; 153, 50) = -T^1 S T^3 S T^17 S T^-3 S T^0
+the walk ends at key (0, 4), whose member is g = (7, 3; 9, 4)
+rewritten factors:
+  U((0, 1), T^1)
+  U((0, 1), S)
+  U((1, 0), T^3)
+  U((1, 3), S)
+  U((3, 8), T^17)
+  U((3, 5), S)
+  U((5, 6), T^-3)
+  U((5, 0), S)
+terms added to the Gamma0 transversal sum at d = 4:
+  S-step row at (1, 3)
+  6 * orbit total at (3, 8)
+  S-step row at (3, 5)
+5 of 8 factors add a zero row
+-34/3
+  ~ (-11.3333333333, 0)
+""",
     # every factor of this word adds a zero row, so no term at all
-    assert main(["sum", *PAIR, "--matrix", "17,32;9,17", "--trace"]) == 0
-    out = capsys.readouterr().out
-    assert "= T^2 S T^9 S T^2\nthe walk ends at key (0, 8)" in out
-    assert "  none\n5 of 5 factors add a zero row\n0\n" in out
+    "17,32;9,17": """\
+gamma = (17, 32; 9, 17) = T^2 S T^9 S T^2
+the walk ends at key (0, 8), whose member is g = (8, 7; 9, 8)
+rewritten factors:
+  U((0, 1), T^2)
+  U((0, 1), S)
+  U((1, 0), T^9)
+  U((1, 0), S)
+  U((0, 8), T^2)
+terms added to the Gamma0 transversal sum at d = 8:
+  none
+5 of 5 factors add a zero row
+0
+  ~ (0, 0)
+""",
     # a Gamma0 transversal member, here negated: its factors add no term,
     # and its sum is G(7) = G(2)
-    assert main(["sum", *PAIR, "--matrix", "5,1;9,2", "--trace"]) == 0
-    out = capsys.readouterr().out
-    assert "the walk ends at key (0, 7), whose member is g = (4, 3; 9, 7)\n" in out
-    assert "  none\n6 of 6 factors add a zero row\n-2/3\n" in out
+    "5,1;9,2": """\
+gamma = (5, 1; 9, 2) = -T^1 S T^2 S T^-4 S T^0
+the walk ends at key (0, 7), whose member is g = (4, 3; 9, 7)
+rewritten factors:
+  U((0, 1), T^1)
+  U((0, 1), S)
+  U((1, 0), T^2)
+  U((1, 2), S)
+  U((2, 8), T^-4)
+  U((2, 0), S)
+terms added to the Gamma0 transversal sum at d = 7:
+  none
+6 of 6 factors add a zero row
+-2/3
+  ~ (-0.666666666667, 0)
+""",
+    # N = 35, L = 12: degree-4 rows; the first word is negated, so its walk
+    # ends at (0, -d mod 35), a T-power wraps back once (-1 *), and the
+    # third word adds no term
+    "107,-42;1470,-577": """\
+gamma = (107, -42; 1470, -577) = -T^0 S T^-14 S T^-4 S T^-6 S T^-3 S T^-2 S T^-1
+the walk ends at key (0, 17), whose member is g = (33, 16; 35, 17)
+rewritten factors:
+  U((0, 1), S)
+  U((1, 0), T^-14)
+  U((1, 21), S)
+  U((21, 34), T^-4)
+  U((21, 20), S)
+  U((20, 14), T^-6)
+  U((20, 34), S)
+  U((34, 15), T^-3)
+  U((34, 18), S)
+  U((18, 1), T^-2)
+  U((18, 0), S)
+  U((0, 17), T^-1)
+terms added to the Gamma0 transversal sum at d = 17:
+  S-step row at (1, 21)
+  -1 * orbit total at (21, 34)
+  S-step row at (21, 20)
+  S-step row at (20, 34)
+8 of 12 factors add a zero row
+-22/5 - 36/5*z + 32/5*z^2
+  ~ (-7.43538290725, 1.94256258422)
+""",
+    "743,-527;1400,-993": """\
+gamma = (743, -527; 1400, -993) = T^1 S T^2 S T^-8 S T^-3 S T^-4 S T^2 S T^-3 S T^-1
+the walk ends at key (0, 22), whose member is g = (8, 5; 35, 22)
+rewritten factors:
+  U((0, 1), T^1)
+  U((0, 1), S)
+  U((1, 0), T^2)
+  U((1, 2), S)
+  U((2, 34), T^-8)
+  U((2, 18), S)
+  U((18, 33), T^-3)
+  U((18, 14), S)
+  U((14, 17), T^-4)
+  U((14, 31), S)
+  U((31, 21), T^2)
+  U((31, 13), S)
+  U((13, 4), T^-3)
+  U((13, 0), S)
+  U((0, 22), T^-1)
+terms added to the Gamma0 transversal sum at d = 22:
+  S-step row at (2, 18)
+  S-step row at (18, 14)
+  -1 * orbit total at (14, 17)
+  S-step row at (14, 31)
+11 of 15 factors add a zero row
+-4/5 - 28/5*z + 26/5*z^2 + 36/5*z^3
+  ~ (-3.04974226119, 8.90333209968)
+""",
+    "67,42;595,373": """\
+gamma = (67, 42; 595, 373) = T^0 S T^-9 S T^-8 S T^3 S T^3 S T^1
+the walk ends at key (0, 23), whose member is g = (32, 21; 35, 23)
+rewritten factors:
+  U((0, 1), S)
+  U((1, 0), T^-9)
+  U((1, 26), S)
+  U((26, 34), T^-8)
+  U((26, 1), S)
+  U((1, 9), T^3)
+  U((1, 12), S)
+  U((12, 34), T^3)
+  U((12, 0), S)
+  U((0, 23), T^1)
+terms added to the Gamma0 transversal sum at d = 23:
+  none
+10 of 10 factors add a zero row
+2/5 - 4/5*z - 2/5*z^2
+  ~ (-0.492820323028, -0.746410161514)
+""",
+}
+
+
+def test_sum_trace(capsys):
+    """`--trace` on three N = 9 words prints exactly the pinned text."""
+    for matrix in ("101,33;153,50", "17,32;9,17", "5,1;9,2"):
+        assert main(["sum", *PAIR, "--matrix", matrix, "--trace"]) == 0
+        assert capsys.readouterr().out == TRACES[matrix]
 
 
 @pytest.mark.parametrize("matrix", ["107,-42;1470,-577", "743,-527;1400,-993", "67,42;595,373"])
 def test_sum_trace_l12(capsys, matrix):
-    # N = 35, L = 12: degree-4 rows; the first word is negated, so its walk
-    # ends at (0, -d mod 35), and the third adds no term
+    """`--trace` at N = 35, L = 12 prints exactly the pinned text, which
+    ends with what the double sum prints."""
     args = ["sum", "--chi1", "q=5;g=2;v=1/4", "--chi2", "q=7;g=3;v=1/6"]
     assert main([*args, "--matrix", matrix, "--naive"]) == 0
     naive = capsys.readouterr().out
     assert main([*args, "--matrix", matrix, "--trace"]) == 0
     out = capsys.readouterr().out
-    assert out.endswith(" factors add a zero row\n" + naive)
+    assert out == TRACES[matrix] and out.endswith(" factors add a zero row\n" + naive)
 
 
 @pytest.mark.parametrize("matrix", ["-1,0;0,-1", "-107,42;-1470,577"])

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gdsum import characters, cli, cosets, dedekind, exactnum, find_character
-from gdsum.characters import _psi_odd, characters_mod, pair_order, parity_product, psi
+from gdsum.characters import _psi_odd, characters_mod, pair_order, psi
 from gdsum.cosets import schreier_alphabet, transversal_g0_in_sl2, transversal_g1_in_g0
 from gdsum.dedekind import (
     CACHE_VERSION,
@@ -33,7 +33,7 @@ from gdsum.dedekind import (
 )
 from gdsum.exactnum import CycElem, root_of_unity
 from gdsum.modgroup import I2, Mat2, S, T, random_gamma0, ts_decompose, ts_reconstruct
-from gdsum.rewriter import as_factors, modified_rewrite, reduce_word
+from gdsum.rewriter import modified_rewrite, reduce_word
 from reference_tables import (
     all_oracle_context,
     alphabet_sum,
@@ -56,6 +56,7 @@ from reference_tables import (
     p1_classes,
     potential,
     row_oracle,
+    slot_factors,
     strip_letters,
     t_power,
     u_func,
@@ -226,7 +227,7 @@ def test_sum_on_gamma0_closure(request):
         for b in (-7, -1, 1, 2, 9, 30):
             partner = naive_sum(chi1, chi2, mul_t_power(h, b)) - naive_sum(chi1, chi2, h)
             assert sum_on_gamma0(chi1, chi2, t_power(b)) == partner, (pair, b)
-            assert sum_on_gamma0(chi1, chi2, -t_power(b)) == parity_product(chi1, chi2) * partner
+            assert sum_on_gamma0(chi1, chi2, -t_power(b)) == psi(chi1, chi2, -I2) * partner
         assert sum_on_gamma0(chi1, chi2, I2) == sum_on_gamma0(chi1, chi2, -I2) == CycElem.zero(L)
         off = Mat2(-1, 0, -1, -1)
         with pytest.raises(ValueError, match=re.escape(f"{off} is not in Gamma0({N})")):
@@ -356,6 +357,22 @@ def test_every_even_pair_builds_at_a_level_with_elliptic_points(N, pairs):
             assert fast_sum(ctx, gamma) == naive_sum(chi1, chi2, gamma), (chi1, chi2, gamma)
 
 
+def test_every_primitive_pair_builds_up_to_level_80():
+    """Every primitive pair with 3 <= q1, q2 <= 9 and q1 q2 <= 80 builds, of
+    either parity: 240 pairs at 20 levels, q1 = q2 and the prime powers 16,
+    25, 27, 32, 49 and 64 among them.  `fast_sum` equals `naive_sum` on 4
+    seeded matrices per pair."""
+    chars = {q: [chi for chi in characters_mod(q) if chi.is_primitive()] for q in range(3, 10)}
+    pairs = [(a, b) for q1 in chars for q2 in chars if q1 * q2 <= 80 for a in chars[q1] for b in chars[q2]]
+    levels = {chi1.modulus * chi2.modulus for chi1, chi2 in pairs}
+    assert len(pairs) == 240 and len(levels) == 20 and {16, 25, 27, 32, 49, 64} <= levels
+    rng = random.Random(80)
+    for chi1, chi2 in pairs:
+        ctx, N = _precompute(chi1, chi2), chi1.modulus * chi2.modulus
+        for gamma in (random_gamma0(N, rng, kmax=40, d_shift=1) for _ in range(4)):
+            assert fast_sum(ctx, gamma) == naive_sum(chi1, chi2, gamma), (chi1, chi2, gamma)
+
+
 def test_a_build_checks_the_evaluator_at_the_gamma0_members(monkeypatch, chi4, chi7_56):
     """The build runs `fast_sum`'s own walk at each Gamma0 transversal
     member but I and compares it with G, the double sum there: a
@@ -391,7 +408,7 @@ def test_precompute_structure(ctx9):
     assert all(u.in_gamma0(9) for u in ctx9.alphabet.values())
     assert ctx9.sums_g0[1] == CycElem.zero(2)
     assert alphabet_sum(ctx9, (0, 1), ("S", 0)) == CycElem.zero(2)
-    assert ctx9.L == 2 and parity_product(ctx9.chi1, ctx9.chi2) == CycElem.one(2)
+    assert ctx9.L == 2 and psi(ctx9.chi1, ctx9.chi2, -I2) == CycElem.one(2)
     # the derived sums: two Gamma1 generators per coset key
     full = full_alphabet(9, ctx9.t_sl2)
     assert gamma1_sums(ctx9).keys() == gamma1_alphabet(9, ctx9.t_sl2).keys()
@@ -1070,7 +1087,7 @@ def _slots(ctx, gamma):
 def _terms(ctx, gamma):
     """The walk's end key lambda and the word's terms over the full alphabet."""
     lam, w, keys = _slots(ctx, gamma)
-    return lam, alphabet_terms(as_factors(w, keys, ctx.N), ctx.N)
+    return lam, alphabet_terms(slot_factors(w, keys, ctx.N), ctx.N)
 
 
 @settings(max_examples=300, deadline=None)
@@ -1109,7 +1126,7 @@ def test_potential_terms_match_alphabet_terms(contexts, name, data):
         assert any(row), kind
         summed = summed + as_cyc(ctx, row)  # the row already holds m times the total
     reference = CycElem.zero(ctx.L)
-    for key, gen, m in alphabet_terms(as_factors(w, keys, ctx.N), ctx.N):
+    for key, gen, m in alphabet_terms(slot_factors(w, keys, ctx.N), ctx.N):
         reference = reference + m * alphabet_sum(ctx, key, gen)
     assert summed == reference
 
@@ -1117,12 +1134,12 @@ def test_potential_terms_match_alphabet_terms(contexts, name, data):
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(("ctx9", "ctx28", "ctx35_l12", "ctx28_shifted")), st.data())
 def test_slot_keys_match_the_factor_reference(contexts, name, data):
-    """`as_factors` spells the slot keys as the factor-form rewrite of
-    `reference_tables` does, and `reduce_word`'s rows, with the kind, slot
-    index and multiplicity it lists, are the factor-form terms with each
-    row times its multiplicity.  The Gamma0 words come from
-    either decomposition, negated or not, and T^k gamma T^l, also in
-    Gamma0, puts T^0 at either end."""
+    """The slot keys, spelled as factors by `slot_factors`, are the
+    factor-form rewrite of `reference_tables.factor_rewrite`, and
+    `reduce_word`'s rows, with the kind, slot index and multiplicity it
+    lists, are the factor-form terms with each row times its multiplicity.
+    The Gamma0 words come from either decomposition, negated or not, and
+    T^k gamma T^l, also in Gamma0, puts T^0 at either end."""
     ctx, N = contexts[name], contexts[name].N
     gamma = data.draw(st.one_of(gamma0_matrices(N), st.sampled_from(_zero_row_words(N))))
     decompose = data.draw(st.sampled_from((ts_decompose, floor_word)))
@@ -1137,7 +1154,7 @@ def test_slot_keys_match_the_factor_reference(contexts, name, data):
     keys = modified_rewrite(w, ctx.t_sl2)
     assert len(keys) == 2 * w.letters - 1 and keys[0] == 1
     factors = factor_rewrite(w, ctx.t_sl2, product=gamma)
-    assert as_factors(w, keys, N) == factors
+    assert slot_factors(w, keys, N) == factors
     terms = factor_terms(factors, ctx)
     expected = [(k, kind, m, tuple([m * n for n in row])) for k, kind, m, row in terms]
     terms = []
@@ -1167,7 +1184,7 @@ def test_fast_sum_on_the_sweep(tmp_path, contexts, sweep, name):
         assert ts_reconstruct(w) == gamma
         keys = modified_rewrite(w, ctx.t_sl2)
         expected = ctx.sums_g0[unsigned_product(w).d % ctx.N]
-        for key, gen, m in alphabet_terms(as_factors(w, keys, ctx.N), ctx.N):
+        for key, gen, m in alphabet_terms(slot_factors(w, keys, ctx.N), ctx.N):
             expected = expected + m * alphabet_sum(ctx, key, gen)
         assert value == expected, gamma
 
@@ -1517,7 +1534,7 @@ def test_oracle_calls_equal_the_free_dimension(request, monkeypatch, caplog, pai
     stats, phases = record.solve_stats, record.phases
     assert stats.oracle_calls == _free_dimension(chi1, chi2)
     # psi(-1) = -1 makes every sum 0
-    assert stats.oracle_calls > 0 or parity_product(chi1, chi2) != CycElem.one(ctx.L)
+    assert stats.oracle_calls > 0 or psi(chi1, chi2, -I2) != CycElem.one(ctx.L)
     assert len(calls) == record.oracle_calls and len(pivots) == stats.oracle_calls
     assert stats.oracle_c == sum(abs(m.c) for m in pivots)
     assert stats.shear + stats.solved + stats.oracle_calls == 2 * points

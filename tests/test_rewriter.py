@@ -11,16 +11,19 @@ from gdsum import modgroup
 from gdsum.cosets import transversal_g0_in_sl2, transversal_g1_in_sl2
 from gdsum.dedekind import fast_sum, naive_sum
 from gdsum.modgroup import I2, Mat2, S, T, random_gamma0, ts_decompose
-from gdsum.rewriter import RewriteFactor, as_factors, format_factor, format_term, modified_rewrite
+from gdsum.rewriter import modified_rewrite
 from reference_tables import (
+    RewriteFactor,
     bar,
     expand_factor,
+    factor_rewrite,
     full_alphabet,
     gamma1_alphabet,
     in_gamma1,
     random_sl2,
     reduce_t_power,
     reduce_word,
+    slot_factors,
     strip_letters,
     t_power,
     u_func,
@@ -151,7 +154,7 @@ def test_classic_matches_modified_products():
             classic = classic * (u if eps == 1 else u.inv())
         modified = I2
         w = ts_decompose(target)
-        for f in as_factors(w, modified_rewrite(w, t), N):
+        for f in slot_factors(w, modified_rewrite(w, t), N):
             modified = modified * expand_factor(f, t)
         # the factors times the member at the walk's end key (0, +-1)
         unsigned = unsigned_product(w)
@@ -164,7 +167,7 @@ def test_modified_rewrite_worked_word():
     t = transversal_g1_in_sl2(9)
     g1 = Mat2(-152, 137, -81, 73)
     w = strip_letters(g1, nearest=False, cap=None)
-    factors = as_factors(w, modified_rewrite(w, t), 9)
+    factors = slot_factors(w, modified_rewrite(w, t), 9)
     expected = [
         ((0, 1), "T", 1),
         ((0, 1), "S", 1),
@@ -187,6 +190,7 @@ def test_modified_rewrite_worked_word():
         ((0, 8), "T", -1),
     ]
     assert [(f.base_key, f.gen, f.exponent) for f in factors] == expected
+    assert factors == factor_rewrite(w, t, product=g1)
     prod = I2
     for f in factors:
         prod = prod * expand_factor(f, t)
@@ -198,11 +202,12 @@ def test_modified_rewrite_worked_word():
 def test_modified_rewrite_identity_and_shears():
     t = transversal_g1_in_sl2(9)
     w = ts_decompose(I2)
-    assert as_factors(w, modified_rewrite(w, t), 9) == []
+    assert slot_factors(w, modified_rewrite(w, t), 9) == []
     # pure shear: a single T factor
     w = ts_decompose(t_power(7))
-    factors = as_factors(w, modified_rewrite(w, t), 9)
+    factors = slot_factors(w, modified_rewrite(w, t), 9)
     assert [(f.base_key, f.gen, f.exponent) for f in factors] == [((0, 1), "T", 7)]
+    assert factors == factor_rewrite(w, t)
 
 
 def test_modified_rewrite_rejects_outsiders():
@@ -361,7 +366,7 @@ def test_reduce_word_preserves_product():
         for _ in range(rng.randint(1, 5)):
             m = m * rng.choice(vals)
         w = ts_decompose(m)
-        factors = as_factors(w, modified_rewrite(w, t), N)
+        factors = slot_factors(w, modified_rewrite(w, t), N)
         unsigned = unsigned_product(w)
         assert unsigned in (m, -m)
         assert expand_reduced(reduce_word(factors, N), alphabet) * bar(t, unsigned) == unsigned
@@ -378,7 +383,7 @@ def test_reconstruction_many_levels():
             for _ in range(rng.randint(1, 4)):
                 m = m * rng.choice(vals)
             w = ts_decompose(m)
-            factors = as_factors(w, modified_rewrite(w, t), N)
+            factors = slot_factors(w, modified_rewrite(w, t), N)
             prod = I2
             for f in factors:
                 prod = prod * expand_factor(f, t)
@@ -393,14 +398,8 @@ def test_factor_count_logarithmic():
     for _ in range(200):
         gamma = random_gamma0(N, rng, kmax=10**9, d_shift=1)
         w = ts_decompose(gamma)
-        factors = as_factors(w, modified_rewrite(w, t), N)
+        factors = slot_factors(w, modified_rewrite(w, t), N)
         assert len(factors) <= 2 * w.letters - 1
         c = abs(gamma.c)
         assert len(factors) <= FACTOR_COUNT_K * math.log(c + 2) + FACTOR_COUNT_K
 
-
-def test_format_helpers():
-    assert format_factor(RewriteFactor((1, 0), "T", -2)) == "U((1, 0), T^-2)"
-    assert format_factor(RewriteFactor((1, 7), "S", 1)) == "U((1, 7), S)"
-    assert format_term("T", (1, 2), -2) == "-2 * orbit total at (1, 2)"
-    assert format_term("S", (1, 7), 1) == "S-step row at (1, 7)"

@@ -17,8 +17,16 @@ from hypothesis import strategies as st
 
 from gdsum.cosets import transversal_g1_in_sl2
 from gdsum.modgroup import I2, Mat2, S, ts_decompose, ts_reconstruct
-from gdsum.rewriter import as_factors, modified_rewrite
-from reference_tables import floor_word, full_alphabet, key_of, mul_t_power, reduce_word, unsigned_product
+from gdsum.rewriter import modified_rewrite
+from reference_tables import (
+    floor_word,
+    full_alphabet,
+    key_of,
+    mul_t_power,
+    reduce_word,
+    slot_factors,
+    unsigned_product,
+)
 
 LEVELS = (6, 9, 28)
 
@@ -89,7 +97,7 @@ def test_key_walk_matches_matrix_prefixes(case, nearest):
     t = _tables(N)[0]
     w = ts_decompose(gamma) if nearest else floor_word(gamma)
     assert ts_reconstruct(w) == gamma
-    factors = as_factors(w, modified_rewrite(w, t), N)
+    factors = slot_factors(w, modified_rewrite(w, t), N)
     expected = _matrix_rewrite(w, t, gamma)
     assert [tuple(f) for f in factors] == expected
     reference = []
@@ -114,7 +122,7 @@ def test_terms_times_end_member_multiply_to_gamma(case):
     N, gamma = case
     t, alphabet = _tables(N)
     w = ts_decompose(gamma)
-    terms = reduce_word(as_factors(w, modified_rewrite(w, t), N), N)
+    terms = reduce_word(slot_factors(w, modified_rewrite(w, t), N), N)
     prod = I2
     for key, gen, m in terms:
         prod = prod * _power(alphabet[key, gen], m)
