@@ -7,16 +7,18 @@ import sys
 import pytest
 
 import gdsum
-from gdsum import modgroup
+from gdsum import cli, modgroup
 from gdsum.cosets import transversal_g0_in_sl2, transversal_g1_in_sl2
 from gdsum.dedekind import fast_sum, naive_sum
 from gdsum.modgroup import I2, Mat2, S, T, random_gamma0, ts_decompose
 from gdsum.rewriter import modified_rewrite
 from reference_tables import (
     RewriteFactor,
+    Term,
     bar,
     expand_factor,
     factor_rewrite,
+    factor_terms,
     full_alphabet,
     gamma1_alphabet,
     in_gamma1,
@@ -403,3 +405,37 @@ def test_factor_count_logarithmic():
         c = abs(gamma.c)
         assert len(factors) <= FACTOR_COUNT_K * math.log(c + 2) + FACTOR_COUNT_K
 
+
+
+def _factor_line(f: RewriteFactor) -> str:
+    return f"U({f.base_key}, {'S' if f.gen == 'S' else f'T^{f.exponent}'})"
+
+
+def _term_line(t: Term) -> str:
+    what = f"{'S-step row' if t.kind == 'S' else 'orbit total'} at {t.key}"
+    return what if t.multiplicity == 1 else f"{t.multiplicity} * {what}"
+
+
+def test_format_helpers(capsys, ctx9, ctx28):
+    """`--trace` spells each factor as U(key, T^a) or U(key, S) and each
+    term as "S-step row at key" or "m * orbit total at key", in the order
+    and with the keys and multiplicities of `factor_rewrite` and
+    `factor_terms`, and every spelling turns up."""
+    assert _factor_line(RewriteFactor((1, 0), "T", -2)) == "U((1, 0), T^-2)"
+    assert _factor_line(RewriteFactor((1, 7), "S", 1)) == "U((1, 7), S)"
+    assert _term_line(Term((1, 2), "T", -2, ())) == "-2 * orbit total at (1, 2)"
+    assert _term_line(Term((1, 7), "S", 1, ())) == "S-step row at (1, 7)"
+    rng, seen = random.Random(6), set()
+    for ctx in (ctx9, ctx28):
+        for _ in range(40):
+            gamma = random_gamma0(ctx.N, rng, kmax=10**6)
+            factors = factor_rewrite(ts_decompose(gamma), ctx.p1, gamma)
+            terms = factor_terms(factors, ctx)
+            cli._print_trace(ctx, gamma)
+            out = capsys.readouterr().out.splitlines()
+            start = out.index("rewritten factors:")
+            mid = next(i for i, line in enumerate(out) if line.startswith("terms added"))
+            assert out[start + 1 : mid] == [f"  {_factor_line(f)}" for f in factors]
+            assert out[mid + 1 : -1] == ([f"  {_term_line(t)}" for t in terms] or ["  none"])
+            seen |= {f.gen for f in factors} | {(t.kind, t.multiplicity == 1) for t in terms}
+    assert seen >= {"T", "S", ("S", True), ("T", False)}
