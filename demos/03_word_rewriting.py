@@ -151,4 +151,4 @@ print("(most orbit totals, and the S-step row at (0, 1)) adds no term at all.")
 p1 = transversal_g0_in_sl2(N)
 print(f"A context derives those {generators} sums, once, from the {len(schreier_alphabet(N, p1))}")
 print(f"sums of the Gamma0({N}) generators over the {len(p1)} points of P^1(Z/{N}): the only")
-print("sums a precompute solves, a cache stores and a context is built from.")
+print("sums a precompute reads from the double sum and a context is built from.")

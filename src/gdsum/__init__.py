@@ -6,7 +6,7 @@ on a finite generating alphabet of Gamma1(q1 q2), reached by an
 exponent-collecting coset rewriting of the matrix's T/S word (time
 logarithmic in the lower-left entry).  Those sums are derived from the
 sums of the Schreier generators of Gamma0(q1 q2), two per point of
-P^1(Z/q1 q2): the only sums a precompute solves.  A cache stores the pair
+P^1(Z/q1 q2): the only sums a precompute stores.  A cache stores the pair
 alone, and a load builds its context as a precompute does.  A build logs its
 counts and phase times on the `gdsum` logger at DEBUG, and times nothing
 when DEBUG is off.  All arithmetic is exact, in cyclotomic fields over the

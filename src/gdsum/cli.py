@@ -122,7 +122,7 @@ def _context(args, *, announce: bool = False) -> Context:
     of double sums the build returns."""
     chi1, chi2 = _pair(args)
     t0 = time.perf_counter()
-    ctx, _, calls = _build(chi1, chi2, args.allow_large_n)
+    ctx, calls = _build(chi1, chi2, args.allow_large_n)
     if announce:
         elapsed = time.perf_counter() - t0
         print(

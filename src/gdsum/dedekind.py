@@ -25,26 +25,25 @@ powers everything here:
     Gamma1(N), adds up precomputed sums with multiplicities, and adds the
     sum of the transversal member g_{+-d} at which the walk ends;
   * the sums s0 of the 2 mu Gamma0(N) Schreier generators U(r_k, T) and
-    U(r_k, S), over the mu points k of P^1(Z/N), are mostly solved rather
-    than evaluated: the shears +-T^b among them have sum 0, and S^2 = -I and
-    (ST)^3 = S^2 give twisted identities that fix the others once a few
-    pivots come from the double sum (`_solve`);
-  * those 2 mu sums are the one sum format: `_solve` finds them, and a
-    `Context` is built from them and the sums G(d) at the Gamma0
-    transversal members g_d, deriving the two slot tables the evaluator
-    reads (`_slot_tables`).  G is the double sum at one member of each
-    +-d pair, which gives the other's and every pivot with c = +-N.  A
-    cache stores only the pair: a load builds its context as a precompute
-    does (`_build`), and requires the file to be exactly what that context
-    writes.
+    U(r_k, S), over the mu points k of P^1(Z/N), are read from the double
+    sum, whose inputs there are small (|c| <= 9,063 at N = 1007); the
+    shears +-T^b among them have sum 0, and S^2 = -I and (ST)^3 = S^2 give
+    twisted identities among them that each build checks;
+  * those 2 mu sums are the one sum format: a `Context` is built from them
+    and the sums G(d) at the Gamma0 transversal members g_d, deriving the
+    two slot tables the evaluator reads (`_slot_tables`).  `_build` runs
+    the double sum once per input (a mod c, c), and at c = N reads the
+    twin input (-a mod N, N) off it: G at one member of each +-d pair gives
+    the other's and every generator sum with c = +-N.  A cache stores only
+    the pair: a load builds its context as a precompute does (`_build`),
+    and requires the file to be exactly what that context writes.
 
 The generator sums are a dict keyed like their alphabet, (k, ("T", 1)) and
 (k, ("S", 1)), with one shared CycElem per distinct sum.  `exactnum` turns
 them into integer rows over one common denominator D (3 at N = 9, 5 at
-N = 35 with L = 12) and back, so the solve, the checks, the derived rows
-and `fast_sum`'s column sums are integer adds and root-of-unity turns;
+N = 35 with L = 12) and back, so the checks, the derived rows and
+`fast_sum`'s column sums are integer adds and root-of-unity turns;
 `characters` gives the exponents of chi1, chi2 and psi at the order L.
-The solve reads each value as a row over its own denominator (`_row`).
 """
 
 from __future__ import annotations
@@ -58,9 +57,8 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import gcd
 from operator import add, sub
-from typing import NamedTuple
 
 from .characters import (
     DirichletCharacter,
@@ -160,7 +158,8 @@ def sum_on_gamma0(chi1, chi2, gamma: Mat2) -> CycElem:
     and the cocycle identity gives S(+-T^b) = 0: c = 0 is 0.  S(-gamma) =
     psi(-1) S(gamma) = S(gamma) whenever any sum is nonzero, so c <= -1 is
     the double sum of -gamma.  Raises ValueError when gamma itself is not
-    in Gamma0(N).  A build looks it up at call time, for G and its pivots.
+    in Gamma0(N).  A build looks it up at call time, for G and the
+    generator sums.
     """
     N = chi1.modulus * chi2.modulus
     if not gamma.in_gamma0(N):
@@ -168,13 +167,6 @@ def sum_on_gamma0(chi1, chi2, gamma: Mat2) -> CycElem:
     if gamma.c == 0:
         return CycElem.zero(pair_order(chi1, chi2))
     return naive_sum(chi1, chi2, gamma if gamma.c > 0 else -gamma)
-
-
-def _row(value: CycElem) -> tuple[int, tuple]:
-    """A sum as the row a build reads: (den, row), gcd(den, *row) = 1, den
-    the lcm of its denominators."""
-    den = lcm(*[x.denominator for x in value.coeffs])
-    return den, tuple([x.numerator * (den // x.denominator) for x in value.coeffs])
 
 
 @dataclass
@@ -187,7 +179,7 @@ class Context:
     P^1(Z/N) with the T and S edges and orbit-base scalars its walk found;
     `sums_alphabet`, the sums s0 of the 2 mu generators U(r_k, T),
     U(r_k, S) of `alphabet` (built on each access), keyed (k, ("T", 1)),
-    (k, ("S", 1)), as `_solve` finds them; and `sums_g0`, lambda -> G(lambda),
+    (k, ("S", 1)), as `_build` reads them; and `sums_g0`, lambda -> G(lambda),
     the sum of the member g_lambda of `t_g0` (Gamma1(N) in Gamma0(N), keyed
     by d mod N), 0 at I, one of which ends each walk.  `__post_init__`
     derives only what `fast_sum` reads, in integers over the common
@@ -212,7 +204,7 @@ class Context:
     access and then kept, for the benchmark's table comparison and the
     tests.  Nothing derived is passed in, so `dataclasses.replace(ctx,
     sums_alphabet=...)` evaluates the sums it holds, and replacing a
-    derived field raises; `_build` checks the shear sums, relations and G.
+    derived field raises; `_build` checks the relations and G.
     """
 
     chi1: DirichletCharacter
@@ -276,7 +268,7 @@ def precompute(
     """The context of a pair, built by `_build` (whose counts it drops),
     with a ParityWarning when chi1*chi2(-1) != 1.  Levels above
     DEFAULT_LEVEL_LIMIT need allow_large."""
-    ctx, *_ = _build(chi1, chi2, allow_large)
+    ctx, _ = _build(chi1, chi2, allow_large)
     if message := _parity_message(chi1, chi2):
         warnings.warn(message, ParityWarning, stacklevel=2)
     return ctx
@@ -291,48 +283,57 @@ def _parity_message(chi1, chi2) -> str | None:
         )
 
 
-def _build(chi1, chi2, allow_large: bool) -> tuple[Context, SolveStats, int]:
-    """The context of a pair, the SolveStats of its solve and the number of
-    double sums it ran, built one way for `precompute`, `load_context` and
-    the CLI: the checks of the pair; G at each member g_lambda of the Gamma0
-    transversal but I, the double sum at (1/lambda mod N, N) for one member
-    of each +-lambda pair, and for the other read from it by j -> c - j,
-    S(-a, c) = -chi2(-1) S(a, c); `_solve` for the sums of the 2 mu Gamma0(N)
-    generators U(r_k, T) and U(r_k, S), two per point k of P^1(Z/N), with
-    the double sum at its pivots only (8 of the 96 at N = 35), read from G
-    at +-d mod N where c = +-N (7 of the 8); on its rows, each shear row
-    against 0 and each relation the solve kept (23 of 72 at N = 35); the
-    Context; and `fast_sum` at each member but I against G.  That is 13
-    double sums at N = 35.  One DEBUG line on `gdsum.dedekind` gives the
-    counts, the checks and the seconds per phase, timed only when logged,
-    as `record.solve_stats`/`record.oracle_calls`/`record.phases`."""
+def _build(chi1, chi2, allow_large: bool) -> tuple[Context, int]:
+    """The context of a pair and the number of double sums it ran, built
+    one way for `precompute`, `load_context` and the CLI.
+
+    After the checks of the pair, every sum the context stores comes from
+    one memo keyed by the double sum's input (a mod c, c), c >= 1, read off
+    -gamma when c <= -1, which runs the double sum once per input: a shear
+    (c = 0) is 0, and at c = N the twin input (-a mod N, N) of a known one
+    is -chi2(-1) times it, by j -> c - j.  Through it come G at each member
+    g_lambda of the Gamma0 transversal but I, whose input is
+    (1/lambda mod N, N), so one member of each +-lambda pair runs, and the
+    sums of the 2 mu Gamma0(N) generators U(r_k, T) and U(r_k, S), two per
+    point k of P^1(Z/N), whose inputs with c = +-N are G's: 17 double sums
+    at N = 35.  Off c = N a twin input runs its own double sum, so that a
+    wrong value is not copied onto its twin, where the pair can meet every
+    check (a fault at (15, 56) did, at N = 28).  Every relation of
+    `_relations` is checked on their rows (72 at N = 35), so no sum is made
+    to meet one; then the Context is built, and `fast_sum` at each member
+    but I is checked against G.  One DEBUG line on `gdsum.dedekind` gives
+    the counts, the checks and the seconds per phase, timed only when
+    logged, as `record.oracle_calls`/`record.phases`."""
     _validate_pair(chi1, chi2, allow_large)
     N, L = chi1.modulus * chi2.modulus, pair_order(chi1, chi2)
     laps = [time.perf_counter()] if log.isEnabledFor(logging.DEBUG) else None
     p1 = transversal_g0_in_sl2(N)
     gens = schreier_alphabet(N, p1)
-    g, runs, even = {}, 0, chi2.exponent(-1) == 0
-    for lam in [u for u in range(2, N) if gcd(u, N) == 1]:  # G's keys but 1: -lam < lam comes first
-        if (twin := g.get(-lam % N)) is not None:
-            g[lam] = -twin if even else twin
-        else:
-            g[lam], runs = sum_on_gamma0(chi1, chi2, _g0_member(N, lam)), runs + 1
+    zero, even, runs = CycElem.zero(L), chi2.exponent(-1) == 0, 0
+    known, one_of = {}, {zero: zero}  # input (a, c) -> its sum; each distinct sum -> one CycElem
 
-    def oracle(v):  # at c = +-N, G's input (a mod N, N) at +-d mod N, a = 1/(+-d)
+    def sum_of(m):
         nonlocal runs
-        if abs((m := gens[v]).c) != N or (value := g.get(m.d * m.c // N % N)) is None:
-            value, runs = sum_on_gamma0(chi1, chi2, m), runs + 1
-        return _row(value)
+        if m.c == 0:
+            return zero
+        a, c = (m.a % m.c, m.c) if m.c > 0 else (-m.a % -m.c, -m.c)
+        if (value := known.get((a, c))) is None:
+            if c == N and (twin := known.get((-a % c, c))) is not None:
+                value = -twin if even else twin
+            else:
+                value, runs = sum_on_gamma0(chi1, chi2, m), runs + 1
+            value = known[a, c] = one_of.setdefault(value, value)
+        return value
 
-    den, rows, relations, stats = _solve(chi1, chi2, p1, gens, oracle)
+    g = {lam: sum_of(_g0_member(N, lam)) for lam in range(2, N) if gcd(lam, N) == 1}
+    sums = {v: sum_of(m) for v, m in gens.items()}
     _lap(laps)
-    broken = [(v[0], "S(+-T^b) = 0") for v, m in gens.items() if m.c == 0 and any(rows[v])]
-    broken = broken or [(k, name) for name, k, terms, _ in relations if any(_twisted_sum(L, rows, terms))]
-    if broken:
-        raise ValueError("U(r, T) and U(r, S) sums over P^1 at key %s break %s" % broken[0])
+    _, rows = _rows(sums)
+    relations = list(_relations(p1, L, _twists(chi1, chi2)))
+    if broken := next(((k, name) for name, k, terms in relations if any(_twisted_sum(L, rows, terms))), None):
+        raise ValueError("U(r, T) and U(r, S) sums over P^1 at key %s break %s" % broken)
     _lap(laps)
-    cyc = {r: _cyc(L, den, r) for r in set(rows.values())}  # one CycElem per distinct row
-    ctx = Context(chi1, chi2, p1, {v: cyc[r] for v, r in rows.items()}, {1 % N: CycElem.zero(L), **g})
+    ctx = Context(chi1, chi2, p1, sums, {1 % N: zero, **g})
     _lap(laps)
     if bad := next(_g_mismatches(ctx), None):
         raise ValueError(f"the Gamma0 transversal sum at d = {bad[0]} breaks the cocycle identity")
@@ -340,13 +341,12 @@ def _build(chi1, chi2, allow_large: bool) -> tuple[Context, SolveStats, int]:
         _lap(laps)
         phases = tuple(map(sub, laps[1:], laps))
         log.debug(
-            "precompute N=%d: %d points of P^1, %d keys, %d shear entries, %d solved, "
-            "%d pivots, pivot total |c| %d, %d oracle calls; %d relations and %d shear sums checked; "
-            "solve %.4f s, check %.4f s, context %.4f s, G check %.4f s",
-            N, len(p1), sl2_coset_count(N), *stats, runs, len(relations), stats.shear, *phases,
-            extra={"solve_stats": stats, "oracle_calls": runs, "phases": phases},
+            "precompute N=%d: %d points of P^1, %d keys, %d oracle calls; %d relations checked; "
+            "sums %.4f s, check %.4f s, context %.4f s, G check %.4f s",
+            N, len(p1), sl2_coset_count(N), runs, len(relations), *phases,
+            extra={"oracle_calls": runs, "phases": phases},
         )
-    return ctx, stats, runs
+    return ctx, runs
 
 
 def _g_mismatches(ctx: Context):
@@ -374,87 +374,6 @@ def _twisted_sum(L: int, rows: dict, terms) -> tuple:
                     for j, x in power:
                         acc[j] += n * x
     return tuple(acc)
-
-
-class SolveStats(NamedTuple):
-    """How `_solve` found the 2 mu Gamma0 generator sums."""
-
-    shear: int  # entries whose matrix is a shear +-T^b, +-I included, so 0
-    solved: int  # entries solved from one relation
-    oracle_calls: int  # entries evaluated by the oracle: the pivots
-    oracle_c: int  # sum of |c| over those entries
-
-
-def _solve(chi1, chi2, p1: Transversal, gens: dict, oracle) -> tuple[int, dict, list, SolveStats]:
-    """The sums of the Gamma0 generators `gens` over `p1`, with as few
-    `oracle(entry)` values, (den, row) in lowest terms as `_row`
-    gives them, as the peel allows: their common denominator, their integer
-    rows over it keyed like `gens`, the relations of `_relations` it kept,
-    as (name, key, terms, coefficients), and the stats.
-
-    An entry whose matrix is a shear +-T^b (c = 0, +-I included) is 0, so
-    no shear is a pivot, and every entry is 0 when psi(-1) = -1.  A twisted
-    relation of `_relations` with one unknown left at a coefficient
-    +-zeta^j gives it from the known rows.  When none is left, the unknown
-    entry of smallest |c| (S before T, then by key) goes to the oracle, so
-    these pivots depend on the pair and the level alone.  A value with a
-    new denominator rescales the known rows, which stay exact.  The peel
-    reads only entries with a nonzero coefficient: where S or ST fixes a
-    point, an entry's terms can cancel while it is still unknown.  The
-    relations are read once, here, and those on shears alone dropped:
-    `_build` checks that each shear row is 0, then the rest on the rows.
-    """
-    L = pair_order(chi1, chi2)
-    twist, powers = _twists(chi1, chi2), _powers(L)
-    unit = {p: j for j, p in enumerate(powers)}  # the row of zeta^j -> j
-    zero = (0,) * len(powers[0])
-    known = {v: zero for v, m in gens.items() if m.c == 0}
-    shear, shears = len(known), set(known)
-    if _psi_odd(chi1, chi2):  # S(-g) = S(g) + psi(g) S(-I) = -S(g)
-        known = dict.fromkeys(gens, zero)
-    relations, uses = [], {v: [] for v in gens}  # entry -> relations it enters
-    for name, k, terms in _relations(p1, L, twist):
-        if shears.issuperset([v for v, _ in terms]):  # shears alone: 0 = 0 once `_build` checks them
-            continue
-        coef = {}  # entry -> its coefficient, the sum of its terms' zeta^e, as a row
-        for v, e in terms:
-            coef[v] = tuple(map(add, coef[v], powers[e])) if v in coef else powers[e]
-        coef = {v: c for v, c in coef.items() if any(c)}
-        for v in coef:
-            uses[v].append(len(relations))
-        relations.append((name, k, terms, coef))
-    open_ = [sum(v not in known for v in coef) for *_, coef in relations]
-    ready = [i for i, n in enumerate(open_) if n == 1]
-    by_c = iter(sorted((abs(m.c), v[1], v) for v, m in gens.items() if v not in known))
-    den, solved, calls, total_c = 1, len(known) - shear, 0, 0
-
-    def settle(v, row):
-        known[v] = row
-        for i in uses[v]:
-            open_[i] -= 1
-            if open_[i] == 1:
-                ready.append(i)
-
-    while len(known) < len(gens):
-        if ready:
-            _, _, terms, coef = relations[ready.pop()]
-            left = [v for v in coef if v not in known]
-            j = unit.get(coef[left[0]]) if len(left) == 1 else None
-            if j is not None:  # zeta^j x = -(the rest), so x = sum zeta^(e - j + L/2) s_v
-                x = left[0]
-                rest = [(v, e - j + L // 2) for v, e in terms if v != x and v in coef]
-                settle(x, _twisted_sum(L, known, rest))
-                solved += 1
-            continue
-        c, _, x = next(e for e in by_c if e[2] not in known)
-        calls, total_c = calls + 1, total_c + c
-        d, row = oracle(x)
-        if den % d:
-            scale, den = d // gcd(den, d), lcm(den, d)
-            for v, old in known.items():
-                known[v] = tuple([scale * n for n in old])
-        settle(x, tuple([den // d * n for n in row]))
-    return den, {v: known[v] for v in gens}, relations, SolveStats(shear, solved, calls, total_c)
 
 
 def _key_rows(L: int, p1: Transversal, rows: dict, twist: dict, zero: tuple):
@@ -601,8 +520,8 @@ def load_context(path, *, allow_large: bool = False) -> Context:
 
     The version must be CACHE_VERSION, and the level of the stored moduli
     must pass the guardrail (unless allow_large) before any character is
-    built.  The pair then goes through `_build`: its checks, the solve (the
-    double sum at its pivots), shear sums, kept relations and the G check.
+    built.  The pair then goes through `_build`: its checks, the double
+    sums, the relations and the G check.
     Each top-level field of `context_to_json` of the result must serialize
     as the file's does, with none missing or extra, so each character value
     must be the string `str(Fraction)` writes.  Otherwise a ValueError names
@@ -625,7 +544,7 @@ def load_context(path, *, allow_large: bool = False) -> Context:
         )
     except (LookupError, TypeError, AttributeError, ArithmeticError) as exc:
         raise ValueError(f"malformed cache {path}: {type(exc).__name__}: {exc}") from exc
-    ctx, *_ = _build(chi1, chi2, allow_large)
+    ctx, _ = _build(chi1, chi2, allow_large)
     rebuilt = context_to_json(ctx)
     for name in {**rebuilt, **data}:
         if name not in data or name not in rebuilt or json.dumps(data[name]) != json.dumps(rebuilt[name]):

@@ -240,10 +240,10 @@ def _turns(L: int) -> tuple:
     return tuple(tuple(sparse[(e + i) % L] for i in range(len(_powers(L)[0]))) for e in range(L))
 
 
-def _rows(values: dict, den: int = 1) -> tuple[int, dict]:
-    """D = lcm(den, the CycElems' denominators) and their rows over D, one tuple per distinct object."""
+def _rows(values: dict) -> tuple[int, dict]:
+    """D = lcm(the CycElems' denominators) and their rows over D, one tuple per distinct object."""
     distinct = {id(v): v for v in values.values()}
-    den = lcm(den, *{x.denominator for v in distinct.values() for x in v.coeffs})
+    den = lcm(*{x.denominator for v in distinct.values() for x in v.coeffs})
     row_of = {i: tuple([x.numerator * (den // x.denominator) for x in v.coeffs]) for i, v in distinct.items()}
     return den, {k: row_of[id(v)] for k, v in values.items()}
 

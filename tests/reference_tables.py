@@ -10,10 +10,10 @@ with (c, d) = lambda k, rebuilt from the members times the units: the
 library keeps no such map.  `gamma1_relations` lists the relations among
 the U(t, T) and U(t, S) sums that the derived ones must obey.
 `all_oracle_context` evaluates every Gamma0 generator sum U(r, T), U(r, S)
-and every Gamma0 transversal sum with the double sum instead of solving
-them or reading one of each +-d pair off the other, and `oracle_gamma1` every
-Gamma0 transversal sum and every Gamma1 generator sum U(t, T), U(t, S),
-whose running sums a context's rows are.  `gamma1_rows` derives those
+and every Gamma0 transversal sum with the double sum on its own input,
+never reading one of a twin pair of inputs off the other, and
+`oracle_gamma1` every Gamma0 transversal sum and every Gamma1 generator
+sum U(t, T), U(t, S), whose running sums a context's rows are.  `gamma1_rows` derives those
 Gamma1 sums from the Gamma0 ones, as integer rows, by the formula the
 context's rows telescope, and `gamma1_sums` gives them as CycElems.
 `full_alphabet` builds every U(t, T^i) and U(t, S^k) matrix, and
@@ -45,9 +45,8 @@ off a context's slot tables, and `derived_mismatches` checks each S-step row and
 orbit total there against the double sum on the matrix it is the sum of.
 
 Helpers only the tests call: `t_power` and `mul_t_power` build T^n and
-m T^n, `conj` conjugates an element of Q(zeta_L), `embed` rewrites
-one at a multiple of its order, and `row_oracle` turns an oracle of
-CycElems into the row oracle `dedekind._solve` reads.
+m T^n, `conj` conjugates an element of Q(zeta_L), and `embed` rewrites
+one at a multiple of its order.
 """
 
 import dataclasses
@@ -165,17 +164,6 @@ def oracle_g0(chi1, chi2) -> dict:
     zero = CycElem.zero(characters.pair_order(chi1, chi2))
     members = transversal_g1_in_g0(chi1.modulus * chi2.modulus).members
     return {d: zero if m == I2 else dedekind.sum_on_gamma0(chi1, chi2, m) for d, m in members.items()}
-
-
-def row_oracle(oracle):
-    """The oracle `dedekind._solve` reads, from one that gives CycElems:
-    each value as (den, row), gcd(den, *row) = 1, by `exactnum._rows`."""
-
-    def rows(entry):
-        den, row = exactnum._rows({entry: oracle(entry)})
-        return den, row[entry]
-
-    return rows
 
 
 def oracle_gamma1(ctx) -> tuple[dict, dict]:

@@ -55,7 +55,6 @@ from reference_tables import (
     orbit_f,
     p1_classes,
     potential,
-    row_oracle,
     slot_factors,
     strip_letters,
     t_power,
@@ -236,15 +235,17 @@ def test_sum_on_gamma0_closure(request):
 
 @pytest.mark.parametrize("name", ["ctx9", "ctx28", "ctx35_l12", "ctx35"])
 def test_the_build_reads_each_double_sum_as_a_row_in_lowest_terms(request, name):
-    """The row a build reads for S(gamma), on the sweep's matrices, their
-    negations and the shears +-T^b, is (den, row) with gcd(den, *row) = 1,
-    and row/den is `sum_on_gamma0` coefficient by coefficient; ctx35's
-    pair has psi(-1) = -1, so every row there is 0 over 1."""
+    """The row `exactnum._rows` gives a build for S(gamma) alone, on the
+    sweep's matrices, their negations and the shears +-T^b, is (den, row)
+    with gcd(den, *row) = 1, and row/den is `sum_on_gamma0` coefficient by
+    coefficient; ctx35's pair has psi(-1) = -1, so every row there is 0
+    over 1."""
     ctx = request.getfixturevalue(name)
     mats = list(_sweep_matrices(ctx.N))
     mats += [-m for m in mats] + [t_power(b) for b in (-3, 0, 2)] + [-t_power(b) for b in (-1, 0, 5)]
     for gamma in mats:
-        den, row = dedekind._row(sum_on_gamma0(ctx.chi1, ctx.chi2, gamma))
+        den, rows = exactnum._rows({0: sum_on_gamma0(ctx.chi1, ctx.chi2, gamma)})
+        row = rows[0]
         assert den >= 1 and gcd(den, *row) == 1 and all(type(n) is int for n in row), gamma
         assert tuple(Fraction(n, den) for n in row) == sum_on_gamma0(ctx.chi1, ctx.chi2, gamma).coeffs, gamma
         assert name != "ctx35" or (den, any(row)) == (1, False)
@@ -265,20 +266,19 @@ def test_the_bucket_terms_are_the_exponents_of_chi1(request, name):
         assert list(pairs) == [(-chi1.exponent(k - m) * L // chi1.order % L, 2 * k) for k in units], m
 
 
-@pytest.mark.parametrize("name, double_sums", [("ctx28", 9), ("ctx35_l12", 13)])
+@pytest.mark.parametrize("name, double_sums", [("ctx28", 14), ("ctx35_l12", 17)])
 def test_a_build_reads_its_double_sums_as_rows(monkeypatch, request, name, double_sums):
-    """A build reads each double sum, at one Gamma0 transversal member of
-    each +-d pair but I and at its pivots off c = +-N, as one row over its
-    own denominator: `exactnum._rows` runs once, for the Context's
-    generator sums and G, and `_cyc` once per double sum, for the value
-    `naive_sum` returns, and once per distinct generator row."""
+    """A build turns its sums into integer rows twice, with `exactnum._rows`:
+    once for the generator sums whose relations it checks, and once for the
+    Context's generator sums and G; `_cyc` runs once per double sum, for
+    the value `naive_sum` returns, and nowhere else."""
     ctx, calls = request.getfixturevalue(name), Counter()
     for f in ("_rows", "_cyc"):
         real = getattr(exactnum, f)
         monkeypatch.setattr(dedekind, f, lambda *a, f=f, real=real: calls.update([f]) or real(*a))
-    _, _, runs = dedekind._build(ctx.chi1, ctx.chi2, False)
+    _, runs = dedekind._build(ctx.chi1, ctx.chi2, False)
     assert runs == double_sums
-    assert calls == {"_rows": 1, "_cyc": double_sums + len(set(ctx.sums_alphabet.values()))}
+    assert calls == {"_rows": 2, "_cyc": double_sums}
 
 
 def test_the_double_sum_at_minus_lambda_is_minus_chi2_of_minus_one_times_it():
@@ -306,9 +306,9 @@ def test_the_double_sum_at_minus_lambda_is_minus_chi2_of_minus_one_times_it():
 def test_every_generator_on_c_plus_minus_n_has_the_double_sum_of_g(request, name):
     """A Gamma0 generator (a b; +-N d) has the double sum's input (a mod N,
     N), up to the sign of the matrix, which G has at the member g_+-d:
-    `sum_on_gamma0` there equals G(+-d mod N), which the build reads for a
-    pivot there.  No such generator has the key 1 of I, where G is 0 and
-    no double sum, and the build would run the double sum."""
+    `sum_on_gamma0` there equals G(+-d mod N), so the build's memo reads
+    it from G.  No such generator has the key 1 of I, where G is 0 and no
+    double sum, and the build would run the double sum."""
     ctx = request.getfixturevalue(name)
     on_n = [m for m in ctx.alphabet.values() if abs(m.c) == ctx.N]
     keys = [m.d * m.c // ctx.N % ctx.N for m in on_n]
@@ -319,24 +319,34 @@ def test_every_generator_on_c_plus_minus_n_has_the_double_sum_of_g(request, name
 
 @pytest.mark.parametrize("pair", ["9", "28", "35-odd", "35-l12", "35-even", "143"])
 def test_a_build_runs_each_double_sum_once(request, monkeypatch, pair):
-    """A build runs the double sum at phi(N)/2 Gamma0 transversal members
-    for G, before its solve, and never twice on one input (a mod c, c),
-    read off -gamma when c < 0; it returns how many it ran."""
+    """A build runs the double sum once per input (a mod c, c), read off
+    -gamma when c < 0, and at c = N once per pair of twins (a, N),
+    (-a mod N, N): as many times as there are such inputs, counted here
+    from the Gamma0 transversal and the Schreier alphabet, the shears
+    (c = 0) aside.  It runs G's first, at phi(N)/2 members, and returns how
+    many it ran."""
     if pair == "143":
         chi1, chi2 = find_character(11, [(2, "1/2")]), find_character(13, [(2, "1/12")])
     elif pair == "35-even":  # chi2 even, psi(-1) = 1
         chi1, chi2 = find_character(5, [(2, "1/2")]), request.getfixturevalue("chi7_13")
     else:
         chi1, chi2 = _pair(request, pair)
-    calls, real, started = _counting_oracle(monkeypatch), dedekind._solve, []
-    monkeypatch.setattr(dedekind, "_solve", lambda *a: started.append(len(calls)) or real(*a))
+    N = chi1.modulus * chi2.modulus
+
+    def twins(mats):  # each input, at c = N as the least of it and its twin
+        inputs = [(m.a % m.c, m.c) if m.c > 0 else (-m.a % -m.c, -m.c) for m in mats if m.c]
+        return [min((a, c), (-a % c, c)) if c == N else (a, c) for a, c in inputs]
+
+    members = [m for m in transversal_g1_in_g0(N).members.values() if m != I2]
+    expected = set(twins(members + list(schreier_alphabet(N, transversal_g0_in_sl2(N)).values())))
+    calls = _counting_oracle(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ParityWarning)
-        ctx, _, runs = dedekind._build(chi1, chi2, True)
-    inputs = [(m.a % m.c, m.c) if m.c > 0 else (-m.a % -m.c, -m.c) for m in calls]
-    assert len(set(inputs)) == len(inputs) == runs
-    assert started == [len(ctx.t_g0) // 2]
-    assert all(m in ctx.t_g0.members.values() for m in calls[: started[0]])
+        ctx, runs = dedekind._build(chi1, chi2, True)
+    assert runs == len(calls) == len(set(twins(calls))) == len(expected)
+    assert set(twins(calls)) == expected
+    g_runs = len(ctx.t_g0) // 2
+    assert set(calls[:g_runs]) <= set(members) and not set(calls[g_runs:]) & set(members)
 
 
 @pytest.mark.parametrize("N, pairs", [(21, 3), (65, 17), (91, 28), (183, 30)])
@@ -384,19 +394,6 @@ def test_a_build_checks_the_evaluator_at_the_gamma0_members(monkeypatch, chi4, c
     )
     with pytest.raises(ValueError, match=r"the Gamma0 transversal sum at d = \d+ "):
         precompute(chi4, chi7_56)
-
-
-@pytest.mark.parametrize("pair, pivots", [("9", 2), ("28", 8), ("35-l12", 8), ("143", 28)])
-def test_no_shear_is_a_pivot(request, monkeypatch, pair, pivots):
-    """The solve sets every generator with c = 0, a shear +-T^b, to 0, so
-    the double sum runs only on generators with c != 0."""
-    chi1, chi2 = (
-        (find_character(11, [(2, "1/2")]), find_character(13, [(2, "1/12")])) if pair == "143"
-        else _pair(request, pair)
-    )
-    solved = _solve_oracle_calls(monkeypatch)
-    precompute(chi1, chi2, allow_large=True)
-    assert len(solved) == pivots and all(m.c for m in solved)
 
 
 def test_precompute_structure(ctx9):
@@ -638,7 +635,7 @@ def test_cache_round_trip_rebuilds_tables(tmp_path, request, name):
     path = tmp_path / "ctx.json"
     save_context(ctx, path)
     data = json.loads(path.read_text())
-    # only the pair is stored: a load solves every sum again
+    # only the pair is stored: a load computes every sum again
     assert set(data) == {"version", "chi1", "chi2"}
     loaded = load_context(path)
     assert loaded.t_g0.members == ctx.t_g0.members
@@ -746,9 +743,9 @@ def test_contexts_of_one_pair_are_equal(tmp_path, chi4, chi7_56):
 
 
 def test_load_logs_what_it_validated(tmp_path, monkeypatch, caplog, ctx28):
-    """One DEBUG line per load, the one a precompute logs, with the solve's
-    stats and the seconds per phase on the record; nothing is logged or
-    timed when DEBUG is off."""
+    """One DEBUG line per load, the one a precompute logs, with the count
+    of double sums and the seconds per phase on the record; nothing is
+    logged or timed when DEBUG is off."""
     path = tmp_path / "ctx28.json"
     save_context(ctx28, path)
     oracle, clock = [], []
@@ -766,27 +763,21 @@ def test_load_logs_what_it_validated(tmp_path, monkeypatch, caplog, ctx28):
         load_context(path)
     (record,) = caplog.records
     assert record.name == "gdsum.dedekind" and record.levelno == logging.DEBUG
-    stats, phases = record.solve_stats, record.phases
-    points, keys = len(ctx28.p1), len(ctx28.t_sl2)
-    # G at one member of each +-d pair, then the pivots off c = +-N
-    assert len(oracle) == record.oracle_calls == 9 and stats.oracle_calls == 8
-    assert stats.shear + stats.solved + stats.oracle_calls == 2 * points
+    phases = record.phases
+    # G at one member of each +-d pair, then the generators whose input G does not give
+    assert len(oracle) == record.oracle_calls == 14
     assert len(clock) == 5 and len(phases) == 4
-    relations, shears = _checked_counts(ctx28.chi1, ctx28.chi2)
     assert record.getMessage() == (
-        f"precompute N=28: {points} points of P^1, {keys} keys, "
-        f"{stats.shear} shear entries, {stats.solved} solved, "
-        f"{stats.oracle_calls} pivots, pivot total |c| {stats.oracle_c}, 9 oracle calls; "
-        f"{relations} relations and {shears} shear sums checked; "
-        "solve {:.4f} s, check {:.4f} s, context {:.4f} s, G check {:.4f} s".format(*phases)
+        "precompute N=28: 48 points of P^1, 576 keys, 14 oracle calls; 72 relations checked; "
+        "sums {:.4f} s, check {:.4f} s, context {:.4f} s, G check {:.4f} s".format(*phases)
     )
 
 
 @pytest.mark.parametrize("name", ["ctx9", "ctx28", "ctx35_l12"])
 def test_a_build_walks_the_relations_once(tmp_path, monkeypatch, request, name):
-    """A precompute and a load each read `_relations` once, in the solve,
-    which yields one (ST)^3 identity per point of P^1 and one S^2 identity
-    per pair k, kS; the build checks those the solve keeps on its rows."""
+    """A precompute and a load each read `_relations` once, to check them
+    on the generator sums: one (ST)^3 identity per point of P^1 and one S^2
+    identity per pair k, kS."""
     ctx = request.getfixturevalue(name)
     path = tmp_path / "ctx.json"
     save_context(ctx, path)
@@ -818,94 +809,48 @@ def test_the_level_guardrail_raises_a_plain_value_error():
 
 
 def test_a_build_checks_every_relation_on_the_solved_rows(monkeypatch, ctx28):
-    """A solved row off by one at U(I, S) breaks a relation, which the build
-    names before it builds a context."""
-    real = dedekind._solve
+    """A double sum off by one at one generator, off c = +-N so that G
+    does not read it, breaks a relation, which the build names before it
+    builds a context."""
+    wrong = []
 
-    def off_by_one(*args):
-        den, rows, relations, stats = real(*args)
-        v = ((0, 1), ("S", 1))
-        return den, {**rows, v: (rows[v][0] + den, *rows[v][1:])}, relations, stats
+    def off_by_one(chi1, chi2, gamma):
+        value = sum_on_gamma0(chi1, chi2, gamma)
+        if abs(gamma.c) != 28 and not wrong:
+            wrong.append(gamma)
+            return value + 1
+        return value
 
-    monkeypatch.setattr(dedekind, "_solve", off_by_one)
+    monkeypatch.setattr(dedekind, "sum_on_gamma0", off_by_one)
     monkeypatch.setattr(dedekind, "Context", lambda *a: pytest.fail("a context was built"))
     with pytest.raises(ValueError, match=r"U\(r, T\) and U\(r, S\) sums over P\^1 at key .* break "):
         precompute(ctx28.chi1, ctx28.chi2)
-
-
-def _read_relations(chi1, chi2):
-    """The alphabet of the pair's level, every relation `_relations` lists
-    there, and those among them that read a generator with c != 0."""
-    N, L = chi1.modulus * chi2.modulus, pair_order(chi1, chi2)
-    p1 = transversal_g0_in_sl2(N)
-    gens = schreier_alphabet(N, p1)
-    every = list(dedekind._relations(p1, L, characters._twists(chi1, chi2)))
-    return p1, gens, every, [r for r in every if any(gens[v].c for v, _ in r[2])]
-
-
-def _checked_counts(chi1, chi2) -> tuple[int, int]:
-    """What a build checks: the relations that read a non-shear generator,
-    and the shear generators, each of whose sums must be 0."""
-    _, gens, _, read = _read_relations(chi1, chi2)
-    return len(read), sum(m.c == 0 for m in gens.values())
-
-
-@pytest.mark.parametrize("pair, read, every", [("9", 6, 18), ("28", 24, 72), ("35-l12", 23, 72), ("143", 88, 252)])
-def test_the_solve_keeps_only_relations_that_read_a_non_shear_generator(request, pair, read, every):
-    """A relation among shear sums alone reads 0 = 0 once every shear sum
-    is 0, which the build checks: the solve peels, and returns for the
-    build to check, exactly the relations with a term off the shears, in
-    the order `_relations` lists them."""
-    chi1, chi2 = (
-        (find_character(11, [(2, "1/2")]), find_character(13, [(2, "1/12")])) if pair == "143"
-        else _pair(request, pair)
-    )
-    p1, gens, relations, expect = _read_relations(chi1, chi2)
-    oracle = row_oracle(lambda v: sum_on_gamma0(chi1, chi2, gens[v]))
-    _, _, solved, _ = dedekind._solve(chi1, chi2, p1, gens, oracle)
-    assert [r[:3] for r in solved] == expect
-    assert (len(expect), len(relations)) == (read, every)
-
-
-def test_a_build_checks_a_shear_sum_no_checked_relation_reads(monkeypatch, ctx28):
-    """A nonzero shear sum is refused by the build even where only the
-    relations among shears, which it skips, read it."""
-    real = dedekind._solve
-    *_, relations, read = _read_relations(ctx28.chi1, ctx28.chi2)
-    in_read = {v for r in read for v, _ in r[2]}
-    v = next(v for r in relations for v, _ in r[2] if v not in in_read)
-
-    def off_by_one(*args):
-        den, rows, relations, stats = real(*args)
-        return den, {**rows, v: (rows[v][0] + den, *rows[v][1:])}, relations, stats
-
-    monkeypatch.setattr(dedekind, "_solve", off_by_one)
-    monkeypatch.setattr(dedekind, "Context", lambda *a: pytest.fail("a context was built"))
-    with pytest.raises(ValueError, match=re.escape(f"sums over P^1 at key {v[0]} break S(+-T^b) = 0")):
-        precompute(ctx28.chi1, ctx28.chi2)
+    assert len(wrong) == 1
 
 
 def test_load_rejects_a_cache_wrong_at_one_pivot(tmp_path, monkeypatch, ctx28):
-    """The pivots of the solve are free coordinates of the twisted
-    relations: a load whose solve reads a value wrong by 1/3 at its second
-    pivot passes every relation, and is refused by the G check it runs, as
-    a precompute does."""
+    """A pivot here is an input off c = +-N, whose double sum gives
+    generator sums and no G: a load whose double sum reads a value wrong by
+    1/3 at one pivot, its denominator new to the build, is refused, as a
+    precompute is, before any context is built; so is each of the 8 in
+    turn, a twin input included."""
     path = tmp_path / "ctx28.json"
     save_context(ctx28, path)
-    calls, real = [], dedekind._solve
+    monkeypatch.setattr(dedekind, "Context", lambda *a: pytest.fail("a context was built"))
+    for wrong in range(8):
+        pivots = []
 
-    def wrong_at_second(chi1, chi2, p1, gens, oracle):
-        def wrong(v):
-            calls.append(v)
-            den, row = oracle(v)
-            return (3 * den, (3 * row[0] + den * (len(calls) == 2), *[3 * n for n in row[1:]]))
+        def wrong_at_one(chi1, chi2, gamma):
+            value = sum_on_gamma0(chi1, chi2, gamma)
+            if abs(gamma.c) != 28:
+                pivots.append(gamma)
+                return value + Fraction(len(pivots) == wrong + 1, 3)
+            return value
 
-        return real(chi1, chi2, p1, gens, wrong)
-
-    monkeypatch.setattr(dedekind, "_solve", wrong_at_second)
-    with pytest.raises(ValueError, match="the Gamma0 transversal sum at d = .* breaks the cocycle identity"):
-        load_context(path)
-    assert len(calls) == 8  # every pivot, and only the second one wrong
+        monkeypatch.setattr(dedekind, "sum_on_gamma0", wrong_at_one)
+        with pytest.raises(ValueError, match=r"U\(r, T\) and U\(r, S\) sums over P\^1 at key .* break "):
+            load_context(path)
+        assert len(pivots) == 8
 
 
 @pytest.mark.parametrize(
@@ -966,21 +911,21 @@ def test_load_checks_the_stored_level_before_any_character(tmp_path, monkeypatch
             load_context(path)
 
 
-def test_load_calls_the_double_sum_at_the_pivots_only(tmp_path, monkeypatch, ctx28):
+def test_load_calls_the_double_sum_as_a_precompute_does(tmp_path, monkeypatch, ctx28):
     """A load rebuilds the context without calling `precompute`: the double
     sum runs at one Gamma0 transversal member of each +-d pair but I, for
-    G, and at the pivots of the solve that G does not give, as in a
+    G, and at the generators whose input G does not give, as in a
     precompute, never once per sum, and the loaded context equals the
     precomputed one."""
     path = tmp_path / "ctx28.json"
     save_context(ctx28, path)
-    calls, pivots = _counting_oracle(monkeypatch), _solve_oracle_calls(monkeypatch)
+    calls = _counting_oracle(monkeypatch)
     ctx = precompute(ctx28.chi1, ctx28.chi2)
-    built, asked = list(calls), list(pivots)
-    calls.clear(), pivots.clear()
+    built = list(calls)
+    calls.clear()
     monkeypatch.setattr(dedekind, "precompute", lambda *a, **k: pytest.fail("load called precompute"))
     loaded = load_context(path)
-    assert calls == built and pivots == asked and (len(built), len(asked)) == (9, 8)
+    assert calls == built and (len(built), len(ctx.sums_alphabet)) == (14, 96)
     for name in ("sums_alphabet", "sums_g0", "g_rows", "den", "t_slot", "s_slot"):
         assert getattr(loaded, name) == getattr(ctx, name), name
 
@@ -1470,91 +1415,11 @@ def _counting_oracle(monkeypatch):
     return calls
 
 
-def _solve_oracle_calls(monkeypatch):
-    """The matrices of the entries `_solve` asks its oracle for, its
-    pivots, in the order asked, however the oracle answers."""
-    calls, real = [], dedekind._solve
-
-    def solve(chi1, chi2, p1, gens, oracle):
-        return real(chi1, chi2, p1, gens, lambda v: calls.append(gens[v]) or oracle(v))
-
-    monkeypatch.setattr(dedekind, "_solve", solve)
-    return calls
-
-
-def _free_dimension(chi1, chi2) -> int:
-    """The dimension the twisted relations and the zero sums of the shear
-    generators +-T^b (c = 0) leave free among the 2 mu Gamma0 generator
-    sums: 2 mu minus their rank over F_p, for the least prime p = 1 mod L,
-    with zeta_L sent to a primitive L-th root of unity mod p."""
-    N, L = chi1.modulus * chi2.modulus, pair_order(chi1, chi2)
-    p = next(q for q in range(L + 1, 10**6, L) if all(q % f for f in range(2, int(q**0.5) + 1)))
-    zeta = next(
-        z for z in (pow(g, (p - 1) // L, p) for g in range(2, p))
-        if all(pow(z, L // f, p) != 1 for f in range(2, L + 1) if L % f == 0)
-    )
-    p1 = transversal_g0_in_sl2(N)
-    gens = schreier_alphabet(N, p1)
-    column = {v: i for i, v in enumerate(gens)}
-    twist = characters._twists(chi1, chi2)
-    rows = [[int(v == x) for x in gens] for v, m in gens.items() if m.c == 0]
-    for _, _, terms in dedekind._relations(p1, L, twist):
-        row = [0] * len(gens)
-        for v, e in terms:
-            row[column[v]] += pow(zeta, e, p)
-        rows.append(row)
-    rank = 0
-    for col in range(len(gens)):  # Gaussian elimination mod p
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] % p), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] % p:
-                f = rows[r][col] * inv
-                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return len(gens) - rank
-
-
-@pytest.mark.parametrize("pair", ["9", "12", "28", "35-odd", "35-l12"])
-def test_oracle_calls_equal_the_free_dimension(request, monkeypatch, caplog, pair):
-    """The twisted relations and the zero sums of the shears leave a space
-    of small dimension free among the 2 mu Gamma0 generator sums (8 of 96
-    at N = 28, 0 for a pair with psi(-1) = -1): precompute's solve asks its
-    oracle for exactly that many of them, and its DEBUG line says how many,
-    and how many double sums the build ran, with the seconds per phase."""
-    chi1, chi2 = _pair(request, pair)
-    calls, pivots = _counting_oracle(monkeypatch), _solve_oracle_calls(monkeypatch)
-    with caplog.at_level(logging.DEBUG, logger="gdsum"):
-        ctx = _precompute(chi1, chi2)
-    points, keys = len(transversal_g0_in_sl2(ctx.N)), len(ctx.t_sl2)
-    (record,) = [r for r in caplog.records if r.name == "gdsum.dedekind"]
-    stats, phases = record.solve_stats, record.phases
-    assert stats.oracle_calls == _free_dimension(chi1, chi2)
-    # psi(-1) = -1 makes every sum 0
-    assert stats.oracle_calls > 0 or psi(chi1, chi2, -I2) != CycElem.one(ctx.L)
-    assert len(calls) == record.oracle_calls and len(pivots) == stats.oracle_calls
-    assert stats.oracle_c == sum(abs(m.c) for m in pivots)
-    assert stats.shear + stats.solved + stats.oracle_calls == 2 * points
-    assert stats.shear >= points - 1  # one tree edge per point but the identity's
-    assert record.levelno == logging.DEBUG and len(phases) == 4
-    relations, shears = _checked_counts(chi1, chi2)
-    assert record.getMessage() == (
-        f"precompute N={ctx.N}: {points} points of P^1, {keys} keys, "
-        f"{stats.shear} shear entries, {stats.solved} solved, "
-        f"{stats.oracle_calls} pivots, pivot total |c| {stats.oracle_c}, {len(calls)} oracle calls; "
-        f"{relations} relations and {shears} shear sums checked; "
-        "solve {:.4f} s, check {:.4f} s, context {:.4f} s, G check {:.4f} s".format(*phases)
-    )
-
-
 @pytest.mark.parametrize("pair", ["9", "28", "35-odd"])
 def test_precompute_rejects_a_shifted_oracle(request, monkeypatch, pair):
     """An oracle that adds 1 to every value is no crossed homomorphism: the
-    Gamma0 transversal sums, checked against it after the solve, reject its
-    table."""
+    relations or the Gamma0 transversal sums, checked on the sums it gives,
+    reject its table."""
     chi1, chi2 = _pair(request, pair)
     L = pair_order(chi1, chi2)
     monkeypatch.setattr(
@@ -1571,25 +1436,22 @@ def test_solve_rescales_to_a_new_denominator(request, monkeypatch):
     """The Fricke conjugation (a b; c d) -> (d, -c/N; -N b, a) maps Gamma0(N)
     onto itself and psi to its conjugate, so the complex conjugate of
     S(its conjugate) is a crossed homomorphism with the same psi, and so is
-    f(g) = S(g) + (S(g) + conj S(its conjugate))/3.  The first nonzero f
-    the solve asks for is integral and a later one is not, so rows already
-    solved are rescaled mid-solve; the table, and the Gamma1 generator sums
-    derived from it, still equal the all-oracle ones under the same oracle."""
+    f(g) = S(g) + (S(g) + conj S(its conjugate))/3, whose values have
+    denominators the double sum's lack.  A build under f as its oracle
+    passes its checks and has the denominator 3; the table, and the Gamma1
+    generator sums derived from it, equal the all-oracle ones under the
+    same oracle."""
     chi1, chi2 = _pair(request, "28")
     N = 28
     third = CycElem.from_rational(pair_order(chi1, chi2), Fraction(1, 3))
-    values = []
 
     def oracle(a, b, g):
         fricke = Mat2(g.d, -g.c // N, -N * g.b, g.a)
         s = sum_on_gamma0(a, b, g)
-        values.append(s + third * (s + conj(sum_on_gamma0(a, b, fricke))))
-        return values[-1]
+        return s + third * (s + conj(sum_on_gamma0(a, b, fricke)))
 
     monkeypatch.setattr(dedekind, "sum_on_gamma0", oracle)
     ctx = precompute(chi1, chi2)
-    dens = [max(x.denominator for x in v.coeffs) for v in values if v]
-    assert dens[0] == 1 and 3 in dens
     assert ctx.den == 3
     ref = all_oracle_context(chi1, chi2, ctx.p1)
     assert ctx.sums_alphabet == ref.sums_alphabet
