@@ -13,6 +13,7 @@ odd prime power, and the pair -1, 5 for 2^k with k >= 3.
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
@@ -255,6 +256,8 @@ def parse_spec_fields(spec: str) -> tuple[int, list[tuple[int, Fraction]]]:
 
 
 def _spec_number(name: str, val: str, at: str, parse=int):
+    if parse is Fraction and re.search("[0-9.][eE]", val):  # Fraction("1e1000000000") has 10^9 digits
+        raise ValueError(f"{name} {_clip(val)} {at} is in exponent notation; write it p/q or as a decimal")
     try:
         return parse(val)
     except ZeroDivisionError:

@@ -20,7 +20,7 @@ powers everything here:
   * the double sum reads only a mod c and c, so S(g T^b) = S(g) and the
     shears +-T^b have sum 0, and S(-g) = psi(-1) S(g) = S(g) whenever any
     sum is nonzero: a matrix with c <= -1, where the double sum does not
-    apply, has the double sum of its negation (`sum_on_gamma0`);
+    apply, has the double sum of its negation, as `naive_sum` gives it;
   * the fast path rewrites gamma's own word over the Schreier alphabet of
     Gamma1(N), adds up precomputed sums with multiplicities, and adds the
     sum of the transversal member g_{+-d} at which the walk ends;
@@ -51,6 +51,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import re
 import tempfile
 import time
 import warnings
@@ -79,7 +80,7 @@ from .cosets import (
     transversal_g1_in_sl2,
 )
 from .exactnum import CycElem, _cyc, _powers, _rotations, _rows, _turns
-from .modgroup import I2, Mat2, ts_decompose
+from .modgroup import I2, Mat2, _short, ts_decompose
 from .rewriter import modified_rewrite, reduce_word
 
 # Guardrail for precompute and load, lifted by allow_large: the tables hold a
@@ -97,30 +98,31 @@ class ParityWarning(UserWarning):
 
 
 def naive_sum(chi1: DirichletCharacter, chi2: DirichletCharacter, gamma: Mat2) -> CycElem:
-    """The double sum, evaluated exactly in one pass over j < c/2.
+    """S on any Gamma0(q1 q2) matrix, by the double sum evaluated exactly in
+    one pass over j < c/2.
 
-    Requires c >= 1 (and gamma in Gamma0(q1 q2)); the fast path covers the
-    rest of the group.  With y = q1 (a j mod c)/c, the inner sum over n is
-    A[floor(y)] = (1/q1) sum_k k conj(chi1(k - floor(y))) for non-principal
-    chi1, plus conj(chi1(-y))/2 when y is an integer; but y is an integer
-    only when c/q1, a multiple of q2, divides j, and then chi2(j) = 0.  So
-    each j adds 2j - c to one of the q1 buckets of its chi2 exponent, and
-    each set of buckets is combined once, with the terms `_bucket_terms`
-    tables.  Pairing j with c - j multiplies the summand by chi1*chi2(-1):
-    only j < c/2 is walked, and the sum is 0 when that sign is -1.
+    Raises ValueError off Gamma0(N), naming gamma as given, or for a
+    principal chi1.  By the closure the module derives, c = 0 is 0 and
+    c <= -1 has the double sum of -gamma.  With y = q1 (a j mod c)/c, the
+    inner sum over n is A[floor(y)] = (1/q1) sum_k k conj(chi1(k - floor(y)))
+    for non-principal chi1, plus conj(chi1(-y))/2 when y is an integer; but
+    y is an integer only when c/q1, a multiple of q2, divides j, and then
+    chi2(j) = 0.  So each j adds 2j - c to one of the q1 buckets of its chi2
+    exponent, and each set of buckets is combined once, with the terms
+    `_bucket_terms` tables.  Pairing j with c - j multiplies the summand by
+    chi1*chi2(-1): only j < c/2 is walked, and the sum is 0 when that sign
+    is -1.
     """
     q1, q2 = chi1.modulus, chi2.modulus
     N = q1 * q2
-    a, c = gamma.a, gamma.c
-    if c <= 0:
-        raise ValueError("the defining double sum needs lower-left entry >= 1")
     if not gamma.in_gamma0(N):
         raise ValueError(f"{gamma} is not in Gamma0({N})")
     if chi1.order == 1:
         raise ValueError("the double sum is evaluated for non-principal chi1 only")
     L = pair_order(chi1, chi2)
-    if _psi_odd(chi1, chi2):
+    if gamma.c == 0 or _psi_odd(chi1, chi2):
         return CycElem.zero(L)
+    a, c = (gamma.a, gamma.c) if gamma.c > 0 else (-gamma.a, -gamma.c)
     # chi2(j) = zeta_L^e2[j], or None where chi2(j) = 0; summands take conjugates
     e2, terms = chi2.exponent_table(L), _bucket_terms(chi1, L)
     # integer numerators per zeta-exponent over the common denominator
@@ -149,24 +151,6 @@ def _bucket_terms(chi1: DirichletCharacter, L: int) -> tuple:
     e1, q1 = chi1.exponent_table(L), chi1.modulus
     pairs = [[(-e1[k - m] % L, 2 * k) for k in range(1, q1) if e1[k - m] is not None] for m in range(q1)]
     return tuple(map(tuple, pairs))
-
-
-def sum_on_gamma0(chi1, chi2, gamma: Mat2) -> CycElem:
-    """S on any Gamma0(N) matrix, via the double sum or its closure.
-
-    The double sum reads only a mod c and c, so S(gamma T^b) = S(gamma),
-    and the cocycle identity gives S(+-T^b) = 0: c = 0 is 0.  S(-gamma) =
-    psi(-1) S(gamma) = S(gamma) whenever any sum is nonzero, so c <= -1 is
-    the double sum of -gamma.  Raises ValueError when gamma itself is not
-    in Gamma0(N).  A build looks it up at call time, for G and the
-    generator sums.
-    """
-    N = chi1.modulus * chi2.modulus
-    if not gamma.in_gamma0(N):
-        raise ValueError(f"{gamma} is not in Gamma0({N})")
-    if gamma.c == 0:
-        return CycElem.zero(pair_order(chi1, chi2))
-    return naive_sum(chi1, chi2, gamma if gamma.c > 0 else -gamma)
 
 
 @dataclass
@@ -257,8 +241,8 @@ def _validate_pair(chi1, chi2, allow_large: bool):
 def _check_level(N: int, allow_large: bool):
     if N > DEFAULT_LEVEL_LIMIT and not allow_large:
         raise ValueError(
-            f"level N = {N} exceeds the guardrail {DEFAULT_LEVEL_LIMIT}; pass allow_large=True "
-            f"(the tables would have {sl2_coset_count(N):,} coset keys)"
+            f"level N = {_short(N)} exceeds the guardrail {DEFAULT_LEVEL_LIMIT}; pass allow_large=True "
+            f"(the tables would have up to N^2 = {_short(N * N)} coset keys)"
         )
 
 
@@ -316,12 +300,13 @@ def _build(chi1, chi2, allow_large: bool) -> tuple[Context, int]:
         nonlocal runs
         if m.c == 0:
             return zero
-        a, c = (m.a % m.c, m.c) if m.c > 0 else (-m.a % -m.c, -m.c)
+        m = m if m.c > 0 else -m
+        a, c = m.a % m.c, m.c
         if (value := known.get((a, c))) is None:
             if c == N and (twin := known.get((-a % c, c))) is not None:
                 value = -twin if even else twin
-            else:
-                value, runs = sum_on_gamma0(chi1, chi2, m), runs + 1
+            else:  # looked up at call time, so a test's replacement applies
+                value, runs = naive_sum(chi1, chi2, m), runs + 1
             value = known[a, c] = one_of.setdefault(value, value)
         return value
 
@@ -335,8 +320,9 @@ def _build(chi1, chi2, allow_large: bool) -> tuple[Context, int]:
     _lap(laps)
     ctx = Context(chi1, chi2, p1, sums, {1 % N: zero, **g})
     _lap(laps)
-    if bad := next(_g_mismatches(ctx), None):
-        raise ValueError(f"the Gamma0 transversal sum at d = {bad[0]} breaks the cocycle identity")
+    members = ctx.t_g0.members.items()
+    if bad := next((d for d, m in members if m != I2 and _numerators(ctx, m) != [*ctx.g_rows[d]]), None):
+        raise ValueError(f"the Gamma0 transversal sum at d = {bad} breaks the cocycle identity")
     if laps:
         _lap(laps)
         phases = tuple(map(sub, laps[1:], laps))
@@ -347,15 +333,6 @@ def _build(chi1, chi2, allow_large: bool) -> tuple[Context, int]:
             extra={"oracle_calls": runs, "phases": phases},
         )
     return ctx, runs
-
-
-def _g_mismatches(ctx: Context):
-    """(d, table sum, G) at each member g_d of the Gamma0 transversal but I
-    where `fast_sum`'s integer row over ctx.den is not G's, lazily: `_build`
-    raises at the first, and `verify` reports it."""
-    for d, m in ctx.t_g0.members.items():
-        if m != I2 and _numerators(ctx, m) != [*ctx.g_rows[d]]:
-            yield d, fast_sum(ctx, m), ctx.sums_g0[d]
 
 
 def _lap(laps):
@@ -471,10 +448,8 @@ def _numerators(ctx: Context, gamma: Mat2) -> list:
 
 
 def crossed_hom_check(chi1, chi2, ga: Mat2, gb: Mat2) -> bool:
-    """Whether S(ga gb) = S(ga) + psi(ga) S(gb) under the double sum.
-
-    All three lower-left entries must be >= 1.
-    """
+    """Whether S(ga gb) = S(ga) + psi(ga) S(gb) under `naive_sum`, for any
+    ga, gb in Gamma0(N)."""
     lhs = naive_sum(chi1, chi2, ga * gb)
     rhs = naive_sum(chi1, chi2, ga) + psi(chi1, chi2, ga) * naive_sum(chi1, chi2, gb)
     return lhs == rhs
@@ -518,10 +493,11 @@ def load_context(path, *, allow_large: bool = False) -> Context:
     `precompute` does, and require the file to be exactly what that context
     writes.
 
-    The version must be CACHE_VERSION, and the level of the stored moduli
-    must pass the guardrail (unless allow_large) before any character is
-    built.  The pair then goes through `_build`: its checks, the double
-    sums, the relations and the G check.
+    The version must be CACHE_VERSION, the level of the stored moduli must
+    pass the guardrail (unless allow_large), and each stored value must be
+    a string -?[0-9]+(/[0-9]+)?, before any character is built.  The pair
+    then goes through `_build`: its checks, the double sums, the relations
+    and the G check.
     Each top-level field of `context_to_json` of the result must serialize
     as the file's does, with none missing or extra, so each character value
     must be the string `str(Fraction)` writes.  Otherwise a ValueError names
@@ -539,6 +515,9 @@ def load_context(path, *, allow_large: bool = False) -> Context:
         if not all(type(c["q"]) is int and c["q"] >= 1 for c in stored):
             raise ValueError(f"cache {path}: a stored modulus is not a positive integer")
         _check_level(stored[0]["q"] * stored[1]["q"], allow_large)
+        # before Fraction(), which would parse "1e1000000000" into a 10^9-digit integer
+        if not all(type(g["v"]) is str and re.fullmatch("-?[0-9]+(/[0-9]+)?", g["v"]) for c in stored for g in c["gens"]):
+            raise ValueError(f"cache {path}: a stored value is not a string -?[0-9]+(/[0-9]+)?")
         chi1, chi2 = (
             find_character(c["q"], [(g["g"], Fraction(g["v"])) for g in c["gens"]]) for c in stored
         )

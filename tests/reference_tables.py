@@ -151,27 +151,27 @@ def p1_classes(p1: Transversal) -> dict:
 def all_oracle_context(chi1, chi2, p1: Transversal):
     """The context over the P^1 transversal p1 with every U(r, T) and
     U(r, S) sum, two double sums per point, and every G(d) evaluated by
-    `dedekind.sum_on_gamma0` (looked up at call time, so a test's
+    `dedekind.naive_sum` (looked up at call time, so a test's
     replacement oracle applies)."""
-    oracle = dedekind.sum_on_gamma0
+    oracle = dedekind.naive_sum
     sums = {entry: oracle(chi1, chi2, m) for entry, m in schreier_alphabet(p1.N, p1).items()}
     return dedekind.Context(chi1, chi2, p1, sums, oracle_g0(chi1, chi2))
 
 
 def oracle_g0(chi1, chi2) -> dict:
-    """G(d) by `dedekind.sum_on_gamma0` (looked up at call time) at each
+    """G(d) by `dedekind.naive_sum` (looked up at call time) at each
     member g_d of the Gamma0 transversal, keyed by d, and 0 at I."""
     zero = CycElem.zero(characters.pair_order(chi1, chi2))
     members = transversal_g1_in_g0(chi1.modulus * chi2.modulus).members
-    return {d: zero if m == I2 else dedekind.sum_on_gamma0(chi1, chi2, m) for d, m in members.items()}
+    return {d: zero if m == I2 else dedekind.naive_sum(chi1, chi2, m) for d, m in members.items()}
 
 
 def oracle_gamma1(ctx) -> tuple[dict, dict]:
-    """What ctx derives, by `dedekind.sum_on_gamma0` instead (looked up at
+    """What ctx derives, by `dedekind.naive_sum` instead (looked up at
     call time): the sums of its Gamma0 transversal members, keyed by d, and
     of the Schreier generators U(t, T), U(t, S) of its Gamma1 transversal,
     keyed like `gamma1_alphabet(N, ctx.t_sl2)`, two double sums per key."""
-    oracle = dedekind.sum_on_gamma0
+    oracle = dedekind.naive_sum
     alphabet = gamma1_alphabet(ctx.N, ctx.t_sl2)
     return oracle_g0(ctx.chi1, ctx.chi2), {entry: oracle(ctx.chi1, ctx.chi2, m) for entry, m in alphabet.items()}
 
@@ -569,6 +569,6 @@ def derived_mismatches(ctx, cmax: int) -> tuple[int, list]:
             m = u_func(t.members[base_key], word, t)
             if abs(m.c) <= cmax:
                 checked += 1
-                if dedekind.sum_on_gamma0(ctx.chi1, ctx.chi2, m) != as_cyc(ctx, value):
+                if dedekind.naive_sum(ctx.chi1, ctx.chi2, m) != as_cyc(ctx, value):
                     bad.append((kind, key, m))
     return checked, bad

@@ -11,7 +11,7 @@ import pytest
 
 from gdsum import cli, dedekind, find_character
 from gdsum.cli import main, run_verify
-from gdsum.dedekind import load_context, naive_sum, precompute, save_context, sum_on_gamma0
+from gdsum.dedekind import load_context, naive_sum, precompute, save_context
 from gdsum.modgroup import Mat2
 from reference_tables import derived_mismatches
 from test_oracle import floor_sum_oracle
@@ -106,9 +106,9 @@ def test_precompute_reports_oracle_calls(capsys, monkeypatch):
 
     def oracle(chi1, chi2, gamma):
         calls.append(gamma)
-        return sum_on_gamma0(chi1, chi2, gamma)
+        return naive_sum(chi1, chi2, gamma)
 
-    monkeypatch.setattr(dedekind, "sum_on_gamma0", oracle)
+    monkeypatch.setattr(dedekind, "naive_sum", oracle)
     level = logging.getLogger("gdsum").level
     assert main(["precompute", *PAIR]) == 0
     out, err = capsys.readouterr()
@@ -336,7 +336,7 @@ def test_sum_naive_rejects_huge_c(capsys, monkeypatch, builds):
     def no_double_sum(*args):
         raise AssertionError("the double sum was called")
 
-    monkeypatch.setattr(cli, "sum_on_gamma0", no_double_sum)
+    monkeypatch.setattr(cli, "naive_sum", no_double_sum)
     c = 9 * 10**59
     for matrix in (f"1,0;{c},1", f"1,0;-{c},1"):
         rc = main(["sum", *PAIR, "--matrix", matrix, "--naive"])
@@ -618,12 +618,10 @@ def test_verify_deterministic(capsys):
 
 def test_verify_detects_corruption(capsys, monkeypatch):
     def corrupted_build(*args, **kwargs):
-        # the context derives the Gamma0 transversal sums G: corrupt the
-        # integer row of one on a copy; verify re-checks all of them
+        # a copy whose stored Gamma0 transversal sum G(2) is off by one;
+        # verify checks every stored G against the double sum at its member
         ctx, *counts = dedekind._build(*args, **kwargs)
-        ctx = dataclasses.replace(ctx)
-        ctx.g_rows = list(ctx.g_rows)
-        ctx.g_rows[2] = (7,) * len(ctx.zero)
+        ctx = dataclasses.replace(ctx, sums_g0={**ctx.sums_g0, 2: ctx.sums_g0[2] + 1})
         return ctx, *counts
 
     monkeypatch.setattr(cli, "_build", corrupted_build)
@@ -651,10 +649,12 @@ def test_run_verify_report_structure(ctx9):
         ("q=5;g=x;v=1/2", CHI3, "generator 'x' in character spec 'q=5;g=x;v=1/2' is not an integer"),
         ("q=7;q=5;g=2;v=1/4", CHI3, "character spec 'q=7;q=5;g=2;v=1/4' gives q= twice"),
         ("q=4;g=2;v=1/2", CHI3, "character spec 'q=4;g=2;v=1/2' matches 0 primitive characters, need exactly 1"),
+        ("q=5;g=2;v=1e1000000000", CHI3, "value '1e1000000000' in character spec 'q=5;g=2;v=1e1000000000' is in "
+         "exponent notation"),
     ],
     ids=[
         "zero-denominator", "huge-modulus", "zero-modulus", "non-integer-modulus", "non-integer-generator",
-        "repeated-modulus", "no-character",
+        "repeated-modulus", "no-character", "exponent-notation",
     ],
 )
 def test_bad_spec_exits_1(capsys, monkeypatch, chi1, chi2, message):

@@ -29,7 +29,6 @@ from gdsum.dedekind import (
     precompute,
     save_context,
     split_gamma0,
-    sum_on_gamma0,
 )
 from gdsum.exactnum import CycElem, root_of_unity
 from gdsum.modgroup import I2, Mat2, S, T, random_gamma0, ts_decompose, ts_reconstruct
@@ -141,11 +140,13 @@ def _sweep_matrices(N):
             yield Mat2(a, (a * d - 1) // c, c, d)
 
 
-def test_naive_sum_rejects_nonpositive_c(chi3):
-    with pytest.raises(ValueError):
-        naive_sum(chi3, chi3, I2)
-    with pytest.raises(ValueError):
-        naive_sum(chi3, chi3, Mat2(1, 0, -9, 1))
+def test_naive_sum_closes_over_nonpositive_c(chi3):
+    """The shears +-T^b, +-I among them, sum to 0, and a matrix with c < 0
+    has the double sum of its negation: the pinned value of (5, 1; 9, 2)."""
+    for m in (I2, -I2, Mat2(1, 7, 0, 1), Mat2(-1, 3, 0, -1)):
+        assert naive_sum(chi3, chi3, m) == CycElem.zero(2), m
+    assert naive_sum(chi3, chi3, Mat2(-5, -1, -9, -2)) == CycElem.from_rational(2, Fraction(-2, 3))
+    assert naive_sum(chi3, chi3, Mat2(1, 0, -9, 1)) == naive_sum(chi3, chi3, Mat2(-1, 0, 9, -1))
 
 
 def test_naive_sum_rejects_non_members(chi3):
@@ -206,7 +207,7 @@ def test_crossed_hom_gamma1_left_factor(chi3):
         )
 
 
-def test_sum_on_gamma0_closure(request):
+def test_naive_sum_closure_on_gamma0(request):
     """c = 0 gives 0 and c < 0 the double sum of -gamma: on each pair that
     equals what the cocycle identity derives, -psi(gamma) S(gamma^-1) for
     c < 0 and S(h T^b) - S(h), h = (1, 0; N, 1), for the shears T^b (times
@@ -220,34 +221,34 @@ def test_sum_on_gamma0_closure(request):
         for _ in range(10):
             g = random_gamma0(N, rng, kmax=15)
             neg = -g  # c < 0
-            v = sum_on_gamma0(chi1, chi2, neg)
+            v = naive_sum(chi1, chi2, neg)
             assert v == naive_sum(chi1, chi2, g) == -(psi(chi1, chi2, neg) * naive_sum(chi1, chi2, neg.inv()))
         h = Mat2(1, 0, N, 1)
         for b in (-7, -1, 1, 2, 9, 30):
             partner = naive_sum(chi1, chi2, mul_t_power(h, b)) - naive_sum(chi1, chi2, h)
-            assert sum_on_gamma0(chi1, chi2, t_power(b)) == partner, (pair, b)
-            assert sum_on_gamma0(chi1, chi2, -t_power(b)) == psi(chi1, chi2, -I2) * partner
-        assert sum_on_gamma0(chi1, chi2, I2) == sum_on_gamma0(chi1, chi2, -I2) == CycElem.zero(L)
+            assert naive_sum(chi1, chi2, t_power(b)) == partner, (pair, b)
+            assert naive_sum(chi1, chi2, -t_power(b)) == psi(chi1, chi2, -I2) * partner
+        assert naive_sum(chi1, chi2, I2) == naive_sum(chi1, chi2, -I2) == CycElem.zero(L)
         off = Mat2(-1, 0, -1, -1)
         with pytest.raises(ValueError, match=re.escape(f"{off} is not in Gamma0({N})")):
-            sum_on_gamma0(chi1, chi2, off)
+            naive_sum(chi1, chi2, off)
 
 
 @pytest.mark.parametrize("name", ["ctx9", "ctx28", "ctx35_l12", "ctx35"])
 def test_the_build_reads_each_double_sum_as_a_row_in_lowest_terms(request, name):
     """The row `exactnum._rows` gives a build for S(gamma) alone, on the
     sweep's matrices, their negations and the shears +-T^b, is (den, row)
-    with gcd(den, *row) = 1, and row/den is `sum_on_gamma0` coefficient by
+    with gcd(den, *row) = 1, and row/den is `naive_sum` coefficient by
     coefficient; ctx35's pair has psi(-1) = -1, so every row there is 0
     over 1."""
     ctx = request.getfixturevalue(name)
     mats = list(_sweep_matrices(ctx.N))
     mats += [-m for m in mats] + [t_power(b) for b in (-3, 0, 2)] + [-t_power(b) for b in (-1, 0, 5)]
     for gamma in mats:
-        den, rows = exactnum._rows({0: sum_on_gamma0(ctx.chi1, ctx.chi2, gamma)})
+        den, rows = exactnum._rows({0: naive_sum(ctx.chi1, ctx.chi2, gamma)})
         row = rows[0]
         assert den >= 1 and gcd(den, *row) == 1 and all(type(n) is int for n in row), gamma
-        assert tuple(Fraction(n, den) for n in row) == sum_on_gamma0(ctx.chi1, ctx.chi2, gamma).coeffs, gamma
+        assert tuple(Fraction(n, den) for n in row) == naive_sum(ctx.chi1, ctx.chi2, gamma).coeffs, gamma
         assert name != "ctx35" or (den, any(row)) == (1, False)
 
 
@@ -306,7 +307,7 @@ def test_the_double_sum_at_minus_lambda_is_minus_chi2_of_minus_one_times_it():
 def test_every_generator_on_c_plus_minus_n_has_the_double_sum_of_g(request, name):
     """A Gamma0 generator (a b; +-N d) has the double sum's input (a mod N,
     N), up to the sign of the matrix, which G has at the member g_+-d:
-    `sum_on_gamma0` there equals G(+-d mod N), so the build's memo reads
+    `naive_sum` there equals G(+-d mod N), so the build's memo reads
     it from G.  No such generator has the key 1 of I, where G is 0 and no
     double sum, and the build would run the double sum."""
     ctx = request.getfixturevalue(name)
@@ -314,7 +315,7 @@ def test_every_generator_on_c_plus_minus_n_has_the_double_sum_of_g(request, name
     keys = [m.d * m.c // ctx.N % ctx.N for m in on_n]
     assert len(on_n) >= 4 and 1 not in keys
     for m, lam in zip(on_n, keys):
-        assert sum_on_gamma0(ctx.chi1, ctx.chi2, m) == ctx.sums_g0[lam], m
+        assert naive_sum(ctx.chi1, ctx.chi2, m) == ctx.sums_g0[lam], m
 
 
 @pytest.mark.parametrize("pair", ["9", "28", "35-odd", "35-l12", "35-even", "143"])
@@ -468,12 +469,12 @@ def test_derive_powers_matches_direct(ctx9, chi3):
     # must equal the closure of the double sum on its matrix, and so every
     # row of the potential table, which is made of those sums
     for (key, gen), mat in full_alphabet(9, ctx9.t_sl2).items():
-        direct = sum_on_gamma0(chi3, chi3, mat)
+        direct = naive_sum(chi3, chi3, mat)
         assert alphabet_sum(ctx9, key, gen) == direct, (key, gen)
     for kind, key, row, expect in derived_rows(ctx9):
         assert row == expect, (kind, key)
     for d, mem in ctx9.t_g0.members.items():
-        assert ctx9.sums_g0[d] == sum_on_gamma0(chi3, chi3, mem), d
+        assert ctx9.sums_g0[d] == naive_sum(chi3, chi3, mem), d
 
 
 @pytest.mark.parametrize("name", ["ctx28", "ctx35_l12"])
@@ -549,7 +550,7 @@ def test_fast_sum_handles_nonpositive_c(contexts):
             g = random_gamma0(N, rng, kmax=50, d_shift=1)
             mats += [-g, g.inv(), -g.inv()]
         for m in mats:
-            assert fast_sum(ctx, m) == sum_on_gamma0(ctx.chi1, ctx.chi2, m), (name, m)
+            assert fast_sum(ctx, m) == naive_sum(ctx.chi1, ctx.chi2, m), (name, m)
     assert fast_sum(contexts["ctx9"], I2) == CycElem.zero(2)
 
 
@@ -750,7 +751,7 @@ def test_load_logs_what_it_validated(tmp_path, monkeypatch, caplog, ctx28):
     save_context(ctx28, path)
     oracle, clock = [], []
     monkeypatch.setattr(
-        dedekind, "sum_on_gamma0", lambda *args: oracle.append(args[2]) or sum_on_gamma0(*args)
+        dedekind, "naive_sum", lambda *args: oracle.append(args[2]) or naive_sum(*args)
     )
     monkeypatch.setattr(
         dedekind, "time", SimpleNamespace(perf_counter=lambda: clock.append(1) or time.perf_counter())
@@ -798,66 +799,68 @@ def test_a_build_walks_the_relations_once(tmp_path, monkeypatch, request, name):
 
 def test_the_level_guardrail_raises_a_plain_value_error():
     """Above DEFAULT_LEVEL_LIMIT, precompute raises ValueError itself, no
-    subclass, naming allow_large=True and the number of coset keys."""
+    subclass, naming allow_large=True and N^2, which bounds the number of
+    coset keys without factorizing N."""
     chi1, chi2 = find_character(11, [(2, "1/2")]), find_character(13, [(2, "1/12")])
     with pytest.raises(ValueError) as info:
         precompute(chi1, chi2)
     assert type(info.value) is ValueError
     assert str(info.value) == (
-        "level N = 143 exceeds the guardrail 80; pass allow_large=True (the tables would have 20,160 coset keys)"
+        "level N = 143 exceeds the guardrail 80; pass allow_large=True (the tables would have up to N^2 = 20449 "
+        "coset keys)"
     )
 
 
-def test_a_build_checks_every_relation_on_the_solved_rows(monkeypatch, ctx28):
+def test_a_build_checks_every_relation_on_its_rows(monkeypatch, ctx28):
     """A double sum off by one at one generator, off c = +-N so that G
     does not read it, breaks a relation, which the build names before it
     builds a context."""
     wrong = []
 
     def off_by_one(chi1, chi2, gamma):
-        value = sum_on_gamma0(chi1, chi2, gamma)
+        value = naive_sum(chi1, chi2, gamma)
         if abs(gamma.c) != 28 and not wrong:
             wrong.append(gamma)
             return value + 1
         return value
 
-    monkeypatch.setattr(dedekind, "sum_on_gamma0", off_by_one)
+    monkeypatch.setattr(dedekind, "naive_sum", off_by_one)
     monkeypatch.setattr(dedekind, "Context", lambda *a: pytest.fail("a context was built"))
     with pytest.raises(ValueError, match=r"U\(r, T\) and U\(r, S\) sums over P\^1 at key .* break "):
         precompute(ctx28.chi1, ctx28.chi2)
     assert len(wrong) == 1
 
 
-def test_load_rejects_a_cache_wrong_at_one_pivot(tmp_path, monkeypatch, ctx28):
-    """A pivot here is an input off c = +-N, whose double sum gives
-    generator sums and no G: a load whose double sum reads a value wrong by
-    1/3 at one pivot, its denominator new to the build, is refused, as a
-    precompute is, before any context is built; so is each of the 8 in
-    turn, a twin input included."""
+def test_load_rejects_a_double_sum_wrong_off_c_n(tmp_path, monkeypatch, ctx28):
+    """An input off c = +-N has a double sum that gives generator sums and
+    no G: a load whose double sum reads a value wrong by 1/3 at one such
+    input, its denominator new to the build, is refused, as a precompute
+    is, before any context is built; so is each of the 8 in turn, a twin
+    input included."""
     path = tmp_path / "ctx28.json"
     save_context(ctx28, path)
     monkeypatch.setattr(dedekind, "Context", lambda *a: pytest.fail("a context was built"))
     for wrong in range(8):
-        pivots = []
+        off_n = []
 
         def wrong_at_one(chi1, chi2, gamma):
-            value = sum_on_gamma0(chi1, chi2, gamma)
+            value = naive_sum(chi1, chi2, gamma)
             if abs(gamma.c) != 28:
-                pivots.append(gamma)
-                return value + Fraction(len(pivots) == wrong + 1, 3)
+                off_n.append(gamma)
+                return value + Fraction(len(off_n) == wrong + 1, 3)
             return value
 
-        monkeypatch.setattr(dedekind, "sum_on_gamma0", wrong_at_one)
+        monkeypatch.setattr(dedekind, "naive_sum", wrong_at_one)
         with pytest.raises(ValueError, match=r"U\(r, T\) and U\(r, S\) sums over P\^1 at key .* break "):
             load_context(path)
-        assert len(pivots) == 8
+        assert len(off_n) == 8
 
 
 @pytest.mark.parametrize(
     "coeff",
     [0, 0.0, 1.5, "0.0", "0e3", "1.5", "1e3", "", "0/", "0_0", " 0", "+0", "0/ 1", "0/1/1"]
     + ["3/", "1_0", " 3", "+3", "2/ 4", "3 ", "1/-2", "\u0663"]
-    + [0.5, "0.5", " 1/2", "+1/2", "2/4", "3/2", "-1/2"],
+    + [0.5, "0.5", " 1/2", "+1/2", "2/4", "3/2", "-1/2", "1e1000000000"],
     ids=repr,
 )
 def test_load_rejects_coefficients_not_written_p_q(tmp_path, ctx9, coeff):
@@ -866,7 +869,8 @@ def test_load_rejects_coefficients_not_written_p_q(tmp_path, ctx9, coeff):
     str(Fraction) writes them.  chi1's value at 2, stored as "1/2", is
     refused as a JSON number, a decimal string or any other form Fraction()
     would take, even one that names the same character, and any other
-    value."""
+    value; one in exponent notation, whose Fraction() would have 10^9
+    digits, is refused by that grammar before it is parsed."""
     path = tmp_path / "ctx9.json"
     save_context(ctx9, path)
     data = json.loads(path.read_text())
@@ -898,13 +902,15 @@ def test_load_rejects_anything_the_pair_does_not_give(tmp_path, ctx9, extra):
 def test_load_checks_the_stored_level_before_any_character(tmp_path, monkeypatch, ctx9):
     """A stored modulus far above the guardrail is refused before any
     character is built: building every character mod 1601 alone takes
-    seconds.  A modulus that is no positive integer is refused too."""
+    seconds.  So is 2^61 - 1, whose level the guardrail's message does not
+    factorize.  A modulus that is no positive integer is refused too."""
     path = tmp_path / "ctx9.json"
     save_context(ctx9, path)
     data = json.loads(path.read_text())
     monkeypatch.setattr(dedekind, "find_character", lambda *a: pytest.fail("a character was built"))
-    for q in (1601, 0, 3.0, True):
-        message = "level N = 4803 exceeds the guardrail 80" if q == 1601 else "not a positive integer"
+    levels = {1601: 4803, 2**61 - 1: 6917529027641081853}
+    for q in (*levels, 0, 3.0, True):
+        message = f"level N = {levels[q]} exceeds the guardrail 80" if q in levels else "not a positive integer"
         data["chi2"]["q"] = q
         path.write_text(json.dumps(data))
         with pytest.raises(ValueError, match=message):
@@ -1278,7 +1284,7 @@ def test_derivation_formula_matches_the_double_sum(contexts, name, data):
     """On a random Gamma1 generator U(t, x), t = g_lambda r_k, the
     derivation formula psi(lambda) S(U(r_k, x)) + G(lambda) - G(lambda u),
     u = d(U(r_k, x)) mod N, with every sum on the right from
-    `sum_on_gamma0`, equals `sum_on_gamma0` on U(t, x) and the context's
+    `naive_sum`, equals `naive_sum` on U(t, x) and the context's
     derived sum; and u is the scalar of the key k x over P^1."""
     ctx = contexts[name]
     chi1, chi2, N, g, p1 = ctx.chi1, ctx.chi2, ctx.N, ctx.t_g0.members, ctx.p1
@@ -1290,7 +1296,7 @@ def test_derivation_formula_matches_the_double_sum(contexts, name, data):
     u0 = u_func(p1.members[k], x, p1)
     assert u0.in_gamma0(N)
     assert u0.d % N == classes[(k[0] * x.a + k[1] * x.c) % N, (k[0] * x.b + k[1] * x.d) % N][1]
-    oracle = partial(sum_on_gamma0, chi1, chi2)
+    oracle = partial(naive_sum, chi1, chi2)
     formula = psi(chi1, chi2, g[lam]) * oracle(u0) + oracle(g[lam]) - oracle(g[lam * u0.d % N])
     u1 = u_func(ctx.t_sl2.members[key], x, ctx.t_sl2)
     assert formula == oracle(u1) == gamma1_sums(ctx)[key, gen]
@@ -1362,9 +1368,9 @@ FIXTURE_OF = {"9": "ctx9", "28": "ctx28", "35-odd": "ctx35", "35-l12": "ctx35_l1
 @pytest.mark.parametrize("transversal", ["schreier", "lift"])
 @pytest.mark.parametrize("pair", sorted(PAIRS))
 def test_solved_table_matches_all_oracle(request, monkeypatch, pair, transversal):
-    """Every solved Gamma0 generator sum, and every Gamma0 transversal sum
-    and Gamma1 generator sum derived from them, equals the double sum on
-    its matrix, over the Schreier transversal and over the lift one."""
+    """Every Gamma0 generator sum and Gamma0 transversal sum a build reads,
+    and every Gamma1 generator sum derived from them, equals the double sum
+    on its matrix, over the Schreier transversal and over the lift one."""
     chi1, chi2 = _pair(request, pair)
     if transversal == "lift":
         monkeypatch.setattr(dedekind, "transversal_g0_in_sl2", lift_p1_transversal)
@@ -1409,9 +1415,9 @@ def _counting_oracle(monkeypatch):
 
     def oracle(chi1, chi2, gamma):
         calls.append(gamma)
-        return sum_on_gamma0(chi1, chi2, gamma)
+        return naive_sum(chi1, chi2, gamma)
 
-    monkeypatch.setattr(dedekind, "sum_on_gamma0", oracle)
+    monkeypatch.setattr(dedekind, "naive_sum", oracle)
     return calls
 
 
@@ -1424,15 +1430,15 @@ def test_precompute_rejects_a_shifted_oracle(request, monkeypatch, pair):
     L = pair_order(chi1, chi2)
     monkeypatch.setattr(
         dedekind,
-        "sum_on_gamma0",
-        lambda a, b, gamma: sum_on_gamma0(a, b, gamma) + CycElem.one(L),
+        "naive_sum",
+        lambda a, b, gamma: naive_sum(a, b, gamma) + CycElem.one(L),
     )
     with pytest.raises(ValueError, match="break") as info:
         _precompute(chi1, chi2)
     assert "cached" not in str(info.value)
 
 
-def test_solve_rescales_to_a_new_denominator(request, monkeypatch):
+def test_a_build_rescales_to_a_new_denominator(request, monkeypatch):
     """The Fricke conjugation (a b; c d) -> (d, -c/N; -N b, a) maps Gamma0(N)
     onto itself and psi to its conjugate, so the complex conjugate of
     S(its conjugate) is a crossed homomorphism with the same psi, and so is
@@ -1447,10 +1453,10 @@ def test_solve_rescales_to_a_new_denominator(request, monkeypatch):
 
     def oracle(a, b, g):
         fricke = Mat2(g.d, -g.c // N, -N * g.b, g.a)
-        s = sum_on_gamma0(a, b, g)
-        return s + third * (s + conj(sum_on_gamma0(a, b, fricke)))
+        s = naive_sum(a, b, g)
+        return s + third * (s + conj(naive_sum(a, b, fricke)))
 
-    monkeypatch.setattr(dedekind, "sum_on_gamma0", oracle)
+    monkeypatch.setattr(dedekind, "naive_sum", oracle)
     ctx = precompute(chi1, chi2)
     assert ctx.den == 3
     ref = all_oracle_context(chi1, chi2, ctx.p1)
