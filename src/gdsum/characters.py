@@ -189,9 +189,11 @@ def characters_mod(q: int) -> list[DirichletCharacter]:
 def find_character(q: int, assignments) -> DirichletCharacter:
     """The unique primitive character mod q with chi(g) = exp(2*pi*i*t)
     for every (g, t) in assignments; raises if none or several match,
-    naming the spec that q and the assignments spell.
+    naming the spec that q and the assignments spell; a string t is read
+    as a spec's value is, so exponent notation is refused.
     """
-    assignments = [(g, Fraction(t)) for g, t in assignments]
+    assignments = [(g, _spec_number("value", t, f"at g={_short(g)}", Fraction) if type(t) is str else Fraction(t))
+                   for g, t in assignments]
     spec = ";".join([f"q={_short(q)}"] + [
         f"g={_short(g)};v={_short(t.numerator)}{f'/{_short(t.denominator)}' if t.denominator > 1 else ''}"
         for g, t in assignments])

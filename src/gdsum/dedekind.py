@@ -28,7 +28,7 @@ powers everything here:
     U(r_k, S), over the mu points k of P^1(Z/N), are read from the double
     sum, whose inputs there are small (|c| <= 9,063 at N = 1007); the
     shears +-T^b among them have sum 0, and S^2 = -I and (ST)^3 = S^2 give
-    twisted identities among them that each build checks;
+    twisted identities among them that each context checks on its key rows;
   * those 2 mu sums are the one sum format: a `Context` is built from them
     and the sums G(d) at the Gamma0 transversal members g_d, deriving the
     two slot tables the evaluator reads (`_slot_tables`).  `_build` runs
@@ -79,7 +79,7 @@ from .cosets import (
     transversal_g1_in_g0,
     transversal_g1_in_sl2,
 )
-from .exactnum import CycElem, _cyc, _powers, _rotations, _rows, _turns
+from .exactnum import CycElem, _cyc, _rotations, _rows, cyclotomic_polynomial
 from .modgroup import I2, Mat2, _short, ts_decompose
 from .rewriter import modified_rewrite, reduce_word
 
@@ -168,8 +168,9 @@ class Context:
     by d mod N), 0 at I, one of which ends each walk.  `__post_init__`
     derives only what `fast_sum` reads, in integers over the common
     denominator `den`: `N` and `L`; `t_g0` and `g_rows[lambda]`, the row of
-    G(lambda), None off the units; and the slot tables, the only lists of
-    size N^2 it keeps.
+    G(lambda), None off the units; the slot tables, the only lists of size
+    N^2 it keeps; and `relations`, the count `_check_relations` read on
+    their key rows and the first broken (key, name), or None.
     With F(k) the sum of the Gamma1 generator sums s_T along k's T-orbit
     up to k and Sigma the orbit total, the cocycle identity gives, for
     every integer a,
@@ -188,7 +189,8 @@ class Context:
     access and then kept, for the benchmark's table comparison and the
     tests.  Nothing derived is passed in, so `dataclasses.replace(ctx,
     sums_alphabet=...)` evaluates the sums it holds, and replacing a
-    derived field raises; `_build` checks the relations and G.
+    derived field raises; a broken relation does not, and `_build` refuses
+    it, then checks G.
     """
 
     chi1: DirichletCharacter
@@ -204,6 +206,7 @@ class Context:
     zero: tuple = field(init=False, compare=False, repr=False)
     t_slot: list = field(init=False, compare=False, repr=False)
     s_slot: list = field(init=False, compare=False, repr=False)
+    relations: tuple = field(init=False, compare=False, repr=False)
 
     @property
     def alphabet(self) -> dict:
@@ -219,13 +222,14 @@ class Context:
         if p1.kind != "p1" or p1.N != N:
             raise ValueError(f"the generator sums need a transversal over P^1(Z/{N})")
         self.L = L = pair_order(chi1, chi2)
-        self.zero = zero = (0,) * len(_powers(L)[0])
+        self.zero = zero = (0,) * (len(cyclotomic_polynomial(L)) - 1)
         self.t_g0 = t_g0 = transversal_g1_in_g0(N)
         if self.sums_g0.keys() != t_g0.members.keys():
             raise ValueError(f"G needs one sum per unit mod {N}")
         self.den, rows = _rows({**self.sums_alphabet, **self.sums_g0})
         self.g_rows = [rows[lam] if lam in t_g0.members else None for lam in range(N)]
         t_rows, s_rows = _key_rows(L, p1, rows, _twists(chi1, chi2), zero)
+        self.relations = _check_relations(p1, t_rows, s_rows)
         self.t_slot, self.s_slot = _slot_tables(N, p1.bases, t_rows, s_rows, self.g_rows, zero)
 
 
@@ -278,16 +282,15 @@ def _build(chi1, chi2, allow_large: bool) -> tuple[Context, int]:
     is -chi2(-1) times it, by j -> c - j.  Through it come G at each member
     g_lambda of the Gamma0 transversal but I, whose input is
     (1/lambda mod N, N), so one member of each +-lambda pair runs, and the
-    sums of the 2 mu Gamma0(N) generators U(r_k, T) and U(r_k, S), two per
-    point k of P^1(Z/N), whose inputs with c = +-N are G's: 17 double sums
-    at N = 35.  Off c = N a twin input runs its own double sum, so that a
-    wrong value is not copied onto its twin, where the pair can meet every
-    check (a fault at (15, 56) did, at N = 28).  Every relation of
-    `_relations` is checked on their rows (72 at N = 35), so no sum is made
-    to meet one; then the Context is built, and `fast_sum` at each member
-    but I is checked against G.  One DEBUG line on `gdsum.dedekind` gives
-    the counts, the checks and the seconds per phase, timed only when
-    logged, as `record.oracle_calls`/`record.phases`."""
+    sums of the 2 mu Gamma0(N) generators U(r_k, T), U(r_k, S), whose
+    inputs with c = +-N are G's: 17 double sums at N = 35.  Off c = N a
+    twin input runs its own double sum, so that a wrong value is not copied
+    onto its twin, where the pair can meet every check (a fault at
+    (15, 56) did, at N = 28).  The Context's first broken relation (of 72
+    at N = 35) is refused, so no sum is made to meet one; then `fast_sum`
+    at each member but I is checked against G.  One DEBUG line on
+    `gdsum.dedekind` gives the counts and the seconds per phase, timed only
+    when logged, as `record.oracle_calls`/`record.phases`."""
     _validate_pair(chi1, chi2, allow_large)
     N, L = chi1.modulus * chi2.modulus, pair_order(chi1, chi2)
     laps = [time.perf_counter()] if log.isEnabledFor(logging.DEBUG) else None
@@ -313,12 +316,9 @@ def _build(chi1, chi2, allow_large: bool) -> tuple[Context, int]:
     g = {lam: sum_of(_g0_member(N, lam)) for lam in range(2, N) if gcd(lam, N) == 1}
     sums = {v: sum_of(m) for v, m in gens.items()}
     _lap(laps)
-    _, rows = _rows(sums)
-    relations = list(_relations(p1, L, _twists(chi1, chi2)))
-    if broken := next(((k, name) for name, k, terms in relations if any(_twisted_sum(L, rows, terms))), None):
-        raise ValueError("U(r, T) and U(r, S) sums over P^1 at key %s break %s" % broken)
-    _lap(laps)
     ctx = Context(chi1, chi2, p1, sums, {1 % N: zero, **g})
+    if broken := ctx.relations[1]:
+        raise ValueError("U(r, T) and U(r, S) sums over P^1 at key %s break %s" % broken)
     _lap(laps)
     members = ctx.t_g0.members.items()
     if bad := next((d for d, m in members if m != I2 and _numerators(ctx, m) != [*ctx.g_rows[d]]), None):
@@ -328,8 +328,8 @@ def _build(chi1, chi2, allow_large: bool) -> tuple[Context, int]:
         phases = tuple(map(sub, laps[1:], laps))
         log.debug(
             "precompute N=%d: %d points of P^1, %d keys, %d oracle calls; %d relations checked; "
-            "sums %.4f s, check %.4f s, context %.4f s, G check %.4f s",
-            N, len(p1), sl2_coset_count(N), runs, len(relations), *phases,
+            "sums %.4f s, context %.4f s, G check %.4f s",
+            N, len(p1), sl2_coset_count(N), runs, ctx.relations[0], *phases,
             extra={"oracle_calls": runs, "phases": phases},
         )
     return ctx, runs
@@ -338,19 +338,6 @@ def _build(chi1, chi2, allow_large: bool) -> tuple[Context, int]:
 def _lap(laps):
     if laps is not None:
         laps.append(time.perf_counter())
-
-
-def _twisted_sum(L: int, rows: dict, terms) -> tuple:
-    """The row of the sum of zeta_L^e rows[v] over the terms (v, e)."""
-    turns = _turns(L)
-    acc = [0] * len(turns[0])
-    for v, e in terms:
-        if any(row := rows[v]):
-            for n, power in zip(row, turns[e % L]):
-                if n:
-                    for j, x in power:
-                        acc[j] += n * x
-    return tuple(acc)
 
 
 def _key_rows(L: int, p1: Transversal, rows: dict, twist: dict, zero: tuple):
@@ -366,6 +353,31 @@ def _key_rows(L: int, p1: Transversal, rows: dict, twist: dict, zero: tuple):
                 for u, e in twist.items():
                     out[u * c % N * N + u * d % N] = turns[e]
     return t_rows, s_rows
+
+
+def _check_relations(p1: Transversal, t: list, s: list) -> tuple:
+    """(the number of relations checked, the first broken (key, name) or
+    None) on the key rows t and s of `_key_rows`.  A group relation read
+    from the member r_k walks the keys from k, T taking (c, d) to
+    (c, d + c) and S to (d, -c) mod N; each letter adds its row at the key
+    it leaves, psi of the word before it inside.  Per point k (pair k, kS):
+      S^2 = -I:      s[k] + s[kS] = S(-I) = 0
+      (ST)^3 = S^2:  t[k] + s[kT] + t[kTS] + s[kTST] + t[kTSTS] = s[k]
+    """
+    N, checked, broken = p1.N, 0, None
+
+    def at(c, d):  # the index of the key (c, d) mod N
+        return c % N * N + d % N
+
+    for k in p1.members:
+        c, d = k
+        word = t[at(c, d)], s[at(c, c + d)], t[at(c + d, -c)], s[at(c + d, d)], t[at(d, -c - d)]
+        relations = [("(ST)^3 = S^2", map(sub, map(sum, zip(*word)), s[at(c, d)]))]
+        if k <= p1.edges[k, ("S", 1)][0]:  # k and kS share one identity
+            relations.insert(0, ("S^2 = -I", map(add, s[at(c, d)], s[at(d, -c)])))
+        checked += len(relations)
+        broken = broken or next(((k, name) for name, row in relations if any(row)), None)
+    return checked, broken
 
 
 def _slot_tables(N: int, bases: dict, t_rows: list, s_rows: list, g_rows: list, zero: tuple):
@@ -533,34 +545,3 @@ def load_context(path, *, allow_large: bool = False) -> Context:
             )
     return ctx
 
-
-def _relations(p1: Transversal, L: int, twist: dict):
-    """Every relation among the sums of the Gamma0 generators over the P^1
-    transversal `p1`, as (name, key, terms): the sum of zeta_L^e s[entry]
-    over the terms (entry, e) is 0.  A group relation read from the member
-    r_k gives one identity through the cocycle identity, where a generator
-    met at the key lambda k' enters with psi(lambda), the psi of the word
-    before it, psi(lambda) = zeta_L^twist[lambda]; the edge k x = u k' of
-    `p1` leads to (k', lambda u).  Per point k (per pair k, kS for the first):
-      S^2 = -I:   s_S[k] + psi s_S[kS] = S(-I) = 0
-      TSTST = S:  s_T[k] + psi s_S[kT] + psi s_T[kTS] + psi s_S[kTST] + psi s_T[kTSTS] = s_S[k]
-    No other code lists them.
-    """
-    N, edges = p1.N, p1.edges
-
-    T, S = ("T", 1), ("S", 1)
-
-    def walk(k, letters):  # the terms (entry, e) of a word in T and S read from the point k
-        terms, lam = [], 1 % N
-        for x in letters:
-            entry = k, x
-            terms.append((entry, twist[lam]))
-            k, u = edges[entry]
-            lam = lam * u % N
-        return terms
-
-    for k in p1.members:
-        terms = walk(k, (S, S))
-        if k <= terms[1][0][0]:  # k and kS share one identity
-            yield "S^2 = -I", k, terms
-        yield "(ST)^3 = S^2", k, walk(k, (T, S, T, S, T)) + [((k, S), L // 2)]

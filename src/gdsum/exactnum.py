@@ -5,8 +5,8 @@ Q(zeta_L) with rational coefficients.  Elements are stored reduced modulo
 the L-th cyclotomic polynomial Phi_L, so that equality of two elements of
 the same order is literally coefficient-wise equality; exact zero-testing
 is what the rest of the engine leans on.  No floats anywhere except the
-display-only `approx`.  `_rows`/`_cyc` convert to and from integer rows over one denominator, which
-`_rotations` multiplies by each power of zeta_L.
+display-only `approx`.  `_rows`/`_cyc` convert to and from integer rows
+over one denominator, and `_rotations` turns a row by each power of zeta_L.
 """
 
 from __future__ import annotations
@@ -225,19 +225,6 @@ def _rotations(L: int, row) -> list:
             row[k] -= top * a
         out.append(tuple(row))
     return out
-
-
-@lru_cache(maxsize=None)
-def _powers(L: int) -> tuple:
-    """The integer rows of zeta_L^e, e < L (over den 1): per-L data."""
-    return tuple(_rotations(L, [1] + [0] * (len(cyclotomic_polynomial(L)) - 2)))
-
-
-@lru_cache(maxsize=None)
-def _turns(L: int) -> tuple:
-    """turns[e][i], the nonzero (j, x) of the row of zeta_L^(e + i): r zeta_L^e = sum r[i] turns[e][i]."""
-    sparse = [tuple((j, x) for j, x in enumerate(p) if x) for p in _powers(L)]
-    return tuple(tuple(sparse[(e + i) % L] for i in range(len(_powers(L)[0]))) for e in range(L))
 
 
 def _rows(values: dict) -> tuple[int, dict]:

@@ -16,6 +16,9 @@ never reading one of a twin pair of inputs off the other, and
 sum U(t, T), U(t, S), whose running sums a context's rows are.  `gamma1_rows` derives those
 Gamma1 sums from the Gamma0 ones, as integer rows, by the formula the
 context's rows telescope, and `gamma1_sums` gives them as CycElems.
+`twisted_sum` turns rows by powers of zeta_L in CycElem arithmetic, for
+`gamma1_rows` and the tests' twisted walk, apart from the key rows the
+library turns and checks the group relations on.
 `full_alphabet` builds every U(t, T^i) and U(t, S^k) matrix, and
 `alphabet_sum` rebuilds their sums from the derived generator sums in
 CycElem arithmetic, apart from the integer rows the context derives
@@ -52,6 +55,7 @@ one at a multiple of its order.
 import dataclasses
 import functools
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import repeat
 from math import gcd
@@ -59,7 +63,7 @@ from typing import NamedTuple
 
 from gdsum import characters, dedekind, exactnum
 from gdsum.cosets import Transversal, schreier_alphabet, transversal_g0_in_sl2, transversal_g1_in_g0
-from gdsum.exactnum import CycElem
+from gdsum.exactnum import CycElem, root_of_unity
 from gdsum.modgroup import I2, Mat2, S, T, TSWord, ts_decompose, ts_reconstruct
 
 
@@ -191,10 +195,21 @@ def gamma1_rows(ctx) -> tuple[int, dict]:
     out = {}
     for key, ((c, d), lam) in classes.items():
         for x, kx in (("T", (c, (d + c) % N)), ("S", (d, -c % N))):
-            turned = dedekind._twisted_sum(L, rows, [(((c, d), (x, 1)), twist[lam])])
+            turned = twisted_sum(L, rows, [(((c, d), (x, 1)), twist[lam])])
             moved = g_rows[lam * classes[kx][1] % N]
             out[key, (x, 1)] = tuple(p + q - r for p, q, r in zip(turned, g_rows[lam], moved))
     return den, out
+
+
+def twisted_sum(L: int, rows: dict, terms) -> tuple:
+    """The integer row of the sum of zeta_L^e rows[v] over the terms
+    (v, e), each distinct term turned once, in CycElem arithmetic:
+    `root_of_unity(L, e) * CycElem(L, row)`, apart from the rows the
+    library turns with `exactnum._rotations`."""
+    total = CycElem.zero(L)
+    for (v, e), n in Counter((v, e % L) for v, e in terms).items():
+        total += n * (root_of_unity(L, e) * CycElem(L, rows[v]))
+    return tuple(x.numerator for x in total.coeffs)
 
 
 def gamma1_sums(ctx) -> dict:

@@ -171,6 +171,9 @@ def test_find_character_selection():
         find_character(7, [])  # several primitive characters mod 7
     with pytest.raises(ValueError):
         find_character(7, [(3, Fraction(1, 5))])  # no such value
+    # read as a spec's value is, before Fraction() would build a 10^9-digit integer
+    with pytest.raises(ValueError, match="^value '1e1000000000' at g=2 is in exponent notation"):
+        find_character(5, [(2, "1e1000000000")])
 
 
 @functools.cache

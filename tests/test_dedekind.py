@@ -57,6 +57,7 @@ from reference_tables import (
     slot_factors,
     strip_letters,
     t_power,
+    twisted_sum,
     u_func,
     unsigned_product,
 )
@@ -269,17 +270,17 @@ def test_the_bucket_terms_are_the_exponents_of_chi1(request, name):
 
 @pytest.mark.parametrize("name, double_sums", [("ctx28", 14), ("ctx35_l12", 17)])
 def test_a_build_reads_its_double_sums_as_rows(monkeypatch, request, name, double_sums):
-    """A build turns its sums into integer rows twice, with `exactnum._rows`:
-    once for the generator sums whose relations it checks, and once for the
-    Context's generator sums and G; `_cyc` runs once per double sum, for
-    the value `naive_sum` returns, and nowhere else."""
+    """A build turns its sums into integer rows once, with `exactnum._rows`:
+    in the Context, for its generator sums and G, whose key rows the
+    relations are checked on; `_cyc` runs once per double sum, for the
+    value `naive_sum` returns, and nowhere else."""
     ctx, calls = request.getfixturevalue(name), Counter()
     for f in ("_rows", "_cyc"):
         real = getattr(exactnum, f)
         monkeypatch.setattr(dedekind, f, lambda *a, f=f, real=real: calls.update([f]) or real(*a))
     _, runs = dedekind._build(ctx.chi1, ctx.chi2, False)
     assert runs == double_sums
-    assert calls == {"_rows": 2, "_cyc": double_sums}
+    assert calls == {"_rows": 1, "_cyc": double_sums}
 
 
 def test_the_double_sum_at_minus_lambda_is_minus_chi2_of_minus_one_times_it():
@@ -767,34 +768,27 @@ def test_load_logs_what_it_validated(tmp_path, monkeypatch, caplog, ctx28):
     phases = record.phases
     # G at one member of each +-d pair, then the generators whose input G does not give
     assert len(oracle) == record.oracle_calls == 14
-    assert len(clock) == 5 and len(phases) == 4
+    assert len(clock) == 4 and len(phases) == 3
     assert record.getMessage() == (
         "precompute N=28: 48 points of P^1, 576 keys, 14 oracle calls; 72 relations checked; "
-        "sums {:.4f} s, check {:.4f} s, context {:.4f} s, G check {:.4f} s".format(*phases)
+        "sums {:.4f} s, context {:.4f} s, G check {:.4f} s".format(*phases)
     )
 
 
 @pytest.mark.parametrize("name", ["ctx9", "ctx28", "ctx35_l12"])
 def test_a_build_walks_the_relations_once(tmp_path, monkeypatch, request, name):
-    """A precompute and a load each read `_relations` once, to check them
-    on the generator sums: one (ST)^3 identity per point of P^1 and one S^2
-    identity per pair k, kS."""
+    """A precompute and a load each run `_check_relations` once, on the
+    key rows of their context: one (ST)^3 identity per point of P^1 and one
+    S^2 identity per pair k, kS, all of which hold."""
     ctx = request.getfixturevalue(name)
     path = tmp_path / "ctx.json"
     save_context(ctx, path)
-    walks, real = [], dedekind._relations
-
-    def counted(*args):
-        walks.append(0)
-        for relation in real(*args):
-            walks[-1] += 1
-            yield relation
-
-    monkeypatch.setattr(dedekind, "_relations", counted)
+    walks, real = [], dedekind._check_relations
+    monkeypatch.setattr(dedekind, "_check_relations", lambda *args: walks.append(real(*args)) or walks[-1])
     precompute(ctx.chi1, ctx.chi2)
     load_context(path)
     points = len(ctx.p1)
-    assert walks == [points + points // 2] * 2
+    assert walks == [(points + points // 2, None)] * 2 == [ctx.relations] * 2
 
 
 def test_the_level_guardrail_raises_a_plain_value_error():
@@ -813,8 +807,8 @@ def test_the_level_guardrail_raises_a_plain_value_error():
 
 def test_a_build_checks_every_relation_on_its_rows(monkeypatch, ctx28):
     """A double sum off by one at one generator, off c = +-N so that G
-    does not read it, breaks a relation, which the build names before it
-    builds a context."""
+    does not read it, breaks a relation, which the build names from the
+    break its context recorded, and returns no context."""
     wrong = []
 
     def off_by_one(chi1, chi2, gamma):
@@ -825,21 +819,49 @@ def test_a_build_checks_every_relation_on_its_rows(monkeypatch, ctx28):
         return value
 
     monkeypatch.setattr(dedekind, "naive_sum", off_by_one)
-    monkeypatch.setattr(dedekind, "Context", lambda *a: pytest.fail("a context was built"))
-    with pytest.raises(ValueError, match=r"U\(r, T\) and U\(r, S\) sums over P\^1 at key .* break "):
+    built, real = [], dedekind.Context
+    monkeypatch.setattr(dedekind, "Context", lambda *a: built.append(real(*a)) or built[-1])
+    with pytest.raises(ValueError, match=r"U\(r, T\) and U\(r, S\) sums over P\^1 at key .* break ") as info:
         precompute(ctx28.chi1, ctx28.chi2)
+    (ctx,) = built
+    assert str(info.value).endswith("at key %s break %s" % ctx.relations[1])
     assert len(wrong) == 1
+
+
+@pytest.mark.parametrize("name", ["ctx9", "ctx28", "ctx35_l12"])
+def test_the_relations_are_checked_on_the_key_rows(tmp_path, monkeypatch, request, name):
+    """The relations are read on the key rows the slot tables are built
+    from, not on a copy: an S-row raised by 1 as `_key_rows` returns it, at
+    a point k of P^1 with c != 0 whose key no walk of the G check reads as
+    an S slot, breaks a named relation, and a precompute and a load refuse
+    it.  The context records the break and raises nothing."""
+    ctx = request.getfixturevalue(name)
+    N, real, path = ctx.N, dedekind._key_rows, tmp_path / "ctx.json"
+    save_context(ctx, path)
+    read = {s for m in ctx.t_g0.members.values() for s in modified_rewrite(ts_decompose(m), ctx.p1)[1::2]}
+    i = next(c * N + d for c, d in ctx.p1.members if c and c * N + d not in read)
+
+    def raised(*args):
+        t_rows, s_rows = real(*args)
+        s_rows[i] = (s_rows[i][0] + 1, *s_rows[i][1:])
+        return t_rows, s_rows
+
+    monkeypatch.setattr(dedekind, "_key_rows", raised)
+    assert dataclasses.replace(ctx).relations[1][0] in ctx.p1.members
+    for build in (lambda: precompute(ctx.chi1, ctx.chi2), lambda: load_context(path)):
+        with pytest.raises(ValueError, match=r"U\(r, T\) and U\(r, S\) sums over P\^1 at key .* break "):
+            build()
 
 
 def test_load_rejects_a_double_sum_wrong_off_c_n(tmp_path, monkeypatch, ctx28):
     """An input off c = +-N has a double sum that gives generator sums and
     no G: a load whose double sum reads a value wrong by 1/3 at one such
     input, its denominator new to the build, is refused, as a precompute
-    is, before any context is built; so is each of the 8 in turn, a twin
-    input included."""
+    is, and no context is returned to it; so is each of the 8 in turn, a
+    twin input included."""
     path = tmp_path / "ctx28.json"
     save_context(ctx28, path)
-    monkeypatch.setattr(dedekind, "Context", lambda *a: pytest.fail("a context was built"))
+    monkeypatch.setattr(dedekind, "context_to_json", lambda *a: pytest.fail("a context was returned"))
     for wrong in range(8):
         off_n = []
 
@@ -1218,7 +1240,8 @@ def test_fast_sum_reads_sums_g0_at_the_end_key(contexts):
 def arbitrary_contexts(ctx28, ctx35_l12):
     """Contexts for the N = 28 and N = 35 (L = 12) pairs, both with
     psi(-1) = 1, built from seeded random Gamma0 generator sums that break
-    every relation: nothing but the derivation ties their rows together."""
+    every relation: nothing but the derivation ties their rows together.
+    Each context records the first break and raises nothing."""
     rng, out = random.Random(13), {}
     for name, ctx in (("ctx28", ctx28), ("ctx35_l12", ctx35_l12)):
         deg = len(ctx.zero)
@@ -1227,9 +1250,7 @@ def arbitrary_contexts(ctx28, ctx35_l12):
             for v in ctx.sums_alphabet
         }
         out[name] = dedekind.Context(ctx.chi1, ctx.chi2, ctx.p1, sums, ctx.sums_g0)
-        twist, rows = characters._twists(ctx.chi1, ctx.chi2), exactnum._rows(sums)[1]
-        relations = dedekind._relations(ctx.p1, ctx.L, twist)
-        assert any(any(dedekind._twisted_sum(ctx.L, rows, terms)) for _, _, terms in relations)
+        assert out[name].relations[1] is not None
     return out
 
 
@@ -1253,7 +1274,7 @@ def _twisted_walk(ctx, gamma) -> CycElem:
             k, lam = classes[c, d]
             terms.append(((k, ("T", 1)), twist[lam] + (L // 2 if a < 0 else 0)))
             d = (d + c) % N if a > 0 else d
-    return CycElem(L, [Fraction(n, den) for n in dedekind._twisted_sum(L, rows, terms)])
+    return CycElem(L, [Fraction(n, den) for n in twisted_sum(L, rows, terms)])
 
 
 @settings(max_examples=300, deadline=None)

@@ -5,15 +5,12 @@ from math import lcm
 import pytest
 import sympy
 
-from gdsum import dedekind
 from gdsum.exactnum import (
     CycElem,
     _cyc,
-    _powers,
     _reduce,
     _rotations,
     _rows,
-    _turns,
     cyclotomic_polynomial,
     root_of_unity,
 )
@@ -170,8 +167,7 @@ def test_immutability():
 def test_row_conversions_round_trip():
     """`_rows` gives random CycElems at orders 1 to 30 as integer rows over
     the lcm of their denominators, one tuple per distinct object, and `_cyc` turns each row back into its CycElem; a row
-    of L coefficients is first reduced mod Phi_L, and `_powers`/`_turns`
-    hold the rows of zeta_L^e."""
+    of L coefficients is first reduced mod Phi_L."""
     rng = random.Random(30)
     for L in range(1, 31):
         deg = len(cyclotomic_polynomial(L)) - 1
@@ -186,21 +182,15 @@ def test_row_conversions_round_trip():
             assert all(type(n) is int for n in rows[k]) and _cyc(L, den, rows[k]) == v
         raw = [rng.randint(-50, 50) for _ in range(L)]
         assert CycElem(L, [Fraction(n, 6) for n in raw]) == _cyc(L, 6, raw)  # `_cyc` reduces raw in place
-        for e, row in enumerate(_powers(L)):
-            assert _cyc(L, 1, row) == CycElem(L, [int(k == e) for k in range(L)]) == root_of_unity(L, e + L)
-            sparse = tuple((j, x) for j, x in enumerate(row) if x)
-            assert all(_turns(L)[(e - i) % L][i] == sparse for i in range(deg))
 
 
 @pytest.mark.parametrize("L", [2, 4, 6, 10, 12, 60, 144])
 def test_rotations_step_a_row_through_the_powers_of_zeta(L):
     """Entry e of `_rotations(L, row)` is the row of zeta_L^e times row, as
-    the sparse `_twisted_sum` turns it, for seeded random integer rows, and
-    `_powers(L)` is `_rotations` of the unit row."""
+    CycElem arithmetic gives it, for seeded random integer rows."""
     rng, deg = random.Random(L), len(cyclotomic_polynomial(L)) - 1
     for _ in range(4):
         row = tuple(rng.randint(-10**6, 10**6) for _ in range(deg))
         turns = _rotations(L, row)
         assert len(turns) == L and turns[0] == row
-        assert all(turns[e] == dedekind._twisted_sum(L, {0: row}, [(0, e)]) for e in range(L))
-    assert _powers(L) == tuple(_rotations(L, (1,) + (0,) * (deg - 1)))
+        assert all(_cyc(L, 1, turns[e]) == root_of_unity(L, e) * CycElem(L, row) for e in range(L))
