@@ -23,7 +23,6 @@ from .characters import (
 from .dedekind import (
     Context,
     ParityWarning,
-    crossed_hom_check,
     fast_sum,
     load_context,
     naive_sum,
@@ -41,7 +40,6 @@ __all__ = [
     "ParityWarning",
     "TSWord",
     "characters_mod",
-    "crossed_hom_check",
     "cyclotomic_polynomial",
     "fast_sum",
     "find_character",

@@ -190,10 +190,10 @@ def find_character(q: int, assignments) -> DirichletCharacter:
     """The unique primitive character mod q with chi(g) = exp(2*pi*i*t)
     for every (g, t) in assignments; raises if none or several match,
     naming the spec that q and the assignments spell; a string t is read
-    as a spec's value is, so exponent notation is refused.
+    as a spec's value is, so exponent notation is refused, and an infinity
+    or a NaN is refused as a string is.
     """
-    assignments = [(g, _spec_number("value", t, f"at g={_short(g)}", Fraction) if type(t) is str else Fraction(t))
-                   for g, t in assignments]
+    assignments = [(g, _spec_number("value", t, f"at g={_short(g)}", Fraction)) for g, t in assignments]
     spec = ";".join([f"q={_short(q)}"] + [
         f"g={_short(g)};v={_short(t.numerator)}{f'/{_short(t.denominator)}' if t.denominator > 1 else ''}"
         for g, t in assignments])
@@ -257,15 +257,15 @@ def parse_spec_fields(spec: str) -> tuple[int, list[tuple[int, Fraction]]]:
     return q, pairs
 
 
-def _spec_number(name: str, val: str, at: str, parse=int):
-    if parse is Fraction and re.search("[0-9.][eE]", val):  # Fraction("1e1000000000") has 10^9 digits
+def _spec_number(name: str, val, at: str, parse=int):
+    if parse is Fraction and type(val) is str and re.search("[0-9.][eE]", val):  # Fraction("1e1000000000"): 10^9 digits
         raise ValueError(f"{name} {_clip(val)} {at} is in exponent notation; write it p/q or as a decimal")
     try:
         return parse(val)
     except ZeroDivisionError:
         raise ValueError(f"{name} {_clip(val)} {at} divides by 0") from None
-    except ValueError:
-        raise ValueError(f"{name} {_clip(val)} {at} {_refusal(val, parse is Fraction)}") from None
+    except (ValueError, OverflowError):  # OverflowError: Fraction() of a float or Decimal infinity
+        raise ValueError(f"{name} {_clip(str(val))} {at} {_refusal(str(val), parse is Fraction)}") from None
 
 
 def parse_character_spec(spec: str) -> DirichletCharacter:

@@ -67,7 +67,6 @@ from .characters import (
     _twists,
     find_character,
     pair_order,
-    psi,
     unit_group_gens,
 )
 from .cosets import (
@@ -457,14 +456,6 @@ def _numerators(ctx: Context, gamma: Mat2) -> list:
     rows = reduce_word(word, modified_rewrite(word, ctx.p1), ctx)
     g = ctx.g_rows[-d % ctx.N if word.negate else d]
     return [*map(sum, zip(g, *rows))]
-
-
-def crossed_hom_check(chi1, chi2, ga: Mat2, gb: Mat2) -> bool:
-    """Whether S(ga gb) = S(ga) + psi(ga) S(gb) under `naive_sum`, for any
-    ga, gb in Gamma0(N)."""
-    lhs = naive_sum(chi1, chi2, ga * gb)
-    rhs = naive_sum(chi1, chi2, ga) + psi(chi1, chi2, ga) * naive_sum(chi1, chi2, gb)
-    return lhs == rhs
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,8 @@ orbit total there against the double sum on the matrix it is the sum of.
 
 Helpers only the tests call: `t_power` and `mul_t_power` build T^n and
 m T^n, `conj` conjugates an element of Q(zeta_L), and `embed` rewrites
-one at a multiple of its order.
+one at a multiple of its order.  `crossed_hom_check` tests the double
+sum's twisted additivity S(g h) = S(g) + psi(g) S(h), which reads no table.
 """
 
 import dataclasses
@@ -178,6 +179,14 @@ def oracle_gamma1(ctx) -> tuple[dict, dict]:
     oracle = dedekind.naive_sum
     alphabet = gamma1_alphabet(ctx.N, ctx.t_sl2)
     return oracle_g0(ctx.chi1, ctx.chi2), {entry: oracle(ctx.chi1, ctx.chi2, m) for entry, m in alphabet.items()}
+
+
+def crossed_hom_check(chi1, chi2, ga: Mat2, gb: Mat2) -> bool:
+    """Whether S(ga gb) = S(ga) + psi(ga) S(gb) under `naive_sum`, for any
+    ga, gb in Gamma0(N)."""
+    lhs = dedekind.naive_sum(chi1, chi2, ga * gb)
+    rhs = dedekind.naive_sum(chi1, chi2, ga) + characters.psi(chi1, chi2, ga) * dedekind.naive_sum(chi1, chi2, gb)
+    return lhs == rhs
 
 
 def gamma1_rows(ctx) -> tuple[int, dict]:

@@ -12,7 +12,6 @@ import time
 from gdsum.characters import euler_phi
 from gdsum.cosets import sl2_coset_count, transversal_g1_in_g0, transversal_g1_in_sl2
 from gdsum.dedekind import (
-    crossed_hom_check,
     fast_sum,
     load_context,
     naive_sum,
@@ -31,6 +30,7 @@ from gdsum.modgroup import (
 )
 from reference_tables import (
     bar,
+    crossed_hom_check,
     gamma1_alphabet,
     in_gamma1,
     mul_t_power,

@@ -1,5 +1,6 @@
 import functools
 import random
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -174,6 +175,10 @@ def test_find_character_selection():
     # read as a spec's value is, before Fraction() would build a 10^9-digit integer
     with pytest.raises(ValueError, match="^value '1e1000000000' at g=2 is in exponent notation"):
         find_character(5, [(2, "1e1000000000")])
+    # an infinity or a NaN, float or Decimal, refused as its string would be
+    for t, text in ((float("inf"), "inf"), (float("-inf"), "-inf"), (float("nan"), "nan"), (Decimal("NaN"), "NaN")):
+        with pytest.raises(ValueError, match=f"^value '{text}' at g=2 is not a rational$"):
+            find_character(5, [(2, t)])
 
 
 @functools.cache

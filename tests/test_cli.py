@@ -53,11 +53,14 @@ def test_precompute_prints_its_summary(tmp_path, capsys, monkeypatch):
     ids=["sum", "sum-trace", "verify"],
 )
 def test_one_precompute_and_no_file(tmp_path, capsys, monkeypatch, builds, argv):
-    """`sum`, `sum --trace` and `verify` build the pair's context once, in
-    process, and leave their working directory empty."""
+    """`sum` and `sum --trace` build the pair's context once, in process,
+    and `verify` once more for the swapped pair, whose tables its
+    reciprocity suite reads; each leaves its working directory empty."""
     monkeypatch.chdir(tmp_path)
     assert main([*argv, *PAIR]) == 0
-    assert len(builds) == 1
+    assert len(builds) == (2 if argv[0] == "verify" else 1)
+    if argv[0] == "verify":
+        assert builds[1][:2] == builds[0][1::-1]
     assert not any(tmp_path.iterdir())
     out = capsys.readouterr().out
     if argv[0] == "sum":
@@ -563,19 +566,17 @@ def test_verify_passes(capsys):
     rc = main(["verify", *PAIR, "--trials", "8", "--seed", "3", "--cmax", "600"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "PASS  oracle-equivalence" in out
-    assert "PASS  crossed-homomorphism" in out
-    # the 4 stored Gamma0 generator sums at N = 9 that are not those of the
-    # shears +-T^b, whose 0 the closure gives without the double sum
-    assert "PASS  alphabet-spot-check  (4 entries)" in out
-    assert "FAIL" not in out
+    assert out.splitlines() == [
+        "PASS  oracle-equivalence  (8 matrices)",
+        "PASS  fricke-reciprocity  (8 matrices, c up to 10^60)",
+    ]
 
 
 def test_verify_checks_derived_rows(ctx9):
     """Every S-step row, or every orbit total, shifted in the slot tables of
-    a copy: the derived-row check of the tests flags that kind of row, and
-    `verify` fails its oracle-equivalence suite, while the generator sums
-    the rows were derived from still pass theirs."""
+    a copy whose generator sums are unchanged: the derived-row check of the
+    tests flags that kind of row, and `verify` fails oracle-equivalence and,
+    against the swapped pair's tables built afresh, fricke-reciprocity."""
     for slots, kind in (("s_slot", "S"), ("t_slot", "T")):
         ctx = dataclasses.replace(ctx9)  # rows derived afresh, not shared with ctx9
         table = getattr(ctx, slots)
@@ -586,9 +587,10 @@ def test_verify_checks_derived_rows(ctx9):
                 table[i] = row if kind == "S" else (*entry[:2], row)
         _, bad = derived_mismatches(ctx, cmax=2000)
         assert bad and {k for k, _, _ in bad} == {kind}, kind
-        report = run_verify(ctx, trials=2, seed=0, cmax=300)
+        # 4 draws: the first 2 with c <= 300 wrap no T-orbit
+        report = run_verify(ctx, trials=4, seed=0, cmax=300)
         failed = [name for name, _ in report.failures]
-        assert failed == ["oracle-equivalence"], kind
+        assert failed == ["oracle-equivalence", "fricke-reciprocity"], kind
 
 
 @pytest.mark.parametrize(
@@ -618,25 +620,61 @@ def test_verify_deterministic(capsys):
 
 def test_verify_detects_corruption(capsys, monkeypatch):
     def corrupted_build(*args, **kwargs):
-        # a copy whose stored Gamma0 transversal sum G(2) is off by one;
-        # verify checks every stored G against the double sum at its member
+        # a copy whose stored sum of U(I, S), which opens every word with an
+        # S letter, is off by one; a G(lambda) off by one would change no sum
         ctx, *counts = dedekind._build(*args, **kwargs)
-        ctx = dataclasses.replace(ctx, sums_g0={**ctx.sums_g0, 2: ctx.sums_g0[2] + 1})
+        key = ((0, 1), ("S", 1))
+        ctx = dataclasses.replace(ctx, sums_alphabet={**ctx.sums_alphabet, key: ctx.sums_alphabet[key] + 1})
         return ctx, *counts
 
     monkeypatch.setattr(cli, "_build", corrupted_build)
     rc = main(["verify", *PAIR, "--trials", "4", "--seed", "0", "--cmax", "200"])
     assert rc == 2
     out = capsys.readouterr().out
-    assert "FAIL  transversal-sums" in out
-    assert "d=2" in out
+    assert "FAIL  fricke-reciprocity  (g=" in out
+
+
+def test_verify_catches_a_wrap_count_read_as_one(monkeypatch):
+    """A `reduce_word` that adds an orbit total once where its T-power
+    wraps around the orbit m >= 2 times: at N = 143 (L = 60) no draw of
+    oracle-equivalence, c <= 2000, meets such a wrap, and fricke-reciprocity,
+    c up to 10^60, fails."""
+    chi1, chi2 = find_character(11, [(2, "1/10")]), find_character(13, [(2, "1/12")])
+    ctx = precompute(chi1, chi2, allow_large=True)
+    real = dedekind.reduce_word
+
+    def clamped(w, keys, ctx, terms=None):
+        seen = []  # (kind, key, m) per row
+        rows = real(w, keys, ctx, seen)
+        return [ctx.t_slot[k][2] if kind == "T" and m >= 2 else row for row, (kind, k, m) in zip(rows, seen)]
+
+    monkeypatch.setattr(dedekind, "reduce_word", clamped)
+    report = run_verify(ctx, trials=20, seed=0, cmax=2000)
+    assert [name for name, _ in report.failures] == ["fricke-reciprocity"]
+
+
+def test_verify_fails_when_the_swapped_build_raises(capsys, monkeypatch):
+    """A swapped pair whose build refuses its sums fails the reciprocity
+    suite, exit 2, rather than an error of the run, exit 1."""
+    real = cli._build
+
+    def build(chi1, chi2, allow_large):
+        if allow_large:  # the swapped pair's build; PAIR's own runs without
+            raise ValueError("U(r, T) and U(r, S) sums over P^1 at key (0, 1) break S^2 = -I")
+        return real(chi1, chi2, allow_large)
+
+    monkeypatch.setattr(cli, "_build", build)
+    assert main(["verify", *PAIR, "--trials", "2", "--cmax", "100"]) == 2
+    out = capsys.readouterr().out
+    assert "PASS  oracle-equivalence" in out
+    assert "FAIL  fricke-reciprocity  (the swapped pair's build raises: U(r, T) and U(r, S) sums" in out
 
 
 def test_run_verify_report_structure(ctx9):
     report = run_verify(ctx9, trials=5, seed=2, cmax=300)
     assert report.ok
     names = [name for name, _, _ in report.lines]
-    assert names == ["transversal-sums", "alphabet-spot-check", "oracle-equivalence", "crossed-homomorphism"]
+    assert names == ["oracle-equivalence", "fricke-reciprocity"]
 
 
 @pytest.mark.parametrize(

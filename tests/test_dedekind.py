@@ -17,12 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gdsum import characters, cli, cosets, dedekind, exactnum, find_character
-from gdsum.characters import _psi_odd, characters_mod, pair_order, psi
+from gdsum.characters import _psi_odd, characters_mod, pair_order, parse_character_spec, psi
 from gdsum.cosets import schreier_alphabet, transversal_g0_in_sl2, transversal_g1_in_g0
 from gdsum.dedekind import (
     CACHE_VERSION,
     ParityWarning,
-    crossed_hom_check,
     fast_sum,
     load_context,
     naive_sum,
@@ -38,6 +37,7 @@ from reference_tables import (
     alphabet_sum,
     as_cyc,
     conj,
+    crossed_hom_check,
     derived_rows,
     factor_rewrite,
     factor_terms,
@@ -383,6 +383,65 @@ def test_every_primitive_pair_builds_up_to_level_80():
         ctx, N = _precompute(chi1, chi2), chi1.modulus * chi2.modulus
         for gamma in (random_gamma0(N, rng, kmax=40, d_shift=1) for _ in range(4)):
             assert fast_sum(ctx, gamma) == naive_sum(chi1, chi2, gamma), (chi1, chi2, gamma)
+
+
+def _fricke_breaks(ctx, swapped, mats, sign) -> list:
+    """The draws g at which D(g) = S'(W g W^-1) - sign S(g), W = (0 -1; N 0)
+    and S' the sum of the swapped pair's context, is not x (psi(g) - 1)
+    for one x across `mats`: D(g) (psi(h) - 1) != D(h) (psi(g) - 1) for
+    some h, or D(g) != 0 where psi(g) = 1."""
+    N = ctx.N
+    pts = [
+        (g, fast_sum(swapped, Mat2(g.d, -g.c // N, -N * g.b, g.a)) - sign * fast_sum(ctx, g),
+         psi(ctx.chi1, ctx.chi2, g) - 1)
+        for g in mats
+    ]
+    return [g for g, dg, tg in pts if (not tg and dg) or any(dg * th != dh * tg for _, dh, th in pts)]
+
+
+FRICKE_PAIRS = {  # (chi1 spec, chi2 spec), as the CLI reads them
+    "28-odd": ("q=4;g=3;v=1/2", "q=7;g=3;v=5/6"),
+    "35-odd": ("q=5;g=2;v=1/4", "q=7;g=3;v=1/6"),  # L = 12
+    "49-odd": ("q=7;g=3;v=1/6", "q=7;g=3;v=5/6"),
+    "91-odd": ("q=7;g=3;v=1/2", "q=13;g=2;v=1/12"),
+    "143-odd": ("q=11;g=2;v=1/10", "q=13;g=2;v=1/12"),  # L = 60
+    "25-even": ("q=5;g=2;v=1/2", "q=5;g=2;v=1/2"),
+    "35-even": ("q=5;g=2;v=1/2", "q=7;g=3;v=1/3"),
+    "40-even": ("q=5;g=2;v=1/2", "q=8;g=7;v=0;g=5;v=1/2"),
+    "91-even": ("q=7;g=3;v=1/3", "q=13;g=2;v=1/3"),
+    "15-psi-odd": ("q=3;g=2;v=1/2", "q=5;g=2;v=1/2"),  # every sum is 0
+}
+
+
+@pytest.mark.parametrize("name", list(FRICKE_PAIRS))
+def test_fricke_reciprocity_holds_with_the_parity_sign(name):
+    """With W = (0 -1; N 0), the sums of a pair and of its swap obey
+    S_{chi2,chi1}(W g W^-1) - chi1(-1) S_{chi1,chi2}(g) = x (psi(g) - 1),
+    one x per pair, on 12 seeded matrices with c up to 10^60: the law
+    `verify`'s fricke-reciprocity suite checks.  Without the sign chi1(-1)
+    the law breaks on each pair with chi1 and chi2 even."""
+    chi1, chi2 = map(parse_character_spec, FRICKE_PAIRS[name])
+    (ctx, _), (swapped, _) = dedekind._build(chi1, chi2, True), dedekind._build(chi2, chi1, True)
+    rng, N = random.Random(ctx.N), ctx.N
+    ks = [max(1, int(10 ** rng.uniform(0, 60)) // N) for _ in range(12)]  # c = kN log-uniform up to 10^60
+    mats = [random_gamma0(N, rng, kmin=k, kmax=k, d_shift=1) for k in ks]
+    sign = 1 if chi1.exponent(-1) == 0 else -1
+    assert _fricke_breaks(ctx, swapped, mats, sign) == []
+    if name.endswith("-even"):
+        assert _fricke_breaks(ctx, swapped, mats, -sign)
+
+
+@pytest.mark.parametrize("name", ["ctx28", "ctx35_l12"])
+def test_one_raised_generator_sum_breaks_fricke_reciprocity(request, name):
+    """Each stored generator sum raised by 1 on a copy of the context, 96
+    at N = 28 and at N = 35, fails `verify`'s fricke-reciprocity suite
+    against the swapped pair's tables on 12 seeded matrices."""
+    ctx = request.getfixturevalue(name)
+    assert len(ctx.sums_alphabet) == 96
+    for key, value in ctx.sums_alphabet.items():
+        raised = dataclasses.replace(ctx, sums_alphabet={**ctx.sums_alphabet, key: value + 1})
+        ok, detail = cli._fricke_reciprocity(raised, 12, random.Random(ctx.N))
+        assert not ok and detail.startswith("g="), key
 
 
 def test_a_build_checks_the_evaluator_at_the_gamma0_members(monkeypatch, chi4, chi7_56):
@@ -1234,6 +1293,25 @@ def test_fast_sum_reads_sums_g0_at_the_end_key(contexts):
     # the end key is lambda for words that are negated or not, and a matrix
     # with d = lambda whose walk ends at -lambda is left alone
     assert seen[True, False, True] and seen[True, True, False] and seen[False, True, True]
+
+
+@pytest.mark.parametrize("name", ["ctx28", "ctx35_l12"])
+def test_stored_g_is_a_gauge_off_the_identity(request, name):
+    """G(lambda) + 1 at any unit lambda != 1, the context derived afresh
+    from the sums it holds, leaves `fast_sum` unchanged, negations
+    included: the slot tables and the end row telescope it away.  G(1),
+    which `_build` fixes at 0, moves the sums.  So `verify` checks no
+    stored G against the double sum; `_build`'s G check ties G to the
+    generator sums."""
+    ctx = request.getfixturevalue(name)
+    rng = random.Random(35)
+    mats = [random_gamma0(ctx.N, rng, kmax=10**20, d_shift=2) for _ in range(30)]
+    mats += [-m for m in mats]
+    values = [fast_sum(ctx, m) for m in mats]
+    assert len(ctx.sums_g0) in (12, 24)  # phi(28), phi(35)
+    for lam, value in ctx.sums_g0.items():
+        shifted = dataclasses.replace(ctx, sums_g0={**ctx.sums_g0, lam: value + 1})
+        assert ([fast_sum(shifted, m) for m in mats] == values) == (lam != 1), lam
 
 
 @pytest.fixture(scope="module")
