@@ -191,13 +191,23 @@ def find_character(q: int, assignments) -> DirichletCharacter:
     for every (g, t) in assignments; raises if none or several match,
     naming the spec that q and the assignments spell; a string t is read
     as a spec's value is, so exponent notation is refused, and an infinity
-    or a NaN is refused as a string is.
+    or a NaN is refused as a string is; so is a t of any other type, and a
+    q or g that is no int.
     """
+    assignments = list(assignments)
+    for name, n in [("modulus", q), *(("generator", g) for g, _ in assignments)]:
+        if not isinstance(n, int):
+            raise ValueError(f"{name} of type {type(n).__name__} is not an int")
     assignments = [(g, _spec_number("value", t, f"at g={_short(g)}", Fraction)) for g, t in assignments]
-    spec = ";".join([f"q={_short(q)}"] + [
+    return _find_character(q, assignments, f"'{_spec_text(q, assignments)}'")
+
+
+def _spec_text(q: int, assignments) -> str:
+    """The spec "q=..;g=..;v=.." of q and (g, Fraction) pairs, as an error
+    names it and a cache stores it, an int past 256 bits by its size."""
+    return ";".join([f"q={_short(q)}"] + [
         f"g={_short(g)};v={_short(t.numerator)}{f'/{_short(t.denominator)}' if t.denominator > 1 else ''}"
         for g, t in assignments])
-    return _find_character(q, assignments, f"'{spec}'")
 
 
 def _find_character(q: int, assignments, spec: str) -> DirichletCharacter:
@@ -223,6 +233,8 @@ def parse_spec_fields(spec: str) -> tuple[int, list[tuple[int, Fraction]]]:
     """The modulus and the (generator, value) pairs of a spec "q=5;g=2;v=3/4",
     read without building any character; an error says when a number is
     past the interpreter's int_max_str_digits, and cuts a long text."""
+    if not isinstance(spec, str):
+        raise ValueError(f"character spec of type {type(spec).__name__} is not a string")
     q = None
     pairs: list[tuple[int, Fraction]] = []
     pending_g = None
@@ -264,7 +276,7 @@ def _spec_number(name: str, val, at: str, parse=int):
         return parse(val)
     except ZeroDivisionError:
         raise ValueError(f"{name} {_clip(val)} {at} divides by 0") from None
-    except (ValueError, OverflowError):  # OverflowError: Fraction() of a float or Decimal infinity
+    except (ValueError, TypeError, OverflowError):  # OverflowError: Fraction() of a float or Decimal infinity
         raise ValueError(f"{name} {_clip(str(val))} {at} {_refusal(str(val), parse is Fraction)}") from None
 
 

@@ -21,19 +21,20 @@ import time
 from dataclasses import dataclass, field
 from math import log10
 
-from .characters import _find_character, parse_spec_fields, psi
+from .characters import psi
 from .cosets import sl2_coset_count
 from .dedekind import (
     DEFAULT_LEVEL_LIMIT,
     Context,
     _build,
     _parity_message,
+    _read_pair,
     _validate_pair,
     fast_sum,
     naive_sum,
     split_gamma0,
 )
-from .modgroup import Mat2, _clip, _short, random_gamma0, ts_decompose
+from .modgroup import Mat2, _short, random_gamma0, ts_decompose
 from .rewriter import modified_rewrite, reduce_word
 
 # Largest lower-left entry for which the double sum is run: the limit of
@@ -43,14 +44,10 @@ from .rewriter import modified_rewrite, reduce_word
 NAIVE_CUTOFF = 10**5
 
 
-class CliError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors; route them to exit 1
     def error(self, message):
-        raise CliError(message)
+        raise ValueError(message)
 
 
 def _build_parser() -> _Parser:
@@ -92,33 +89,22 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _specs(args):
-    """The parsed --chi1 and --chi2, before any character is built, after the level guardrail."""
-    (q1, _), (q2, _) = specs = parse_spec_fields(args.chi1), parse_spec_fields(args.chi2)
-    if q1 * q2 > DEFAULT_LEVEL_LIMIT and not args.allow_large_n:
-        raise CliError(
-            f"level N = {_short(q1)} * {_short(q2)} = {_short(q1 * q2)} exceeds the guardrail "
-            f"{DEFAULT_LEVEL_LIMIT}; pass --allow-large-n to lift it"
-        )
-    return specs
-
-
-def _pair(args):
-    """The requested pair, after the level guardrail and `precompute`'s
-    checks, an unmatched spec named as typed; the text of its
-    ParityWarning, if any, goes to stderr as one line, once per run."""
-    chi1, chi2 = (_find_character(q, g, _clip(t)) for t, (q, g) in zip((args.chi1, args.chi2), _specs(args)))
+def _pair(args, at_level=None):
+    """The requested pair, read by `_read_pair` as a cache's is, after
+    `precompute`'s checks; the text of its ParityWarning, if any, goes to
+    stderr as one line, once per run."""
+    chi1, chi2 = _read_pair((args.chi1, args.chi2), args.allow_large_n, "--allow-large-n", at_level)
     _validate_pair(chi1, chi2, args.allow_large_n)
     if message := _parity_message(chi1, chi2):
         print(f"warning: {message}", file=sys.stderr)
     return chi1, chi2
 
 
-def _context(args, *, announce: bool = False) -> Context:
+def _context(args, *, announce: bool = False, at_level=None) -> Context:
     """The requested pair's context, built by `_build` as `precompute`
     builds it; with `announce`, its summary goes to stdout, with the count
     of double sums the build returns."""
-    chi1, chi2 = _pair(args)
+    chi1, chi2 = _pair(args, at_level)
     t0 = time.perf_counter()
     ctx, calls = _build(chi1, chi2, args.allow_large_n)
     if announce:
@@ -144,7 +130,7 @@ def cmd_precompute(args) -> int:
 def cmd_sum(args) -> int:
     gamma = Mat2.parse(args.matrix)
     if args.naive and abs(gamma.c) > NAIVE_CUTOFF:
-        raise CliError(
+        raise ValueError(
             f"--naive runs the double sum, O(|c|) terms; c = {_short(gamma.c)} is beyond the "
             f"cutoff {NAIVE_CUTOFF}, so drop --naive to use the table path"
         )
@@ -206,16 +192,15 @@ class VerifyReport:
 
 def run_verify(ctx: Context, *, trials: int, seed: int, cmax: int) -> VerifyReport:
     """`fast_sum` against the double sum on `trials` seeded matrices with
-    c <= cmax, then the Fricke reciprocity law of `_fricke_reciprocity` on
-    `trials` more.  The double sum's own identities, and those of the coset
-    maps, are tested by the test suite."""
-    report = VerifyReport()
-    rng = random.Random(seed)
-    N = ctx.N
+    c <= cmax, then `_fricke_reciprocity` on `trials` more; the swapped
+    pair is built while `ctx` lives, unlike in `cmd_verify`."""
+    return _fricke_suite(*_pair_suites(ctx, trials, seed, cmax))
 
-    # fast path vs the double sum
+
+def _pair_suites(ctx: Context, trials: int, seed: int, cmax: int) -> tuple:
+    """The report of the oracle suite, then all that `_fricke_suite` reads."""
+    report, rng, N, bad = VerifyReport(), random.Random(seed), ctx.N, []
     kmax = max(1, cmax // N)
-    bad = []
     for _ in range(trials):
         gamma = random_gamma0(N, rng, kmax=kmax, d_shift=1)
         fast = fast_sum(ctx, gamma)
@@ -223,44 +208,56 @@ def run_verify(ctx: Context, *, trials: int, seed: int, cmax: int) -> VerifyRepo
         if fast != slow:
             bad.append(f"gamma={gamma}: fast {fast} vs naive {slow}")
     report.record("oracle-equivalence", not bad, bad[0] if bad else f"{trials} matrices")
+    return report, ctx.chi1, ctx.chi2, _fricke_draws(ctx, trials, rng)
 
-    report.record("fricke-reciprocity", *_fricke_reciprocity(ctx, trials, rng))
+
+def _fricke_suite(report: VerifyReport, *pair_side) -> VerifyReport:
+    report.record("fricke-reciprocity", *_fricke_reciprocity(*pair_side))
     return report
 
 
-def _fricke_reciprocity(ctx: Context, trials: int, rng) -> tuple[bool, str]:
-    """(whether the law holds, a detail).  With W = (0 -1; N 0), S' the sum
-    of the swapped pair (chi2, chi1), built afresh, and
-    D(g) = S'(W g W^-1) - chi1(-1) S(g), the law is D(g) = x (psi(g) - 1),
-    one x per pair, on `trials` draws with c log-uniform from N to 10^60:
-    checked against the first draw h with psi(h) != 1, and D(g) = 0 if none.
-    It ties two pairs' tables at unrelated words, so neither passes alone;
-    a swapped build that raises fails it."""
-    try:
-        swapped, _ = _build(ctx.chi2, ctx.chi1, True)
-    except ValueError as exc:
-        return False, f"the swapped pair's build raises: {exc}"
+def _fricke_draws(ctx: Context, trials: int, rng) -> list:
+    """The pair's side of the law: (g, chi1(-1) S(g), psi(g) - 1) on `trials`
+    draws of g with c log-uniform from N to 10^60."""
     N, sign, draws = ctx.N, 1 if ctx.chi1.exponent(-1) == 0 else -1, []
     for _ in range(trials):
         k = max(1, int(10 ** rng.uniform(log10(N), 60)) // N)
         g = random_gamma0(N, rng, kmin=k, kmax=k, d_shift=1)
-        d = fast_sum(swapped, Mat2(g.d, -g.c // N, -N * g.b, g.a)) - sign * fast_sum(ctx, g)
-        draws.append((g, d, psi(ctx.chi1, ctx.chi2, g) - 1))
+        draws.append((g, sign * fast_sum(ctx, g), psi(ctx.chi1, ctx.chi2, g) - 1))
+    return draws
+
+
+def _fricke_reciprocity(chi1, chi2, draws: list) -> tuple[bool, str]:
+    """(whether the law holds, a detail).  With W = (0 -1; N 0) and S' the
+    sum of the swapped pair (chi2, chi1), built here, the law is
+    D(g) = S'(W g W^-1) - chi1(-1) S(g) = x (psi(g) - 1), one x for all
+    `_fricke_draws`, read at the first with psi != 1 (D = 0 if none).  It
+    ties two pairs' tables at unrelated words; a swapped build that raises
+    fails it."""
+    try:
+        swapped, _ = _build(chi2, chi1, True)
+    except ValueError as exc:
+        return False, f"the swapped pair's build raises: {exc}"
+    N = swapped.N
+    draws = [(g, fast_sum(swapped, Mat2(g.d, -g.c // N, -N * g.b, g.a)) - s, t) for g, s, t in draws]
     dh, th = next(((d, t) for _, d, t in draws if t), (0, 1))
     if bad := next((g for g, d, t in draws if d * th != dh * t), None):
         return False, f"g={bad}: D(g) is not x (psi(g) - 1) for one x across the draws"
-    return True, f"{trials} matrices, c up to 10^60"
+    return True, f"{len(draws)} matrices, c up to 10^60"
 
 
 def cmd_verify(args) -> int:
     if args.trials < 1:
-        raise CliError("--trials must be at least 1")
-    (q1, _), (q2, _) = _specs(args)
-    N = q1 * q2
-    if not N <= args.cmax <= NAIVE_CUTOFF:
-        raise CliError(f"--cmax must lie between N = {_short(N)} and the double-sum cutoff {NAIVE_CUTOFF}")
-    ctx = _context(args)
-    report = run_verify(ctx, trials=args.trials, seed=args.seed, cmax=args.cmax)
+        raise ValueError("--trials must be at least 1")
+
+    def cmax_range(N):
+        if not N <= args.cmax <= NAIVE_CUTOFF:
+            raise ValueError(f"--cmax must lie between N = {_short(N)} and the double-sum cutoff {NAIVE_CUTOFF}")
+
+    ctx = _context(args, at_level=cmax_range)
+    pair_side = _pair_suites(ctx, args.trials, args.seed, args.cmax)
+    del ctx  # the last reference: CPython 3.10 keeps a call's arguments on its caller's stack
+    report = _fricke_suite(*pair_side)
     for name, ok, detail in report.lines:
         print(f"{'PASS' if ok else 'FAIL'}  {name}  ({detail})")
     if not report.ok:
@@ -283,7 +280,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.run(args)
-    except (CliError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # never a raw traceback; KeyboardInterrupt and SystemExit propagate

@@ -51,7 +51,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-import re
 import tempfile
 import time
 import warnings
@@ -63,10 +62,12 @@ from operator import add, sub
 
 from .characters import (
     DirichletCharacter,
+    _find_character,
     _psi_odd,
+    _spec_text,
     _twists,
-    find_character,
     pair_order,
+    parse_spec_fields,
     unit_group_gens,
 )
 from .cosets import (
@@ -79,14 +80,15 @@ from .cosets import (
     transversal_g1_in_sl2,
 )
 from .exactnum import CycElem, _cyc, _rotations, _rows, cyclotomic_polynomial
-from .modgroup import I2, Mat2, _short, ts_decompose
+from .modgroup import I2, Mat2, _clip, _short, ts_decompose
 from .rewriter import modified_rewrite, reduce_word
 
 # Guardrail for precompute and load, lifted by allow_large: the tables hold a
 # row per coset key, |keys| ~ N^2, while the double sums grow with mu ~ N.
 DEFAULT_LEVEL_LIMIT = 80
 
-CACHE_VERSION = 5  # bump when what context_to_json writes changes: load rebuilds it and compares
+CACHE_VERSION = 6  # bump when what context_to_json writes changes: load rebuilds it and compares
+_REBUILD = "rebuild it with `save_context(precompute(chi1, chi2), path)`"
 
 log = logging.getLogger(__name__)
 
@@ -238,15 +240,29 @@ def _validate_pair(chi1, chi2, allow_large: bool):
             raise ValueError(f"{name} (mod {chi.modulus}) is not primitive")
         if chi.conductor() <= 1:
             raise ValueError(f"{name} must have conductor > 1")
-    _check_level(chi1.modulus * chi2.modulus, allow_large)
+    _check_level(chi1.modulus, chi2.modulus, allow_large)
 
 
-def _check_level(N: int, allow_large: bool):
-    if N > DEFAULT_LEVEL_LIMIT and not allow_large:
+def _check_level(q1: int, q2: int, allow_large: bool, lift: str = "allow_large=True"):
+    """The one level check, on the moduli alone: N = q1 q2 above the
+    guardrail without allow_large is refused, naming `lift`, the caller's
+    way to lift it (`--allow-large-n` in the CLI)."""
+    if q1 * q2 > DEFAULT_LEVEL_LIMIT and not allow_large:
         raise ValueError(
-            f"level N = {_short(N)} exceeds the guardrail {DEFAULT_LEVEL_LIMIT}; pass allow_large=True "
-            f"(the tables would have up to N^2 = {_short(N * N)} coset keys)"
+            f"level N = {_short(q1)} * {_short(q2)} = {_short(q1 * q2)} exceeds the guardrail "
+            f"{DEFAULT_LEVEL_LIMIT}; pass {lift} to lift it"
         )
+
+
+def _read_pair(texts, allow_large: bool, lift: str = "allow_large=True", at_level=None):
+    """The pair two specs name, read one way for `load_context` and the
+    CLI: both are parsed and the level checked, then handed to `at_level`,
+    before any character is built; an unmatched spec is named as written."""
+    (q1, _), (q2, _) = fields = [parse_spec_fields(t) for t in texts]
+    _check_level(q1, q2, allow_large, lift)
+    if at_level:
+        at_level(q1 * q2)
+    return tuple(_find_character(q, g, _clip(t)) for t, (q, g) in zip(texts, fields))
 
 
 def precompute(
@@ -459,19 +475,16 @@ def _numerators(ctx: Context, gamma: Mat2) -> list:
 
 
 # ---------------------------------------------------------------------------
-# cache serialization: the pair only
-
-def _chi_to_json(chi: DirichletCharacter) -> dict:
-    gens = []
-    for g, _ in unit_group_gens(chi.modulus):
-        k = chi.exponent(g)
-        gens.append({"g": g, "v": str(Fraction(k, chi.order))})
-    return {"q": chi.modulus, "gens": gens}
-
+# cache serialization: the pair's two specs only
 
 def context_to_json(ctx: Context) -> dict:
-    """The cache document: the pair, and nothing a load would recompute."""
-    return {"version": CACHE_VERSION, "chi1": _chi_to_json(ctx.chi1), "chi2": _chi_to_json(ctx.chi2)}
+    """The cache document: each character's spec, its values at the
+    `unit_group_gens` generators, and nothing a load would recompute."""
+    chi1, chi2 = (
+        _spec_text(chi.modulus, [(g, Fraction(chi.exponent(g), chi.order)) for g, _ in unit_group_gens(chi.modulus)])
+        for chi in (ctx.chi1, ctx.chi2)
+    )
+    return {"version": CACHE_VERSION, "chi1": chi1, "chi2": chi2}
 
 
 def save_context(ctx: Context, path) -> None:
@@ -492,47 +505,24 @@ def save_context(ctx: Context, path) -> None:
 
 
 def load_context(path, *, allow_large: bool = False) -> Context:
-    """Load a cached context by building its stored pair's context, as
-    `precompute` does, and require the file to be exactly what that context
-    writes.
-
-    The version must be CACHE_VERSION, the level of the stored moduli must
-    pass the guardrail (unless allow_large), and each stored value must be
-    a string -?[0-9]+(/[0-9]+)?, before any character is built.  The pair
-    then goes through `_build`: its checks, the double sums, the relations
-    and the G check.
-    Each top-level field of `context_to_json` of the result must serialize
-    as the file's does, with none missing or extra, so each character value
-    must be the string `str(Fraction)` writes.  Otherwise a ValueError names
-    the first field that differs; a malformed file raises ValueError too.
-    """
+    """Load a cached context: after the version, read the two stored specs
+    as the CLI reads --chi1 and --chi2 (`_read_pair`), so the level passes
+    the guardrail (unless allow_large) before any character is built; then
+    build the pair's context as `precompute` does (`_build`), and require
+    each top-level field of its `context_to_json` to serialize as the
+    file's does, none missing or extra, or a ValueError names the first
+    that differs.  A malformed file raises ValueError too."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     try:
         if data.get("version") != CACHE_VERSION:
-            raise ValueError(
-                f"cache version {data.get('version')!r} is not {CACHE_VERSION}; "
-                "rebuild it with `save_context(precompute(chi1, chi2), path)`"
-            )
-        stored = data["chi1"], data["chi2"]
-        if not all(type(c["q"]) is int and c["q"] >= 1 for c in stored):
-            raise ValueError(f"cache {path}: a stored modulus is not a positive integer")
-        _check_level(stored[0]["q"] * stored[1]["q"], allow_large)
-        # before Fraction(), which would parse "1e1000000000" into a 10^9-digit integer
-        if not all(type(g["v"]) is str and re.fullmatch("-?[0-9]+(/[0-9]+)?", g["v"]) for c in stored for g in c["gens"]):
-            raise ValueError(f"cache {path}: a stored value is not a string -?[0-9]+(/[0-9]+)?")
-        chi1, chi2 = (
-            find_character(c["q"], [(g["g"], Fraction(g["v"])) for g in c["gens"]]) for c in stored
-        )
-    except (LookupError, TypeError, AttributeError, ArithmeticError) as exc:
+            raise ValueError(f"cache version {data.get('version')!r} is not {CACHE_VERSION}; {_REBUILD}")
+        texts = data["chi1"], data["chi2"]
+    except (LookupError, AttributeError) as exc:
         raise ValueError(f"malformed cache {path}: {type(exc).__name__}: {exc}") from exc
-    ctx, _ = _build(chi1, chi2, allow_large)
+    ctx, _ = _build(*_read_pair(texts, allow_large), allow_large)
     rebuilt = context_to_json(ctx)
     for name in {**rebuilt, **data}:
         if name not in data or name not in rebuilt or json.dumps(data[name]) != json.dumps(rebuilt[name]):
-            raise ValueError(
-                f"cache {path}: its field {name!r} is not what the stored pair gives; "
-                "rebuild it with `save_context(precompute(chi1, chi2), path)`"
-            )
+            raise ValueError(f"cache {path}: its field {name!r} is not what the stored pair gives; {_REBUILD}")
     return ctx
-

@@ -179,6 +179,19 @@ def test_find_character_selection():
     for t, text in ((float("inf"), "inf"), (float("-inf"), "-inf"), (float("nan"), "nan"), (Decimal("NaN"), "NaN")):
         with pytest.raises(ValueError, match=f"^value '{text}' at g=2 is not a rational$"):
             find_character(5, [(2, t)])
+    # an argument of the wrong type, named; a bool generator is an int
+    for q, g, t, message in [
+        (5, 2.5, "1/4", "generator of type float is not an int"),
+        ("5", 2, "1/4", "modulus of type str is not an int"),
+        (5, 2, None, r"value 'None' at g=2 is not a rational"),
+        (5, 2, [1, 4], r"value '\[1, 4\]' at g=2 is not a rational"),
+        (5, 2, 1j, r"value '1j' at g=2 is not a rational"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            find_character(q, [(g, t)])
+    assert find_character(3, [(True, "0"), (2, "1/2")]).modulus == 3
+    with pytest.raises(ValueError, match="^character spec of type NoneType is not a string$"):
+        parse_character_spec(None)
 
 
 @functools.cache

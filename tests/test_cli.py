@@ -1,9 +1,11 @@
 import dataclasses
+import gc
 import json
 import logging
 import random
 import sys
 import time
+import weakref
 from math import gcd
 from types import SimpleNamespace
 
@@ -421,16 +423,17 @@ def test_cached_conductor_one_pair_exits_1(tmp_path, capsys, monkeypatch):
 
 
 # A value of the wrong type for each stored field: the three top-level
-# fields, and q1 and q2, the moduli stored in chi1 and chi2.  L and
-# sums_alphabet, which the cache no longer writes, are refused as fields the
-# pair does not give.
+# fields, and q1 and q2, the moduli written in the specs chi1 and chi2 (a
+# deleted one drops its q= field).  chi1 takes the version-5 form of its own
+# character.  L and sums_alphabet, which the cache no longer writes, are
+# refused as fields the pair does not give.
 MALFORMED = {
     "version": "1",
-    "q1": "3",
-    "q2": [3],
+    "q1": "3.0",
+    "q2": "[3]",
     "L": None,
-    "chi1": {"q": 3, "gens": 5},
-    "chi2": "q=3;g=2;v=1/2",
+    "chi1": {"q": 3, "gens": [{"g": 2, "v": "1/2"}]},
+    "chi2": None,
     "sums_alphabet": [[]],
 }
 STORED = ("version", "q1", "q2", "chi1", "chi2")
@@ -446,12 +449,14 @@ def test_malformed_cache_exits_1(tmp_path, ctx9, key, wrong_type):
     cache = tmp_path / "ctx9.json"
     save_context(ctx9, cache)
     data = json.loads(cache.read_text())
-    assert set(data) == {"version", "chi1", "chi2"}
-    where, name = (data["chi" + key[1]], "q") if key in ("q1", "q2") else (data, key)
-    if wrong_type:
-        where[name] = MALFORMED[key]
+    assert data == {"version": 6, "chi1": "q=3;g=2;v=1/2", "chi2": "q=3;g=2;v=1/2"}
+    if key in ("q1", "q2"):
+        chi = "chi" + key[1]
+        data[chi] = data[chi].replace("q=3", f"q={MALFORMED[key]}" if wrong_type else "")
+    elif wrong_type:
+        data[key] = MALFORMED[key]
     else:
-        del where[name]
+        del data[key]
     cache.write_text(json.dumps(data))
     with pytest.raises(ValueError):
         load_context(cache)
@@ -459,14 +464,15 @@ def test_malformed_cache_exits_1(tmp_path, ctx9, key, wrong_type):
 
 def test_load_refuses_a_level_above_the_guardrail(tmp_path, monkeypatch):
     """A cache of level N = 143 loads only with allow_large, and without it
-    is refused before any transversal is built."""
+    is refused before any character or transversal is built."""
     chi1, chi2 = find_character(11, [(2, "1/2")]), find_character(13, [(2, "1/12")])
     big = tmp_path / "big.json"
     save_context(precompute(chi1, chi2, allow_large=True), big)
     assert load_context(big, allow_large=True).N == 143
     with monkeypatch.context() as m:
         m.setattr(dedekind, "transversal_g0_in_sl2", lambda N: pytest.fail("a transversal was built"))
-        with pytest.raises(ValueError, match="level N = 143 exceeds the guardrail 80"):
+        m.setattr(dedekind, "_find_character", lambda *a: pytest.fail("a character was built"))
+        with pytest.raises(ValueError, match=r"^level N = 11 \* 13 = 143 exceeds the guardrail 80; pass allow_large"):
             load_context(big)
 
 
@@ -479,9 +485,9 @@ def test_a_stored_level_above_the_guardrail_names_the_cli_flag(tmp_path, capsys,
     chi1, chi2 = find_character(11, [(2, "1/2")]), find_character(13, [(2, "1/12")])
     cache = tmp_path / "ctx143.json"
     save_context(precompute(chi1, chi2, allow_large=True), cache)
-    with pytest.raises(ValueError, match="pass allow_large=True"):
+    monkeypatch.setattr(dedekind, "_find_character", lambda *a: pytest.fail("a character was built"))
+    with pytest.raises(ValueError, match="pass allow_large=True to lift it$"):
         load_context(cache)
-    monkeypatch.setattr(cli, "_find_character", lambda *a: pytest.fail("a character was built"))
     pair = ["--chi1", "q=11;g=2;v=1/2", "--chi2", "q=13;g=2;v=1/12"]
     assert main([command, *pair] + (["--matrix", "1,0;143,1"] if command == "sum" else [])) == 1
     out, err = capsys.readouterr()
@@ -570,6 +576,29 @@ def test_verify_passes(capsys):
         "PASS  oracle-equivalence  (8 matrices)",
         "PASS  fricke-reciprocity  (8 matrices, c up to 10^60)",
     ]
+
+
+def test_verify_frees_the_pair_before_the_swapped_build(monkeypatch, capsys):
+    """`gdsum verify` holds one context at a time: when the swapped pair is
+    built, the pair's context is already freed by reference counting (the
+    collector is off), on any CPython the suite runs on."""
+    alive, real = [], cli._build
+
+    def build(*args):
+        alive.append([r() is not None for r in refs])
+        ctx, calls = real(*args)
+        refs.append(weakref.ref(ctx))
+        return ctx, calls
+
+    refs = []
+    monkeypatch.setattr(cli, "_build", build)
+    gc.disable()
+    try:
+        assert main(["verify", *PAIR, "--trials", "3", "--cmax", "300"]) == 0
+    finally:
+        gc.enable()
+    assert alive == [[], [False]]
+    assert capsys.readouterr().out.count("PASS") == 2
 
 
 def test_verify_checks_derived_rows(ctx9):
@@ -689,10 +718,12 @@ def test_run_verify_report_structure(ctx9):
         ("q=4;g=2;v=1/2", CHI3, "character spec 'q=4;g=2;v=1/2' matches 0 primitive characters, need exactly 1"),
         ("q=5;g=2;v=1e1000000000", CHI3, "value '1e1000000000' in character spec 'q=5;g=2;v=1e1000000000' is in "
          "exponent notation"),
+        ("q=5;v=1/4", CHI3, "value without generator in character spec 'q=5;v=1/4'\n"),
+        ("q=5;g=2;g=3;v=1/4", CHI3, "dangling generator in character spec 'q=5;g=2;g=3;v=1/4'\n"),
     ],
     ids=[
         "zero-denominator", "huge-modulus", "zero-modulus", "non-integer-modulus", "non-integer-generator",
-        "repeated-modulus", "no-character", "exponent-notation",
+        "repeated-modulus", "no-character", "exponent-notation", "value-without-generator", "generator-after-generator",
     ],
 )
 def test_bad_spec_exits_1(capsys, monkeypatch, chi1, chi2, message):
@@ -707,7 +738,7 @@ def test_bad_spec_exits_1(capsys, monkeypatch, chi1, chi2, message):
         raise AssertionError("a character table was built")
 
     if message != "divides by 0" and "matches" not in message:
-        monkeypatch.setattr(cli, "_find_character", no_tables)
+        monkeypatch.setattr(dedekind, "_find_character", no_tables)
     rc = main(["sum", "--chi1", chi1, "--chi2", chi2, "--matrix", "1,0;0,1"])
     assert rc == 1
     err = capsys.readouterr().err
@@ -734,7 +765,7 @@ def test_verify_applies_the_guardrail_before_the_cmax_range(capsys, monkeypatch,
     """At N = 2021, above the guardrail and above the default --cmax,
     `verify` names the guardrail and --allow-large-n; with the flag it names
     the --cmax range.  Neither builds a character or a context."""
-    monkeypatch.setattr(cli, "_find_character", lambda *a: pytest.fail("a character was built"))
+    monkeypatch.setattr(dedekind, "_find_character", lambda *a: pytest.fail("a character was built"))
     pair = ["--chi1", "q=43;g=3;v=1/2", "--chi2", "q=47;g=5;v=1/2"]
     for flags, message in [
         ([], "error: level N = 43 * 47 = 2021 exceeds the guardrail 80; pass --allow-large-n to lift it\n"),

@@ -117,6 +117,16 @@ def test_alphabet_deterministic():
     # the alphabet is built over the P^1 transversal only
     with pytest.raises(ValueError, match="P\\^1"):
         schreier_alphabet(9, transversal_g1_in_sl2(9))
+    # and refuses one with a point's member missing, or off its point
+    p1 = transversal_g0_in_sl2(9)
+    missing = Transversal(9, "p1", {k: m for k, m in p1.members.items() if k != (1, 0)}, p1.edges, p1.bases)
+    with pytest.raises(ValueError, match=r"^corrupted transversal: no member for key \(1, 0\)$"):
+        schreier_alphabet(9, missing)
+    off = Transversal(9, "p1", {**p1.members, (1, 0): T}, p1.edges, p1.bases)
+    with pytest.raises(ValueError, match=r"^corrupted transversal: U entry .* is not in Gamma0\(9\)$"):
+        schreier_alphabet(9, off)
+    with pytest.raises(ValueError, match="^unknown transversal kind 'bogus'$"):
+        Transversal(9, "bogus", p1.members)
 
 
 def test_alt_lift_is_valid_transversal():

@@ -440,7 +440,8 @@ def test_one_raised_generator_sum_breaks_fricke_reciprocity(request, name):
     assert len(ctx.sums_alphabet) == 96
     for key, value in ctx.sums_alphabet.items():
         raised = dataclasses.replace(ctx, sums_alphabet={**ctx.sums_alphabet, key: value + 1})
-        ok, detail = cli._fricke_reciprocity(raised, 12, random.Random(ctx.N))
+        draws = cli._fricke_draws(raised, 12, random.Random(ctx.N))
+        ok, detail = cli._fricke_reciprocity(ctx.chi1, ctx.chi2, draws)
         assert not ok and detail.startswith("g="), key
 
 
@@ -785,6 +786,9 @@ def test_context_derives_pair_fields(ctx35, name):
         if not f.init:
             with pytest.raises(ValueError, match=f.name):
                 dataclasses.replace(ctx35, **{f.name: getattr(ctx35, f.name)})
+    # G needs a sum at every unit mod 35
+    with pytest.raises(ValueError, match="^G needs one sum per unit mod 35$"):
+        dataclasses.replace(ctx35, sums_g0={d: v for d, v in ctx35.sums_g0.items() if d != 2})
     # the sums are keyed by the points of P^1(Z/35): no other transversal fits
     for p1 in (ctx35.t_sl2, transversal_g0_in_sl2(28)):
         with pytest.raises(ValueError, match="P\\^1"):
@@ -852,16 +856,13 @@ def test_a_build_walks_the_relations_once(tmp_path, monkeypatch, request, name):
 
 def test_the_level_guardrail_raises_a_plain_value_error():
     """Above DEFAULT_LEVEL_LIMIT, precompute raises ValueError itself, no
-    subclass, naming allow_large=True and N^2, which bounds the number of
-    coset keys without factorizing N."""
+    subclass, naming the two moduli, N and allow_large=True, in the text
+    the CLI gives with --allow-large-n in its place."""
     chi1, chi2 = find_character(11, [(2, "1/2")]), find_character(13, [(2, "1/12")])
     with pytest.raises(ValueError) as info:
         precompute(chi1, chi2)
     assert type(info.value) is ValueError
-    assert str(info.value) == (
-        "level N = 143 exceeds the guardrail 80; pass allow_large=True (the tables would have up to N^2 = 20449 "
-        "coset keys)"
-    )
+    assert str(info.value) == "level N = 11 * 13 = 143 exceeds the guardrail 80; pass allow_large=True to lift it"
 
 
 def test_a_build_checks_every_relation_on_its_rows(monkeypatch, ctx28):
@@ -946,17 +947,17 @@ def test_load_rejects_a_double_sum_wrong_off_c_n(tmp_path, monkeypatch, ctx28):
 )
 def test_load_rejects_coefficients_not_written_p_q(tmp_path, ctx9, coeff):
     """The fractions a cache stores, the values of its characters at their
-    generators, are "p/q" or "p" strings, -?[0-9]+(/[0-9]+)?, as
-    str(Fraction) writes them.  chi1's value at 2, stored as "1/2", is
-    refused as a JSON number, a decimal string or any other form Fraction()
-    would take, even one that names the same character, and any other
-    value; one in exponent notation, whose Fraction() would have 10^9
-    digits, is refused by that grammar before it is parsed."""
+    generators, are written "p/q" or "p" in its specs, as str(Fraction)
+    writes them.  chi1's value at 2, stored as "v=1/2", is refused written
+    as a number's str(), a decimal or any other form Fraction() would take,
+    even one that names the same character, and any other value; one in
+    exponent notation, whose Fraction() would have 10^9 digits, is refused
+    as the CLI refuses it, before it is parsed."""
     path = tmp_path / "ctx9.json"
     save_context(ctx9, path)
     data = json.loads(path.read_text())
-    assert data["chi1"]["gens"] == [{"g": 2, "v": "1/2"}]
-    data["chi1"]["gens"][0]["v"] = coeff
+    assert data["chi1"] == "q=3;g=2;v=1/2"
+    data["chi1"] = f"q=3;g=2;v={coeff}"
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError):
         load_context(path)
@@ -965,15 +966,15 @@ def test_load_rejects_coefficients_not_written_p_q(tmp_path, ctx9, coeff):
 @pytest.mark.parametrize("extra", ["field", "entry"])
 def test_load_rejects_anything_the_pair_does_not_give(tmp_path, ctx9, extra):
     """A cache must be exactly what its pair gives: one more top-level
-    field, or one more entry, true as it is, in a stored character's list
-    of values, is refused, naming the field that differs."""
+    field, or one more generator and value, true as it is, in a stored
+    character's spec, is refused, naming the field that differs."""
     path = tmp_path / "ctx9.json"
     save_context(ctx9, path)
     data = json.loads(path.read_text())
     if extra == "field":
         data["note"], name = "rebuilt by hand", "note"
     else:
-        data["chi2"]["gens"].append({"g": 2, "v": "1/2"})
+        data["chi2"] += ";g=2;v=1/2"
         name = "chi2"
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError, match=f"field '{name}' is not what the stored pair gives; rebuild it"):
@@ -988,11 +989,12 @@ def test_load_checks_the_stored_level_before_any_character(tmp_path, monkeypatch
     path = tmp_path / "ctx9.json"
     save_context(ctx9, path)
     data = json.loads(path.read_text())
-    monkeypatch.setattr(dedekind, "find_character", lambda *a: pytest.fail("a character was built"))
+    monkeypatch.setattr(dedekind, "_find_character", lambda *a: pytest.fail("a character was built"))
     levels = {1601: 4803, 2**61 - 1: 6917529027641081853}
     for q in (*levels, 0, 3.0, True):
-        message = f"level N = {levels[q]} exceeds the guardrail 80" if q in levels else "not a positive integer"
-        data["chi2"]["q"] = q
+        message = {0: "must be a positive integer", 3.0: "is not an integer", True: "is not an integer"}.get(q)
+        message = message or f"level N = 3 \\* {q} = {levels[q]} exceeds the guardrail 80"
+        data["chi2"] = f"q={q};g=2;v=1/2"
         path.write_text(json.dumps(data))
         with pytest.raises(ValueError, match=message):
             load_context(path)
@@ -1046,13 +1048,14 @@ def test_load_rejects_v1_cache(tmp_path, ctx9):
     path = tmp_path / "ctx9.json"
     save_context(ctx9, path)
     data = json.loads(path.read_text())
-    assert data["version"] == CACHE_VERSION == 5
-    # version 4 stored the Gamma0 generator sums, version 3 the Gamma1 ones,
+    assert data["version"] == CACHE_VERSION == 6
+    # version 5 stored each character's values as a list of JSON objects,
+    # version 4 the Gamma0 generator sums, version 3 the Gamma1 ones,
     # version 2 those over the lift transversal, version 1 more fields
-    for old in (4, 3, 2, 1):
+    for old in (5, 4, 3, 2, 1):
         data["version"] = old
         path.write_text(json.dumps(data))
-        with pytest.raises(ValueError, match=f"cache version {old} is not 5; rebuild it"):
+        with pytest.raises(ValueError, match=f"cache version {old} is not 6; rebuild it"):
             load_context(path)
 
 

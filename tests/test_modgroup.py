@@ -151,6 +151,8 @@ def test_parse():
         Mat2.parse("1,2,3;4,5")
     with pytest.raises(ValueError):
         Mat2.parse("1,0;0")
+    with pytest.raises(ValueError, match="^matrix spec '1,0' must have two ;-separated rows$"):
+        Mat2.parse("1,0")
     with pytest.raises(ValueError):
         Mat2.parse("2,0;0,2")
 
