@@ -1,14 +1,15 @@
 """Command-line front end: precompute, sum, verify.
 
 Each run builds the pair's context in-process, at most once, as
-`precompute` does, and writes no file.  It leaves the `gdsum` logger as it
-finds it, so a build times its phases only when the caller has turned on
-DEBUG.  A matrix entry may have any number of digits: `main` lifts CPython's
-int-to-str digit limit for the run, and a message gives an entry past 256
-bits by its bit length.  Exit codes: 0 success, 1 usage/configuration
-error, or any other error as one `error: internal error:` line, its
-traceback logged at DEBUG on `gdsum.cli`, 2 verification failure.  All
-randomness is driven by --seed, so reports are reproducible.
+`precompute` does, and writes no file: `verify` checks the one it builds.
+It leaves the `gdsum` logger as it finds it, so a build times its phases
+only when the caller has turned on DEBUG.  A matrix entry may have any
+number of digits: `main` lifts CPython's int-to-str digit limit for the
+run, and a message gives an entry past 256 bits by its bit length.  Exit
+codes: 0 success, 1 usage/configuration error, or any other error as one
+`error: internal error:` line, its traceback logged at DEBUG on
+`gdsum.cli`, 2 verification failure.  All randomness is driven by --seed,
+so reports are reproducible.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ import random
 import sys
 import time
 from dataclasses import dataclass, field
+from itertools import count
 from math import log10
 
-from .characters import psi
 from .cosets import sl2_coset_count
 from .dedekind import (
     DEFAULT_LEVEL_LIMIT,
@@ -34,6 +35,7 @@ from .dedekind import (
     naive_sum,
     split_gamma0,
 )
+from .exactnum import root_of_unity
 from .modgroup import Mat2, _short, random_gamma0, ts_decompose
 from .rewriter import modified_rewrite, reduce_word
 
@@ -192,13 +194,8 @@ class VerifyReport:
 
 def run_verify(ctx: Context, *, trials: int, seed: int, cmax: int) -> VerifyReport:
     """`fast_sum` against the double sum on `trials` seeded matrices with
-    c <= cmax, then `_fricke_reciprocity` on `trials` more; the swapped
-    pair is built while `ctx` lives, unlike in `cmd_verify`."""
-    return _fricke_suite(*_pair_suites(ctx, trials, seed, cmax))
-
-
-def _pair_suites(ctx: Context, trials: int, seed: int, cmax: int) -> tuple:
-    """The report of the oracle suite, then all that `_fricke_suite` reads."""
+    c <= cmax, then `_hecke` on `trials` more, drawn after them with c
+    log-uniform from N to 10^60: both suites read `ctx` alone."""
     report, rng, N, bad = VerifyReport(), random.Random(seed), ctx.N, []
     kmax = max(1, cmax // N)
     for _ in range(trials):
@@ -208,42 +205,44 @@ def _pair_suites(ctx: Context, trials: int, seed: int, cmax: int) -> tuple:
         if fast != slow:
             bad.append(f"gamma={gamma}: fast {fast} vs naive {slow}")
     report.record("oracle-equivalence", not bad, bad[0] if bad else f"{trials} matrices")
-    return report, ctx.chi1, ctx.chi2, _fricke_draws(ctx, trials, rng)
-
-
-def _fricke_suite(report: VerifyReport, *pair_side) -> VerifyReport:
-    report.record("fricke-reciprocity", *_fricke_reciprocity(*pair_side))
+    ks = (max(1, int(10 ** rng.uniform(log10(N), 60)) // N) for _ in range(trials))
+    report.record("hecke", *_hecke(ctx, [random_gamma0(N, rng, kmin=k, kmax=k, d_shift=1) for k in ks]))
     return report
 
 
-def _fricke_draws(ctx: Context, trials: int, rng) -> list:
-    """The pair's side of the law: (g, chi1(-1) S(g), psi(g) - 1) on `trials`
-    draws of g with c log-uniform from N to 10^60."""
-    N, sign, draws = ctx.N, 1 if ctx.chi1.exponent(-1) == 0 else -1, []
-    for _ in range(trials):
-        k = max(1, int(10 ** rng.uniform(log10(N), 60)) // N)
-        g = random_gamma0(N, rng, kmin=k, kmax=k, d_shift=1)
-        draws.append((g, sign * fast_sum(ctx, g), psi(ctx.chi1, ctx.chi2, g) - 1))
-    return draws
+def _hecke(ctx: Context, draws: list) -> tuple[bool, str]:
+    """(whether the Hecke relation at p holds on every draw, a detail), p
+    the smallest prime not dividing N.  With `_hecke_images` g_0..g_p of g,
+        conj(psi(p)) sum_{b<p} S(g_b) + S(g_p) = (p conj(chi1(p)) + chi2(p)) S(g)
+    exactly, with no free constant: Knopp's identity for the classical
+    Dedekind sums, whose eigenvalue is p + 1.  It ties the tables at words
+    far apart, so one context checks itself at every c."""
+    N, L = ctx.N, ctx.L
+    p = next(p for p in count(2) if N % p and all(p % r for r in range(2, p)))
+    e1, e2 = (chi.exponent_table(L)[p % chi.modulus] for chi in (ctx.chi1, ctx.chi2))
+    scale = p * root_of_unity(L, -e1) + root_of_unity(L, e2)
+    for g in draws:
+        *images, last = (fast_sum(ctx, h) for h in _hecke_images(g, p))
+        if root_of_unity(L, e2 - e1) * sum(images) + last != scale * fast_sum(ctx, g):
+            return False, f"g={g}: the relation at p = {p} breaks"
+    return True, f"p = {p}, {len(draws)} matrices, c up to 10^60"
 
 
-def _fricke_reciprocity(chi1, chi2, draws: list) -> tuple[bool, str]:
-    """(whether the law holds, a detail).  With W = (0 -1; N 0) and S' the
-    sum of the swapped pair (chi2, chi1), built here, the law is
-    D(g) = S'(W g W^-1) - chi1(-1) S(g) = x (psi(g) - 1), one x for all
-    `_fricke_draws`, read at the first with psi != 1 (D = 0 if none).  It
-    ties two pairs' tables at unrelated words; a swapped build that raises
-    fails it."""
-    try:
-        swapped, _ = _build(chi2, chi1, True)
-    except ValueError as exc:
-        return False, f"the swapped pair's build raises: {exc}"
-    N = swapped.N
-    draws = [(g, fast_sum(swapped, Mat2(g.d, -g.c // N, -N * g.b, g.a)) - s, t) for g, s, t in draws]
-    dh, th = next(((d, t) for _, d, t in draws if t), (0, 1))
-    if bad := next((g for g, d, t in draws if d * th != dh * t), None):
-        return False, f"g={bad}: D(g) is not x (psi(g) - 1) for one x across the draws"
-    return True, f"{len(draws)} matrices, c up to 10^60"
+def _hecke_images(g: Mat2, p: int) -> list:
+    """g_i = alpha_i g alpha_j^-1 in Gamma0(N) for alpha_b = (1 b; 0 p),
+    b < p, then alpha_p = (p 0; 0 1), for a prime p not dividing N: one row
+    (u, v) of alpha_i g is 0 mod p, and the other gives j = v/u mod p, or p
+    if p divides u; g_i is alpha_i g adj(alpha_j), divided by p."""
+    a, b, c, d = g.entries()
+    images = []
+    for i in range(p + 1):
+        x, y, z, w = (a + i * c, b + i * d, p * c, p * d) if i < p else (p * a, p * b, c, d)
+        u, v = (x, y) if i < p else (z, w)
+        j = v * pow(u, -1, p) % p if u % p else p
+        # adj(alpha_j) is (p -j; 0 1), or (1 0; 0 p) for j = p
+        m = (p * x, y - j * x, p * z, w - j * z) if j < p else (x, p * y, z, p * w)
+        images.append(Mat2(*(e // p for e in m)))
+    return images
 
 
 def cmd_verify(args) -> int:
@@ -254,10 +253,7 @@ def cmd_verify(args) -> int:
         if not N <= args.cmax <= NAIVE_CUTOFF:
             raise ValueError(f"--cmax must lie between N = {_short(N)} and the double-sum cutoff {NAIVE_CUTOFF}")
 
-    ctx = _context(args, at_level=cmax_range)
-    pair_side = _pair_suites(ctx, args.trials, args.seed, args.cmax)
-    del ctx  # the last reference: CPython 3.10 keeps a call's arguments on its caller's stack
-    report = _fricke_suite(*pair_side)
+    report = run_verify(_context(args, at_level=cmax_range), trials=args.trials, seed=args.seed, cmax=args.cmax)
     for name, ok, detail in report.lines:
         print(f"{'PASS' if ok else 'FAIL'}  {name}  ({detail})")
     if not report.ok:

@@ -1,17 +1,15 @@
 import dataclasses
-import gc
 import json
 import logging
 import random
 import sys
 import time
-import weakref
 from math import gcd
 from types import SimpleNamespace
 
 import pytest
 
-from gdsum import cli, dedekind, find_character
+from gdsum import cli, dedekind, find_character, parse_character_spec
 from gdsum.cli import main, run_verify
 from gdsum.dedekind import load_context, naive_sum, precompute, save_context
 from gdsum.modgroup import Mat2
@@ -55,14 +53,11 @@ def test_precompute_prints_its_summary(tmp_path, capsys, monkeypatch):
     ids=["sum", "sum-trace", "verify"],
 )
 def test_one_precompute_and_no_file(tmp_path, capsys, monkeypatch, builds, argv):
-    """`sum` and `sum --trace` build the pair's context once, in process,
-    and `verify` once more for the swapped pair, whose tables its
-    reciprocity suite reads; each leaves its working directory empty."""
+    """`sum`, `sum --trace` and `verify` build the pair's context once, in
+    process, and leave their working directory empty."""
     monkeypatch.chdir(tmp_path)
     assert main([*argv, *PAIR]) == 0
-    assert len(builds) == (2 if argv[0] == "verify" else 1)
-    if argv[0] == "verify":
-        assert builds[1][:2] == builds[0][1::-1]
+    assert len(builds) == 1
     assert not any(tmp_path.iterdir())
     out = capsys.readouterr().out
     if argv[0] == "sum":
@@ -574,38 +569,28 @@ def test_verify_passes(capsys):
     out = capsys.readouterr().out
     assert out.splitlines() == [
         "PASS  oracle-equivalence  (8 matrices)",
-        "PASS  fricke-reciprocity  (8 matrices, c up to 10^60)",
+        "PASS  hecke  (p = 2, 8 matrices, c up to 10^60)",
     ]
 
 
-def test_verify_frees_the_pair_before_the_swapped_build(monkeypatch, capsys):
-    """`gdsum verify` holds one context at a time: when the swapped pair is
-    built, the pair's context is already freed by reference counting (the
-    collector is off), on any CPython the suite runs on."""
-    alive, real = [], cli._build
-
-    def build(*args):
-        alive.append([r() is not None for r in refs])
-        ctx, calls = real(*args)
-        refs.append(weakref.ref(ctx))
-        return ctx, calls
-
-    refs = []
-    monkeypatch.setattr(cli, "_build", build)
-    gc.disable()
-    try:
-        assert main(["verify", *PAIR, "--trials", "3", "--cmax", "300"]) == 0
-    finally:
-        gc.enable()
-    assert alive == [[], [False]]
-    assert capsys.readouterr().out.count("PASS") == 2
+def test_verify_builds_the_pair_once(capsys, builds):
+    """`gdsum verify` calls `_build` once per run, for the pair it names,
+    and both suites read that one context: two `PASS` lines, the hecke
+    one naming p."""
+    for trials, seed in ((1, 0), (3, 1), (20, 0)):
+        builds.clear()
+        assert main(["verify", *PAIR, "--trials", str(trials), "--seed", str(seed), "--cmax", "300"]) == 0
+        assert builds == [(parse_character_spec(CHI3), parse_character_spec(CHI3), False)]
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split("  ")[:2] for line in lines] == [["PASS", "oracle-equivalence"], ["PASS", "hecke"]]
+        assert lines[1].endswith(f"  (p = 2, {trials} matrices, c up to 10^60)")
 
 
 def test_verify_checks_derived_rows(ctx9):
     """Every S-step row, or every orbit total, shifted in the slot tables of
     a copy whose generator sums are unchanged: the derived-row check of the
-    tests flags that kind of row, and `verify` fails oracle-equivalence and,
-    against the swapped pair's tables built afresh, fricke-reciprocity."""
+    tests flags that kind of row, and `verify` fails oracle-equivalence and
+    hecke."""
     for slots, kind in (("s_slot", "S"), ("t_slot", "T")):
         ctx = dataclasses.replace(ctx9)  # rows derived afresh, not shared with ctx9
         table = getattr(ctx, slots)
@@ -619,7 +604,7 @@ def test_verify_checks_derived_rows(ctx9):
         # 4 draws: the first 2 with c <= 300 wrap no T-orbit
         report = run_verify(ctx, trials=4, seed=0, cmax=300)
         failed = [name for name, _ in report.failures]
-        assert failed == ["oracle-equivalence", "fricke-reciprocity"], kind
+        assert failed == ["oracle-equivalence", "hecke"], kind
 
 
 @pytest.mark.parametrize(
@@ -660,14 +645,14 @@ def test_verify_detects_corruption(capsys, monkeypatch):
     rc = main(["verify", *PAIR, "--trials", "4", "--seed", "0", "--cmax", "200"])
     assert rc == 2
     out = capsys.readouterr().out
-    assert "FAIL  fricke-reciprocity  (g=" in out
+    assert "FAIL  hecke  (g=" in out
 
 
 def test_verify_catches_a_wrap_count_read_as_one(monkeypatch):
     """A `reduce_word` that adds an orbit total once where its T-power
     wraps around the orbit m >= 2 times: at N = 143 (L = 60) no draw of
-    oracle-equivalence, c <= 2000, meets such a wrap, and fricke-reciprocity,
-    c up to 10^60, fails."""
+    oracle-equivalence, c <= 2000, meets such a wrap, and hecke, c up to
+    10^60, fails."""
     chi1, chi2 = find_character(11, [(2, "1/10")]), find_character(13, [(2, "1/12")])
     ctx = precompute(chi1, chi2, allow_large=True)
     real = dedekind.reduce_word
@@ -679,31 +664,14 @@ def test_verify_catches_a_wrap_count_read_as_one(monkeypatch):
 
     monkeypatch.setattr(dedekind, "reduce_word", clamped)
     report = run_verify(ctx, trials=20, seed=0, cmax=2000)
-    assert [name for name, _ in report.failures] == ["fricke-reciprocity"]
-
-
-def test_verify_fails_when_the_swapped_build_raises(capsys, monkeypatch):
-    """A swapped pair whose build refuses its sums fails the reciprocity
-    suite, exit 2, rather than an error of the run, exit 1."""
-    real = cli._build
-
-    def build(chi1, chi2, allow_large):
-        if allow_large:  # the swapped pair's build; PAIR's own runs without
-            raise ValueError("U(r, T) and U(r, S) sums over P^1 at key (0, 1) break S^2 = -I")
-        return real(chi1, chi2, allow_large)
-
-    monkeypatch.setattr(cli, "_build", build)
-    assert main(["verify", *PAIR, "--trials", "2", "--cmax", "100"]) == 2
-    out = capsys.readouterr().out
-    assert "PASS  oracle-equivalence" in out
-    assert "FAIL  fricke-reciprocity  (the swapped pair's build raises: U(r, T) and U(r, S) sums" in out
+    assert [name for name, _ in report.failures] == ["hecke"]
 
 
 def test_run_verify_report_structure(ctx9):
     report = run_verify(ctx9, trials=5, seed=2, cmax=300)
     assert report.ok
     names = [name for name, _, _ in report.lines]
-    assert names == ["oracle-equivalence", "fricke-reciprocity"]
+    assert names == ["oracle-equivalence", "hecke"]
 
 
 @pytest.mark.parametrize(

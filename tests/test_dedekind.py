@@ -385,6 +385,12 @@ def test_every_primitive_pair_builds_up_to_level_80():
             assert fast_sum(ctx, gamma) == naive_sum(chi1, chi2, gamma), (chi1, chi2, gamma)
 
 
+def _log_uniform_draws(N: int, rng, n: int, top: int = 60) -> list:
+    """n matrices of Gamma0(N) with c = kN log-uniform up to 10^top."""
+    ks = (max(1, int(10 ** rng.uniform(0, top)) // N) for _ in range(n))
+    return [random_gamma0(N, rng, kmin=k, kmax=k, d_shift=1) for k in ks]
+
+
 def _fricke_breaks(ctx, swapped, mats, sign) -> list:
     """The draws g at which D(g) = S'(W g W^-1) - sign S(g), W = (0 -1; N 0)
     and S' the sum of the swapped pair's context, is not x (psi(g) - 1)
@@ -417,32 +423,118 @@ FRICKE_PAIRS = {  # (chi1 spec, chi2 spec), as the CLI reads them
 def test_fricke_reciprocity_holds_with_the_parity_sign(name):
     """With W = (0 -1; N 0), the sums of a pair and of its swap obey
     S_{chi2,chi1}(W g W^-1) - chi1(-1) S_{chi1,chi2}(g) = x (psi(g) - 1),
-    one x per pair, on 12 seeded matrices with c up to 10^60: the law
-    `verify`'s fricke-reciprocity suite checks.  Without the sign chi1(-1)
-    the law breaks on each pair with chi1 and chi2 even."""
+    one x per pair, on 12 seeded matrices with c up to 10^60.  `verify`
+    does not check it, since it needs the swapped pair's tables too: it is
+    a library identity, checked here and by CI's sweep job on every pair
+    with N <= 200.  Without the sign chi1(-1) the law breaks on each pair
+    with chi1 and chi2 even."""
     chi1, chi2 = map(parse_character_spec, FRICKE_PAIRS[name])
     (ctx, _), (swapped, _) = dedekind._build(chi1, chi2, True), dedekind._build(chi2, chi1, True)
-    rng, N = random.Random(ctx.N), ctx.N
-    ks = [max(1, int(10 ** rng.uniform(0, 60)) // N) for _ in range(12)]  # c = kN log-uniform up to 10^60
-    mats = [random_gamma0(N, rng, kmin=k, kmax=k, d_shift=1) for k in ks]
+    mats = _log_uniform_draws(ctx.N, random.Random(ctx.N), 12)
     sign = 1 if chi1.exponent(-1) == 0 else -1
     assert _fricke_breaks(ctx, swapped, mats, sign) == []
     if name.endswith("-even"):
         assert _fricke_breaks(ctx, swapped, mats, -sign)
 
 
+def _two_primes_prime_to(N: int) -> list:
+    """The two smallest primes that do not divide N."""
+    return [p for p in range(2, 50) if N % p and all(p % r for r in range(2, p))][:2]
+
+
+def _hecke_reference(g: Mat2, p: int, N: int) -> list:
+    """alpha_i g alpha_j^-1 for alpha_b = (1 b; 0 p), b < p, then
+    alpha_p = (p 0; 0 1), each j found by trying all p + 1: the one whose
+    product alpha_i g adj(alpha_j) is p times a Gamma0(N) matrix."""
+    alphas = [(1, b, 0, p) for b in range(p)] + [(p, 0, 0, 1)]
+
+    def times(m, n):
+        (a, b, c, d), (e, f, g_, h) = m, n
+        return a * e + b * g_, a * f + b * h, c * e + d * g_, c * f + d * h
+
+    images = []
+    for alpha in alphas:
+        left, found = times(alpha, g.entries()), []
+        for a, b, c, d in alphas:
+            m = times(left, (d, -b, -c, a))
+            if all(e % p == 0 for e in m) and m[2] // p % N == 0:
+                found.append(Mat2(*(e // p for e in m)))
+        assert len(found) == 1, (g, p, alpha)
+        images += found
+    return images
+
+
+def _hecke_sides(chi1, chi2, g: Mat2, p: int, sum_of) -> tuple:
+    """The two sides of the relation in its psi(p) multiple,
+    sum_{b<p} S(g_b) + psi(p) S(g_p) = (p conj(chi2(p)) + chi1(p)) S(g),
+    with S read through `sum_of` on `_hecke_reference`'s matrices."""
+    L = pair_order(chi1, chi2)
+    k1, k2 = (chi.exponent(p) * (L // chi.order) for chi in (chi1, chi2))
+    *images, last = map(sum_of, _hecke_reference(g, p, chi1.modulus * chi2.modulus))
+    lhs = sum(images, CycElem.zero(L)) + psi(chi1, chi2, SimpleNamespace(d=p)) * last
+    return lhs, (p * root_of_unity(L, -k2) + root_of_unity(L, k1)) * sum_of(g)
+
+
+@pytest.mark.parametrize("name", list(FRICKE_PAIRS))
+def test_the_hecke_relation_holds_at_two_primes(name):
+    """At the two smallest primes p prime to N, with no free constant, on 6
+    seeded matrices per p with c up to 10^60: the relation `verify`'s
+    hecke suite checks, at p + 1 matrices built here by trying every
+    partner.  The suite's own matrices equal them, and it passes."""
+    chi1, chi2 = map(parse_character_spec, FRICKE_PAIRS[name])
+    ctx, _ = dedekind._build(chi1, chi2, True)
+    rng, N = random.Random(ctx.N), ctx.N
+    primes = _two_primes_prime_to(N)
+    for p in primes:
+        mats = _log_uniform_draws(N, rng, 6)
+        for g in mats:
+            assert cli._hecke_images(g, p) == _hecke_reference(g, p, N)
+            lhs, rhs = _hecke_sides(chi1, chi2, g, p, partial(fast_sum, ctx))
+            assert lhs == rhs, (p, g)
+        if p == primes[0]:
+            assert cli._hecke(ctx, mats) == (True, f"p = {p}, 6 matrices, c up to 10^60")
+
+
+@pytest.mark.parametrize("name", ["28-odd", "35-odd", "35-even"])
+def test_the_hecke_relation_holds_on_the_double_sum(name):
+    """Both sides by `naive_sum`, at the two smallest primes p prime to N,
+    on 3 seeded matrices per p with c <= 10^4: the relation holds on the
+    double sum itself, with no table read."""
+    chi1, chi2 = map(parse_character_spec, FRICKE_PAIRS[name])
+    N, rng = chi1.modulus * chi2.modulus, random.Random(4)
+    for p in _two_primes_prime_to(N):
+        for g in _log_uniform_draws(N, rng, 3, top=4):
+            lhs, rhs = _hecke_sides(chi1, chi2, g, p, partial(naive_sum, chi1, chi2))
+            assert lhs == rhs, (p, g)
+
+
 @pytest.mark.parametrize("name", ["ctx28", "ctx35_l12"])
 def test_one_raised_generator_sum_breaks_fricke_reciprocity(request, name):
     """Each stored generator sum raised by 1 on a copy of the context, 96
-    at N = 28 and at N = 35, fails `verify`'s fricke-reciprocity suite
-    against the swapped pair's tables on 12 seeded matrices."""
+    at N = 28 and at N = 35, breaks the signed Fricke law against the
+    swapped pair's tables on 12 seeded matrices with c up to 10^60, and
+    fails `verify`'s hecke suite, read from that one copy, on the first 4."""
     ctx = request.getfixturevalue(name)
     assert len(ctx.sums_alphabet) == 96
+    swapped, _ = dedekind._build(ctx.chi2, ctx.chi1, True)
+    sign = 1 if ctx.chi1.exponent(-1) == 0 else -1
+    mats = _log_uniform_draws(ctx.N, random.Random(ctx.N), 12)
     for key, value in ctx.sums_alphabet.items():
         raised = dataclasses.replace(ctx, sums_alphabet={**ctx.sums_alphabet, key: value + 1})
-        draws = cli._fricke_draws(raised, 12, random.Random(ctx.N))
-        ok, detail = cli._fricke_reciprocity(ctx.chi1, ctx.chi2, draws)
+        assert _fricke_breaks(raised, swapped, mats, sign), key
+        ok, detail = cli._hecke(raised, mats[:4])
         assert not ok and detail.startswith("g="), key
+
+
+@pytest.mark.parametrize("name", ["ctx28", "ctx35_l12"])
+def test_the_hecke_suite_alone_catches_a_raised_u_i_s_on_one_draw(request, name):
+    """U(I, S), which opens every word with an S letter, raised by 1: the
+    hecke suite with one matrix fails, on each of 10 seeded draws."""
+    ctx = request.getfixturevalue(name)
+    key = ((0, 1), ("S", 1))
+    raised = dataclasses.replace(ctx, sums_alphabet={**ctx.sums_alphabet, key: ctx.sums_alphabet[key] + 1})
+    for g in _log_uniform_draws(ctx.N, random.Random(0), 10):
+        assert not cli._hecke(raised, [g])[0], g
 
 
 def test_a_build_checks_the_evaluator_at_the_gamma0_members(monkeypatch, chi4, chi7_56):
