@@ -20,7 +20,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass, field
-from itertools import count
+from itertools import count, islice
 from math import log10
 
 from .cosets import sl2_coset_count
@@ -211,21 +211,24 @@ def run_verify(ctx: Context, *, trials: int, seed: int, cmax: int) -> VerifyRepo
 
 
 def _hecke(ctx: Context, draws: list) -> tuple[bool, str]:
-    """(whether the Hecke relation at p holds on every draw, a detail), p
-    the smallest prime not dividing N.  With `_hecke_images` g_0..g_p of g,
+    """(whether the Hecke relation holds at each p on every draw, a detail),
+    p the two smallest primes not dividing N, on the same draws.  With
+    `_hecke_images` g_0..g_p of g,
         conj(psi(p)) sum_{b<p} S(g_b) + S(g_p) = (p conj(chi1(p)) + chi2(p)) S(g)
     exactly, with no free constant: Knopp's identity for the classical
     Dedekind sums, whose eigenvalue is p + 1.  It ties the tables at words
-    far apart, so one context checks itself at every c."""
+    far apart, so one context checks itself at every c; a wrong row can
+    meet it at one p on most draws and break it at another."""
     N, L = ctx.N, ctx.L
-    p = next(p for p in count(2) if N % p and all(p % r for r in range(2, p)))
-    e1, e2 = (chi.exponent_table(L)[p % chi.modulus] for chi in (ctx.chi1, ctx.chi2))
-    scale = p * root_of_unity(L, -e1) + root_of_unity(L, e2)
-    for g in draws:
-        *images, last = (fast_sum(ctx, h) for h in _hecke_images(g, p))
-        if root_of_unity(L, e2 - e1) * sum(images) + last != scale * fast_sum(ctx, g):
-            return False, f"g={g}: the relation at p = {p} breaks"
-    return True, f"p = {p}, {len(draws)} matrices, c up to 10^60"
+    primes = list(islice((p for p in count(2) if N % p and all(p % r for r in range(2, p))), 2))
+    for p in primes:
+        e1, e2 = (chi.exponent_table(L)[p % chi.modulus] for chi in (ctx.chi1, ctx.chi2))
+        scale = p * root_of_unity(L, -e1) + root_of_unity(L, e2)
+        for g in draws:
+            *images, last = (fast_sum(ctx, h) for h in _hecke_images(g, p))
+            if root_of_unity(L, e2 - e1) * sum(images) + last != scale * fast_sum(ctx, g):
+                return False, f"g={g}: the relation at p = {p} breaks"
+    return True, f"p = {primes[0]} and {primes[1]}, {len(draws)} matrices, c up to 10^60"
 
 
 def _hecke_images(g: Mat2, p: int) -> list:

@@ -56,15 +56,14 @@ class Transversal:
         return iter(self.members.values())
 
 
-def _g0_member(N: int, d: int) -> Mat2:
-    """The member (a, (ad-1)/N; N, d) at a unit d mod N, d > 1, a = 1/d mod N."""
-    a = pow(d, -1, N)
-    return Mat2(a, (a * d - 1) // N, N, d)
-
-
 def transversal_g1_in_g0(N: int) -> Transversal:
-    """Representatives `_g0_member(N, d)` over units d, identity at d = 1."""
-    members = {1 % N: I2, **{d: _g0_member(N, d) for d in range(2, N) if gcd(d, N) == 1}}
+    """The member (a, (ad-1)/N; N, d), a = 1/d mod N, at each unit d mod N,
+    d > 1, and the identity at d = 1."""
+    members = {1 % N: I2}
+    for d in range(2, N):
+        if gcd(d, N) == 1:
+            a = pow(d, -1, N)
+            members[d] = Mat2(a, (a * d - 1) // N, N, d)
     return Transversal(N, "gamma0", members)
 
 

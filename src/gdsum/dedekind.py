@@ -32,11 +32,10 @@ powers everything here:
   * those 2 mu sums are the one sum format: a `Context` is built from them
     and the sums G(d) at the Gamma0 transversal members g_d, deriving the
     two slot tables the evaluator reads (`_slot_tables`).  `_build` runs
-    the double sum once per input (a mod c, c), and at c = N reads the
-    twin input (-a mod N, N) off it: G at one member of each +-d pair gives
-    the other's and every generator sum with c = +-N.  A cache stores only
-    the pair: a load builds its context as a precompute does (`_build`),
-    and requires the file to be exactly what that context writes.
+    the double sum once per input (a mod c, c): G at each member gives
+    every generator sum with c = +-N.  A cache stores only the pair: a load
+    builds its context as a precompute does (`_build`), and requires the
+    file to be exactly what that context writes.
 
 The generator sums are a dict keyed like their alphabet, (k, ("T", 1)) and
 (k, ("S", 1)), with one shared CycElem per distinct sum.  `exactnum` turns
@@ -72,7 +71,6 @@ from .characters import (
 )
 from .cosets import (
     Transversal,
-    _g0_member,
     schreier_alphabet,
     sl2_coset_count,
     transversal_g0_in_sl2,
@@ -292,26 +290,23 @@ def _build(chi1, chi2, allow_large: bool) -> tuple[Context, int]:
 
     After the checks of the pair, every sum the context stores comes from
     one memo keyed by the double sum's input (a mod c, c), c >= 1, read off
-    -gamma when c <= -1, which runs the double sum once per input: a shear
-    (c = 0) is 0, and at c = N the twin input (-a mod N, N) of a known one
-    is -chi2(-1) times it, by j -> c - j.  Through it come G at each member
-    g_lambda of the Gamma0 transversal but I, whose input is
-    (1/lambda mod N, N), so one member of each +-lambda pair runs, and the
-    sums of the 2 mu Gamma0(N) generators U(r_k, T), U(r_k, S), whose
-    inputs with c = +-N are G's: 17 double sums at N = 35.  Off c = N a
-    twin input runs its own double sum, so that a wrong value is not copied
-    onto its twin, where the pair can meet every check (a fault at
-    (15, 56) did, at N = 28).  The Context's first broken relation (of 72
-    at N = 35) is refused, so no sum is made to meet one; then `fast_sum`
-    at each member but I is checked against G.  One DEBUG line on
-    `gdsum.dedekind` gives the counts and the seconds per phase, timed only
-    when logged, as `record.oracle_calls`/`record.phases`."""
+    -gamma when c <= -1, which runs the double sum once per input; a shear
+    (c = 0) is 0.  Through it come G at each member g_lambda of the Gamma0
+    transversal (at I, a shear, 0), whose input is (1/lambda mod N, N),
+    and the sums of the 2 mu Gamma0(N) generators U(r_k, T), U(r_k, S),
+    whose inputs with c = +-N are G's: 28 double sums at N = 35.  No input
+    is read off another, so a wrong double sum sits at its own input alone.
+    The Context's first broken relation (of 72 at N = 35) is refused, so no
+    sum is made to meet one; then `fast_sum` at each member but I is
+    checked against G.  One DEBUG line on `gdsum.dedekind` gives the counts
+    and the seconds per phase, timed only when logged, as
+    `record.oracle_calls`/`record.phases`."""
     _validate_pair(chi1, chi2, allow_large)
     N, L = chi1.modulus * chi2.modulus, pair_order(chi1, chi2)
     laps = [time.perf_counter()] if log.isEnabledFor(logging.DEBUG) else None
     p1 = transversal_g0_in_sl2(N)
     gens = schreier_alphabet(N, p1)
-    zero, even, runs = CycElem.zero(L), chi2.exponent(-1) == 0, 0
+    zero, runs = CycElem.zero(L), 0
     known, one_of = {}, {zero: zero}  # input (a, c) -> its sum; each distinct sum -> one CycElem
 
     def sum_of(m):
@@ -319,19 +314,16 @@ def _build(chi1, chi2, allow_large: bool) -> tuple[Context, int]:
         if m.c == 0:
             return zero
         m = m if m.c > 0 else -m
-        a, c = m.a % m.c, m.c
-        if (value := known.get((a, c))) is None:
-            if c == N and (twin := known.get((-a % c, c))) is not None:
-                value = -twin if even else twin
-            else:  # looked up at call time, so a test's replacement applies
-                value, runs = naive_sum(chi1, chi2, m), runs + 1
-            value = known[a, c] = one_of.setdefault(value, value)
+        if (value := known.get(key := (m.a % m.c, m.c))) is None:
+            # looked up at call time, so a test's replacement applies
+            value, runs = naive_sum(chi1, chi2, m), runs + 1
+            value = known[key] = one_of.setdefault(value, value)
         return value
 
-    g = {lam: sum_of(_g0_member(N, lam)) for lam in range(2, N) if gcd(lam, N) == 1}
+    g = {lam: sum_of(m) for lam, m in transversal_g1_in_g0(N).members.items()}
     sums = {v: sum_of(m) for v, m in gens.items()}
     _lap(laps)
-    ctx = Context(chi1, chi2, p1, sums, {1 % N: zero, **g})
+    ctx = Context(chi1, chi2, p1, sums, g)
     if broken := ctx.relations[1]:
         raise ValueError("U(r, T) and U(r, S) sums over P^1 at key %s break %s" % broken)
     _lap(laps)

@@ -10,9 +10,8 @@ with (c, d) = lambda k, rebuilt from the members times the units: the
 library keeps no such map.  `gamma1_relations` lists the relations among
 the U(t, T) and U(t, S) sums that the derived ones must obey.
 `all_oracle_context` evaluates every Gamma0 generator sum U(r, T), U(r, S)
-and every Gamma0 transversal sum with the double sum on its own input,
-never reading one of a twin pair of inputs off the other, and
-`oracle_gamma1` every Gamma0 transversal sum and every Gamma1 generator
+and every Gamma0 transversal sum with the double sum, once per matrix,
+and `oracle_gamma1` every Gamma0 transversal sum and every Gamma1 generator
 sum U(t, T), U(t, S), whose running sums a context's rows are.  `gamma1_rows` derives those
 Gamma1 sums from the Gamma0 ones, as integer rows, by the formula the
 context's rows telescope, and `gamma1_sums` gives them as CycElems.

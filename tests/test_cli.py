@@ -569,21 +569,21 @@ def test_verify_passes(capsys):
     out = capsys.readouterr().out
     assert out.splitlines() == [
         "PASS  oracle-equivalence  (8 matrices)",
-        "PASS  hecke  (p = 2, 8 matrices, c up to 10^60)",
+        "PASS  hecke  (p = 2 and 5, 8 matrices, c up to 10^60)",
     ]
 
 
 def test_verify_builds_the_pair_once(capsys, builds):
     """`gdsum verify` calls `_build` once per run, for the pair it names,
     and both suites read that one context: two `PASS` lines, the hecke
-    one naming p."""
+    one naming both primes p."""
     for trials, seed in ((1, 0), (3, 1), (20, 0)):
         builds.clear()
         assert main(["verify", *PAIR, "--trials", str(trials), "--seed", str(seed), "--cmax", "300"]) == 0
         assert builds == [(parse_character_spec(CHI3), parse_character_spec(CHI3), False)]
         lines = capsys.readouterr().out.splitlines()
         assert [line.split("  ")[:2] for line in lines] == [["PASS", "oracle-equivalence"], ["PASS", "hecke"]]
-        assert lines[1].endswith(f"  (p = 2, {trials} matrices, c up to 10^60)")
+        assert lines[1].endswith(f"  (p = 2 and 5, {trials} matrices, c up to 10^60)")
 
 
 def test_verify_checks_derived_rows(ctx9):
@@ -665,6 +665,27 @@ def test_verify_catches_a_wrap_count_read_as_one(monkeypatch):
     monkeypatch.setattr(dedekind, "reduce_word", clamped)
     report = run_verify(ctx, trials=20, seed=0, cmax=2000)
     assert [name for name, _ in report.failures] == ["hecke"]
+
+
+@pytest.mark.parametrize("key", [(32, 17), (7, 15), (10, 28), (14, 15), (26, 19), (2, 23)], ids="{0[0]}-{0[1]}".format)
+def test_verify_catches_an_s_step_fault_the_build_accepts(monkeypatch, key):
+    """An S-step key row raised by 1/den at N = 35 (L = 12), at a key the
+    build's relations and G check do not read: oracle-equivalence passes
+    the default `verify` draws (20, seed 0), and so does the Hecke
+    relation at p = 2; hecke fails at p = 3."""
+    chi1, chi2 = find_character(5, [(2, "1/4")]), find_character(7, [(3, "1/6")])
+    real = dedekind._key_rows
+
+    def faulted(*args):
+        t_rows, s_rows = real(*args)
+        i = key[0] * 35 + key[1]
+        s_rows[i] = (s_rows[i][0] + 1, *s_rows[i][1:])
+        return t_rows, s_rows
+
+    monkeypatch.setattr(dedekind, "_key_rows", faulted)
+    ctx = precompute(chi1, chi2)
+    report = run_verify(ctx, trials=20, seed=0, cmax=2000)
+    assert [(name, detail.endswith("p = 3 breaks")) for name, detail in report.failures] == [("hecke", True)]
 
 
 def test_run_verify_report_structure(ctx9):

@@ -268,7 +268,7 @@ def test_the_bucket_terms_are_the_exponents_of_chi1(request, name):
         assert list(pairs) == [(-chi1.exponent(k - m) * L // chi1.order % L, 2 * k) for k in units], m
 
 
-@pytest.mark.parametrize("name, double_sums", [("ctx28", 14), ("ctx35_l12", 17)])
+@pytest.mark.parametrize("name, double_sums", [("ctx28", 19), ("ctx35_l12", 28)])
 def test_a_build_reads_its_double_sums_as_rows(monkeypatch, request, name, double_sums):
     """A build turns its sums into integer rows once, with `exactnum._rows`:
     in the Context, for its generator sums and G, whose key rows the
@@ -322,11 +322,10 @@ def test_every_generator_on_c_plus_minus_n_has_the_double_sum_of_g(request, name
 @pytest.mark.parametrize("pair", ["9", "28", "35-odd", "35-l12", "35-even", "143"])
 def test_a_build_runs_each_double_sum_once(request, monkeypatch, pair):
     """A build runs the double sum once per input (a mod c, c), read off
-    -gamma when c < 0, and at c = N once per pair of twins (a, N),
-    (-a mod N, N): as many times as there are such inputs, counted here
+    -gamma when c < 0: as many times as there are such inputs, counted here
     from the Gamma0 transversal and the Schreier alphabet, the shears
-    (c = 0) aside.  It runs G's first, at phi(N)/2 members, and returns how
-    many it ran."""
+    (c = 0) aside.  It runs G's first, at each member but I, and returns
+    how many it ran."""
     if pair == "143":
         chi1, chi2 = find_character(11, [(2, "1/2")]), find_character(13, [(2, "1/12")])
     elif pair == "35-even":  # chi2 even, psi(-1) = 1
@@ -335,20 +334,51 @@ def test_a_build_runs_each_double_sum_once(request, monkeypatch, pair):
         chi1, chi2 = _pair(request, pair)
     N = chi1.modulus * chi2.modulus
 
-    def twins(mats):  # each input, at c = N as the least of it and its twin
-        inputs = [(m.a % m.c, m.c) if m.c > 0 else (-m.a % -m.c, -m.c) for m in mats if m.c]
-        return [min((a, c), (-a % c, c)) if c == N else (a, c) for a, c in inputs]
+    def inputs(mats):
+        return [(m.a % m.c, m.c) if m.c > 0 else (-m.a % -m.c, -m.c) for m in mats if m.c]
 
     members = [m for m in transversal_g1_in_g0(N).members.values() if m != I2]
-    expected = set(twins(members + list(schreier_alphabet(N, transversal_g0_in_sl2(N)).values())))
+    expected = set(inputs(members + list(schreier_alphabet(N, transversal_g0_in_sl2(N)).values())))
     calls = _counting_oracle(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ParityWarning)
         ctx, runs = dedekind._build(chi1, chi2, True)
-    assert runs == len(calls) == len(set(twins(calls))) == len(expected)
-    assert set(twins(calls)) == expected
-    g_runs = len(ctx.t_g0) // 2
-    assert set(calls[:g_runs]) <= set(members) and not set(calls[g_runs:]) & set(members)
+    assert runs == len(calls) == len(set(inputs(calls))) == len(expected)
+    assert set(inputs(calls)) == expected
+    assert calls[: len(members)] == members
+
+
+@pytest.mark.parametrize(
+    "spec1, spec2",
+    [
+        ("q=3;g=2;v=1/2", "q=4;g=3;v=1/2"),
+        ("q=3;g=2;v=1/2", "q=5;g=2;v=1/4"),
+        ("q=3;g=2;v=1/2", "q=7;g=3;v=1/6"),
+        ("q=4;g=3;v=1/2", "q=7;g=3;v=5/6"),  # the pair of ctx28
+        ("q=5;g=2;v=1/2", "q=7;g=3;v=1/3"),  # chi1 and chi2 even
+    ],
+    ids=["12", "15", "21", "28", "35-even"],
+)
+def test_a_build_refuses_one_wrong_double_sum(monkeypatch, spec1, spec2):
+    """`naive_sum` off by 1/3 at one input (a mod c, c) at a time, for each
+    input the build runs: every such build raises ValueError.  Were the
+    input (-a mod N, N) read off (a, N) as -chi2(-1) times it, the fault
+    would sit at both, and at N = 12, 15 and 21 such a pair met every
+    relation and the G check."""
+    chi1, chi2 = map(parse_character_spec, (spec1, spec2))
+    calls = _counting_oracle(monkeypatch)
+    dedekind._build(chi1, chi2, False)
+    inputs = [(m.a % m.c, m.c) for m in calls]
+    assert len(set(inputs)) == len(inputs) > 0
+
+    def wrong(fault, chi1, chi2, m):
+        value = naive_sum(chi1, chi2, m)
+        return value + Fraction(1, 3) if (m.a % m.c, m.c) == fault else value
+
+    for fault in inputs:
+        monkeypatch.setattr(dedekind, "naive_sum", partial(wrong, fault))
+        with pytest.raises(ValueError):
+            dedekind._build(chi1, chi2, False)
 
 
 @pytest.mark.parametrize("N, pairs", [(21, 3), (65, 17), (91, 28), (183, 30)])
@@ -492,7 +522,7 @@ def test_the_hecke_relation_holds_at_two_primes(name):
             lhs, rhs = _hecke_sides(chi1, chi2, g, p, partial(fast_sum, ctx))
             assert lhs == rhs, (p, g)
         if p == primes[0]:
-            assert cli._hecke(ctx, mats) == (True, f"p = {p}, 6 matrices, c up to 10^60")
+            assert cli._hecke(ctx, mats) == (True, f"p = {p} and {primes[1]}, 6 matrices, c up to 10^60")
 
 
 @pytest.mark.parametrize("name", ["28-odd", "35-odd", "35-even"])
@@ -921,11 +951,11 @@ def test_load_logs_what_it_validated(tmp_path, monkeypatch, caplog, ctx28):
     (record,) = caplog.records
     assert record.name == "gdsum.dedekind" and record.levelno == logging.DEBUG
     phases = record.phases
-    # G at one member of each +-d pair, then the generators whose input G does not give
-    assert len(oracle) == record.oracle_calls == 14
+    # G at each member but I, then the generators whose input G does not give
+    assert len(oracle) == record.oracle_calls == 19
     assert len(clock) == 4 and len(phases) == 3
     assert record.getMessage() == (
-        "precompute N=28: 48 points of P^1, 576 keys, 14 oracle calls; 72 relations checked; "
+        "precompute N=28: 48 points of P^1, 576 keys, 19 oracle calls; 72 relations checked; "
         "sums {:.4f} s, context {:.4f} s, G check {:.4f} s".format(*phases)
     )
 
@@ -1094,8 +1124,8 @@ def test_load_checks_the_stored_level_before_any_character(tmp_path, monkeypatch
 
 def test_load_calls_the_double_sum_as_a_precompute_does(tmp_path, monkeypatch, ctx28):
     """A load rebuilds the context without calling `precompute`: the double
-    sum runs at one Gamma0 transversal member of each +-d pair but I, for
-    G, and at the generators whose input G does not give, as in a
+    sum runs at each Gamma0 transversal member but I, for G, and at the
+    generators whose input G does not give, as in a
     precompute, never once per sum, and the loaded context equals the
     precomputed one."""
     path = tmp_path / "ctx28.json"
@@ -1106,7 +1136,7 @@ def test_load_calls_the_double_sum_as_a_precompute_does(tmp_path, monkeypatch, c
     calls.clear()
     monkeypatch.setattr(dedekind, "precompute", lambda *a, **k: pytest.fail("load called precompute"))
     loaded = load_context(path)
-    assert calls == built and (len(built), len(ctx.sums_alphabet)) == (14, 96)
+    assert calls == built and (len(built), len(ctx.sums_alphabet)) == (19, 96)
     for name in ("sums_alphabet", "sums_g0", "g_rows", "den", "t_slot", "s_slot"):
         assert getattr(loaded, name) == getattr(ctx, name), name
 

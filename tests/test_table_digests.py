@@ -26,7 +26,7 @@ PAIRS = {
     91: ((7, [(3, "1/2")]), (13, [(2, "1/12")])),  # L = 12, e3 = 4
 }
 
-RUNS = {9: 3, 28: 14, 35: 17, 143: 69, 91: 46}  # double sums per build
+RUNS = {9: 5, 28: 19, 35: 28, 143: 128, 91: 81}  # double sums per build
 
 DIGESTS = {
     9: "1608db7938eb35a1c13454475983309c018f851ed9761afd0d0c4cb47352a961",
