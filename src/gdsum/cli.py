@@ -2,6 +2,8 @@
 
 Each run builds the pair's context in-process, at most once, as
 `precompute` does, and writes no file: `verify` checks the one it builds.
+The pair is checked once, by the build or, in `sum --naive`, which builds
+none, by `_validate_pair`; `main` prints its ParityWarning as one line.
 It leaves the `gdsum` logger as it finds it, so a build times its phases
 only when the caller has turned on DEBUG.  A matrix entry may have any
 number of digits: `main` lifts CPython's int-to-str digit limit for the
@@ -19,7 +21,7 @@ import logging
 import random
 import sys
 import time
-from dataclasses import dataclass, field
+import warnings
 from itertools import count, islice
 from math import log10
 
@@ -27,8 +29,8 @@ from .cosets import sl2_coset_count
 from .dedekind import (
     DEFAULT_LEVEL_LIMIT,
     Context,
+    ParityWarning,
     _build,
-    _parity_message,
     _read_pair,
     _validate_pair,
     fast_sum,
@@ -92,31 +94,14 @@ def _build_parser() -> _Parser:
 
 
 def _pair(args, at_level=None):
-    """The requested pair, read by `_read_pair` as a cache's is, after
-    `precompute`'s checks; the text of its ParityWarning, if any, goes to
-    stderr as one line, once per run."""
-    chi1, chi2 = _read_pair((args.chi1, args.chi2), args.allow_large_n, "--allow-large-n", at_level)
-    _validate_pair(chi1, chi2, args.allow_large_n)
-    if message := _parity_message(chi1, chi2):
-        print(f"warning: {message}", file=sys.stderr)
-    return chi1, chi2
+    """The requested pair, read by `_read_pair` as a cache's is."""
+    return _read_pair((args.chi1, args.chi2), args.allow_large_n, "--allow-large-n", at_level)
 
 
-def _context(args, *, announce: bool = False, at_level=None) -> Context:
+def _context(args, at_level=None) -> Context:
     """The requested pair's context, built by `_build` as `precompute`
-    builds it; with `announce`, its summary goes to stdout, with the count
-    of double sums the build returns."""
-    chi1, chi2 = _pair(args, at_level)
-    t0 = time.perf_counter()
-    ctx, calls = _build(chi1, chi2, args.allow_large_n)
-    if announce:
-        elapsed = time.perf_counter() - t0
-        print(
-            f"precomputed N={ctx.N}: |T_g0|={len(ctx.t_g0)}, |T_sl2|={sl2_coset_count(ctx.N)} keys, "
-            f"{len(ctx.p1)} points of P^1, {len(ctx.sums_alphabet)} stored generator sums, "
-            f"order L={ctx.L}, {calls} oracle calls ({elapsed:.2f} s)"
-        )
-    return ctx
+    builds it."""
+    return _build(*_pair(args, at_level), args.allow_large_n)[0]
 
 
 def _format_value(v) -> str:
@@ -125,7 +110,14 @@ def _format_value(v) -> str:
 
 
 def cmd_precompute(args) -> int:
-    _context(args, announce=True)
+    t0 = time.perf_counter()
+    ctx, calls = _build(*_pair(args), args.allow_large_n)
+    elapsed = time.perf_counter() - t0
+    print(
+        f"precomputed N={ctx.N}: |T_g0|={len(ctx.sums_g0)}, |T_sl2|={sl2_coset_count(ctx.N)} keys, "
+        f"{len(ctx.p1)} points of P^1, {len(ctx.sums_alphabet)} stored generator sums, "
+        f"order L={ctx.L}, {calls} oracle calls ({elapsed:.2f} s)"
+    )
     return 0
 
 
@@ -139,6 +131,7 @@ def cmd_sum(args) -> int:
     if args.naive and not args.trace:
         # the double sum needs the pair alone: no table is built
         chi1, chi2 = _pair(args)
+        _validate_pair(chi1, chi2, args.allow_large_n)
         print(_format_value(naive_sum(chi1, chi2, gamma)))
         return 0
     ctx = _context(args)
@@ -177,26 +170,12 @@ def _print_trace(ctx: Context, gamma: Mat2) -> None:
     print(f"{zero} of {len(factors)} factors add a zero row")
 
 
-@dataclass
-class VerifyReport:
-    lines: list = field(default_factory=list)
-    failures: list = field(default_factory=list)
-
-    def record(self, name: str, ok: bool, detail: str = ""):
-        self.lines.append((name, ok, detail))
-        if not ok:
-            self.failures.append((name, detail))
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def run_verify(ctx: Context, *, trials: int, seed: int, cmax: int) -> VerifyReport:
-    """`fast_sum` against the double sum on `trials` seeded matrices with
-    c <= cmax, then `_hecke` on `trials` more, drawn after them with c
-    log-uniform from N to 10^60: both suites read `ctx` alone."""
-    report, rng, N, bad = VerifyReport(), random.Random(seed), ctx.N, []
+def run_verify(ctx: Context, *, trials: int, seed: int, cmax: int) -> list:
+    """(name, ok, detail) per suite: `fast_sum` against the double sum on
+    `trials` seeded matrices with c <= cmax, then `_hecke` on `trials`
+    more, drawn after them with c log-uniform from N to 10^60.  Both
+    suites read `ctx` alone."""
+    rng, N, bad = random.Random(seed), ctx.N, []
     kmax = max(1, cmax // N)
     for _ in range(trials):
         gamma = random_gamma0(N, rng, kmax=kmax, d_shift=1)
@@ -204,15 +183,14 @@ def run_verify(ctx: Context, *, trials: int, seed: int, cmax: int) -> VerifyRepo
         slow = naive_sum(ctx.chi1, ctx.chi2, gamma)
         if fast != slow:
             bad.append(f"gamma={gamma}: fast {fast} vs naive {slow}")
-    report.record("oracle-equivalence", not bad, bad[0] if bad else f"{trials} matrices")
+    oracle = ("oracle-equivalence", not bad, bad[0] if bad else f"{trials} matrices")
     ks = (max(1, int(10 ** rng.uniform(log10(N), 60)) // N) for _ in range(trials))
-    report.record("hecke", *_hecke(ctx, [random_gamma0(N, rng, kmin=k, kmax=k, d_shift=1) for k in ks]))
-    return report
+    return [oracle, ("hecke", *_hecke(ctx, [random_gamma0(N, rng, kmin=k, kmax=k, d_shift=1) for k in ks]))]
 
 
 def _hecke(ctx: Context, draws: list) -> tuple[bool, str]:
     """(whether the Hecke relation holds at each p on every draw, a detail),
-    p the two smallest primes not dividing N, on the same draws.  With
+    p the three smallest primes not dividing N, on the same draws.  With
     `_hecke_images` g_0..g_p of g,
         conj(psi(p)) sum_{b<p} S(g_b) + S(g_p) = (p conj(chi1(p)) + chi2(p)) S(g)
     exactly, with no free constant: Knopp's identity for the classical
@@ -220,7 +198,7 @@ def _hecke(ctx: Context, draws: list) -> tuple[bool, str]:
     far apart, so one context checks itself at every c; a wrong row can
     meet it at one p on most draws and break it at another."""
     N, L = ctx.N, ctx.L
-    primes = list(islice((p for p in count(2) if N % p and all(p % r for r in range(2, p))), 2))
+    primes = list(islice((p for p in count(2) if N % p and all(p % r for r in range(2, p))), 3))
     for p in primes:
         e1, e2 = (chi.exponent_table(L)[p % chi.modulus] for chi in (ctx.chi1, ctx.chi2))
         scale = p * root_of_unity(L, -e1) + root_of_unity(L, e2)
@@ -228,7 +206,7 @@ def _hecke(ctx: Context, draws: list) -> tuple[bool, str]:
             *images, last = (fast_sum(ctx, h) for h in _hecke_images(g, p))
             if root_of_unity(L, e2 - e1) * sum(images) + last != scale * fast_sum(ctx, g):
                 return False, f"g={g}: the relation at p = {p} breaks"
-    return True, f"p = {primes[0]} and {primes[1]}, {len(draws)} matrices, c up to 10^60"
+    return True, f"p = {primes[0]}, {primes[1]} and {primes[2]}, {len(draws)} matrices, c up to 10^60"
 
 
 def _hecke_images(g: Mat2, p: int) -> list:
@@ -256,11 +234,11 @@ def cmd_verify(args) -> int:
         if not N <= args.cmax <= NAIVE_CUTOFF:
             raise ValueError(f"--cmax must lie between N = {_short(N)} and the double-sum cutoff {NAIVE_CUTOFF}")
 
-    report = run_verify(_context(args, at_level=cmax_range), trials=args.trials, seed=args.seed, cmax=args.cmax)
-    for name, ok, detail in report.lines:
+    lines = run_verify(_context(args, at_level=cmax_range), trials=args.trials, seed=args.seed, cmax=args.cmax)
+    for name, ok, detail in lines:
         print(f"{'PASS' if ok else 'FAIL'}  {name}  ({detail})")
-    if not report.ok:
-        print(f"{len(report.failures)} suite(s) failed; first counterexamples above")
+    if failed := sum(not ok for _, ok, _ in lines):
+        print(f"{failed} suite(s) failed; first counterexamples above")
         return 2
     return 0
 
@@ -277,8 +255,11 @@ def main(argv=None) -> int:
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        args = parser.parse_args(argv)
-        return args.run(args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("always", ParityWarning)
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            args = parser.parse_args(argv)
+            return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

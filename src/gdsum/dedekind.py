@@ -166,10 +166,10 @@ class Context:
     the sum of the member g_lambda of `t_g0` (Gamma1(N) in Gamma0(N), keyed
     by d mod N), 0 at I, one of which ends each walk.  `__post_init__`
     derives only what `fast_sum` reads, in integers over the common
-    denominator `den`: `N` and `L`; `t_g0` and `g_rows[lambda]`, the row of
-    G(lambda), None off the units; the slot tables, the only lists of size
-    N^2 it keeps; and `relations`, the count `_check_relations` read on
-    their key rows and the first broken (key, name), or None.
+    denominator `den`: `N` and `L`; `g_rows[lambda]`, the row of G(lambda),
+    None off the units; the slot tables, the only lists of size N^2 it
+    keeps; and `relations`, the count `_check_relations` read on their key
+    rows and the first broken (key, name), or None.
     With F(k) the sum of the Gamma1 generator sums s_T along k's T-orbit
     up to k and Sigma the orbit total, the cocycle identity gives, for
     every integer a,
@@ -184,11 +184,11 @@ class Context:
     (c, d + j c) mod N from the base key (c, d mod gcd(c, N)), the orbit's
     length N / gcd(c, N) and Sigma; and `s_slot[i]` = B(k).  Each is None
     where its row is zero or i is no key; every zero row is the tuple `zero`.
-    `t_sl2`, the Gamma1(N) transversal (N^2 members), is built on first
-    access and then kept, for the benchmark's table comparison and the
-    tests.  Nothing derived is passed in, so `dataclasses.replace(ctx,
-    sums_alphabet=...)` evaluates the sums it holds, and replacing a
-    derived field raises; a broken relation does not, and `_build` refuses
+    `t_g0` and `t_sl2`, the Gamma1(N) transversals in Gamma0(N) and in
+    SL2(Z) (N^2 members), are built on first access and then kept, for
+    `--trace`, the benchmark's table comparison and the tests.  Nothing
+    derived is passed in, so `dataclasses.replace(ctx, sums_alphabet=...)`
+    evaluates the sums it holds, and replacing a derived field raises; a broken relation does not, and `_build` refuses
     it, then checks G.
     """
 
@@ -199,7 +199,6 @@ class Context:
     sums_g0: dict
     N: int = field(init=False)
     L: int = field(init=False)
-    t_g0: Transversal = field(init=False, compare=False, repr=False)
     g_rows: list = field(init=False, compare=False, repr=False)
     den: int = field(init=False, compare=False)
     zero: tuple = field(init=False, compare=False, repr=False)
@@ -212,6 +211,10 @@ class Context:
         return schreier_alphabet(self.N, self.p1)
 
     @cached_property
+    def t_g0(self) -> Transversal:
+        return transversal_g1_in_g0(self.N)
+
+    @cached_property
     def t_sl2(self) -> Transversal:
         return transversal_g1_in_sl2(self.N, self.p1)
 
@@ -222,23 +225,31 @@ class Context:
             raise ValueError(f"the generator sums need a transversal over P^1(Z/{N})")
         self.L = L = pair_order(chi1, chi2)
         self.zero = zero = (0,) * (len(cyclotomic_polynomial(L)) - 1)
-        self.t_g0 = t_g0 = transversal_g1_in_g0(N)
-        if self.sums_g0.keys() != t_g0.members.keys():
+        twist = _twists(chi1, chi2)
+        if self.sums_g0.keys() != twist.keys():
             raise ValueError(f"G needs one sum per unit mod {N}")
         self.den, rows = _rows({**self.sums_alphabet, **self.sums_g0})
-        self.g_rows = [rows[lam] if lam in t_g0.members else None for lam in range(N)]
-        t_rows, s_rows = _key_rows(L, p1, rows, _twists(chi1, chi2), zero)
+        self.g_rows = [rows[lam] if lam in twist else None for lam in range(N)]
+        t_rows, s_rows = _key_rows(L, p1, rows, twist, zero)
         self.relations = _check_relations(p1, t_rows, s_rows)
         self.t_slot, self.s_slot = _slot_tables(N, p1.bases, t_rows, s_rows, self.g_rows, zero)
 
 
 def _validate_pair(chi1, chi2, allow_large: bool):
+    """The one check of a pair, and the one place that raises its
+    ParityWarning, with stacklevel=4: through `_build`, at the line that
+    called `precompute` or `load_context`."""
     for name, chi in (("chi1", chi1), ("chi2", chi2)):
         if not chi.is_primitive():
             raise ValueError(f"{name} (mod {chi.modulus}) is not primitive")
         if chi.conductor() <= 1:
             raise ValueError(f"{name} must have conductor > 1")
     _check_level(chi1.modulus, chi2.modulus, allow_large)
+    if _psi_odd(chi1, chi2):
+        warnings.warn(
+            f"chi1*chi2(-1) != 1 for the pair mod ({chi1.modulus}, {chi2.modulus}); "
+            "the double sum vanishes for such a pair, so every sum is 0", ParityWarning, stacklevel=4
+        )
 
 
 def _check_level(q1: int, q2: int, allow_large: bool, lift: str = "allow_large=True"):
@@ -267,39 +278,29 @@ def precompute(
     chi1: DirichletCharacter, chi2: DirichletCharacter, *, allow_large: bool = False
 ) -> Context:
     """The context of a pair, built by `_build` (whose counts it drops),
-    with a ParityWarning when chi1*chi2(-1) != 1.  Levels above
-    DEFAULT_LEVEL_LIMIT need allow_large."""
-    ctx, _ = _build(chi1, chi2, allow_large)
-    if message := _parity_message(chi1, chi2):
-        warnings.warn(message, ParityWarning, stacklevel=2)
-    return ctx
-
-
-def _parity_message(chi1, chi2) -> str | None:
-    """The text of the ParityWarning when chi1*chi2(-1) != 1, else None."""
-    if _psi_odd(chi1, chi2):
-        return (
-            f"chi1*chi2(-1) != 1 for the pair mod ({chi1.modulus}, {chi2.modulus}); "
-            "the double sum vanishes for such a pair, so every sum is 0"
-        )
+    with a ParityWarning, pointing at the caller, when chi1*chi2(-1) != 1.
+    Levels above DEFAULT_LEVEL_LIMIT need allow_large."""
+    return _build(chi1, chi2, allow_large)[0]
 
 
 def _build(chi1, chi2, allow_large: bool) -> tuple[Context, int]:
     """The context of a pair and the number of double sums it ran, built
     one way for `precompute`, `load_context` and the CLI.
 
-    After the checks of the pair, every sum the context stores comes from
-    one memo keyed by the double sum's input (a mod c, c), c >= 1, read off
-    -gamma when c <= -1, which runs the double sum once per input; a shear
-    (c = 0) is 0.  Through it come G at each member g_lambda of the Gamma0
-    transversal (at I, a shear, 0), whose input is (1/lambda mod N, N),
-    and the sums of the 2 mu Gamma0(N) generators U(r_k, T), U(r_k, S),
-    whose inputs with c = +-N are G's: 28 double sums at N = 35.  No input
-    is read off another, so a wrong double sum sits at its own input alone.
-    The Context's first broken relation (of 72 at N = 35) is refused, so no
-    sum is made to meet one; then `fast_sum` at each member but I is
-    checked against G.  One DEBUG line on `gdsum.dedekind` gives the counts
-    and the seconds per phase, timed only when logged, as
+    After `_validate_pair`, which warns on a pair with chi1*chi2(-1) != 1,
+    every sum the context stores comes from one memo keyed by the double
+    sum's input (a mod c, c), c >= 1, read off -gamma when c <= -1, which
+    runs the double sum once per input; a shear (c = 0) is 0.  Through it
+    come G at each member g_lambda of the Gamma0 transversal (at I, a
+    shear, 0), whose input is (1/lambda mod N, N), and the sums of the
+    2 mu Gamma0(N) generators U(r_k, T), U(r_k, S), whose inputs with
+    c = +-N are G's: 28 double sums at N = 35.  No input is read off
+    another, so a wrong double sum sits at its own input alone.  The
+    Context's first broken relation (of 72 at N = 35) is refused, so no sum
+    is made to meet one; then `fast_sum` at each member but I is checked
+    against G, on the one Gamma0 transversal the build makes.  One DEBUG
+    line on `gdsum.dedekind` gives the counts and the seconds per phase,
+    timed only when logged, as
     `record.oracle_calls`/`record.phases`."""
     _validate_pair(chi1, chi2, allow_large)
     N, L = chi1.modulus * chi2.modulus, pair_order(chi1, chi2)
@@ -320,14 +321,14 @@ def _build(chi1, chi2, allow_large: bool) -> tuple[Context, int]:
             value = known[key] = one_of.setdefault(value, value)
         return value
 
-    g = {lam: sum_of(m) for lam, m in transversal_g1_in_g0(N).members.items()}
+    members = transversal_g1_in_g0(N).members.items()
+    g = {lam: sum_of(m) for lam, m in members}
     sums = {v: sum_of(m) for v, m in gens.items()}
     _lap(laps)
     ctx = Context(chi1, chi2, p1, sums, g)
     if broken := ctx.relations[1]:
         raise ValueError("U(r, T) and U(r, S) sums over P^1 at key %s break %s" % broken)
     _lap(laps)
-    members = ctx.t_g0.members.items()
     if bad := next((d for d, m in members if m != I2 and _numerators(ctx, m) != [*ctx.g_rows[d]]), None):
         raise ValueError(f"the Gamma0 transversal sum at d = {bad} breaks the cocycle identity")
     if laps:
@@ -500,9 +501,10 @@ def load_context(path, *, allow_large: bool = False) -> Context:
     """Load a cached context: after the version, read the two stored specs
     as the CLI reads --chi1 and --chi2 (`_read_pair`), so the level passes
     the guardrail (unless allow_large) before any character is built; then
-    build the pair's context as `precompute` does (`_build`), and require
-    each top-level field of its `context_to_json` to serialize as the
-    file's does, none missing or extra, or a ValueError names the first
+    build the pair's context as `precompute` does (`_build`, so with the
+    same ParityWarning, pointing at the caller), and require each
+    top-level field of its `context_to_json` to serialize as the file's
+    does, none missing or extra, or a ValueError names the first
     that differs.  A malformed file raises ValueError too."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)

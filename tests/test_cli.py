@@ -93,12 +93,17 @@ def test_parity_warning_on_every_run(capsys):
     ],
     ids=["precompute", "sum", "sum-naive", "sum-trace", "sum-naive-trace", "verify"],
 )
-def test_parity_warning_printed_once(capsys, argv):
+def test_parity_warning_printed_once(capsys, monkeypatch, argv):
     """Every command on a pair with chi1*chi2(-1) = -1, with a table or
-    without, prints the parity warning once, and nothing else to stderr."""
+    without, checks the pair once and prints the parity warning once, and
+    nothing else to stderr."""
+    calls, real = [], dedekind._validate_pair
+    for module in (cli, dedekind):
+        monkeypatch.setattr(module, "_validate_pair", lambda *a: calls.append(a) or real(*a))
     assert main([*argv, "--chi1", CHI3, "--chi2", "q=5;g=2;v=1/2"]) == 0
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("warning: chi1*chi2(-1) != 1 for the pair mod (3, 5); ")
+    assert len(calls) == 1
 
 
 def test_precompute_reports_oracle_calls(capsys, monkeypatch):
@@ -569,21 +574,21 @@ def test_verify_passes(capsys):
     out = capsys.readouterr().out
     assert out.splitlines() == [
         "PASS  oracle-equivalence  (8 matrices)",
-        "PASS  hecke  (p = 2 and 5, 8 matrices, c up to 10^60)",
+        "PASS  hecke  (p = 2, 5 and 7, 8 matrices, c up to 10^60)",
     ]
 
 
 def test_verify_builds_the_pair_once(capsys, builds):
     """`gdsum verify` calls `_build` once per run, for the pair it names,
     and both suites read that one context: two `PASS` lines, the hecke
-    one naming both primes p."""
+    one naming its three primes p."""
     for trials, seed in ((1, 0), (3, 1), (20, 0)):
         builds.clear()
         assert main(["verify", *PAIR, "--trials", str(trials), "--seed", str(seed), "--cmax", "300"]) == 0
         assert builds == [(parse_character_spec(CHI3), parse_character_spec(CHI3), False)]
         lines = capsys.readouterr().out.splitlines()
         assert [line.split("  ")[:2] for line in lines] == [["PASS", "oracle-equivalence"], ["PASS", "hecke"]]
-        assert lines[1].endswith(f"  (p = 2 and 5, {trials} matrices, c up to 10^60)")
+        assert lines[1].endswith(f"  (p = 2, 5 and 7, {trials} matrices, c up to 10^60)")
 
 
 def test_verify_checks_derived_rows(ctx9):
@@ -602,8 +607,7 @@ def test_verify_checks_derived_rows(ctx9):
         _, bad = derived_mismatches(ctx, cmax=2000)
         assert bad and {k for k, _, _ in bad} == {kind}, kind
         # 4 draws: the first 2 with c <= 300 wrap no T-orbit
-        report = run_verify(ctx, trials=4, seed=0, cmax=300)
-        failed = [name for name, _ in report.failures]
+        failed = [name for name, ok, _ in run_verify(ctx, trials=4, seed=0, cmax=300) if not ok]
         assert failed == ["oracle-equivalence", "hecke"], kind
 
 
@@ -663,16 +667,21 @@ def test_verify_catches_a_wrap_count_read_as_one(monkeypatch):
         return [ctx.t_slot[k][2] if kind == "T" and m >= 2 else row for row, (kind, k, m) in zip(rows, seen)]
 
     monkeypatch.setattr(dedekind, "reduce_word", clamped)
-    report = run_verify(ctx, trials=20, seed=0, cmax=2000)
-    assert [name for name, _ in report.failures] == ["hecke"]
+    lines = run_verify(ctx, trials=20, seed=0, cmax=2000)
+    assert [name for name, ok, _ in lines if not ok] == ["hecke"]
 
 
-@pytest.mark.parametrize("key", [(32, 17), (7, 15), (10, 28), (14, 15), (26, 19), (2, 23)], ids="{0[0]}-{0[1]}".format)
+# key -> the prime at which hecke breaks: p = 2 and 3 meet (7, 30) on these draws
+S_STEP_FAULTS = {(32, 17): 3, (7, 15): 3, (10, 28): 3, (14, 15): 3, (26, 19): 3, (2, 23): 3, (7, 30): 11}
+
+
+@pytest.mark.parametrize("key", list(S_STEP_FAULTS), ids="{0[0]}-{0[1]}".format)
 def test_verify_catches_an_s_step_fault_the_build_accepts(monkeypatch, key):
     """An S-step key row raised by 1/den at N = 35 (L = 12), at a key the
     build's relations and G check do not read: oracle-equivalence passes
     the default `verify` draws (20, seed 0), and so does the Hecke
-    relation at p = 2; hecke fails at p = 3."""
+    relation at p = 2; hecke fails at p = 3, or, at key (7, 30), at
+    p = 11, the third prime."""
     chi1, chi2 = find_character(5, [(2, "1/4")]), find_character(7, [(3, "1/6")])
     real = dedekind._key_rows
 
@@ -684,14 +693,15 @@ def test_verify_catches_an_s_step_fault_the_build_accepts(monkeypatch, key):
 
     monkeypatch.setattr(dedekind, "_key_rows", faulted)
     ctx = precompute(chi1, chi2)
-    report = run_verify(ctx, trials=20, seed=0, cmax=2000)
-    assert [(name, detail.endswith("p = 3 breaks")) for name, detail in report.failures] == [("hecke", True)]
+    lines = run_verify(ctx, trials=20, seed=0, cmax=2000)
+    failures = [(name, detail.endswith(f"p = {S_STEP_FAULTS[key]} breaks")) for name, ok, detail in lines if not ok]
+    assert failures == [("hecke", True)]
 
 
 def test_run_verify_report_structure(ctx9):
-    report = run_verify(ctx9, trials=5, seed=2, cmax=300)
-    assert report.ok
-    names = [name for name, _, _ in report.lines]
+    lines = run_verify(ctx9, trials=5, seed=2, cmax=300)
+    assert all(ok for _, ok, _ in lines)
+    names = [name for name, _, _ in lines]
     assert names == ["oracle-equivalence", "hecke"]
 
 

@@ -449,6 +449,7 @@ FRICKE_PAIRS = {  # (chi1 spec, chi2 spec), as the CLI reads them
 }
 
 
+@pytest.mark.filterwarnings("ignore::gdsum.dedekind.ParityWarning")  # the psi-odd pairs warn
 @pytest.mark.parametrize("name", list(FRICKE_PAIRS))
 def test_fricke_reciprocity_holds_with_the_parity_sign(name):
     """With W = (0 -1; N 0), the sums of a pair and of its swap obey
@@ -467,9 +468,9 @@ def test_fricke_reciprocity_holds_with_the_parity_sign(name):
         assert _fricke_breaks(ctx, swapped, mats, -sign)
 
 
-def _two_primes_prime_to(N: int) -> list:
-    """The two smallest primes that do not divide N."""
-    return [p for p in range(2, 50) if N % p and all(p % r for r in range(2, p))][:2]
+def _primes_prime_to(N: int, n: int = 2) -> list:
+    """The n smallest primes that do not divide N."""
+    return [p for p in range(2, 50) if N % p and all(p % r for r in range(2, p))][:n]
 
 
 def _hecke_reference(g: Mat2, p: int, N: int) -> list:
@@ -505,24 +506,26 @@ def _hecke_sides(chi1, chi2, g: Mat2, p: int, sum_of) -> tuple:
     return lhs, (p * root_of_unity(L, -k2) + root_of_unity(L, k1)) * sum_of(g)
 
 
+@pytest.mark.filterwarnings("ignore::gdsum.dedekind.ParityWarning")  # the psi-odd pairs warn
 @pytest.mark.parametrize("name", list(FRICKE_PAIRS))
 def test_the_hecke_relation_holds_at_two_primes(name):
     """At the two smallest primes p prime to N, with no free constant, on 6
     seeded matrices per p with c up to 10^60: the relation `verify`'s
     hecke suite checks, at p + 1 matrices built here by trying every
-    partner.  The suite's own matrices equal them, and it passes."""
+    partner.  The suite's own matrices equal them, and the suite, which
+    reads the three smallest primes, passes on the first p's draws."""
     chi1, chi2 = map(parse_character_spec, FRICKE_PAIRS[name])
     ctx, _ = dedekind._build(chi1, chi2, True)
     rng, N = random.Random(ctx.N), ctx.N
-    primes = _two_primes_prime_to(N)
-    for p in primes:
+    p1, p2, p3 = _primes_prime_to(N, 3)
+    for p in (p1, p2):
         mats = _log_uniform_draws(N, rng, 6)
         for g in mats:
             assert cli._hecke_images(g, p) == _hecke_reference(g, p, N)
             lhs, rhs = _hecke_sides(chi1, chi2, g, p, partial(fast_sum, ctx))
             assert lhs == rhs, (p, g)
-        if p == primes[0]:
-            assert cli._hecke(ctx, mats) == (True, f"p = {p} and {primes[1]}, 6 matrices, c up to 10^60")
+        if p == p1:
+            assert cli._hecke(ctx, mats) == (True, f"p = {p1}, {p2} and {p3}, 6 matrices, c up to 10^60")
 
 
 @pytest.mark.parametrize("name", ["28-odd", "35-odd", "35-even"])
@@ -532,7 +535,7 @@ def test_the_hecke_relation_holds_on_the_double_sum(name):
     double sum itself, with no table read."""
     chi1, chi2 = map(parse_character_spec, FRICKE_PAIRS[name])
     N, rng = chi1.modulus * chi2.modulus, random.Random(4)
-    for p in _two_primes_prime_to(N):
+    for p in _primes_prime_to(N):
         for g in _log_uniform_draws(N, rng, 3, top=4):
             lhs, rhs = _hecke_sides(chi1, chi2, g, p, partial(naive_sum, chi1, chi2))
             assert lhs == rhs, (p, g)
@@ -627,6 +630,35 @@ def test_precompute_guardrail(chi3):
 def test_parity_warning(chi5, chi7_13):
     with pytest.warns(ParityWarning):
         precompute(chi5, chi7_13)
+
+
+def test_load_context_warns_like_precompute(tmp_path, ctx35):
+    """A pair with chi1*chi2(-1) = -1: `precompute` and a load of its cache
+    each raise one ParityWarning, pointing at the line that called them."""
+    path = tmp_path / "ctx35.json"
+    save_context(ctx35, path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        precompute(ctx35.chi1, ctx35.chi2)
+        load_context(path)
+    assert [(w.category, w.filename) for w in caught] == [(ParityWarning, __file__)] * 2
+    assert caught[0].message.args == caught[1].message.args
+
+
+def test_a_build_makes_the_gamma0_transversal_once(monkeypatch, chi5_14, chi7_16):
+    """`_build` reads G and checks it on one Gamma0 transversal; the
+    context makes none until `t_g0` is read."""
+    calls, real = [], dedekind.transversal_g1_in_g0
+    monkeypatch.setattr(dedekind, "transversal_g1_in_g0", lambda N: calls.append(N) or real(N))
+    dedekind._build(chi5_14, chi7_16, False)
+    assert calls == [35]
+
+
+def test_t_g0_is_built_on_access(ctx35_l12):
+    ctx = dataclasses.replace(ctx35_l12)
+    assert "t_g0" not in vars(ctx)
+    assert ctx.t_g0.members == transversal_g1_in_g0(ctx.N).members
+    assert ctx.t_g0 is ctx.t_g0
 
 
 def test_table_consistency_spot_checks(ctx9, chi3):
@@ -813,6 +845,7 @@ def test_save_context_is_atomic(tmp_path, ctx9, monkeypatch):
     assert fast_sum(load_context(path), gamma) == fast_sum(ctx9, gamma)
 
 
+@pytest.mark.filterwarnings("ignore::gdsum.dedekind.ParityWarning")  # the psi-odd pairs warn
 @pytest.mark.parametrize("name", ["ctx9", "ctx28", "ctx35"])
 def test_cache_round_trip_rebuilds_tables(tmp_path, request, name):
     ctx = request.getfixturevalue(name)
@@ -1320,6 +1353,7 @@ def test_slot_keys_match_the_factor_reference(contexts, name, data):
     assert listed == expected
 
 
+@pytest.mark.filterwarnings("ignore::gdsum.dedekind.ParityWarning")  # the psi-odd pairs warn
 @pytest.mark.parametrize("name", ["ctx9", "ctx28", "ctx35", "ctx35_l12"])
 def test_fast_sum_on_the_sweep(tmp_path, contexts, sweep, name):
     """On the decomposition sweep's members of Gamma0(N), the parity-violating
