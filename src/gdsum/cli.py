@@ -44,7 +44,7 @@ from .rewriter import modified_rewrite, reduce_word
 # Largest lower-left entry for which the double sum is run: the limit of
 # `sum --naive` and `verify --cmax`.
 # `naive_sum` walks j < c/2 once, about (c/2) phi(q2)/q2 integer steps:
-# ~10 ms at c = 10^5 for N = 28 (CPython 3.11, one core of a 2-core VM).
+# ~5 ms at c = 10^5 for N = 28 (CPython 3.11.7, one core of a shared 2-core VM).
 NAIVE_CUTOFF = 10**5
 
 

@@ -8,10 +8,11 @@ For primitive characters chi1, chi2 with conductors q1, q2 > 1 and a matrix
 
 an element of Q(zeta_L) with L = lcm(order chi1, order chi2, 2).
 `naive_sum` evaluates it exactly without the inner loop: the sum over n
-depends only on floor(q1 (a j mod c)/c), so each j adds 2j - c to one of
-q1 integer buckets kept for its residue mod q2, and j and c - j contribute
-equally (or cancel, when chi1*chi2(-1) = -1, and then the sum is 0).  That
-is about (c/2) phi(q2)/q2 integer steps.
+depends only on floor(q1 (a j mod c)/c), so each j adds +-(2j - c) to one
+of q1 integer buckets kept per value of chi2(j) up to sign, and j and c - j
+contribute equally (or cancel, when chi1*chi2(-1) = -1, and then the sum is
+0).  That is about (c/2) phi(q2)/q2 integer steps; each nonzero bucket then
+adds one row of a per-pair table, already reduced mod Phi_L.
 
 The sum obeys S(g h) = S(g) + psi(g) S(h) with psi(g) = chi1 conj(chi2)(d(g))
 on all of Gamma0(N), and psi is trivial on Gamma1(N); that single identity
@@ -107,10 +108,12 @@ def naive_sum(chi1: DirichletCharacter, chi2: DirichletCharacter, gamma: Mat2) -
     for non-principal chi1, plus conj(chi1(-y))/2 when y is an integer; but
     y is an integer only when c/q1, a multiple of q2, divides j, and then
     chi2(j) = 0.  So each j adds 2j - c to one of the q1 buckets of its chi2
-    exponent, and each set of buckets is combined once, with the terms
-    `_bucket_terms` tables.  Pairing j with c - j multiplies the summand by
-    chi1*chi2(-1): only j < c/2 is walked, and the sum is 0 when that sign
-    is -1.
+    exponent k2 mod L/2, or subtracts it when k2 >= L/2, as zeta_L^(L/2) is
+    -1; each nonzero bucket m then adds its weight times its row of
+    `_term_table`, A[m] zeta_L^-k2 already reduced mod Phi_L, into deg Phi_L
+    integer numerators over 2 q1 c, which `_cyc` reads as they are.  Pairing
+    j with c - j multiplies the summand by chi1*chi2(-1): only j < c/2 is
+    walked, and the sum is 0 when that sign is -1.
     """
     q1, q2 = chi1.modulus, chi2.modulus
     N = q1 * q2
@@ -123,23 +126,26 @@ def naive_sum(chi1: DirichletCharacter, chi2: DirichletCharacter, gamma: Mat2) -
         return CycElem.zero(L)
     a, c = (gamma.a, gamma.c) if gamma.c > 0 else (-gamma.a, -gamma.c)
     # chi2(j) = zeta_L^e2[j], or None where chi2(j) = 0; summands take conjugates
-    e2, terms = chi2.exponent_table(L), _bucket_terms(chi1, L)
-    # integer numerators per zeta-exponent over the common denominator
-    # 2*q1*c: the half range doubles (2j - c)/(2c) * A[m]
+    e2, table = chi2.exponent_table(L), _term_table(chi1, chi2, L)
+    # integer numerators per power of zeta_L below deg Phi_L, over the common
+    # denominator 2*q1*c: the half range doubles (2j - c)/(2c) * A[m]
     M = q1 * c
     qa = q1 * a % M  # floor(y) = (qa * j mod M) // c
-    half = (c + 1) // 2
-    buckets, acc = {}, [0] * L  # chi2 exponent -> the buckets of the j with that exponent
+    half, h = (c + 1) // 2, L // 2
+    buckets = {}  # chi2 exponent mod L/2 -> the buckets of the j with that exponent
     for u in range(1, min(q2, half)):  # j = u + t q2 < c/2
         if (k2 := e2[u]) is not None:
-            bucket = buckets.setdefault(k2, [0] * q1)
+            bucket = buckets.setdefault(k2 % h, [0] * q1)
+            slope, shift = (2, -c) if k2 < h else (-2, c)  # zeta_L^(L/2) = -1
             for j in range(u, half, q2):
-                bucket[qa * j % M // c] += 2 * j - c
+                bucket[qa * j % M // c] += slope * j + shift
+    acc = [0] * (len(cyclotomic_polynomial(L)) - 1)
     for k2, bucket in buckets.items():
+        rows = table[k2]
         for m, w in enumerate(bucket):
             if w:
-                for t, x in terms[m]:
-                    acc[t - k2] += x * w  # t - k2 > -L: a negative index wraps
+                for i, x in rows[m]:
+                    acc[i] += x * w
     return _cyc(L, 2 * q1 * c, acc)
 
 
@@ -150,6 +156,29 @@ def _bucket_terms(chi1: DirichletCharacter, L: int) -> tuple:
     e1, q1 = chi1.exponent_table(L), chi1.modulus
     pairs = [[(-e1[k - m] % L, 2 * k) for k in range(1, q1) if e1[k - m] is not None] for m in range(q1)]
     return tuple(map(tuple, pairs))
+
+
+@lru_cache(maxsize=16)  # a process builds a few pairs; one that builds thousands keeps 16 tables
+def _term_table(chi1: DirichletCharacter, chi2: DirichletCharacter, L: int) -> dict:
+    """Per exponent k2 < L/2 that chi2 takes at the order L up to a sign
+    (one of k2 and k2 + L/2), and per bucket m < q1, the sparse row
+    ((i, x), ...) of 2 q1 A[m] zeta_L^-k2 reduced mod Phi_L, its nonzero
+    coefficients in order: each of m's `_bucket_terms` (t, 2k) adds 2k times
+    the row of zeta_L^(t - k2), read sparse from the `_rotations` of 1, so
+    no L-long row is built or reduced."""
+    deg = len(cyclotomic_polynomial(L)) - 1
+    powers = [[(i, x) for i, x in enumerate(row) if x] for row in _rotations(L, (1,) + (0,) * (deg - 1))]
+    table = {}
+    for k2 in {e % (L // 2) for e in chi2.exponent_table(L) if e is not None}:
+        rows = []
+        for terms in _bucket_terms(chi1, L):
+            row = [0] * deg
+            for t, x in terms:
+                for i, y in powers[t - k2]:  # t - k2 > -L: a negative index wraps
+                    row[i] += x * y
+            rows.append(tuple([(i, x) for i, x in enumerate(row) if x]))
+        table[k2] = tuple(rows)
+    return table
 
 
 @dataclass
@@ -290,7 +319,9 @@ def _build(chi1, chi2, allow_large: bool) -> tuple[Context, int]:
     After `_validate_pair`, which warns on a pair with chi1*chi2(-1) != 1,
     every sum the context stores comes from one memo keyed by the double
     sum's input (a mod c, c), c >= 1, read off -gamma when c <= -1, which
-    runs the double sum once per input; a shear (c = 0) is 0.  Through it
+    runs the double sum once per input and keeps one CycElem per distinct
+    sum, found by its coefficients' (numerator, denominator) pairs, the zero
+    sum among them; a shear (c = 0) is 0.  Through it
     come G at each member g_lambda of the Gamma0 transversal (at I, a
     shear, 0), whose input is (1/lambda mod N, N), and the sums of the
     2 mu Gamma0(N) generators U(r_k, T), U(r_k, S), whose inputs with
@@ -307,8 +338,10 @@ def _build(chi1, chi2, allow_large: bool) -> tuple[Context, int]:
     laps = [time.perf_counter()] if log.isEnabledFor(logging.DEBUG) else None
     p1 = transversal_g0_in_sl2(N)
     gens = schreier_alphabet(N, p1)
-    zero, runs = CycElem.zero(L), 0
-    known, one_of = {}, {zero: zero}  # input (a, c) -> its sum; each distinct sum -> one CycElem
+    zero, runs, ratio = CycElem.zero(L), 0, Fraction.as_integer_ratio
+    # input (a, c) -> its sum; each distinct sum -> one CycElem, keyed by its
+    # coefficients' (numerator, denominator) pairs: ints hash faster than Fractions
+    known, one_of = {}, {tuple(map(ratio, zero.coeffs)): zero}
 
     def sum_of(m):
         nonlocal runs
@@ -318,7 +351,7 @@ def _build(chi1, chi2, allow_large: bool) -> tuple[Context, int]:
         if (value := known.get(key := (m.a % m.c, m.c))) is None:
             # looked up at call time, so a test's replacement applies
             value, runs = naive_sum(chi1, chi2, m), runs + 1
-            value = known[key] = one_of.setdefault(value, value)
+            value = known[key] = one_of.setdefault(tuple(map(ratio, value.coeffs)), value)
         return value
 
     members = transversal_g1_in_g0(N).members.items()

@@ -236,7 +236,8 @@ def _rows(values: dict) -> tuple[int, dict]:
 
 
 def _cyc(order: int, den: int, row) -> CycElem:
-    """row/den as a CycElem: row holds deg Phi_order integers, or `order` in a list reduced first in place."""
+    """row/den as a CycElem: row holds deg Phi_order integers, or `order` in a
+    list reduced first in place, as only `root_of_unity` hands it."""
     if len(row) >= order:
         row = _reduce(order, row)
     self = object.__new__(CycElem)  # as `CycElem._raw` does, one call less per `fast_sum`

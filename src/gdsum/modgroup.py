@@ -35,11 +35,15 @@ def _refusal(text: str, ratio: bool = False) -> str:
 
 
 class Mat2:
-    """Integer matrix (a b; c d) with ad - bc = 1; immutable."""
+    """Integer matrix (a b; c d) with ad - bc = 1; immutable.  An entry
+    that is not an int is refused with a ValueError naming it."""
 
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a: int, b: int, c: int, d: int):
+        if not (isinstance(a, int) and isinstance(b, int) and isinstance(c, int) and isinstance(d, int)):
+            name, x = next((n, x) for n, x in zip("abcd", (a, b, c, d)) if not isinstance(x, int))
+            raise ValueError(f"matrix entry {name} of type {type(x).__name__} is not an int")
         if a * d - b * c != 1:
             a, b, c, d = map(_short, (a, b, c, d))
             raise ValueError(f"determinant of ({a},{b};{c},{d}) is not 1")

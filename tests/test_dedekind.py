@@ -62,6 +62,7 @@ from reference_tables import (
     unsigned_product,
 )
 from reference_tables import reduce_word as alphabet_terms
+from test_oracle import LARGE_L, literal_numerators
 
 
 def test_naive_sum_kernel_matrix(chi3):
@@ -101,20 +102,22 @@ SWEEP_DIGESTS = {
 
 @pytest.mark.parametrize("name", sorted(SWEEP_DIGESTS))
 def test_naive_sum_reduces_its_integers_like_fractions(request, monkeypatch, name):
-    """`naive_sum` reduces its integer numerators mod Phi_L before it
-    builds a Fraction: on three matrices per c = N, 2N, ... <= 2000, each
-    value is the Fraction reduction of the same numerators over 2 q1 c,
-    and all of them together are the values pinned before the change."""
+    """`naive_sum` hands `_cyc` deg Phi_L integer numerators over 2 q1 c,
+    already reduced mod Phi_L: on three matrices per c = N, 2N, ... <= 2000,
+    2c times them is `_reduce` of the literal double sum's L numerators
+    over 4 q1 c^2, and all the values together are those pinned before
+    the double sum read its rows reduced."""
     ctx = request.getfixturevalue(name)
-    q1, numerators, reduce = ctx.chi1.modulus, [], exactnum._reduce
-    monkeypatch.setattr(exactnum, "_reduce", lambda L, raw: numerators.append(raw[:]) or reduce(L, raw))
+    q1, handed, cyc = ctx.chi1.modulus, [], dedekind._cyc
+    monkeypatch.setattr(dedekind, "_cyc", lambda L, den, row: handed.append((den, row[:])) or cyc(L, den, row))
     values = []
     for gamma in _sweep_matrices(ctx.N):
-        numerators.clear()
+        handed.clear()
         value = naive_sum(ctx.chi1, ctx.chi2, gamma)
-        (raw,) = numerators
-        assert all(type(n) is int for n in raw) and len(raw) == ctx.L
-        assert value == CycElem(ctx.L, [Fraction(n, 2 * q1 * gamma.c) for n in raw])
+        ((den, row),) = handed
+        assert den == 2 * q1 * gamma.c and all(type(n) is int for n in row), gamma
+        literal = exactnum._reduce(ctx.L, literal_numerators(ctx.chi1, ctx.chi2, gamma))
+        assert [2 * gamma.c * n for n in row] == [*literal], gamma
         values.append(",".join(map(str, value.coeffs)))
     assert hashlib.sha256("\n".join(values).encode()).hexdigest() == SWEEP_DIGESTS[name]
 
@@ -266,6 +269,27 @@ def test_the_bucket_terms_are_the_exponents_of_chi1(request, name):
     for m, pairs in enumerate(table):
         units = [k for k in range(1, q1) if gcd(k - m, q1) == 1]
         assert list(pairs) == [(-chi1.exponent(k - m) * L // chi1.order % L, 2 * k) for k in units], m
+
+
+@pytest.mark.parametrize("L", sorted(LARGE_L))
+def test_the_term_table_is_each_bucket_reduced(L):
+    """Per exponent k2 < L/2 that chi2 takes at the order L up to a sign,
+    zeta_L^(L/2) = -1, and per bucket m, the term table holds the nonzero
+    entries, in order, of `_reduce` of the L-long row of m's
+    `_bucket_terms` (t, 2k), each shifted to t - k2; it is kept per pair
+    and order, and built for those exponents alone."""
+    chi1, chi2 = map(parse_character_spec, LARGE_L[L])
+    table, terms = dedekind._term_table(chi1, chi2, L), dedekind._bucket_terms(chi1, L)
+    assert dedekind._term_table(chi1, chi2, L) is table
+    assert table.keys() == {e % (L // 2) for e in chi2.exponent_table(L) if e is not None}
+    assert len(table) == {60: 6, 144: 9, 210: 7}[L]  # chi2 of order 12, 18 and 7
+    for k2, rows in table.items():
+        assert len(rows) == chi1.modulus
+        for m, row in enumerate(rows):
+            shifted = [0] * L
+            for t, x in terms[m]:
+                shifted[(t - k2) % L] += x
+            assert row == tuple((i, x) for i, x in enumerate(exactnum._reduce(L, shifted)) if x), (k2, m)
 
 
 @pytest.mark.parametrize("name, double_sums", [("ctx28", 19), ("ctx35_l12", 28)])

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -23,6 +24,21 @@ def test_constructor_checks_determinant():
         Mat2(1, 0, 0, 2)
     with pytest.raises(ValueError):
         Mat2(2, 0, 0, 2)
+
+
+@pytest.mark.parametrize(
+    "entries, name, kind",
+    [
+        ((0.5, 0, 0, 2), "a", "float"),  # determinant 1, so only the type check refuses it
+        ((1.5, 0.5, 28.0, 10.0), "a", "float"),
+        ((1, Fraction(1, 2), 0, 1), "b", "Fraction"),
+        ((1, 0, "28", 1), "c", "str"),
+        ((1, 0, 0, Fraction(1)), "d", "Fraction"),  # equal to an int, still no int
+    ],
+)
+def test_constructor_refuses_entries_that_are_not_ints(entries, name, kind):
+    with pytest.raises(ValueError, match=f"^matrix entry {name} of type {kind} is not an int$"):
+        Mat2(*entries)
 
 
 def test_products_and_inverse():

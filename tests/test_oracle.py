@@ -21,9 +21,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gdsum.characters import characters_mod, find_character, pair_order
+from gdsum.characters import _psi_odd, characters_mod, find_character, pair_order, parse_character_spec
 from gdsum.dedekind import fast_sum, naive_sum
-from gdsum.exactnum import CycElem
+from gdsum.exactnum import CycElem, cyclotomic_polynomial
 from gdsum.modgroup import Mat2, random_gamma0
 
 
@@ -33,8 +33,9 @@ def _b1(num, den):
     return 0 if r == 0 else 2 * r - den
 
 
-def literal_sum(chi1, chi2, gamma):
-    """The double sum, term by term, as integer numerators over 4*q1*c^2."""
+def literal_numerators(chi1, chi2, gamma):
+    """The double sum, term by term, as L integer numerators over 4*q1*c^2,
+    one per power of zeta_L, L = `pair_order`, not reduced mod Phi_L."""
     q1, a, c = chi1.modulus, gamma.a, gamma.c
     L = pair_order(chi1, chi2)
     acc = [0] * L
@@ -46,7 +47,13 @@ def literal_sum(chi1, chi2, gamma):
             if k1 is not None and k2 is not None:
                 # B1(n/q1 + a*j/c) = B1((n*c + a*j*q1) / (q1*c))
                 acc[-(k1 + k2) % L] += _b1(j, c) * _b1(n * c + a * j * q1, q1 * c)
-    return CycElem(L, [Fraction(v, 4 * q1 * c * c) for v in acc])
+    return acc
+
+
+def literal_sum(chi1, chi2, gamma):
+    """The double sum as a CycElem, from `literal_numerators`."""
+    den = 4 * chi1.modulus * gamma.c**2
+    return CycElem(pair_order(chi1, chi2), [Fraction(v, den) for v in literal_numerators(chi1, chi2, gamma)])
 
 
 def _floor_sums(n, a, b, m):
@@ -150,6 +157,32 @@ def test_naive_sum_equals_literal_sum(name, k, a, shift_a, shift_d):
     expect = literal_sum(chi1, chi2, gamma)
     assert naive_sum(chi1, chi2, gamma) == expect
     assert floor_sum_oracle(chi1, chi2, gamma) == expect
+
+
+# pairs whose order L reaches long rows: Phi_60 and Phi_144 have coefficients
+# in {-1, 0, 1} only, Phi_210 = Phi_105(-x) has coefficients +-2 as well
+LARGE_L = {
+    60: ("q=11;g=2;v=1/10", "q=13;g=2;v=1/12"),
+    144: ("q=17;g=3;v=1/16", "q=19;g=2;v=1/18"),
+    210: ("q=31;g=3;v=1/15", "q=29;g=2;v=1/7"),
+}
+
+
+@pytest.mark.parametrize("L", sorted(LARGE_L))
+def test_naive_sum_equals_literal_sum_at_large_order(L):
+    """At c = N and 2N, on three units a drawn with seed c, the double sum
+    `naive_sum` folds through rows already reduced mod Phi_L is the literal
+    sum, at orders whose rows are 16 to 48 long; no value is 0."""
+    chi1, chi2 = map(parse_character_spec, LARGE_L[L])
+    N = chi1.modulus * chi2.modulus
+    assert pair_order(chi1, chi2) == L and not _psi_odd(chi1, chi2)
+    assert max(map(abs, cyclotomic_polynomial(L))) == (2 if L == 210 else 1)
+    for k in (1, 2):
+        c = N * k
+        for a in random.Random(c).sample([a for a in range(1, c) if gcd(a, c) == 1], 3):
+            gamma = _gamma(N, k, a, 0, 0)
+            value = naive_sum(chi1, chi2, gamma)
+            assert value and value == literal_sum(chi1, chi2, gamma), gamma
 
 
 def test_floor_sums_count_lattice_points():
