@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
 
-from .exactnum import CycElem, _divisors, root_of_unity
+from .exactnum import CycElem, _divisors, _int, root_of_unity
 from .modgroup import _clip, _refusal, _short
 
 
@@ -88,18 +88,21 @@ def unit_group_gens(q: int) -> list[tuple[int, int]]:
 
 
 class DirichletCharacter:
-    """Character mod q given by exponents of zeta_order on each residue."""
+    """Character mod q given by exponents of zeta_order on each residue; a
+    modulus, order or exponent that is not an int is refused by name."""
 
     __slots__ = ("modulus", "order", "_exps", "_conductor", "_tables")
 
     def __init__(self, modulus: int, order: int, exps):
-        self.modulus = modulus
-        self.order = order
+        self.modulus = _int("modulus", modulus)
+        self.order = _int("order", order)
         self._exps = tuple(exps)
         self._conductor = None
         self._tables = {}
         if len(self._exps) != max(modulus, 1):
             raise ValueError("exponent table must cover all residues")
+        if bad := [k for k in self._exps if not (k is None or isinstance(k, int))]:
+            _int("exponent", bad[0])
 
     def exponent(self, n: int):
         """k with chi(n) = zeta_order^k, or None when gcd(n, q) > 1."""
@@ -180,8 +183,8 @@ def _characters_mod_cached(q: int) -> tuple[DirichletCharacter, ...]:
 
 
 def characters_mod(q: int) -> list[DirichletCharacter]:
-    """All phi(q) Dirichlet characters mod q."""
-    if q < 1:
+    """All phi(q) Dirichlet characters mod q, for a positive int q."""
+    if _int("modulus", q) < 1:
         raise ValueError("modulus must be a positive integer")
     return list(_characters_mod_cached(q))
 

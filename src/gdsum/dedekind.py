@@ -39,7 +39,7 @@ powers everything here:
     file to be exactly what that context writes.
 
 The generator sums are a dict keyed like their alphabet, (k, ("T", 1)) and
-(k, ("S", 1)), with one shared CycElem per distinct sum.  `exactnum` turns
+(k, ("S", 1)), one CycElem per double-sum input.  `exactnum` turns
 them into integer rows over one common denominator D (3 at N = 9, 5 at
 N = 35 with L = 12) and back, so the checks, the derived rows and
 `fast_sum`'s column sums are integer adds and root-of-unity turns;
@@ -109,11 +109,11 @@ def naive_sum(chi1: DirichletCharacter, chi2: DirichletCharacter, gamma: Mat2) -
     y is an integer only when c/q1, a multiple of q2, divides j, and then
     chi2(j) = 0.  So each j adds 2j - c to one of the q1 buckets of its chi2
     exponent k2 mod L/2, or subtracts it when k2 >= L/2, as zeta_L^(L/2) is
-    -1; each nonzero bucket m then adds its weight times its row of
-    `_term_table`, A[m] zeta_L^-k2 already reduced mod Phi_L, into deg Phi_L
-    integer numerators over 2 q1 c, which `_cyc` reads as they are.  Pairing
-    j with c - j multiplies the summand by chi1*chi2(-1): only j < c/2 is
-    walked, and the sum is 0 when that sign is -1.
+    -1; each nonzero bucket m then adds its weight times its row, A[m]
+    zeta_L^-k2 reduced mod Phi_L, into deg Phi_L integer numerators over
+    2 q1 c, which `_cyc` reads as they are.  One `_term_table` lookup gives
+    L, chi2's exponents and the rows.  Pairing j with c - j multiplies the
+    summand by chi1*chi2(-1): only j < c/2 is walked, and the sum is 0 if -1.
     """
     q1, q2 = chi1.modulus, chi2.modulus
     N = q1 * q2
@@ -121,12 +121,11 @@ def naive_sum(chi1: DirichletCharacter, chi2: DirichletCharacter, gamma: Mat2) -
         raise ValueError(f"{gamma} is not in Gamma0({N})")
     if chi1.order == 1:
         raise ValueError("the double sum is evaluated for non-principal chi1 only")
-    L = pair_order(chi1, chi2)
-    if gamma.c == 0 or _psi_odd(chi1, chi2):
+    # chi2(j) = zeta_L^e2[j], or None where chi2(j) = 0; summands take conjugates
+    L, e2, table = _term_table(chi1, chi2)
+    if gamma.c == 0 or table is None:
         return CycElem.zero(L)
     a, c = (gamma.a, gamma.c) if gamma.c > 0 else (-gamma.a, -gamma.c)
-    # chi2(j) = zeta_L^e2[j], or None where chi2(j) = 0; summands take conjugates
-    e2, table = chi2.exponent_table(L), _term_table(chi1, chi2, L)
     # integer numerators per power of zeta_L below deg Phi_L, over the common
     # denominator 2*q1*c: the half range doubles (2j - c)/(2c) * A[m]
     M = q1 * c
@@ -149,36 +148,34 @@ def naive_sum(chi1: DirichletCharacter, chi2: DirichletCharacter, gamma: Mat2) -
     return _cyc(L, 2 * q1 * c, acc)
 
 
-@lru_cache(maxsize=None)
-def _bucket_terms(chi1: DirichletCharacter, L: int) -> tuple:
-    """Per bucket m < q1, the pairs (exponent of conj chi1(k - m) at the
-    order L, 2k) over the k < q1 with chi1(k - m) != 0: the terms of A[m]."""
-    e1, q1 = chi1.exponent_table(L), chi1.modulus
-    pairs = [[(-e1[k - m] % L, 2 * k) for k in range(1, q1) if e1[k - m] is not None] for m in range(q1)]
-    return tuple(map(tuple, pairs))
-
-
-@lru_cache(maxsize=16)  # a process builds a few pairs; one that builds thousands keeps 16 tables
-def _term_table(chi1: DirichletCharacter, chi2: DirichletCharacter, L: int) -> dict:
-    """Per exponent k2 < L/2 that chi2 takes at the order L up to a sign
-    (one of k2 and k2 + L/2), and per bucket m < q1, the sparse row
+@lru_cache(maxsize=16)  # the CLI and `verify` build one pair, cold-start two; a sweep of thousands keeps 16
+def _term_table(chi1: DirichletCharacter, chi2: DirichletCharacter) -> tuple:
+    """(L, e2, rows), everything `naive_sum` reads of a pair: its order L;
+    chi2's exponents at L; and per exponent k2 < L/2 that chi2 takes up to
+    a sign (one of k2 and k2 + L/2) and per bucket m < q1, the sparse row
     ((i, x), ...) of 2 q1 A[m] zeta_L^-k2 reduced mod Phi_L, its nonzero
-    coefficients in order: each of m's `_bucket_terms` (t, 2k) adds 2k times
-    the row of zeta_L^(t - k2), read sparse from the `_rotations` of 1, so
-    no L-long row is built or reduced."""
+    coefficients in order, or None for rows when chi1*chi2(-1) = -1.  Each
+    k < q1 with chi1(k - m) = zeta_L^e adds 2k times the row of
+    zeta_L^-(e + k2), read sparse from the `_rotations` of 1, so no L-long
+    row is built or reduced."""
+    L = pair_order(chi1, chi2)
+    e1, e2 = chi1.exponent_table(L), chi2.exponent_table(L)
+    if _psi_odd(chi1, chi2):
+        return L, e2, None
     deg = len(cyclotomic_polynomial(L)) - 1
     powers = [[(i, x) for i, x in enumerate(row) if x] for row in _rotations(L, (1,) + (0,) * (deg - 1))]
     table = {}
-    for k2 in {e % (L // 2) for e in chi2.exponent_table(L) if e is not None}:
+    for k2 in {e % (L // 2) for e in e2 if e is not None}:
         rows = []
-        for terms in _bucket_terms(chi1, L):
+        for m in range(chi1.modulus):
             row = [0] * deg
-            for t, x in terms:
-                for i, y in powers[t - k2]:  # t - k2 > -L: a negative index wraps
-                    row[i] += x * y
+            for k in range(1, chi1.modulus):
+                if (e := e1[k - m]) is not None:  # k - m < 0 wraps to k - m mod q1
+                    for i, y in powers[-(e + k2) % L]:
+                        row[i] += 2 * k * y
             rows.append(tuple([(i, x) for i, x in enumerate(row) if x]))
         table[k2] = tuple(rows)
-    return table
+    return L, e2, table
 
 
 @dataclass
@@ -193,12 +190,13 @@ class Context:
     U(r_k, S) of `alphabet` (built on each access), keyed (k, ("T", 1)),
     (k, ("S", 1)), as `_build` reads them; and `sums_g0`, lambda -> G(lambda),
     the sum of the member g_lambda of `t_g0` (Gamma1(N) in Gamma0(N), keyed
-    by d mod N), 0 at I, one of which ends each walk.  `__post_init__`
-    derives only what `fast_sum` reads, in integers over the common
-    denominator `den`: `N` and `L`; `g_rows[lambda]`, the row of G(lambda),
-    None off the units; the slot tables, the only lists of size N^2 it
-    keeps; and `relations`, the count `_check_relations` read on their key
-    rows and the first broken (key, name), or None.
+    by d mod N), 0 at I, one of which ends each walk; each double sum the
+    build ran is one object in them.  `__post_init__` derives only what
+    `fast_sum` reads, in integers over the common denominator `den`: `N`
+    and `L`; `g_rows[lambda]`, the row of G(lambda), None off the units;
+    the slot tables, the only lists of size N^2 it keeps; and `relations`,
+    the count `_check_relations` read on their key rows and the first
+    broken (key, name), or None.
     With F(k) the sum of the Gamma1 generator sums s_T along k's T-orbit
     up to k and Sigma the orbit total, the cocycle identity gives, for
     every integer a,
@@ -318,10 +316,9 @@ def _build(chi1, chi2, allow_large: bool) -> tuple[Context, int]:
 
     After `_validate_pair`, which warns on a pair with chi1*chi2(-1) != 1,
     every sum the context stores comes from one memo keyed by the double
-    sum's input (a mod c, c), c >= 1, read off -gamma when c <= -1, which
-    runs the double sum once per input and keeps one CycElem per distinct
-    sum, found by its coefficients' (numerator, denominator) pairs, the zero
-    sum among them; a shear (c = 0) is 0.  Through it
+    sum's input (a mod c, c), c >= 1, read as ((-a) mod (-c), -c) when
+    c <= -1, which runs the double sum once per input, so its size is the
+    count; a shear (c = 0) is the one shared zero.  Through it
     come G at each member g_lambda of the Gamma0 transversal (at I, a
     shear, 0), whose input is (1/lambda mod N, N), and the sums of the
     2 mu Gamma0(N) generators U(r_k, T), U(r_k, S), whose inputs with
@@ -338,20 +335,15 @@ def _build(chi1, chi2, allow_large: bool) -> tuple[Context, int]:
     laps = [time.perf_counter()] if log.isEnabledFor(logging.DEBUG) else None
     p1 = transversal_g0_in_sl2(N)
     gens = schreier_alphabet(N, p1)
-    zero, runs, ratio = CycElem.zero(L), 0, Fraction.as_integer_ratio
-    # input (a, c) -> its sum; each distinct sum -> one CycElem, keyed by its
-    # coefficients' (numerator, denominator) pairs: ints hash faster than Fractions
-    known, one_of = {}, {tuple(map(ratio, zero.coeffs)): zero}
+    zero, known = CycElem.zero(L), {}  # input (a mod c, c), c >= 1 -> its double sum
 
     def sum_of(m):
-        nonlocal runs
         if m.c == 0:
             return zero
-        m = m if m.c > 0 else -m
-        if (value := known.get(key := (m.a % m.c, m.c))) is None:
-            # looked up at call time, so a test's replacement applies
-            value, runs = naive_sum(chi1, chi2, m), runs + 1
-            value = known[key] = one_of.setdefault(tuple(map(ratio, value.coeffs)), value)
+        key = (m.a % m.c, m.c) if m.c > 0 else (-m.a % -m.c, -m.c)
+        if (value := known.get(key)) is None:
+            # looked up at call time for a test's replacement; c >= 1, as perfbench sums it
+            value = known[key] = naive_sum(chi1, chi2, m if m.c > 0 else -m)
         return value
 
     members = transversal_g1_in_g0(N).members.items()
@@ -370,10 +362,10 @@ def _build(chi1, chi2, allow_large: bool) -> tuple[Context, int]:
         log.debug(
             "precompute N=%d: %d points of P^1, %d keys, %d oracle calls; %d relations checked; "
             "sums %.4f s, context %.4f s, G check %.4f s",
-            N, len(p1), sl2_coset_count(N), runs, ctx.relations[0], *phases,
-            extra={"oracle_calls": runs, "phases": phases},
+            N, len(p1), sl2_coset_count(N), len(known), ctx.relations[0], *phases,
+            extra={"oracle_calls": len(known), "phases": phases},
         )
-    return ctx, runs
+    return ctx, len(known)
 
 
 def _lap(laps):

@@ -51,12 +51,33 @@ def cyclotomic_polynomial(L: int) -> tuple[int, ...]:
     Computed by exact division of x^L - 1 by Phi_d over the proper
     divisors d of L.
     """
-    if L < 1:
-        raise ValueError("order must be a positive integer")
+    _order(L)
     poly = [-1] + [0] * (L - 1) + [1]
     for d in _divisors(L)[:-1]:
         poly = _poly_div_exact(poly, cyclotomic_polynomial(d))
     return tuple(poly)
+
+
+def _int(name: str, n):
+    """n, refused with a ValueError naming it and its type unless it is an int."""
+    if not isinstance(n, int):
+        raise ValueError(f"{name} {n!r:.40} of type {type(n).__name__} is not an int")
+    return n
+
+
+def _order(L) -> int:
+    """L, refused with a ValueError unless it is a positive int."""
+    if _int("order", L) < 1:
+        raise ValueError("order must be a positive integer")
+    return L
+
+
+def _fraction(x) -> Fraction:
+    """Fraction(x), refused with a ValueError naming x and its type unless it reads x."""
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an infinity
+        raise ValueError(f"coefficient {x!r:.40} of type {type(x).__name__} is not a rational") from None
 
 
 def _reduce(L: int, raw: list) -> tuple:
@@ -84,10 +105,8 @@ class CycElem:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs):
-        if order < 1:
-            raise ValueError("order must be a positive integer")
-        object.__setattr__(self, "order", order)
-        raw = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        object.__setattr__(self, "order", _order(order))
+        raw = [c if isinstance(c, Fraction) else _fraction(c) for c in coeffs]
         object.__setattr__(self, "coeffs", _reduce(order, raw))
 
     def __setattr__(self, name, value):
@@ -111,7 +130,7 @@ class CycElem:
 
     @classmethod
     def from_rational(cls, order: int, r) -> "CycElem":
-        return cls(order, [Fraction(r)])
+        return cls(order, [r])
 
     def _check_order(self, other: "CycElem"):
         if self.order != other.order:
@@ -212,8 +231,11 @@ class CycElem:
 
 
 def root_of_unity(L: int, k: int) -> CycElem:
-    """zeta_L^(k mod L) in canonical form."""
-    return _cyc(L, 1, [int(j == k % L) for j in range(L)])
+    """zeta_L^(k mod L) in canonical form: the basis row of k mod L, reduced
+    mod Phi_L.  An L or a k that is not an int is refused, naming it."""
+    row = [0] * _order(L)
+    row[_int("exponent", k) % L] = 1
+    return _cyc(L, 1, _reduce(L, row))
 
 
 def _rotations(L: int, row) -> list:
@@ -228,7 +250,8 @@ def _rotations(L: int, row) -> list:
 
 
 def _rows(values: dict) -> tuple[int, dict]:
-    """D = lcm(the CycElems' denominators) and their rows over D, one tuple per distinct object."""
+    """D = lcm(the CycElems' denominators) and their rows over D, one tuple
+    per distinct object, however many keys share it."""
     distinct = {id(v): v for v in values.values()}
     den = lcm(*{x.denominator for v in distinct.values() for x in v.coeffs})
     row_of = {i: tuple([x.numerator * (den // x.denominator) for x in v.coeffs]) for i, v in distinct.items()}
@@ -236,10 +259,7 @@ def _rows(values: dict) -> tuple[int, dict]:
 
 
 def _cyc(order: int, den: int, row) -> CycElem:
-    """row/den as a CycElem: row holds deg Phi_order integers, or `order` in a
-    list reduced first in place, as only `root_of_unity` hands it."""
-    if len(row) >= order:
-        row = _reduce(order, row)
+    """row/den as a CycElem, row holding deg Phi_order integers, reduced."""
     self = object.__new__(CycElem)  # as `CycElem._raw` does, one call less per `fast_sum`
     object.__setattr__(self, "order", order)
     object.__setattr__(self, "coeffs", tuple([Fraction(n, den) for n in row]))

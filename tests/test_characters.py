@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from gdsum import cli
 from gdsum.characters import (
+    DirichletCharacter,
     _psi_odd,
     _twists,
     characters_mod,
@@ -192,6 +193,27 @@ def test_find_character_selection():
     assert find_character(3, [(True, "0"), (2, "1/2")]).modulus == 3
     with pytest.raises(ValueError, match="^character spec of type NoneType is not a string$"):
         parse_character_spec(None)
+
+
+def test_characters_mod_refuses_a_modulus_that_is_not_a_positive_int():
+    for q, message in [(2.5, "modulus 2.5 of type float is not an int"), ("5", "modulus '5' of type str is not an int"),
+                       (0, "modulus must be a positive integer")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            characters_mod(q)
+
+
+def test_a_character_refuses_an_exponent_table_it_cannot_read():
+    """An exponent that is not an int or None, which a build would use as an
+    index, is refused by name, as is a table that misses a residue and a
+    modulus or order that is not an int."""
+    with pytest.raises(ValueError, match="^exponent 1.0 of type float is not an int$"):
+        DirichletCharacter(5, 4, [None, 0, 1.0, 3, 2])
+    with pytest.raises(ValueError, match="^exponent table must cover all residues$"):
+        DirichletCharacter(5, 4, [None, 0, 1, 3])
+    for q, order, message in [(5.0, 4, "modulus 5.0 of type float"), (5, "4", "order '4' of type str")]:
+        with pytest.raises(ValueError, match=f"^{message} is not an int$"):
+            DirichletCharacter(q, order, [None, 0, 1, 3, 2])
+    assert DirichletCharacter(5, 4, [None, 0, 1, 3, 2]).eval(2) == root_of_unity(4, 1)
 
 
 @functools.cache

@@ -256,40 +256,61 @@ def test_the_build_reads_each_double_sum_as_a_row_in_lowest_terms(request, name)
         assert name != "ctx35" or (den, any(row)) == (1, False)
 
 
-@pytest.mark.parametrize("name", ["ctx9", "ctx28", "ctx35_l12"])
-def test_the_bucket_terms_are_the_exponents_of_chi1(request, name):
-    """Per bucket m, the double sum combines the pairs (e, 2k) with
-    conj(chi1(k - m)) = zeta_L^e over 0 < k < q1 where chi1(k - m) != 0,
-    read here from chi1's own exponents; the table is built once per
-    character and order."""
-    ctx = request.getfixturevalue(name)
-    chi1, L = ctx.chi1, ctx.L
-    q1, table = chi1.modulus, dedekind._bucket_terms(chi1, L)
-    assert len(table) == q1 and dedekind._bucket_terms(chi1, L) is table
-    for m, pairs in enumerate(table):
-        units = [k for k in range(1, q1) if gcd(k - m, q1) == 1]
-        assert list(pairs) == [(-chi1.exponent(k - m) * L // chi1.order % L, 2 * k) for k in units], m
+TERM_PAIRS = {
+    2: ("q=3;g=2;v=1/2", "q=3;g=2;v=1/2"),
+    6: ("q=4;g=3;v=1/2", "q=7;g=3;v=5/6"),
+    12: ("q=5;g=2;v=1/4", "q=7;g=3;v=1/6"),
+    **LARGE_L,
+}
 
 
-@pytest.mark.parametrize("L", sorted(LARGE_L))
+@pytest.mark.parametrize("L", sorted(TERM_PAIRS))
 def test_the_term_table_is_each_bucket_reduced(L):
-    """Per exponent k2 < L/2 that chi2 takes at the order L up to a sign,
-    zeta_L^(L/2) = -1, and per bucket m, the term table holds the nonzero
-    entries, in order, of `_reduce` of the L-long row of m's
-    `_bucket_terms` (t, 2k), each shifted to t - k2; it is kept per pair
-    and order, and built for those exponents alone."""
-    chi1, chi2 = map(parse_character_spec, LARGE_L[L])
-    table, terms = dedekind._term_table(chi1, chi2, L), dedekind._bucket_terms(chi1, L)
-    assert dedekind._term_table(chi1, chi2, L) is table
-    assert table.keys() == {e % (L // 2) for e in chi2.exponent_table(L) if e is not None}
-    assert len(table) == {60: 6, 144: 9, 210: 7}[L]  # chi2 of order 12, 18 and 7
-    for k2, rows in table.items():
-        assert len(rows) == chi1.modulus
+    """`_term_table` gives a pair's order L and chi2's exponents at L, and
+    per exponent k2 < L/2 that chi2 takes up to a sign, zeta_L^(L/2) = -1,
+    and per bucket m, the nonzero entries, in order, of `_reduce` of the
+    L-long row that adds 2k at the exponent -(e + k2) for each 0 < k < q1
+    with chi1(k - m) = zeta_L^e, read here from chi1's own exponents; it is
+    kept per pair, and built for those exponents alone."""
+    chi1, chi2 = map(parse_character_spec, TERM_PAIRS[L])
+    table = dedekind._term_table(chi1, chi2)
+    assert dedekind._term_table(chi1, chi2) is table
+    order, e2, rows_of = table
+    assert order == L and e2 == chi2.exponent_table(L)
+    assert rows_of.keys() == {e % (L // 2) for e in e2 if e is not None}
+    assert len(rows_of) == {2: 1, 6: 3, 12: 3, 60: 6, 144: 9, 210: 7}[L]  # chi2 of order 2, 6, 6, 12, 18 and 7
+    q1 = chi1.modulus
+    for k2, rows in rows_of.items():
+        assert len(rows) == q1
         for m, row in enumerate(rows):
             shifted = [0] * L
-            for t, x in terms[m]:
-                shifted[(t - k2) % L] += x
+            for k in (k for k in range(1, q1) if gcd(k - m, q1) == 1):
+                shifted[-(chi1.exponent(k - m) * L // chi1.order + k2) % L] += 2 * k
             assert row == tuple((i, x) for i, x in enumerate(exactnum._reduce(L, shifted)) if x), (k2, m)
+
+
+def test_naive_sum_reads_a_pair_through_one_lookup(monkeypatch, ctx28, ctx35):
+    """After a pair's first double sum, `naive_sum` reads the pair's order,
+    parity and chi2 exponents from its `_term_table` entry alone: later
+    calls, on a psi-even and a psi-odd pair, whose entry has no rows, call
+    none of `pair_order`, `_psi_odd` and `exponent_table`, and give the same
+    values; a first call after the cache is cleared calls each again."""
+    mats = {ctx.N: list(_sweep_matrices(ctx.N))[:12] for ctx in (ctx28, ctx35)}
+    values = [naive_sum(ctx.chi1, ctx.chi2, g) for ctx in (ctx28, ctx35) for g in mats[ctx.N]]
+    assert dedekind._term_table(ctx35.chi1, ctx35.chi2)[2] is None and not any(values[12:])
+    calls, exponent_table = Counter(), characters.DirichletCharacter.exponent_table
+    for name in ("pair_order", "_psi_odd"):
+        real = getattr(dedekind, name)
+        monkeypatch.setattr(dedekind, name, lambda *a, name=name, real=real: calls.update([name]) or real(*a))
+    monkeypatch.setattr(
+        characters.DirichletCharacter, "exponent_table",
+        lambda chi, L: calls.update(["exponent_table"]) or exponent_table(chi, L),
+    )
+    assert [naive_sum(ctx.chi1, ctx.chi2, g) for ctx in (ctx28, ctx35) for g in mats[ctx.N]] == values
+    assert not calls
+    dedekind._term_table.cache_clear()
+    assert naive_sum(ctx28.chi1, ctx28.chi2, mats[28][0]) == values[0]
+    assert calls.keys() == {"pair_order", "_psi_odd", "exponent_table"}
 
 
 @pytest.mark.parametrize("name, double_sums", [("ctx28", 19), ("ctx35_l12", 28)])
@@ -1198,16 +1219,18 @@ def test_load_calls_the_double_sum_as_a_precompute_does(tmp_path, monkeypatch, c
         assert getattr(loaded, name) == getattr(ctx, name), name
 
 
-@pytest.mark.parametrize("name, distinct", [("ctx28", 8), ("ctx35_l12", 13)])
-def test_equal_sums_share_one_object(tmp_path, request, name, distinct):
-    """Precompute and load both hold one CycElem per distinct Gamma0
-    generator sum."""
+@pytest.mark.parametrize("name, runs", [("ctx28", 19), ("ctx35_l12", 28)])
+def test_one_object_per_double_sum_input(tmp_path, request, name, runs):
+    """Precompute and load both hold one CycElem per double-sum input over
+    the Gamma0 generator sums and G, one object per double sum the build
+    runs, and one more: the zero that every shear shares."""
     ctx = request.getfixturevalue(name)
     path = tmp_path / "ctx.json"
     save_context(ctx, path)
     for c in (ctx, load_context(path)):
-        sums = c.sums_alphabet.values()
-        assert len({id(v) for v in sums}) == len(set(sums)) == distinct
+        sums = [*c.sums_alphabet.values(), *c.sums_g0.values()]
+        assert len({id(v) for v in sums}) == runs + 1
+        assert c.sums_g0[1] == 0 and sum(v is c.sums_g0[1] for v in sums) > 1
 
 
 def test_load_rejects_a_pair_precompute_rejects(tmp_path, monkeypatch):

@@ -136,6 +136,40 @@ def test_order_mismatch_rejected():
         root_of_unity(3, 1) * root_of_unity(6, 1)
 
 
+def test_root_of_unity_refuses_an_order_or_exponent_that_is_not_an_int():
+    """A float exponent, even a whole one, and a string are refused by name,
+    not read as 0, as an int or by `%`; so is an order that is not an int."""
+    for k, message in [(1.5, "exponent 1.5 of type float"), (1.0, "exponent 1.0 of type float"), ("1", "exponent '1' of type str")]:
+        with pytest.raises(ValueError, match=f"^{message} is not an int$"):
+            root_of_unity(4, k)
+    with pytest.raises(ValueError, match="^order 2.5 of type float is not an int$"):
+        root_of_unity(2.5, 1)
+    assert root_of_unity(4, True) == root_of_unity(4, 1) == CycElem(4, [0, 1])
+
+
+def test_cycelem_refuses_an_order_or_coefficient_it_cannot_read():
+    """An order that is not a positive int and a coefficient that Fraction()
+    cannot read are refused by name."""
+    for order, message in [(2.5, "order 2.5 of type float is not an int"), ("3", "order '3' of type str is not an int"),
+                           (0, "order must be a positive integer")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CycElem(order, [1])
+    with pytest.raises(ValueError, match="^order must be a positive integer$"):
+        CycElem(0, [])
+    for x, message in [(None, "None of type NoneType"), ("x", "'x' of type str"), (float("inf"), "inf of type float")]:
+        with pytest.raises(ValueError, match=f"^coefficient {message} is not a rational$"):
+            CycElem(4, [x])
+    assert CycElem(4, ["1/2", 0.5]) == CycElem(4, [Fraction(1, 2), Fraction(1, 2)])
+
+
+def test_cyclotomic_polynomial_refuses_an_order_that_is_not_a_positive_int():
+    with pytest.raises(ValueError, match="^order 2.5 of type float is not an int$"):
+        cyclotomic_polynomial(2.5)
+    for L in (0, -3):
+        with pytest.raises(ValueError, match="^order must be a positive integer$"):
+            cyclotomic_polynomial(L)
+
+
 def test_scaling_and_scalars():
     z6 = root_of_unity(6, 1)
     assert 2 * z6 - z6 == z6
@@ -167,7 +201,7 @@ def test_immutability():
 def test_row_conversions_round_trip():
     """`_rows` gives random CycElems at orders 1 to 30 as integer rows over
     the lcm of their denominators, one tuple per distinct object, and `_cyc` turns each row back into its CycElem; a row
-    of L coefficients is first reduced mod Phi_L."""
+    of L coefficients is reduced mod Phi_L by `_reduce` before `_cyc` reads it."""
     rng = random.Random(30)
     for L in range(1, 31):
         deg = len(cyclotomic_polynomial(L)) - 1
@@ -181,7 +215,7 @@ def test_row_conversions_round_trip():
         for k, v in values.items():
             assert all(type(n) is int for n in rows[k]) and _cyc(L, den, rows[k]) == v
         raw = [rng.randint(-50, 50) for _ in range(L)]
-        assert CycElem(L, [Fraction(n, 6) for n in raw]) == _cyc(L, 6, raw)  # `_cyc` reduces raw in place
+        assert CycElem(L, [Fraction(n, 6) for n in raw]) == _cyc(L, 6, _reduce(L, raw))
 
 
 @pytest.mark.parametrize("L", [2, 4, 6, 10, 12, 60, 144])
