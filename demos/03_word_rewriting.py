@@ -98,8 +98,8 @@ negated = Mat2(101, 33, 153, 50)
 print(
     f"A negated word, such as {spell(ts_decompose(negated))} for\n"
     f"{negated}, multiplies to -gamma without its sign, so its walk ends at\n"
-    f"{key(-negated)} = (0, -d mod {N}); S(-gamma) = psi(-1) S(gamma) = S(gamma) unless\n"
-    "psi(-1) = -1, and then every sum is 0."
+    f"{key(-negated)} = (0, -d mod {N}); S(-gamma) = psi(-1) S(gamma) = S(gamma), as\n"
+    "psi(-1) = 1 for every pair that is not refused."
 )
 
 

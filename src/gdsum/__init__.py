@@ -22,7 +22,6 @@ from .characters import (
 )
 from .dedekind import (
     Context,
-    ParityWarning,
     fast_sum,
     load_context,
     naive_sum,
@@ -37,7 +36,6 @@ __all__ = [
     "Context",
     "DirichletCharacter",
     "Mat2",
-    "ParityWarning",
     "TSWord",
     "characters_mod",
     "cyclotomic_polynomial",

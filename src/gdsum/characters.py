@@ -1,9 +1,10 @@
 """Dirichlet characters with exact root-of-unity values.
 
 A character mod q is stored as an exponent table: chi(n) = zeta_order^k(n)
-for units n, and 0 when gcd(n, q) > 1.  Exponents (rather than field
-elements) make re-embedding at any common cyclotomic order a cheap integer
-rescale (`exponent_table`), and a pair's psi is read from those tables.
+for units n, with order the character's true order and 0 <= k(n) < order,
+and 0 when gcd(n, q) > 1.  Exponents (rather than field elements) make
+re-embedding at any common cyclotomic order a cheap integer rescale
+(`exponent_table`), and a pair's psi is read from those tables.
 
 Construction enumerates the full dual group of (Z/qZ)^* from a generating
 set built by CRT over the prime powers dividing q: a primitive root for an
@@ -18,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
 
-from .exactnum import CycElem, _divisors, _int, root_of_unity
+from .exactnum import CycElem, _divisors, _int, _iter, _order, root_of_unity
 from .modgroup import _clip, _refusal, _short
 
 
@@ -88,21 +89,29 @@ def unit_group_gens(q: int) -> list[tuple[int, int]]:
 
 
 class DirichletCharacter:
-    """Character mod q given by exponents of zeta_order on each residue; a
-    modulus, order or exponent that is not an int is refused by name."""
+    """Character mod q given by exponents of zeta_order on each residue,
+    stored in one canonical form: each exponent reduced mod the order, and
+    the order and every exponent divided by their gcd, so the order is the
+    character's true order, and equality and hashing agree with `eval`.  A
+    modulus, order or exponent that is not an int is refused by name, and
+    so are a modulus or order below 1 and a table that is not iterable."""
 
     __slots__ = ("modulus", "order", "_exps", "_conductor", "_tables")
 
     def __init__(self, modulus: int, order: int, exps):
-        self.modulus = _int("modulus", modulus)
-        self.order = _int("order", order)
-        self._exps = tuple(exps)
+        if _int("modulus", modulus) < 1:
+            raise ValueError("modulus must be a positive integer")
+        order, exps = _order(order), tuple(_iter("exponent table", exps))
+        if len(exps) != modulus:
+            raise ValueError("exponent table must cover all residues")
+        if bad := [k for k in exps if not (k is None or isinstance(k, int))]:
+            _int("exponent", bad[0])
+        exps = [None if k is None else k % order for k in exps]
+        g = gcd(order, *[k for k in exps if k is not None])
+        self.modulus, self.order = modulus, order // g
+        self._exps = tuple([None if k is None else k // g for k in exps])
         self._conductor = None
         self._tables = {}
-        if len(self._exps) != max(modulus, 1):
-            raise ValueError("exponent table must cover all residues")
-        if bad := [k for k in self._exps if not (k is None or isinstance(k, int))]:
-            _int("exponent", bad[0])
 
     def exponent(self, n: int):
         """k with chi(n) = zeta_order^k, or None when gcd(n, q) > 1."""
@@ -156,8 +165,6 @@ class DirichletCharacter:
 
 @lru_cache(maxsize=None)
 def _characters_mod_cached(q: int) -> tuple[DirichletCharacter, ...]:
-    if q == 1:
-        return (DirichletCharacter(1, 1, [0]),)
     gens = unit_group_gens(q)
     orders = [s for _, s in gens]
     # discrete log of every unit with respect to the generator tuple
@@ -166,19 +173,13 @@ def _characters_mod_cached(q: int) -> tuple[DirichletCharacter, ...]:
         n = prod(pow(g, k, q) for (g, _), k in zip(gens, ks)) % q
         unit_log[n] = ks
     assert len(unit_log) == euler_phi(q)
-    E = lcm(*orders) if orders else 1
+    E = lcm(*orders)
     chars = []
     for ts in itertools.product(*[range(s) for s in orders]):
-        w = {
-            n: sum(k * t * (E // s) for k, t, s in zip(ks, ts, orders)) % E
-            for n, ks in unit_log.items()
-        }
-        g0 = gcd(E, *w.values())
-        order = E // g0
         exps = [None] * q
-        for n, v in w.items():
-            exps[n] = (v // g0) % order if order > 1 else 0
-        chars.append(DirichletCharacter(q, order, exps))
+        for n, ks in unit_log.items():
+            exps[n] = sum(k * t * (E // s) for k, t, s in zip(ks, ts, orders))
+        chars.append(DirichletCharacter(q, E, exps))  # reduced to the true order there
     return tuple(chars)
 
 

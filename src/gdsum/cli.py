@@ -3,9 +3,10 @@
 Each run builds the pair's context in-process, at most once, as
 `precompute` does, and writes no file: `verify` checks the one it builds.
 The pair is checked once, by the build or, in `sum --naive`, which builds
-none, by `_validate_pair`; `main` prints its ParityWarning as one line.
-It leaves the `gdsum` logger as it finds it, so a build times its phases
-only when the caller has turned on DEBUG.  A matrix entry may have any
+none, by `_validate_pair`, which refuses a pair with chi1*chi2(-1) = -1
+as any bad input is, with exit 1 and one `error:` line.  It leaves the
+`gdsum` logger as it finds it, so a build times its phases only when the
+caller has turned on DEBUG.  A matrix entry may have any
 number of digits: `main` lifts CPython's int-to-str digit limit for the
 run, and a message gives an entry past 256 bits by its bit length.  Exit
 codes: 0 success, 1 usage/configuration error, or any other error as one
@@ -21,7 +22,6 @@ import logging
 import random
 import sys
 import time
-import warnings
 from itertools import count, islice
 from math import log10
 
@@ -29,7 +29,6 @@ from .cosets import sl2_coset_count
 from .dedekind import (
     DEFAULT_LEVEL_LIMIT,
     Context,
-    ParityWarning,
     _build,
     _read_pair,
     _validate_pair,
@@ -255,11 +254,8 @@ def main(argv=None) -> int:
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("always", ParityWarning)
-            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
-            args = parser.parse_args(argv)
-            return args.run(args)
+        args = parser.parse_args(argv)
+        return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

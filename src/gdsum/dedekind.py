@@ -10,18 +10,18 @@ an element of Q(zeta_L) with L = lcm(order chi1, order chi2, 2).
 `naive_sum` evaluates it exactly without the inner loop: the sum over n
 depends only on floor(q1 (a j mod c)/c), so each j adds +-(2j - c) to one
 of q1 integer buckets kept per value of chi2(j) up to sign, and j and c - j
-contribute equally (or cancel, when chi1*chi2(-1) = -1, and then the sum is
-0).  That is about (c/2) phi(q2)/q2 integer steps; each nonzero bucket then
-adds one row of a per-pair table, already reduced mod Phi_L.
+contribute equally, as chi1*chi2(-1) = 1 (a pair with -1 is refused).  That
+is about (c/2) phi(q2)/q2 integer steps; each nonzero bucket then adds one
+row of a per-pair table, already reduced mod Phi_L.
 
 The sum obeys S(g h) = S(g) + psi(g) S(h) with psi(g) = chi1 conj(chi2)(d(g))
 on all of Gamma0(N), and psi is trivial on Gamma1(N); that single identity
 powers everything here:
 
   * the double sum reads only a mod c and c, so S(g T^b) = S(g) and the
-    shears +-T^b have sum 0, and S(-g) = psi(-1) S(g) = S(g) whenever any
-    sum is nonzero: a matrix with c <= -1, where the double sum does not
-    apply, has the double sum of its negation, as `naive_sum` gives it;
+    shears +-T^b have sum 0, and S(-g) = psi(-1) S(g) = S(g): a matrix
+    with c <= -1, where the double sum does not apply, has the double sum
+    of its negation, as `naive_sum` gives it;
   * the fast path rewrites gamma's own word over the Schreier alphabet of
     Gamma1(N), adds up precomputed sums with multiplicities, and adds the
     sum of the transversal member g_{+-d} at which the walk ends;
@@ -53,7 +53,6 @@ import logging
 import os
 import tempfile
 import time
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -92,18 +91,13 @@ _REBUILD = "rebuild it with `save_context(precompute(chi1, chi2), path)`"
 log = logging.getLogger(__name__)
 
 
-class ParityWarning(UserWarning):
-    """chi1*chi2(-1) != 1: the defining hypothesis fails, and the double sum
-    is 0 on every matrix, so every table entry and every sum is 0."""
-
-
 def naive_sum(chi1: DirichletCharacter, chi2: DirichletCharacter, gamma: Mat2) -> CycElem:
     """S on any Gamma0(q1 q2) matrix, by the double sum evaluated exactly in
     one pass over j < c/2.
 
-    Raises ValueError off Gamma0(N), naming gamma as given, or for a
-    principal chi1.  By the closure the module derives, c = 0 is 0 and
-    c <= -1 has the double sum of -gamma.  With y = q1 (a j mod c)/c, the
+    Raises ValueError off Gamma0(N), naming gamma as given, for a
+    principal chi1, or for chi1*chi2(-1) = -1 (`_term_table`).  By the
+    module's closure, c = 0 is 0 and c <= -1 has the double sum of -gamma.  With y = q1 (a j mod c)/c, the
     inner sum over n is A[floor(y)] = (1/q1) sum_k k conj(chi1(k - floor(y)))
     for non-principal chi1, plus conj(chi1(-y))/2 when y is an integer; but
     y is an integer only when c/q1, a multiple of q2, divides j, and then
@@ -113,7 +107,7 @@ def naive_sum(chi1: DirichletCharacter, chi2: DirichletCharacter, gamma: Mat2) -
     zeta_L^-k2 reduced mod Phi_L, into deg Phi_L integer numerators over
     2 q1 c, which `_cyc` reads as they are.  One `_term_table` lookup gives
     L, chi2's exponents and the rows.  Pairing j with c - j multiplies the
-    summand by chi1*chi2(-1): only j < c/2 is walked, and the sum is 0 if -1.
+    summand by chi1*chi2(-1) = 1: only j < c/2 is walked.
     """
     q1, q2 = chi1.modulus, chi2.modulus
     N = q1 * q2
@@ -123,7 +117,7 @@ def naive_sum(chi1: DirichletCharacter, chi2: DirichletCharacter, gamma: Mat2) -
         raise ValueError("the double sum is evaluated for non-principal chi1 only")
     # chi2(j) = zeta_L^e2[j], or None where chi2(j) = 0; summands take conjugates
     L, e2, table = _term_table(chi1, chi2)
-    if gamma.c == 0 or table is None:
+    if gamma.c == 0:
         return CycElem.zero(L)
     a, c = (gamma.a, gamma.c) if gamma.c > 0 else (-gamma.a, -gamma.c)
     # integer numerators per power of zeta_L below deg Phi_L, over the common
@@ -154,14 +148,15 @@ def _term_table(chi1: DirichletCharacter, chi2: DirichletCharacter) -> tuple:
     chi2's exponents at L; and per exponent k2 < L/2 that chi2 takes up to
     a sign (one of k2 and k2 + L/2) and per bucket m < q1, the sparse row
     ((i, x), ...) of 2 q1 A[m] zeta_L^-k2 reduced mod Phi_L, its nonzero
-    coefficients in order, or None for rows when chi1*chi2(-1) = -1.  Each
-    k < q1 with chi1(k - m) = zeta_L^e adds 2k times the row of
-    zeta_L^-(e + k2), read sparse from the `_rotations` of 1, so no L-long
-    row is built or reduced."""
+    coefficients in order.  Each k < q1 with chi1(k - m) = zeta_L^e adds 2k
+    times the row of zeta_L^-(e + k2), read sparse from the `_rotations` of
+    1, so no L-long row is built or reduced.  A pair with chi1*chi2(-1) = -1
+    is refused here, the one place that reads a pair's parity."""
+    if _psi_odd(chi1, chi2):
+        raise ValueError(f"chi1*chi2(-1) = -1 for the pair mod ({chi1.modulus}, {chi2.modulus}): "
+                         "the generalized Dedekind sum is defined for chi1*chi2(-1) = 1 only")
     L = pair_order(chi1, chi2)
     e1, e2 = chi1.exponent_table(L), chi2.exponent_table(L)
-    if _psi_odd(chi1, chi2):
-        return L, e2, None
     deg = len(cyclotomic_polynomial(L)) - 1
     powers = [[(i, x) for i, x in enumerate(row) if x] for row in _rotations(L, (1,) + (0,) * (deg - 1))]
     table = {}
@@ -263,20 +258,16 @@ class Context:
 
 
 def _validate_pair(chi1, chi2, allow_large: bool):
-    """The one check of a pair, and the one place that raises its
-    ParityWarning, with stacklevel=4: through `_build`, at the line that
-    called `precompute` or `load_context`."""
+    """The one check of a pair: each character primitive with conductor
+    > 1, then the level (`_check_level`), then chi1*chi2(-1) = 1, which
+    `_term_table` checks as it builds the table `naive_sum` reads."""
     for name, chi in (("chi1", chi1), ("chi2", chi2)):
         if not chi.is_primitive():
             raise ValueError(f"{name} (mod {chi.modulus}) is not primitive")
         if chi.conductor() <= 1:
             raise ValueError(f"{name} must have conductor > 1")
     _check_level(chi1.modulus, chi2.modulus, allow_large)
-    if _psi_odd(chi1, chi2):
-        warnings.warn(
-            f"chi1*chi2(-1) != 1 for the pair mod ({chi1.modulus}, {chi2.modulus}); "
-            "the double sum vanishes for such a pair, so every sum is 0", ParityWarning, stacklevel=4
-        )
+    _term_table(chi1, chi2)
 
 
 def _check_level(q1: int, q2: int, allow_large: bool, lift: str = "allow_large=True"):
@@ -304,9 +295,9 @@ def _read_pair(texts, allow_large: bool, lift: str = "allow_large=True", at_leve
 def precompute(
     chi1: DirichletCharacter, chi2: DirichletCharacter, *, allow_large: bool = False
 ) -> Context:
-    """The context of a pair, built by `_build` (whose counts it drops),
-    with a ParityWarning, pointing at the caller, when chi1*chi2(-1) != 1.
-    Levels above DEFAULT_LEVEL_LIMIT need allow_large."""
+    """The context of a pair, built by `_build` (whose counts it drops).
+    Levels above DEFAULT_LEVEL_LIMIT need allow_large, and a pair with
+    chi1*chi2(-1) = -1 is refused."""
     return _build(chi1, chi2, allow_large)[0]
 
 
@@ -314,7 +305,7 @@ def _build(chi1, chi2, allow_large: bool) -> tuple[Context, int]:
     """The context of a pair and the number of double sums it ran, built
     one way for `precompute`, `load_context` and the CLI.
 
-    After `_validate_pair`, which warns on a pair with chi1*chi2(-1) != 1,
+    After `_validate_pair`, which refuses a pair with chi1*chi2(-1) = -1,
     every sum the context stores comes from one memo keyed by the double
     sum's input (a mod c, c), c >= 1, read as ((-a) mod (-c), -c) when
     c <= -1, which runs the double sum once per input, so its size is the
@@ -471,7 +462,7 @@ def fast_sum(ctx: Context, gamma: Mat2) -> CycElem:
     `modified_rewrite` walks the slot keys of gamma's word from (0, 1) to
     (0, lambda), lambda = d mod N, or -d mod N when the word is negated.
     The unsigned word is then its U-factors times g_lambda, and
-    S(-W) = psi(-1) S(W) = S(W) whenever any sum is nonzero, so S(gamma)
+    S(-W) = psi(-1) S(W) = S(W), as psi(-1) = 1, so S(gamma)
     is the sum of the U-factors plus G(lambda).
     `reduce_word` turns the keys into rows: the S-step row at each S slot
     and a multiple of the orbit total at each T slot that wraps around its
@@ -526,8 +517,8 @@ def load_context(path, *, allow_large: bool = False) -> Context:
     """Load a cached context: after the version, read the two stored specs
     as the CLI reads --chi1 and --chi2 (`_read_pair`), so the level passes
     the guardrail (unless allow_large) before any character is built; then
-    build the pair's context as `precompute` does (`_build`, so with the
-    same ParityWarning, pointing at the caller), and require each
+    build the pair's context as `precompute` does (`_build`, so a pair
+    with chi1*chi2(-1) = -1 is refused), and require each
     top-level field of its `context_to_json` to serialize as the file's
     does, none missing or extra, or a ValueError names the first
     that differs.  A malformed file raises ValueError too."""

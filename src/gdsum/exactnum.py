@@ -65,6 +65,14 @@ def _int(name: str, n):
     return n
 
 
+def _iter(name: str, xs):
+    """iter(xs), refused with a ValueError naming xs and its type unless it is iterable."""
+    try:
+        return iter(xs)
+    except TypeError:
+        raise ValueError(f"{name} {xs!r:.40} of type {type(xs).__name__} is not iterable") from None
+
+
 def _order(L) -> int:
     """L, refused with a ValueError unless it is a positive int."""
     if _int("order", L) < 1:
@@ -106,7 +114,7 @@ class CycElem:
 
     def __init__(self, order: int, coeffs):
         object.__setattr__(self, "order", _order(order))
-        raw = [c if isinstance(c, Fraction) else _fraction(c) for c in coeffs]
+        raw = [c if isinstance(c, Fraction) else _fraction(c) for c in _iter("coefficient list", coeffs)]
         object.__setattr__(self, "coeffs", _reduce(order, raw))
 
     def __setattr__(self, name, value):

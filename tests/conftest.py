@@ -1,12 +1,10 @@
 import random
 import sys
-import warnings
 from math import gcd
 
 import pytest
 
 from gdsum import find_character, precompute
-from gdsum.dedekind import ParityWarning
 from gdsum.modgroup import I2, Mat2
 
 
@@ -68,11 +66,9 @@ def ctx28(chi4, chi7_56):
 
 
 @pytest.fixture(scope="session")
-def ctx35(chi5, chi7_13):
-    # the defining parity hypothesis fails for this pair; the engine warns
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ParityWarning)
-        return precompute(chi5, chi7_13)
+def ctx35(chi5, chi7_56):
+    # order L = 12, chi1 and chi2 both odd: the conjugate of ctx35_l12's pair
+    return precompute(chi5, chi7_56)
 
 
 @pytest.fixture(scope="session")

@@ -23,6 +23,7 @@ from gdsum.characters import (
     unit_group_gens,
 )
 from gdsum.cosets import transversal_g1_in_g0
+from gdsum.dedekind import fast_sum, naive_sum, precompute
 from gdsum.exactnum import CycElem, root_of_unity
 from gdsum.modgroup import I2, Mat2, random_gamma0
 from reference_tables import embed, in_gamma1
@@ -204,8 +205,9 @@ def test_characters_mod_refuses_a_modulus_that_is_not_a_positive_int():
 
 def test_a_character_refuses_an_exponent_table_it_cannot_read():
     """An exponent that is not an int or None, which a build would use as an
-    index, is refused by name, as is a table that misses a residue and a
-    modulus or order that is not an int."""
+    index, is refused by name, as is a table that misses a residue or is
+    not iterable, a modulus or order that is not an int, and a modulus or
+    order below 1, whose `eval` would divide by 0."""
     with pytest.raises(ValueError, match="^exponent 1.0 of type float is not an int$"):
         DirichletCharacter(5, 4, [None, 0, 1.0, 3, 2])
     with pytest.raises(ValueError, match="^exponent table must cover all residues$"):
@@ -213,7 +215,31 @@ def test_a_character_refuses_an_exponent_table_it_cannot_read():
     for q, order, message in [(5.0, 4, "modulus 5.0 of type float"), (5, "4", "order '4' of type str")]:
         with pytest.raises(ValueError, match=f"^{message} is not an int$"):
             DirichletCharacter(q, order, [None, 0, 1, 3, 2])
+    with pytest.raises(ValueError, match="^exponent table 7 of type int is not iterable$"):
+        DirichletCharacter(5, 4, 7)
+    with pytest.raises(ValueError, match="^modulus must be a positive integer$"):
+        DirichletCharacter(0, 1, [0])
+    with pytest.raises(ValueError, match="^order must be a positive integer$"):
+        DirichletCharacter(5, 0, [None, 0, 0, 0, 0])
     assert DirichletCharacter(5, 4, [None, 0, 1, 3, 2]).eval(2) == root_of_unity(4, 1)
+
+
+def test_a_character_is_stored_in_one_canonical_form():
+    """Exponents past the order, or an order that is a multiple of the true
+    one, give the character `find_character` finds: equal, with one hash,
+    the true order and the same exponents, so the pair's parity reads as
+    it should; with chi2 = "q=7;g=3;v=1/6" (psi(-1) = 1), `naive_sum` and a
+    precompute give the sum at (107, -42; 1470, -577) that the found
+    character gives, where an unreduced 6 was once read as odd and gave 0."""
+    found = find_character(5, [(2, "1/4")])
+    chi2 = parse_character_spec("q=7;g=3;v=1/6")
+    gamma = Mat2(107, -42, 1470, -577)
+    value = CycElem(12, [Fraction(-22, 5), Fraction(-36, 5), Fraction(32, 5)])
+    for chi in (DirichletCharacter(5, 4, [None, 0, 1, 3, 6]), DirichletCharacter(5, 8, [None, 0, 2, 6, 4])):
+        assert chi == found and hash(chi) == hash(found) and chi.order == 4
+        assert [chi.exponent(n) for n in range(5)] == [None, 0, 1, 3, 2]
+        assert not _psi_odd(chi, chi2)
+        assert naive_sum(chi, chi2, gamma) == fast_sum(precompute(chi, chi2), gamma) == value
 
 
 @functools.cache

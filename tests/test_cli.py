@@ -66,46 +66,6 @@ def test_one_precompute_and_no_file(tmp_path, capsys, monkeypatch, builds, argv)
         assert "FAIL" not in out
 
 
-def test_parity_warning_on_every_run(capsys):
-    """A pair with chi1*chi2(-1) = -1: each `sum` run, also one by the
-    double sum that builds no table, prints the one parity warning line,
-    and the sum 0."""
-    pair = ["--chi1", CHI3, "--chi2", "q=5;g=2;v=1/2"]
-    for naive in ([], [], ["--naive"], ["--naive"]):
-        assert main(["sum", *pair, "--matrix", "2,1;15,8", *naive]) == 0
-        out, err = capsys.readouterr()
-        assert err == (
-            "warning: chi1*chi2(-1) != 1 for the pair mod (3, 5); "
-            "the double sum vanishes for such a pair, so every sum is 0\n"
-        )
-        assert out.splitlines()[0] == "0"
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["precompute"],
-        ["sum", "--matrix", "2,1;15,8"],
-        ["sum", "--matrix", "2,1;15,8", "--naive"],
-        ["sum", "--matrix", "2,1;15,8", "--trace"],
-        ["sum", "--matrix", "2,1;15,8", "--naive", "--trace"],
-        ["verify", "--trials", "2", "--cmax", "100"],
-    ],
-    ids=["precompute", "sum", "sum-naive", "sum-trace", "sum-naive-trace", "verify"],
-)
-def test_parity_warning_printed_once(capsys, monkeypatch, argv):
-    """Every command on a pair with chi1*chi2(-1) = -1, with a table or
-    without, checks the pair once and prints the parity warning once, and
-    nothing else to stderr."""
-    calls, real = [], dedekind._validate_pair
-    for module in (cli, dedekind):
-        monkeypatch.setattr(module, "_validate_pair", lambda *a: calls.append(a) or real(*a))
-    assert main([*argv, "--chi1", CHI3, "--chi2", "q=5;g=2;v=1/2"]) == 0
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("warning: chi1*chi2(-1) != 1 for the pair mod (3, 5); ")
-    assert len(calls) == 1
-
-
 def test_precompute_reports_oracle_calls(capsys, monkeypatch):
     calls = []
 

@@ -148,8 +148,8 @@ def test_root_of_unity_refuses_an_order_or_exponent_that_is_not_an_int():
 
 
 def test_cycelem_refuses_an_order_or_coefficient_it_cannot_read():
-    """An order that is not a positive int and a coefficient that Fraction()
-    cannot read are refused by name."""
+    """An order that is not a positive int, a coefficient that Fraction()
+    cannot read and coefficients that are not iterable are refused by name."""
     for order, message in [(2.5, "order 2.5 of type float is not an int"), ("3", "order '3' of type str is not an int"),
                            (0, "order must be a positive integer")]:
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -159,6 +159,8 @@ def test_cycelem_refuses_an_order_or_coefficient_it_cannot_read():
     for x, message in [(None, "None of type NoneType"), ("x", "'x' of type str"), (float("inf"), "inf of type float")]:
         with pytest.raises(ValueError, match=f"^coefficient {message} is not a rational$"):
             CycElem(4, [x])
+    with pytest.raises(ValueError, match="^coefficient list 5 of type int is not iterable$"):
+        CycElem(4, 5)
     assert CycElem(4, ["1/2", 0.5]) == CycElem(4, [Fraction(1, 2), Fraction(1, 2)])
 
 

@@ -22,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gdsum.characters import _psi_odd, characters_mod, find_character, pair_order, parse_character_spec
-from gdsum.dedekind import fast_sum, naive_sum
+from gdsum.dedekind import fast_sum, naive_sum, precompute
 from gdsum.exactnum import CycElem, cyclotomic_polynomial
 from gdsum.modgroup import Mat2, random_gamma0
 
@@ -83,7 +83,8 @@ def _floor_sums(n, a, b, m):
 
 
 def floor_sum_oracle(chi1, chi2, gamma):
-    """The double sum for c >= 1 from floor sums, O(log c) per bucket.
+    """The double sum for c >= 1 and chi1*chi2(-1) = 1 from floor sums,
+    O(log c) per bucket.
 
     `naive_sum`'s bucket m for residue u mod q2 adds 2j - c over the j = u + q2*i
     < c/2 with floor(q1*a*j/c) = m mod q1, and [floor(x) = m mod q1] is
@@ -95,8 +96,6 @@ def floor_sum_oracle(chi1, chi2, gamma):
     L = pair_order(chi1, chi2)
     e1, e2 = chi1.exponent_table(L), chi2.exponent_table(L)
     acc = [0] * L
-    if e1[-1] != e2[-1]:  # chi1*chi2(-1) = -1: the halves cancel
-        return CycElem(L, acc)
     half = (c + 1) // 2
     for u in range(1, q2):
         if e2[u] is None:
@@ -113,15 +112,13 @@ def floor_sum_oracle(chi1, chi2, gamma):
     return CycElem(L, [Fraction(v, 2 * q1 * c) for v in acc])
 
 
-# (chi1, chi2) by (modulus, [(generator, value)]); chi1*chi2(-1) = -1 on the "-odd" pairs
+# (chi1, chi2) by (modulus, [(generator, value)])
 PAIRS = {
     "N9": ((3, [(2, "1/2")]), (3, [(2, "1/2")])),
     "N12": ((4, [(3, "1/2")]), (3, [(2, "1/2")])),
     "N12-q1=3": ((3, [(2, "1/2")]), (4, [(3, "1/2")])),
     "N28": ((4, [(3, "1/2")]), (7, [(3, "5/6")])),
-    "N28-odd": ((4, [(3, "1/2")]), (7, [(3, "1/3")])),
     "N35": ((5, [(2, "1/4")]), (7, [(3, "1/6")])),
-    "N35-odd": ((5, [(2, "3/4")]), (7, [(3, "1/3")])),
 }
 
 
@@ -216,26 +213,24 @@ def test_floor_sum_oracle_equals_naive_sum(name, k, a, shift_a):
 )
 def test_fast_sum_equals_floor_sum_oracle(request, ctx_name, e, mantissa, a, shift_a, shift_d):
     """fast_sum against an oracle that reads no table, for c up to
-    N * 10^60, far above the double sum's cutoff; ctx35 is the
-    parity-violating pair, where both are 0."""
+    N * 10^60, far above the double sum's cutoff."""
     ctx = request.getfixturevalue(ctx_name)
     gamma = _gamma(ctx.N, 1 + mantissa * 10**e // 10**6, a, shift_a, shift_d)
     assert fast_sum(ctx, gamma) == floor_sum_oracle(ctx.chi1, ctx.chi2, gamma)
 
 
-def test_parity_violating_pair_sums_to_zero(ctx35, chi5, chi7_13):
+def test_parity_violating_pair_sums_to_zero(chi5, chi7_13):
     # chi1*chi2(-1) = -1: the summands at j and c - j cancel, so the double
-    # sum is 0 on every matrix, and so are the tables and the fast path
+    # sum is 0 on every matrix, and the pair is refused
     rng = random.Random(6)
-    zero = CycElem.zero(ctx35.L)
+    zero = CycElem.zero(pair_order(chi5, chi7_13))
     for _ in range(10):
         gamma = random_gamma0(35, rng, kmax=6, d_shift=3)
         assert literal_sum(chi5, chi7_13, gamma) == zero
-        assert naive_sum(chi5, chi7_13, gamma) == zero
-        assert fast_sum(ctx35, gamma) == zero
-        assert fast_sum(ctx35, gamma.inv()) == zero
-    assert all(v == zero for v in ctx35.sums_alphabet.values())
-    assert all(v == zero for v in ctx35.sums_g0.values())
+        with pytest.raises(ValueError, match=r"^chi1\*chi2\(-1\) = -1 for the pair mod \(5, 7\)"):
+            naive_sum(chi5, chi7_13, gamma)
+    with pytest.raises(ValueError, match=r"^chi1\*chi2\(-1\) = -1 for the pair mod \(5, 7\)"):
+        precompute(chi5, chi7_13)
 
 
 def test_naive_sum_rejects_principal_chi1(chi3):
