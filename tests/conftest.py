@@ -46,6 +46,11 @@ def chi7_13():
 
 
 @pytest.fixture(scope="session")
+def chi7_12():
+    return find_character(7, [(3, "1/2")])
+
+
+@pytest.fixture(scope="session")
 def chi5_14():
     return find_character(5, [(2, "1/4")])
 

@@ -66,6 +66,46 @@ def test_one_precompute_and_no_file(tmp_path, capsys, monkeypatch, builds, argv)
         assert "FAIL" not in out
 
 
+PSI_ODD_REFUSAL = (
+    "error: chi1*chi2(-1) = -1 for the pair mod (3, 5): "
+    "the generalized Dedekind sum is defined for chi1*chi2(-1) = 1 only\n"
+)
+
+
+def test_parity_warning_on_every_run(capsys):
+    """A pair with chi1*chi2(-1) = -1: each `sum` run, also one by the
+    double sum that builds no table, is refused with exit 1 and the one
+    error line, and prints no sum."""
+    pair = ["--chi1", CHI3, "--chi2", "q=5;g=2;v=1/2"]
+    for naive in ([], [], ["--naive"], ["--naive"]):
+        assert main(["sum", *pair, "--matrix", "2,1;15,8", *naive]) == 1
+        assert capsys.readouterr() == ("", PSI_ODD_REFUSAL)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["precompute"],
+        ["sum", "--matrix", "2,1;15,8"],
+        ["sum", "--matrix", "2,1;15,8", "--naive"],
+        ["sum", "--matrix", "2,1;15,8", "--trace"],
+        ["sum", "--matrix", "2,1;15,8", "--naive", "--trace"],
+        ["verify", "--trials", "2", "--cmax", "100"],
+    ],
+    ids=["precompute", "sum", "sum-naive", "sum-trace", "sum-naive-trace", "verify"],
+)
+def test_parity_warning_printed_once(capsys, monkeypatch, argv):
+    """Every command on a pair with chi1*chi2(-1) = -1, with a table or
+    without, checks the pair once and is refused with exit 1, the one
+    error line on stderr and nothing on stdout."""
+    calls, real = [], dedekind._validate_pair
+    for module in (cli, dedekind):
+        monkeypatch.setattr(module, "_validate_pair", lambda *a: calls.append(a) or real(*a))
+    assert main([*argv, "--chi1", CHI3, "--chi2", "q=5;g=2;v=1/2"]) == 1
+    assert capsys.readouterr() == ("", PSI_ODD_REFUSAL)
+    assert len(calls) == 1
+
+
 def test_precompute_reports_oracle_calls(capsys, monkeypatch):
     calls = []
 

@@ -60,7 +60,7 @@ from reference_tables import (
     unsigned_product,
 )
 from reference_tables import reduce_word as alphabet_terms
-from test_oracle import LARGE_L, literal_numerators
+from test_oracle import LARGE_L, literal_numerators, literal_sum
 
 
 def test_naive_sum_kernel_matrix(chi3):
@@ -488,6 +488,7 @@ FRICKE_PAIRS = {  # (chi1 spec, chi2 spec), as the CLI reads them
     "35-even": ("q=5;g=2;v=1/2", "q=7;g=3;v=1/3"),
     "40-even": ("q=5;g=2;v=1/2", "q=8;g=7;v=0;g=5;v=1/2"),
     "91-even": ("q=7;g=3;v=1/3", "q=13;g=2;v=1/3"),
+    "15-psi-odd": ("q=3;g=2;v=1/2", "q=5;g=2;v=1/2"),  # refused: every double sum is 0
 }
 
 
@@ -499,8 +500,18 @@ def test_fricke_reciprocity_holds_with_the_parity_sign(name):
     does not check it, since it needs the swapped pair's tables too: it is
     a library identity, checked here and by CI's sweep job on every pair
     with N <= 200.  Without the sign chi1(-1) the law breaks on each pair
-    with chi1 and chi2 even."""
+    with chi1 and chi2 even.  The psi-odd pair and its swap are refused,
+    and the literal double sum of each is 0 on 12 seeded matrices with c
+    up to 10^3."""
     chi1, chi2 = map(parse_character_spec, FRICKE_PAIRS[name])
+    if _psi_odd(chi1, chi2):
+        N = chi1.modulus * chi2.modulus
+        for a, b in ((chi1, chi2), (chi2, chi1)):
+            with pytest.raises(ValueError, match=f"^{re.escape(_refusal(a, b))}$"):
+                dedekind._build(a, b, True)
+        for g in _log_uniform_draws(N, random.Random(N), 12, top=3):
+            assert not literal_sum(chi1, chi2, g) and not literal_sum(chi2, chi1, g), g
+        return
     (ctx, _), (swapped, _) = dedekind._build(chi1, chi2, True), dedekind._build(chi2, chi1, True)
     mats = _log_uniform_draws(ctx.N, random.Random(ctx.N), 12)
     sign = 1 if chi1.exponent(-1) == 0 else -1
@@ -553,18 +564,27 @@ def test_the_hecke_relation_holds_at_two_primes(name):
     seeded matrices per p with c up to 10^60: the relation `verify`'s
     hecke suite checks, at p + 1 matrices built here by trying every
     partner.  The suite's own matrices equal them, and the suite, which
-    reads the three smallest primes, passes on the first p's draws."""
+    reads the three smallest primes, passes on the first p's draws.  The
+    psi-odd pair is refused, and there both sides are read by `literal_sum`,
+    with c up to 10^3, and are 0."""
     chi1, chi2 = map(parse_character_spec, FRICKE_PAIRS[name])
-    ctx, _ = dedekind._build(chi1, chi2, True)
-    rng, N = random.Random(ctx.N), ctx.N
+    N, odd = chi1.modulus * chi2.modulus, _psi_odd(chi1, chi2)
+    if odd:
+        with pytest.raises(ValueError, match=f"^{re.escape(_refusal(chi1, chi2))}$"):
+            dedekind._build(chi1, chi2, True)
+        sum_of = partial(literal_sum, chi1, chi2)
+    else:
+        ctx, _ = dedekind._build(chi1, chi2, True)
+        sum_of = partial(fast_sum, ctx)
+    rng = random.Random(N)
     p1, p2, p3 = _primes_prime_to(N, 3)
     for p in (p1, p2):
-        mats = _log_uniform_draws(N, rng, 6)
+        mats = _log_uniform_draws(N, rng, 6, top=3 if odd else 60)
         for g in mats:
             assert cli._hecke_images(g, p) == _hecke_reference(g, p, N)
-            lhs, rhs = _hecke_sides(chi1, chi2, g, p, partial(fast_sum, ctx))
-            assert lhs == rhs, (p, g)
-        if p == p1:
+            lhs, rhs = _hecke_sides(chi1, chi2, g, p, sum_of)
+            assert lhs == rhs and (not odd or not rhs), (p, g)
+        if p == p1 and not odd:
             assert cli._hecke(ctx, mats) == (True, f"p = {p1}, {p2} and {p3}, 6 matrices, c up to 10^60")
 
 
@@ -659,12 +679,24 @@ def test_precompute_rejects_bad_characters(chi3):
         precompute(induced, chi3)
 
 
-def test_precompute_guardrail(chi3, chi7_13):
+def test_precompute_guardrail(chi3):
     chi61 = find_character(61, [(2, "1/60")])
     with pytest.raises(ValueError):
         precompute(chi3, chi61)
-    # the level is checked before the parity: a pair with chi1*chi2(-1) = -1 at N = 91
+
+
+def test_parity_warning(chi5, chi7_13):
+    """`_validate_pair` checks chi1*chi2(-1) = 1 last: a pair that breaks
+    it is refused, but a character that is not primitive, or a level above
+    the guardrail, is named first."""
+    with pytest.raises(ValueError, match=r"^chi1\*chi2\(-1\) = -1 for the pair mod \(5, 7\)"):
+        precompute(chi5, chi7_13)
+    induced = next(chi for chi in characters_mod(15) if chi.order == 4 and not chi.is_primitive())
+    assert _psi_odd(induced, chi7_13)
+    with pytest.raises(ValueError, match=r"^chi1 \(mod 15\) is not primitive$"):
+        precompute(induced, chi7_13)
     chi13 = find_character(13, [(2, "1/12")])
+    assert _psi_odd(chi7_13, chi13)
     with pytest.raises(ValueError, match="exceeds the guardrail 80"):
         precompute(chi7_13, chi13)
     with pytest.raises(ValueError, match=r"^chi1\*chi2\(-1\) = -1 for the pair mod \(7, 13\)"):
@@ -678,47 +710,45 @@ PSI_ODD = {  # (chi1 spec, chi2 spec) with chi1*chi2(-1) = -1, as the CLI reads 
 }
 
 
-@pytest.mark.parametrize("name", list(PSI_ODD))
-def test_a_psi_odd_pair_is_refused(tmp_path, monkeypatch, capsys, name):
-    """A pair with chi1*chi2(-1) = -1, whose double sum is 0 on every
-    matrix, is refused with one ValueError by `precompute`, `_build`,
-    `naive_sum` and `load_context` of a cache that holds its specs; and by
-    the CLI's `precompute`, `sum` and `verify`, with or without --naive and
-    --trace, each checking the pair once, with exit 1, one `error:` line
-    and nothing on stdout."""
-    specs = PSI_ODD[name]
-    chi1, chi2 = map(parse_character_spec, specs)
-    N = chi1.modulus * chi2.modulus
-    refusal = (
+def _refusal(chi1, chi2) -> str:
+    """The whole message a pair with chi1*chi2(-1) = -1 is refused with."""
+    return (
         f"chi1*chi2(-1) = -1 for the pair mod ({chi1.modulus}, {chi2.modulus}): "
         "the generalized Dedekind sum is defined for chi1*chi2(-1) = 1 only"
     )
-    path = tmp_path / "odd.json"
-    path.write_text(json.dumps({"version": CACHE_VERSION, "chi1": specs[0], "chi2": specs[1]}))
+
+
+@pytest.mark.parametrize("name", list(PSI_ODD))
+def test_a_psi_odd_pair_is_refused(name):
+    """A pair with chi1*chi2(-1) = -1, whose double sum is 0 on every
+    matrix, is refused with one ValueError by `precompute`, `_build` and
+    `naive_sum`; `load_context` refuses it below, and the CLI in
+    test_cli.py."""
+    chi1, chi2 = map(parse_character_spec, PSI_ODD[name])
+    N = chi1.modulus * chi2.modulus
     for call in (
         partial(precompute, chi1, chi2),
         partial(dedekind._build, chi1, chi2, False),
         partial(naive_sum, chi1, chi2, Mat2(1, 0, N, 1)),
-        partial(load_context, path),
     ):
-        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(_refusal(chi1, chi2))}$"):
             call()
-    calls, real = [], dedekind._validate_pair
-    for module in (cli, dedekind):
-        monkeypatch.setattr(module, "_validate_pair", lambda *a: calls.append(a) or real(*a))
-    matrix = ["--matrix", f"1,0;{N},1"]
-    runs = [
-        ["precompute"],
-        ["sum", *matrix],
-        ["sum", *matrix, "--naive"],
-        ["sum", *matrix, "--trace"],
-        ["sum", *matrix, "--naive", "--trace"],
-        ["verify", "--trials", "2", "--cmax", "100"],
-    ]
-    for argv in runs:
-        assert cli.main([*argv, "--chi1", specs[0], "--chi2", specs[1]]) == 1
-        assert capsys.readouterr() == ("", f"error: {refusal}\n"), argv
-    assert len(calls) == len(runs)
+
+
+def test_load_context_warns_like_precompute(tmp_path):
+    """A hand-written cache that holds a pair with chi1*chi2(-1) = -1 is
+    refused by `load_context` with the ValueError `precompute` raises on
+    that pair, before any table is read."""
+    for chi1_spec, chi2_spec in PSI_ODD.values():
+        chi1, chi2 = map(parse_character_spec, (chi1_spec, chi2_spec))
+        path = tmp_path / "odd.json"
+        path.write_text(json.dumps({"version": CACHE_VERSION, "chi1": chi1_spec, "chi2": chi2_spec}))
+        errors = []
+        for call in (partial(precompute, chi1, chi2), partial(load_context, path)):
+            with pytest.raises(ValueError) as info:
+                call()
+            errors.append(str(info.value))
+        assert errors == [_refusal(chi1, chi2)] * 2
 
 
 def test_a_build_makes_the_gamma0_transversal_once(monkeypatch, chi5_14, chi7_16):
@@ -1672,13 +1702,15 @@ def test_fast_sum_over_common_denominator_3(ctx28):
     assert min(moved[:40]) > 0 and max(moved) > 10**20
 
 
-# (chi1, chi2) fixture names per pair: N = 12 has q1 = 3 and q1 = 4, and the
-# two N = 35 pairs are each other's conjugates
+# (chi1, chi2) fixture names per pair: N = 12 has q1 = 3 and q1 = 4, the
+# two N = 35 pairs are each other's conjugates, and "28-odd" is the real
+# pair at N = 28, chi2 the quadratic character mod 7, which is odd
 PAIRS = {
     "9": ("chi3", "chi3"),
     "12": ("chi3", "chi4"),
     "12-swapped": ("chi4", "chi3"),
     "28": ("chi4", "chi7_56"),
+    "28-odd": ("chi4", "chi7_12"),
     "35": ("chi5", "chi7_56"),
     "35-l12": ("chi5_14", "chi7_16"),
 }

@@ -112,13 +112,16 @@ def floor_sum_oracle(chi1, chi2, gamma):
     return CycElem(L, [Fraction(v, 2 * q1 * c) for v in acc])
 
 
-# (chi1, chi2) by (modulus, [(generator, value)])
+# (chi1, chi2) by (modulus, [(generator, value)]); on the "-odd" pairs chi2
+# is the quadratic character mod 7, which is odd, and so is chi1
 PAIRS = {
     "N9": ((3, [(2, "1/2")]), (3, [(2, "1/2")])),
     "N12": ((4, [(3, "1/2")]), (3, [(2, "1/2")])),
     "N12-q1=3": ((3, [(2, "1/2")]), (4, [(3, "1/2")])),
     "N28": ((4, [(3, "1/2")]), (7, [(3, "5/6")])),
+    "N28-odd": ((4, [(3, "1/2")]), (7, [(3, "1/2")])),  # L = 2
     "N35": ((5, [(2, "1/4")]), (7, [(3, "1/6")])),
+    "N35-odd": ((5, [(2, "3/4")]), (7, [(3, "1/2")])),  # L = 4
 }
 
 
